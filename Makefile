@@ -36,6 +36,15 @@
 #                     saturation sheds with 429s + bounded accepted
 #                     p99; deadline cancellation), emits
 #                     BENCH_resilience.json
+#   make ledger       the perf ledger (BENCHMARK.json): four workloads,
+#                     3 untraced runs + 1 traced run each, golden-checked
+#                     answers, ~7 min; prints every end-to-end and
+#                     per-layer metric and writes
+#                     benchmarks/ledger/out/result.json (compare two of
+#                     those with benchmarks/ledger/compare.py)
+#   make ledger-smoke the same command at ~1/100 size (seconds): proves
+#                     the ledger still runs and every answer still
+#                     matches its golden digest; its timings mean nothing
 #   make coverage     tier-1 suite under pytest-cov (CI gate: >=85% on
 #                     src/repro, writes coverage.xml)
 #   make lint         bytecode-compile every source tree (import/syntax gate)
@@ -45,7 +54,7 @@ PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: test test-fast test-stress bench-smoke bench-scale bench-serving \
-	bench-resilience coverage lint check
+	bench-resilience ledger ledger-smoke coverage lint check
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -78,6 +87,12 @@ bench-serving:
 
 bench-resilience:
 	$(PYTHON) -m pytest benchmarks/bench_resilience.py -q -s
+
+ledger:
+	$(PYTHON) benchmarks/ledger/run.py
+
+ledger-smoke:
+	$(PYTHON) benchmarks/ledger/run.py --smoke
 
 coverage:
 	$(PYTHON) -m pytest -x -q --cov=repro --cov-report=term \

@@ -12,7 +12,11 @@ Faithful to Section 4.2.1 "Application in SODA":
 3. *Join pass* — traverse again, now also over join edges (bounded
    depth: the paper notes join paths between entities "too far apart"
    are not found), testing the Join-Relationship pattern; the discovered
-   join conditions form a table-level join graph.
+   join conditions form a table-level join graph.  The traversal runs
+   once per table per graph version: what a table reaches within the
+   depth bound depends on the metadata graph alone, so it is memoised
+   (lazily, on the table's first use) and a query's join graph is the
+   union of its entry tables' memoised reach.
 4. *Join selection* — keep only joins on a direct path between the
    entry points (Fig. 9); already-selected edges are preferred so the
    query stays small.  Bridge tables (physical N-to-N implementations)
@@ -29,9 +33,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 
-import networkx as nx
-
-from repro.graph.node import Text, Vocab
+from repro.graph.node import Text, Vocab, local_name
 from repro.graph.pattern import PatternLibrary, match_pattern
 from repro.graph.traversal import iter_reachable
 from repro.graph.triples import TripleStore
@@ -44,6 +46,10 @@ _EXPANSION_HITS = _METRICS.counter("tables.memo.expansion_hits")
 _EXPANSION_MISSES = _METRICS.counter("tables.memo.expansion_misses")
 _PLAN_HITS = _METRICS.counter("tables.memo.plan_hits")
 _PLAN_MISSES = _METRICS.counter("tables.memo.plan_misses")
+
+#: the edges the join pass follows: the schema edges of the tables pass
+#: plus the table -> column -> join node -> column -> table edges
+_JOIN_PASS_EDGES = SCHEMA_EDGES | JOIN_EDGES
 
 
 @dataclass(frozen=True)
@@ -133,8 +139,15 @@ class TablesStep:
         # memos, dropped whenever the metadata graph changes:
         #   entry point -> EntryExpansion (the schema-edge traversal)
         #   frozenset(entry tables) -> (parents, tables, joins, components)
+        #   graph node -> tuple of the JoinEdges the join pattern yields there
+        #   table -> frozenset of the JoinEdges within join_depth of it
+        # All are filled on first use, never at construction; a fill is
+        # one assignment of an immutable value computed from the graph
+        # alone, so concurrent searches may race to it harmlessly.
         self._expansion_cache: dict = {}
         self._plan_cache: dict = {}
+        self._node_joins: dict = {}
+        self._join_reach: dict = {}
         self._graph_version = store.version
 
     def _check_graph_version(self) -> None:
@@ -142,6 +155,8 @@ class TablesStep:
         if self._store.version != self._graph_version:
             self._expansion_cache.clear()
             self._plan_cache.clear()
+            self._node_joins.clear()
+            self._join_reach.clear()
             self._children_cache = None
             self._graph_version = self._store.version
 
@@ -149,6 +164,8 @@ class TablesStep:
         return {
             "expansions": len(self._expansion_cache),
             "join_plans": len(self._plan_cache),
+            "join_nodes": len(self._node_joins),
+            "join_reach": len(self._join_reach),
         }
 
     # ------------------------------------------------------------------
@@ -188,11 +205,13 @@ class TablesStep:
                 _PLAN_MISSES.inc()
             working = set(preliminary)
             inheritance_parents = self._inheritance_closure(working)
-            join_graph = self._discover_join_graph(sorted(working))
-            pruned = self._prune_sibling_parent_edges(
-                join_graph, working, inheritance_parents
-            )
-            selected, final_tables = self._select_joins(pruned, working)
+            skipped = self._pruned_sibling_pairs(working, inheritance_parents)
+            joins = [
+                edge
+                for edge in self._discover_join_graph(working)
+                if _pair(edge.left_table, edge.right_table) not in skipped
+            ]
+            selected, final_tables = self._select_joins(joins, working)
             components = self._components(final_tables, selected)
             cached = (
                 inheritance_parents,
@@ -224,8 +243,9 @@ class TablesStep:
         if _METRICS.enabled:
             _EXPANSION_MISSES.inc()
         expansion = EntryExpansion(entry=entry)
-        follow = _make_follow(SCHEMA_EDGES)
-        for node, __ in iter_reachable(self._store, entry.node, follow=follow):
+        for node, __ in iter_reachable(
+            self._store, entry.node, predicates=SCHEMA_EDGES
+        ):
             self._test_patterns_at(node, expansion)
         self._expansion_cache[entry] = expansion
         return expansion
@@ -322,32 +342,42 @@ class TablesStep:
     # ------------------------------------------------------------------
     # join pass
     # ------------------------------------------------------------------
-    def _discover_join_graph(self, entry_tables: list) -> "nx.Graph":
-        """Traverse join edges from entry tables; match Join-Relationship."""
-        follow = _make_follow(SCHEMA_EDGES | JOIN_EDGES)
-        pattern = self._library.get("join_relationship")
-        graph = nx.Graph()
-        seen_nodes: set = set()
-        for table_name in entry_tables:
-            graph.add_node(table_name)
+    def _discover_join_graph(self, entry_tables) -> frozenset:
+        """Every JoinEdge within ``join_depth`` of any entry table."""
+        return frozenset().union(
+            *(self._reachable_joins(table) for table in entry_tables)
+        )
+
+    def _reachable_joins(self, table_name: str) -> frozenset:
+        """Traverse join edges from one table; memoized per graph version."""
+        reach = self._join_reach.get(table_name)
+        if reach is None:
+            found: set = set()
             start = self._table_node(table_name)
-            if start is None:
-                continue
-            for node, __ in iter_reachable(
-                self._store, start, max_depth=self._join_depth, follow=follow
-            ):
-                if node in seen_nodes:
-                    continue
-                seen_nodes.add(node)
-                for binding in match_pattern(self._store, pattern, node,
-                                             self._library):
-                    if self._store.object(node, Vocab.IGNORED) is not None:
-                        continue
-                    edge = self._join_edge_from_binding(node, binding)
-                    if edge is None:
-                        continue
-                    self._add_join_edge(graph, edge)
-        return graph
+            if start is not None:
+                for node, __ in iter_reachable(
+                    self._store, start, self._join_depth, _JOIN_PASS_EDGES
+                ):
+                    found.update(self._joins_at(node))
+            reach = self._join_reach[table_name] = frozenset(found)
+        return reach
+
+    def _joins_at(self, node: str) -> tuple:
+        """Match Join-Relationship at *node*; memoized per graph version."""
+        edges = self._node_joins.get(node)
+        if edges is None:
+            bindings = match_pattern(
+                self._store, self._library.get("join_relationship"), node,
+                self._library,
+            )
+            if bindings and self._store.object(node, Vocab.IGNORED) is not None:
+                bindings = ()
+            candidates = (
+                self._join_edge_from_binding(node, binding) for binding in bindings
+            )
+            edges = tuple(edge for edge in candidates if edge is not None)
+            self._node_joins[node] = edges
+        return edges
 
     def _join_edge_from_binding(self, join_node: str, binding: dict):
         left_table, left_column = self._column_location(binding.get("l"))
@@ -356,8 +386,6 @@ class TablesStep:
             return None
         if left_table == right_table:
             return None  # self-joins are out of scope
-        from repro.graph.node import local_name
-
         return JoinEdge(
             name=local_name(join_node),
             left_table=left_table,
@@ -366,39 +394,30 @@ class TablesStep:
             right_column=right_column,
         )
 
-    @staticmethod
-    def _add_join_edge(graph: "nx.Graph", edge: JoinEdge) -> None:
-        u, v = edge.left_table, edge.right_table
-        if graph.has_edge(u, v):
-            payloads = graph.edges[u, v]["payloads"]
-            if edge not in payloads:
-                payloads.append(edge)
-                payloads.sort(key=JoinEdge.sort_key)
-        else:
-            graph.add_edge(u, v, payloads=[edge], weight=1.0)
-
     # ------------------------------------------------------------------
     # sibling pruning (Fig. 10 failure mode)
     # ------------------------------------------------------------------
-    def _prune_sibling_parent_edges(
-        self, graph: "nx.Graph", tables: set, parents: dict
-    ) -> "nx.Graph":
-        """Keep the parent join only for the first sibling present."""
-        pruned = graph.copy()
+    @staticmethod
+    def _pruned_sibling_pairs(tables: set, parents: dict) -> set:
+        """Keep the parent join only for the first sibling present.
+
+        Returns the (parent, child) table pairs whose joins are left out
+        of the join graph.
+        """
         children_by_parent: dict = {}
         for child, parent in sorted(parents.items()):
-            children_by_parent.setdefault(parent, []).append(child)
-        for parent, children in children_by_parent.items():
-            present = [child for child in children if child in tables]
-            for child in present[1:]:
-                if pruned.has_edge(parent, child):
-                    pruned.remove_edge(parent, child)
-        return pruned
+            if child in tables:
+                children_by_parent.setdefault(parent, []).append(child)
+        return {
+            _pair(parent, child)
+            for parent, children in children_by_parent.items()
+            for child in children[1:]
+        }
 
     # ------------------------------------------------------------------
     # join selection: direct paths between entry points (Fig. 9)
     # ------------------------------------------------------------------
-    def _select_joins(self, graph: "nx.Graph", preliminary: set) -> tuple:
+    def _select_joins(self, joins: list, preliminary: set) -> tuple:
         final_tables = set(preliminary)
         selected: list = []
         selected_pairs: set = set()
@@ -406,44 +425,42 @@ class TablesStep:
         # Bridge tables (pure N-to-N link tables) are the *intended* way to
         # connect two entities, so paths through them are slightly
         # preferred over incidental attribute joins.
-        bridges = self._bridge_tables(graph, self._all_inheritance_children())
-        weights = {}
-        for u, v in graph.edges:
-            weight = 0.9 if (u in bridges or v in bridges) else 1.0
-            weights[(min(u, v), max(u, v))] = weight
+        bridges = self._bridge_tables(joins, self._all_inheritance_children())
+        # the table-level join graph: table -> neighbour -> edge weight,
+        # both directions; parallel join conditions collapse into one
+        # edge that carries the first of them in sort order
+        adjacency: dict = {table: {} for table in preliminary}
+        payload: dict = {}
+        for edge in joins:
+            u, v = edge.left_table, edge.right_table
+            key = _pair(u, v)
+            first = payload.get(key)
+            if first is None:
+                weight = 0.9 if (u in bridges or v in bridges) else 1.0
+                adjacency.setdefault(u, {})[v] = weight
+                adjacency.setdefault(v, {})[u] = weight
+            if first is None or edge.sort_key() < first.sort_key():
+                payload[key] = edge
 
-        def weight_fn(u, v, data):
-            return weights[(min(u, v), max(u, v))]
-
-        pairs = sorted(
-            {
-                (min(a, b), max(a, b))
-                for a in preliminary
-                for b in preliminary
-                if a != b
-            }
-        )
-        for source, target in pairs:
-            if source not in graph or target not in graph:
-                continue
-            path = deterministic_shortest_path(
-                graph, source, target, weight_fn
-            )
+        for source, target in sorted(
+            {_pair(a, b) for a in preliminary for b in preliminary if a != b}
+        ):
+            path = deterministic_shortest_path(adjacency, source, target)
             if path is None:
                 continue
             for u, v in zip(path, path[1:]):
-                key = (min(u, v), max(u, v))
+                key = _pair(u, v)
                 if key not in selected_pairs:
                     selected_pairs.add(key)
-                    edge = graph.edges[u, v]["payloads"][0]
-                    selected.append(edge)
-                    weights[key] = 0.01  # prefer reusing selected edges
+                    selected.append(payload[key])
+                    # prefer reusing selected edges
+                    adjacency[u][v] = adjacency[v][u] = 0.01
                 final_tables.add(u)
                 final_tables.add(v)
         return selected, final_tables
 
     @staticmethod
-    def _bridge_tables(graph: "nx.Graph", children: set) -> set:
+    def _bridge_tables(joins: list, children: set) -> set:
         """Tables that look like pure N-to-N link tables.
 
         A bridge has at least two outgoing foreign keys (it is the FK side
@@ -453,14 +470,13 @@ class TablesStep:
         """
         fk_out: dict = {}
         referenced: set = set()
-        for u, v in graph.edges:
-            for payload in graph.edges[u, v]["payloads"]:
-                fk_out.setdefault(payload.left_table, set()).add(payload.name)
-                referenced.add(payload.right_table)
+        for edge in joins:
+            fk_out.setdefault(edge.left_table, set()).add(edge.name)
+            referenced.add(edge.right_table)
         return {
             table
-            for table, joins in fk_out.items()
-            if len(joins) >= 2
+            for table, names in fk_out.items()
+            if len(names) >= 2
             and table not in referenced
             and table not in children
         }
@@ -479,37 +495,48 @@ class TablesStep:
             self._children_cache = children
         return self._children_cache
 
-    def _components(self, tables: set, joins: list) -> list:
-        graph = nx.Graph()
-        graph.add_nodes_from(tables)
+    @staticmethod
+    def _components(tables: set, joins: list) -> list:
+        """Connected components of *tables* under *joins* (union-find)."""
+        root = {table: table for table in tables}
+
+        def find(table: str) -> str:
+            while root[table] != table:
+                root[table] = table = root[root[table]]
+            return table
+
         for join in joins:
-            graph.add_edge(join.left_table, join.right_table)
-        return sorted(
-            (set(component) for component in nx.connected_components(graph)),
-            key=lambda c: sorted(c)[0],
-        )
+            root[find(join.left_table)] = find(join.right_table)
+        components: dict = {}
+        for table in tables:
+            components.setdefault(find(table), set()).add(table)
+        return sorted(components.values(), key=min)
+
+
+def _pair(u: str, v: str) -> tuple:
+    """The unordered table pair {u, v} as a sorted tuple."""
+    return (u, v) if u <= v else (v, u)
 
 
 def deterministic_shortest_path(
-    graph: "nx.Graph", source: str, target: str, weight_fn
+    adjacency: dict, source: str, target: str
 ) -> "list | None":
     """Dijkstra with deterministic tie-breaking by node-name sequence.
 
-    ``nx.shortest_path`` breaks equal-weight ties by adjacency iteration
-    order, which inherits the process hash seed through the set-built
-    join graph — so equally-good join paths could differ between runs
-    unless ``PYTHONHASHSEED`` was pinned.  This variant orders the
-    frontier heap by ``(cost, path)``: among equal-cost routes the
-    lexicographically smallest table-name sequence always wins,
-    independent of insertion or iteration order.  Returns the node list
-    (like ``nx.shortest_path``) or ``None`` when *target* is
-    unreachable.
+    *adjacency* maps node -> neighbour -> edge weight (both directions
+    present).  A textbook Dijkstra breaks equal-weight ties by adjacency
+    iteration order, which inherits the process hash seed through the
+    set-built join graph — so equally-good join paths could differ
+    between runs unless ``PYTHONHASHSEED`` was pinned.  This variant
+    orders the frontier heap by ``(cost, path)``: among equal-cost
+    routes the lexicographically smallest table-name sequence always
+    wins, independent of insertion or iteration order.  Returns the node
+    list or ``None`` when *target* is unreachable.
     """
     if source == target:
         return [source]
     frontier: list = [(0.0, (source,))]
     settled: set = set()
-    adjacency = graph.adj
     while frontier:
         cost, path = heapq.heappop(frontier)
         node = path[-1]
@@ -518,16 +545,7 @@ def deterministic_shortest_path(
         if node in settled:
             continue
         settled.add(node)
-        for neighbor in adjacency[node]:
-            if neighbor in settled:
-                continue
-            step = weight_fn(node, neighbor, graph.edges[node, neighbor])
-            heapq.heappush(frontier, (cost + step, path + (neighbor,)))
+        for neighbor, step in adjacency[node].items():
+            if neighbor not in settled:
+                heapq.heappush(frontier, (cost + step, path + (neighbor,)))
     return None
-
-
-def _make_follow(allowed: frozenset):
-    def follow(subject: str, predicate: str, obj: str) -> bool:
-        return predicate in allowed
-
-    return follow

@@ -11,13 +11,7 @@ from repro.graph.pattern import (
     match_pattern,
     parse_pattern,
 )
-from repro.graph.traversal import (
-    build_undirected_graph,
-    direct_paths,
-    iter_reachable,
-    reachable_nodes,
-    steiner_edge_set,
-)
+from repro.graph.traversal import iter_reachable, reachable_nodes
 from repro.graph.triples import Triple, TripleStore
 
 __all__ = [
@@ -31,8 +25,6 @@ __all__ = [
     "TripleStore",
     "Var",
     "Vocab",
-    "build_undirected_graph",
-    "direct_paths",
     "is_uri",
     "iter_reachable",
     "local_name",
@@ -40,6 +32,5 @@ __all__ = [
     "namespace_of",
     "parse_pattern",
     "reachable_nodes",
-    "steiner_edge_set",
     "uri",
 ]

@@ -3,18 +3,15 @@
 Step 3 of the algorithm (paper Section 4.2.1, "Application in SODA")
 traverses the metadata graph *"starting from the entry points of a given
 query and recursively follow[ing] all outgoing edges"*, testing patterns
-at every node.  This module provides that traversal plus the direct-path
-machinery used for join selection (Figure 9): of all discovered join
-conditions, only those *"on a direct path between the entry points"*
-are kept.
+at every node.  This module provides that traversal; which edges count
+is the caller's choice (schema edges for the tables pass, schema + join
+edges for the join pass).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Iterable, Iterator
-
-import networkx as nx
+from typing import Collection, Iterator
 
 from repro.graph.triples import TripleStore
 
@@ -23,13 +20,15 @@ def iter_reachable(
     store: TripleStore,
     start: str,
     max_depth: int | None = None,
-    follow: Callable[[str, str, str], bool] | None = None,
+    predicates: Collection[str] | None = None,
 ) -> Iterator[tuple[str, int]]:
     """Breadth-first traversal over outgoing node edges.
 
     Yields ``(node, depth)`` pairs starting with ``(start, 0)``.  Text
-    labels are never traversed (they have no outgoing edges).  *follow*
-    may veto individual edges; it receives ``(subject, predicate, object)``.
+    labels are never traversed (they have no outgoing edges).  With
+    *predicates* only edges whose predicate is in that set are followed.
+    Reads the store's subject index directly: no :class:`Triple` is
+    built per edge.
     """
     seen = {start}
     queue: deque[tuple[str, int]] = deque([(start, 0)])
@@ -38,75 +37,22 @@ def iter_reachable(
         yield node, depth
         if max_depth is not None and depth >= max_depth:
             continue
-        for triple in store.outgoing(node):
-            if not isinstance(triple.obj, str):
+        for predicate, objects in store.edges_from(node).items():
+            if predicates is not None and predicate not in predicates:
                 continue
-            if follow is not None and not follow(
-                triple.subject, triple.predicate, triple.obj
-            ):
-                continue
-            if triple.obj not in seen:
-                seen.add(triple.obj)
-                queue.append((triple.obj, depth + 1))
+            for obj in objects:
+                if isinstance(obj, str) and obj not in seen:
+                    seen.add(obj)
+                    queue.append((obj, depth + 1))
 
 
 def reachable_nodes(
     store: TripleStore,
     start: str,
     max_depth: int | None = None,
-    follow: Callable[[str, str, str], bool] | None = None,
+    predicates: Collection[str] | None = None,
 ) -> list[str]:
     """All nodes reachable from *start* (including it), sorted."""
-    return sorted(node for node, __ in iter_reachable(store, start, max_depth, follow))
-
-
-def build_undirected_graph(
-    edges: Iterable[tuple[str, str, object]],
-) -> "nx.Graph":
-    """Build an undirected multigraph-free graph from labelled edges.
-
-    Each edge is ``(u, v, payload)``; parallel edges collapse into one
-    edge whose ``payloads`` attribute accumulates every payload.  Used to
-    build the table-level join graph in Step 3.
-    """
-    graph = nx.Graph()
-    for u, v, payload in edges:
-        if graph.has_edge(u, v):
-            graph.edges[u, v]["payloads"].append(payload)
-        else:
-            graph.add_edge(u, v, payloads=[payload])
-    return graph
-
-
-def direct_paths(
-    graph: "nx.Graph", terminals: Iterable[str]
-) -> list[list[str]]:
-    """Shortest paths between every pair of terminal nodes.
-
-    This realises the paper's "joins on a direct path between the entry
-    points" rule (Figure 9): join conditions merely *attached* to such a
-    path are ignored.  Terminals missing from the graph are skipped —
-    SODA simply cannot join them (one of the documented limitations).
-    """
-    terminal_list = sorted(set(terminals))
-    paths: list[list[str]] = []
-    for i, source in enumerate(terminal_list):
-        for target in terminal_list[i + 1:]:
-            if source not in graph or target not in graph:
-                continue
-            try:
-                paths.append(nx.shortest_path(graph, source, target))
-            except nx.NetworkXNoPath:
-                continue
-    return paths
-
-
-def steiner_edge_set(
-    graph: "nx.Graph", terminals: Iterable[str]
-) -> set[tuple[str, str]]:
-    """The union of edges on all pairwise direct paths, as sorted pairs."""
-    edges: set[tuple[str, str]] = set()
-    for path in direct_paths(graph, terminals):
-        for u, v in zip(path, path[1:]):
-            edges.add((min(u, v), max(u, v)))
-    return edges
+    return sorted(
+        node for node, __ in iter_reachable(store, start, max_depth, predicates)
+    )

@@ -9,13 +9,19 @@ The store is deliberately simple: triples are immutable, and three hash
 indexes give O(1) access by any bound position.  This mirrors classic
 in-memory RDF store designs and is plenty for schema-sized graphs (tens of
 thousands of triples).
+
+Everything that enters the store is validated once, by ``add`` /
+``add_triple`` / ``remove``.  Reads never write: the indexes are plain
+dicts read with ``.get`` (a lookup of an unknown node creates nothing,
+so concurrent readers cannot resize an index under ``nodes()``), and
+``match`` hands back stored data without validating it a second time.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping
 
 from repro.errors import GraphError
 from repro.graph.node import Text, is_uri
@@ -45,6 +51,28 @@ class Triple:
             )
 
 
+_new_triple = object.__new__
+
+
+def _stored_triple(subject: str, predicate: str, obj: "str | Text") -> Triple:
+    """A :class:`Triple` for data read back out of a store's indexes.
+
+    Skips ``__init__`` / ``__post_init__``: the three values were
+    validated when they were added, and the pattern matcher reads
+    millions of them.
+    """
+    triple = _new_triple(Triple)
+    fields = triple.__dict__
+    fields["subject"] = subject
+    fields["predicate"] = predicate
+    fields["obj"] = obj
+    return triple
+
+
+#: what a read of an unknown index key sees (immutable, so never filled)
+_NO_EDGES: Mapping = MappingProxyType({})
+
+
 class TripleStore:
     """A set of :class:`Triple` with indexes on every position.
 
@@ -59,15 +87,9 @@ class TripleStore:
     def __init__(self, triples: Iterable[Triple] = ()) -> None:
         self._triples: set[Triple] = set()
         self._version = 0
-        self._spo: dict[str, dict[str, set["str | Text"]]] = defaultdict(
-            lambda: defaultdict(set)
-        )
-        self._pos: dict[str, dict["str | Text", set[str]]] = defaultdict(
-            lambda: defaultdict(set)
-        )
-        self._osp: dict["str | Text", dict[str, set[str]]] = defaultdict(
-            lambda: defaultdict(set)
-        )
+        self._spo: dict[str, dict[str, set["str | Text"]]] = {}
+        self._pos: dict[str, dict["str | Text", set[str]]] = {}
+        self._osp: dict["str | Text", dict[str, set[str]]] = {}
         for triple in triples:
             self.add_triple(triple)
 
@@ -86,9 +108,10 @@ class TripleStore:
             return
         self._version += 1
         self._triples.add(triple)
-        self._spo[triple.subject][triple.predicate].add(triple.obj)
-        self._pos[triple.predicate][triple.obj].add(triple.subject)
-        self._osp[triple.obj][triple.subject].add(triple.predicate)
+        subject, predicate, obj = triple.subject, triple.predicate, triple.obj
+        self._spo.setdefault(subject, {}).setdefault(predicate, set()).add(obj)
+        self._pos.setdefault(predicate, {}).setdefault(obj, set()).add(subject)
+        self._osp.setdefault(obj, {}).setdefault(subject, set()).add(predicate)
 
     def remove(self, subject: str, predicate: str, obj: "str | Text") -> None:
         """Remove a triple; raises GraphError if it is not present."""
@@ -97,9 +120,9 @@ class TripleStore:
             raise GraphError(f"triple not in store: {triple}")
         self._version += 1
         self._triples.discard(triple)
-        self._spo[subject][predicate].discard(obj)
-        self._pos[predicate][obj].discard(subject)
-        self._osp[obj][subject].discard(predicate)
+        _discard(self._spo, subject, predicate, obj)
+        _discard(self._pos, predicate, obj, subject)
+        _discard(self._osp, obj, subject, predicate)
 
     @property
     def version(self) -> int:
@@ -130,32 +153,34 @@ class TripleStore:
         the bound positions is used.
         """
         if subject is not None and predicate is not None:
-            for candidate in self._spo[subject].get(predicate, ()):
+            for candidate in self._spo.get(subject, _NO_EDGES).get(predicate, ()):
                 if obj is None or candidate == obj:
-                    yield Triple(subject, predicate, candidate)
+                    yield _stored_triple(subject, predicate, candidate)
             return
         if predicate is not None and obj is not None:
-            for candidate in self._pos[predicate].get(obj, ()):
-                yield Triple(candidate, predicate, obj)
+            for candidate in self._pos.get(predicate, _NO_EDGES).get(obj, ()):
+                yield _stored_triple(candidate, predicate, obj)
             return
         if subject is not None and obj is not None:
-            for candidate in self._osp[obj].get(subject, ()):
-                yield Triple(subject, candidate, obj)
+            for candidate in self._osp.get(obj, _NO_EDGES).get(subject, ()):
+                yield _stored_triple(subject, candidate, obj)
             return
         if subject is not None:
-            for pred, objs in self._spo[subject].items():
+            for pred, objs in self._spo.get(subject, _NO_EDGES).items():
                 for candidate in objs:
-                    yield Triple(subject, pred, candidate)
+                    yield _stored_triple(subject, pred, candidate)
             return
         if predicate is not None:
-            for candidate_obj, subjects in self._pos[predicate].items():
+            for candidate_obj, subjects in self._pos.get(
+                predicate, _NO_EDGES
+            ).items():
                 for subj in subjects:
-                    yield Triple(subj, predicate, candidate_obj)
+                    yield _stored_triple(subj, predicate, candidate_obj)
             return
         if obj is not None:
-            for subj, preds in self._osp[obj].items():
+            for subj, preds in self._osp.get(obj, _NO_EDGES).items():
                 for pred in preds:
-                    yield Triple(subj, pred, obj)
+                    yield _stored_triple(subj, pred, obj)
             return
         yield from self._triples
 
@@ -164,11 +189,13 @@ class TripleStore:
     # ------------------------------------------------------------------
     def objects(self, subject: str, predicate: str) -> "list[str | Text]":
         """All objects of (subject, predicate, ?)."""
-        return sorted(self._spo[subject].get(predicate, ()), key=_sort_key)
+        return sorted(
+            self._spo.get(subject, _NO_EDGES).get(predicate, ()), key=_sort_key
+        )
 
     def object(self, subject: str, predicate: str) -> "str | Text | None":
         """The unique object of (subject, predicate, ?), or None."""
-        values = self._spo[subject].get(predicate, set())
+        values = self._spo.get(subject, _NO_EDGES).get(predicate, ())
         if len(values) > 1:
             raise GraphError(
                 f"expected at most one object for ({subject}, {predicate}), "
@@ -178,7 +205,7 @@ class TripleStore:
 
     def subjects(self, predicate: str, obj: "str | Text") -> list[str]:
         """All subjects of (?, predicate, obj)."""
-        return sorted(self._pos[predicate].get(obj, ()))
+        return sorted(self._pos.get(predicate, _NO_EDGES).get(obj, ()))
 
     def outgoing(self, subject: str) -> Iterator[Triple]:
         """All triples with the given subject."""
@@ -188,10 +215,19 @@ class TripleStore:
         """All triples with the given object."""
         return self.match(obj=obj)
 
+    def edges_from(self, subject: str) -> "Mapping[str, set[str | Text]]":
+        """The ``predicate -> objects`` index entry of *subject*, live.
+
+        For traversals that want the outgoing edges without one
+        :class:`Triple` per edge; empty for an unknown node.  Read-only
+        by contract: it is the index itself, not a copy.
+        """
+        return self._spo.get(subject, _NO_EDGES)
+
     def node_neighbours(self, subject: str) -> list[str]:
         """URI objects reachable over one outgoing edge (text labels skipped)."""
         found = set()
-        for pred, objs in self._spo[subject].items():
+        for pred, objs in self._spo.get(subject, _NO_EDGES).items():
             for candidate in objs:
                 if isinstance(candidate, str):
                     found.add(candidate)
@@ -210,6 +246,17 @@ class TripleStore:
         from repro.graph.node import Vocab
 
         return any(True for __ in self.match(subject, Vocab.TYPE, type_uri))
+
+
+def _discard(index: dict, first, second, third) -> None:
+    """Drop ``third`` from ``index[first][second]``, pruning emptied levels."""
+    inner = index[first]
+    leaf = inner[second]
+    leaf.discard(third)
+    if not leaf:
+        del inner[second]
+        if not inner:
+            del index[first]
 
 
 def _sort_key(obj: "str | Text") -> tuple[int, str]:

@@ -167,12 +167,11 @@ class SchemaBrowser:
                 self.warehouse.graph
             )
         description = TermDescription(term=term)
-        follow = _schema_follow()
         reachable: set = set()
         for match in self._classification.lookup(term):
             description.locations.append((match.source.value, match.node))
             for node, __ in iter_reachable(
-                self.warehouse.graph, match.node, follow=follow
+                self.warehouse.graph, match.node, predicates=SCHEMA_EDGES
             ):
                 label = self.warehouse.graph.object(node, Vocab.TABLENAME)
                 if isinstance(label, Text):
@@ -191,10 +190,3 @@ class SchemaBrowser:
             for join in self.warehouse.definition.join_relationships
             if not join.annotated
         ]
-
-
-def _schema_follow():
-    def follow(subject, predicate, obj):
-        return predicate in SCHEMA_EDGES
-
-    return follow

@@ -24,7 +24,7 @@ import dataclasses
 import logging
 from typing import Callable
 
-from repro.errors import WarehouseError
+from repro.errors import GraphError, WarehouseError
 from repro.graph.node import Text, Vocab
 from repro.graph.triples import TripleStore
 from repro.index.inverted import InvertedIndex
@@ -253,7 +253,7 @@ class Warehouse:
         node = join_uri(join.name)
         try:
             self.graph.remove(node, Vocab.IGNORED, Text("true"))
-        except Exception as exc:  # GraphError: not ignored
+        except GraphError as exc:  # the triple is not there: not ignored
             raise WarehouseError(
                 f"join {join_name!r} is not ignored"
             ) from exc

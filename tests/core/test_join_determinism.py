@@ -6,69 +6,61 @@ order) the join graph was assembled — so SODA's selected joins are
 stable without pinning ``PYTHONHASHSEED``.
 """
 
-import networkx as nx
-
 from repro.core.tables import deterministic_shortest_path
 
 
-def _weight(weights):
-    def fn(u, v, data):
-        return weights.get((min(u, v), max(u, v)), 1.0)
-
-    return fn
+def _graph(edges, weights=None):
+    """node -> neighbour -> weight, both directions, in *edges* order."""
+    adjacency: dict = {}
+    for u, v in edges:
+        weight = (weights or {}).get((min(u, v), max(u, v)), 1.0)
+        adjacency.setdefault(u, {})[v] = weight
+        adjacency.setdefault(v, {})[u] = weight
+    return adjacency
 
 
 class TestDeterministicShortestPath:
     def test_tie_broken_by_sorted_node_name(self):
-        graph = nx.Graph()
-        graph.add_edges_from([("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")])
-        path = deterministic_shortest_path(graph, "a", "d", _weight({}))
-        assert path == ["a", "b", "d"]
+        graph = _graph([("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")])
+        assert deterministic_shortest_path(graph, "a", "d") == ["a", "b", "d"]
 
     def test_insertion_order_does_not_matter(self):
         edges = [("a", "c"), ("c", "d"), ("a", "b"), ("b", "d")]
-        forward = nx.Graph()
-        forward.add_edges_from(edges)
-        backward = nx.Graph()
-        backward.add_edges_from(reversed(edges))
-        weight = _weight({})
+        forward = _graph(edges)
+        backward = _graph(list(reversed(edges)))
         assert deterministic_shortest_path(
-            forward, "a", "d", weight
-        ) == deterministic_shortest_path(backward, "a", "d", weight)
+            forward, "a", "d"
+        ) == deterministic_shortest_path(backward, "a", "d")
 
     def test_cheaper_path_beats_lexicographic_order(self):
-        graph = nx.Graph()
-        graph.add_edges_from([("a", "b"), ("b", "d"), ("a", "z"), ("z", "d")])
-        weights = {("a", "z"): 0.1, ("d", "z"): 0.1}
-        path = deterministic_shortest_path(graph, "a", "d", _weight(weights))
-        assert path == ["a", "z", "d"]
+        graph = _graph(
+            [("a", "b"), ("b", "d"), ("a", "z"), ("z", "d")],
+            {("a", "z"): 0.1, ("d", "z"): 0.1},
+        )
+        assert deterministic_shortest_path(graph, "a", "d") == ["a", "z", "d"]
 
     def test_longer_but_cheaper_route(self):
-        graph = nx.Graph()
-        graph.add_edges_from(
-            [("a", "d"), ("a", "b"), ("b", "c"), ("c", "d")]
+        graph = _graph(
+            [("a", "d"), ("a", "b"), ("b", "c"), ("c", "d")],
+            {
+                ("a", "d"): 1.0,
+                ("a", "b"): 0.2,
+                ("b", "c"): 0.2,
+                ("c", "d"): 0.2,
+            },
         )
-        weights = {
-            ("a", "d"): 1.0,
-            ("a", "b"): 0.2,
-            ("b", "c"): 0.2,
-            ("c", "d"): 0.2,
-        }
-        path = deterministic_shortest_path(graph, "a", "d", _weight(weights))
-        assert path == ["a", "b", "c", "d"]
+        assert deterministic_shortest_path(graph, "a", "d") == [
+            "a", "b", "c", "d"
+        ]
 
     def test_unreachable_returns_none(self):
-        graph = nx.Graph()
-        graph.add_edge("a", "b")
-        graph.add_node("z")
-        assert deterministic_shortest_path(graph, "a", "z", _weight({})) is None
+        graph = _graph([("a", "b")])
+        graph["z"] = {}
+        assert deterministic_shortest_path(graph, "a", "z") is None
 
     def test_source_equals_target(self):
-        graph = nx.Graph()
-        graph.add_edge("a", "b")
-        assert deterministic_shortest_path(
-            graph, "a", "a", _weight({})
-        ) == ["a"]
+        graph = _graph([("a", "b")])
+        assert deterministic_shortest_path(graph, "a", "a") == ["a"]
 
 
 class TestTablesStepStability:

@@ -1,20 +1,14 @@
-"""Tests for traversal and direct-path computation (Fig. 9)."""
+"""Tests for the breadth-first traversal of the metadata graph."""
 
-import networkx as nx
 import pytest
 
 from repro.graph.node import Text, Vocab, uri
-from repro.graph.traversal import (
-    build_undirected_graph,
-    direct_paths,
-    iter_reachable,
-    reachable_nodes,
-    steiner_edge_set,
-)
+from repro.graph.traversal import iter_reachable, reachable_nodes
 from repro.graph.triples import TripleStore
 
 A, B, C, D = (uri("test", x) for x in "abcd")
 EDGE = uri("meta", "edge")
+OTHER = uri("meta", "other")
 
 
 @pytest.fixture
@@ -38,9 +32,21 @@ class TestIterReachable:
     def test_max_depth_limits(self, chain_store):
         assert reachable_nodes(chain_store, A, max_depth=1) == sorted([A, B])
 
-    def test_follow_vetoes_edges(self, chain_store):
-        follow = lambda s, p, o: o != C
-        assert reachable_nodes(chain_store, A, follow=follow) == sorted([A, B])
+    def test_predicates_restrict_edges(self, chain_store):
+        chain_store.add(A, OTHER, D)
+        assert reachable_nodes(chain_store, A, predicates={OTHER}) == sorted(
+            [A, D]
+        )
+        assert reachable_nodes(chain_store, A, predicates=frozenset()) == [A]
+        assert reachable_nodes(
+            chain_store, A, max_depth=1, predicates={EDGE, OTHER}
+        ) == sorted([A, B, D])
+
+    def test_traversal_does_not_touch_the_store(self, chain_store):
+        before = (chain_store.version, chain_store.nodes())
+        ghost = uri("test", "ghost")
+        assert list(iter_reachable(chain_store, ghost)) == [(ghost, 0)]
+        assert (chain_store.version, chain_store.nodes()) == before
 
     def test_only_outgoing_edges(self, chain_store):
         assert reachable_nodes(chain_store, C) == sorted([C, D])
@@ -54,42 +60,3 @@ class TestIterReachable:
     def test_depth_values(self, chain_store):
         depths = dict(iter_reachable(chain_store, A))
         assert depths == {A: 0, B: 1, C: 2, D: 3}
-
-
-class TestUndirectedGraph:
-    def test_build_collapses_parallel_edges(self):
-        graph = build_undirected_graph([("x", "y", 1), ("y", "x", 2)])
-        assert graph.number_of_edges() == 1
-        assert graph.edges["x", "y"]["payloads"] == [1, 2]
-
-
-class TestDirectPaths:
-    @pytest.fixture
-    def graph(self):
-        graph = nx.Graph()
-        graph.add_edges_from(
-            [("t1", "t2"), ("t2", "t3"), ("t3", "t4"), ("t1", "t5"), ("t5", "t4")]
-        )
-        return graph
-
-    def test_paths_between_terminals(self, graph):
-        paths = direct_paths(graph, ["t1", "t4"])
-        assert len(paths) == 1
-        assert paths[0][0] == "t1" and paths[0][-1] == "t4"
-
-    def test_missing_terminal_skipped(self, graph):
-        assert direct_paths(graph, ["t1", "zzz"]) == []
-
-    def test_disconnected_pair_skipped(self, graph):
-        graph.add_node("island")
-        assert direct_paths(graph, ["t1", "island"]) == []
-
-    def test_steiner_edge_set_union(self, graph):
-        edges = steiner_edge_set(graph, ["t1", "t3", "t4"])
-        # all selected edges lie on some pairwise shortest path
-        for u, v in edges:
-            assert graph.has_edge(u, v)
-        assert edges  # non-empty
-
-    def test_single_terminal_no_paths(self, graph):
-        assert direct_paths(graph, ["t1"]) == []

@@ -1,5 +1,8 @@
 """Tests for the triple store."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.errors import GraphError
@@ -9,6 +12,7 @@ from repro.graph.triples import Triple, TripleStore
 T1 = uri("physical", "table", "parties")
 T2 = uri("physical", "table", "individuals")
 COL = uri("physical", "column", "parties", "id")
+GHOST = uri("physical", "table", "ghost")  # never added by the fixture
 
 
 @pytest.fixture
@@ -123,3 +127,113 @@ class TestAccessors:
     def test_has_type(self, store):
         assert store.has_type(T1, Vocab.PHYSICAL_TABLE)
         assert not store.has_type(COL, Vocab.PHYSICAL_TABLE)
+
+    def test_edges_from(self, store):
+        assert dict(store.edges_from(T1)) == {
+            Vocab.TYPE: {Vocab.PHYSICAL_TABLE},
+            Vocab.TABLENAME: {Text("parties")},
+            Vocab.COLUMN: {COL},
+        }
+        assert not store.edges_from(GHOST)
+
+
+class TestReadsDoNotWrite:
+    """Regression: the indexes were defaultdicts indexed on the read path."""
+
+    def test_reads_of_unknown_node_create_nothing(self, store):
+        nodes, version = store.nodes(), store.version
+        assert store.object(GHOST, Vocab.TABLENAME) is None
+        assert store.objects(GHOST, Vocab.TABLENAME) == []
+        assert store.subjects(GHOST, Text("ghost")) == []
+        assert store.node_neighbours(GHOST) == []
+        assert not list(store.outgoing(GHOST))
+        assert not list(store.incoming(GHOST))
+        assert not store.has_type(GHOST, Vocab.PHYSICAL_TABLE)
+        for bound in (
+            (GHOST, GHOST, None), (None, GHOST, GHOST), (GHOST, None, GHOST),
+            (GHOST, None, None), (None, GHOST, None), (None, None, GHOST),
+            (GHOST, GHOST, GHOST),
+        ):
+            assert not list(store.match(*bound))
+        assert store.nodes() == nodes
+        assert store.version == version
+        assert len(store) == 5
+
+    def test_fully_removed_node_leaves_nodes(self, store):
+        store.add(GHOST, Vocab.TYPE, Vocab.PHYSICAL_TABLE)
+        store.add(GHOST, Vocab.COLUMN, COL)
+        assert GHOST in store.nodes()
+        store.remove(GHOST, Vocab.TYPE, Vocab.PHYSICAL_TABLE)
+        assert GHOST in store.nodes()  # one triple still mentions it
+        store.remove(GHOST, Vocab.COLUMN, COL)
+        assert GHOST not in store.nodes()
+        assert not store.edges_from(GHOST)
+        # what the removed triples shared with others is still indexed
+        assert store.subjects(Vocab.TYPE, Vocab.PHYSICAL_TABLE) == sorted([T1, T2])
+        assert store.object(COL, Vocab.BELONGS_TO) == T1
+        assert list(store.match(T1, Vocab.COLUMN)) == [
+            Triple(T1, Vocab.COLUMN, COL)
+        ]
+
+    def test_remove_then_add_again(self, store):
+        store.remove(T1, Vocab.COLUMN, COL)
+        store.add(T1, Vocab.COLUMN, COL)
+        assert store.object(T1, Vocab.COLUMN) == COL
+        assert store.subjects(Vocab.COLUMN, COL) == [T1]
+
+    def test_nodes_is_stable_under_concurrent_reads(self, store):
+        """A reader probing unknown nodes must not resize what nodes() walks."""
+        for i in range(2000):
+            store.add(uri("test", f"n{i}"), Vocab.TYPE, Vocab.PHYSICAL_TABLE)
+        expected = store.nodes()
+        stop = threading.Event()
+        errors: list = []
+
+        def probe():
+            i = 0
+            while not stop.is_set():
+                i += 1
+                store.object(uri("test", "ghost", str(i)), Vocab.TABLENAME)
+                list(store.match(uri("test", "ghost", str(i))))
+
+        def walk():
+            try:
+                for __ in range(300):
+                    assert store.nodes() == expected
+            except Exception as exc:  # "dictionary changed size during iteration"
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            prober = threading.Thread(target=probe)
+            walker = threading.Thread(target=walk)
+            prober.start()
+            walker.start()
+            walker.join(timeout=60)
+            stop.set()
+            prober.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+            stop.set()
+        assert not walker.is_alive() and not prober.is_alive()
+        assert errors == []
+
+
+class TestStoredTriples:
+    def test_match_yields_real_triples(self, store):
+        (found,) = store.match(T1, Vocab.TABLENAME)
+        expected = Triple(T1, Vocab.TABLENAME, Text("parties"))
+        assert found == expected and hash(found) == hash(expected)
+        assert found in store
+        assert repr(found) == repr(expected)
+        with pytest.raises(AttributeError):
+            found.subject = T2
+
+    def test_everything_entering_the_store_is_validated(self, store):
+        with pytest.raises(GraphError):
+            store.add("parties", Vocab.TYPE, Vocab.PHYSICAL_TABLE)
+        with pytest.raises(GraphError):
+            store.add(T1, Vocab.TABLENAME, 42)
+        with pytest.raises(GraphError):
+            store.remove(T1, "type", Vocab.PHYSICAL_TABLE)

@@ -99,5 +99,16 @@ class TestIgnoreJoin:
             wh.ignore_join("j_indiv_name_hist")
 
     def test_unignore_not_ignored_rejected(self, wh):
-        with pytest.raises(WarehouseError):
+        with pytest.raises(WarehouseError, match="is not ignored"):
+            wh.unignore_join("j_assoc_indiv")
+
+    def test_unignore_does_not_mask_other_failures(self, wh, monkeypatch):
+        """Only a missing triple means "not ignored"; a bug stays a bug."""
+        wh.ignore_join("j_assoc_indiv")
+
+        def broken_remove(*triple):
+            raise RuntimeError("index corrupted")
+
+        monkeypatch.setattr(wh.graph, "remove", broken_remove)
+        with pytest.raises(RuntimeError, match="index corrupted"):
             wh.unignore_join("j_assoc_indiv")
