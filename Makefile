@@ -45,6 +45,13 @@
 #   make ledger-smoke the same command at ~1/100 size (seconds): proves
 #                     the ledger still runs and every answer still
 #                     matches its golden digest; its timings mean nothing
+#   make ledger-pairs PARENT=<rev> WORKLOAD=<name> [PAIRS=10] [FIRST_SEED=1]
+#                     the comparison a perf claim rests on: PAIRS
+#                     alternating full-size runs of one ledger workload
+#                     from <rev> (unpacked under TMPDIR) and from this
+#                     checkout, then per end-to-end metric both medians,
+#                     quartiles, change/parent and pairs won
+#                     (tools/ledger_pairs.py; ~75 s per pair)
 #   make coverage     tier-1 suite under pytest-cov (CI gate: >=85% on
 #                     src/repro, writes coverage.xml)
 #   make lint         bytecode-compile every source tree (import/syntax gate)
@@ -54,7 +61,7 @@ PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: test test-fast test-stress bench-smoke bench-scale bench-serving \
-	bench-resilience ledger ledger-smoke coverage lint check
+	bench-resilience ledger ledger-smoke ledger-pairs coverage lint check
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -94,11 +101,18 @@ ledger:
 ledger-smoke:
 	$(PYTHON) benchmarks/ledger/run.py --smoke
 
+PAIRS ?= 10
+FIRST_SEED ?= 1
+
+ledger-pairs:
+	$(PYTHON) tools/ledger_pairs.py --parent $(PARENT) \
+		--workload $(WORKLOAD) --pairs $(PAIRS) --first-seed $(FIRST_SEED)
+
 coverage:
 	$(PYTHON) -m pytest -x -q --cov=repro --cov-report=term \
 		--cov-report=xml --cov-fail-under=85
 
 lint:
-	$(PYTHON) -m compileall -q src tests benchmarks examples
+	$(PYTHON) -m compileall -q src tests benchmarks examples tools
 
 check: lint test bench-smoke

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Any, Iterable, Iterator, Sequence
 
 from repro.concurrency import SharedRLock
@@ -453,15 +454,13 @@ class Table:
             if self._segments is not None
             else None
         )
-        rows[:] = [
-            row for position, row in enumerate(rows) if position not in doomed
-        ]
+        # one keep-mask for every aligned list, applied at C speed
+        keep = bytearray(b"\x01") * len(rows)
+        for position in doomed:
+            keep[position] = 0
+        rows[:] = list(compress(rows, keep))
         for store in self._column_data:
-            store[:] = [
-                value
-                for position, value in enumerate(store)
-                if position not in doomed
-            ]
+            store[:] = list(compress(store, keep))
         for index in self._encoded_indexes:
             dictionary = self._dictionaries[index]
             codes = self._codes[index]
@@ -469,11 +468,7 @@ class Table:
                 code = codes[position]
                 if code is not None:
                     dictionary.release(code)
-            codes[:] = [
-                code
-                for position, code in enumerate(codes)
-                if position not in doomed
-            ]
+            codes[:] = list(compress(codes, keep))
         if self._segments is not None:
             self._segments.commit_delete(self, segment_plan)
         self._version += 1

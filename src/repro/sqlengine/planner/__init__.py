@@ -62,7 +62,7 @@ from repro.sqlengine.planner.physical import (
     PreparedPlan,
     build_physical,
 )
-from repro.sqlengine.planner.stats import StatisticsProvider
+from repro.sqlengine.planner.stats import HISTOGRAM_BINS, StatisticsProvider
 from repro.sqlengine.segments import current_pins, pinned
 
 __all__ = [
@@ -139,13 +139,34 @@ class QueryPlanner:
                 f"{', '.join(EXECUTION_MODES)})"
             )
         self.catalog = catalog
-        self.statistics = StatisticsProvider(catalog)
+        self._statistics: "StatisticsProvider | None" = None
         self.cache = PlanCache(cache_size)
         self._optimize = optimize
         self._execution_mode = execution_mode
         self._fused = _check_fused(fused)
         self._parallel_workers = _check_parallel_workers(parallel_workers)
         _PARALLEL_WORKERS_GAUGE.set(self._parallel_workers)
+
+    @property
+    def statistics(self) -> StatisticsProvider:
+        """The catalog's one statistics provider, resolved on first use.
+
+        A provider registers itself as a catalog observer on its first
+        ``table_stats`` call; a planner built later over the same
+        catalog adopts that provider, summaries included, instead of
+        stacking a second observer on every write.
+        """
+        if self._statistics is None:
+            self._statistics = next(
+                (
+                    observer
+                    for observer in self.catalog.observers()
+                    if isinstance(observer, StatisticsProvider)
+                    and observer.histogram_bins == HISTOGRAM_BINS
+                ),
+                None,
+            ) or StatisticsProvider(self.catalog)
+        return self._statistics
 
     @property
     def execution_mode(self) -> str:

@@ -1,26 +1,44 @@
 """Table statistics and selectivity estimation for the planner.
 
-Statistics are gathered lazily from the :class:`~repro.sqlengine.catalog.
-Catalog` (one pass per table) and cached per ``(table, row_count)`` so
-that repeated planning against an unchanged table is free.  Estimates
-use classic System-R style heuristics — ``1/distinct`` for equality,
-measured null fractions for IS NULL, independence across conjuncts —
-refined with **equi-width histograms**: every numeric/date column gets
-a :class:`Histogram` over its non-NULL values, so range predicates
-(``<``, ``<=``, ``>``, ``>=``, BETWEEN) against literals are estimated
-from the actual value distribution instead of a fixed fraction,
-equality against a literal scales ``1/distinct`` by the density of the
-bin the literal falls into (skew-aware; zero outside the observed
-range), and equi-join selectivity is damped by the overlap of the two
-key ranges.  Shapes the histogram cannot see (non-literal comparisons,
-LIKE, TEXT columns) fall back to the flat estimates.
+Statistics are **maintained incrementally**.  The first time the
+planner asks about a table, :class:`StatisticsProvider` builds one exact
+value -> count multiset per column (a single C-speed
+``collections.Counter`` pass) and registers itself as a
+:class:`~repro.sqlengine.catalog.CatalogObserver`; from then on every
+INSERT / UPDATE / DELETE — and every transaction rollback, which
+replays inverse operations through the same mutation choke-point —
+adjusts the multisets and the live histogram bins in place, in
+proportion to the rows written.  The next ask folds the summaries into
+a fresh immutable :class:`TableStats` in O(columns x bins); no row is
+read again.  Only a column whose minimum or maximum moved is re-binned,
+lazily, from its multiset (O(distinct values)).  The numbers are exactly
+those a full pass over the rows would compute
+(``tests/sqlengine/reference_stats.py`` is that pass, kept as the
+oracle), so plans and ``[~N rows]`` estimates do not depend on write
+history.  A table whose storage changed behind the observers (a
+checkpoint restore sets ``Table.version`` directly) or that was dropped
+and re-created is rebuilt from scratch on the next ask.
+
+Estimates use classic System-R style heuristics — ``1/distinct`` for
+equality, measured null fractions for IS NULL, independence across
+conjuncts — refined with **equi-width histograms**: every numeric/date
+column gets a :class:`Histogram` over its non-NULL values, so range
+predicates (``<``, ``<=``, ``>``, ``>=``, BETWEEN) against literals are
+estimated from the actual value distribution instead of a fixed
+fraction, equality against a literal scales ``1/distinct`` by the
+density of the bin the literal falls into (skew-aware; zero outside the
+observed range), and equi-join selectivity is damped by the overlap of
+the two key ranges.  Shapes the histogram cannot see (non-literal
+comparisons, LIKE, TEXT columns) fall back to the flat estimates.
 """
 
 from __future__ import annotations
 
 import datetime
 import math
+from collections import Counter
 from dataclasses import dataclass
+from time import perf_counter
 
 from repro.sqlengine.ast_nodes import (
     Between,
@@ -33,7 +51,8 @@ from repro.sqlengine.ast_nodes import (
     Literal,
     UnaryOp,
 )
-from repro.sqlengine.catalog import Catalog
+from repro.obs.metrics import registry as _metrics_registry
+from repro.sqlengine.catalog import Catalog, CatalogObserver, Table
 from repro.sqlengine.types import SqlType
 
 #: default selectivities for predicate shapes the estimator cannot
@@ -175,15 +194,166 @@ def _as_number(value) -> "float | None":
     return None
 
 
-class StatisticsProvider:
-    """Lazily computes and caches :class:`TableStats` for a catalog.
+def _date_number(value: datetime.date) -> float:
+    return float(value.toordinal())
 
-    One entry per table, validated against the table's mutation version
-    and the catalog's DDL version: statistics refresh automatically
-    after inserts, updates, deletes or a DROP + re-CREATE, and stale
-    snapshots never accumulate.  ``histogram_bins`` tunes the
-    per-column equi-width histograms (0 disables them, restoring the
-    fixed range constants).
+
+#: the histogram axis of each binned column type; both maps are monotone,
+#: so the extremes of a column's values are its extremes on the axis
+_AXES = {
+    SqlType.INTEGER: float,
+    SqlType.REAL: float,
+    SqlType.DATE: _date_number,
+}
+
+
+def _bump(counts: Counter, value, step: int) -> int:
+    """Move *value*'s count by *step*, dropping it at zero; the new count."""
+    left = counts[value] + step
+    if left:
+        counts[value] = left
+    else:
+        del counts[value]
+    return left
+
+
+class _ColumnSummary:
+    """One column's exact value -> count multiset and live histogram bins.
+
+    ``counts`` holds every non-NULL value except, in REAL columns, NaN
+    and +/-inf, which are counted beside it: NaN has no usable dict
+    identity (every NaN row is its own distinct value) and the
+    infinities have no bin.  While ``stale`` is False,
+    ``low`` / ``high`` / ``width`` / ``bins`` are exactly what
+    :meth:`Histogram.build` computes over the column (``bins`` is None
+    for an empty or unbinned column).
+    """
+
+    __slots__ = (
+        "counts", "nulls", "nans", "infinite", "real", "axis",
+        "low", "high", "width", "bins", "stale",
+    )
+
+    def __init__(self, sql_type: SqlType, values, nbins: int) -> None:
+        counts = Counter(values)  # the only pass over the rows, at C speed
+        self.nulls = counts.pop(None, 0)
+        self.nans = 0
+        self.infinite = Counter()
+        self.real = sql_type is SqlType.REAL
+        if self.real:
+            for value in [v for v in counts if not math.isfinite(v)]:
+                count = counts.pop(value)
+                if value != value:
+                    self.nans += count
+                else:
+                    self.infinite[value] += count
+        self.counts = counts
+        self.axis = _AXES.get(sql_type) if nbins else None
+        self.rebin(nbins)
+
+    def shift(self, value, step: int) -> None:
+        """Count one more (``step=1``) or one fewer (``-1``) *value*."""
+        if value is None:
+            self.nulls += step
+            return
+        if self.real and not math.isfinite(value):
+            if value != value:
+                self.nans += step
+            else:
+                _bump(self.infinite, value, step)
+            return
+        left = _bump(self.counts, value, step)
+        if self.axis is None or self.stale:
+            return
+        number = self.axis(value)
+        bins = self.bins
+        if (
+            bins is None
+            or number < self.low
+            or number > self.high
+            or (not left and (number == self.low or number == self.high))
+        ):
+            # an extreme moved (or may have): the bin width changes, so
+            # the next table_stats call re-bins from the multiset
+            self.stale = True
+        elif len(bins) == 1:
+            bins[0] += step
+        else:
+            index = int((number - self.low) / self.width)
+            bins[min(index, len(bins) - 1)] += step
+
+    def rebin(self, nbins: int) -> None:
+        """Rebuild the bins from the multiset: O(distinct), no row access.
+
+        Same arithmetic as :meth:`Histogram.build`, once per distinct
+        value instead of once per row.
+        """
+        self.stale = False
+        counts, axis = self.counts, self.axis
+        self.bins = None
+        if axis is None or not counts:
+            return
+        self.low = low = axis(min(counts))
+        self.high = high = axis(max(counts))
+        if low == high:
+            self.bins = [sum(counts.values())]
+            return
+        self.width = width = (high - low) / nbins
+        bins = [0] * nbins
+        top = nbins - 1
+        for value, count in counts.items():
+            index = int((axis(value) - low) / width)
+            bins[top if index > top else index] += count
+        self.bins = bins
+
+    def stats(self) -> ColumnStats:
+        bins = self.bins
+        return ColumnStats(
+            distinct=len(self.counts) + len(self.infinite) + self.nans,
+            nulls=self.nulls,
+            histogram=None if bins is None else Histogram(
+                low=self.low, high=self.high, counts=tuple(bins),
+                total=sum(bins),
+            ),
+        )
+
+
+class _TableSummary:
+    """The column summaries of one table, in sync with ``table.version``."""
+
+    __slots__ = ("table", "version", "columns", "stats")
+
+    def __init__(self, table: Table, nbins: int) -> None:
+        self.table = table
+        self.version = table.version
+        self.columns = [
+            _ColumnSummary(column.sql_type, table.column_data(index), nbins)
+            for index, column in enumerate(table.columns)
+        ]
+        #: the folded TableStats of ``version``; None after a delta
+        self.stats: "TableStats | None" = None
+
+
+_METRICS = _metrics_registry()
+_FULL_BUILDS = _METRICS.counter("planner.stats.full_builds")
+_DELTA_ROWS = _METRICS.counter("planner.stats.delta_rows")
+_REBINS = _METRICS.counter("planner.stats.rebins")
+_REFRESH_SECONDS = _METRICS.histogram("planner.stats.refresh.seconds")
+
+
+class StatisticsProvider(CatalogObserver):
+    """Incrementally maintained :class:`TableStats` for a catalog.
+
+    The first ``table_stats`` call for a table builds its column
+    summaries from the rows and registers the provider as a catalog
+    observer (so bulk loads before the first plan cost nothing); every
+    later insert, update, delete and rollback reaches the summaries
+    through the observer callbacks, and ``table_stats`` only folds them
+    into a new snapshot.  A summary is rebuilt from the rows when its
+    table object or recorded version is not the live one — storage
+    changed behind the observers — and forgotten on DROP TABLE.
+    ``histogram_bins`` tunes the per-column equi-width histograms (0
+    disables them, restoring the fixed range constants).
     """
 
     def __init__(
@@ -191,53 +361,82 @@ class StatisticsProvider:
     ) -> None:
         self._catalog = catalog
         self._bins = max(0, histogram_bins)
-        self._cache: dict = {}  # table name -> (validity token, TableStats)
+        self._summaries: dict = {}  # table name -> _TableSummary
+
+    @property
+    def histogram_bins(self) -> int:
+        return self._bins
 
     def table_stats(self, table_name: str) -> TableStats:
         table = self._catalog.table(table_name)
-        # the table version covers inserts, updates and deletes, so
-        # histograms refresh after in-place mutations too; the DDL
-        # version covers DROP + re-CREATE (which resets the counter)
-        token = (table.version, self._catalog.ddl_version)
-        cached = self._cache.get(table.name)
-        if cached is not None and cached[0] == token:
-            return cached[1]
-        # the gather walks the *live* column lists, so hold the storage
-        # lock for its duration: a concurrent DELETE compaction would
-        # otherwise shrink an ArrayColumn mid-iteration (no-contention
-        # no-op for the classic single-threaded setup)
+        # observer callbacks run inside the locked mutation methods, so
+        # holding the storage lock here means the version that validates
+        # a summary and the counts folded out of it belong together
         with table.read_guard():
-            columns: dict = {}
-            for index, column in enumerate(table.columns):
-                values = set()
-                numbers: list = []
-                nulls = 0
-                # histograms are collected type-directed: numeric columns
-                # map straight onto the axis, DATE columns via toordinal;
-                # TEXT/BOOLEAN columns carry no histogram (so the histogram
-                # total is exactly the column's non-NULL count)
-                is_date = column.sql_type is SqlType.DATE
-                binned = self._bins and (
-                    is_date
-                    or column.sql_type in (SqlType.INTEGER, SqlType.REAL)
-                )
-                for value in table.column_data(index):
-                    if value is None:
-                        nulls += 1
-                        continue
-                    values.add(value)
-                    if binned:
-                        numbers.append(
-                            float(value.toordinal()) if is_date else float(value)
-                        )
-                columns[column.name] = ColumnStats(
-                    distinct=len(values),
-                    nulls=nulls,
-                    histogram=Histogram.build(numbers, self._bins),
-                )
-            stats = TableStats(row_count=len(table.rows), columns=columns)
-        self._cache[table.name] = (token, stats)
-        return stats
+            summary = self._summaries.get(table.name)
+            fresh = (
+                summary is not None
+                and summary.table is table
+                and summary.version == table.version
+            )
+            if fresh and summary.stats is not None:
+                return summary.stats
+            started = perf_counter()
+            if not fresh:
+                self._catalog.register_observer(self)  # no-op once in
+                summary = _TableSummary(table, self._bins)
+                self._summaries[table.name] = summary
+            rebinned = 0
+            columns = {}
+            for column, column_summary in zip(table.columns, summary.columns):
+                if column_summary.stale:
+                    column_summary.rebin(self._bins)
+                    rebinned += 1
+                columns[column.name] = column_summary.stats()
+            summary.stats = TableStats(
+                row_count=len(table.rows), columns=columns
+            )
+            if _METRICS.enabled:
+                _FULL_BUILDS.inc(0 if fresh else 1)
+                _REBINS.inc(rebinned)
+                _REFRESH_SECONDS.observe(perf_counter() - started)
+            return summary.stats
+
+    # ------------------------------------------------------------------
+    # CatalogObserver interface (called under the storage lock)
+    # ------------------------------------------------------------------
+    def _touched(self, table: Table) -> "_TableSummary | None":
+        """The summary a write to *table* must update, moved to its version."""
+        summary = self._summaries.get(table.name)
+        if summary is not None:
+            summary.version = table.version
+            summary.stats = None
+            if _METRICS.enabled:
+                _DELTA_ROWS.inc()
+        return summary
+
+    def on_insert(self, table: Table, row: tuple) -> None:
+        summary = self._touched(table)
+        if summary is not None:
+            for column, value in zip(summary.columns, row):
+                column.shift(value, 1)
+
+    def on_update(self, table: Table, old_row: tuple, new_row: tuple) -> None:
+        summary = self._touched(table)
+        if summary is not None:
+            for column, old, new in zip(summary.columns, old_row, new_row):
+                if old is not new and old != new:
+                    column.shift(old, -1)
+                    column.shift(new, 1)
+
+    def on_delete(self, table: Table, row: tuple) -> None:
+        summary = self._touched(table)
+        if summary is not None:
+            for column, value in zip(summary.columns, row):
+                column.shift(value, -1)
+
+    def on_drop_table(self, name: str) -> None:
+        self._summaries.pop(name, None)
 
 
 def predicate_selectivity(predicate: Expr, stats: TableStats) -> float:

@@ -1,0 +1,163 @@
+"""Alternating parent/change runs of one perf-ledger workload.
+
+The procedure a perf claim has to follow (``choosing-metrics`` section 8):
+materialise the parent revision in a temporary directory, then run ::
+
+    benchmarks/ledger/run.py --workload W --seed i --seconds 21 --trace 0
+
+once from the parent's checkout and once from this one for every seed
+``i``, alternating which side goes first, and report per end-to-end
+metric both medians with their quartiles, change/parent (the parent
+median is the base), and how many pairs the change won (ties count for
+neither side).  Each side runs *its own* copy of the ledger; this script
+only calls it and reads the last output line, so nothing under
+``benchmarks/ledger/`` is touched and no golden is re-recorded.
+
+The parent is unpacked with ``git archive`` rather than ``git worktree``:
+a worktree registers itself in ``.git/`` and a killed run leaves that
+registration behind, an unpacked archive leaves nothing once its
+directory is gone.  The directory is created under ``$TMPDIR``.
+
+Each side gets its own, initially empty bytecode cache
+(``PYTHONPYCACHEPREFIX``).  A working tree that has ``__pycache__``
+directories next to a freshly unpacked parent that has none is not a
+fair pair: compiling every module at import cost the cache-less side
++3 MiB of ``peak_rss_mb`` and ~0.1 s of ``setup_s`` when this was
+found.
+
+Usage::
+
+    python tools/ledger_pairs.py --parent HEAD~1 --workload engine_ingest_mix
+    make ledger-pairs PARENT=HEAD~1 WORKLOAD=engine_ingest_mix PAIRS=10
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+SPEC = json.loads((REPO / "BENCHMARK.json").read_text())
+
+
+def unpack_revision(revision: str, target: Path) -> None:
+    """The committed files of *revision*, unpacked into *target*."""
+    archive = subprocess.run(
+        ["git", "archive", "--format=tar", revision],
+        cwd=REPO, check=True, stdout=subprocess.PIPE,
+    ).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(target)
+
+
+def run_ledger(
+    checkout: Path, pycache: Path, workload: str, seed: int, seconds: float
+) -> dict:
+    """One untraced ledger run from *checkout*; its last output line."""
+    env = dict(os.environ, PYTHONPYCACHEPREFIX=str(pycache))
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    completed = subprocess.run(
+        [sys.executable, "benchmarks/ledger/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", f"{seconds:g}", "--trace", "0"],
+        cwd=checkout, env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    lines = completed.stdout.strip().splitlines()
+    if not lines:
+        raise SystemExit(
+            f"{checkout}: ledger printed nothing (exit "
+            f"{completed.returncode})\n{completed.stderr}"
+        )
+    return json.loads(lines[-1])
+
+
+def quartiles(values: list) -> tuple:
+    """``(q1, median, q3)``; a single run is its own quartiles."""
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, median, q3
+
+
+def report(parent_runs: list, change_runs: list) -> str:
+    lines = [
+        f"{'metric':<13} {'unit':<5} {'parent median [q1, q3]':<32} "
+        f"{'change median [q1, q3]':<32} {'change/parent':>13}  won  gap>IQR"
+    ]
+    for metric in SPEC["end_to_end"]:
+        name = metric["name"]
+        parent = [run["metrics"][name]["value"] for run in parent_runs]
+        change = [run["metrics"][name]["value"] for run in change_runs]
+        lower = metric["better"] == "lower"
+        won = sum(
+            (c < p) if lower else (c > p) for p, c in zip(parent, change)
+        )
+        p_q1, p_median, p_q3 = quartiles(parent)
+        c_q1, c_median, c_q3 = quartiles(change)
+        ratio = c_median / p_median if p_median else float("nan")
+        gap = abs(c_median - p_median) > (p_q3 - p_q1)
+        lines.append(
+            f"{name:<13} {metric['unit']:<5} "
+            f"{f'{p_median:.4g} [{p_q1:.4g}, {p_q3:.4g}]':<32} "
+            f"{f'{c_median:.4g} [{c_q1:.4g}, {c_q3:.4g}]':<32} "
+            f"{ratio:>13.3f}  {won}/{len(parent)}  {'yes' if gap else 'no'}"
+        )
+    return "\n".join(lines)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True,
+                        help="revision to compare this checkout against")
+    parser.add_argument("--workload", required=True,
+                        choices=[w["name"] for w in SPEC["workloads"]])
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--first-seed", type=int, default=1,
+                        help="pairs use seeds first-seed .. first-seed+pairs-1")
+    args = parser.parse_args(argv)
+    seconds = SPEC["run_seconds"]
+    parent_runs, change_runs = [], []
+    with tempfile.TemporaryDirectory(prefix="ledger-pairs-") as scratch:
+        parent_checkout = Path(scratch, "parent")
+        unpack_revision(args.parent, parent_checkout)
+        for pair in range(args.pairs):
+            seed = args.first_seed + pair
+            sides = [("parent", parent_checkout, parent_runs),
+                     ("change", REPO, change_runs)]
+            if pair % 2:
+                sides.reverse()
+            for label, checkout, runs in sides:
+                result = run_ledger(
+                    checkout, Path(scratch, "pycache-" + label),
+                    args.workload, seed, seconds,
+                )
+                runs.append(result)
+                shown = "  ".join(
+                    f"{m['name']}={result['metrics'][m['name']]['value']:.4g}"
+                    for m in SPEC["end_to_end"]
+                )
+                print(f"seed {seed} {label:<6} failed={result['failed']}/"
+                      f"{result['attempted']}  {shown}", flush=True)
+    failed = {
+        label: sum(run["failed"] for run in runs)
+        for label, runs in (("parent", parent_runs), ("change", change_runs))
+    }
+    print(f"\n{args.workload}: {args.pairs} alternating pairs, seeds "
+          f"{args.first_seed}..{args.first_seed + args.pairs - 1}, "
+          f"--seconds {seconds:g} --trace 0, parent = {args.parent}; "
+          f"failed operations: parent {failed['parent']}, "
+          f"change {failed['change']}")
+    print(report(parent_runs, change_runs))
+    return 1 if failed["change"] > failed["parent"] else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
