@@ -45,11 +45,12 @@
 #   make ledger-smoke the same command at ~1/100 size (seconds): proves
 #                     the ledger still runs and every answer still
 #                     matches its golden digest; its timings mean nothing
-#   make ledger-pairs PARENT=<rev> WORKLOAD=<name> [PAIRS=10] [FIRST_SEED=1]
+#   make ledger-pairs PARENT=<rev> WORKLOAD="<name> [<name> ...]" [PAIRS=10] [FIRST_SEED=1]
 #                     the comparison a perf claim rests on: PAIRS
-#                     alternating full-size runs of one ledger workload
-#                     from <rev> (unpacked under TMPDIR) and from this
-#                     checkout, then per end-to-end metric both medians,
+#                     alternating full-size runs of each named ledger
+#                     workload from <rev> (unpacked once under TMPDIR)
+#                     and from this checkout, then one table per
+#                     workload: per end-to-end metric both medians,
 #                     quartiles, change/parent and pairs won
 #                     (tools/ledger_pairs.py; ~75 s per pair)
 #   make coverage     tier-1 suite under pytest-cov (CI gate: >=85% on

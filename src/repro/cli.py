@@ -300,10 +300,7 @@ def cmd_search(args, out) -> int:
             from repro.errors import SqlError
 
             try:
-                if args.analyze:
-                    plan = soda.explain(statement.sql, analyze=True)
-                else:
-                    plan = statement.plan or soda.explain(statement.sql)
+                plan = soda.explain(statement.sql, analyze=args.analyze)
             except SqlError as exc:
                 plan = f"(not plannable: {exc})"
             for line in plan.splitlines():
@@ -356,7 +353,7 @@ def _run_search_batch(args, soda, out) -> int:
             from repro.errors import SqlError
 
             try:
-                plan = best.plan or soda.explain(best.sql)
+                plan = soda.explain(best.sql)
             except SqlError as exc:
                 plan = f"(not plannable: {exc})"
             for line in plan.splitlines():

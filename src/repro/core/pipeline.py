@@ -70,7 +70,7 @@ class StepTimings:
 
 @dataclass
 class ScoredStatement:
-    """One generated SQL statement with score, snippet and query plan."""
+    """One generated SQL statement with its score and result snippet."""
 
     sql: str
     score: float
@@ -81,8 +81,6 @@ class ScoredStatement:
     snippet: object = None  # ResultSet | None
     execution_error: str | None = None
     estimated_rows: int = 0
-    #: the optimizer's plan tree (populated when the statement executes)
-    plan: str | None = None
 
     @property
     def disconnected(self) -> bool:

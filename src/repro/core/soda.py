@@ -11,6 +11,9 @@
 
 then executes the top statements to produce result snippets (up to
 twenty tuples each), just like the paper's Google-style result page.
+A snippet is the first ``snippet_rows`` rows the statement produces:
+each statement runs under ``LIMIT snippet_rows``, so the engine's work
+is proportional to the snippet, not to the statement's full result.
 Per-step wall-clock timings are recorded for the Table 4 / Fig. 4
 reproductions.
 
@@ -28,7 +31,7 @@ import json
 import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.core.caching import ResultCache
 from repro.core.feedback import FeedbackStore
@@ -61,7 +64,6 @@ from repro.resilience.deadline import (
 )
 from repro.core.tables import TablesResult, TablesStep
 from repro.errors import SqlError
-from repro.sqlengine.executor import ResultSet
 from repro.warehouse.warehouse import Warehouse
 
 __all__ = [
@@ -316,26 +318,27 @@ class Soda:
         return estimate
 
     def _attach_snippet(self, scored: ScoredStatement) -> None:
-        """Execute a statement and keep up to ``snippet_rows`` tuples."""
+        """Execute a statement for its first ``snippet_rows`` tuples.
+
+        The statement runs under ``LIMIT min(its own limit,
+        snippet_rows)`` — an ordinary bounded SELECT through the same
+        Limit/TopN/join operators as any other — so the engine stops
+        producing rows once the snippet is full.  The snippet is the
+        first ``snippet_rows`` rows the statement produces; a
+        data-dependent error the full statement would only reach after
+        those rows is, as with any LIMIT, not reported.
+        """
         if scored.estimated_rows > self.config.max_execution_rows:
             scored.execution_error = (
                 f"skipped: estimated {scored.estimated_rows} rows exceeds "
                 f"the execution cap"
             )
             return
+        select = scored.statement.select
+        bound = self.config.snippet_rows
+        if select.limit is None or select.limit > bound:
+            select = replace(select, limit=bound)
         try:
-            result = self.warehouse.database.execute_select_ast(
-                scored.statement.select
-            )
+            scored.snippet = self.warehouse.database.execute_select_ast(select)
         except SqlError as exc:
             scored.execution_error = str(exc)
-            return
-        scored.snippet = ResultSet(
-            columns=result.columns, rows=result.rows[: self.config.snippet_rows]
-        )
-        try:
-            scored.plan = self.warehouse.database.explain_select_ast(
-                scored.statement.select
-            )
-        except SqlError:  # pragma: no cover - executable implies explainable
-            scored.plan = None

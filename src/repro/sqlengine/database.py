@@ -405,10 +405,6 @@ class Database:
             return f"\n{keyword}\n".join(branches)
         raise SqlError("EXPLAIN supports SELECT statements only")
 
-    def explain_select_ast(self, select: Select, analyze: bool = False) -> str:
-        """Explain an already-parsed SELECT (used by SODA internals)."""
-        return self.planner.explain(select, analyze=analyze)
-
     def metrics(self) -> dict:
         """A snapshot of the process-wide metrics registry.
 

@@ -18,11 +18,16 @@ per row.  Two row shapes flow through the tree:
 
 **Batch mode** is the vectorized engine: operators exchange *column
 batches* — ``(cols, n)`` where ``cols`` is one Python list per scope
-column, all of length ``n`` (at most :data:`BATCH_SIZE` rows out of a
-scan).  Scans slice the table's columnar storage directly, filters turn
-whole-batch predicate evaluation into selection vectors, hash joins
-build and probe from column slices, and aggregation feeds grouped
-accumulators from per-batch argument columns.  Expressions are compiled
+column, all of length ``n``.  ``n`` is at most :data:`BATCH_SIZE` for
+every batch of every operator — a fan-out join, a sort or an aggregate
+hands its output on in slices, never as one batch — and every
+``batches()``/``pres_batches()`` is a generator that does the work for
+a batch when that batch is pulled, so a consumer that stops pulling
+(LIMIT) stops the producers below it.  Scans slice the table's columnar
+storage directly, filters turn whole-batch predicate evaluation into
+selection vectors, hash joins build once and then probe and gather per
+output batch, and aggregation feeds grouped accumulators from per-batch
+argument columns.  Expressions are compiled
 by :func:`~repro.sqlengine.expressions.compile_expr_batch`, which
 preserves row-mode semantics exactly (three-valued logic,
 ``compare_values`` ordering, short-circuit error behavior), so the two
@@ -56,7 +61,7 @@ from repro.sqlengine.ast_nodes import (
     UnaryOp,
 )
 from repro.sqlengine.catalog import Catalog
-from repro.sqlengine.encoding import EncodedColumn, gather_column
+from repro.sqlengine.encoding import EncodedColumn
 from repro.sqlengine.segments import snapshot_of
 from repro.sqlengine.expressions import (
     Scope,
@@ -215,6 +220,7 @@ class HashJoinOp(PhysicalOperator):
                 self._right_indexes.append(right.scope.resolve(predicate.left))
 
     def rows(self) -> Iterator[tuple]:
+        deadline = current_deadline()
         joined = 0
         try:
             if not self._left_indexes:  # cross join
@@ -222,6 +228,8 @@ class HashJoinOp(PhysicalOperator):
                 for left_row in self._left.rows():
                     for right_row in right_rows:
                         joined += 1
+                        if deadline is not None and not joined % BATCH_SIZE:
+                            deadline.check("join")
                         yield left_row + right_row
                 return
             table: dict = {}
@@ -238,6 +246,8 @@ class HashJoinOp(PhysicalOperator):
                     continue
                 for match in table.get(key, ()):
                     joined += 1
+                    if deadline is not None and not joined % BATCH_SIZE:
+                        deadline.check("join")
                     yield row + match
         finally:
             if joined and _METRICS.enabled:
@@ -260,6 +270,7 @@ class LeftJoinOp(PhysicalOperator):
         right_rows = list(self._right.rows())
         condition_fn = self._condition_fn
         null_pad = self._null_pad
+        deadline = current_deadline()
         joined = 0
         try:
             for left_row in self._left.rows():
@@ -268,10 +279,14 @@ class LeftJoinOp(PhysicalOperator):
                     combined = left_row + right_row
                     if condition_fn(combined) is True:
                         joined += 1
+                        if deadline is not None and not joined % BATCH_SIZE:
+                            deadline.check("join")
                         yield combined
                         matched = True
                 if not matched:
                     joined += 1
+                    if deadline is not None and not joined % BATCH_SIZE:
+                        deadline.check("join")
                     yield left_row + null_pad
         finally:
             if joined and _METRICS.enabled:
@@ -1048,13 +1063,51 @@ def _buckets_by_code(dictionary, get) -> list:
     ]
 
 
+def _drain_pairs(
+    left_sel: list, right_sel: list, everything: bool = False
+) -> Iterator[tuple]:
+    """Yield, then remove, leading pairs of two aligned selection vectors.
+
+    Pairs leave in :data:`BATCH_SIZE`-long slices; the shorter tail
+    stays behind (to ride with later pairs) unless *everything* is set.
+    """
+    stop = len(left_sel)
+    if not everything:
+        stop -= stop % BATCH_SIZE
+    for start in range(0, stop, BATCH_SIZE):
+        end = start + BATCH_SIZE
+        yield left_sel[start:end], right_sel[start:end]
+    del left_sel[:stop]
+    del right_sel[:stop]
+
+
+def _join_output(source) -> Iterator[tuple]:
+    """Hand on a batch join's output, one cancellation point per batch."""
+    deadline = current_deadline()
+    joined = 0
+    batches = 0
+    try:
+        for out, n in source:
+            if deadline is not None:
+                deadline.check("join")
+            joined += n
+            batches += 1
+            yield out, n
+    finally:
+        if joined and _METRICS.enabled:
+            _ROWS_JOINED.inc(joined)
+            _BATCHES_PRODUCED.inc(batches)
+
+
 class _HashProbe:
     """Per-execution probe of a join hash table, shared by both joins.
 
-    Feeds probe-side batches through :meth:`probe` and returns aligned
-    ``(probe row indices, build row indices)`` selection vectors — one
-    entry per matching pair, in probe-row order, bucket order preserved
-    within a probe row.  NULL keys never match.  The dictionary-encoded
+    :meth:`probe` takes one probe-side batch and yields aligned
+    ``(probe row indices, build row indices)`` selection vectors of at
+    most :data:`BATCH_SIZE` pairs each — one entry per matching pair,
+    in probe-row order, bucket order preserved within a probe row.  It
+    is a generator: pairs past the chunk a consumer stopped at are
+    never produced.  NULL keys never match.  The dictionary-encoded
     fast path (code → bucket, resolved once per dictionary and reused
     across batches) lives here so the inner and LEFT hash joins stay in
     lockstep.
@@ -1069,63 +1122,43 @@ class _HashProbe:
         self._dictionary = None
         self._buckets: list = []
 
-    def probe(self, cols, n: int) -> tuple:
+    def _row_buckets(self, cols):
+        """Each probe row's bucket, or None (NULL keys are in no bucket)."""
+        if not self._single:
+            return map(self._get, zip(*[cols[i] for i in self._key_indexes]))
+        key_column = cols[self._key_indexes[0]]
+        if not isinstance(key_column, EncodedColumn):
+            return map(self._get, key_column)
+        dictionary = key_column.dictionary
+        if dictionary is not self._dictionary:
+            self._dictionary = dictionary
+            self._buckets = _buckets_by_code(dictionary, self._get)
+        buckets = self._buckets
+        return [
+            None if code is None else buckets[code]
+            for code in key_column.codes
+        ]
+
+    def probe(self, cols) -> Iterator[tuple]:
         left_sel: list = []
         right_sel: list = []
         extend_left = left_sel.extend
         append_left = left_sel.append
         extend_right = right_sel.extend
         append_right = right_sel.append
-        get = self._get
-        if self._single:
-            key_column = cols[self._key_indexes[0]]
-            if isinstance(key_column, EncodedColumn):
-                dictionary = key_column.dictionary
-                if dictionary is not self._dictionary:
-                    self._dictionary = dictionary
-                    self._buckets = _buckets_by_code(dictionary, get)
-                buckets = self._buckets
-                for i, code in enumerate(key_column.codes):
-                    if code is None:
-                        continue
-                    bucket = buckets[code]
-                    if not bucket:
-                        continue
-                    if len(bucket) == 1:
-                        append_left(i)
-                        append_right(bucket[0])
-                    else:
-                        extend_left([i] * len(bucket))
-                        extend_right(bucket)
-            else:
-                for i in range(n):
-                    key = key_column[i]
-                    if key is None:
-                        continue
-                    bucket = get(key)
-                    if not bucket:
-                        continue
-                    if len(bucket) == 1:
-                        append_left(i)
-                        append_right(bucket[0])
-                    else:
-                        extend_left([i] * len(bucket))
-                        extend_right(bucket)
-        else:
-            key_columns = [cols[i] for i in self._key_indexes]
-            for i, key in enumerate(zip(*key_columns)):
-                if any(value is None for value in key):
-                    continue
-                bucket = get(key)
-                if not bucket:
-                    continue
-                if len(bucket) == 1:
-                    append_left(i)
-                    append_right(bucket[0])
-                else:
-                    extend_left([i] * len(bucket))
-                    extend_right(bucket)
-        return left_sel, right_sel
+        for i, bucket in enumerate(self._row_buckets(cols)):
+            if not bucket:
+                continue
+            if len(bucket) == 1:
+                append_left(i)
+                append_right(bucket[0])
+                continue
+            extend_left([i] * len(bucket))
+            extend_right(bucket)
+            # only a fan-out can outgrow a batch
+            if len(left_sel) >= BATCH_SIZE:
+                yield from _drain_pairs(left_sel, right_sel)
+        yield from _drain_pairs(left_sel, right_sel, everything=True)
 
 
 class BatchHashJoinOp(BatchOperator):
@@ -1201,48 +1234,45 @@ class BatchHashJoinOp(BatchOperator):
         return cols, offset, table
 
     def batches(self) -> Iterator[tuple]:
-        joined = 0
-        batches = 0
-        try:
-            if not self._left_indexes:
-                for out, n in self._cross_batches():
-                    joined += n
-                    batches += 1
-                    yield out, n
-                return
-            if self._build_exchange is not None:
-                right_cols, right_n, table = self._parallel_build()
-            else:
-                right_cols, right_n = _materialize_batches(self._right)
-                table = _build_join_hash_table(
-                    right_cols, right_n, self._right_indexes
-                )
-            probe = _HashProbe(table, self._left_indexes)
-            for cols, n in self._left.batches():
-                left_sel, right_sel = probe.probe(cols, n)
-                if not left_sel:
-                    continue
-                out = [gather_column(column, left_sel) for column in cols]
+        return _join_output(
+            self._hash_batches() if self._left_indexes
+            else self._cross_batches()
+        )
+
+    def _hash_batches(self) -> Iterator[tuple]:
+        if self._build_exchange is not None:
+            right_cols, __, table = self._parallel_build()
+        else:
+            right_cols, right_n = _materialize_batches(self._right)
+            table = _build_join_hash_table(
+                right_cols, right_n, self._right_indexes
+            )
+        probe = _HashProbe(table, self._left_indexes)
+        for cols, __ in self._left.batches():
+            for left_sel, right_sel in probe.probe(cols):
+                out = gather_columns(cols, left_sel)
                 out.extend(
                     [column[j] for j in right_sel] for column in right_cols
                 )
-                joined += len(left_sel)
-                batches += 1
                 yield out, len(left_sel)
-        finally:
-            if joined and _METRICS.enabled:
-                _ROWS_JOINED.inc(joined)
-                _BATCHES_PRODUCED.inc(batches)
 
     def _cross_batches(self) -> Iterator[tuple]:
         right_cols, right_n = _materialize_batches(self._right)
         if right_n == 0:
             return
+        right_chunks = [
+            (
+                [column[start:start + BATCH_SIZE] for column in right_cols],
+                min(BATCH_SIZE, right_n - start),
+            )
+            for start in range(0, right_n, BATCH_SIZE)
+        ]
         for cols, n in self._left.batches():
             for i in range(n):
-                out = [[column[i]] * right_n for column in cols]
-                out.extend(right_cols)
-                yield out, right_n
+                for chunk, m in right_chunks:
+                    out = [[column[i]] * m for column in cols]
+                    out.extend(chunk)
+                    yield out, m
 
 
 class BatchLeftJoinOp(BatchOperator):
@@ -1283,82 +1313,93 @@ class BatchLeftJoinOp(BatchOperator):
         self._residual_fns = list(residual_fns)
 
     def batches(self) -> Iterator[tuple]:
-        right_cols, right_n = _materialize_batches(self._right)
-        if self._key_pairs:
-            source = self._hash_batches(right_cols, right_n)
-        else:
-            source = self._broadcast_batches(right_cols, right_n)
-        joined = 0
-        batches = 0
-        try:
-            for out, n in source:
-                joined += n
-                batches += 1
-                yield out, n
-        finally:
-            if joined and _METRICS.enabled:
-                _ROWS_JOINED.inc(joined)
-                _BATCHES_PRODUCED.inc(batches)
+        return _join_output(
+            self._hash_batches() if self._key_pairs
+            else self._broadcast_batches()
+        )
+
+    def _emit(
+        self, cols, right_cols, left_sel, right_sel, everything=False
+    ) -> Iterator[tuple]:
+        """Gather (and drain) the leading pairs; a None right index pads."""
+        for lefts, rights in _drain_pairs(left_sel, right_sel, everything):
+            out = gather_columns(cols, lefts)
+            out.extend(
+                [None if j is None else column[j] for j in rights]
+                for column in right_cols
+            )
+            yield out, len(lefts)
 
     # ------------------------------------------------------------------
-    def _hash_batches(self, right_cols, right_n) -> Iterator[tuple]:
+    def _hash_batches(self) -> Iterator[tuple]:
+        right_cols, right_n = _materialize_batches(self._right)
         left_keys = [pair[0] for pair in self._key_pairs]
         right_keys = [pair[1] for pair in self._key_pairs]
         table = _build_join_hash_table(right_cols, right_n, right_keys)
-        residual_fns = self._residual_fns
         probe = _HashProbe(table, left_keys)
         for cols, n in self._left.batches():
-            # probe: candidate (left row, right row) pairs in left order
-            cand_left, cand_right = probe.probe(cols, n)
-
-            # residual ON conjuncts run over the candidates only (they
-            # are builder-proven side-effect free, so this matches the
-            # broadcast evaluation exactly)
-            if residual_fns and cand_left:
-                combined = [
-                    gather_column(column, cand_left) for column in cols
-                ]
-                combined.extend(
-                    [column[j] for j in cand_right] for column in right_cols
-                )
-                m = len(cand_left)
-                for fn in residual_fns:
-                    if m == 0:
-                        break
-                    mask = fn(combined, m)
-                    selected = [
-                        i for i, value in enumerate(mask) if value is True
-                    ]
-                    if len(selected) == m:
-                        continue
-                    cand_left = [cand_left[i] for i in selected]
-                    cand_right = [cand_right[i] for i in selected]
-                    combined = gather_columns(combined, selected)
-                    m = len(selected)
-
-            # merge surviving matches with NULL pads, in left-row order
             left_sel: list = []
             right_sel: list = []  # right row index, or None for padding
-            ci = 0
-            total = len(cand_left)
-            for i in range(n):
-                if ci < total and cand_left[ci] == i:
-                    while ci < total and cand_left[ci] == i:
-                        left_sel.append(i)
-                        right_sel.append(cand_right[ci])
-                        ci += 1
-                else:
+
+            def pad(unmatched: range) -> None:
+                left_sel.extend(unmatched)
+                right_sel.extend([None] * len(unmatched))
+
+            # left rows below `settled` are matched or already padded;
+            # matches and NULL pads merge in left-row order
+            settled = 0
+            for cand_left, cand_right in probe.probe(cols):
+                # candidate (left row, right row) pairs in left order;
+                # the last row's candidates may continue in the next chunk
+                open_row = cand_left[-1]
+                if self._residual_fns:
+                    cand_left, cand_right = self._pass_residuals(
+                        cols, right_cols, cand_left, cand_right
+                    )
+                for i, j in zip(cand_left, cand_right):
+                    if i > settled:
+                        pad(range(settled, i))
                     left_sel.append(i)
-                    right_sel.append(None)
-            out = [gather_column(column, left_sel) for column in cols]
-            out.extend(
-                [None if j is None else column[j] for j in right_sel]
-                for column in right_cols
+                    right_sel.append(j)
+                    settled = i + 1
+                if open_row > settled:
+                    pad(range(settled, open_row))
+                    settled = open_row
+                if len(left_sel) >= BATCH_SIZE:
+                    yield from self._emit(cols, right_cols, left_sel, right_sel)
+            pad(range(settled, n))
+            yield from self._emit(
+                cols, right_cols, left_sel, right_sel, everything=True
             )
-            yield out, len(left_sel)
+
+    def _pass_residuals(self, cols, right_cols, cand_left, cand_right) -> tuple:
+        """The candidate pairs every residual ON conjunct holds for.
+
+        Residuals run over the candidates only (they are builder-proven
+        side-effect free, so this matches the broadcast evaluation
+        exactly).
+        """
+        combined = gather_columns(cols, cand_left)
+        combined.extend(
+            [column[j] for j in cand_right] for column in right_cols
+        )
+        m = len(cand_left)
+        for fn in self._residual_fns:
+            if m == 0:
+                break
+            mask = fn(combined, m)
+            selected = [i for i, value in enumerate(mask) if value is True]
+            if len(selected) == m:
+                continue
+            cand_left = [cand_left[i] for i in selected]
+            cand_right = [cand_right[i] for i in selected]
+            combined = gather_columns(combined, selected)
+            m = len(selected)
+        return cand_left, cand_right
 
     # ------------------------------------------------------------------
-    def _broadcast_batches(self, right_cols, right_n) -> Iterator[tuple]:
+    def _broadcast_batches(self) -> Iterator[tuple]:
+        right_cols, right_n = _materialize_batches(self._right)
         condition_fn = self._condition_fn
         for cols, n in self._left.batches():
             left_sel: list = []
@@ -1376,12 +1417,11 @@ class BatchLeftJoinOp(BatchOperator):
                 else:
                     left_sel.append(i)
                     right_sel.append(None)
-            out = [gather_column(column, left_sel) for column in cols]
-            out.extend(
-                [None if j is None else column[j] for j in right_sel]
-                for column in right_cols
+                if len(left_sel) >= BATCH_SIZE:
+                    yield from self._emit(cols, right_cols, left_sel, right_sel)
+            yield from self._emit(
+                cols, right_cols, left_sel, right_sel, everything=True
             )
-            yield out, len(left_sel)
 
 
 # hash-key compatible SqlTypes: within one class, dict hashing agrees
@@ -1800,23 +1840,22 @@ class BatchAggregateOp(BatchOperator):
             groups[()] = (null_row, accumulators)
             group_order.append(())
 
-        extended_rows = [
-            groups[key][0]
-            + tuple(accumulator.result() for accumulator in groups[key][1])
-            for key in group_order
-        ]
-        n = len(extended_rows)
-        if n == 0:
-            return
-        out_cols = [list(column) for column in zip(*extended_rows)]
-        if self._having_fn is not None:
-            mask = self._having_fn(out_cols, n)
-            selected = [i for i, value in enumerate(mask) if value is True]
-            if len(selected) != n:
-                out_cols = gather_columns(out_cols, selected)
-                n = len(selected)
-        if n:
-            yield out_cols, n
+        for start in range(0, len(group_order), BATCH_SIZE):
+            extended_rows = [
+                groups[key][0]
+                + tuple(accumulator.result() for accumulator in groups[key][1])
+                for key in group_order[start:start + BATCH_SIZE]
+            ]
+            n = len(extended_rows)
+            out_cols = [list(column) for column in zip(*extended_rows)]
+            if self._having_fn is not None:
+                mask = self._having_fn(out_cols, n)
+                selected = [i for i, value in enumerate(mask) if value is True]
+                if len(selected) != n:
+                    out_cols = gather_columns(out_cols, selected)
+                    n = len(selected)
+            if n:
+                yield out_cols, n
 
 
 class BatchProjectOp:
@@ -1966,11 +2005,13 @@ class BatchSortOp:
             )
             decorated = [sort_key(value) for value in key_column]
             indices.sort(key=decorated.__getitem__, reverse=descending)
-        yield (
-            gather_columns(out_cols, indices),
-            gather_columns(pre_cols, indices),
-            total,
-        )
+        for start in range(0, total, BATCH_SIZE):
+            chunk = indices[start:start + BATCH_SIZE]
+            yield (
+                gather_columns(out_cols, chunk),
+                gather_columns(pre_cols, chunk),
+                len(chunk),
+            )
 
 
 class BatchLimitOp:
@@ -2115,16 +2156,19 @@ class BatchTopNOp:
         if not entries:
             return
         entries = heapq.nsmallest(limit, entries)
-        total = len(entries)
-        out_cols = [
-            list(column)
-            for column in zip(*[kept_out[entry[1]] for entry in entries])
-        ]
-        pre_cols = [
-            list(column)
-            for column in zip(*[kept_pre[entry[1]] for entry in entries])
-        ]
-        yield out_cols, pre_cols, total
+        for start in range(0, len(entries), BATCH_SIZE):
+            chunk = entries[start:start + BATCH_SIZE]
+            yield (
+                [
+                    list(column)
+                    for column in zip(*[kept_out[entry[1]] for entry in chunk])
+                ],
+                [
+                    list(column)
+                    for column in zip(*[kept_pre[entry[1]] for entry in chunk])
+                ],
+                len(chunk),
+            )
 
 
 def _make_batch_picker(index: int):

@@ -65,6 +65,17 @@ DEFAULT_SELECTIVITY = 1 / 2
 HISTOGRAM_BINS = 16
 
 
+def _bin_width(low: float, high: float, bins: int) -> "float | None":
+    """The equi-width bin width, or None when only one bin is possible.
+
+    One bin: a single distinct value, or a range whose width underflows
+    to zero (neighbouring denormals) or overflows (both ends of the
+    float range) and so cannot place a value.
+    """
+    width = (high - low) / bins
+    return width if 0.0 < width < math.inf else None
+
+
 @dataclass(frozen=True)
 class Histogram:
     """Equi-width histogram over a column's non-NULL orderable values.
@@ -94,10 +105,10 @@ class Histogram:
             return None
         low = min(values)
         high = max(values)
-        if low == high:
+        width = _bin_width(low, high, bins)
+        if width is None:
             return cls(low=low, high=high, counts=(len(values),),
                        total=len(values))
-        width = (high - low) / bins
         counts = [0] * bins
         top = bins - 1
         for value in values:
@@ -133,9 +144,9 @@ class Histogram:
         """Rows in the bin containing *value* (0 outside the range)."""
         if value < self.low or value > self.high:
             return 0
-        if self.low == self.high:
-            return self.total
         bins = len(self.counts)
+        if bins == 1:
+            return self.total
         width = (self.high - self.low) / bins
         index = int((value - self.low) / width)
         return self.counts[min(index, bins - 1)]
@@ -295,10 +306,10 @@ class _ColumnSummary:
             return
         self.low = low = axis(min(counts))
         self.high = high = axis(max(counts))
-        if low == high:
+        self.width = width = _bin_width(low, high, nbins)
+        if width is None:
             self.bins = [sum(counts.values())]
             return
-        self.width = width = (high - low) / nbins
         bins = [0] * nbins
         top = nbins - 1
         for value, count in counts.items():

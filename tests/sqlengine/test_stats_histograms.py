@@ -52,6 +52,25 @@ class TestHistogram:
         assert histogram.fraction_below(5.0) == 1.0
         assert histogram.fraction_below(4.9) == 0.0
 
+    @pytest.mark.parametrize(
+        "values", [[0.0, 5e-324], [-1.7e308, 0.0, 1.7e308]]
+    )
+    def test_unbinnable_range_is_one_bin(self, values):
+        # a bin width that underflows to 0 or overflows to inf used to
+        # raise ZeroDivisionError / ValueError while planning
+        histogram = Histogram.build(values, bins=16)
+        assert histogram.counts == (len(values),)
+        assert histogram.bin_count(values[0]) == len(values)
+        db = Database()
+        db.execute("CREATE TABLE t (r REAL)")
+        db.insert_rows("t", [(value,) for value in values])
+        stats = StatisticsProvider(db.catalog)
+        assert stats.table_stats("t").column("r").histogram == histogram
+        db.insert_rows("t", [(values[0],)])  # maintained, not rebuilt
+        assert stats.table_stats("t").column("r").histogram.counts == (
+            len(values) + 1,
+        )
+
     def test_fraction_between_clamps(self):
         histogram = Histogram.build([float(i) for i in range(100)], bins=16)
         assert histogram.fraction_between(200.0, 100.0) == 0.0

@@ -191,6 +191,24 @@ class TestExplain:
         assert "    | " in output
         assert "scan" in output
 
+    def test_explain_shows_the_statement_as_generated(self, tmp_path):
+        # snippets execute under LIMIT snippet_rows; the printed plan is
+        # the plan of the statement the user sees, which has no LIMIT
+        batch = tmp_path / "queries.txt"
+        batch.write_text("Zurich\n")
+        for argv in (["Zurich"], ["--batch", str(batch)]):
+            code, output = run_cli(
+                "--scale", "0.25", "search", *argv, "--explain"
+            )
+            assert code == 0
+            plan = [
+                line for line in output.splitlines()
+                if line.startswith("    | ")
+            ]
+            assert plan and plan[0].startswith("    | project")
+            assert not any("limit" in line for line in plan)
+            assert "LIMIT" not in output
+
 
 class TestIndexCommand:
     def test_index_build_reports_timing_and_sizes(self):

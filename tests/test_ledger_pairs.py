@@ -59,3 +59,31 @@ def test_ratio_has_the_parent_median_as_its_base():
 def test_quartiles_are_inclusive_and_survive_a_single_run():
     assert ledger_pairs.quartiles([4.0]) == (4.0, 4.0, 4.0)
     assert ledger_pairs.quartiles([1.0, 2.0, 3.0, 4.0, 5.0]) == (2.0, 3.0, 4.0)
+
+
+def test_several_workloads_are_accepted_in_order_without_repeats():
+    args = ledger_pairs.parse_args([
+        "--parent", "HEAD~1", "--pairs", "3", "--first-seed", "11",
+        "--workload", "explore_http_rw", "engine_ingest_mix",
+        "explore_http_rw",
+    ])
+    assert args.workload == ["explore_http_rw", "engine_ingest_mix"]
+    assert (args.parent, args.pairs, args.first_seed) == ("HEAD~1", 3, 11)
+    # what `make ledger-pairs WORKLOAD=name` passes
+    single = ledger_pairs.parse_args(
+        ["--parent", "HEAD~1", "--workload", "sqlgen_schema_cold"]
+    )
+    assert single.workload == ["sqlgen_schema_cold"]
+    assert (single.pairs, single.first_seed) == (10, 1)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--parent", "HEAD~1"],  # no workload
+    ["--parent", "HEAD~1", "--workload"],
+    ["--parent", "HEAD~1", "--workload", "explore_http_rw", "no_such"],
+])
+def test_missing_or_unknown_workloads_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as caught:
+        ledger_pairs.parse_args(argv)
+    assert caught.value.code == 2
+    assert "--workload" in capsys.readouterr().err

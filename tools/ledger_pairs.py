@@ -1,4 +1,4 @@
-"""Alternating parent/change runs of one perf-ledger workload.
+"""Alternating parent/change runs of perf-ledger workloads.
 
 The procedure a perf claim has to follow (``choosing-metrics`` section 8):
 materialise the parent revision in a temporary directory, then run ::
@@ -9,7 +9,10 @@ once from the parent's checkout and once from this one for every seed
 ``i``, alternating which side goes first, and report per end-to-end
 metric both medians with their quartiles, change/parent (the parent
 median is the base), and how many pairs the change won (ties count for
-neither side).  Each side runs *its own* copy of the ledger; this script
+neither side).  Several workloads (``--workload A B C``) are compared
+one after the other over the same unpacked parent, one table each, so
+the row a claim rests on and the rows that must not move come from one
+invocation.  Each side runs *its own* copy of the ledger; this script
 only calls it and reads the last output line, so nothing under
 ``benchmarks/ledger/`` is touched and no golden is re-recorded.
 
@@ -29,6 +32,7 @@ Usage::
 
     python tools/ledger_pairs.py --parent HEAD~1 --workload engine_ingest_mix
     make ledger-pairs PARENT=HEAD~1 WORKLOAD=engine_ingest_mix PAIRS=10
+    make ledger-pairs PARENT=HEAD~1 WORKLOAD="explore_http_rw engine_ingest_mix"
 """
 
 from __future__ import annotations
@@ -113,50 +117,70 @@ def report(parent_runs: list, change_runs: list) -> str:
     return "\n".join(lines)
 
 
-def main(argv=None) -> int:
+def parse_args(argv=None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True,
                         help="revision to compare this checkout against")
-    parser.add_argument("--workload", required=True,
-                        choices=[w["name"] for w in SPEC["workloads"]])
+    parser.add_argument("--workload", required=True, nargs="+",
+                        choices=[w["name"] for w in SPEC["workloads"]],
+                        help="one or more workloads, compared one after "
+                             "the other against the same unpacked parent")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--first-seed", type=int, default=1,
                         help="pairs use seeds first-seed .. first-seed+pairs-1")
     args = parser.parse_args(argv)
+    args.workload = list(dict.fromkeys(args.workload))
+    return args
+
+
+def compare_workload(
+    workload: str, args: argparse.Namespace, scratch: Path
+) -> bool:
+    """Run and report one workload's pairs; True unless the change fails more."""
     seconds = SPEC["run_seconds"]
     parent_runs, change_runs = [], []
-    with tempfile.TemporaryDirectory(prefix="ledger-pairs-") as scratch:
-        parent_checkout = Path(scratch, "parent")
-        unpack_revision(args.parent, parent_checkout)
-        for pair in range(args.pairs):
-            seed = args.first_seed + pair
-            sides = [("parent", parent_checkout, parent_runs),
-                     ("change", REPO, change_runs)]
-            if pair % 2:
-                sides.reverse()
-            for label, checkout, runs in sides:
-                result = run_ledger(
-                    checkout, Path(scratch, "pycache-" + label),
-                    args.workload, seed, seconds,
-                )
-                runs.append(result)
-                shown = "  ".join(
-                    f"{m['name']}={result['metrics'][m['name']]['value']:.4g}"
-                    for m in SPEC["end_to_end"]
-                )
-                print(f"seed {seed} {label:<6} failed={result['failed']}/"
-                      f"{result['attempted']}  {shown}", flush=True)
+    for pair in range(args.pairs):
+        seed = args.first_seed + pair
+        sides = [("parent", scratch / "parent", parent_runs),
+                 ("change", REPO, change_runs)]
+        if pair % 2:
+            sides.reverse()
+        for label, checkout, runs in sides:
+            result = run_ledger(
+                checkout, scratch / ("pycache-" + label),
+                workload, seed, seconds,
+            )
+            runs.append(result)
+            shown = "  ".join(
+                f"{m['name']}={result['metrics'][m['name']]['value']:.4g}"
+                for m in SPEC["end_to_end"]
+            )
+            print(f"{workload} seed {seed} {label:<6} "
+                  f"failed={result['failed']}/{result['attempted']}  {shown}",
+                  flush=True)
     failed = {
         label: sum(run["failed"] for run in runs)
         for label, runs in (("parent", parent_runs), ("change", change_runs))
     }
-    print(f"\n{args.workload}: {args.pairs} alternating pairs, seeds "
+    print(f"\n{workload}: {args.pairs} alternating pairs, seeds "
           f"{args.first_seed}..{args.first_seed + args.pairs - 1}, "
           f"--seconds {seconds:g} --trace 0, parent = {args.parent}; "
           f"failed operations: parent {failed['parent']}, "
           f"change {failed['change']}")
-    print(report(parent_runs, change_runs))
-    return 1 if failed["change"] > failed["parent"] else 0
+    print(report(parent_runs, change_runs) + "\n", flush=True)
+    return failed["change"] <= failed["parent"]
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="ledger-pairs-") as scratch:
+        unpack_revision(args.parent, Path(scratch, "parent"))
+        # a list, not a generator: every workload runs whatever the others did
+        passed = [
+            compare_workload(workload, args, Path(scratch))
+            for workload in args.workload
+        ]
+    return 0 if all(passed) else 1
 
 
 if __name__ == "__main__":
