@@ -45,13 +45,15 @@
 #   make ledger-smoke the same command at ~1/100 size (seconds): proves
 #                     the ledger still runs and every answer still
 #                     matches its golden digest; its timings mean nothing
-#   make ledger-pairs PARENT=<rev> WORKLOAD="<name> [<name> ...]" [PAIRS=10] [FIRST_SEED=1]
+#   make ledger-pairs PARENT=<rev> WORKLOAD="<name> [<name> ...]" [PAIRS=10] [FIRST_SEED=1] [LAYER="<metric> ..."]
 #                     the comparison a perf claim rests on: PAIRS
 #                     alternating full-size runs of each named ledger
 #                     workload from <rev> (unpacked once under TMPDIR)
 #                     and from this checkout, then one table per
 #                     workload: per end-to-end metric both medians,
-#                     quartiles, change/parent and pairs won
+#                     quartiles, change/parent and pairs won; with
+#                     LAYER, one traced run per side after the pairs
+#                     and the named per-layer metrics side by side
 #                     (tools/ledger_pairs.py; ~75 s per pair)
 #   make coverage     tier-1 suite under pytest-cov (CI gate: >=85% on
 #                     src/repro, writes coverage.xml)
@@ -107,7 +109,8 @@ FIRST_SEED ?= 1
 
 ledger-pairs:
 	$(PYTHON) tools/ledger_pairs.py --parent $(PARENT) \
-		--workload $(WORKLOAD) --pairs $(PAIRS) --first-seed $(FIRST_SEED)
+		--workload $(WORKLOAD) --pairs $(PAIRS) --first-seed $(FIRST_SEED) \
+		$(if $(LAYER),--layer $(LAYER))
 
 coverage:
 	$(PYTHON) -m pytest -x -q --cov=repro --cov-report=term \

@@ -4,15 +4,18 @@ One :class:`ResultCache` lives on each :class:`~repro.core.soda.Soda`
 instance; every :class:`~repro.core.serving.SearchSession` over that
 engine (and every thread of the HTTP front end) serves repeated query
 texts from it.  Entries are keyed by ``(query text, execute, limit)``
-and guarded by the session layer's *engine token* — the version
-counters of every input a search result depends on — so any write that
-could change an answer empties the cache wholesale rather than risking
-a stale hit.
+and each carries the :class:`~repro.stamps.DependencyStamp` of what its
+answer depended on.  An entry is **validated when it is read** — the
+session layer passes the predicate — and dropped (counted in
+``invalidations``) only when something it depended on changed: a write
+to a table none of its statements read, or to a token it never probed,
+leaves it in place.
 
-Thread-safe by a plain lock around each operation; a compute that
-raced a write (its token went stale while the search ran) is returned
-to its caller but **not** stored, so the cache never holds a result
-the current engine state couldn't have produced.
+Thread-safe by a plain lock around each operation.  There is no check
+at store time: a compute that raced a write is stamped with the marks
+read *before* it started, so it fails its first validation instead of
+being served (see :mod:`repro.stamps` for why a stamp can be too old
+but never too new).
 """
 
 from __future__ import annotations
@@ -30,58 +33,53 @@ DEFAULT_RESULT_CACHE_SIZE = 64
 _METRICS = _metrics_registry()
 _RESULT_HITS = _METRICS.counter("serving.result_cache.hits")
 _RESULT_MISSES = _METRICS.counter("serving.result_cache.misses")
+_RESULT_INVALIDATIONS = _METRICS.counter("serving.result_cache.invalidations")
 
 
 class ResultCache:
-    """A token-guarded LRU of search results, safe to share across threads."""
+    """A stamp-validated LRU of search results, safe to share across threads."""
 
     def __init__(self, capacity: int = DEFAULT_RESULT_CACHE_SIZE) -> None:
         self.capacity = max(0, capacity)
         self._lock = SharedRLock()
-        self._token = None
-        self._entries: OrderedDict = OrderedDict()
+        self._entries: OrderedDict = OrderedDict()  # key -> (result, stamp)
         self.hits = 0
         self.misses = 0
+        #: entries dropped because their stamp no longer validated
+        self.invalidations = 0
 
-    def lookup(self, token, key):
-        """The cached result for *key* under *token*, or None (a miss).
+    def lookup(self, key, valid):
+        """The cached result for *key*, or None (a miss).
 
-        A token change (any engine write since the last call) drops
-        every entry first — the classic all-or-nothing invalidation the
-        per-session memo used, now enforced under one lock.
+        *valid* is a predicate over the entry's stamp; an entry that
+        fails it is dropped and counted as an invalidation + miss.
         """
         if self.capacity == 0:
             return None
         with self._lock:
-            if self._token != token:
-                self._token = token
-                self._entries.clear()
-            hit = self._entries.get(key)
-            if hit is not None:
-                self._entries.move_to_end(key)
-                self.hits += 1
+            entry = self._entries.get(key)
+            if entry is not None:
+                if valid(entry[1]):
+                    self._entries.move_to_end(key)
+                    self.hits += 1
+                    if _METRICS.enabled:
+                        _RESULT_HITS.inc()
+                    return entry[0]
+                del self._entries[key]
+                self.invalidations += 1
                 if _METRICS.enabled:
-                    _RESULT_HITS.inc()
-                return hit
+                    _RESULT_INVALIDATIONS.inc()
             self.misses += 1
             if _METRICS.enabled:
                 _RESULT_MISSES.inc()
             return None
 
-    def store(self, token, key, result) -> None:
-        """Insert a freshly computed result, unless its token went stale.
-
-        The re-check closes the compute-then-store race: a write that
-        landed while the search ran changed the engine token, and a
-        result computed from the older state must not be served to
-        later callers.
-        """
+    def store(self, key, result, stamp) -> None:
+        """Insert a freshly computed result under its dependency stamp."""
         if self.capacity == 0:
             return
         with self._lock:
-            if self._token != token:
-                return
-            self._entries[key] = result
+            self._entries[key] = (result, stamp)
             self._entries.move_to_end(key)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
@@ -91,6 +89,7 @@ class ResultCache:
             return {
                 "hits": self.hits,
                 "misses": self.misses,
+                "invalidations": self.invalidations,
                 "size": len(self._entries),
                 "capacity": self.capacity,
             }

@@ -16,13 +16,15 @@ from dataclasses import dataclass, field
 
 from repro.core.query import Aggregation, Comparison, RangeCondition, SodaQuery
 from repro.index.classification import ClassificationIndex, EntrySource
-from repro.index.inverted import InvertedIndex
+from repro.index.inverted import InvertedIndex, tokenize_text
 from repro.obs.metrics import registry as _metrics_registry
+from repro.stamps import DependencyStamp
 from repro.warehouse.graphbuilder import column_uri
 
 _METRICS = _metrics_registry()
 _MEMO_HITS = _METRICS.counter("lookup.memo.hits")
 _MEMO_MISSES = _METRICS.counter("lookup.memo.misses")
+_MEMO_INVALIDATIONS = _METRICS.counter("lookup.memo.invalidations")
 
 
 @dataclass(frozen=True)
@@ -99,6 +101,10 @@ class LookupResult:
     complexity: int
     ignored_terms: tuple = ()
     truncated: bool = False
+    #: every inverted-index token the step probed (segmentation windows
+    #: and term alternatives are all phrases over these): the inverted
+    #: part of the result's dependency stamp
+    tokens: frozenset = frozenset()
 
     def classification_summary(self) -> dict:
         """term -> sorted list of sources found (Fig. 5 reproduction)."""
@@ -123,19 +129,24 @@ class Lookup:
         self._classification = classification
         self._inverted = inverted
         self._max_interpretations = max_interpretations
-        # term -> tuple[EntryPoint] memos; valid while both indexes keep
-        # the version they had when the entry was cached
+        # term memos.  Both are dropped wholesale when the
+        # classification index changes (rare); an alternatives entry is
+        # (tuple[EntryPoint], DependencyStamp) and additionally
+        # validates its term's tokens against the inverted index, so a
+        # base-data write costs only the terms it touched
         self._alternatives_cache: dict[str, tuple] = {}
         self._metadata_cache: dict[str, tuple] = {}
-        self._cache_stamp = (classification.version, inverted.version)
+        self._classification_version = classification.version
+        #: alternatives entries dropped because a token of theirs changed
+        self.invalidations = 0
 
     def _check_cache_stamp(self) -> None:
-        """Drop term memos when either underlying index has changed."""
-        stamp = (self._classification.version, self._inverted.version)
-        if stamp != self._cache_stamp:
+        """Drop term memos when the classification index has changed."""
+        version = self._classification.version
+        if version != self._classification_version:
             self._alternatives_cache.clear()
             self._metadata_cache.clear()
-            self._cache_stamp = stamp
+            self._classification_version = version
 
     # ------------------------------------------------------------------
     def run(self, query: SodaQuery) -> LookupResult:
@@ -155,10 +166,9 @@ class Lookup:
                     )
                 )
 
-        for comparison in query.comparisons:
-            slots.extend(self._operator_slots(comparison, ignored))
-        for range_condition in query.ranges:
-            slots.extend(self._operator_slots(range_condition, ignored))
+        operators = [*query.comparisons, *query.ranges]
+        for operator in operators:
+            slots.extend(self._operator_slots(operator, ignored))
 
         for aggregation in query.aggregations:
             if aggregation.argument is None:
@@ -199,6 +209,11 @@ class Lookup:
             complexity=complexity,
             ignored_terms=tuple(ignored),
             truncated=truncated,
+            tokens=frozenset(tokenize_text(" ".join(
+                word
+                for run in (*query.keywords, *(o.left_words for o in operators))
+                for word in run
+            ))),
         )
 
     # ------------------------------------------------------------------
@@ -235,16 +250,24 @@ class Lookup:
         """All entry points of one term (metadata + base data), memoized."""
         self._check_cache_stamp()
         cached = self._alternatives_cache.get(term)
+        if cached is not None and not cached[1].valid(inverted=self._inverted):
+            cached = None
+            self.invalidations += 1
+            if _METRICS.enabled:
+                _MEMO_INVALIDATIONS.inc()
         if cached is None:
             if _METRICS.enabled:
                 _MEMO_MISSES.inc()
+            stamp = DependencyStamp(
+                tick=self._inverted.version, tokens=tuple(tokenize_text(term))
+            )
             found = list(self.metadata_alternatives(term))
             found.extend(self.base_data_alternatives(term))
-            cached = tuple(sorted(found, key=EntryPoint.sort_key))
+            cached = (tuple(sorted(found, key=EntryPoint.sort_key)), stamp)
             self._alternatives_cache[term] = cached
         elif _METRICS.enabled:
             _MEMO_HITS.inc()
-        return list(cached)
+        return list(cached[0])
 
     def metadata_alternatives(self, term: str) -> list:
         """Entry points of *term* in the classification index only."""

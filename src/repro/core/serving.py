@@ -11,14 +11,28 @@ created per request, shared, or discarded freely.
 Repeated query texts are served from the engine's **shared**
 :class:`~repro.core.caching.ResultCache` (one per `Soda`, used by every
 session and every serving thread), keyed by the query text plus the
-session's presentation knobs and guarded by an *engine token* — the
-version counters of the inverted index, classification index and
-metadata graph, the catalog fingerprint, and the feedback state.  Any
-write that could change an answer (an INSERT, UPDATE, DELETE, DDL, a
-graph annotation, new feedback) changes the token and empties the
-cache, so no caller can ever see a stale result.  A session can still
-opt into a private cache (``result_cache_size=N``) or none at all
-(``result_cache_size=0``).
+session's presentation knobs.  Every entry carries a
+:class:`~repro.stamps.DependencyStamp` and is validated when read:
+
+* marks are read **before** the search runs — the global mark
+  (classification / graph / DDL versions, the open-transaction token,
+  feedback identity + version), the inverted index's version, and one
+  pass over the catalog's table versions;
+* after it, the stamp is narrowed to what the answer depended on: the
+  tokens the lookup step probed (``LookupResult.tokens``) and the
+  tables its statements scan, which are also the tables whose row
+  counts feed ``estimated_rows``.
+
+So an INSERT / UPDATE / DELETE invalidates only the answers that read
+the written table or probed a token of a written value; DDL, a graph
+annotation, a classification change, new feedback or an open
+transaction still invalidate everything (a search inside a transaction
+is stamped with its token and never served after COMMIT / ROLLBACK).
+The imprecision is all on the safe side: a table's version moves on a
+write to any of its rows, a token counts as touched when only a value
+count changed.  No caller can see a result the current engine state
+would not produce.  A session can still opt into a private cache
+(``result_cache_size=N``) or none at all (``result_cache_size=0``).
 """
 
 from __future__ import annotations
@@ -28,6 +42,7 @@ from dataclasses import dataclass, field
 from repro.core.caching import DEFAULT_RESULT_CACHE_SIZE, ResultCache
 from repro.core.pipeline import SearchResult
 from repro.core.soda import Soda
+from repro.stamps import DependencyStamp
 
 __all__ = ["DEFAULT_RESULT_CACHE_SIZE", "SearchSession"]
 
@@ -102,22 +117,33 @@ class SearchSession:
         For a default session these are the *shared* engine-wide
         cache's counters (every session over the same `Soda` reports
         the same numbers); a private-cache session reports its own.
+        ``invalidations`` counts entries dropped because something they
+        depended on changed; ``lookup_invalidations`` is the engine's
+        lookup-step term memo, by the same rule.
         """
         if self._cache is None:
             return {"hits": 0, "misses": 0, "size": 0, "capacity": 0}
-        return self._cache.stats()
+        stats = self._cache.stats()
+        stats["lookup_invalidations"] = self.soda._lookup.invalidations
+        return stats
 
-    def _engine_token(self) -> tuple:
-        """Changes whenever any input to a search result can change."""
+    def _global_mark(self) -> tuple:
+        """What rarely moves; any change to it invalidates every entry."""
         soda = self.soda
-        warehouse = soda.warehouse
+        catalog = soda.warehouse.database.catalog
         return (
-            warehouse.inverted.version,
             soda.classification.version,
-            warehouse.graph.version,
-            warehouse.database.catalog.fingerprint(),
+            soda.warehouse.graph.version,
+            catalog.ddl_version,
+            catalog.txn_token,
             id(soda.feedback),
             soda.feedback.version,
+        )
+
+    def _fresh(self, stamp: DependencyStamp) -> bool:
+        warehouse = self.soda.warehouse
+        return stamp.valid(
+            self._global_mark(), warehouse.inverted, warehouse.database.catalog
         )
 
     def _serve(self, text: str) -> SearchResult:
@@ -127,12 +153,24 @@ class SearchSession:
         # presentation knobs are part of the key: sessions with
         # different execute/limit settings produce different objects
         key = (text, self.execute, self.limit)
-        token = self._engine_token()
-        hit = cache.lookup(token, key)
+        hit = cache.lookup(key, self._fresh)
         if hit is not None:
             return hit
+        # marks first, compute second, keys last (see repro.stamps)
+        warehouse = self.soda.warehouse
+        catalog = warehouse.database.catalog
+        mark = self._global_mark()
+        tick = warehouse.inverted.version
+        versions = dict(catalog.table_versions(catalog.table_names()))
         result = self._trim(self.soda.search(text, execute=self.execute))
-        cache.store(token, key, result)
+        tables = sorted(
+            {name.lower() for scored in result.statements
+             for name in scored.statement.tables}
+        )
+        cache.store(key, result, DependencyStamp(
+            mark, tick, result.lookup.tokens,
+            tuple((name, versions.get(name)) for name in tables),
+        ))
         return result
 
     # ------------------------------------------------------------------

@@ -174,8 +174,9 @@ class Soda:
         Refreshes the point-in-time gauges this engine owns — the
         shared result cache's entry count and capacity — at dump time,
         alongside the database's plan-cache gauges (all safe to read
-        from any thread).  The ``serving.result_cache.hits/misses``
-        counters accumulate process-wide as the cache is used.
+        from any thread).  The ``serving.result_cache.hits / misses /
+        invalidations`` counters accumulate process-wide as the cache is
+        used.
         """
         reg = _metrics_registry()
         reg.gauge("serving.result_cache.entries").set(len(self.result_cache))

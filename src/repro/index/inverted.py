@@ -16,7 +16,15 @@ The index is designed for *long-lived* service (the paper amortizes its
   :class:`~repro.index.maintenance.InvertedIndexMaintainer` keeps the
   index fresh under INSERT/UPDATE/DELETE/DDL without any rebuild;
 * sorted posting lists, tokenized haystacks and phrase-lookup results
-  are cached and invalidated precisely by the incremental write path;
+  are cached, and a write invalidates only what it touched: the index
+  records, per token, the :attr:`~InvertedIndex.version` at which its
+  postings or value counts last changed (plus a *floor* for
+  whole-index changes such as :meth:`~InvertedIndex.remove_table`), and
+  :meth:`~InvertedIndex.unchanged_since` answers "did any of these
+  tokens change after this tick?" in O(tokens).  Cached phrase results
+  carry the tick they were computed at and are validated by that
+  question when read, as are the lookup-step term memos and the serving
+  layer's search results (see :mod:`repro.stamps`);
 * :meth:`to_dict` / :meth:`from_dict` serialize the index for the
   warm-start snapshots of :mod:`repro.index.snapshot`.
 
@@ -37,6 +45,11 @@ from repro.sqlengine.catalog import Catalog
 from repro.sqlengine.types import SqlType
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
+
+#: per-token change stamps kept; past this the older half folds into
+#: the floor (a constant, not a knob: folding only costs old stamps a
+#: recompute, and 8192 tokens is far more than a write burst touches)
+MAX_TOKEN_STAMPS = 8192
 
 
 def tokenize_text(text: str) -> list[str]:
@@ -99,10 +112,16 @@ class InvertedIndex:
         self._value_counts: dict[tuple, int] = {}
         self._entries = 0
         self._version = 0
-        # caches, invalidated by _invalidate() on every mutation
+        # token -> version at which its postings or counts last changed;
+        # a token not listed last changed at or before _floor
+        self._touched: dict[str, int] = {}
+        self._floor = 0
+        # caches: sorted postings are dropped per touched token by
+        # _invalidate(); a phrase entry is (tick, postings), validated
+        # by unchanged_since() when read
         self._sorted_cache: dict[str, list[Posting]] = {}
         self._haystack_cache: dict[tuple, tuple] = {}
-        self._phrase_cache: dict[str, list[Posting]] = {}
+        self._phrase_cache: dict[str, tuple] = {}
 
     # ------------------------------------------------------------------
     # build
@@ -158,6 +177,7 @@ class InvertedIndex:
         tokens = set(tokenize_text(value))
         if count <= 1:
             del self._value_counts[key]
+            self._haystack_cache.pop(key, None)
             for token in tokens:
                 bucket = self._postings.get(token)
                 if bucket is None:
@@ -187,20 +207,67 @@ class InvertedIndex:
         self._invalidate(None)
 
     def _invalidate(self, tokens: "set | None") -> None:
-        """Drop caches made stale by a mutation touching *tokens* (None: all)."""
-        self._version += 1
-        self._phrase_cache.clear()
+        """Record a mutation that touched *tokens* (None: the whole index).
+
+        Called last by every mutation, and the version store comes last
+        in here: a tick read before a compute is never newer than what
+        the compute saw (the invariant of :mod:`repro.stamps`).
+        """
+        version = self._version + 1
         if tokens is None:
+            # floor first, then a *new* map (never emptied in place): a
+            # concurrent unchanged_since() reads them in the other order
+            self._floor = version
+            self._touched = {}
             self._sorted_cache.clear()
             self._haystack_cache.clear()
+            self._phrase_cache.clear()
         else:
+            touched = self._touched
             for token in tokens:
+                touched[token] = version
                 self._sorted_cache.pop(token, None)
+            if len(touched) > MAX_TOKEN_STAMPS:
+                self._fold_stamps()
+        self._version = version
+
+    def _fold_stamps(self) -> None:
+        """Fold the older half of the per-token stamps into the floor.
+
+        Ticks below the new floor then read "changed" for every token,
+        ticks at or above it read exactly as before (a folded token
+        changed at or before the floor): folding can only turn
+        "unchanged" into "changed".
+        """
+        self._floor = sorted(self._touched.values())[len(self._touched) // 2]
+        self._touched = {
+            token: version
+            for token, version in self._touched.items()
+            if version > self._floor
+        }
 
     @property
     def version(self) -> int:
-        """Bumped on every mutation; lets external caches detect staleness."""
+        """Bumped *after* every mutation; the tick of a dependency stamp."""
         return self._version
+
+    def unchanged_since(self, tick: int, tokens) -> bool:
+        """True iff no posting or count of any of *tokens* changed after *tick*.
+
+        *tick* is a :attr:`version` read earlier.  Conservative: a value
+        count that moved without changing the posting set counts as a
+        change, and a tick older than the floor counts for every token.
+        Lock-free against a concurrent writer: the map is read before
+        the floor and the writer raises the floor before it swaps the
+        map, so a folded map is never paired with the floor it replaced.
+        """
+        touched = self._touched
+        if tick < self._floor:
+            return False
+        for token in tokens:
+            if touched.get(token, 0) > tick:
+                return False
+        return True
 
     # ------------------------------------------------------------------
     # lookup
@@ -245,8 +312,9 @@ class InvertedIndex:
             return []
         cache_key = " ".join(tokens)
         cached = self._phrase_cache.get(cache_key)
-        if cached is not None:
-            return list(cached)
+        if cached is not None and self.unchanged_since(cached[0], tokens):
+            return list(cached[1])
+        tick = self._version  # before the postings are read
         keys: set[tuple] | None = None
         for token in tokens:
             token_keys = self._postings.get(token)
@@ -258,17 +326,18 @@ class InvertedIndex:
                 break
         results = []
         for key in keys or ():
+            # no count: a concurrent add / remove of this value is half
+            # done (readers take no lock); its tick will outdate *tick*
+            rows = self._value_counts.get(key)
+            if rows is None:
+                continue
             per_value = count_phrase_occurrences(self._haystack(key), tokens)
             if per_value == 0:
                 continue
             table, column, value = key
-            results.append(
-                Posting(
-                    table, column, value, per_value * self._value_counts[key]
-                )
-            )
+            results.append(Posting(table, column, value, per_value * rows))
         results.sort(key=Posting.sort_key)
-        self._phrase_cache[cache_key] = results
+        self._phrase_cache[cache_key] = (tick, results)
         return list(results)
 
     def has_token(self, token: str) -> bool:

@@ -651,6 +651,15 @@ class Catalog:
         """Bumped on every CREATE/DROP; part of the plan-cache key."""
         return self._ddl_version
 
+    @property
+    def txn_token(self) -> "int | None":
+        """The open explicit transaction's unique token; None outside one.
+
+        Never reused, so a cache that keeps it in a stamp's global mark
+        validates nothing computed mid-transaction once it has ended.
+        """
+        return self._txn_token
+
     def fingerprint(self) -> tuple:
         """A cheap token that changes whenever derived state could go stale.
 
@@ -658,9 +667,9 @@ class Catalog:
         bumps the first, inserts grow the second, and UPDATE/DELETE bump
         the third — so a delete-then-reinsert that restores the row
         count, or an update that never changes it, still produces a new
-        fingerprint.  Used by index snapshots and the serving-session
-        result memo; the plan cache uses the finer-grained per-table
-        :meth:`table_versions` instead.
+        fingerprint.  Used by index snapshots; every cache validates
+        against the finer-grained per-table :meth:`table_versions`
+        instead (see :mod:`repro.stamps`).
 
         While an explicit transaction is open a unique ``("txn", n)``
         token is appended: uncommitted state must never validate a
@@ -680,11 +689,11 @@ class Catalog:
         return base
 
     def table_versions(self, names: Iterable[str]) -> tuple:
-        """``(name, version)`` per table, the plan-cache validity token.
+        """``(name, version)`` per table: the tables part of a stamp.
 
-        Unknown tables get version ``None`` so a cached plan whose table
-        was dropped (or dropped and re-created, which resets the
-        counter) can never validate.
+        Unknown tables get version ``None`` so a cached answer whose
+        table was dropped can never validate (drop + re-create resets
+        the counter, which the DDL version in the global mark covers).
         """
         tokens = []
         for name in names:

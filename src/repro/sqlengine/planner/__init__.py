@@ -5,9 +5,11 @@ into a logical plan DAG (:mod:`.logical`), optimizes it with rule-based
 rewrites driven by catalog statistics (:mod:`.optimizer`, :mod:`.stats`),
 compiles it into physical operators (:mod:`.physical`) and memoizes the
 result in an LRU plan cache (:mod:`.cache`) keyed by the normalized SQL
-text.  Each cache entry is stamped with the mutation versions of
-exactly the tables its plan scans, so DML on one table invalidates only
-the plans that read it — prepared plans for untouched tables survive.
+text.  Each cache entry carries a :class:`~repro.stamps.DependencyStamp`
+— the DDL version plus the mutation versions of exactly the tables its
+plan scans, read *before* the optimizer looks at their statistics — so
+DML on one table invalidates only the plans that read it; prepared
+plans for untouched tables survive.
 ``EXPLAIN`` output is rendered from the optimized logical plan
 (:mod:`.explain`), annotated with the execution mode each operator runs
 in.
@@ -64,6 +66,7 @@ from repro.sqlengine.planner.physical import (
 )
 from repro.sqlengine.planner.stats import HISTOGRAM_BINS, StatisticsProvider
 from repro.sqlengine.segments import current_pins, pinned
+from repro.stamps import DependencyStamp
 
 __all__ = [
     "BATCH_SIZE",
@@ -107,18 +110,6 @@ def _check_parallel_workers(workers) -> int:
             f"{MAX_PARALLEL_WORKERS}, got {workers!r}"
         )
     return workers
-
-
-class _CachedPlan:
-    """One plan-cache entry: the compiled plan plus its validity stamp."""
-
-    __slots__ = ("plan", "ddl_version", "table_versions")
-
-    def __init__(self, plan, ddl_version, table_versions) -> None:
-        self.plan = plan
-        self.ddl_version = ddl_version
-        #: ``(table name, Table.version)`` for every table the plan scans
-        self.table_versions = table_versions
 
 
 class QueryPlanner:
@@ -217,18 +208,27 @@ class QueryPlanner:
         with the versions of exactly the tables the plan scans, so a
         write to one table invalidates only the plans that read it —
         prepared plans for untouched tables survive unrelated DML.
-        The DDL version is part of the stamp because a DROP + re-CREATE
-        swaps the underlying table object out from under the compiled
-        operators.
+        The DDL version is the stamp's global mark because a DROP +
+        re-CREATE swaps the underlying table object out from under the
+        compiled operators.  The marks are read after lowering (which
+        names the tables) and *before* optimizing (which reads their
+        statistics), so a plan built from pre-write statistics is never
+        stamped post-write.
         """
         key = select.to_sql()
         with current_tracer().span("plan") as span:
             entry = self.cache.get(key, validate=self._entry_is_fresh)
             if entry is not None:
                 span.set(cache="hit")
-                return entry.plan
+                return entry[0]
             span.set(cache="miss")
-            logical = self.plan_logical(select)
+            logical = lower_select(self.catalog, select)
+            stamp = DependencyStamp(
+                self.catalog.ddl_version,
+                tables=self.catalog.table_versions(referenced_tables(logical)),
+            )
+            if self._optimize:
+                logical = optimize_plan(logical, self.catalog, self.statistics)
             plan = build_physical(
                 logical,
                 self.catalog,
@@ -236,15 +236,7 @@ class QueryPlanner:
                 fused=self._fused,
                 parallel_workers=self._parallel_workers,
             )
-            tables = referenced_tables(logical)
-            self.cache.put(
-                key,
-                _CachedPlan(
-                    plan=plan,
-                    ddl_version=self.catalog.ddl_version,
-                    table_versions=self.catalog.table_versions(tables),
-                ),
-            )
+            self.cache.put(key, (plan, stamp))
             return plan
 
     def prepare_instrumented(self, select: Select):
@@ -265,12 +257,9 @@ class QueryPlanner:
         )
         return plan, instrumenter
 
-    def _entry_is_fresh(self, entry: "_CachedPlan") -> bool:
-        if entry.ddl_version != self.catalog.ddl_version:
-            return False
-        return self.catalog.table_versions(
-            name for name, __ in entry.table_versions
-        ) == entry.table_versions
+    def _entry_is_fresh(self, entry: tuple) -> bool:
+        """Validate one ``(plan, DependencyStamp)`` cache entry."""
+        return entry[1].valid(self.catalog.ddl_version, catalog=self.catalog)
 
     def plan_logical(self, select: Select) -> LogicalNode:
         """Lower (and optionally optimize) without compiling or caching."""

@@ -7,10 +7,13 @@ direct win on the hot path.  Keys are the *normalized SQL* (the
 canonical ``Select.to_sql()`` rendering of the parsed statement, which
 collapses whitespace/keyword-case differences); staleness is handled by
 an optional per-lookup ``validate`` callback rather than by baking a
-whole-catalog fingerprint into the key, so the planner can check a
-cached plan against exactly the tables it scans — a write to one table
-drops only the plans that touch it, and prepared plans for every other
-table keep serving hits.
+whole-catalog fingerprint into the key: the planner stores each plan
+with a :class:`~repro.stamps.DependencyStamp` (DDL version + the
+versions of exactly the tables the plan scans, read before the
+optimizer saw their statistics) and validates it here — a write to one
+table drops only the plans that touch it, and prepared plans for every
+other table keep serving hits.  The search-result cache and the lookup
+memos validate the same way.
 """
 
 from __future__ import annotations

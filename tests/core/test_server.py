@@ -151,6 +151,8 @@ class TestOperationalEndpoints:
         assert status == 200
         assert payload["serving.http.requests"]["value"] > 0
         assert "serving.result_cache.hits" in payload
+        assert "serving.result_cache.invalidations" in payload
+        assert "lookup.memo.invalidations" in payload
         assert "plan_cache.entries" in payload
 
     def test_metrics_prometheus_format(self, server):

@@ -116,17 +116,42 @@ class TestSessionResultCache:
         assert again[0] is results[0]
 
     def test_insert_invalidates_cached_results(self, writable_warehouse):
+        # a write to a table the cached statement reads drops the entry
         engine = Soda(writable_warehouse, SodaConfig())
         session = SearchSession(engine, execute=False)
         first = session.search("Zurich")
-        table = writable_warehouse.database.table_names()[0]
+        table = first.best.statement.tables[0]
         columns = writable_warehouse.database.table(table).columns
         writable_warehouse.database.insert_rows(
             table, [tuple(None for __ in columns)]
         )
         second = session.search("Zurich")
         assert second is not first
-        assert session.cache_stats()["misses"] == 2
+        stats = session.cache_stats()
+        assert (stats["misses"], stats["invalidations"]) == (2, 1)
+
+    def test_insert_into_an_unrelated_table_keeps_cached_results(
+        self, writable_warehouse
+    ):
+        # the mirror: no statement of the entry reads the written table
+        # and no token it probed was touched, so the entry stays
+        engine = Soda(writable_warehouse, SodaConfig())
+        session = SearchSession(engine, execute=False)
+        first = session.search("Zurich")
+        read = {t for s in first.statements for t in s.statement.tables}
+        table = next(
+            name for name in writable_warehouse.database.table_names()
+            if name not in read
+        )
+        columns = writable_warehouse.database.table(table).columns
+        writable_warehouse.database.insert_rows(
+            table, [tuple(None for __ in columns)]
+        )
+        assert session.search("Zurich") is first
+        stats = session.cache_stats()
+        assert (stats["hits"], stats["misses"], stats["invalidations"]) == (
+            1, 1, 0,
+        )
 
     def test_feedback_invalidates_cached_results(self, writable_warehouse):
         engine = Soda(writable_warehouse, SodaConfig())

@@ -18,10 +18,6 @@ One difference is intended and pinned by name: an error that full
 execution only runs into after row N is not reported any more.
 """
 
-import importlib.util
-import sys
-from pathlib import Path
-
 import pytest
 
 from repro.core.pipeline import ScoredStatement
@@ -32,14 +28,9 @@ from repro.sqlengine.config import EngineConfig
 from repro.sqlengine.parser import parse_select
 from repro.warehouse.minibank import build_minibank
 
-_SPEC = importlib.util.spec_from_file_location(
-    "ledger_workloads",
-    Path(__file__).resolve().parents[2] / "benchmarks" / "ledger"
-    / "workloads.py",
-)
-ledger_workloads = importlib.util.module_from_spec(_SPEC)
-sys.modules[_SPEC.name] = ledger_workloads  # its dataclasses look it up
-_SPEC.loader.exec_module(ledger_workloads)
+from stamp_oracle import load_ledger_workloads
+
+ledger_workloads = load_ledger_workloads()
 
 N = SodaConfig().snippet_rows
 

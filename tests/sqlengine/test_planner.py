@@ -305,6 +305,30 @@ class TestPerTableInvalidation:
         # scan the old table object and report 3
         assert db.execute(sql).rows == [(0,)]
 
+    def test_plan_optimized_before_a_write_is_not_stamped_after_it(
+        self, db, monkeypatch
+    ):
+        # the stamp's marks are read before the optimizer reads
+        # statistics: a write that lands while the plan is being built
+        # leaves a pre-write stamp, and the next lookup re-plans
+        import repro.sqlengine.planner as planner_module
+
+        real_optimize = planner_module.optimize_plan
+
+        def optimize_then_write(logical, catalog, statistics):
+            optimized = real_optimize(logical, catalog, statistics)
+            catalog.table("big").insert((999, 1, 5.0, "OPEN"))
+            return optimized
+
+        select = parse_select("SELECT count(*) FROM big WHERE status = 'OPEN'")
+        monkeypatch.setattr(planner_module, "optimize_plan", optimize_then_write)
+        db.planner.prepare(select)
+        monkeypatch.setattr(planner_module, "optimize_plan", real_optimize)
+        assert db.planner.cache.stats.invalidations == 0
+        db.planner.prepare(select)
+        assert db.planner.cache.stats.invalidations == 1
+        assert db.planner.cache.stats.hits == 0
+
 
 class TestStatistics:
     def test_distinct_and_null_counts(self, db):

@@ -395,6 +395,8 @@ class TestObservabilityCli:
         assert code == 0
         assert "plan_cache.capacity" in output
         assert "engine.rows_scanned" in output
+        assert "serving.result_cache.invalidations" in output
+        assert "lookup.memo.invalidations" in output
         assert "finbank warehouse:" not in output
 
     def test_stats_metrics_json(self):

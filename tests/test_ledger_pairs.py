@@ -87,3 +87,56 @@ def test_missing_or_unknown_workloads_are_usage_errors(argv, capsys):
         ledger_pairs.parse_args(argv)
     assert caught.value.code == 2
     assert "--workload" in capsys.readouterr().err
+
+
+def test_layer_names_are_accepted_in_order_without_repeats():
+    args = ledger_pairs.parse_args([
+        "--parent", "HEAD~1", "--workload", "explore_http_rw",
+        "--layer", "core.result_cache_hit_ratio", "core.lookup_ms",
+        "core.result_cache_hit_ratio",
+    ])
+    assert args.layer == ["core.result_cache_hit_ratio", "core.lookup_ms"]
+    # what `make ledger-pairs` passes when LAYER is not set
+    assert ledger_pairs.parse_args(
+        ["--parent", "HEAD~1", "--workload", "explore_http_rw"]
+    ).layer == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["--layer"],  # no name
+    ["--layer", "core.no_such_metric"],
+    ["--layer", "op_p50_ms"],  # end-to-end metrics are the pairs' business
+])
+def test_missing_or_unknown_layer_names_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as caught:
+        ledger_pairs.parse_args(
+            ["--parent", "HEAD~1", "--workload", "explore_http_rw"] + argv
+        )
+    assert caught.value.code == 2
+    assert "--layer" in capsys.readouterr().err
+
+
+def test_layer_report_puts_both_sides_and_their_ratio_on_one_row():
+    def traced(hit_ratio, invalidations):
+        return {"failed": 0, "attempted": 1, "metrics": {
+            "core.result_cache_hit_ratio": {"value": hit_ratio, "unit": "ratio"},
+            "sqlengine.plan_cache_invalidations":
+                {"value": invalidations, "unit": "count"},
+            "core.lookup_ms": {"value": 9.9, "unit": "ms"},  # not asked for
+        }}
+
+    report = ledger_pairs.layer_report(
+        traced(0.2, 0.0), traced(0.75, 217.0),
+        ["core.result_cache_hit_ratio", "sqlengine.plan_cache_invalidations"],
+    )
+    assert report.splitlines()[0].split() == [
+        "layer", "metric", "unit", "parent", "change", "change/parent",
+    ]
+    assert _row(report, "core.result_cache_hit_ratio") == [
+        "core.result_cache_hit_ratio", "ratio", "0.2", "0.75", "3.750",
+    ]
+    # a zero base has no ratio; the counts are still printed
+    assert _row(report, "sqlengine.plan_cache_invalidations") == [
+        "sqlengine.plan_cache_invalidations", "count", "0", "217", "-",
+    ]
+    assert "core.lookup_ms" not in report

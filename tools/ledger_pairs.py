@@ -16,6 +16,13 @@ invocation.  Each side runs *its own* copy of the ledger; this script
 only calls it and reads the last output line, so nothing under
 ``benchmarks/ledger/`` is touched and no golden is re-recorded.
 
+``--layer NAME [NAME ...]`` adds the attribution step: after a
+workload's pairs, one *traced* run per side on the first seed
+(``--trace 1``), and the named per-layer metrics of ``BENCHMARK.json``
+printed side by side.  One traced run has no noise filter — read counts
+and ratios from it, and timings only against the spread of a second
+traced run of the same side.
+
 The parent is unpacked with ``git archive`` rather than ``git worktree``:
 a worktree registers itself in ``.git/`` and a killed run leaves that
 registration behind, an unpacked archive leaves nothing once its
@@ -33,6 +40,8 @@ Usage::
     python tools/ledger_pairs.py --parent HEAD~1 --workload engine_ingest_mix
     make ledger-pairs PARENT=HEAD~1 WORKLOAD=engine_ingest_mix PAIRS=10
     make ledger-pairs PARENT=HEAD~1 WORKLOAD="explore_http_rw engine_ingest_mix"
+    make ledger-pairs PARENT=HEAD~1 WORKLOAD=explore_http_rw \
+        LAYER="core.result_cache_hit_ratio core.lookup_memo_hit_ratio"
 """
 
 from __future__ import annotations
@@ -63,14 +72,16 @@ def unpack_revision(revision: str, target: Path) -> None:
 
 
 def run_ledger(
-    checkout: Path, pycache: Path, workload: str, seed: int, seconds: float
+    checkout: Path, pycache: Path, workload: str, seed: int, seconds: float,
+    trace: int = 0,
 ) -> dict:
-    """One untraced ledger run from *checkout*; its last output line."""
+    """The last output line of one ledger run from *checkout*."""
     env = dict(os.environ, PYTHONPYCACHEPREFIX=str(pycache))
     env.pop("PYTHONDONTWRITEBYTECODE", None)
     completed = subprocess.run(
         [sys.executable, "benchmarks/ledger/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", f"{seconds:g}", "--trace", "0"],
+         "--seed", str(seed), "--seconds", f"{seconds:g}",
+         "--trace", str(trace)],
         cwd=checkout, env=env,
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
     )
@@ -117,6 +128,20 @@ def report(parent_runs: list, change_runs: list) -> str:
     return "\n".join(lines)
 
 
+def layer_report(parent_run: dict, change_run: dict, names: list) -> str:
+    """The named per-layer metrics of one traced run per side, side by side."""
+    lines = [f"{'layer metric':<40} {'unit':<6} {'parent':>12} {'change':>12} "
+             f"{'change/parent':>13}"]
+    for name in names:
+        parent = parent_run["metrics"][name]
+        change = change_run["metrics"][name]["value"]
+        base = parent["value"]
+        ratio = f"{change / base:.3f}" if base else "-"
+        lines.append(f"{name:<40} {parent['unit']:<6} {base:>12.4g} "
+                     f"{change:>12.4g} {ratio:>13}")
+    return "\n".join(lines)
+
+
 def parse_args(argv=None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True,
@@ -125,11 +150,17 @@ def parse_args(argv=None) -> argparse.Namespace:
                         choices=[w["name"] for w in SPEC["workloads"]],
                         help="one or more workloads, compared one after "
                              "the other against the same unpacked parent")
+    parser.add_argument("--layer", nargs="+", default=[], metavar="NAME",
+                        choices=[m["name"] for m in SPEC["per_layer"]],
+                        help="per-layer metrics to print side by side from "
+                             "one traced run per side (first seed), after "
+                             "each workload's pairs")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--first-seed", type=int, default=1,
                         help="pairs use seeds first-seed .. first-seed+pairs-1")
     args = parser.parse_args(argv)
     args.workload = list(dict.fromkeys(args.workload))
+    args.layer = list(dict.fromkeys(args.layer))
     return args
 
 
@@ -138,19 +169,18 @@ def compare_workload(
 ) -> bool:
     """Run and report one workload's pairs; True unless the change fails more."""
     seconds = SPEC["run_seconds"]
-    parent_runs, change_runs = [], []
+    checkouts = {"parent": scratch / "parent", "change": REPO}
+
+    def run(label: str, seed: int, trace: int = 0) -> dict:
+        return run_ledger(checkouts[label], scratch / ("pycache-" + label),
+                          workload, seed, seconds, trace)
+
+    runs = {label: [] for label in checkouts}
     for pair in range(args.pairs):
         seed = args.first_seed + pair
-        sides = [("parent", scratch / "parent", parent_runs),
-                 ("change", REPO, change_runs)]
-        if pair % 2:
-            sides.reverse()
-        for label, checkout, runs in sides:
-            result = run_ledger(
-                checkout, scratch / ("pycache-" + label),
-                workload, seed, seconds,
-            )
-            runs.append(result)
+        for label in reversed(checkouts) if pair % 2 else checkouts:
+            result = run(label, seed)
+            runs[label].append(result)
             shown = "  ".join(
                 f"{m['name']}={result['metrics'][m['name']]['value']:.4g}"
                 for m in SPEC["end_to_end"]
@@ -159,15 +189,25 @@ def compare_workload(
                   f"failed={result['failed']}/{result['attempted']}  {shown}",
                   flush=True)
     failed = {
-        label: sum(run["failed"] for run in runs)
-        for label, runs in (("parent", parent_runs), ("change", change_runs))
+        label: sum(result["failed"] for result in runs[label])
+        for label in checkouts
     }
     print(f"\n{workload}: {args.pairs} alternating pairs, seeds "
           f"{args.first_seed}..{args.first_seed + args.pairs - 1}, "
           f"--seconds {seconds:g} --trace 0, parent = {args.parent}; "
           f"failed operations: parent {failed['parent']}, "
           f"change {failed['change']}")
-    print(report(parent_runs, change_runs) + "\n", flush=True)
+    print(report(runs["parent"], runs["change"]) + "\n", flush=True)
+    if args.layer:
+        traced = {label: run(label, args.first_seed, trace=1)
+                  for label in checkouts}
+        for label, result in traced.items():
+            failed[label] += result["failed"]
+        print(f"{workload}: one traced run per side, seed {args.first_seed}; "
+              f"failed operations: parent {traced['parent']['failed']}, "
+              f"change {traced['change']['failed']}")
+        print(layer_report(traced["parent"], traced["change"], args.layer)
+              + "\n", flush=True)
     return failed["change"] <= failed["parent"]
 
 
