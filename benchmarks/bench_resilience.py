@@ -100,23 +100,35 @@ class TestLoadSheddingUnderSaturation:
         )
         server.start_background()
         base = f"http://127.0.0.1:{server.port}"
-        # warm the result cache so engine time is the injected delay,
-        # making the saturation arithmetic exact
-        status, __, __elapsed = _request(base, "/search?q=Zurich&limit=2")
+        # one cached text: a result-cache hit is answered on the event
+        # loop and takes no admission slot, so it must keep answering
+        # while everything else is queued or shed
+        status, cached, __elapsed = _request(base, "/search?q=Zurich&limit=2")
         assert status == 200
 
         outcomes: list = []
+        hits: list = []
         lock = threading.Lock()
 
-        def client():
-            for __ in range(REQUESTS_PER_CLIENT):
-                outcome = _request(base, "/search?q=Zurich&limit=2")
+        def client(worker: int):
+            # every request its own text, so every request is an engine
+            # call that costs the injected delay (a repeated text would
+            # be a loop-served hit and saturate nothing); no-match
+            # texts keep the real search time far below SERVICE_S, so
+            # the saturation arithmetic stays exact
+            for i in range(REQUESTS_PER_CLIENT):
+                outcome = _request(
+                    base, f"/search?q=saturate+{worker}+{i}&limit=2"
+                )
+                hit = _request(base, "/search?q=Zurich&limit=2")
                 with lock:
                     outcomes.append(outcome)
+                    hits.append(hit)
 
         started = time.perf_counter()
         threads = [
-            threading.Thread(target=client) for __ in range(CLIENT_THREADS)
+            threading.Thread(target=client, args=(worker,))
+            for worker in range(CLIENT_THREADS)
         ]
         for thread in threads:
             thread.start()
@@ -151,6 +163,13 @@ class TestLoadSheddingUnderSaturation:
             assert payload["reason"] in ("queue_full", "queue_timeout")
         # the admission gate agrees with the client-side tally
         assert admission["shed"] >= len(shed)
+        # and through all of it the cached text answered, every time,
+        # with the body that filled the cache
+        assert len(hits) == total
+        assert all(
+            status == 200 and payload == cached
+            for status, payload, __e in hits
+        )
 
         p50 = _percentile(accepted, 0.50)
         p99 = _percentile(accepted, 0.99)

@@ -690,6 +690,7 @@ def cmd_stats(args, out) -> int:
 
 
 def _print_metrics(warehouse, metrics_format, out) -> int:
+    import repro.server  # noqa: F401 - registers serving.http.* / .search.*
     from repro.obs.metrics import registry
 
     snapshot = warehouse.database.metrics()  # refreshes the gauges

@@ -97,6 +97,11 @@ class SearchResult:
     timings: StepTimings
     #: the request's Tracer when tracing was on, else None
     trace: object = None
+    #: :meth:`to_wire`'s bytes once asked for; they live and die with
+    #: this object (so with the `ResultCache` entry that owns it)
+    _wire: "bytes | None" = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def complexity(self) -> int:
@@ -174,6 +179,19 @@ class SearchResult:
     def to_json(self, limit: "int | None" = None, indent: "int | None" = None) -> str:
         """:meth:`to_dict` serialized deterministically (sorted keys)."""
         return json.dumps(self.to_dict(limit=limit), sort_keys=True, indent=indent)
+
+    def to_wire(self) -> bytes:
+        """The HTTP body of this result: sorted-key JSON, encoded once.
+
+        Memoised on the object, so every request served the same
+        (cached) result gets the same bytes — including the ``timings``
+        of the search that computed it.  Racing first calls produce
+        equal bytes; the last assignment wins.
+        """
+        wire = self._wire
+        if wire is None:
+            wire = self._wire = self.to_json().encode()
+        return wire
 
 
 @dataclass

@@ -146,16 +146,31 @@ class SearchSession:
             self._global_mark(), warehouse.inverted, warehouse.database.catalog
         )
 
-    def _serve(self, text: str) -> SearchResult:
+    def _key(self, text: str) -> tuple:
+        # presentation knobs are part of the key: sessions with
+        # different execute/limit settings produce different objects
+        return (text, self.execute, self.limit)
+
+    def cached(self, text: str) -> "SearchResult | None":
+        """The cached answer for *text* if it still validates, else None.
+
+        One :meth:`ResultCache.lookup` — it counts the hit, or the miss
+        (and the invalidation when the entry's stamp failed) — and
+        nothing else: stamp validation is lock-free and O(|tokens| +
+        |tables|), and the cache's own lock is never held across a
+        compute, so this is safe to call from an event loop.  A caller
+        that gets None follows up with :meth:`compute`, not
+        :meth:`search`, so every request is counted once.
+        """
+        if self._cache is None:
+            return None
+        return self._cache.lookup(self._key(text), self._fresh)
+
+    def compute(self, text: str) -> SearchResult:
+        """Run the search and cache it under its stamp (no lookup)."""
         cache = self._cache
         if cache is None:
             return self._trim(self.soda.search(text, execute=self.execute))
-        # presentation knobs are part of the key: sessions with
-        # different execute/limit settings produce different objects
-        key = (text, self.execute, self.limit)
-        hit = cache.lookup(key, self._fresh)
-        if hit is not None:
-            return hit
         # marks first, compute second, keys last (see repro.stamps)
         warehouse = self.soda.warehouse
         catalog = warehouse.database.catalog
@@ -167,11 +182,15 @@ class SearchSession:
             {name.lower() for scored in result.statements
              for name in scored.statement.tables}
         )
-        cache.store(key, result, DependencyStamp(
+        cache.store(self._key(text), result, DependencyStamp(
             mark, tick, result.lookup.tokens,
             tuple((name, versions.get(name)) for name in tables),
         ))
         return result
+
+    def _serve(self, text: str) -> SearchResult:
+        hit = self.cached(text)
+        return hit if hit is not None else self.compute(text)
 
     # ------------------------------------------------------------------
     def _trim(self, result: SearchResult) -> SearchResult:

@@ -14,12 +14,25 @@ with a deliberately dependency-free HTTP/1.1 server:
 * ``GET /healthz`` — liveness, resilience state (``ok`` | ``degraded``
   | ``open``) and engine configuration.
 
-The asyncio event loop only parses requests and shuttles bytes; every
-engine call runs on a thread pool (``workers`` threads), which is
-exactly what the concurrent storage layer is for: SELECTs and searches
-pin frozen-segment snapshots and proceed without blocking, repeated
-query texts hit the engine-wide result cache, and DML statements
-serialize on one writer lock so the single-writer storage model holds.
+The asyncio event loop parses requests, shuttles bytes and answers
+result-cache hits: after the breaker gate it validates the ``/search``
+parameters and probes the engine-wide result cache once
+(:meth:`~repro.core.serving.SearchSession.cached`), and a valid entry is
+written back as the wire bytes stored on it
+(:meth:`~repro.core.pipeline.SearchResult.to_wire`) — no admission slot,
+no deadline, no thread hop.  That is safe on the loop because stamp
+validation takes no lock (``DependencyStamp.valid`` reads version
+counters) and ``ResultCache._lock``, the one lock the probe does take,
+is never held across a compute.  Every engine call — a search the cache
+cannot answer, a traced search, every ``/sql`` — runs on a thread pool
+(``workers`` threads), which is exactly what the concurrent storage
+layer is for: SELECTs and searches pin frozen-segment snapshots and
+proceed without blocking, and DML statements serialize on one writer
+lock so the single-writer storage model holds.  A 200 from ``/search``
+or ``/sql`` carries a ``Server-Timing`` header (``read``, ``admit``,
+``engine`` in ms, ``cache;desc=hit|miss``): a cached body repeats the
+``timings`` of the search that computed it, so what *this* request cost
+cannot live in the body.
 
 Resilience (PR 10) — the server degrades instead of falling over:
 
@@ -37,8 +50,10 @@ Resilience (PR 10) — the server degrades instead of falling over:
   feel the engine out; state shows in ``/healthz`` and
   ``serving.breaker.*`` metrics;
 * **per-connection limits** — request line / header / body sizes are
-  bounded (413) and every read carries a timeout (408), so a stalled
-  (slowloris) client cannot hold a connection slot forever;
+  bounded (413) and each request is read under one ``read_timeout_s``
+  scope, from waiting for its first byte to the end of its body (408),
+  so a stalled (slowloris) client cannot hold a connection slot
+  forever, however slowly it dribbles;
 * **graceful drain** — ``stop()`` / SIGTERM stops accepting, lets
   in-flight requests finish up to ``drain_timeout_s``, then cancels
   cooperatively; ``stop()`` is idempotent and thread-safe;
@@ -93,6 +108,11 @@ _HTTP_SECONDS = _METRICS.histogram("serving.http.seconds")
 _DEADLINES_EXCEEDED = _METRICS.counter("serving.deadline_exceeded")
 _READ_TIMEOUTS = _METRICS.counter("serving.read_timeouts")
 _OVERSIZE_REJECTED = _METRICS.counter("serving.oversize_rejected")
+#: ``/search`` requests answered on the event loop from a cached
+#: result's wire bytes / handed to admission and the worker pool; each
+#: validated ``/search`` request is one or the other
+_LOOP_HITS = _METRICS.counter("serving.search.loop_hits")
+_POOL_CALLS = _METRICS.counter("serving.search.pool_calls")
 
 _TRUE_WORDS = ("1", "true", "yes", "on")
 
@@ -345,7 +365,7 @@ class SodaServer:
                     break
                 if request is None:
                     break
-                method, target, body, keep_alive = request
+                method, target, body, keep_alive, arrived = request
                 if self._draining:
                     await self._send(
                         writer, 503,
@@ -356,7 +376,7 @@ class SodaServer:
                 self._busy_tasks.add(task)
                 try:
                     status, payload, headers = await self._dispatch(
-                        method, target, body
+                        method, target, body, arrived
                     )
                 finally:
                     self._busy_tasks.discard(task)
@@ -378,10 +398,14 @@ class SodaServer:
                 pass
 
     async def _send(
-        self, writer, status: int, payload: dict, keep_alive: bool,
+        self, writer, status: int, payload: "dict | bytes", keep_alive: bool,
         extra_headers: "dict | None" = None,
     ) -> None:
-        blob = json.dumps(payload, sort_keys=True).encode()
+        # bytes are a body already on the wire format (`to_wire()`)
+        blob = (
+            payload if isinstance(payload, bytes)
+            else json.dumps(payload, sort_keys=True).encode()
+        )
         lines = [
             f"HTTP/1.1 {status} {_REASONS.get(status, 'OK')}",
             "Content-Type: application/json",
@@ -393,42 +417,58 @@ class SodaServer:
         writer.write("\r\n".join(lines).encode() + b"\r\n\r\n" + blob)
         await writer.drain()
 
-    async def _read_line(self, reader, what: str) -> bytes:
-        """One CRLF line under the read timeout and the stream limit."""
+    async def _read_request(self, reader):
+        """Read one request; None when the client closed instead.
+
+        ``(method, target, body, keep_alive, arrived)`` — *arrived* is
+        the ``perf_counter`` reading when the request line was in.  The
+        whole read runs under **one** ``read_timeout_s`` scope (one
+        ``wait_for``: a task and a timer per request, not per line).
+        Raises :class:`_HttpError` — 400 for malformed requests, 408
+        for a stalled read, 413 for oversized request line / headers /
+        body — so one slow or hostile client degrades into one error
+        response instead of a held connection slot.
+        """
+        stage = ["waiting for the request line"]  # what a 408 reports
         try:
             return await asyncio.wait_for(
-                reader.readline(), timeout=self.read_timeout_s
+                self._parse_request(reader, stage), timeout=self.read_timeout_s
             )
         except asyncio.TimeoutError:
             if _METRICS.enabled:
                 _READ_TIMEOUTS.inc()
             raise _HttpError(
                 408,
-                f"timed out after {self.read_timeout_s:g}s waiting for "
-                f"{what} (stalled client)",
+                f"timed out after {self.read_timeout_s:g}s {stage[0]} "
+                f"(stalled client)",
                 kind="read_timeout",
             ) from None
+
+    @staticmethod
+    async def _read_line(reader, what: str) -> "bytes | None":
+        """One LF-terminated line within the stream limit; None at EOF.
+
+        EOF *inside* a line is EOF: the client hung up on a request it
+        never finished, and nothing of it may be dispatched.
+        """
+        try:
+            line = await reader.readline()
         except ValueError:  # stream-limit overrun: a line with no end
             if _METRICS.enabled:
                 _OVERSIZE_REJECTED.inc()
             raise _HttpError(
                 413, f"{what} too large", kind="oversize"
             ) from None
+        return line if line.endswith(b"\n") else None
 
-    async def _read_request(self, reader):
-        """Parse one request; None on a cleanly closed connection.
-
-        Raises :class:`_HttpError` — 400 for malformed requests, 408
-        for stalled reads, 413 for oversized request line / headers /
-        body — so one slow or hostile client degrades into one error
-        response instead of a held connection slot.
-        """
+    async def _parse_request(self, reader, stage: list):
         try:
             request_line = await self._read_line(reader, "the request line")
         except ConnectionError:
             return None
-        if not request_line:
+        if request_line is None:
             return None
+        arrived = perf_counter()
         if len(request_line) > MAX_REQUEST_LINE_BYTES:
             if _METRICS.enabled:
                 _OVERSIZE_REJECTED.inc()
@@ -443,11 +483,14 @@ class SodaServer:
                 400, "malformed request line", kind="malformed_request"
             )
         method, target, version = parts
+        stage[0] = "waiting for request headers"
         headers = {}
         header_bytes = 0
         while True:
             line = await self._read_line(reader, "request headers")
-            if line in (b"\r\n", b"\n", b""):
+            if line is None:
+                return None
+            if line in (b"\r\n", b"\n"):
                 break
             header_bytes += len(line)
             if (
@@ -466,6 +509,8 @@ class SodaServer:
             headers[name.strip().lower()] = value.strip()
         try:
             length = int(headers.get("content-length", "0") or "0")
+            if length < 0:
+                raise ValueError(length)
         except ValueError:
             raise _HttpError(
                 400, "bad Content-Length header", kind="malformed_request"
@@ -479,28 +524,18 @@ class SodaServer:
                 f"{MAX_BODY_BYTES}-byte limit",
                 kind="oversize",
             )
+        body = b""
         if length:
-            try:
-                body = await asyncio.wait_for(
-                    reader.readexactly(length), timeout=self.read_timeout_s
-                )
-            except asyncio.TimeoutError:
-                if _METRICS.enabled:
-                    _READ_TIMEOUTS.inc()
-                raise _HttpError(
-                    408,
-                    f"timed out after {self.read_timeout_s:g}s reading the "
-                    f"request body (stalled client)",
-                    kind="read_timeout",
-                ) from None
-        else:
-            body = b""
+            stage[0] = "reading the request body"
+            body = await reader.readexactly(length)
         keep_alive = headers.get("connection", "").lower() != "close" and (
             version.upper() != "HTTP/1.0"
         )
-        return method.upper(), target, body, keep_alive
+        return method.upper(), target, body, keep_alive, arrived
 
-    async def _dispatch(self, method: str, target: str, body: bytes):
+    async def _dispatch(
+        self, method: str, target: str, body: bytes, arrived: float
+    ):
         started = perf_counter()
         if _METRICS.enabled:
             _HTTP_REQUESTS.inc()
@@ -524,16 +559,19 @@ class SodaServer:
                     if not isinstance(posted, dict):
                         raise _HttpError(400, "POST /search expects an object")
                     params = {**posted, **params}
-                handler, what = self._handle_search, "search"
+                what = "search"
             elif path == "/sql" and method == "POST":
                 params["sql"] = body.decode(errors="replace")
-                handler, what = self._handle_sql, "sql"
+                what = "sql"
             else:
                 raise _HttpError(
                     404, f"no route for {method} {split.path}",
                     kind="not_found",
                 )
-            payload = await self._run_engine_route(handler, params, what)
+            payload, timing = await self._run_engine_route(what, params)
+            headers["Server-Timing"] = (
+                f"read;dur={(started - arrived) * 1e3:.3f}, {timing}"
+            )
             return 200, payload, headers
         except _HttpError as exc:
             if _METRICS.enabled:
@@ -584,10 +622,27 @@ class SodaServer:
             )
         finally:
             if _METRICS.enabled:
-                _HTTP_SECONDS.observe(perf_counter() - started)
+                # from the request line's arrival, so the Server-Timing
+                # parts are parts of this observation
+                _HTTP_SECONDS.observe(perf_counter() - arrived)
 
-    async def _run_engine_route(self, handler, params: dict, what: str):
-        """Breaker + admission + deadline around one engine call."""
+    async def _run_engine_route(self, what: str, params: dict):
+        """Breaker, the loop-side half of the route, then — unless that
+        answered — admission + deadline around one engine call.
+
+        Returns ``(payload, timing)``, *timing* being the route's share
+        of the ``Server-Timing`` header.  A ``/search`` the result
+        cache can answer ends here, on the event loop: it records
+        breaker success like any answered request (in half-open that
+        claims and releases the probe slot) but takes no admission
+        slot, so it is never queued or shed, carries no deadline and is
+        not an engine call (the fault injector is not consulted).
+        Everything raised before the engine ran — a parameter error
+        from the loop-side validation (``missing q``, ``bad limit``,
+        ``bad timeout_ms``), a load shed, a cancellation — gives no
+        health verdict and releases the probe slot
+        (``record_abandoned``).
+        """
         breaker = self.breaker
         if not breaker.allow():
             snap = breaker.snapshot()
@@ -599,27 +654,34 @@ class SodaServer:
                 retry_after_s=snap["retry_after_s"] or breaker.cooldown_s,
                 extra={"breaker": snap},
             )
+        admission = self._admission
         try:
             timeout_ms = self._timeout_ms(params)
+            if what == "search":
+                wire, call, cache = self._search_on_loop(params)
+                if wire is not None:
+                    breaker.record_success()
+                    return wire, f"cache;desc={cache}"
+            else:
+                call, cache = (lambda: self._handle_sql(params)), None
             # the deadline starts *before* the queue wait: time spent
             # queued is part of the request's budget, so a request that
             # waited its deadline away sheds at admission instead of
             # running anyway
             deadline = Deadline(timeout_ms) if timeout_ms else None
-            admission = self._admission
+            queued = perf_counter()
             if admission is not None:
                 await admission.acquire()
         except BaseException:
-            # rejected before the engine ran (bad timeout_ms, load
-            # shed, cancellation): no health verdict, but the half-open
-            # probe slot allow() may have claimed must be released or
-            # the breaker wedges open
+            # the half-open probe slot allow() may have claimed must be
+            # released or the breaker wedges open
             breaker.record_abandoned()
             raise
+        admitted = perf_counter()
         try:
             loop = asyncio.get_running_loop()
-            return await loop.run_in_executor(
-                self._pool, self._run_engine, handler, params, deadline, what
+            payload = await loop.run_in_executor(
+                self._pool, self._run_engine, call, deadline, what
             )
         except (asyncio.CancelledError, RuntimeError):
             # _run_engine records only when it runs on the pool; here
@@ -632,6 +694,60 @@ class SodaServer:
         finally:
             if admission is not None:
                 admission.release()
+        timing = (
+            f"admit;dur={(admitted - queued) * 1e3:.3f}, "
+            f"engine;dur={(perf_counter() - admitted) * 1e3:.3f}"
+        )
+        if cache is not None:
+            timing += f", cache;desc={cache}"
+        return payload, timing
+
+    def _search_on_loop(self, params: dict):
+        """Validate ``/search`` parameters and probe the result cache.
+
+        Runs on the event loop.  Returns ``(wire, call, cache)``: the
+        cached answer's wire bytes (``cache == "hit"``), or None and
+        the engine call the pool must make — *compute and store*, no
+        second lookup, so ``hits + misses`` stays the number of
+        untraced searches (``"miss"``); a traced search never asks the
+        cache (None).
+        """
+        text = params.get("q") or params.get("query")
+        if not text or not isinstance(text, str):
+            raise _HttpError(400, "missing query parameter 'q'")
+        limit = params.get("limit", self.default_limit)
+        if limit is not None:
+            try:
+                limit = int(limit)
+            except (TypeError, ValueError):
+                raise _HttpError(400, f"bad limit {limit!r}")
+            if limit < 0:
+                raise _HttpError(400, "limit must be >= 0")
+        execute = self._flag(params, "execute", True)
+        soda = self.soda
+        if self._flag(params, "trace", False):
+            # traced requests bypass the result cache (the trace is
+            # per-request state) but still run concurrently: the active
+            # tracer is thread-local
+            cache = None
+
+            def call() -> dict:
+                result = soda.search(text, execute=execute, trace=True)
+                return result.to_dict(limit=limit)
+        else:
+            session = SearchSession(soda, execute=execute, limit=limit)
+            hit = session.cached(text)
+            if hit is not None:
+                if _METRICS.enabled:
+                    _LOOP_HITS.inc()
+                return hit.to_wire(), None, "hit"
+            cache = "miss"
+
+            def call() -> bytes:
+                return session.compute(text).to_wire()
+        if _METRICS.enabled:
+            _POOL_CALLS.inc()
+        return None, call, cache
 
     def _timeout_ms(self, params: dict) -> "float | None":
         raw = params.get("timeout_ms")
@@ -647,7 +763,7 @@ class SodaServer:
             raise _HttpError(400, "timeout_ms must be a finite number > 0")
         return timeout_ms
 
-    def _run_engine(self, handler, params: dict, deadline, what: str):
+    def _run_engine(self, call, deadline, what: str):
         """One engine call on the worker pool, breaker-accounted.
 
         Client errors (`_HttpError`, `SqlError`) prove the engine is
@@ -666,7 +782,7 @@ class SodaServer:
                     deadline.check("admission")
                 if self.faults is not None:
                     self.faults.before_engine_call(what)
-                result = handler(params)
+                result = call()
         except (_HttpError, SqlError):
             self.breaker.record_success()
             raise
@@ -680,7 +796,7 @@ class SodaServer:
         return result
 
     # ------------------------------------------------------------------
-    # handlers (run on the worker pool)
+    # handlers
     # ------------------------------------------------------------------
     @staticmethod
     def _flag(params: dict, name: str, default: bool) -> bool:
@@ -690,28 +806,6 @@ class SodaServer:
         if isinstance(value, bool):
             return value
         return str(value).lower() in _TRUE_WORDS
-
-    def _handle_search(self, params: dict) -> dict:
-        text = params.get("q") or params.get("query")
-        if not text or not isinstance(text, str):
-            raise _HttpError(400, "missing query parameter 'q'")
-        limit = params.get("limit", self.default_limit)
-        if limit is not None:
-            try:
-                limit = int(limit)
-            except (TypeError, ValueError):
-                raise _HttpError(400, f"bad limit {limit!r}")
-            if limit < 0:
-                raise _HttpError(400, "limit must be >= 0")
-        execute = self._flag(params, "execute", True)
-        if self._flag(params, "trace", False):
-            # traced requests bypass the result cache (the trace is
-            # per-request state) but still run concurrently: the active
-            # tracer is thread-local
-            result = self.soda.search(text, execute=execute, trace=True)
-            return result.to_dict(limit=limit)
-        session = SearchSession(self.soda, execute=execute, limit=limit)
-        return session.search(text).to_dict()
 
     def _handle_sql(self, params: dict) -> dict:
         sql = (params.get("sql") or "").strip()

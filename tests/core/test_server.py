@@ -152,6 +152,8 @@ class TestOperationalEndpoints:
         assert payload["serving.http.requests"]["value"] > 0
         assert "serving.result_cache.hits" in payload
         assert "serving.result_cache.invalidations" in payload
+        assert "serving.search.loop_hits" in payload
+        assert "serving.search.pool_calls" in payload
         assert "lookup.memo.invalidations" in payload
         assert "plan_cache.entries" in payload
 

@@ -18,6 +18,7 @@ import urllib.request
 import pytest
 
 from repro.core.soda import Soda, SodaConfig
+from repro.obs.metrics import registry
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.faults import ServingFaultInjector
 from repro.resilience.maintenance import MaintenanceRunner
@@ -157,6 +158,105 @@ class TestConnectionLimits:
         status, __, payload = _parse(blob)
         assert status == 400
         assert payload["kind"] == "malformed_request"
+
+    def test_negative_content_length_is_400(self, make_server):
+        # readexactly(-5) raises ValueError, which used to kill the
+        # connection task: a logged traceback and an empty reply
+        server = make_server()
+        blob = _raw(
+            server,
+            b"POST /sql HTTP/1.1\r\nContent-Length: -5\r\n\r\nSELECT 1",
+        )
+        status, __, payload = _parse(blob)
+        assert status == 400
+        assert payload["kind"] == "malformed_request"
+        assert payload["error"] == "bad Content-Length header"
+
+    @pytest.mark.parametrize(
+        "head",
+        [
+            b"GET /search?q=cut+off+head HTTP/1.1\r\nHost: x\r\n",
+            b"GET /search?q=cut+off+head HTTP/1.1\r\nHost: x",
+            b"GET /search?q=cut+off",
+        ],
+        ids=["after-a-header", "inside-a-header", "inside-the-request-line"],
+    )
+    def test_request_cut_off_mid_head_is_not_executed(self, make_server, head):
+        # EOF inside the head used to read as the blank line: a full
+        # search ran for a client that had already gone
+        server = make_server()
+        searches = registry().counter("pipeline.searches")
+        before = searches.value
+        with socket.create_connection(
+            ("127.0.0.1", server.port), timeout=30
+        ) as sock:
+            sock.sendall(head)
+            sock.shutdown(socket.SHUT_WR)
+            assert sock.recv(65536) == b""  # closed, nothing answered
+        # the connection is gone; a later request sees a quiet engine
+        status, __, __ = _get(server, "/healthz")
+        assert status == 200
+        assert searches.value == before
+
+    def test_clean_close_between_requests_is_silent(self, make_server):
+        server = make_server()
+        errors = registry().counter("serving.http.errors")
+        before = errors.value
+        request = b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+        with socket.create_connection(
+            ("127.0.0.1", server.port), timeout=30
+        ) as sock:
+            sock.sendall(request)
+            status, __, __ = _parse(sock.recv(65536))
+            assert status == 200
+            sock.shutdown(socket.SHUT_WR)
+            assert sock.recv(65536) == b""
+        assert errors.value == before
+
+    def test_bare_lf_request_is_answered(self, make_server):
+        server = make_server()
+        blob = _raw(server, b"GET /healthz HTTP/1.1\nConnection: close\n\n")
+        status, __, payload = _parse(blob)
+        assert status == 200
+        assert payload["status"] == "ok"
+
+    def test_one_timeout_scope_covers_the_whole_request(self, make_server):
+        # a client that sends another header just inside the timeout
+        # used to restart the clock with every line, forever
+        server = make_server(read_timeout_s=0.4)
+        with socket.create_connection(
+            ("127.0.0.1", server.port), timeout=30
+        ) as sock:
+            sock.sendall(b"GET /healthz HTTP/1.1\r\n")
+            sock.settimeout(0.15)  # the pause between two drips
+            for step in range(20):  # 3 s of dripping against 0.4 s
+                try:
+                    blob = sock.recv(65536)
+                    break
+                except socket.timeout:
+                    sock.sendall(f"X-Drip-{step}: y\r\n".encode())
+            else:
+                pytest.fail("no 408 while the client kept dripping")
+        status, __, payload = _parse(blob)
+        assert status == 408
+        assert payload["kind"] == "read_timeout"
+        assert payload["error"] == (
+            "timed out after 0.4s waiting for request headers "
+            "(stalled client)"
+        )
+
+    def test_stalled_body_is_408(self, make_server):
+        server = make_server(read_timeout_s=0.2)
+        blob = _raw(
+            server,
+            b"POST /sql HTTP/1.1\r\nContent-Length: 50\r\n\r\nSELECT",
+            hold_open=True,
+        )
+        status, __, payload = _parse(blob)
+        assert status == 408
+        assert payload["error"] == (
+            "timed out after 0.2s reading the request body (stalled client)"
+        )
 
 
 # ----------------------------------------------------------------------
@@ -343,9 +443,11 @@ class TestCircuitBreaker:
         status, __, payload = _get(server, "/healthz")
         assert payload["status"] == "ok"
 
-    def test_rejected_probe_releases_the_slot(self, make_server):
-        # the probe dies before the engine runs (bad timeout_ms) —
-        # again no verdict, again the slot must come back
+    @pytest.mark.parametrize("bad", ["timeout_ms=abc", "limit=abc"])
+    def test_rejected_probe_releases_the_slot(self, make_server, bad):
+        # the probe dies before the engine runs (a parameter error the
+        # loop-side validation raises) — again no verdict, again the
+        # slot must come back
         faults = ServingFaultInjector()
         server = make_server(
             breaker=CircuitBreaker(failure_threshold=2, cooldown_s=0.2),
@@ -356,10 +458,11 @@ class TestCircuitBreaker:
             status, __, __ = _get(server, f"/search?q=reject+{i}")
             assert status == 500
         time.sleep(0.25)  # cooldown -> half-open
-        status, __, __ = _get(
-            server, "/search?q=reject+probe&timeout_ms=abc"
-        )
+        status, __, __ = _get(server, f"/search?q=reject+probe&{bad}")
         assert status == 400
+        # no verdict: the breaker is still feeling the engine out
+        status, __, payload = _get(server, "/healthz")
+        assert payload["status"] == "degraded"
         status, __, __ = _get(server, "/search?q=reject+recovered")
         assert status == 200
         status, __, payload = _get(server, "/healthz")
@@ -374,6 +477,126 @@ class TestCircuitBreaker:
             assert status == 400
         status, __, payload = _get(server, "/healthz")
         assert payload["status"] == "ok"  # 400s prove the engine answers
+
+
+# ----------------------------------------------------------------------
+# PR 21: what a result-cache hit answered on the event loop is, and is
+# not, subject to
+# ----------------------------------------------------------------------
+def _tripped(make_server, **kwargs):
+    """A server whose breaker two injected failures just opened."""
+    faults = ServingFaultInjector()
+    server = make_server(
+        breaker=CircuitBreaker(failure_threshold=2, cooldown_s=0.2),
+        faults=faults,
+        **kwargs,
+    )
+    status, __, __ = _get(server, "/search?q=Zurich")  # fills the cache
+    assert status == 200
+    faults.fail_requests(2)
+    for i in range(2):
+        status, __, __ = _get(server, f"/search?q=trip+{i}")
+        assert status == 500
+    return server, faults
+
+
+class TestLoopServedHits:
+    def test_a_hit_takes_no_slot_and_is_never_shed(self, make_server):
+        faults = ServingFaultInjector()
+        server = make_server(
+            workers=1, max_inflight=1, queue_depth=1,
+            queue_timeout_ms=30000.0, faults=faults,
+        )
+        status, __, first = _get(server, "/search?q=Zurich&limit=2")
+        assert status == 200
+        faults.set_delay(2.0)
+        holders = [
+            threading.Thread(
+                target=_get, args=(server, f"/search?q=slot+holder+{i}")
+            )
+            for i in range(2)
+        ]
+        try:
+            for thread in holders:
+                thread.start()
+            # every slot held, the queue full
+            deadline = time.perf_counter() + 10
+            while time.perf_counter() < deadline:
+                admission = _get(server, "/healthz")[2]["admission"]
+                if admission["active"] == 1 and admission["waiting"] == 1:
+                    break
+                time.sleep(0.01)
+            assert (admission["active"], admission["waiting"]) == (1, 1)
+            calls = faults.calls
+            status, headers, payload = _get(
+                server, "/search?q=not+cached+yet"
+            )
+            assert status == 429
+            assert payload["kind"] == "load_shed"
+            assert headers.get("Retry-After")
+            status, headers, payload = _get(server, "/search?q=Zurich&limit=2")
+            assert status == 200
+            assert payload == first  # the cached body, timings and all
+            assert "cache;desc=hit" in headers["Server-Timing"]
+            # not an engine call: the injector never saw it
+            assert faults.calls == calls
+            admission = _get(server, "/healthz")[2]["admission"]
+            assert admission["shed"] == 1  # the uncached one only
+        finally:
+            faults.set_delay(0.0)
+            for thread in holders:
+                thread.join(timeout=30)
+
+    def test_an_open_breaker_fast_fails_hits_too(self, make_server):
+        server, __ = _tripped(make_server)
+        hits = registry().counter("serving.search.loop_hits")
+        before = hits.value
+        status, headers, payload = _get(server, "/search?q=Zurich")
+        assert status == 503
+        assert payload["kind"] == "circuit_open"
+        assert headers.get("Retry-After")
+        assert hits.value == before  # the cache was not even asked
+
+    def test_a_hit_is_a_half_open_probe_that_closes_the_breaker(
+        self, make_server
+    ):
+        server, faults = _tripped(make_server)
+        time.sleep(0.25)  # cooldown -> half-open
+        calls = faults.calls
+        status, headers, __ = _get(server, "/search?q=Zurich")
+        assert status == 200
+        assert "cache;desc=hit" in headers["Server-Timing"]
+        assert faults.calls == calls
+        # it claimed the probe slot, answered, and released it
+        status, __, payload = _get(server, "/healthz")
+        assert payload["status"] == "ok"
+        assert payload["breaker"]["state"] == "closed"
+
+    @pytest.mark.parametrize(
+        "query, body",
+        [
+            ("", b'{"error": "missing query parameter \'q\'", '
+                 b'"kind": "bad_request"}'),
+            ("q=Zurich&limit=abc",
+             b'{"error": "bad limit \'abc\'", "kind": "bad_request"}'),
+            ("q=Zurich&limit=-1",
+             b'{"error": "limit must be >= 0", "kind": "bad_request"}'),
+            ("q=Zurich&timeout_ms=abc",
+             b'{"error": "bad timeout_ms \'abc\'", "kind": "bad_request"}'),
+        ],
+    )
+    def test_loop_side_validation_keeps_its_400_bodies(
+        self, make_server, query, body
+    ):
+        server = make_server()
+        blob = _raw(
+            server,
+            f"GET /search?{query} HTTP/1.1\r\nConnection: close\r\n\r\n"
+            .encode(),
+        )
+        head, __, sent = blob.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert sent == body
 
 
 # ----------------------------------------------------------------------

@@ -396,6 +396,8 @@ class TestObservabilityCli:
         assert "plan_cache.capacity" in output
         assert "engine.rows_scanned" in output
         assert "serving.result_cache.invalidations" in output
+        assert "serving.search.loop_hits" in output
+        assert "serving.search.pool_calls" in output
         assert "lookup.memo.invalidations" in output
         assert "finbank warehouse:" not in output
 

@@ -56,6 +56,22 @@ def test_ratio_has_the_parent_median_as_its_base():
     assert row[-1] == "yes"  # gap 55 > parent IQR 10
 
 
+def test_whole_run_rows_come_from_the_stamps_when_both_sides_have_them():
+    def stamped(p50: float, windows: int) -> dict:
+        run = _run()
+        run["stamp"] = {"windows": windows, "whole_run": {"op_p50_ms": p50}}
+        return run
+
+    parent = [stamped(2.0, 12), stamped(4.0, 12)]
+    change = [stamped(1.0, 7), stamped(2.0, 8)]
+    report = ledger_pairs.report(parent, change)
+    assert float(_row(report, "whole_run.op_p50_ms")[-1]) == pytest.approx(0.5)
+    assert _row(report, "windows")[1] == "12"
+    assert "whole_run.op_p95_ms" not in report  # not in these stamps
+    # runs without a stamp (an older ledger on the parent side): no rows
+    assert "whole_run" not in ledger_pairs.report([_run()], change)
+
+
 def test_quartiles_are_inclusive_and_survive_a_single_run():
     assert ledger_pairs.quartiles([4.0]) == (4.0, 4.0, 4.0)
     assert ledger_pairs.quartiles([1.0, 2.0, 3.0, 4.0, 5.0]) == (2.0, 3.0, 4.0)

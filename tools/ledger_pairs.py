@@ -9,7 +9,10 @@ once from the parent's checkout and once from this one for every seed
 ``i``, alternating which side goes first, and report per end-to-end
 metric both medians with their quartiles, change/parent (the parent
 median is the base), and how many pairs the change won (ties count for
-neither side).  Several workloads (``--workload A B C``) are compared
+neither side), followed by the same timings over each run as a whole
+and the number of timed windows, from the runs' stamps (the end-to-end
+timings are noise-filtered; a side that finishes sooner is filtered over
+fewer windows).  Several workloads (``--workload A B C``) are compared
 one after the other over the same unpacked parent, one table each, so
 the row a claim rests on and the rows that must not move come from one
 invocation.  Each side runs *its own* copy of the ledger; this script
@@ -91,7 +94,12 @@ def run_ledger(
             f"{checkout}: ledger printed nothing (exit "
             f"{completed.returncode})\n{completed.stderr}"
         )
-    return json.loads(lines[-1])
+    result = json.loads(lines[-1])
+    # the run's stamp: timed windows and the unfiltered whole-run figures
+    for line in lines:
+        if line.startswith("stamp "):
+            result["stamp"] = json.loads(line[6:])
+    return result
 
 
 def quartiles(values: list) -> tuple:
@@ -125,7 +133,46 @@ def report(parent_runs: list, change_runs: list) -> str:
             f"{f'{c_median:.4g} [{c_q1:.4g}, {c_q3:.4g}]':<32} "
             f"{ratio:>13.3f}  {won}/{len(parent)}  {'yes' if gap else 'no'}"
         )
-    return "\n".join(lines)
+    return "\n".join(lines + whole_run_rows(parent_runs, change_runs))
+
+
+def whole_run_rows(parent_runs: list, change_runs: list) -> list:
+    """What the quiet-quartile metrics above rest on, from the runs' stamps.
+
+    An HTTP run's timing metrics come from its quietest 1-second
+    windows; a side that finishes the fixed request sequence sooner has
+    fewer windows to choose from.  These rows show the window count and
+    the same timings over the *whole* run (no noise filter, no bound),
+    so a gain that exists only in the filter is visible as such.
+    """
+    def stamped(runs: list, *path) -> list:
+        values = []
+        for run in runs:
+            value = run.get("stamp", {})
+            for key in path:
+                value = value.get(key) if isinstance(value, dict) else None
+            if value is not None:
+                values.append(value)
+        return values
+
+    rows = []
+    for label, path in [("windows", ("windows",))] + [
+        ("whole_run." + name, ("whole_run", name))
+        for name in ("op_p50_ms", "op_p95_ms", "ops_per_s")
+    ]:
+        parent, change = stamped(parent_runs, *path), stamped(change_runs, *path)
+        if not parent or not change:
+            continue
+        p_q1, p_median, p_q3 = quartiles(parent)
+        c_q1, c_median, c_q3 = quartiles(change)
+        ratio = c_median / p_median if p_median else float("nan")
+        rows.append(
+            f"{label:<19} "
+            f"{f'{p_median:.4g} [{p_q1:.4g}, {p_q3:.4g}]':<32} "
+            f"{f'{c_median:.4g} [{c_q1:.4g}, {c_q3:.4g}]':<32} "
+            f"{ratio:>13.3f}"
+        )
+    return rows
 
 
 def layer_report(parent_run: dict, change_run: dict, names: list) -> str:
