@@ -20,10 +20,11 @@ matched positions via :func:`~repro.sqlengine.expressions.compile_expr_batch`
 — but only when at most one assignment could possibly raise.  Row mode
 evaluates row-major and batch mode assignment-major, so with two
 fallible assignments the two engines could surface *different* first
-errors; :func:`_never_raises` is a deliberately conservative static
-check (typed columns, literal divisors, literal LIKE patterns) that
-keeps the vectorized path restricted to plans whose error behaviour is
-provably order-independent.  Mismatches fall back to row-major
+errors; :func:`~repro.sqlengine.expressions._never_raises` is a
+deliberately conservative static check (typed columns, literal
+divisors, literal LIKE patterns) that keeps the vectorized path
+restricted to plans whose error behaviour is provably
+order-independent.  Mismatches fall back to row-major
 evaluation, keeping the two modes byte- and error-identical.
 
 ``RETURNING`` clauses evaluate their select items over the affected
@@ -34,25 +35,16 @@ real :class:`~repro.sqlengine.results.ResultSet`.
 
 from __future__ import annotations
 
-import datetime
-
 from repro.errors import SqlCatalogError, SqlExecutionError
-from repro.sqlengine.ast_nodes import (
-    BinaryOp,
-    ColumnRef,
-    Delete,
-    Expr,
-    FuncCall,
-    IsNull,
-    Like,
-    Literal,
-    UnaryOp,
-    Update,
-)
+from repro.sqlengine.ast_nodes import Delete, Expr, Update
 from repro.sqlengine.catalog import Catalog, Table
-from repro.sqlengine.expressions import Scope, compile_expr, compile_expr_batch
+from repro.sqlengine.expressions import (
+    Scope,
+    _never_raises,
+    compile_expr,
+    compile_expr_batch,
+)
 from repro.sqlengine.results import ResultSet
-from repro.sqlengine.types import SqlType
 
 __all__ = ["evaluate_returning", "execute_delete", "execute_update"]
 
@@ -133,140 +125,6 @@ def evaluate_returning(
         for row in rows
     ]
     return ResultSet(columns=columns, rows=out_rows, rowcount=rowcount)
-
-
-# ---------------------------------------------------------------------------
-# vectorized-SET safety analysis
-# ---------------------------------------------------------------------------
-
-_NUMERIC_TYPES = (SqlType.INTEGER, SqlType.REAL)
-_SAFE_STR_FUNCS = ("lower", "upper")
-_COMPARISONS = ("=", "<>", "<", "<=", ">", ">=")
-
-
-def _type_class(expr: Expr, table: Table) -> "str | None":
-    """The value class of *expr* — ``num``/``str``/``date``/``bool`` —
-    or None when unknown or mixed (which disables the batch path)."""
-    if isinstance(expr, Literal):
-        value = expr.value
-        if isinstance(value, bool):
-            return "bool"
-        if isinstance(value, (int, float)):
-            return "num"
-        if isinstance(value, str):
-            return "str"
-        if isinstance(value, datetime.date):
-            return "date"
-        return None  # NULL literal: class unknown
-    if isinstance(expr, ColumnRef):
-        if not table.has_column(expr.column):
-            return None
-        sql_type = table.column(expr.column).sql_type
-        if sql_type in _NUMERIC_TYPES:
-            return "num"
-        if sql_type is SqlType.TEXT:
-            return "str"
-        if sql_type is SqlType.DATE:
-            return "date"
-        return "bool"
-    if isinstance(expr, BinaryOp):
-        if expr.op in ("+", "-", "*", "/"):
-            return "num"
-        if expr.op == "||":
-            return "str"
-        return "bool"  # comparisons, AND, OR
-    if isinstance(expr, (UnaryOp, Like, IsNull)):
-        if isinstance(expr, UnaryOp) and expr.op == "-":
-            return "num"
-        return "bool"
-    if isinstance(expr, FuncCall):
-        if expr.name in _SAFE_STR_FUNCS:
-            return "str"
-        if expr.name in ("length", "abs", "year", "month"):
-            return "num"
-        if expr.name == "coalesce":
-            classes = {_type_class(arg, table) for arg in expr.args}
-            classes.discard(None)
-            return classes.pop() if len(classes) == 1 else None
-    return None
-
-
-def _never_raises(expr: Expr, table: Table) -> bool:
-    """Conservatively True when evaluating *expr* cannot raise on any row.
-
-    The whitelist leans on the engine's type invariants (a coerced
-    INTEGER column holds only ``int``/``None``) and literal operands;
-    anything unrecognised is treated as fallible.
-    """
-    if isinstance(expr, Literal):
-        return True
-    if isinstance(expr, ColumnRef):
-        return table.has_column(expr.column)
-    if isinstance(expr, BinaryOp):
-        left_safe = _never_raises(expr.left, table)
-        right_safe = _never_raises(expr.right, table)
-        if not (left_safe and right_safe):
-            return False
-        if expr.op in ("AND", "OR", "||"):
-            # 3VL short-circuits and concat tolerate NULL; neither raises
-            return True
-        left_class = _type_class(expr.left, table)
-        right_class = _type_class(expr.right, table)
-        if expr.op in ("+", "-", "*"):
-            return left_class == "num" and right_class == "num"
-        if expr.op == "/":
-            # only a provably nonzero literal divisor is safe
-            return (
-                left_class == "num"
-                and isinstance(expr.right, Literal)
-                and isinstance(expr.right.value, (int, float))
-                and not isinstance(expr.right.value, bool)
-                and expr.right.value != 0
-            )
-        if expr.op in _COMPARISONS:
-            # same class compares cleanly; date-vs-string would parse
-            return left_class is not None and left_class == right_class
-        return False
-    if isinstance(expr, UnaryOp):
-        if not _never_raises(expr.operand, table):
-            return False
-        operand_class = _type_class(expr.operand, table)
-        if expr.op == "-":
-            return operand_class == "num"
-        return operand_class == "bool"  # NOT
-    if isinstance(expr, Like):
-        return (
-            _never_raises(expr.operand, table)
-            and _type_class(expr.operand, table) == "str"
-            and isinstance(expr.pattern, Literal)
-            and isinstance(expr.pattern.value, str)
-        )
-    if isinstance(expr, IsNull):
-        return _never_raises(expr.operand, table)
-    if isinstance(expr, FuncCall):
-        if expr.star or expr.distinct:
-            return False
-        if not all(_never_raises(arg, table) for arg in expr.args):
-            return False
-        if expr.name in ("lower", "upper", "length"):
-            return (
-                len(expr.args) == 1
-                and _type_class(expr.args[0], table) == "str"
-            )
-        if expr.name == "abs":
-            return (
-                len(expr.args) == 1
-                and _type_class(expr.args[0], table) == "num"
-            )
-        if expr.name in ("year", "month"):
-            return (
-                len(expr.args) == 1
-                and _type_class(expr.args[0], table) == "date"
-            )
-        if expr.name == "coalesce":
-            return len(expr.args) > 0
-        return False
-    return False
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,12 @@ from repro.sqlengine.ast_nodes import (
 )
 from repro.obs.metrics import registry as _metrics_registry
 from repro.sqlengine.encoding import EncodedColumn, gather_column
-from repro.sqlengine.types import compare_values, parse_date, values_equal
+from repro.sqlengine.types import (
+    SqlType,
+    compare_values,
+    parse_date,
+    values_equal,
+)
 
 # counts each batch served by the dictionary-code comparison fast path
 # (one dictionary probe instead of per-row string compares)
@@ -1774,3 +1779,152 @@ def split_conjuncts(expr: Expr | None) -> list[Expr]:
     if isinstance(expr, BinaryOp) and expr.op == "AND":
         return split_conjuncts(expr.left) + split_conjuncts(expr.right)
     return [expr]
+
+
+# ---------------------------------------------------------------------------
+# static error analysis: can this expression raise on some row?
+# ---------------------------------------------------------------------------
+
+_NUMERIC_TYPES = (SqlType.INTEGER, SqlType.REAL)
+_COMPARISONS = ("=", "<>", "<", "<=", ">", ">=")
+
+
+def _column_type(ref: ColumnRef, columns) -> "SqlType | None":
+    """*ref*'s SqlType; *columns* is a Table or a ``ref -> SqlType | None``."""
+    if callable(columns):
+        return columns(ref)
+    if not columns.has_column(ref.column):
+        return None
+    return columns.column(ref.column).sql_type
+
+
+def _type_class(expr: Expr, columns) -> "str | None":
+    """The value class of *expr* — ``num``/``str``/``date``/``bool`` —
+    or None when unknown or mixed (which :func:`_never_raises` treats
+    as fallible)."""
+    if isinstance(expr, Literal):
+        value = expr.value
+        if isinstance(value, bool):
+            return "bool"
+        if isinstance(value, (int, float)):
+            return "num"
+        if isinstance(value, str):
+            return "str"
+        if isinstance(value, datetime.date):
+            return "date"
+        return None  # NULL literal: class unknown
+    if isinstance(expr, ColumnRef):
+        sql_type = _column_type(expr, columns)
+        if sql_type is None:
+            return None
+        if sql_type in _NUMERIC_TYPES:
+            return "num"
+        if sql_type is SqlType.TEXT:
+            return "str"
+        if sql_type is SqlType.DATE:
+            return "date"
+        return "bool"
+    if isinstance(expr, BinaryOp):
+        if expr.op in ("+", "-", "*", "/"):
+            return "num"
+        if expr.op == "||":
+            return "str"
+        return "bool"  # comparisons, AND, OR
+    if isinstance(expr, (UnaryOp, Like, IsNull)):
+        if isinstance(expr, UnaryOp) and expr.op == "-":
+            return "num"
+        return "bool"
+    if isinstance(expr, FuncCall):
+        if expr.name in ("lower", "upper"):
+            return "str"
+        if expr.name in ("length", "abs", "year", "month"):
+            return "num"
+        if expr.name == "coalesce":
+            classes = {_type_class(arg, columns) for arg in expr.args}
+            classes.discard(None)
+            return classes.pop() if len(classes) == 1 else None
+    return None
+
+
+def _never_raises(expr: Expr, columns) -> bool:
+    """Conservatively True when evaluating *expr* cannot raise on any row.
+
+    *columns* types the column references: a
+    :class:`~repro.sqlengine.catalog.Table` (every reference is one of
+    its columns) or a callable mapping a ColumnRef to its SqlType, None
+    when it does not resolve.  The whitelist leans on the engine's type
+    invariants (a coerced INTEGER column holds only ``int``/``None``)
+    and literal operands; anything unrecognised is treated as fallible.
+    This one analysis gates every rewrite that must not change which
+    error surfaces: DML's vectorized SET, the LEFT JOIN null-side
+    pushdown and zone-map segment skipping.
+    """
+    if isinstance(expr, Literal):
+        return True
+    if isinstance(expr, ColumnRef):
+        return _column_type(expr, columns) is not None
+    if isinstance(expr, BinaryOp):
+        left_safe = _never_raises(expr.left, columns)
+        right_safe = _never_raises(expr.right, columns)
+        if not (left_safe and right_safe):
+            return False
+        if expr.op in ("AND", "OR", "||"):
+            # 3VL short-circuits and concat tolerate NULL; neither raises
+            return True
+        left_class = _type_class(expr.left, columns)
+        right_class = _type_class(expr.right, columns)
+        if expr.op in ("+", "-", "*"):
+            return left_class == "num" and right_class == "num"
+        if expr.op == "/":
+            # only a provably nonzero literal divisor is safe
+            return (
+                left_class == "num"
+                and isinstance(expr.right, Literal)
+                and isinstance(expr.right.value, (int, float))
+                and not isinstance(expr.right.value, bool)
+                and expr.right.value != 0
+            )
+        if expr.op in _COMPARISONS:
+            # same class compares cleanly; date-vs-string would parse
+            return left_class is not None and left_class == right_class
+        return False
+    if isinstance(expr, UnaryOp):
+        if not _never_raises(expr.operand, columns):
+            return False
+        operand_class = _type_class(expr.operand, columns)
+        if expr.op == "-":
+            return operand_class == "num"
+        return operand_class == "bool"  # NOT
+    if isinstance(expr, Like):
+        return (
+            _never_raises(expr.operand, columns)
+            and _type_class(expr.operand, columns) == "str"
+            and isinstance(expr.pattern, Literal)
+            and isinstance(expr.pattern.value, str)
+        )
+    if isinstance(expr, IsNull):
+        return _never_raises(expr.operand, columns)
+    if isinstance(expr, FuncCall):
+        if expr.star or expr.distinct:
+            return False
+        if not all(_never_raises(arg, columns) for arg in expr.args):
+            return False
+        if expr.name in ("lower", "upper", "length"):
+            return (
+                len(expr.args) == 1
+                and _type_class(expr.args[0], columns) == "str"
+            )
+        if expr.name == "abs":
+            return (
+                len(expr.args) == 1
+                and _type_class(expr.args[0], columns) == "num"
+            )
+        if expr.name in ("year", "month"):
+            return (
+                len(expr.args) == 1
+                and _type_class(expr.args[0], columns) == "date"
+            )
+        if expr.name == "coalesce":
+            return len(expr.args) > 0
+        return False
+    return False

@@ -4,8 +4,10 @@ An :class:`Instrumenter` is threaded through
 :func:`~repro.sqlengine.planner.physical.build_physical` as its
 ``instrument`` callback: every physical operator is wrapped in a thin
 shim that times each pull from the operator's iterator and counts the
-rows (and batches) it produces.  Stats are keyed by the *logical* node
-the operator was built from — the build is 1:1 — so after execution
+rows (and batches) it produces; batch scans also report the frozen
+segments their zone tests skipped (``skipped=N``).  Stats are keyed by
+the *logical* node the operator was built from — the build is 1:1 — so
+after execution
 :meth:`Instrumenter.suffix_for` can annotate each line of
 :func:`~repro.sqlengine.planner.explain.render_plan` with actual rows,
 batches and self-time right next to the optimizer's ``[~N rows]``
@@ -27,13 +29,15 @@ from time import perf_counter
 class OperatorStats:
     """Actuals for one operator: rows out, batches out, inclusive time."""
 
-    __slots__ = ("rows", "batches", "inclusive")
+    __slots__ = ("rows", "batches", "inclusive", "skipped")
 
     def __init__(self) -> None:
         self.rows = 0
         #: batches yielded, or None for row-engine operators
         self.batches = None
         self.inclusive = 0.0
+        #: frozen segments a batch scan's zone tests skipped
+        self.skipped = 0
 
 
 class _InstrumentedRows:
@@ -161,6 +165,8 @@ class Instrumenter:
         """Wrap *operator* (built from logical *node*); returns the shim."""
         stats = OperatorStats()
         self._stats[id(node)] = stats
+        if hasattr(operator, "analyze_stats"):
+            operator.analyze_stats = stats  # batch scans report skips
         if hasattr(operator, "pres_batches"):
             return _InstrumentedPresBatches(operator, stats)
         if hasattr(operator, "batches"):
@@ -191,7 +197,8 @@ class Instrumenter:
         self_ms = self.self_seconds(node) * 1000.0
         if stats.batches is None:
             return f" (actual rows={stats.rows}, self={self_ms:.3f}ms)"
+        skipped = f", skipped={stats.skipped}" if stats.skipped else ""
         return (
-            f" (actual rows={stats.rows}, batches={stats.batches}, "
+            f" (actual rows={stats.rows}, batches={stats.batches}{skipped}, "
             f"self={self_ms:.3f}ms)"
         )

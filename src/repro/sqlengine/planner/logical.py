@@ -178,6 +178,18 @@ class LogicalTopN(LogicalNode):
         return (self.child,)
 
 
+def scan_bindings(node: LogicalNode) -> dict:
+    """``binding -> table name`` for every scan in *node*'s subtree."""
+    found: dict = {}
+    stack = [node]
+    while stack:
+        current = stack.pop()
+        if isinstance(current, LogicalScan):
+            found[current.binding] = current.table
+        stack.extend(current.children())
+    return found
+
+
 def referenced_tables(node: LogicalNode) -> tuple:
     """The sorted base-table names scanned anywhere in *node*'s tree.
 
@@ -185,14 +197,7 @@ def referenced_tables(node: LogicalNode) -> tuple:
     tables' mutation versions, so writes to unrelated tables never
     evict it.
     """
-    names: set = set()
-    stack = [node]
-    while stack:
-        current = stack.pop()
-        if isinstance(current, LogicalScan):
-            names.add(current.table)
-        stack.extend(current.children())
-    return tuple(sorted(names))
+    return tuple(sorted(set(scan_bindings(node).values())))
 
 
 # ---------------------------------------------------------------------------

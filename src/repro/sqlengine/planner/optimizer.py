@@ -19,11 +19,16 @@ in order:
    needs everything).
 
 Classification deliberately resolves unqualified columns against the
-*inner* tables only, mirroring the pre-planner executor: predicates on
-LEFT-joined tables stay residual and run after the outer join.
+*inner* tables only, mirroring the pre-planner executor: WHERE
+predicates on LEFT-joined tables stay residual and run after the outer
+join.  A LEFT JOIN's own ON conjuncts that only filter its
+null-supplying side are pushed into that side's scan
+(:func:`_push_null_side`).
 """
 
 from __future__ import annotations
+
+from functools import reduce
 
 from repro.errors import SqlError
 from repro.sqlengine.ast_nodes import (
@@ -42,7 +47,12 @@ from repro.sqlengine.ast_nodes import (
     collect_column_refs,
 )
 from repro.sqlengine.catalog import Catalog
-from repro.sqlengine.expressions import Scope, compile_expr
+from repro.sqlengine.expressions import (
+    Scope,
+    _never_raises,
+    compile_expr,
+    split_conjuncts,
+)
 from repro.sqlengine.planner.logical import (
     EquiPredicate,
     LogicalAggregate,
@@ -56,6 +66,7 @@ from repro.sqlengine.planner.logical import (
     LogicalScan,
     LogicalSort,
     LogicalTopN,
+    scan_bindings,
 )
 from repro.sqlengine.planner.stats import (
     DEFAULT_SELECTIVITY,
@@ -291,15 +302,9 @@ def optimize_plan(
             residual.append(conjunct)
 
     # annotate scans with pushed filters and estimates
-    scan_by_binding: dict = {}
     for scan in scans:
         scan.predicates = tuple(pushed[scan.binding])
-        stats = table_stats[scan.binding]
-        selectivity = 1.0
-        for predicate in scan.predicates:
-            selectivity *= predicate_selectivity(predicate, stats)
-        scan.est_rows = scan.base_rows * selectivity
-        scan_by_binding[scan.binding] = scan
+        _estimate_scan(scan, table_stats[scan.binding])
 
     # greedy cardinality-driven join ordering
     syntax_index = {scan.binding: i for i, scan in enumerate(scans)}
@@ -322,10 +327,12 @@ def optimize_plan(
         )
         joined_node.est_rows = _filtered_estimate(joined_node)
 
-    # LEFT joins reapplied in order, conditions folded
+    # LEFT joins reapplied in order, conditions folded, null-side
+    # conjuncts pushed into the right scan
     for left_node in left_nodes:
         left_node.left = joined_node
         left_node.condition = fold_constants(left_node.condition)
+        _push_null_side(left_node, catalog, stats_provider)
         left_node.est_rows = joined_node.est_rows
         joined_node = left_node
 
@@ -344,6 +351,67 @@ def optimize_plan(
 
     _prune_projections(wrappers, catalog, scans, left_nodes, conjuncts)
     return node
+
+
+def _push_null_side(
+    left_node: LogicalLeftJoin,
+    catalog: Catalog,
+    stats_provider: StatisticsProvider,
+) -> None:
+    """Move ON conjuncts that only filter the right side into its scan.
+
+    ``l LEFT JOIN r ON c AND p(r)`` pairs each left row with the rows of
+    ``σ_p(r)`` satisfying ``c`` and pads it when there are none, so a
+    conjunct whose column references all resolve, unambiguously, to the
+    null-supplying binding can filter the scan instead of every pair.
+    Conjuncts touching the left side stay in the condition: filtering
+    the left input would drop rows the join must pad.  Only when every
+    conjunct is provably non-raising, so evaluating fewer pairs cannot
+    hide an error.  A fully pushed condition becomes ``TRUE``.
+    """
+    found = [
+        (binding, column)
+        for binding, name in scan_bindings(left_node).items()
+        for column in catalog.table(name).columns
+    ]
+    scope = Scope([(binding, column.name) for binding, column in found])
+
+    def resolve(ref: ColumnRef) -> tuple:
+        """``(binding, Column)`` *ref* names, unambiguously, or Nones."""
+        index = scope.try_resolve(ref)
+        return (None, None) if index is None else found[index]
+
+    def column_type(ref: ColumnRef):
+        column = resolve(ref)[1]
+        return None if column is None else column.sql_type
+
+    right = left_node.right
+
+    def right_only(conjunct: Expr) -> bool:
+        refs = collect_column_refs(conjunct)
+        return bool(refs) and all(
+            resolve(ref)[0] == right.binding for ref in refs
+        )
+
+    conjuncts = split_conjuncts(left_node.condition)
+    pushed = [c for c in conjuncts if right_only(c)]
+    if not pushed or not all(_never_raises(c, column_type) for c in conjuncts):
+        return
+    kept = [c for c in conjuncts if not right_only(c)]
+    left_node.condition = (
+        reduce(lambda a, b: BinaryOp(op="AND", left=a, right=b), kept)
+        if kept
+        else Literal(True)
+    )
+    right.predicates = right.predicates + tuple(pushed)
+    _estimate_scan(right, stats_provider.table_stats(right.table))
+
+
+def _estimate_scan(scan: LogicalScan, stats: TableStats) -> None:
+    selectivity = 1.0
+    for predicate in scan.predicates:
+        selectivity *= predicate_selectivity(predicate, stats)
+    scan.est_rows = scan.base_rows * selectivity
 
 
 def _flatten_joins(node: LogicalNode) -> list:

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import datetime
 import heapq
+from bisect import bisect_right
 from typing import Any, Iterator
 
 from repro.errors import SqlCatalogError, SqlExecutionError, SqlTypeError
@@ -65,6 +66,7 @@ from repro.sqlengine.encoding import EncodedColumn
 from repro.sqlengine.segments import snapshot_of
 from repro.sqlengine.expressions import (
     Scope,
+    _never_raises,
     compile_expr,
     compile_expr_batch,
     fuse_batch_exprs,
@@ -85,6 +87,7 @@ from repro.sqlengine.planner.logical import (
     LogicalScan,
     LogicalSort,
     LogicalTopN,
+    scan_bindings,
 )
 from repro.sqlengine.planner.parallel import (
     MorselDispatcher,
@@ -115,6 +118,7 @@ _ROWS_FILTERED = _METRICS.counter("engine.rows_filtered")
 _ROWS_JOINED = _METRICS.counter("engine.rows_joined")
 _BATCHES_PRODUCED = _METRICS.counter("engine.batches_produced")
 _FUSED_BATCHES = _METRICS.counter("engine.fused_batches")
+_SEGMENTS_SKIPPED = _METRICS.counter("engine.segments_skipped")
 
 
 class PhysicalOperator:
@@ -765,7 +769,7 @@ def _fusion_class_of(node: LogicalNode, catalog: Catalog):
     """
     tables = {
         binding: catalog.table(name)
-        for binding, name in _scan_bindings(node).items()
+        for binding, name in scan_bindings(node).items()
     }
 
     def class_of(binding, column):
@@ -777,8 +781,91 @@ def _fusion_class_of(node: LogicalNode, catalog: Catalog):
     return class_of
 
 
+#: op -> (op with the operands swapped, "no ``v`` in ``[low, high]``
+#: satisfies ``v <op> x``")
+_ZONE_OPS = {
+    "=": ("=", lambda low, high, x: x < low or x > high),
+    "<": (">", lambda low, high, x: low >= x),
+    "<=": (">=", lambda low, high, x: low > x),
+    ">": ("<", lambda low, high, x: high <= x),
+    ">=": ("<=", lambda low, high, x: high < x),
+}
+
+
+def _zone_tests(predicates, table) -> tuple:
+    """``(column index, excludes, number)`` per ``col <op> number`` conjunct.
+
+    Empty unless every predicate is provably non-raising: a skipped
+    batch must be one whose evaluation could neither match nor raise.
+    """
+    if not all(_never_raises(p, table) for p in predicates):
+        return ()
+    tests = []
+    for predicate in predicates:
+        if not (isinstance(predicate, BinaryOp) and predicate.op in _ZONE_OPS):
+            continue
+        column, literal, op = predicate.left, predicate.right, predicate.op
+        if isinstance(column, Literal):
+            column, literal, op = literal, column, _ZONE_OPS[op][0]
+        value = getattr(literal, "value", None)
+        # _never_raises made the classes match, so a number here meets
+        # an INTEGER/REAL column; NaN compares equal to every number
+        if isinstance(column, ColumnRef) and type(value) in (int, float) \
+                and value == value:
+            tests.append(
+                (table.column_index(column.column), _ZONE_OPS[op][1], value)
+            )
+    return tuple(tests)
+
+
+def _zone_skips(snapshot, tests: tuple, first: int, last: int) -> tuple:
+    """``(skipped grid-batch starts, segments skipped)`` in ``[first, last)``.
+
+    A batch is skipped when every part it overlaps is a frozen segment
+    some test excludes; the delta is never excluded.  A segment counts
+    as skipped, in the range holding its first row, when every batch
+    overlapping it is.  Both depend only on the snapshot, so morsel
+    ranges agree with the serial scan.
+    """
+    entries, prefix = snapshot.entries, snapshot.prefix
+    excluded = [
+        any(
+            (zone := segment.zone(index)) is not None
+            and excludes(*zone, value)
+            for index, excludes, value in tests
+        )
+        for segment, __, __ in entries
+    ]
+
+    def skippable(start: int) -> bool:
+        stop = min(start + BATCH_SIZE, snapshot.row_count)
+        low = bisect_right(prefix, start) - 1
+        high = bisect_right(prefix, stop - 1) - 1
+        return high < len(entries) and all(excluded[low:high + 1])
+
+    skipped = {s for s in range(first, last, BATCH_SIZE) if skippable(s)}
+    segments = sum(
+        1
+        for part in range(len(entries))
+        if first <= prefix[part] < last
+        and skippable(prefix[part] // BATCH_SIZE * BATCH_SIZE)
+        and skippable((prefix[part + 1] - 1) // BATCH_SIZE * BATCH_SIZE)
+    )
+    return skipped, segments
+
+
 class BatchScanOp(BatchOperator):
-    """Slice the table's columnar storage into batches; filter and prune."""
+    """Slice the table's columnar storage into batches; filter and prune.
+
+    On a segmented table the scan consults each frozen segment's zone
+    (:meth:`~repro.sqlengine.segments.FrozenSegment.zone`) against the
+    ``col <op> number`` conjuncts among its pushed predicates and never
+    slices a grid batch whose every row lies in excluded segments: such
+    a batch would have filtered down to nothing, so results, float sums
+    and batch boundaries are unchanged.  Zones are consulted only when
+    every pushed predicate is provably non-raising (errors stay those of
+    a full scan); the delta and flat storage are always read.
+    """
 
     def __init__(
         self, catalog: Catalog, node: LogicalScan, fused: bool = False
@@ -803,6 +890,9 @@ class BatchScanOp(BatchOperator):
             self._filter_stages = [("closures", self._predicate_fns)]
         else:
             self._filter_stages = []
+        self._zone_tests = _zone_tests(node.predicates, self._table)
+        #: EXPLAIN ANALYZE's OperatorStats (receives ``skipped``), or None
+        self.analyze_stats = None
         if node.columns is None:
             self._indexes = None
             self.scope = full_scope
@@ -853,6 +943,9 @@ class BatchScanOp(BatchOperator):
         snapshot (explicit or installed via a pin scope), batches are
         assembled from the pinned frozen segments + delta instead of
         the live lists — same rows, same order, same batch boundaries.
+        Batches whose every row lies in frozen segments excluded by a
+        zone test are never sliced (see :func:`_zone_skips`); every
+        batch that is emitted is the one a full scan would emit.
         """
         table = self._table
         width = len(table.columns)
@@ -900,6 +993,11 @@ class BatchScanOp(BatchOperator):
                     snapshot.column_slice(i, start, stop) for i in columns
                 ]
 
+        skipped, skipped_segments = (), 0
+        if self._zone_tests and snapshot is not None and snapshot.entries:
+            skipped, skipped_segments = _zone_skips(
+                snapshot, self._zone_tests, first, last
+            )
         bound_cell = self._bound_cell
         deadline = current_deadline()
         scanned = 0
@@ -910,6 +1008,8 @@ class BatchScanOp(BatchOperator):
             for start in range(first, last, BATCH_SIZE):
                 if deadline is not None:
                     deadline.check("scan")
+                if start in skipped:
+                    continue
                 stop = min(start + BATCH_SIZE, last)
                 cols = slice_batch(start, stop)
                 n = stop - start
@@ -947,6 +1047,10 @@ class BatchScanOp(BatchOperator):
                     _FUSED_BATCHES.inc(fused_batches)
                 if dropped:
                     _ROWS_FILTERED.inc(dropped)
+            if skipped_segments and _METRICS.enabled:
+                _SEGMENTS_SKIPPED.inc(skipped_segments)
+            if self.analyze_stats is not None:
+                self.analyze_stats.skipped += skipped_segments
 
 
 class BatchFilterOp(BatchOperator):
@@ -1448,18 +1552,6 @@ _VALUE_CLASS = {
 _SAFE_FUNCTIONS = {"lower", "upper", "length", "coalesce"}
 
 
-def _scan_bindings(node: LogicalNode) -> dict:
-    """``binding -> table name`` for every scan in *node*'s subtree."""
-    found: dict = {}
-    stack = [node]
-    while stack:
-        current = stack.pop()
-        if isinstance(current, LogicalScan):
-            found[current.binding] = current.table
-        stack.extend(current.children())
-    return found
-
-
 def _as_left_join_key(conjunct, left_scope: Scope, right_scope: Scope):
     """``(left index, right index)`` if *conjunct* is a cross-side equi."""
     if not (isinstance(conjunct, BinaryOp) and conjunct.op == "="):
@@ -1620,7 +1712,7 @@ def _analyze_left_join(
     """
     tables = {
         binding: catalog.table(name)
-        for binding, name in _scan_bindings(node).items()
+        for binding, name in scan_bindings(node).items()
     }
 
     def sql_type_at(scope: Scope, index: int) -> SqlType:

@@ -38,6 +38,19 @@ consult the current thread's *installed pins* (:func:`pinned`, set up
 by ``QueryPlanner.execute`` around each query, and propagated into
 morsel worker threads) so every batch of one execution reads the same
 snapshot.
+
+**Zones.**  A segment's *zone* for an INTEGER/REAL column is the
+``(min, max)`` of its physical non-NULL values (:meth:`FrozenSegment.
+zone`), computed on the first scan that asks and memoised on the
+segment — never at freeze time, so ingest pays nothing.  It needs no
+invalidation: the values never change (UPDATE and compaction build new
+segment objects), and tombstones only shrink the live set, so the
+bound stays conservative for every snapshot.  A column holding NaN
+(which compares equal to every number) or only NULLs has no zone.  The
+batch scan skips a grid batch only when every segment it overlaps is
+excluded by a zone; the delta, flat storage and the row engine are
+never skipped (see ``BatchScanOp`` in
+:mod:`repro.sqlengine.planner.physical`).
 """
 
 from __future__ import annotations
@@ -67,15 +80,36 @@ class FrozenSegment:
     ``k`` deletions.  Live-row projections are cached per tombstone
     count (at most two states: concurrent readers at different
     snapshots recompute older states instead of growing the cache).
+    Zones (:meth:`zone`) are memoised per column on first use and,
+    like ``rows`` and ``columns``, never change afterwards.
     """
 
-    __slots__ = ("rows", "columns", "tombstones", "_live_cache")
+    __slots__ = ("rows", "columns", "tombstones", "_live_cache", "_zones")
 
     def __init__(self, rows: tuple, columns: tuple) -> None:
         self.rows = rows
         self.columns = columns
         self.tombstones: set = set()
         self._live_cache: dict = {}
+        self._zones: dict = {}
+
+    def zone(self, index: int) -> "tuple | None":
+        """``(min, max)`` of column *index*'s physical non-NULL values.
+
+        Only asked of INTEGER/REAL columns.  None when the column holds
+        only NULLs or any NaN (NaN compares equal to every number, so
+        no range can bound it).  Dead rows count too: tombstones only
+        shrink the live set, so the bound stays conservative for every
+        tombstone state, and the memo never needs invalidating.  Racing
+        readers compute the same value; the dict write is atomic.
+        """
+        zone = self._zones.get(index, False)
+        if zone is False:
+            values = [v for v in self.columns[index] if v is not None]
+            bounded = values and all(v == v for v in values)
+            zone = (min(values), max(values)) if bounded else None
+            self._zones[index] = zone
+        return zone
 
     @property
     def live_count(self) -> int:

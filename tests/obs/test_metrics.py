@@ -142,5 +142,6 @@ class TestProcessRegistry:
             "engine.rows_filtered",
             "engine.rows_joined",
             "engine.batches_produced",
+            "engine.segments_skipped",
         ):
             assert name in reg

@@ -148,3 +148,62 @@ class TestConcurrentStress:
         for thread in threads:
             thread.join(timeout=120)
         assert not failures, failures[:5]
+
+
+def test_zone_skipping_readers_find_every_row():
+    """Point lookups skip frozen segments by their memoised zones while
+    a writer replaces segments (copy-on-write UPDATE, compaction) and
+    freezes new ones; every lookup still finds its one consistent row."""
+    import sys
+
+    rows = 2600
+    db = Database(config=EngineConfig(segment_rows=64))
+    db.execute("CREATE TABLE funds (id INT, a INT, b INT)")
+    db.insert_rows("funds", [(i, i % 40, 100 - i % 40) for i in range(rows)])
+    failures: list = []
+    done = threading.Event()
+
+    def reader(offset: int) -> None:
+        k = offset
+        while not done.is_set():
+            k = (k * 7919 + 13) % rows
+            try:
+                found = db.execute(
+                    f"SELECT a + b FROM funds WHERE id = {k}"
+                ).rows
+                if found != [(100,)]:
+                    failures.append((k, found))
+            except Exception as exc:  # noqa: BLE001
+                failures.append(repr(exc))
+
+    def writer() -> None:
+        try:
+            for op in range(200):
+                db.execute(
+                    f"UPDATE funds SET a = a + 1, b = b - 1 "
+                    f"WHERE id = {op * 37 % rows}"
+                )
+                db.execute(f"INSERT INTO funds VALUES ({10_000 + op}, 1, 99)")
+                if op % 2:
+                    db.execute(f"DELETE FROM funds WHERE id = {10_000 + op}")
+        except Exception as exc:  # noqa: BLE001
+            failures.append(f"writer raised {exc!r}")
+        finally:
+            done.set()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [
+            threading.Thread(target=reader, args=(i,)) for i in range(READERS)
+        ]
+        threads.append(threading.Thread(target=writer))
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+        done.set()
+    assert not any(thread.is_alive() for thread in threads)
+    assert not failures, failures[:5]
