@@ -50,22 +50,11 @@ def make_parser() -> argparse.ArgumentParser:
     parser.add_argument("--snapshot", default=None, metavar="PATH",
                         help="warm-start indexes from this snapshot file "
                              "when it matches the catalog")
-    parser.add_argument("--execution-mode", choices=["batch", "row"],
-                        default=None,
-                        help="SQL engine: vectorized batch operators "
-                             "(default) or row-at-a-time volcano")
-    parser.add_argument("--parallel-workers", type=int, default=None,
-                        metavar="N",
-                        help="morsel-driven parallel scan pipelines on N "
-                             "threads (default 1 = serial; batch mode only)")
-    parser.add_argument("--no-fused", action="store_true",
-                        help="disable fused filter/project expression "
-                             "codegen in the batch engine")
     parser.add_argument("--engine-config", default=None, metavar="SPEC",
                         help="engine settings as key=value[,key=value] over "
                              "the EngineConfig fields, e.g. "
-                             "'segment-rows=4096,parallel-workers=4,"
-                             "array-store=true'")
+                             "'execution-mode=row,fused=false,"
+                             "parallel-workers=4,segment-rows=4096'")
 
     commands = parser.add_subparsers(dest="command", required=True)
 
@@ -251,17 +240,7 @@ def _build_warehouse(args, base_config=None, **overrides):
         "engine_config": _engine_config(args, base_config),
     }
     kwargs.update(overrides)
-    warehouse = build_minibank(**kwargs)
-    database = warehouse.database
-    mode = getattr(args, "execution_mode", None)
-    if mode is not None:
-        database.set_execution_mode(mode)
-    workers = getattr(args, "parallel_workers", None)
-    if workers is not None:
-        database.set_parallel_workers(workers)
-    if getattr(args, "no_fused", False):
-        database.set_fused(False)
-    return warehouse
+    return build_minibank(**kwargs)
 
 
 def cmd_search(args, out) -> int:
@@ -756,7 +735,7 @@ def main(argv=None, out=None) -> int:
     }
     try:
         return handlers[args.command](args, out)
-    except SqlError as exc:  # e.g. an out-of-range --parallel-workers
+    except SqlError as exc:  # e.g. a bad --engine-config value
         print(f"error: {exc}", file=out)
         return 2
 

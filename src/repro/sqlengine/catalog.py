@@ -568,18 +568,7 @@ class Catalog:
         array_store: bool = False,
         segment_rows: int = 0,
     ) -> None:
-        if not isinstance(array_store, bool):
-            raise SqlCatalogError(
-                f"array_store must be True or False, got {array_store!r}"
-            )
-        if (
-            not isinstance(segment_rows, int)
-            or isinstance(segment_rows, bool)
-            or segment_rows < 0
-        ):
-            raise SqlCatalogError(
-                f"segment_rows must be an integer >= 0, got {segment_rows!r}"
-            )
+        # the settings come from an EngineConfig, which validated them
         self._tables: dict[str, Table] = {}
         self._ddl_version = 0
         self._observers: list[CatalogObserver] = []

@@ -1,19 +1,15 @@
-"""The unified engine configuration: one frozen ``EngineConfig``.
+"""The engine configuration: one frozen ``EngineConfig``.
 
-``Database`` historically grew six independent constructor knobs
-(``plan_cache_size``, ``execution_mode``, ``dict_encoding_threshold``,
-``fused``, ``parallel_workers``, ``array_store``).  They are now fields
-of one immutable dataclass, passed as ``Database(config=EngineConfig(
-...))``; the old keyword arguments keep working as deprecation shims
-that fold into the config (see :class:`~repro.sqlengine.database.
-Database`).  The config also carries the storage knob introduced with
-the concurrent serving layer: ``segment_rows`` opts a database's tables
-into frozen-segment + delta storage (see :mod:`repro.sqlengine.
-segments`).
+Every engine knob of a :class:`~repro.sqlengine.database.Database` is a
+field of this immutable dataclass, passed as ``Database(config=
+EngineConfig(...))``; there is no other spelling.  Validity is decided
+here, in ``__post_init__``, and nowhere else: the planner and the
+physical builder read settings that are already known to be good.  The
+constants the fields are bounded by live here too, and the planner
+modules import them.
 
 ``EngineConfig.from_cli`` parses the ``--engine-config
-key=value[,key=value]`` flag shared by ``repro sql``, ``repro search``
-and ``repro serve``, so one spelling configures the engine everywhere.
+key=value[,key=value]`` flag shared by every ``repro`` command.
 """
 
 from __future__ import annotations
@@ -23,19 +19,20 @@ from dataclasses import dataclass
 
 from repro.errors import SqlCatalogError, SqlExecutionError
 
-#: mirrors repro.sqlengine.planner.cache.DEFAULT_PLAN_CACHE_SIZE (a
-#: test locks the two together; duplicated to keep this module light)
-_DEFAULT_PLAN_CACHE_SIZE = 128
+#: default number of prepared plans kept per database
+DEFAULT_PLAN_CACHE_SIZE = 128
 
-#: mirrors repro.sqlengine.planner.parallel.MAX_PARALLEL_WORKERS
-_MAX_PARALLEL_WORKERS = 64
+#: upper bound on ``parallel_workers``
+MAX_PARALLEL_WORKERS = 64
 
 #: freeze threshold ``repro serve`` uses when none is configured —
 #: large enough to keep per-pin delta copies cheap, small enough that
 #: sustained writes freeze regularly
 DEFAULT_SEGMENT_ROWS = 4096
 
-_EXECUTION_MODES = ("batch", "row")
+#: the engines a plan can compile to: vectorized batch (default) or
+#: row-at-a-time volcano
+EXECUTION_MODES = ("batch", "row")
 
 
 def _require_bool(name: str, value, error=SqlExecutionError):
@@ -54,7 +51,7 @@ def _require_int(name: str, value, minimum: int, error=SqlExecutionError):
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """Every construction-time knob of one :class:`Database`, immutable.
+    """Every engine knob of one :class:`Database`, immutable.
 
     >>> config = EngineConfig(execution_mode="row", parallel_workers=1)
     >>> dataclasses.replace(config, fused=False).fused
@@ -62,7 +59,7 @@ class EngineConfig:
     """
 
     #: prepared plans kept in the LRU plan cache (0 disables caching)
-    plan_cache_size: int = _DEFAULT_PLAN_CACHE_SIZE
+    plan_cache_size: int = DEFAULT_PLAN_CACHE_SIZE
     #: ``"batch"`` (vectorized, default) or ``"row"`` (volcano)
     execution_mode: str = "batch"
     #: dictionary-encoding cardinality cap for TEXT columns
@@ -88,10 +85,10 @@ class EngineConfig:
 
     def __post_init__(self) -> None:
         _require_int("plan_cache_size", self.plan_cache_size, 0)
-        if self.execution_mode not in _EXECUTION_MODES:
+        if self.execution_mode not in EXECUTION_MODES:
             raise SqlExecutionError(
                 f"unknown execution mode {self.execution_mode!r} (choose "
-                f"from {', '.join(_EXECUTION_MODES)})"
+                f"from {', '.join(EXECUTION_MODES)})"
             )
         if self.dict_encoding_threshold is not None:
             _require_int(
@@ -105,11 +102,11 @@ class EngineConfig:
         if (
             not isinstance(workers, int)
             or isinstance(workers, bool)
-            or not 1 <= workers <= _MAX_PARALLEL_WORKERS
+            or not 1 <= workers <= MAX_PARALLEL_WORKERS
         ):
             raise SqlExecutionError(
                 "parallel_workers must be an integer between 1 and "
-                f"{_MAX_PARALLEL_WORKERS}, got {workers!r}"
+                f"{MAX_PARALLEL_WORKERS}, got {workers!r}"
             )
         _require_bool("array_store", self.array_store, error=SqlCatalogError)
         _require_int("segment_rows", self.segment_rows, 0, error=SqlCatalogError)
@@ -191,3 +188,8 @@ class EngineConfig:
             raise SqlExecutionError(
                 f"engine-config {key} expects an integer, got {raw!r}"
             ) from None
+
+
+#: the configuration a ``Database`` or ``QueryPlanner`` gets when none
+#: is passed (frozen, so one instance is shared)
+DEFAULT_CONFIG = EngineConfig()

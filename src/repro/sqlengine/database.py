@@ -7,8 +7,6 @@ and precision/recall can be computed.
 
 from __future__ import annotations
 
-import dataclasses
-import warnings
 from typing import Any, Iterable, Sequence
 
 from repro.errors import SqlError, SqlExecutionError, TransactionError
@@ -30,7 +28,7 @@ from repro.sqlengine.ast_nodes import (
     Update,
 )
 from repro.sqlengine.catalog import Catalog, Column, ForeignKey, Table
-from repro.sqlengine.config import EngineConfig
+from repro.sqlengine.config import DEFAULT_CONFIG, EngineConfig
 from repro.sqlengine.dml import (
     evaluate_returning,
     execute_delete,
@@ -42,45 +40,21 @@ from repro.sqlengine.planner import QueryPlanner
 from repro.sqlengine.txn import DurabilityManager, TransactionManager
 from repro.sqlengine.types import SqlType
 
-#: marks a legacy engine kwarg the caller did not pass (None is a real
-#: value for dict_encoding_threshold, so a sentinel is needed)
-_UNSET = object()
-
 
 class Database:
     """An in-memory relational database.
 
     SELECT statements run through a cost-aware :class:`QueryPlanner`
-    whose LRU plan cache (``plan_cache_size`` prepared plans, keyed by
-    normalized SQL + catalog fingerprint) lets repeated statements skip
-    re-planning entirely.  Plans compile to the vectorized batch engine
-    by default; ``execution_mode="row"`` selects the row-at-a-time
-    volcano engine instead (byte-identical results, useful for
-    debugging and as the vectorization benchmark baseline).
-    ``dict_encoding_threshold`` tunes dictionary encoding of
-    low-cardinality TEXT columns (None = the
-    :data:`~repro.sqlengine.encoding.DICT_ENCODING_MAX_DISTINCT`
-    default, 0 disables it; results are identical either way).
-
-    Three further performance knobs, each locked to byte-identical
-    results by construction: ``fused`` (default True) compiles batch
-    filter/project expression chains into one generated function per
-    batch; ``parallel_workers`` (default 1 = serial) runs eligible
-    scan pipelines morsel-parallel on that many threads; and
-    ``array_store`` (default False) backs INTEGER/REAL columns with
-    typed ``array.array`` buffers instead of Python object lists.
-
-    All engine knobs now live on one frozen
+    whose LRU plan cache lets repeated statements skip re-planning.
+    Every engine setting — plan-cache size, batch or row execution,
+    dictionary encoding, fused codegen, morsel workers, the typed-array
+    column store, segmented storage and the default request deadline —
+    comes from the one frozen
     :class:`~repro.sqlengine.config.EngineConfig` passed as
-    ``Database(config=...)`` — including ``segment_rows``, which opts
-    tables into frozen-segment + delta storage with snapshot-pinned
-    reads (see :mod:`repro.sqlengine.segments`).  The historical
-    individual keyword arguments still work but emit a
-    ``DeprecationWarning`` and fold into the config;
-    :attr:`Database.config` exposes the resolved settings.  The
-    durability knobs (``data_dir``, ``wal_sync``,
-    ``wal_storage_factory``) describe *where* the database lives rather
-    than how the engine runs and stay ordinary keyword arguments.
+    ``Database(config=...)`` and fixed for the life of the database
+    (:attr:`config`).  The durability arguments (``data_dir``,
+    ``wal_sync``, ``wal_storage_factory``) describe *where* the database
+    lives rather than how the engine runs.
 
     >>> db = Database()
     >>> _ = db.execute("CREATE TABLE t (id INT PRIMARY KEY, name TEXT)")
@@ -91,53 +65,19 @@ class Database:
 
     def __init__(
         self,
-        plan_cache_size: int = _UNSET,
-        execution_mode: str = _UNSET,
-        dict_encoding_threshold: "int | None" = _UNSET,
-        fused: bool = _UNSET,
-        parallel_workers: int = _UNSET,
-        array_store: bool = _UNSET,
+        config: "EngineConfig | None" = None,
         data_dir: "str | None" = None,
         wal_sync: bool = True,
         wal_storage_factory=None,
-        config: "EngineConfig | None" = None,
     ) -> None:
-        legacy = {
-            name: value
-            for name, value in (
-                ("plan_cache_size", plan_cache_size),
-                ("execution_mode", execution_mode),
-                ("dict_encoding_threshold", dict_encoding_threshold),
-                ("fused", fused),
-                ("parallel_workers", parallel_workers),
-                ("array_store", array_store),
-            )
-            if value is not _UNSET
-        }
-        if config is None:
-            config = EngineConfig()
-        if legacy:
-            warnings.warn(
-                f"Database({', '.join(sorted(legacy))}) keyword arguments "
-                "are deprecated; pass Database(config=EngineConfig(...)) "
-                "instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            config = dataclasses.replace(config, **legacy)
+        config = DEFAULT_CONFIG if config is None else config
         self._config = config
         self.catalog = Catalog(
             dict_encoding_threshold=config.dict_encoding_threshold,
             array_store=config.array_store,
             segment_rows=config.segment_rows,
         )
-        self.planner = QueryPlanner(
-            self.catalog,
-            cache_size=config.plan_cache_size,
-            execution_mode=config.execution_mode,
-            fused=config.fused,
-            parallel_workers=config.parallel_workers,
-        )
+        self.planner = QueryPlanner(self.catalog, config)
         self.txn = TransactionManager(self.catalog)
         from repro.obs.metrics import registry
 
@@ -163,50 +103,8 @@ class Database:
 
     @property
     def config(self) -> EngineConfig:
-        """The resolved engine settings, reflecting any runtime setter.
-
-        ``execution_mode`` / ``fused`` / ``parallel_workers`` can change
-        after construction via the setters below, so the returned config
-        is rebuilt from the planner's live values on every read.
-        """
-        return dataclasses.replace(
-            self._config,
-            execution_mode=self.planner.execution_mode,
-            fused=self.planner.fused,
-            parallel_workers=self.planner.parallel_workers,
-        )
-
-    @property
-    def execution_mode(self) -> str:
-        """Which engine SELECTs compile to: ``"batch"`` or ``"row"``."""
-        return self.planner.execution_mode
-
-    def set_execution_mode(self, mode: str) -> None:
-        """Switch engines; cached plans for the old mode are dropped."""
-        self.planner.set_execution_mode(mode)
-
-    @property
-    def fused(self) -> bool:
-        """Whether batch plans compile fused expression functions."""
-        return self.planner.fused
-
-    def set_fused(self, fused: bool) -> None:
-        """Toggle fused expression codegen; drops cached plans."""
-        self.planner.set_fused(fused)
-
-    @property
-    def parallel_workers(self) -> int:
-        """Morsel worker count for eligible batch pipelines (1 = serial)."""
-        return self.planner.parallel_workers
-
-    def set_parallel_workers(self, workers: int) -> None:
-        """Set the morsel worker count; drops cached plans."""
-        self.planner.set_parallel_workers(workers)
-
-    @property
-    def array_store(self) -> bool:
-        """Whether new tables back INTEGER/REAL columns with typed arrays."""
-        return self.catalog.array_store
+        """The engine settings this database was built with."""
+        return self._config
 
     # ------------------------------------------------------------------
     # SQL entry point
@@ -315,7 +213,7 @@ class Database:
             table = self.catalog.table(statement.table)
             with self.txn.statement([table]):
                 result = execute_update(
-                    self.catalog, statement, mode=self.execution_mode
+                    self.catalog, statement, mode=self._config.execution_mode
                 )
                 self._log_dml(sql)
             return result
@@ -323,7 +221,7 @@ class Database:
             table = self.catalog.table(statement.table)
             with self.txn.statement([table]):
                 result = execute_delete(
-                    self.catalog, statement, mode=self.execution_mode
+                    self.catalog, statement, mode=self._config.execution_mode
                 )
                 self._log_dml(sql)
             return result

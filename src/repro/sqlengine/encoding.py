@@ -27,7 +27,7 @@ NULL is represented as a ``None`` entry in the code list (it never
 enters the dictionary), preserving three-valued logic for free.
 
 This module also hosts :class:`ArrayColumn`, the opt-in typed buffer
-backing INTEGER/REAL column storage (``Database(array_store=True)``):
+backing INTEGER/REAL column storage (``EngineConfig(array_store=True)``):
 values live in a contiguous ``array.array`` with a validity bitmap for
 NULLs, while every read decodes back to plain Python objects so the
 rest of the engine never notices.

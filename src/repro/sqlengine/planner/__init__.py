@@ -21,35 +21,22 @@ classic **row** volcano engine (one tuple at a time; the
 compatibility/debug escape hatch).  Both produce byte-identical
 results.
 
-Knobs:
-
-* ``cache_size`` — prepared plans kept per planner (default 128; 0
-  disables caching),
-* ``optimize`` — set False for the canonical (naive) plan, used by the
-  planner-speedup benchmark as its baseline,
-* ``execution_mode`` — ``"batch"`` (default) or ``"row"``,
-* ``fused`` — compile filter/project expression chains into one
-  generated function per batch (default True; batch mode only),
-* ``parallel_workers`` — morsel-driven parallel scan pipelines when
-  > 1 (default 1 = serial; batch mode only).
-
-Every knob setter drops the plan cache when the value actually
-changes, because cached plans bake the old configuration in.
+A planner reads every setting (plan-cache size, execution mode, fused
+codegen, morsel workers) from the one
+:class:`~repro.sqlengine.config.EngineConfig` it is built with, which
+never changes; ``optimize=False`` gives the canonical (naive) plan, the
+baseline the optimizer is tested against.
 """
 
 from __future__ import annotations
 
-from repro.errors import SqlExecutionError
 from repro.obs.metrics import registry as _metrics_registry
 from repro.obs.tracing import current_tracer
 from repro.sqlengine.ast_nodes import Select
 from repro.sqlengine.catalog import Catalog
+from repro.sqlengine.config import DEFAULT_CONFIG, EngineConfig
 from repro.sqlengine.planner.analyze import Instrumenter
-from repro.sqlengine.planner.cache import (
-    DEFAULT_PLAN_CACHE_SIZE,
-    PlanCache,
-    PlanCacheStats,
-)
+from repro.sqlengine.planner.cache import PlanCache, PlanCacheStats
 from repro.sqlengine.planner.explain import render_plan
 from repro.sqlengine.planner.logical import (
     LogicalNode,
@@ -57,10 +44,8 @@ from repro.sqlengine.planner.logical import (
     referenced_tables,
 )
 from repro.sqlengine.planner.optimizer import optimize_plan
-from repro.sqlengine.planner.parallel import MAX_PARALLEL_WORKERS
 from repro.sqlengine.planner.physical import (
     BATCH_SIZE,
-    EXECUTION_MODES,
     PreparedPlan,
     build_physical,
 )
@@ -70,10 +55,6 @@ from repro.stamps import DependencyStamp
 
 __all__ = [
     "BATCH_SIZE",
-    "DEFAULT_EXECUTION_MODE",
-    "DEFAULT_PLAN_CACHE_SIZE",
-    "EXECUTION_MODES",
-    "MAX_PARALLEL_WORKERS",
     "Instrumenter",
     "PlanCache",
     "PlanCacheStats",
@@ -86,30 +67,8 @@ __all__ = [
     "render_plan",
 ]
 
-#: the engine new planners compile for unless told otherwise
-DEFAULT_EXECUTION_MODE = "batch"
-
 _METRICS = _metrics_registry()
 _PARALLEL_WORKERS_GAUGE = _METRICS.gauge("engine.parallel_workers")
-
-
-def _check_fused(fused) -> bool:
-    if not isinstance(fused, bool):
-        raise SqlExecutionError(
-            f"fused must be True or False, got {fused!r}"
-        )
-    return fused
-
-
-def _check_parallel_workers(workers) -> int:
-    if not isinstance(workers, int) or isinstance(workers, bool) or not (
-        1 <= workers <= MAX_PARALLEL_WORKERS
-    ):
-        raise SqlExecutionError(
-            "parallel_workers must be an integer between 1 and "
-            f"{MAX_PARALLEL_WORKERS}, got {workers!r}"
-        )
-    return workers
 
 
 class QueryPlanner:
@@ -118,25 +77,15 @@ class QueryPlanner:
     def __init__(
         self,
         catalog: Catalog,
-        cache_size: int = DEFAULT_PLAN_CACHE_SIZE,
+        config: EngineConfig = DEFAULT_CONFIG,
         optimize: bool = True,
-        execution_mode: str = DEFAULT_EXECUTION_MODE,
-        fused: bool = True,
-        parallel_workers: int = 1,
     ) -> None:
-        if execution_mode not in EXECUTION_MODES:
-            raise SqlExecutionError(
-                f"unknown execution mode {execution_mode!r} (choose from "
-                f"{', '.join(EXECUTION_MODES)})"
-            )
         self.catalog = catalog
+        self.config = config
         self._statistics: "StatisticsProvider | None" = None
-        self.cache = PlanCache(cache_size)
+        self.cache = PlanCache(config.plan_cache_size)
         self._optimize = optimize
-        self._execution_mode = execution_mode
-        self._fused = _check_fused(fused)
-        self._parallel_workers = _check_parallel_workers(parallel_workers)
-        _PARALLEL_WORKERS_GAUGE.set(self._parallel_workers)
+        _PARALLEL_WORKERS_GAUGE.set(config.parallel_workers)
 
     @property
     def statistics(self) -> StatisticsProvider:
@@ -158,47 +107,6 @@ class QueryPlanner:
                 None,
             ) or StatisticsProvider(self.catalog)
         return self._statistics
-
-    @property
-    def execution_mode(self) -> str:
-        return self._execution_mode
-
-    @property
-    def fused(self) -> bool:
-        return self._fused
-
-    @property
-    def parallel_workers(self) -> int:
-        return self._parallel_workers
-
-    def set_execution_mode(self, mode: str) -> None:
-        """Switch engines; cached plans for the old mode are dropped."""
-        if mode not in EXECUTION_MODES:
-            raise SqlExecutionError(
-                f"unknown execution mode {mode!r} (choose from "
-                f"{', '.join(EXECUTION_MODES)})"
-            )
-        if mode == self._execution_mode:
-            return
-        self._execution_mode = mode
-        self.cache.clear()
-
-    def set_fused(self, fused: bool) -> None:
-        """Toggle fused expression codegen; drops cached plans."""
-        fused = _check_fused(fused)
-        if fused == self._fused:
-            return
-        self._fused = fused
-        self.cache.clear()
-
-    def set_parallel_workers(self, workers: int) -> None:
-        """Set the morsel worker count; drops cached plans."""
-        workers = _check_parallel_workers(workers)
-        if workers == self._parallel_workers:
-            return
-        self._parallel_workers = workers
-        _PARALLEL_WORKERS_GAUGE.set(workers)
-        self.cache.clear()
 
     # ------------------------------------------------------------------
     def prepare(self, select: Select) -> PreparedPlan:
@@ -229,13 +137,7 @@ class QueryPlanner:
             )
             if self._optimize:
                 logical = optimize_plan(logical, self.catalog, self.statistics)
-            plan = build_physical(
-                logical,
-                self.catalog,
-                mode=self._execution_mode,
-                fused=self._fused,
-                parallel_workers=self._parallel_workers,
-            )
+            plan = build_physical(logical, self.catalog, self.config)
             self.cache.put(key, (plan, stamp))
             return plan
 
@@ -249,11 +151,7 @@ class QueryPlanner:
         logical = self.plan_logical(select)
         instrumenter = Instrumenter()
         plan = build_physical(
-            logical,
-            self.catalog,
-            mode=self._execution_mode,
-            instrument=instrumenter,
-            fused=self._fused,
+            logical, self.catalog, self.config, instrument=instrumenter
         )
         return plan, instrumenter
 
@@ -289,8 +187,7 @@ class QueryPlanner:
             merged = dict(pins or {})
             merged.update(outer)
             pins = merged or None
-        return pinned(pins
-        )
+        return pinned(pins)
 
     def execute(self, select: Select):
         plan = self.prepare(select)
@@ -298,7 +195,7 @@ class QueryPlanner:
             with self._pin_scope(plan):
                 if plan.parallel_nodes:
                     with current_tracer().span(
-                        "parallel-execute", workers=self._parallel_workers
+                        "parallel-execute", workers=self.config.parallel_workers
                     ):
                         result = plan.execute()
                 else:
@@ -314,7 +211,7 @@ class QueryPlanner:
             plan = self.prepare(select)
             return render_plan(
                 plan.logical,
-                mode=self._execution_mode,
+                mode=self.config.execution_mode,
                 catalog=self.catalog,
                 parallel=plan.parallel_nodes,
             )
@@ -323,7 +220,7 @@ class QueryPlanner:
             plan.execute()
         return render_plan(
             plan.logical,
-            mode=self._execution_mode,
+            mode=self.config.execution_mode,
             catalog=self.catalog,
             analyze=instrumenter,
         )

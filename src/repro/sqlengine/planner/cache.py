@@ -23,9 +23,7 @@ from dataclasses import dataclass
 
 from repro.concurrency import SharedRLock
 from repro.obs.metrics import registry as _metrics_registry
-
-#: default number of prepared plans kept per database
-DEFAULT_PLAN_CACHE_SIZE = 128
+from repro.sqlengine.config import DEFAULT_PLAN_CACHE_SIZE
 
 
 @dataclass

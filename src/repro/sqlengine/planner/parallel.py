@@ -24,8 +24,8 @@ aggregation states or partial hash tables built inside the workers and
 merged deterministically in morsel order by the consuming operator.
 
 Everything here is architecture, not magic: under CPython's GIL the
-speedup on pure-Python workloads is bounded, so the worker count knob
-(``Database(parallel_workers=)``) defaults to 1 — the serial path,
+speedup on pure-Python workloads is bounded, so the worker count
+(``EngineConfig(parallel_workers=)``) defaults to 1 — the serial path,
 untouched.
 """
 
@@ -42,9 +42,6 @@ from repro.sqlengine.segments import current_pins, pinned
 #: scan batches per morsel — a multiple of BATCH_SIZE rows, so parallel
 #: batch boundaries line up exactly with the serial scan's
 MORSEL_BATCHES = 8
-
-#: upper bound a Database/QueryPlanner will accept for parallel_workers
-MAX_PARALLEL_WORKERS = 64
 
 _METRICS = _metrics_registry()
 _MORSELS_DISPATCHED = _METRICS.counter("engine.morsels_dispatched")

@@ -62,6 +62,7 @@ from repro.sqlengine.ast_nodes import (
     UnaryOp,
 )
 from repro.sqlengine.catalog import Catalog
+from repro.sqlengine.config import DEFAULT_CONFIG, EngineConfig
 from repro.sqlengine.encoding import EncodedColumn
 from repro.sqlengine.segments import snapshot_of
 from repro.sqlengine.expressions import (
@@ -99,14 +100,6 @@ from repro.sqlengine.types import SqlType, parse_date
 
 #: rows per column batch flowing through the vectorized operators
 BATCH_SIZE = 1024
-
-#: the execution modes ``build_physical`` understands
-EXECUTION_MODES = ("row", "batch")
-
-#: compile equi LEFT JOINs to the gather-based hash operator (module
-#: flag so the dictionary-engine benchmark can measure the broadcast
-#: baseline; correctness is identical either way)
-HASH_LEFT_JOIN_ENABLED = True
 
 # engine-level observability: operators accumulate into locals while
 # streaming and flush once per execution in a ``finally`` (so abandoned
@@ -2335,7 +2328,7 @@ class _BuildContext:
         # EXPLAIN ANALYZE wraps every operator in timing shims, which
         # both breaks chain detection and wants serial per-operator
         # numbers — instrumented plans always run serial and unpushed
-        self.workers = 1 if self.instrumented else max(1, workers)
+        self.workers = 1 if self.instrumented else workers
         self.dispatcher = (
             MorselDispatcher(self.workers) if self.workers > 1 else None
         )
@@ -2345,12 +2338,10 @@ class _BuildContext:
 def build_physical(
     root: LogicalNode,
     catalog: Catalog,
-    mode: str = "row",
+    config: EngineConfig = DEFAULT_CONFIG,
     instrument=None,
-    fused: bool = True,
-    parallel_workers: int = 1,
 ) -> PreparedPlan:
-    """Compile a logical plan into a :class:`PreparedPlan` for *mode*.
+    """Compile a logical plan into a :class:`PreparedPlan` for *config*.
 
     *instrument* (optional) is called as ``instrument(operator, node)``
     on every physical operator right after construction, with the
@@ -2361,19 +2352,17 @@ def build_physical(
     not be cached, and always execute serial/unfused-pushdown so the
     per-operator numbers describe the plain pipeline.
 
-    *fused* (batch mode) compiles provably-safe filter/project
-    expressions into generated per-batch functions; *parallel_workers*
-    > 1 (batch mode) runs scan-rooted pipelines morsel-parallel.  Both
-    layers are locked to byte-identical results and errors, so they are
-    pure speed knobs.
+    In batch mode ``config.fused`` compiles provably-safe filter/project
+    expressions into generated per-batch functions and
+    ``config.parallel_workers`` > 1 runs scan-rooted pipelines
+    morsel-parallel.  Both layers are locked to byte-identical results
+    and errors, so they are pure speed knobs.
     """
-    if mode not in EXECUTION_MODES:
-        raise SqlExecutionError(
-            f"unknown execution mode {mode!r} (choose from "
-            f"{', '.join(EXECUTION_MODES)})"
-        )
+    mode = config.execution_mode
     if mode == "batch":
-        ctx = _BuildContext(catalog, instrument, fused, parallel_workers)
+        ctx = _BuildContext(
+            catalog, instrument, config.fused, config.parallel_workers
+        )
         operator = _build_presentation_batch(root, ctx)
         return PreparedPlan(
             root=operator,
@@ -2616,19 +2605,16 @@ def _build_relational_batch(node: LogicalNode, ctx: _BuildContext):
         left = _maybe_exchange(left, ctx)
         right = _maybe_exchange(right, ctx)
         operator = BatchLeftJoinOp(left, right, node.condition)
-        if HASH_LEFT_JOIN_ENABLED:
-            analysis = _analyze_left_join(
-                node, left.scope, right.scope, catalog
+        analysis = _analyze_left_join(node, left.scope, right.scope, catalog)
+        if analysis is not None:
+            key_pairs, residual = analysis
+            operator.enable_hash(
+                key_pairs,
+                [
+                    compile_expr_batch(conjunct, operator.scope)
+                    for conjunct in residual
+                ],
             )
-            if analysis is not None:
-                key_pairs, residual = analysis
-                operator.enable_hash(
-                    key_pairs,
-                    [
-                        compile_expr_batch(conjunct, operator.scope)
-                        for conjunct in residual
-                    ],
-                )
         return instrument(operator, node), None
     if isinstance(node, LogicalAggregate):
         child, __ = _build_relational_batch(node.child, ctx)

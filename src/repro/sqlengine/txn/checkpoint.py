@@ -4,8 +4,8 @@ A checkpoint is one gzip-compressed JSON document holding the whole
 catalog: schemas, per-table counters, and per-column data in its
 *native* storage form — dictionary columns keep their value table and
 code list, typed-array columns keep their typecode — so loading is a
-bulk columnar fill instead of a row-at-a-time re-ingest (the cold-start
-win ``benchmarks/bench_durability.py`` measures).
+bulk columnar fill instead of a row-at-a-time re-ingest (the perf
+ledger's ``recover_s`` on ``engine_ingest_mix`` measures it).
 
 The file is written atomically (temp file, fsync, ``os.replace``) and
 stamped with the WAL *generation* it pairs with; recovery replays only

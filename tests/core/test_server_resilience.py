@@ -519,15 +519,19 @@ class TestLoopServedHits:
         try:
             for thread in holders:
                 thread.start()
-            # every slot held, the queue full
+            # every slot held, the queue full, and the holder's engine
+            # call counted: the slot is taken on the loop, but the
+            # injector sees the call later, on the worker thread
             deadline = time.perf_counter() + 10
             while time.perf_counter() < deadline:
                 admission = _get(server, "/healthz")[2]["admission"]
-                if admission["active"] == 1 and admission["waiting"] == 1:
+                settled = (admission["active"], admission["waiting"]) == (1, 1)
+                if settled and faults.calls == 2:  # cache fill + holder
                     break
                 time.sleep(0.01)
             assert (admission["active"], admission["waiting"]) == (1, 1)
             calls = faults.calls
+            assert calls == 2
             status, headers, payload = _get(
                 server, "/search?q=not+cached+yet"
             )

@@ -182,3 +182,25 @@ class TestSessionResultCache:
         assert session.cache_stats()["size"] == 1
         session.search("Zurich")
         assert session.cache_stats()["misses"] == 3
+
+
+class TestThreadedBatch:
+    TEXTS = [
+        "Zurich", "Sara Guttinger", "customers Zurich", "gold agreement",
+        "Credit Suisse", "trade order", "Zurich", "customers Zurich",
+    ]
+
+    def test_search_many_on_workers_matches_sequential_searches(
+        self, warehouse
+    ):
+        def fingerprint(result):
+            return [
+                (s.sql, s.score, s.snippet.rows if s.snippet else None)
+                for s in result.statements
+            ]
+
+        sequential = Soda(warehouse, SodaConfig())
+        expected = [fingerprint(sequential.search(t)) for t in self.TEXTS]
+        threaded = Soda(warehouse, SodaConfig())
+        results = threaded.search_many(self.TEXTS, workers=4)
+        assert [fingerprint(r) for r in results] == expected

@@ -21,6 +21,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.sqlengine.config import EngineConfig
 from repro.sqlengine.database import Database
 
 settings.register_profile("dict_encoding", max_examples=40, deadline=None)
@@ -75,7 +76,7 @@ def apply_operations(db: Database, ops) -> None:
 
 
 def make_db(mode: str, threshold: "int | None" = None) -> Database:
-    db = Database(execution_mode=mode, dict_encoding_threshold=threshold)
+    db = Database(config=EngineConfig(execution_mode=mode, dict_encoding_threshold=threshold))
     db.execute("CREATE TABLE t (id INT, grp INT, label TEXT)")
     db.insert_rows(
         "t",

@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.index.inverted import InvertedIndex
 from repro.index.maintenance import attach_maintainer
+from repro.sqlengine.config import EngineConfig
 from repro.sqlengine.database import Database
 
 settings.register_profile("dml", max_examples=40, deadline=None)
@@ -81,7 +82,7 @@ def apply_operations(db: Database, ops) -> None:
 
 
 def make_db(mode: str) -> Database:
-    db = Database(execution_mode=mode)
+    db = Database(config=EngineConfig(execution_mode=mode))
     db.execute("CREATE TABLE t (id INT, grp INT, label TEXT)")
     db.insert_rows(
         "t",

@@ -16,6 +16,7 @@ import tempfile
 
 from hypothesis import given, settings, strategies as st
 
+from repro.sqlengine.config import EngineConfig
 from repro.sqlengine.database import Database
 from repro.sqlengine.txn import FaultInjector, FileLogStorage, InjectedCrash
 
@@ -99,7 +100,7 @@ def catalog_state(db: Database) -> dict:
 
 
 def oracle_state(statements) -> dict:
-    db = Database(dict_encoding_threshold=4)
+    db = Database(config=EngineConfig(dict_encoding_threshold=4))
     for sql in statements:
         db.execute(sql)
     if db.txn.active:
@@ -114,7 +115,7 @@ def test_recovery_matches_undo_free_oracle(operations, byte_budget):
     try:
         db = Database(
             data_dir=data_dir,
-            dict_encoding_threshold=4,
+            config=EngineConfig(dict_encoding_threshold=4),
             wal_storage_factory=lambda path: FaultInjector(
                 FileLogStorage(path), byte_budget=byte_budget
             ),
@@ -127,7 +128,9 @@ def test_recovery_matches_undo_free_oracle(operations, byte_budget):
         except InjectedCrash:
             pass  # the process "died"; db is abandoned un-closed
 
-        recovered = Database(data_dir=data_dir, dict_encoding_threshold=4)
+        recovered = Database(
+            data_dir=data_dir, config=EngineConfig(dict_encoding_threshold=4)
+        )
         try:
             assert catalog_state(recovered) == oracle_state(acknowledged)
         finally:
@@ -140,8 +143,8 @@ def test_recovery_matches_undo_free_oracle(operations, byte_budget):
 def test_rollback_restores_oracle_state(operations):
     """Pure in-memory: a rolled-back suffix leaves no trace."""
     statements = to_statements(operations)
-    oracle = Database(dict_encoding_threshold=4)
-    db = Database(dict_encoding_threshold=4)
+    oracle = Database(config=EngineConfig(dict_encoding_threshold=4))
+    db = Database(config=EngineConfig(dict_encoding_threshold=4))
     for sql in SEED_SQL:
         oracle.execute(sql)
         db.execute(sql)

@@ -89,9 +89,8 @@ def assert_batches_bounded(db: Database, sql: str):
         plan = build_physical(
             db.planner.plan_logical(select),
             db.catalog,
-            mode="batch",
+            db.config.replace(execution_mode="batch"),
             instrument=checker,
-            fused=db.planner.fused,
         )
         result = plan.execute()
         assert checker.wrapped
@@ -183,7 +182,7 @@ def _join_levels(db: Database, sql: str) -> int:
 
 class TestFanOutJoin:
     def test_full_output_arrives_in_bounded_batches(self, fanout_db):
-        if fanout_db.planner.execution_mode != "batch":
+        if fanout_db.config.execution_mode != "batch":
             pytest.skip("the invariant is the batch engine's")
         result = assert_batches_bounded(fanout_db, FANOUT_JOINS["hash"])
         assert len(result.rows) == FAN_OUT

@@ -15,12 +15,13 @@ from repro.errors import (
     SqlTypeError,
 )
 from repro.sqlengine.ast_nodes import Delete, Update
+from repro.sqlengine.config import EngineConfig
 from repro.sqlengine.database import Database
 from repro.sqlengine.parser import parse_sql
 
 
 def make_db(mode: str = "batch") -> Database:
-    db = Database(execution_mode=mode)
+    db = Database(config=EngineConfig(execution_mode=mode))
     db.execute(
         "CREATE TABLE items (id INT PRIMARY KEY, grp INT, amount REAL, "
         "label TEXT)"
@@ -106,7 +107,7 @@ class TestUpdate:
         assert_storages_in_sync(db)
 
     def test_swap_via_old_row_semantics(self, mode):
-        db = Database(execution_mode=mode)
+        db = Database(config=EngineConfig(execution_mode=mode))
         db.execute("CREATE TABLE p (a INT, b INT)")
         db.execute("INSERT INTO p VALUES (1, 2)")
         db.execute("UPDATE p SET a = b, b = a")
@@ -246,8 +247,9 @@ class TestModeParity:
 
     def test_large_table_batch_boundaries(self):
         """Batch-mode WHERE spans multiple 1024-row batches correctly."""
-        row_db, batch_db = Database(execution_mode="row"), Database(
-            execution_mode="batch"
+        row_db, batch_db = (
+            Database(config=EngineConfig(execution_mode=mode))
+            for mode in ("row", "batch")
         )
         for db in (row_db, batch_db):
             db.execute("CREATE TABLE big (id INT, bucket INT)")

@@ -1,10 +1,10 @@
-"""EngineConfig: the unified public engine configuration surface.
+"""EngineConfig: the one way to configure the engine.
 
-One frozen dataclass consolidates the six ``Database(...)`` engine
-knobs (plus the new ``segment_rows``); the old keyword arguments stay
-as deprecation shims, ``Database.config`` reports the resolved live
-settings, and ``EngineConfig.from_cli`` parses the
-``--engine-config key=value[,key=value]`` CLI spec.
+One frozen dataclass holds every engine setting of a ``Database``;
+``Database(config=...)`` is the only library spelling, ``Database.config``
+returns the config the database was built with, and
+``EngineConfig.from_cli`` parses ``--engine-config key=value[,...]``,
+the only CLI spelling.
 """
 
 import dataclasses
@@ -93,30 +93,14 @@ class TestDatabaseConfig:
         assert db.config.parallel_workers == 2
         assert db.config.fused is False
 
-    def test_config_reflects_runtime_setters(self):
-        db = Database(config=EngineConfig())
-        db.set_execution_mode("row")
-        db.set_parallel_workers(4)
-        db.set_fused(False)
-        config = db.config
-        assert config.execution_mode == "row"
-        assert config.parallel_workers == 4
-        assert config.fused is False
-
-    def test_legacy_kwargs_warn_but_work(self):
-        with pytest.warns(DeprecationWarning, match="EngineConfig"):
-            db = Database(plan_cache_size=4, execution_mode="row")
-        assert db.config.plan_cache_size == 4
-        assert db.config.execution_mode == "row"
-
-    def test_legacy_kwargs_override_the_config(self):
-        with pytest.warns(DeprecationWarning):
-            db = Database(
-                parallel_workers=2,
-                config=EngineConfig(parallel_workers=4, segment_rows=32),
-            )
-        assert db.config.parallel_workers == 2
-        assert db.config.segment_rows == 32  # untouched fields survive
+    def test_config_is_the_one_passed(self):
+        config = EngineConfig(execution_mode="row", plan_cache_size=4)
+        db = Database(config=config)
+        assert db.config is config
+        assert db.planner.config is config
+        assert db.planner.cache.capacity == 4
+        db.execute("CREATE TABLE t (id INT)")
+        assert "[row]" in db.explain("SELECT id FROM t")
 
     def test_plain_database_warns_nothing(self):
         with warnings.catch_warnings():
@@ -155,3 +139,22 @@ class TestCliFlag:
         )
         assert code == 2
         assert "error:" in output
+
+    def test_engine_config_reaches_a_durable_database(self, tmp_path):
+        code, output = self._run(
+            "--engine-config", "execution-mode=row,fused=false",
+            "sql", "--data-dir", str(tmp_path / "d"),
+            "CREATE TABLE t (id INT)", "INSERT INTO t VALUES (7)",
+            "SELECT id FROM t",
+        )
+        assert code == 0
+        assert output.splitlines()[-2:] == ["7", "1 row(s)"]
+
+    def test_engine_fields_have_no_flags_of_their_own(self):
+        # a field spelled as a flag of its own is a usage error (exit 2)
+        valid = EngineConfig(execution_mode="row").as_dict()
+        for name, value in valid.items():
+            flag = "--" + name.replace("_", "-")
+            with pytest.raises(SystemExit) as exit_info:
+                self._run(flag, str(value).lower(), "sql", "SELECT 1")
+            assert exit_info.value.code == 2, flag

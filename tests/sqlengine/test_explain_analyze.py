@@ -11,6 +11,7 @@ import re
 
 import pytest
 
+from repro.sqlengine.config import EngineConfig
 from repro.sqlengine.database import Database
 from repro.sqlengine.parser import parse_select
 
@@ -19,7 +20,7 @@ ACTUAL = re.compile(r" \(actual rows=(\d+)(?:, batches=(\d+))?, "
 
 
 def make_db(mode):
-    db = Database(execution_mode=mode)
+    db = Database(config=EngineConfig(execution_mode=mode))
     db.execute("CREATE TABLE dims (id INT PRIMARY KEY, region TEXT)")
     db.execute(
         "CREATE TABLE facts (id INT PRIMARY KEY, dim_id INT, "

@@ -10,13 +10,11 @@ merge, the TopN bound pushdown wiring, and the new engine knobs.
 import pytest
 
 from repro.errors import SqlCatalogError, SqlExecutionError
+from repro.sqlengine.config import MAX_PARALLEL_WORKERS, EngineConfig
 from repro.sqlengine.database import Database
 from repro.sqlengine.encoding import ArrayColumn
 from repro.sqlengine.planner import physical
-from repro.sqlengine.planner.parallel import (
-    MAX_PARALLEL_WORKERS,
-    MorselDispatcher,
-)
+from repro.sqlengine.planner.parallel import MorselDispatcher
 
 
 class TestArrayColumn:
@@ -72,7 +70,7 @@ class TestArrayColumn:
             ArrayColumn("f")
 
     def test_database_opt_in(self):
-        db = Database(array_store=True)
+        db = Database(config=EngineConfig(array_store=True))
         db.execute("CREATE TABLE t (id INT, x REAL, s TEXT)")
         db.execute("INSERT INTO t VALUES (1, 1.5, 'a'), (2, NULL, NULL)")
         table = db.table("t")
@@ -98,7 +96,7 @@ class TestArrayColumn:
 class TestFusedCompilation:
     @staticmethod
     def _db(**kwargs):
-        db = Database(**kwargs)
+        db = Database(config=EngineConfig(**kwargs))
         db.execute("CREATE TABLE t (id INT, x REAL, s TEXT)")
         db.execute(
             "INSERT INTO t VALUES " + ", ".join(
@@ -297,49 +295,31 @@ class TestTopNBoundPushdown:
 
 class TestEngineKnobs:
     def test_invalid_parallel_workers_rejected(self):
-        db = Database()
         for bad in (0, -1, MAX_PARALLEL_WORKERS + 1, "4", 2.0, True, None):
             with pytest.raises(SqlExecutionError, match="parallel_workers"):
-                db.set_parallel_workers(bad)
-        with pytest.raises(SqlExecutionError, match="parallel_workers"):
-            Database(parallel_workers=0)
+                EngineConfig(parallel_workers=bad)
 
     def test_invalid_fused_rejected(self):
-        db = Database()
         for bad in ("yes", 1, None):
             with pytest.raises(SqlExecutionError, match="fused"):
-                db.set_fused(bad)
+                EngineConfig(fused=bad)
 
     def test_invalid_array_store_rejected(self):
         with pytest.raises(SqlCatalogError, match="array_store"):
-            Database(array_store="yes")
-
-    def test_knob_changes_drop_plan_cache(self):
-        db = Database()
-        db.execute("CREATE TABLE t (id INT)")
-        db.execute("SELECT id FROM t")
-        assert len(db.planner.cache) == 1
-        db.set_parallel_workers(2)
-        assert len(db.planner.cache) == 0
-        db.execute("SELECT id FROM t")
-        db.set_fused(False)
-        assert len(db.planner.cache) == 0
-        # setting the same value again keeps the cache
-        db.execute("SELECT id FROM t")
-        db.set_fused(False)
-        db.set_parallel_workers(2)
-        assert len(db.planner.cache) == 1
+            EngineConfig(array_store="yes")
 
     def test_parallel_workers_gauge_tracks_knob(self):
-        db = Database(parallel_workers=3)
-        assert db.metrics()["engine.parallel_workers"]["value"] == 3
-        db.set_parallel_workers(5)
-        assert db.metrics()["engine.parallel_workers"]["value"] == 5
+        for workers in (3, 5):
+            db = Database(config=EngineConfig(parallel_workers=workers))
+            gauge = db.metrics()["engine.parallel_workers"]["value"]
+            assert gauge == workers
 
     def test_explain_marks_parallel_scans(self):
-        db = Database(parallel_workers=4)
-        db.execute("CREATE TABLE t (id INT)")
-        db.execute("INSERT INTO t VALUES (1), (2)")
-        assert "[parallel n=4]" in db.explain("SELECT count(*) FROM t")
-        db.set_parallel_workers(1)
-        assert "[parallel" not in db.explain("SELECT count(*) FROM t")
+        def explain(workers):
+            db = Database(config=EngineConfig(parallel_workers=workers))
+            db.execute("CREATE TABLE t (id INT)")
+            db.execute("INSERT INTO t VALUES (1), (2)")
+            return db.explain("SELECT count(*) FROM t")
+
+        assert "[parallel n=4]" in explain(4)
+        assert "[parallel" not in explain(1)

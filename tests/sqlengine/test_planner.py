@@ -6,8 +6,11 @@ ordering), the volcano physical operators (via naive-vs-optimized
 equivalence), EXPLAIN determinism and the LRU plan cache.
 """
 
+import random
+
 import pytest
 
+from repro.sqlengine.config import EngineConfig
 from repro.sqlengine.database import Database
 from repro.sqlengine.parser import parse_select
 from repro.sqlengine.planner import QueryPlanner, render_plan, lower_select
@@ -166,7 +169,7 @@ class TestExplain:
         planner = db.planner
         rendered = render_plan(
             planner.prepare(select).logical,
-            mode=planner.execution_mode,
+            mode=planner.config.execution_mode,
             catalog=db.catalog,
         )
         assert rendered == db.explain("SELECT tag FROM small WHERE id = 2")
@@ -195,7 +198,9 @@ class TestNaiveOptimizedEquivalence:
     def planners(self, db):
         db.execute("CREATE TABLE small2 (id INT PRIMARY KEY, note TEXT)")
         db.execute("INSERT INTO small2 VALUES (1, 'x'), (2, 'y'), (3, 'z')")
-        naive = QueryPlanner(db.catalog, cache_size=0, optimize=False)
+        naive = QueryPlanner(
+            db.catalog, EngineConfig(plan_cache_size=0), optimize=False
+        )
         return naive, db.planner
 
     @pytest.mark.parametrize("sql", NAIVE_EQUIVALENCE_QUERIES)
@@ -243,7 +248,7 @@ class TestPlanCache:
         assert cache.stats.evictions == 1
 
     def test_zero_capacity_disables_caching(self, db):
-        database = Database(plan_cache_size=0)
+        database = Database(config=EngineConfig(plan_cache_size=0))
         database.execute("CREATE TABLE t (id INT)")
         database.execute("SELECT * FROM t")
         database.execute("SELECT * FROM t")
@@ -255,6 +260,14 @@ class TestPlanCache:
         db.execute("INSERT INTO small VALUES (9, 'zz')")
         second = db.execute(sql).column("tag")
         assert second == first + ["zz"]
+
+    def test_template_workload_plans_each_statement_once(self, db):
+        planner = QueryPlanner(db.catalog, EngineConfig(plan_cache_size=16))
+        for i in range(40):
+            planner.execute(
+                parse_select(f"SELECT id FROM big WHERE small_id = {i % 5}")
+            )
+        assert (planner.cache.stats.misses, planner.cache.stats.hits) == (5, 35)
 
 
 class TestPerTableInvalidation:
@@ -328,6 +341,66 @@ class TestPerTableInvalidation:
         db.planner.prepare(select)
         assert db.planner.cache.stats.invalidations == 1
         assert db.planner.cache.stats.hits == 0
+
+
+#: the mixed read/write workload: 5 cached templates on each of 8
+#: tables, one UPDATE of a random table per 9 reads
+MIXED_TABLES = 8
+MIXED_TEMPLATES = 5
+MIXED_OPS = 400
+
+
+def _mixed_workload_hit_rate(flush_on_write: bool) -> tuple:
+    """(hit rate of the reads, invalidations, writes) after warming.
+
+    ``flush_on_write`` empties the whole plan cache after every write,
+    which is what a cache stamped with every catalog table amounts to;
+    both runs see the identical operation sequence.
+    """
+    rng = random.Random(23)
+    db = Database()
+    for t in range(MIXED_TABLES):
+        db.create_table(f"t{t}", [("id", "INT"), ("grp", "INT"), ("v", "REAL")])
+        db.insert_rows(
+            f"t{t}", [(i, i % 20, float(rng.randrange(100))) for i in range(200)]
+        )
+
+    def read(t, grp):
+        db.execute(
+            f"SELECT grp, count(*), sum(v) FROM t{t} "
+            f"WHERE grp = {grp} GROUP BY grp"
+        )
+
+    for t in range(MIXED_TABLES):
+        for grp in range(MIXED_TEMPLATES):
+            read(t, grp)
+    stats = db.planner.cache.stats
+    hits_at_warm, writes = stats.hits, 0
+    rng = random.Random(5)
+    for op in range(MIXED_OPS):
+        t = rng.randrange(MIXED_TABLES)
+        grp = rng.randrange(MIXED_TEMPLATES)
+        if op % 10 == 9:
+            db.execute(f"UPDATE t{t} SET v = v * 1.01 WHERE grp = {grp}")
+            if flush_on_write:
+                db.planner.cache.clear()
+            writes += 1
+        else:
+            read(t, grp)
+    reads = MIXED_OPS - writes
+    return (stats.hits - hits_at_warm) / reads, stats.invalidations, writes
+
+
+class TestMixedWorkloadInvalidation:
+    def test_hit_rate_beats_a_whole_catalog_flush(self):
+        per_table, invalidations, writes = _mixed_workload_hit_rate(False)
+        flushed, __, __ = _mixed_workload_hit_rate(True)
+        # most reads stay on cached plans, far above flushing everything
+        # on every write over the same sequence ...
+        assert per_table >= 0.60
+        assert per_table >= flushed + 0.25
+        # ... and a write drops at most the written table's templates
+        assert invalidations <= writes * MIXED_TEMPLATES
 
 
 class TestStatistics:

@@ -3,11 +3,12 @@
 import pytest
 
 from repro.errors import SqlCatalogError, SqlSyntaxError
+from repro.sqlengine.config import EngineConfig
 from repro.sqlengine.database import Database
 
 
-def make_db() -> Database:
-    db = Database()
+def make_db(mode: str = "batch") -> Database:
+    db = Database(config=EngineConfig(execution_mode=mode))
     db.execute(
         "CREATE TABLE items (id INT PRIMARY KEY, grp INT, amount REAL, "
         "label TEXT)"
@@ -60,8 +61,7 @@ class TestInsertReturning:
 class TestUpdateReturning:
     @pytest.mark.parametrize("mode", ["row", "batch"])
     def test_returning_new_image(self, mode):
-        db = make_db()
-        db.set_execution_mode(mode)
+        db = make_db(mode)
         result = db.execute(
             "UPDATE items SET amount = amount + 1.0 WHERE grp = 1 "
             "RETURNING id, amount"

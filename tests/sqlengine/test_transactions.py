@@ -14,6 +14,7 @@ import pytest
 from repro.errors import SqlTypeError, TransactionError
 from repro.index.inverted import InvertedIndex
 from repro.index.maintenance import attach_maintainer
+from repro.sqlengine.config import EngineConfig
 from repro.sqlengine.database import Database
 
 SEED_SQL = [
@@ -34,7 +35,7 @@ TXN_SQL = [
 
 
 def make_db(**kwargs) -> Database:
-    db = Database(**kwargs)
+    db = Database(config=EngineConfig(**kwargs))
     for sql in SEED_SQL:
         db.execute(sql)
     return db

@@ -18,6 +18,7 @@ failing query raises.
 import pytest
 
 from repro.errors import SqlError
+from repro.sqlengine.config import EngineConfig
 from repro.sqlengine.database import Database
 
 from tests.sqlengine.test_planner import NAIVE_EQUIVALENCE_QUERIES
@@ -73,7 +74,7 @@ def _populate_rich_schema(db: Database) -> None:
 def _dual(populate) -> tuple:
     databases = []
     for mode in ("row", "batch"):
-        db = Database(execution_mode=mode)
+        db = Database(config=EngineConfig(execution_mode=mode))
         populate(db)
         databases.append(db)
     return tuple(databases)
@@ -390,14 +391,23 @@ STRING_CORPUS = [
 ]
 
 
+def _string_trio() -> list:
+    """Fresh (row, batch-encoded, batch-unencoded) databases."""
+    return [
+        Database(config=EngineConfig(execution_mode="row")),
+        Database(config=EngineConfig(execution_mode="batch")),
+        Database(
+            config=EngineConfig(
+                execution_mode="batch", dict_encoding_threshold=0
+            )
+        ),
+    ]
+
+
 @pytest.fixture(scope="module")
 def string_dbs():
     """(row, batch-encoded, batch-unencoded) over the same data."""
-    databases = [
-        Database(execution_mode="row"),
-        Database(execution_mode="batch"),
-        Database(execution_mode="batch", dict_encoding_threshold=0),
-    ]
+    databases = _string_trio()
     for db in databases:
         _populate_string_schema(db)
     return tuple(databases)
@@ -428,11 +438,7 @@ class TestStringHeavyParity:
             "SELECT status, city, count(*) FROM items "
             "GROUP BY status, city ORDER BY status, city LIMIT 8"
         )
-        fresh = [
-            Database(execution_mode="row"),
-            Database(execution_mode="batch"),
-            Database(execution_mode="batch", dict_encoding_threshold=0),
-        ]
+        fresh = _string_trio()
         for db in fresh:
             _populate_string_schema(db)
             db.execute("UPDATE items SET status = 'HELD' WHERE status = 'NEW'")
@@ -521,14 +527,18 @@ def small_morsels():
 
 def _matrix(populate, small_morsels) -> tuple:
     """(row baseline, {(fused, array, workers): batch db}) over one schema."""
-    baseline = Database(execution_mode="row")
+    baseline = Database(config=EngineConfig(execution_mode="row"))
     populate(baseline)
     combos = {}
     for fused in (True, False):
         for array in (True, False):
             for workers in (1, 4):
                 db = Database(
-                    fused=fused, array_store=array, parallel_workers=workers
+                    config=EngineConfig(
+                        fused=fused,
+                        array_store=array,
+                        parallel_workers=workers,
+                    )
                 )
                 populate(db)
                 combos[(fused, array, workers)] = db
@@ -614,33 +624,29 @@ class TestModeMatrixParity:
 
 
 class TestModeSwitching:
-    def test_set_execution_mode_switches_engine(self):
-        db = Database()
+    """Each engine is chosen by the config a database is built with."""
+
+    @staticmethod
+    def _db(mode: str) -> Database:
+        db = Database(config=EngineConfig(execution_mode=mode))
         db.execute("CREATE TABLE x (id INT)")
         db.execute("INSERT INTO x VALUES (1), (2)")
-        assert db.execution_mode == "batch"
-        batch_rows = db.execute("SELECT id FROM x ORDER BY id").rows
-        db.set_execution_mode("row")
-        assert db.execution_mode == "row"
-        assert db.execute("SELECT id FROM x ORDER BY id").rows == batch_rows
+        return db
 
-    def test_switch_drops_cached_plans(self):
-        db = Database()
-        db.execute("CREATE TABLE x (id INT)")
-        db.execute("SELECT id FROM x")
-        assert len(db.planner.cache) == 1
-        db.set_execution_mode("row")
-        assert len(db.planner.cache) == 0
+    def test_both_engines_answer_alike(self):
+        batch, row = self._db("batch"), self._db("row")
+        assert batch.config.execution_mode == "batch"
+        assert row.config.execution_mode == "row"
+        sql = "SELECT id FROM x ORDER BY id"
+        assert row.execute(sql).rows == batch.execute(sql).rows
 
     def test_unknown_mode_rejected(self):
         from repro.errors import SqlExecutionError
 
         with pytest.raises(SqlExecutionError, match="unknown execution mode"):
-            Database(execution_mode="turbo")
+            EngineConfig(execution_mode="turbo")
 
     def test_explain_annotates_mode(self):
-        db = Database()
-        db.execute("CREATE TABLE x (id INT)")
-        assert "[batch]" in db.explain("SELECT id FROM x")
-        db.set_execution_mode("row")
-        assert "[row]" in db.explain("SELECT id FROM x")
+        sql = "SELECT id FROM x"
+        assert "[batch]" in self._db("batch").explain(sql)
+        assert "[row]" in self._db("row").explain(sql)

@@ -13,6 +13,7 @@ import pytest
 
 from repro.errors import SqlExecutionError
 from repro.sqlengine.ast_nodes import Update
+from repro.sqlengine.config import EngineConfig
 from repro.sqlengine.database import Database
 from repro.sqlengine.dml import _never_raises
 from repro.sqlengine.parser import parse_sql
@@ -41,7 +42,7 @@ PARITY_UPDATES = [
 
 
 def make_db(mode: str) -> Database:
-    db = Database(execution_mode=mode)
+    db = Database(config=EngineConfig(execution_mode=mode))
     for sql in SEED:
         db.execute(sql)
     return db

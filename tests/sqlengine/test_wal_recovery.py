@@ -15,6 +15,7 @@ import zlib
 import pytest
 
 from repro.errors import RecoveryError, SqlExecutionError, TransactionError
+from repro.sqlengine.config import EngineConfig
 from repro.sqlengine.database import Database
 from repro.sqlengine.txn import (
     FaultInjector,
@@ -205,9 +206,8 @@ class TestRoundTrip:
     def test_checkpoint_preserves_storage_layouts(self, tmp_path):
         """Dict-encoded and array-store columns survive the image."""
         data_dir = str(tmp_path / "db")
-        db = Database(
-            data_dir=data_dir, dict_encoding_threshold=4, array_store=True
-        )
+        config = EngineConfig(dict_encoding_threshold=4, array_store=True)
+        db = Database(data_dir=data_dir, config=config)
         db.execute("CREATE TABLE t (id INT, amount REAL, label TEXT)")
         db.insert_rows(
             "t",
@@ -217,9 +217,7 @@ class TestRoundTrip:
         expected = catalog_state(db)
         db.close()
 
-        reopened = Database(
-            data_dir=data_dir, dict_encoding_threshold=4, array_store=True
-        )
+        reopened = Database(data_dir=data_dir, config=config)
         assert catalog_state(reopened) == expected
         assert reopened.execute(
             "SELECT count(*) FROM t WHERE label = 'red'"

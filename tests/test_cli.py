@@ -177,7 +177,8 @@ class TestExplain:
     def test_execution_mode_flag_switches_engine(self):
         sql = "SELECT id FROM parties WHERE party_type_cd = 'I'"
         code, output = run_cli(
-            "--scale", "0.25", "--execution-mode", "row", "explain", sql
+            "--scale", "0.25", "--engine-config", "execution-mode=row",
+            "explain", sql,
         )
         assert code == 0
         assert "[row]" in output
@@ -354,7 +355,7 @@ class TestObservabilityCli:
 
     def test_explain_analyze_row_mode(self):
         code, output = run_cli(
-            "--scale", "0.25", "--execution-mode", "row",
+            "--scale", "0.25", "--engine-config", "execution-mode=row",
             "explain", "--analyze",
             "SELECT count(*) FROM money_transactions",
         )
