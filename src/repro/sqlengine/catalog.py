@@ -250,6 +250,13 @@ class Table:
         self._dictionaries[index] = None
         self._codes[index] = None
         self._encoded_indexes.remove(index)
+        # segments must never hold codes for an unencoded column
+        self._rebuild_segments()
+
+    def _rebuild_segments(self) -> None:
+        """Re-derive the segment mirror from the flat storage, if any."""
+        if self._segments is not None:
+            self._segments.rebuild(self)
 
     def _check_dictionary_thresholds(self) -> None:
         for index in list(self._encoded_indexes):
@@ -535,9 +542,8 @@ class Table:
             codes[:] = merged_codes
         if self._encoded_indexes:
             self._check_dictionary_thresholds()
-        if self._segments is not None:
-            # rollback rewrites arbitrary ranges; re-derive the mirror
-            self._segments.rebuild(self)
+        # rollback rewrites arbitrary ranges; re-derive the mirror
+        self._rebuild_segments()
         self._version += 1
         self._mutation_count += 1
         for observer in self._observers:

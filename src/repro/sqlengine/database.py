@@ -212,17 +212,13 @@ class Database:
         if isinstance(statement, Update):
             table = self.catalog.table(statement.table)
             with self.txn.statement([table]):
-                result = execute_update(
-                    self.catalog, statement, mode=self._config.execution_mode
-                )
+                result = execute_update(self.catalog, statement, self._config)
                 self._log_dml(sql)
             return result
         if isinstance(statement, Delete):
             table = self.catalog.table(statement.table)
             with self.txn.statement([table]):
-                result = execute_delete(
-                    self.catalog, statement, mode=self._config.execution_mode
-                )
+                result = execute_delete(self.catalog, statement, self._config)
                 self._log_dml(sql)
             return result
         raise SqlError(f"unsupported statement type: {type(statement).__name__}")

@@ -1,11 +1,18 @@
 """DML execution: UPDATE and DELETE over the shared catalog mutation path.
 
 Unlike SELECT, DML needs no plan DAG — the work is one predicate over one
-table — but it reuses the planner's expression machinery end to end:
-WHERE predicates and SET values compile through
-:func:`~repro.sqlengine.expressions.compile_expr` (or its vectorized twin
-for the batch engine), so three-valued logic holds exactly as in
-queries: a WHERE that evaluates to NULL does *not* match the row.
+table — but it reuses the planner's machinery end to end, so
+three-valued logic holds exactly as in queries: a WHERE that evaluates
+to NULL does *not* match the row.  Row mode compiles the WHERE through
+:func:`~repro.sqlengine.expressions.compile_expr` and walks the tuple
+list.  Batch mode finds its rows through the SELECT scan itself, a
+:class:`~repro.sqlengine.planner.physical.BatchScanOp` over the target
+table that carries each surviving row's live position as a trailing
+column: fused filters (when ``EngineConfig.fused``), dictionary codes,
+column pruning and, on a segmented table, zone-map skipping over a
+fresh pin.  The WHERE is split into conjuncts only when no conjunct can
+raise; otherwise it stays one predicate, so row and batch DML surface
+the same errors.
 
 Matching happens first, mutation second, and all mutation flows through
 :meth:`~repro.sqlengine.catalog.Table.update_positions` /
@@ -35,15 +42,19 @@ real :class:`~repro.sqlengine.results.ResultSet`.
 
 from __future__ import annotations
 
-from repro.errors import SqlCatalogError, SqlExecutionError
+from repro.errors import SqlCatalogError
 from repro.sqlengine.ast_nodes import Delete, Expr, Update
 from repro.sqlengine.catalog import Catalog, Table
+from repro.sqlengine.config import DEFAULT_CONFIG, EngineConfig
 from repro.sqlengine.expressions import (
     Scope,
     _never_raises,
     compile_expr,
     compile_expr_batch,
+    split_conjuncts,
 )
+from repro.sqlengine.planner.logical import LogicalScan
+from repro.sqlengine.planner.physical import BatchScanOp
 from repro.sqlengine.results import ResultSet
 
 __all__ = ["evaluate_returning", "execute_delete", "execute_update"]
@@ -54,37 +65,38 @@ def _table_scope(table: Table) -> Scope:
 
 
 def _matching_positions(
-    table: Table, where: "Expr | None", mode: str
+    catalog: Catalog, table: Table, where: "Expr | None", config: EngineConfig
 ) -> list[int]:
     """Row positions where *where* is ``True`` (3VL: NULL never matches)."""
     if where is None:
         return list(range(len(table.rows)))
-    scope = _table_scope(table)
-    if mode == "batch":
-        from repro.sqlengine.planner.physical import BATCH_SIZE
-
-        fn = compile_expr_batch(where, scope)
-        data = [table.column_data(i) for i in range(len(table.columns))]
-        total = len(table.rows)
-        positions: list[int] = []
-        for start in range(0, total, BATCH_SIZE):
-            stop = min(start + BATCH_SIZE, total)
-            cols = [column[start:stop] for column in data]
-            mask = fn(cols, stop - start)
-            positions.extend(
-                start + offset
-                for offset, value in enumerate(mask)
-                if value is True
-            )
-        return positions
-    if mode != "row":
-        raise SqlExecutionError(f"unknown execution mode {mode!r}")
-    row_fn = compile_expr(where, scope)
-    return [
-        position
-        for position, row in enumerate(table.rows)
-        if row_fn(row) is True
-    ]
+    if config.execution_mode == "row":
+        row_fn = compile_expr(where, _table_scope(table))
+        return [
+            position
+            for position, row in enumerate(table.rows)
+            if row_fn(row) is True
+        ]
+    # split only when no conjunct can raise: evaluating a later conjunct
+    # over fewer rows must not hide an error the whole WHERE would raise
+    conjuncts = split_conjuncts(where)
+    if not all(_never_raises(conjunct, table) for conjunct in conjuncts):
+        conjuncts = [where]
+    scan = BatchScanOp(
+        catalog,
+        LogicalScan(
+            table.name, table.name, predicates=tuple(conjuncts), columns=()
+        ),
+        fused=config.fused,
+    )
+    # a fresh pin of the current state, never an installed older one:
+    # its live positions are the flat positions the mutation addresses
+    snapshot = table.pin()
+    last = len(table.rows) if snapshot is None else snapshot.row_count
+    positions: list[int] = []
+    for cols, __ in scan.batches_range(0, last, snapshot, positions=True):
+        positions.extend(cols[-1])
+    return positions
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +145,7 @@ def evaluate_returning(
 
 
 def execute_update(
-    catalog: Catalog, statement: Update, mode: str = "row"
+    catalog: Catalog, statement: Update, config: EngineConfig = DEFAULT_CONFIG
 ) -> ResultSet:
     """Apply one UPDATE; the result carries rowcount and RETURNING rows."""
     table = catalog.table(statement.table)
@@ -149,7 +161,7 @@ def execute_update(
             )
         seen.add(assignment.column)
         targets.append((index, assignment.value))
-    positions = _matching_positions(table, statement.where, mode)
+    positions = _matching_positions(catalog, table, statement.where, config)
     if not positions:
         if statement.returning:
             return evaluate_returning(table, [], statement.returning, 0)
@@ -158,7 +170,7 @@ def execute_update(
     fallible = sum(
         1 for _, value in targets if not _never_raises(value, table)
     )
-    if mode == "batch" and fallible <= 1:
+    if config.execution_mode == "batch" and fallible <= 1:
         # column-at-a-time over the matched positions only
         data = [table.column_data(i) for i in range(len(table.columns))]
         cols = [[column[p] for p in positions] for column in data]
@@ -191,11 +203,11 @@ def execute_update(
 
 
 def execute_delete(
-    catalog: Catalog, statement: Delete, mode: str = "row"
+    catalog: Catalog, statement: Delete, config: EngineConfig = DEFAULT_CONFIG
 ) -> ResultSet:
     """Apply one DELETE; the result carries rowcount and RETURNING rows."""
     table = catalog.table(statement.table)
-    positions = _matching_positions(table, statement.where, mode)
+    positions = _matching_positions(catalog, table, statement.where, config)
     if not positions:
         if statement.returning:
             return evaluate_returning(table, [], statement.returning, 0)

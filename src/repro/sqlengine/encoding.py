@@ -36,7 +36,7 @@ rest of the engine never notices.
 from __future__ import annotations
 
 from array import array
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 #: encode a TEXT column while its live distinct-value count stays at or
 #: below this; beyond it the column's dictionary is dropped (the knob —
@@ -57,7 +57,9 @@ class ColumnDictionary:
     cheaply.
     """
 
-    __slots__ = ("values", "code_of", "refcounts", "free_codes", "version")
+    __slots__ = (
+        "values", "code_of", "refcounts", "free_codes", "version", "_view"
+    )
 
     def __init__(self) -> None:
         self.values: list = []
@@ -65,11 +67,27 @@ class ColumnDictionary:
         self.refcounts: list = []
         self.free_codes: list = []
         self.version = 0
+        self._view: "DictionaryView | None" = None
 
     @property
     def live_count(self) -> int:
         """Distinct values currently referenced by at least one row."""
         return len(self.code_of)
+
+    def view(self) -> "DictionaryView":
+        """An immutable copy of the current mapping, cached per version.
+
+        A pinned reader decodes through the view it captured, so a code
+        freed and reused by a later write still decodes to the value it
+        had at pin time.  Called under the table's storage lock.
+        """
+        view = self._view
+        if view is None or view.version != self.version:
+            view = DictionaryView(
+                tuple(self.values), dict(self.code_of), self.version
+            )
+            self._view = view
+        return view
 
     def encode(self, value: str) -> int:
         """Intern *value* (refcount +1) and return its code."""
@@ -100,18 +118,33 @@ class ColumnDictionary:
             self.version += 1
 
 
+class DictionaryView(NamedTuple):
+    """One version of a :class:`ColumnDictionary`, frozen.
+
+    Carries what readers use and never changes, so snapshot batches stay
+    decodable however the live dictionary moves on.
+    """
+
+    values: tuple
+    code_of: dict
+    version: int
+
+
 class EncodedColumn:
     """A batch of dictionary codes that decodes transparently.
 
     Generic operators treat it as the sequence of decoded values;
     code-aware fast paths read :attr:`codes` (``None`` = NULL) and
-    :attr:`dictionary` directly.  Like plain batch columns, callers
-    must not mutate it.
+    :attr:`dictionary` — a live :class:`ColumnDictionary` for flat
+    storage, a :class:`DictionaryView` for a pinned snapshot — directly.
+    Like plain batch columns, callers must not mutate it.
     """
 
     __slots__ = ("dictionary", "codes")
 
-    def __init__(self, dictionary: ColumnDictionary, codes: list) -> None:
+    def __init__(
+        self, dictionary: "ColumnDictionary | DictionaryView", codes: list
+    ) -> None:
         self.dictionary = dictionary
         self.codes = codes
 
@@ -125,8 +158,8 @@ class EncodedColumn:
         return None if code is None else self.dictionary.values[code]
 
     def __iter__(self) -> Iterator:
-        values = self.dictionary.values
-        return (None if code is None else values[code] for code in self.codes)
+        # a list comprehension decodes a batch faster than a generator
+        return iter(self.decode())
 
     def count(self, value) -> int:
         """Occurrences of *value* (NULL counts count ``None`` codes)."""
@@ -148,7 +181,7 @@ class EncodedColumn:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<EncodedColumn n={len(self.codes)} "
-            f"dict={self.dictionary.live_count} values>"
+            f"dict={len(self.dictionary.code_of)} values>"
         )
 
 

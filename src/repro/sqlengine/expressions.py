@@ -44,8 +44,8 @@ from repro.sqlengine.types import (
     values_equal,
 )
 
-# counts each batch served by the dictionary-code comparison fast path
-# (one dictionary probe instead of per-row string compares)
+# counts each batch served by a dictionary-code fast path (= / <> / IN
+# on codes, LIKE once per dictionary entry) instead of per-row strings
 _METRICS = _metrics_registry()
 _DICT_FASTPATH = _METRICS.counter("engine.dict_fastpath_batches")
 
@@ -559,25 +559,26 @@ def compile_expr_batch(
             match = like_to_regex(str(expr.pattern.value)).match
             # encoded operands evaluate the regex once per *dictionary
             # entry* instead of once per row; the match table is memoized
-            # against the dictionary version
-            memo: list = [None, None, None]  # dictionary, version, table
+            # against the dictionary version, as one tuple so readers of
+            # a shared plan at different pins never mix two entries
+            memo: list = [(None, None, None)]  # dictionary, version, table
 
             def _match_table(dictionary) -> list:
-                if (
-                    memo[0] is dictionary
-                    and memo[1] == dictionary.version
-                ):
-                    return memo[2]
+                cached, version, table = memo[0]
+                if cached is dictionary and version == dictionary.version:
+                    return table
                 table = [
                     None if value is None else match(value) is not None
                     for value in dictionary.values
                 ]
-                memo[0], memo[1], memo[2] = dictionary, dictionary.version, table
+                memo[0] = (dictionary, dictionary.version, table)
                 return table
 
             def _like_literal(cols: Sequence[list], n: int) -> list:
                 values = operand(cols, n)
                 if isinstance(values, EncodedColumn):
+                    if _METRICS.enabled:
+                        _DICT_FASTPATH.inc()
                     matched = _match_table(values.dictionary)
                     if negated:
                         return [
@@ -984,6 +985,8 @@ def _compile_in_list_batch(
                 if textual and isinstance(values, EncodedColumn):
                     # encoded column: resolve the member strings to codes
                     # once, then the rows do integer set probes
+                    if _METRICS.enabled:
+                        _DICT_FASTPATH.inc()
                     code_of = values.dictionary.code_of
                     member_codes = {
                         code_of[v] for v in member_set if v in code_of

@@ -60,6 +60,7 @@ from repro.sqlengine.ast_nodes import (
     Like,
     Literal,
     UnaryOp,
+    collect_column_refs,
 )
 from repro.sqlengine.catalog import Catalog
 from repro.sqlengine.config import DEFAULT_CONFIG, EngineConfig
@@ -858,6 +859,10 @@ class BatchScanOp(BatchOperator):
     and batch boundaries are unchanged.  Zones are consulted only when
     every pushed predicate is provably non-raising (errors stay those of
     a full scan); the delta and flat storage are always read.
+
+    Only the columns the predicates or the output read are sliced: the
+    predicates compile against that sub-layout, and the output columns
+    are picked from it after filtering.
     """
 
     def __init__(
@@ -868,15 +873,43 @@ class BatchScanOp(BatchOperator):
         full_scope = Scope(
             [(node.binding, name) for name in self._table.column_names()]
         )
+        if node.columns is None:
+            output = list(range(len(full_scope)))
+            self.scope = full_scope
+        else:
+            output = [self._table.column_index(name) for name in node.columns]
+            self.scope = Scope([(node.binding, name) for name in node.columns])
+        refs = [
+            full_scope.try_resolve(ref)
+            for predicate in node.predicates
+            for ref in collect_column_refs(predicate)
+        ]
+        #: table columns sliced per batch: the output's, then the others
+        #: the predicates read — all of them when a reference does not
+        #: resolve, so the compile error is the full scan's
+        if None in refs:
+            self._read = list(range(len(full_scope)))
+            read_scope, project = full_scope, output
+        else:
+            self._read = list(dict.fromkeys(output + refs))
+            project = list(range(len(output)))
+            read_scope = (
+                self.scope if len(self._read) == len(output)
+                else Scope([full_scope.pairs[i] for i in self._read])
+            )
+        #: output positions within the read layout; None = all, in order
+        self._project = (
+            None if project == list(range(len(self._read))) else project
+        )
         self._predicate_fns = [
-            compile_expr_batch(predicate, full_scope)
+            compile_expr_batch(predicate, read_scope)
             for predicate in node.predicates
         ]
         if fused and node.predicates:
             self._filter_stages = _fusion_stages(
                 node.predicates,
                 self._predicate_fns,
-                full_scope,
+                read_scope,
                 _fusion_class_of(node, catalog),
             )
         elif node.predicates:
@@ -886,14 +919,6 @@ class BatchScanOp(BatchOperator):
         self._zone_tests = _zone_tests(node.predicates, self._table)
         #: EXPLAIN ANALYZE's OperatorStats (receives ``skipped``), or None
         self.analyze_stats = None
-        if node.columns is None:
-            self._indexes = None
-            self.scope = full_scope
-        else:
-            self._indexes = [
-                self._table.column_index(name) for name in node.columns
-            ]
-            self.scope = Scope([(node.binding, name) for name in node.columns])
         # TopN bound pushdown (see _connect_topn_bound): a shared cell
         # plus the leading sort key's index in this scan's output scope
         self._bound_cell = None
@@ -927,7 +952,7 @@ class BatchScanOp(BatchOperator):
         return self.batches_range(0, last, snapshot)
 
     def batches_range(
-        self, first: int, last: int, snapshot=None
+        self, first: int, last: int, snapshot=None, positions: bool = False
     ) -> Iterator[tuple]:
         """Batches for the row range ``[first, last)``.
 
@@ -938,28 +963,24 @@ class BatchScanOp(BatchOperator):
         the live lists — same rows, same order, same batch boundaries.
         Batches whose every row lies in frozen segments excluded by a
         zone test are never sliced (see :func:`_zone_skips`); every
-        batch that is emitted is the one a full scan would emit.
+        batch that is emitted is the one a full scan would emit.  With
+        *positions*, each batch carries one more trailing column: the
+        live position of every surviving row (how DML finds its rows).
         """
         table = self._table
-        width = len(table.columns)
         if snapshot is None:
             snapshot = snapshot_of(table)
-        indexes = self._indexes
+        read = self._read
         stages = self._filter_stages
-        prune_early = not stages and indexes is not None
-        if prune_early:
-            # nothing evaluates against the full layout: slice only the
-            # columns the scan actually emits
-            emit = indexes
-            indexes = None
-        else:
-            emit = range(width)
+        project = self._project
+        if positions and project is not None:
+            project = project + [len(read)]
         if snapshot is None:
             # dictionary-encoded TEXT columns are sliced as code batches
             # (EncodedColumn) so downstream operators can work on integer
             # codes; everything else slices the plain value lists
             sources = []
-            for i in emit:
+            for i in read:
                 dictionary = table.column_dictionary(i)
                 if dictionary is not None:
                     sources.append((dictionary, table.column_codes(i)))
@@ -975,16 +996,10 @@ class BatchScanOp(BatchOperator):
                 ]
 
         else:
-            # snapshot batches carry plain decoded values (segments are
-            # frozen before dictionary codes can be pinned consistently);
-            # downstream operators detect EncodedColumn per batch, so
-            # value batches follow the ordinary unencoded path
-            columns = list(emit)
-
+            # segments and the pinned delta keep dictionary codes, so
+            # snapshot batches are the types a flat scan emits
             def slice_batch(start: int, stop: int) -> list:
-                return [
-                    snapshot.column_slice(i, start, stop) for i in columns
-                ]
+                return [snapshot.column_slice(i, start, stop) for i in read]
 
         skipped, skipped_segments = (), 0
         if self._zone_tests and snapshot is not None and snapshot.entries:
@@ -1005,6 +1020,8 @@ class BatchScanOp(BatchOperator):
                     continue
                 stop = min(start + BATCH_SIZE, last)
                 cols = slice_batch(start, stop)
+                if positions:
+                    cols.append(range(start, stop))
                 n = stop - start
                 scanned += n
                 if stages:
@@ -1016,8 +1033,8 @@ class BatchScanOp(BatchOperator):
                 dropped += stop - start - n
                 if n == 0:
                     continue
-                if indexes is not None:
-                    cols = [cols[i] for i in indexes]
+                if project is not None:
+                    cols = [cols[i] for i in project]
                 if bound_cell is not None:
                     before = n
                     cols, n = _apply_topn_bound(

@@ -7,10 +7,11 @@ mirrored by a :class:`SegmentedStorage` — an ordered list of
 :class:`FrozenSegment` objects (immutable row/column tuples frozen off
 the front of the table once the mutable *delta* tail reaches the
 threshold) plus writer-side bookkeeping.  The flat lists stay
-authoritative and byte-identical to the classic layout, so every
-single-threaded code path (DML position scans, undo, WAL checkpoints,
-the inverted-index maintainer) is untouched; the mirror exists so
-*readers* can pin.
+authoritative and byte-identical to the classic layout, so undo, WAL
+checkpoints and the inverted-index maintainer are untouched; the mirror
+exists so *readers* can pin.  Batch-mode DML is such a reader: it finds
+its target rows by scanning a fresh pin, whose live positions are the
+flat positions it then mutates.
 
 A reader calls :meth:`~repro.sqlengine.catalog.Table.pin` (or, for a
 whole query, :meth:`~repro.sqlengine.catalog.Catalog.pin_tables`) and
@@ -51,6 +52,22 @@ batch scan skips a grid batch only when every segment it overlaps is
 excluded by a zone; the delta, flat storage and the row engine are
 never skipped (see ``BatchScanOp`` in
 :mod:`repro.sqlengine.planner.physical`).
+
+**Codes.**  For a dictionary-encoded TEXT column, segments and the
+pinned delta hold the column's codes, and a pin also captures each
+dictionary's immutable :class:`~repro.sqlengine.encoding.DictionaryView`
+(cached per dictionary version, so a pin builds one only after an
+intern or a free).  :meth:`TableSnapshot.column_slice` returns an
+:class:`~repro.sqlengine.encoding.EncodedColumn` over that view —
+exactly the batch type a flat scan emits, so every code fast path
+(LIKE per entry, ``=`` / IN on codes, GROUP BY / DISTINCT and hash
+probes on codes) applies to segmented tables.  The invariant: a pinned
+reader decodes every code to the value it had at pin time, even after
+a later write frees that code and reuses it, which the live dictionary
+could not promise.  Dead rows' codes may be reused, but no snapshot
+that can see such a row decodes it through a newer view.  A column
+that drops its dictionary rebuilds the mirror, so segments never hold
+codes for an unencoded column.
 """
 
 from __future__ import annotations
@@ -58,6 +75,8 @@ from __future__ import annotations
 import threading
 from bisect import bisect_right
 from typing import Iterator
+
+from repro.sqlengine.encoding import EncodedColumn
 
 __all__ = [
     "FrozenSegment",
@@ -73,6 +92,8 @@ __all__ = [
 class FrozenSegment:
     """One immutable chunk of a table: row tuples + per-column tuples.
 
+    A dictionary-encoded column's tuple holds codes, not values; only a
+    snapshot's pinned dictionary view gives them meaning.
     ``tombstones`` (physical offsets of deleted rows) is the only
     mutable part, owned by the writer and *grow-only* for the lifetime
     of the segment object — so a reader that captured the set as a
@@ -176,16 +197,25 @@ class TableSnapshot:
     Row coordinates are *live* positions over the whole snapshot
     (``0 .. row_count``), exactly matching the table's flat storage at
     pin time — so batch boundaries, row order and values are identical
-    to a flat scan of the same state.
+    to a flat scan of the same state.  An encoded column's slices are
+    codes bound to the :class:`~repro.sqlengine.encoding.DictionaryView`
+    captured at pin time, the batch type a flat scan emits.
     """
 
-    __slots__ = ("entries", "delta_rows", "delta_columns", "prefix", "row_count")
+    __slots__ = (
+        "entries", "delta_rows", "delta_columns", "views", "prefix",
+        "row_count",
+    )
 
-    def __init__(self, entries: list, delta_rows: list, delta_columns: list):
+    def __init__(
+        self, entries: list, delta_rows: list, delta_columns: list, views: list
+    ):
         #: ``(segment, tombstones frozenset | None, live_count)`` per segment
         self.entries = entries
         self.delta_rows = delta_rows
         self.delta_columns = delta_columns
+        #: per column, the pinned dictionary view, or None if unencoded
+        self.views = views
         prefix = [0]
         for __, __, live in entries:
             prefix.append(prefix[-1] + live)
@@ -194,11 +224,11 @@ class TableSnapshot:
         self.prefix = prefix
         self.row_count = prefix[-1]
 
-    def column_slice(self, index: int, start: int, stop: int) -> list:
-        """Values of one column over live positions ``[start, stop)``."""
+    def column_slice(
+        self, index: int, start: int, stop: int
+    ) -> "list | EncodedColumn":
+        """One column over live positions ``[start, stop)``."""
         stop = min(stop, self.row_count)
-        if start >= stop:
-            return []
         prefix = self.prefix
         entries = self.entries
         out: list = []
@@ -219,13 +249,22 @@ class TableSnapshot:
             out.extend(data[position - base : upto - base])
             position = upto
             part += 1
-        return out
+        view = self.views[index]
+        return out if view is None else EncodedColumn(view, out)
 
     def iter_rows(self) -> Iterator[tuple]:
         """Row tuples in live order (segments first, then the delta)."""
         for segment, tombstones, __ in self.entries:
             yield from segment.live_rows(tombstones)
         yield from self.delta_rows
+
+
+def _stores(table) -> list:
+    """Per column, what the mirror copies: codes if encoded, else values."""
+    return [
+        store if codes is None else codes
+        for store, codes in zip(table._column_data, table._codes)
+    ]
 
 
 class SegmentedStorage:
@@ -256,18 +295,21 @@ class SegmentedStorage:
             for segment in self.segments
         ]
         start = self.frozen_live
-        delta_rows = list(table.rows[start:])
-        delta_columns = [
-            list(store[start:]) for store in table._column_data
-        ]
-        return TableSnapshot(entries, delta_rows, delta_columns)
+        # a slice is already a copy
+        return TableSnapshot(
+            entries,
+            table.rows[start:],
+            [store[start:] for store in _stores(table)],
+            [
+                None if dictionary is None else dictionary.view()
+                for dictionary in table._dictionaries
+            ],
+        )
 
     # -- mutation mapping ----------------------------------------------
     def _freeze_range(self, table, start: int, stop: int) -> FrozenSegment:
         rows = tuple(table.rows[start:stop])
-        columns = tuple(
-            tuple(store[start:stop]) for store in table._column_data
-        )
+        columns = tuple(tuple(store[start:stop]) for store in _stores(table))
         return FrozenSegment(rows, columns)
 
     def note_insert(self, table) -> None:

@@ -223,6 +223,8 @@ def restore_catalog(catalog: "Catalog", state: dict, path: str = "") -> None:
                 table.column_data(index)[:] = values
             table.rows[:] = list(zip(*column_values)) if column_values else []
             table._check_dictionary_thresholds()
+            # the bulk fill bypassed the insert path that freezes segments
+            table._rebuild_segments()
             table._version = table_state["version"]
             table._mutation_count = table_state["mutation_count"]
         catalog._ddl_version = state["ddl_version"]

@@ -9,6 +9,9 @@ table must be indistinguishable from a flat one:
   slice a batch scan could take agrees with the flat columnar storage;
 * every SELECT — row mode on the flat engine vs batch mode over
   pinned segment snapshots — returns byte-identical results;
+* a low-cardinality TEXT column scans as codes exactly while flat
+  storage keeps its dictionary, including after its distinct count
+  crosses a small threshold mid-run (the mirror then holds values);
 * the layout accounting holds: ``frozen_live + delta_rows`` equals the
   live row count and no segment is ever more than half dead.
 """
@@ -18,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.sqlengine.config import EngineConfig
 from repro.sqlengine.database import Database
+from repro.sqlengine.encoding import EncodedColumn
 
 settings.register_profile("segments", max_examples=40, deadline=None)
 settings.load_profile("segments")
@@ -44,6 +48,10 @@ QUERIES = [
     "SELECT grp, COUNT(*), SUM(val) FROM t GROUP BY grp",
     "SELECT id FROM t WHERE val > 50 ORDER BY id",
     "SELECT a.id, b.id FROM t a, t b WHERE a.id = b.id AND a.grp < 3",
+    "SELECT tag, COUNT(*), SUM(val) FROM t GROUP BY tag ORDER BY tag",
+    "SELECT id FROM t WHERE tag LIKE 'k1%' ORDER BY id",
+    "SELECT DISTINCT tag FROM t ORDER BY tag",
+    "SELECT id, tag FROM t WHERE tag IN ('k0', 'u5') AND val > 20 ORDER BY id",
 ]
 
 
@@ -52,13 +60,15 @@ def _apply(db: Database, ops, counter) -> None:
         if kind == "insert":
             values = ", ".join(
                 f"({counter[0] + i}, {(counter[0] + i) % 10}, "
-                f"{(counter[0] + i) * 7 % 101})"
+                f"{(counter[0] + i) * 7 % 101}, 'k{(counter[0] + i) % 9}')"
                 for i in range(arg)
             )
             counter[0] += arg
             db.execute(f"INSERT INTO t VALUES {values}")
         elif kind == "update":
-            db.execute(f"UPDATE t SET val = val + 1 WHERE grp = {arg}")
+            db.execute(
+                f"UPDATE t SET val = val + 1, tag = 'u{arg}' WHERE grp = {arg}"
+            )
         else:
             db.execute(f"DELETE FROM t WHERE grp = {arg} AND val > 40")
 
@@ -66,20 +76,30 @@ def _apply(db: Database, ops, counter) -> None:
 class TestSegmentedFlatEquivalence:
     @given(
         threshold=st.integers(min_value=1, max_value=16),
+        dict_threshold=st.integers(min_value=1, max_value=8),
         ops=st.lists(op_strategy(), min_size=1, max_size=12),
     )
-    def test_segmented_scan_is_byte_identical_to_flat(self, threshold, ops):
-        flat = Database(config=EngineConfig(execution_mode="row"))
+    def test_segmented_scan_is_byte_identical_to_flat(
+        self, threshold, dict_threshold, ops
+    ):
+        flat = Database(
+            config=EngineConfig(
+                execution_mode="row", dict_encoding_threshold=dict_threshold
+            )
+        )
         segmented = Database(
-            config=EngineConfig(segment_rows=threshold)
+            config=EngineConfig(
+                segment_rows=threshold, dict_encoding_threshold=dict_threshold
+            )
         )
         for db in (flat, segmented):
             db.execute(
-                "CREATE TABLE t (id INT PRIMARY KEY, grp INT, val INT)"
+                "CREATE TABLE t (id INT PRIMARY KEY, grp INT, val INT, "
+                "tag TEXT)"
             )
             db.execute(
                 "INSERT INTO t VALUES "
-                + ", ".join(f"({i}, {i % 10}, {i * 7 % 101})"
+                + ", ".join(f"({i}, {i % 10}, {i * 7 % 101}, 'k{i % 3}')"
                             for i in range(20))
             )
         counter_flat, counter_seg = [100], [100]
@@ -95,11 +115,16 @@ class TestSegmentedFlatEquivalence:
         total = snapshot.row_count
         for index in range(len(seg_table.columns)):
             flat_column = list(flat_table.column_data(index))
-            assert snapshot.column_slice(index, 0, total) == flat_column
+            whole = snapshot.column_slice(index, 0, total)
+            assert list(whole) == flat_column
+            # codes exactly where flat storage keeps a dictionary
+            assert isinstance(whole, EncodedColumn) == (
+                seg_table.column_dictionary(index) is not None
+            )
             # arbitrary partial slices (batch boundaries) agree too
             cut = max(1, total // 3)
             assert (
-                snapshot.column_slice(index, cut, min(total, cut * 2))
+                list(snapshot.column_slice(index, cut, min(total, cut * 2)))
                 == flat_column[cut:cut * 2]
             )
 

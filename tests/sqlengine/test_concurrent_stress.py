@@ -150,6 +150,72 @@ class TestConcurrentStress:
         assert not failures, failures[:5]
 
 
+def test_code_reusing_writer_never_tears_a_decoded_read():
+    """Readers group and filter on an encoded TEXT column while a writer
+    frees dictionary codes and interns new values into them.  Every row
+    has ``a = length(tag)``, so a code decoded through the wrong
+    dictionary version breaks the per-group sums."""
+    import sys
+
+    db = Database(config=EngineConfig(segment_rows=32))
+    db.execute("CREATE TABLE t (id INT, tag TEXT, a INT)")
+    db.insert_rows(
+        "t", [(i, "x" * (1 + i % 5), 1 + i % 5) for i in range(200)]
+    )
+    failures: list = []
+    done = threading.Event()
+
+    def reader() -> None:
+        while not done.is_set():
+            try:
+                for tag, count, total in db.execute(
+                    "SELECT tag, count(*), sum(a) FROM t GROUP BY tag"
+                ).rows:
+                    if total != count * len(tag):
+                        failures.append((tag, count, total))
+                for tag, a in db.execute(
+                    "SELECT tag, a FROM t WHERE tag LIKE 'z%' OR tag = 'xx'"
+                ).rows:
+                    if a != len(tag):
+                        failures.append((tag, a))
+            except Exception as exc:  # noqa: BLE001
+                failures.append(repr(exc))
+
+    def writer() -> None:
+        try:
+            for op in range(120):
+                width = 1 + op % 7
+                # a fresh value takes the code the last delete freed
+                db.execute(
+                    f"INSERT INTO t VALUES ({1000 + op}, '{'z' * width}', "
+                    f"{width})"
+                )
+                db.execute(
+                    f"UPDATE t SET tag = '{'y' * width}', a = {width} "
+                    f"WHERE id = {op * 13 % 200}"
+                )
+                db.execute(f"DELETE FROM t WHERE id = {1000 + op}")
+        except Exception as exc:  # noqa: BLE001
+            failures.append(f"writer raised {exc!r}")
+        finally:
+            done.set()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=reader) for __ in range(READERS)]
+        threads.append(threading.Thread(target=writer))
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+        done.set()
+    assert not any(thread.is_alive() for thread in threads)
+    assert not failures, failures[:5]
+
+
 def test_zone_skipping_readers_find_every_row():
     """Point lookups skip frozen segments by their memoised zones while
     a writer replaces segments (copy-on-write UPDATE, compaction) and

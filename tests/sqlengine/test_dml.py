@@ -263,6 +263,31 @@ class TestModeParity:
         )
 
 
+class TestWhereErrorParity:
+    """Batch DML splits its WHERE into conjuncts only when none can raise.
+
+    Row 4 has ``grp`` NULL and ``amount`` 40.0: its first conjunct is
+    NULL, so 3VL still evaluates the second, which divides by zero.
+    Dropping the row after the first conjunct would hide that error.
+    """
+
+    WHERE = " WHERE grp = 1 AND 10 / (amount - 40.0) > 0"
+
+    @pytest.mark.parametrize(
+        "statement", ["UPDATE items SET grp = 0", "DELETE FROM items"]
+    )
+    def test_null_first_conjunct_does_not_hide_the_error(self, statement):
+        errors = []
+        for mode in ("row", "batch"):
+            db = make_db(mode)
+            before = storage_snapshot(db)
+            with pytest.raises(SqlExecutionError) as info:
+                db.execute(statement + self.WHERE)
+            errors.append(str(info.value))
+            assert storage_snapshot(db) == before
+        assert errors[0] == errors[1]
+
+
 class TestVersionsAndFingerprint:
     def test_update_bumps_version_and_mutations(self):
         db = make_db()

@@ -15,6 +15,9 @@ import pytest
 
 from repro.sqlengine.config import EngineConfig
 from repro.sqlengine.database import Database
+from repro.sqlengine.encoding import EncodedColumn
+from repro.sqlengine.planner.logical import LogicalScan
+from repro.sqlengine.planner.physical import BatchScanOp
 from repro.sqlengine.segments import pinned
 
 
@@ -55,10 +58,32 @@ class TestSegmentLayout:
         snapshot = table.pin()
         assert list(snapshot.iter_rows()) == table.rows
         for index in range(len(table.columns)):
-            assert (
-                snapshot.column_slice(index, 0, snapshot.row_count)
-                == list(table.column_data(index))
+            sliced = snapshot.column_slice(index, 0, snapshot.row_count)
+            assert list(sliced) == list(table.column_data(index))
+            assert isinstance(sliced, EncodedColumn) == (
+                table.column_dictionary(index) is not None
             )
+
+    def test_segmented_scan_emits_the_flat_batch_types(self):
+        """Codes exactly where flat storage has them, so EXPLAIN's
+        ``[dict: tag]`` marker holds on a segmented scan too."""
+        flat, segmented = _db(segment_rows=0), _db(segment_rows=8)
+        emitted = []
+        for db in (flat, segmented):
+            _populate(db, 50)
+            db.execute("DELETE FROM t WHERE grp = 3")
+            scan = BatchScanOp(
+                db.catalog, LogicalScan("t", "t", predicates=())
+            )
+            emitted.append(
+                [
+                    ([type(column) for column in cols], [list(c) for c in cols])
+                    for cols, __ in scan.batches()
+                ]
+            )
+            assert "[dict: tag]" in db.explain("SELECT tag FROM t")
+        assert emitted[0] == emitted[1]
+        assert emitted[0][0][0] == [list, list, list, EncodedColumn]
 
     def test_zero_threshold_disables_segments(self):
         db = _db(segment_rows=0)

@@ -224,6 +224,33 @@ class TestRoundTrip:
         ).rows == [(10,)]
         reopened.close()
 
+    def test_checkpoint_reopen_refreezes_segments(self, tmp_path):
+        """The bulk fill rebuilds the segment mirror, so pins stay cheap
+        and zone maps apply straight after recovery."""
+        from repro.obs.metrics import registry
+
+        data_dir = str(tmp_path / "db")
+        config = EngineConfig(segment_rows=256)
+        db = Database(data_dir=data_dir, config=config)
+        db.execute("CREATE TABLE f (id INT, label TEXT)")
+        db.insert_rows(
+            "f", [(i, ["red", "green"][i % 2]) for i in range(20_580)]
+        )
+        before = db.table("f").segment_stats()
+        assert before["segments"] == 80
+        db.checkpoint()
+        db.close()
+
+        reopened = Database(data_dir=data_dir, config=config)
+        assert reopened.table("f").segment_stats() == before
+        skipped = registry().counter("engine.segments_skipped")
+        start = skipped.value
+        assert reopened.execute(
+            "SELECT label FROM f WHERE id = 5000"
+        ).rows == [("red",)]
+        assert skipped.value - start == 76
+        reopened.close()
+
     def test_insert_rows_and_create_table_replay(self, tmp_path):
         data_dir = str(tmp_path / "db")
         db = Database(data_dir=data_dir)
