@@ -6,7 +6,8 @@ editable wheel.  This shim enables the legacy editable path::
 
     pip install -e . --no-build-isolation --no-use-pep517
 
-All real metadata lives in ``pyproject.toml``.
+It carries no package metadata; the test suite and the CLI run from a
+checkout with ``PYTHONPATH=src`` instead.
 """
 
 from setuptools import setup

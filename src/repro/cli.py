@@ -11,7 +11,7 @@ Usage::
     python -m repro sql "UPDATE ..."     # run SQL (incl. UPDATE/DELETE)
     python -m repro sql --data-dir d "BEGIN" "INSERT ..." "COMMIT"
     python -m repro serve --port 8765    # JSON-over-HTTP search service
-    python -m repro --engine-config parallel-workers=4 serve
+    python -m repro --engine-config segment-rows=4096 serve
     python -m repro recover d            # replay checkpoint + WAL, report
     python -m repro recover d --checkpoint  # + write a fresh checkpoint
     python -m repro experiments          # Tables 2, 3 and 4
@@ -54,7 +54,7 @@ def make_parser() -> argparse.ArgumentParser:
                         help="engine settings as key=value[,key=value] over "
                              "the EngineConfig fields, e.g. "
                              "'execution-mode=row,fused=false,"
-                             "parallel-workers=4,segment-rows=4096'")
+                             "segment-rows=4096'")
 
     commands = parser.add_subparsers(dest="command", required=True)
 

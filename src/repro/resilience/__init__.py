@@ -4,7 +4,7 @@ The building blocks that keep the serving stack (``repro serve``)
 standing under real traffic:
 
 * :mod:`repro.resilience.deadline` — request deadlines with cooperative
-  cancellation at pipeline/batch/morsel boundaries;
+  cancellation at pipeline and batch boundaries;
 * :mod:`repro.resilience.admission` — a bounded admission queue that
   sheds excess load instead of queueing unboundedly;
 * :mod:`repro.resilience.breaker` — a circuit breaker that fast-fails

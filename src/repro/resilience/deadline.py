@@ -12,7 +12,7 @@ handed a deadline explicitly read the *active* one with
 Cancellation is **cooperative**: nothing is interrupted mid-operation.
 Instead the long-running loops of the engine — pipeline step
 boundaries, scan and join-output batch boundaries (row and
-vectorized), morsel dispatch — call :meth:`Deadline.check` at natural safe points and raise
+vectorized) — call :meth:`Deadline.check` at natural safe points and raise
 :class:`DeadlineExceeded` when the budget is spent.  The exception
 unwinds through the ordinary ``with`` scopes (snapshot pins, undo
 guards, tracer spans), so a timed-out request leaves the engine exactly
@@ -47,7 +47,7 @@ class DeadlineExceeded(ReproError):
     Structured for the wire: :attr:`timeout_ms` is the budget,
     :attr:`elapsed_ms` how long the request had been running when the
     check fired, and :attr:`where` names the checkpoint that noticed
-    (``"step:execute"``, ``"scan"``, ``"join"``, ``"morsel"``, ...).
+    (``"step:execute"``, ``"scan"``, ``"join"``, ...).
     """
 
     def __init__(

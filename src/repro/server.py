@@ -39,7 +39,7 @@ Resilience (PR 10) — the server degrades instead of falling over:
 * **request deadlines** — ``?timeout_ms=`` (or the engine's
   ``EngineConfig(request_timeout_ms=)`` default) budgets each request,
   including its queue wait; the engine cancels cooperatively at
-  pipeline/batch/morsel boundaries and the client gets a structured
+  pipeline and batch boundaries and the client gets a structured
   503 (``kind: deadline_exceeded``) while the engine stays consistent;
 * **admission control + load shedding** — at most ``max_inflight``
   engine calls run at once, at most ``queue_depth`` wait (for at most

@@ -9,11 +9,7 @@ from typing import Any, Iterable, Iterator, Sequence
 
 from repro.concurrency import SharedRLock
 from repro.errors import SqlCatalogError, SqlTypeError
-from repro.sqlengine.encoding import (
-    DICT_ENCODING_MAX_DISTINCT,
-    ArrayColumn,
-    ColumnDictionary,
-)
+from repro.sqlengine.encoding import DICT_ENCODING_MAX_DISTINCT, ColumnDictionary
 from repro.sqlengine.segments import SegmentedStorage
 from repro.sqlengine.types import SqlType, coerce_value
 
@@ -122,14 +118,6 @@ class Table:
     integer-speed string predicates and code-keyed GROUP BY / DISTINCT
     / join probes; a column whose cardinality outgrows the threshold
     drops its dictionary and falls back to plain value batches.
-
-    With ``array_store=True`` the INTEGER/REAL entries of
-    ``column_data`` are :class:`~repro.sqlengine.encoding.ArrayColumn`
-    typed buffers instead of plain lists (contiguous int64/float64
-    storage, NULLs via a validity bitmap).  They are list-alike — reads
-    and slices decode to plain Python values — and are maintained
-    through the same single mutation path, so nothing downstream
-    changes.
     """
 
     def __init__(
@@ -138,7 +126,6 @@ class Table:
         columns: Sequence[Column],
         foreign_keys: Iterable[ForeignKey] = (),
         dict_encoding_threshold: "int | None" = None,
-        array_store: bool = False,
         segment_rows: int = 0,
         storage_lock: "SharedRLock | None" = None,
     ) -> None:
@@ -153,15 +140,7 @@ class Table:
         self._index_of = {c.name: i for i, c in enumerate(self.columns)}
         self.rows: list[tuple] = []
         #: columnar storage: one value list per column, in schema order
-        #: (ArrayColumn typed buffers for INTEGER/REAL when opted in)
-        self._column_data: list = [
-            ArrayColumn("q" if column.sql_type is SqlType.INTEGER else "d")
-            if array_store
-            and column.sql_type in (SqlType.INTEGER, SqlType.REAL)
-            else []
-            for column in self.columns
-        ]
-        self.array_store = array_store
+        self._column_data: list = [[] for __ in self.columns]
         self._dict_threshold = (
             DICT_ENCODING_MAX_DISTINCT
             if dict_encoding_threshold is None
@@ -571,7 +550,6 @@ class Catalog:
     def __init__(
         self,
         dict_encoding_threshold: "int | None" = None,
-        array_store: bool = False,
         segment_rows: int = 0,
     ) -> None:
         # the settings come from an EngineConfig, which validated them
@@ -580,8 +558,6 @@ class Catalog:
         self._observers: list[CatalogObserver] = []
         #: passed to every table this catalog creates (None = default)
         self._dict_encoding_threshold = dict_encoding_threshold
-        #: INTEGER/REAL columns of new tables use ArrayColumn buffers
-        self.array_store = array_store
         #: > 0 opts every table into frozen-segment + delta storage
         self.segment_rows = segment_rows
         #: one lock for all tables: writers serialize catalog-wide, and
@@ -621,7 +597,6 @@ class Catalog:
             columns,
             foreign_keys,
             dict_encoding_threshold=self._dict_encoding_threshold,
-            array_store=self.array_store,
             segment_rows=self.segment_rows,
             storage_lock=self._storage_lock,
         )

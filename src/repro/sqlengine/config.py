@@ -22,9 +22,6 @@ from repro.errors import SqlCatalogError, SqlExecutionError
 #: default number of prepared plans kept per database
 DEFAULT_PLAN_CACHE_SIZE = 128
 
-#: upper bound on ``parallel_workers``
-MAX_PARALLEL_WORKERS = 64
-
 #: freeze threshold ``repro serve`` uses when none is configured —
 #: large enough to keep per-pin delta copies cheap, small enough that
 #: sustained writes freeze regularly
@@ -35,9 +32,9 @@ DEFAULT_SEGMENT_ROWS = 4096
 EXECUTION_MODES = ("batch", "row")
 
 
-def _require_bool(name: str, value, error=SqlExecutionError):
+def _require_bool(name: str, value):
     if not isinstance(value, bool):
-        raise error(f"{name} must be True or False, got {value!r}")
+        raise SqlExecutionError(f"{name} must be True or False, got {value!r}")
     return value
 
 
@@ -53,7 +50,7 @@ def _require_int(name: str, value, minimum: int, error=SqlExecutionError):
 class EngineConfig:
     """Every engine knob of one :class:`Database`, immutable.
 
-    >>> config = EngineConfig(execution_mode="row", parallel_workers=1)
+    >>> config = EngineConfig(execution_mode="row", segment_rows=256)
     >>> dataclasses.replace(config, fused=False).fused
     False
     """
@@ -67,10 +64,6 @@ class EngineConfig:
     dict_encoding_threshold: "int | None" = None
     #: fused filter/project expression codegen (batch mode)
     fused: bool = True
-    #: morsel-driven parallel scan pipelines (1 = serial)
-    parallel_workers: int = 1
-    #: typed ``array.array`` buffers for INTEGER/REAL columns
-    array_store: bool = False
     #: rows per frozen columnar segment; 0 (default) keeps the classic
     #: flat single-threaded storage, > 0 opts tables into immutable
     #: frozen segments + one mutable delta with snapshot-pinned reads
@@ -78,8 +71,8 @@ class EngineConfig:
     #: default per-request time budget in milliseconds (None = no
     #: deadline).  A query over budget raises a structured
     #: :class:`~repro.resilience.deadline.DeadlineExceeded` at the next
-    #: cooperative checkpoint (pipeline step / scan batch / morsel
-    #: boundary); the HTTP front end maps it to 503 and accepts a
+    #: cooperative checkpoint (pipeline step / scan batch); the HTTP
+    #: front end maps it to 503 and accepts a
     #: per-request ``?timeout_ms=`` override
     request_timeout_ms: "int | None" = None
 
@@ -98,17 +91,6 @@ class EngineConfig:
                 error=SqlCatalogError,
             )
         _require_bool("fused", self.fused)
-        workers = self.parallel_workers
-        if (
-            not isinstance(workers, int)
-            or isinstance(workers, bool)
-            or not 1 <= workers <= MAX_PARALLEL_WORKERS
-        ):
-            raise SqlExecutionError(
-                "parallel_workers must be an integer between 1 and "
-                f"{MAX_PARALLEL_WORKERS}, got {workers!r}"
-            )
-        _require_bool("array_store", self.array_store, error=SqlCatalogError)
         _require_int("segment_rows", self.segment_rows, 0, error=SqlCatalogError)
         if self.request_timeout_ms is not None:
             _require_int("request_timeout_ms", self.request_timeout_ms, 1)
@@ -168,7 +150,7 @@ class EngineConfig:
     @staticmethod
     def _parse_value(key: str, raw: str):
         lowered = raw.lower()
-        if key in ("fused", "array_store"):
+        if key == "fused":
             if lowered in ("true", "1", "yes", "on"):
                 return True
             if lowered in ("false", "0", "no", "off"):

@@ -47,9 +47,8 @@ class Database:
     SELECT statements run through a cost-aware :class:`QueryPlanner`
     whose LRU plan cache lets repeated statements skip re-planning.
     Every engine setting — plan-cache size, batch or row execution,
-    dictionary encoding, fused codegen, morsel workers, the typed-array
-    column store, segmented storage and the default request deadline —
-    comes from the one frozen
+    dictionary encoding, fused codegen, segmented storage and the
+    default request deadline — comes from the one frozen
     :class:`~repro.sqlengine.config.EngineConfig` passed as
     ``Database(config=...)`` and fixed for the life of the database
     (:attr:`config`).  The durability arguments (``data_dir``,
@@ -74,7 +73,6 @@ class Database:
         self._config = config
         self.catalog = Catalog(
             dict_encoding_threshold=config.dict_encoding_threshold,
-            array_store=config.array_store,
             segment_rows=config.segment_rows,
         )
         self.planner = QueryPlanner(self.catalog, config)

@@ -92,9 +92,8 @@ def _matching_positions(
     # a fresh pin of the current state, never an installed older one:
     # its live positions are the flat positions the mutation addresses
     snapshot = table.pin()
-    last = len(table.rows) if snapshot is None else snapshot.row_count
     positions: list[int] = []
-    for cols, __ in scan.batches_range(0, last, snapshot, positions=True):
+    for cols, __ in scan.batches(snapshot, positions=True):
         positions.extend(cols[-1])
     return positions
 

@@ -41,11 +41,9 @@ class _ExactSum:
     Integers accumulate exactly in arbitrary precision; finite floats
     are buffered and periodically folded into Shewchuk partials, so the
     final float is the correctly rounded exact sum no matter how the
-    inputs were grouped.  Merging per-worker partial sums therefore
-    reproduces the serial result bit for bit — the property the
-    parallel engine's partial-aggregate merge relies on.  Non-finite
-    addends become flags with the same outcome as sequential IEEE
-    addition (any NaN, or both infinities, is NaN; otherwise the
+    inputs were batched: row and batch mode agree bit for bit.
+    Non-finite addends become flags with the same outcome as sequential
+    IEEE addition (any NaN, or both infinities, is NaN; otherwise the
     surviving infinity wins), which is likewise order-independent.
     """
 
@@ -116,19 +114,6 @@ class _ExactSum:
         if len(buffer) >= self._COMPACT_AT:
             self.buffer = _compact(buffer)
 
-    def merge(self, other: "_ExactSum") -> None:
-        self.int_total += other.int_total
-        self.saw_int |= other.saw_int
-        self.saw_float |= other.saw_float
-        self.neg_zero_only &= other.neg_zero_only
-        self.nan |= other.nan
-        self.pos_inf |= other.pos_inf
-        self.neg_inf |= other.neg_inf
-        buffer = self.buffer
-        buffer.extend(other.buffer)
-        if len(buffer) >= self._COMPACT_AT:
-            self.buffer = _compact(buffer)
-
     def special(self) -> "float | None":
         if self.nan or (self.pos_inf and self.neg_inf):
             return math.nan
@@ -153,9 +138,7 @@ class Accumulator:
     whole value slices through ``add_many`` / ``add_repeat``, which
     subclasses override with bulk implementations that produce results
     identical to the equivalent sequence of ``add`` calls (same
-    accumulation order, same type errors).  ``merge`` absorbs another
-    accumulator of the same type — the parallel engine's workers each
-    accumulate a partition, then merge in partition order.
+    accumulation order, same type errors).
     """
 
     def add(self, value: Any) -> None:  # pragma: no cover - interface
@@ -171,9 +154,6 @@ class Accumulator:
         add = self.add
         for __ in range(count):
             add(1)
-
-    def merge(self, other: "Accumulator") -> None:  # pragma: no cover
-        raise NotImplementedError
 
     def result(self) -> Any:  # pragma: no cover - interface
         raise NotImplementedError
@@ -212,13 +192,6 @@ class CountAccumulator(Accumulator):
             return
         self._count += count
 
-    def merge(self, other: "CountAccumulator") -> None:
-        if self._distinct:
-            self._seen |= other._seen
-            self._count = len(self._seen)
-        else:
-            self._count += other._count
-
     def result(self) -> int:
         return self._count
 
@@ -228,8 +201,8 @@ class SumAccumulator(Accumulator):
 
     Accumulation is exact (:class:`_ExactSum`), rounded once at
     ``result()``: the value is a function of the *set* of addends, not
-    of how they were batched, so row mode, batch mode and merged
-    parallel partials all agree bit for bit.
+    of how they were batched, so row mode and batch mode agree bit for
+    bit.
     """
 
     def __init__(self, distinct: bool = False) -> None:
@@ -285,12 +258,6 @@ class SumAccumulator(Accumulator):
             total.neg_zero_only = False
         if floats:
             self._sum.add_floats(floats)
-
-    def merge(self, other: "SumAccumulator") -> None:
-        if self._distinct or other._distinct:
-            raise SqlExecutionError("cannot merge DISTINCT accumulators")
-        self._any |= other._any
-        self._sum.merge(other._sum)
 
     def result(self) -> "int | float | None":
         if not self._any:
@@ -362,12 +329,6 @@ class AvgAccumulator(Accumulator):
             self._sum.add_floats(floats)
         self._count += count
 
-    def merge(self, other: "AvgAccumulator") -> None:
-        if self._distinct or other._distinct:
-            raise SqlExecutionError("cannot merge DISTINCT accumulators")
-        self._sum.merge(other._sum)
-        self._count += other._count
-
     def result(self) -> "float | None":
         if self._count == 0:
             return None
@@ -400,12 +361,6 @@ class MinAccumulator(Accumulator):
         if self._best is None or candidate < self._best:
             self._best = candidate
 
-    def merge(self, other: "MinAccumulator") -> None:
-        if other._best is None:
-            return
-        if self._best is None or other._best < self._best:
-            self._best = other._best
-
     def result(self) -> Any:
         return self._best
 
@@ -427,12 +382,6 @@ class MaxAccumulator(Accumulator):
         candidate = max(present)
         if self._best is None or candidate > self._best:
             self._best = candidate
-
-    def merge(self, other: "MaxAccumulator") -> None:
-        if other._best is None:
-            return
-        if self._best is None or other._best > self._best:
-            self._best = other._best
 
     def result(self) -> Any:
         return self._best

@@ -22,7 +22,7 @@ compatibility/debug escape hatch).  Both produce byte-identical
 results.
 
 A planner reads every setting (plan-cache size, execution mode, fused
-codegen, morsel workers) from the one
+codegen) from the one
 :class:`~repro.sqlengine.config.EngineConfig` it is built with, which
 never changes; ``optimize=False`` gives the canonical (naive) plan, the
 baseline the optimizer is tested against.
@@ -30,7 +30,6 @@ baseline the optimizer is tested against.
 
 from __future__ import annotations
 
-from repro.obs.metrics import registry as _metrics_registry
 from repro.obs.tracing import current_tracer
 from repro.sqlengine.ast_nodes import Select
 from repro.sqlengine.catalog import Catalog
@@ -67,9 +66,6 @@ __all__ = [
     "render_plan",
 ]
 
-_METRICS = _metrics_registry()
-_PARALLEL_WORKERS_GAUGE = _METRICS.gauge("engine.parallel_workers")
-
 
 class QueryPlanner:
     """Plans and executes SELECT statements against one catalog."""
@@ -85,7 +81,6 @@ class QueryPlanner:
         self._statistics: "StatisticsProvider | None" = None
         self.cache = PlanCache(config.plan_cache_size)
         self._optimize = optimize
-        _PARALLEL_WORKERS_GAUGE.set(config.parallel_workers)
 
     @property
     def statistics(self) -> StatisticsProvider:
@@ -171,9 +166,8 @@ class QueryPlanner:
         """A pin scope for one execution of *plan*.
 
         With segmented storage enabled, every table the plan reads is
-        snapshot-pinned in one atomic step so the whole execution —
-        including morsel workers — observes a single consistent state
-        regardless of concurrent DML.  With flat storage this is the
+        snapshot-pinned in one atomic step so the whole execution
+        observes a single consistent state regardless of concurrent DML.  With flat storage this is the
         no-op ``pinned(None)``.
         """
         if not self.catalog.segment_rows:
@@ -193,13 +187,7 @@ class QueryPlanner:
         plan = self.prepare(select)
         with current_tracer().span("execute", mode=plan.mode) as span:
             with self._pin_scope(plan):
-                if plan.parallel_nodes:
-                    with current_tracer().span(
-                        "parallel-execute", workers=self.config.parallel_workers
-                    ):
-                        result = plan.execute()
-                else:
-                    result = plan.execute()
+                result = plan.execute()
             span.set(rows=len(result.rows))
         return result
 
@@ -213,7 +201,6 @@ class QueryPlanner:
                 plan.logical,
                 mode=self.config.execution_mode,
                 catalog=self.catalog,
-                parallel=plan.parallel_nodes,
             )
         plan, instrumenter = self.prepare_instrumented(select)
         with self._pin_scope(plan):

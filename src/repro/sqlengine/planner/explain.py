@@ -31,7 +31,6 @@ from repro.sqlengine.planner.logical import (
 
 def render_plan(
     root: LogicalNode, mode: "str | None" = None, catalog=None, analyze=None,
-    parallel: "dict | None" = None,
 ) -> str:
     """The whole plan as an indented tree, one node per line.
 
@@ -42,25 +41,19 @@ def render_plan(
     :class:`~repro.sqlengine.planner.analyze.Instrumenter` that has
     executed this plan) appends each operator's actual rows/batches and
     self-time next to the estimates — the EXPLAIN ANALYZE rendering.
-    *parallel* (optional, ``id(scan node) -> worker count`` from
-    :attr:`~repro.sqlengine.planner.physical.PreparedPlan.parallel_nodes`)
-    marks scans whose pipelines run morsel-parallel
-    (``[parallel n=K]``).
     """
     lines: list = []
     suffix = f" [{mode}]" if mode is not None else ""
     _render(root, prefix="", connector="", lines=lines, suffix=suffix,
-            catalog=catalog, analyze=analyze, parallel=parallel)
+            catalog=catalog, analyze=analyze)
     return "\n".join(lines)
 
 
 def _render(
     node: LogicalNode, prefix: str, connector: str, lines: list, suffix: str,
-    catalog=None, analyze=None, parallel=None,
+    catalog=None, analyze=None,
 ) -> None:
     line = prefix + connector + describe_node(node, catalog) + suffix
-    if parallel and id(node) in parallel:
-        line += f" [parallel n={parallel[id(node)]}]"
     if analyze is not None:
         line += analyze.suffix_for(node)
     lines.append(line)
@@ -77,7 +70,7 @@ def _render(
         last = index == len(children) - 1
         _render(
             child, child_prefix, "└─ " if last else "├─ ", lines, suffix,
-            catalog, analyze, parallel,
+            catalog, analyze,
         )
 
 

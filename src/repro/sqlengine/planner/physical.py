@@ -91,11 +91,6 @@ from repro.sqlengine.planner.logical import (
     LogicalTopN,
     scan_bindings,
 )
-from repro.sqlengine.planner.parallel import (
-    MorselDispatcher,
-    ParallelChainOp,
-    ParallelProjectOp,
-)
 from repro.sqlengine.results import ResultSet
 from repro.sqlengine.types import SqlType, parse_date
 
@@ -812,14 +807,12 @@ def _zone_tests(predicates, table) -> tuple:
     return tuple(tests)
 
 
-def _zone_skips(snapshot, tests: tuple, first: int, last: int) -> tuple:
-    """``(skipped grid-batch starts, segments skipped)`` in ``[first, last)``.
+def _zone_skips(snapshot, tests: tuple) -> tuple:
+    """``(skipped grid-batch starts, segments skipped)`` of *snapshot*.
 
     A batch is skipped when every part it overlaps is a frozen segment
     some test excludes; the delta is never excluded.  A segment counts
-    as skipped, in the range holding its first row, when every batch
-    overlapping it is.  Both depend only on the snapshot, so morsel
-    ranges agree with the serial scan.
+    as skipped when every batch overlapping it is.
     """
     entries, prefix = snapshot.entries, snapshot.prefix
     excluded = [
@@ -837,12 +830,13 @@ def _zone_skips(snapshot, tests: tuple, first: int, last: int) -> tuple:
         high = bisect_right(prefix, stop - 1) - 1
         return high < len(entries) and all(excluded[low:high + 1])
 
-    skipped = {s for s in range(first, last, BATCH_SIZE) if skippable(s)}
+    skipped = {
+        s for s in range(0, snapshot.row_count, BATCH_SIZE) if skippable(s)
+    }
     segments = sum(
         1
         for part in range(len(entries))
-        if first <= prefix[part] < last
-        and skippable(prefix[part] // BATCH_SIZE * BATCH_SIZE)
+        if skippable(prefix[part] // BATCH_SIZE * BATCH_SIZE)
         and skippable((prefix[part + 1] - 1) // BATCH_SIZE * BATCH_SIZE)
     )
     return skipped, segments
@@ -869,7 +863,6 @@ class BatchScanOp(BatchOperator):
         self, catalog: Catalog, node: LogicalScan, fused: bool = False
     ) -> None:
         self._table = catalog.table(node.table)
-        self.node = node
         full_scope = Scope(
             [(node.binding, name) for name in self._table.column_names()]
         )
@@ -932,34 +925,11 @@ class BatchScanOp(BatchOperator):
         self._bound_key = key_index
         self._bound_descending = descending
 
-    def row_count(self) -> int:
-        """Current table cardinality (morsel partitioning reads this).
+    def batches(self, snapshot=None, positions: bool = False) -> Iterator[tuple]:
+        """The filtered, pruned batches of the whole table.
 
-        Under an installed pin scope this is the *snapshot* cardinality,
-        so morsel partitioning and the per-morsel ``batches_range``
-        calls agree on one frozen row space.
-        """
-        snapshot = snapshot_of(self._table)
-        if snapshot is not None:
-            return snapshot.row_count
-        return len(self._table.rows)
-
-    def batches(self) -> Iterator[tuple]:
-        snapshot = snapshot_of(self._table)
-        last = (
-            snapshot.row_count if snapshot is not None else len(self._table.rows)
-        )
-        return self.batches_range(0, last, snapshot)
-
-    def batches_range(
-        self, first: int, last: int, snapshot=None, positions: bool = False
-    ) -> Iterator[tuple]:
-        """Batches for the row range ``[first, last)``.
-
-        *first* must be a multiple of :data:`BATCH_SIZE` so a morsel's
-        batch boundaries coincide with the serial scan's.  With a
-        snapshot (explicit or installed via a pin scope), batches are
-        assembled from the pinned frozen segments + delta instead of
+        With a snapshot (explicit or installed via a pin scope), batches
+        are assembled from the pinned frozen segments + delta instead of
         the live lists — same rows, same order, same batch boundaries.
         Batches whose every row lies in frozen segments excluded by a
         zone test are never sliced (see :func:`_zone_skips`); every
@@ -970,6 +940,7 @@ class BatchScanOp(BatchOperator):
         table = self._table
         if snapshot is None:
             snapshot = snapshot_of(table)
+        last = snapshot.row_count if snapshot is not None else len(table.rows)
         read = self._read
         stages = self._filter_stages
         project = self._project
@@ -1003,9 +974,7 @@ class BatchScanOp(BatchOperator):
 
         skipped, skipped_segments = (), 0
         if self._zone_tests and snapshot is not None and snapshot.entries:
-            skipped, skipped_segments = _zone_skips(
-                snapshot, self._zone_tests, first, last
-            )
+            skipped, skipped_segments = _zone_skips(snapshot, self._zone_tests)
         bound_cell = self._bound_cell
         deadline = current_deadline()
         scanned = 0
@@ -1013,7 +982,7 @@ class BatchScanOp(BatchOperator):
         batches = 0
         fused_batches = 0
         try:
-            for start in range(first, last, BATCH_SIZE):
+            for start in range(0, last, BATCH_SIZE):
                 if deadline is not None:
                     deadline.check("scan")
                 if start in skipped:
@@ -1097,17 +1066,13 @@ class BatchFilterOp(BatchOperator):
         self._bound_descending = descending
 
     def batches(self) -> Iterator[tuple]:
-        return self.process(self._child.batches())
-
-    def process(self, stream) -> Iterator[tuple]:
-        """Filter one batch stream (the morsel-pipeline entry point)."""
         stages = self._filter_stages
         bound_cell = self._bound_cell
         dropped = 0
         batches = 0
         fused_batches = 0
         try:
-            for cols, n in stream:
+            for cols, n in self._child.batches():
                 before = n
                 if n:
                     cols, n, used_fused = _apply_filter_stages(
@@ -1299,53 +1264,6 @@ class BatchHashJoinOp(BatchOperator):
             else:
                 self._left_indexes.append(left.scope.resolve(predicate.right))
                 self._right_indexes.append(right.scope.resolve(predicate.left))
-        #: morsel exchange over the build side (None = serial build)
-        self._build_exchange = None
-
-    def set_parallel_build(self, exchange) -> None:
-        """Partition the build side's materialization + hashing."""
-        self._build_exchange = exchange
-
-    def _build_morsel(self, stream) -> tuple:
-        """Worker task: materialize one morsel and hash it locally."""
-        cols: list = [[] for __ in range(len(self._right.scope))]
-        total = 0
-        for batch_cols, n in stream:
-            total += n
-            for accumulated, column in zip(cols, batch_cols):
-                accumulated.extend(column)
-        return (
-            cols,
-            total,
-            _build_join_hash_table(cols, total, self._right_indexes),
-        )
-
-    def _parallel_build(self) -> tuple:
-        """Merge per-morsel partitions, in morsel order, with offsets.
-
-        Bucket lists stay in build-side row order (partitions cover
-        disjoint, increasing row ranges), so probe output is identical
-        to the serial build; dict *key insertion* order differs, but
-        probing never iterates the table.
-        """
-        cols: list = [[] for __ in range(len(self._right.scope))]
-        table: dict = {}
-        offset = 0
-        for part_cols, part_n, part_table in self._build_exchange.run_tasks(
-            self._build_morsel
-        ):
-            for accumulated, column in zip(cols, part_cols):
-                accumulated.extend(column)
-            for key, bucket in part_table.items():
-                existing = table.get(key)
-                if existing is None:
-                    table[key] = (
-                        [offset + i for i in bucket] if offset else bucket
-                    )
-                else:
-                    existing.extend(offset + i for i in bucket)
-            offset += part_n
-        return cols, offset, table
 
     def batches(self) -> Iterator[tuple]:
         return _join_output(
@@ -1354,13 +1272,8 @@ class BatchHashJoinOp(BatchOperator):
         )
 
     def _hash_batches(self) -> Iterator[tuple]:
-        if self._build_exchange is not None:
-            right_cols, __, table = self._parallel_build()
-        else:
-            right_cols, right_n = _materialize_batches(self._right)
-            table = _build_join_hash_table(
-                right_cols, right_n, self._right_indexes
-            )
+        right_cols, right_n = _materialize_batches(self._right)
+        table = _build_join_hash_table(right_cols, right_n, self._right_indexes)
         probe = _HashProbe(table, self._left_indexes)
         for cols, __ in self._left.batches():
             for left_sel, right_sel in probe.probe(cols):
@@ -1797,55 +1710,11 @@ class BatchAggregateOp(BatchOperator):
             if node.having is not None
             else None
         )
-        #: morsel exchange over the input chain (None = serial consume)
-        self._exchange = None
-
-    def set_parallel(self, exchange) -> None:
-        """Fold each morsel into a partial state inside the workers."""
-        self._exchange = exchange
 
     def batches(self) -> Iterator[tuple]:
-        exchange = self._exchange
-        if exchange is not None:
-            state = None
-            for partial in exchange.run_tasks(self._consume_morsel):
-                if state is None:
-                    state = partial
-                else:
-                    self._merge_state(state, partial)
-            if state is None:  # pragma: no cover - exchange always tasks
-                state = ({}, [])
-        else:
-            state = ({}, [])
-            self._consume(state, self._child.batches())
-        return self._finish(state)
-
-    def _consume_morsel(self, stream) -> tuple:
         state: tuple = ({}, [])
-        self._consume(state, stream)
-        return state
-
-    def _merge_state(self, state: tuple, other: tuple) -> None:
-        """Absorb a later partition's partial state, preserving order.
-
-        Partitions cover increasing input ranges and are merged in
-        partition order, so first-occurrence group order and each
-        group's representative row land exactly where serial
-        consumption would have put them; accumulator ``merge`` is
-        order-independent by construction (exact sums, commutative
-        counts, first-wins min/max ties).
-        """
-        groups, group_order = state
-        other_groups, __ = other
-        for key in other[1]:
-            incoming = other_groups[key]
-            mine = groups.get(key)
-            if mine is None:
-                groups[key] = incoming
-                group_order.append(key)
-            else:
-                for accumulator, partial in zip(mine[1], incoming[1]):
-                    accumulator.merge(partial)
+        self._consume(state, self._child.batches())
+        return self._finish(state)
 
     def _consume(self, state: tuple, stream) -> None:
         groups, group_order = state
@@ -2002,21 +1871,17 @@ class BatchProjectOp:
             )
 
     def pres_batches(self) -> Iterator[tuple]:
-        return self.process(self._child.batches())
-
-    def process(self, stream) -> Iterator[tuple]:
-        """Project one batch stream (the morsel-pipeline entry point)."""
         fns = self._fns
         fused = self._fused
         if fused is None:
-            for cols, n in stream:
+            for cols, n in self._child.batches():
                 yield [fn(cols, n) for fn in fns], cols, n
             return
         fused_fn = fused.fn
         positions = fused.indexes
         fused_batches = 0
         try:
-            for cols, n in stream:
+            for cols, n in self._child.batches():
                 out: list = [None] * len(fns)
                 for position, column in zip(positions, fused_fn(cols, n)):
                     out[position] = column
@@ -2286,20 +2151,12 @@ class PreparedPlan:
     """A compiled, re-executable plan (what the plan cache stores)."""
 
     def __init__(
-        self,
-        root,
-        logical: LogicalNode,
-        columns: list,
-        mode: str = "row",
-        parallel_nodes: "dict | None" = None,
+        self, root, logical: LogicalNode, columns: list, mode: str = "row"
     ) -> None:
         self._root = root
         self.logical = logical
         self.columns = columns
         self.mode = mode
-        #: ``id(logical scan node) -> worker count`` for every scan that
-        #: executes under a morsel exchange (EXPLAIN's ``[parallel n=K]``)
-        self.parallel_nodes = parallel_nodes or {}
 
     def execute(self) -> ResultSet:
         if self.mode == "batch":
@@ -2323,33 +2180,17 @@ def _no_instrument(operator, node):
 
 
 class _BuildContext:
-    """Batch-builder state: knobs, instrumentation, parallel bookkeeping."""
+    """Batch-builder state: the catalog, knobs and instrumentation."""
 
-    __slots__ = (
-        "catalog",
-        "instrument",
-        "instrumented",
-        "fused",
-        "workers",
-        "dispatcher",
-        "parallel_nodes",
-    )
+    __slots__ = ("catalog", "instrument", "instrumented", "fused")
 
-    def __init__(
-        self, catalog: Catalog, instrument, fused: bool, workers: int
-    ) -> None:
+    def __init__(self, catalog: Catalog, instrument, fused: bool) -> None:
         self.catalog = catalog
+        # EXPLAIN ANALYZE wraps every operator in timing shims, which
+        # breaks chain detection, so instrumented plans run unpushed
         self.instrumented = instrument is not None
         self.instrument = instrument or _no_instrument
         self.fused = fused
-        # EXPLAIN ANALYZE wraps every operator in timing shims, which
-        # both breaks chain detection and wants serial per-operator
-        # numbers — instrumented plans always run serial and unpushed
-        self.workers = 1 if self.instrumented else workers
-        self.dispatcher = (
-            MorselDispatcher(self.workers) if self.workers > 1 else None
-        )
-        self.parallel_nodes: dict = {}
 
 
 def build_physical(
@@ -2366,29 +2207,22 @@ def build_physical(
     operator's place in the tree — EXPLAIN ANALYZE passes an
     :class:`~repro.sqlengine.planner.analyze.Instrumenter` here to wrap
     each operator in a counting/timing shim.  Instrumented plans must
-    not be cached, and always execute serial/unfused-pushdown so the
-    per-operator numbers describe the plain pipeline.
+    not be cached, and always execute without the TopN bound pushdown
+    so the per-operator numbers describe the plain pipeline.
 
     In batch mode ``config.fused`` compiles provably-safe filter/project
-    expressions into generated per-batch functions and
-    ``config.parallel_workers`` > 1 runs scan-rooted pipelines
-    morsel-parallel.  Both layers are locked to byte-identical results
-    and errors, so they are pure speed knobs.
+    expressions into generated per-batch functions.  That layer is
+    locked to byte-identical results and errors, so it is a pure speed
+    knob.
     """
     mode = config.execution_mode
     if mode == "batch":
-        ctx = _BuildContext(
-            catalog, instrument, config.fused, config.parallel_workers
-        )
+        ctx = _BuildContext(catalog, instrument, config.fused)
         operator = _build_presentation_batch(root, ctx)
-        return PreparedPlan(
-            root=operator,
-            logical=root,
-            columns=list(operator.columns),
-            mode=mode,
-            parallel_nodes=ctx.parallel_nodes,
+    else:
+        operator = _build_presentation(
+            root, catalog, instrument or _no_instrument
         )
-    operator = _build_presentation(root, catalog, instrument or _no_instrument)
     return PreparedPlan(
         root=operator, logical=root, columns=list(operator.columns), mode=mode
     )
@@ -2441,11 +2275,10 @@ def _build_relational(node: LogicalNode, catalog: Catalog, instrument):
 
 
 def _chain_parts(operator) -> "tuple | None":
-    """``(scan, stages)`` when *operator* is a morsel-splittable chain.
+    """``(scan, stages)`` when *operator* is a scan-rooted filter chain.
 
     A chain is a bare :class:`BatchScanOp` leaf under zero or more
-    :class:`BatchFilterOp` stages — the shapes whose batch streams can
-    be partitioned by scan row range with byte-identical output.
+    :class:`BatchFilterOp` stages, listed scan-first.
     """
     stages: list = []
     current = operator
@@ -2458,40 +2291,8 @@ def _chain_parts(operator) -> "tuple | None":
     return None
 
 
-def _make_exchange(operator, ctx: _BuildContext) -> "ParallelChainOp | None":
-    """A morsel exchange over *operator*, or None if not parallelizable."""
-    if ctx.dispatcher is None:
-        return None
-    parts = _chain_parts(operator)
-    if parts is None:
-        return None
-    scan, stages = parts
-    ctx.parallel_nodes[id(scan.node)] = ctx.workers
-    return ParallelChainOp(ctx.dispatcher, scan, stages)
-
-
-def _maybe_exchange(operator, ctx: _BuildContext):
-    """*operator* behind a morsel exchange when possible, else itself."""
-    exchange = _make_exchange(operator, ctx)
-    return operator if exchange is None else exchange
-
-
-def _parallel_agg_eligible(node: LogicalAggregate) -> bool:
-    """Can this aggregate merge per-partition partial states?
-
-    DISTINCT sum/avg accumulators keep a seen-set whose merge is not
-    implemented (the exact-sum state already folded the values), so
-    those plans keep serial consumption; everything else merges
-    deterministically.
-    """
-    return all(
-        not (call.distinct and call.name in ("sum", "avg"))
-        for call in node.agg_calls
-    )
-
-
 def _connect_topn_bound(
-    operator: BatchTopNOp, child, node: LogicalTopN, ctx: _BuildContext
+    operator: BatchTopNOp, project, node: LogicalTopN, ctx: _BuildContext
 ) -> None:
     """Wire TopN's worst-kept-key bound into the upstream scan/filters.
 
@@ -2503,9 +2304,6 @@ def _connect_topn_bound(
     the TopN bound check would discard anyway cannot change results or
     errors.
     """
-    project = child
-    if isinstance(project, ParallelProjectOp):
-        project = project._project
     if not isinstance(project, BatchProjectOp):
         return
     parts = _chain_parts(project._child)
@@ -2579,9 +2377,6 @@ def _build_presentation_batch(node: LogicalNode, ctx: _BuildContext):
         operator = BatchProjectOp(
             child, node, agg_slots, catalog=ctx.catalog, fused=ctx.fused
         )
-        exchange = _make_exchange(child, ctx)
-        if exchange is not None:
-            operator = ParallelProjectOp(exchange, operator)
         return instrument(operator, node)
     raise SqlExecutionError(
         f"malformed plan: unexpected presentation node {type(node).__name__}"
@@ -2603,24 +2398,10 @@ def _build_relational_batch(node: LogicalNode, ctx: _BuildContext):
     if isinstance(node, LogicalJoin):
         left, __ = _build_relational_batch(node.left, ctx)
         right, __ = _build_relational_batch(node.right, ctx)
-        left = _maybe_exchange(left, ctx)
-        if node.equi:
-            # partitioned build: each morsel of the build side hashes
-            # inside its worker; the join merges partitions in order
-            operator = BatchHashJoinOp(left, right, node.equi)
-            build_exchange = _make_exchange(right, ctx)
-            if build_exchange is not None:
-                operator.set_parallel_build(build_exchange)
-        else:
-            operator = BatchHashJoinOp(
-                left, _maybe_exchange(right, ctx), node.equi
-            )
-        return instrument(operator, node), None
+        return instrument(BatchHashJoinOp(left, right, node.equi), node), None
     if isinstance(node, LogicalLeftJoin):
         left, __ = _build_relational_batch(node.left, ctx)
         right, __ = _build_relational_batch(node.right, ctx)
-        left = _maybe_exchange(left, ctx)
-        right = _maybe_exchange(right, ctx)
         operator = BatchLeftJoinOp(left, right, node.condition)
         analysis = _analyze_left_join(node, left.scope, right.scope, catalog)
         if analysis is not None:
@@ -2636,13 +2417,6 @@ def _build_relational_batch(node: LogicalNode, ctx: _BuildContext):
     if isinstance(node, LogicalAggregate):
         child, __ = _build_relational_batch(node.child, ctx)
         operator = BatchAggregateOp(child, node)
-        exchange = _make_exchange(child, ctx)
-        if exchange is not None:
-            if _parallel_agg_eligible(node):
-                operator.set_parallel(exchange)
-            else:
-                # DISTINCT sum/avg: parallelize the scan, consume serial
-                operator._child = exchange
         return instrument(operator, node), operator.agg_slots
     raise SqlExecutionError(
         f"malformed plan: unexpected relational node {type(node).__name__}"

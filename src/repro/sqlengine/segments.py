@@ -36,9 +36,8 @@ briefly.  Readers never take the lock while scanning, so one writer
 and any number of readers proceed without blocking each other beyond
 the pin/maintenance critical sections.  The engine's scan operators
 consult the current thread's *installed pins* (:func:`pinned`, set up
-by ``QueryPlanner.execute`` around each query, and propagated into
-morsel worker threads) so every batch of one execution reads the same
-snapshot.
+by ``QueryPlanner.execute`` around each query) so every batch of one
+execution reads the same snapshot.
 
 **Zones.**  A segment's *zone* for an INTEGER/REAL column is the
 ``(min, max)`` of its physical non-NULL values (:meth:`FrozenSegment.
@@ -460,9 +459,7 @@ class pinned:
 
     ``pinned(None)`` is a no-op scope, so callers can unconditionally
     wrap execution without branching on whether anything is segmented.
-    Scopes nest (the previous pin set is restored on exit), and the
-    morsel dispatcher re-installs the coordinator's pins inside each
-    worker thread.
+    Scopes nest (the previous pin set is restored on exit).
     """
 
     __slots__ = ("_pins", "_previous")

@@ -3,9 +3,11 @@
 A checkpoint is one gzip-compressed JSON document holding the whole
 catalog: schemas, per-table counters, and per-column data in its
 *native* storage form — dictionary columns keep their value table and
-code list, typed-array columns keep their typecode — so loading is a
+code list, every other column its plain value list — so loading is a
 bulk columnar fill instead of a row-at-a-time re-ingest (the perf
-ledger's ``recover_s`` on ``engine_ingest_mix`` measures it).
+ledger's ``recover_s`` on ``engine_ingest_mix`` measures it).  Images
+written before the typed-array store was removed tag numeric columns
+``"array"`` (values with NULLs as ``None``); they load as plain ones.
 
 The file is written atomically (temp file, fsync, ``os.replace``) and
 stamped with the WAL *generation* it pairs with; recovery replays only
@@ -22,7 +24,7 @@ from typing import TYPE_CHECKING
 
 from repro.errors import RecoveryError
 from repro.sqlengine.catalog import Column, ForeignKey
-from repro.sqlengine.encoding import ArrayColumn, ColumnDictionary
+from repro.sqlengine.encoding import ColumnDictionary
 from repro.sqlengine.types import SqlType
 from repro.sqlengine.txn.wal import dump_payload, load_payload
 
@@ -46,10 +48,7 @@ def _column_state(table: "Table", index: int) -> dict:
             "values": list(dictionary.values),
             "codes": list(table.column_codes(index)),
         }
-    store = table.column_data(index)
-    if isinstance(store, ArrayColumn) and not store.demoted:
-        return {"t": "array", "typecode": store.typecode, "values": store[:]}
-    return {"t": "plain", "values": list(store)}
+    return {"t": "plain", "values": list(table.column_data(index))}
 
 
 def catalog_state(catalog: "Catalog", generation: int) -> dict:
@@ -182,8 +181,7 @@ def restore_catalog(catalog: "Catalog", state: dict, path: str = "") -> None:
     Encoding mismatches between the file and the catalog's settings
     degrade gracefully: a stored dictionary loads as plain values when
     encoding is disabled, a stored plain TEXT column disables its new
-    dictionary, and array/plain numeric storage converts either way
-    through the normal slice-assignment path.
+    dictionary, and an ``"array"`` numeric column fills plain storage.
     """
     try:
         for table_state in state["tables"]:

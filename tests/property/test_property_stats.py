@@ -12,9 +12,9 @@ dataclass equality, histograms included.  The reference
 used before it was maintained from the write path; the two share no
 code but ``Histogram``'s constructor.
 
-The same property is checked on flat, segmented and ``array_store``
-catalogs: the provider only ever sees row tuples, so the layouts must
-be indistinguishable.
+The same property is checked on flat and segmented catalogs, each with
+and without dictionary-encoded TEXT: the provider only ever sees row
+tuples, so the layouts must be indistinguishable.
 """
 
 import datetime
@@ -35,11 +35,13 @@ from reference_stats import reference_table_stats  # noqa: E402
 EXAMPLES = settings(max_examples=200, deadline=None)
 
 #: TEXT columns encode below 4 distinct values: ``s`` stays under the
-#: threshold, ``w`` crosses it (and drops its dictionary) in most runs
+#: threshold, ``w`` crosses it (and drops its dictionary) in most runs;
+#: the ``plain`` layouts never encode, so every column is a plain list
 LAYOUTS = {
     "flat": EngineConfig(dict_encoding_threshold=4),
     "segmented": EngineConfig(dict_encoding_threshold=4, segment_rows=4),
-    "array_store": EngineConfig(dict_encoding_threshold=4, array_store=True),
+    "plain": EngineConfig(dict_encoding_threshold=0),
+    "segmented_plain": EngineConfig(dict_encoding_threshold=0, segment_rows=4),
 }
 
 CREATE = (

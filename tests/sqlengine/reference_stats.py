@@ -11,9 +11,8 @@ the two is the exactness argument of the incremental path.
 One caveat the oracle inherits from ``set``: NaN compares unequal to
 itself, so ``set`` tells NaNs apart by *object identity*.  The provider
 counts every NaN row as its own distinct value, which is what this pass
-computes whenever NaN objects are not shared between rows (always on
-``array_store`` columns and after a checkpoint reload, which decode fresh
-floats).  Tests that compare against it insert one NaN object per row.
+computes whenever NaN objects are not shared between rows (always after
+a checkpoint reload, which decodes fresh floats).  Tests that compare against it insert one NaN object per row.
 """
 
 from __future__ import annotations

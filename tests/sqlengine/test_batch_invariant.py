@@ -119,7 +119,7 @@ def corpus_dbs(small_batches):
         "planner": [_db(_populate_planner_schema)],
         "rich": [
             _db(_populate_rich_schema),
-            _db(_populate_rich_schema, fused=False, array_store=True),
+            _db(_populate_rich_schema, fused=False),
         ],
         "string": [
             _db(_populate_string_schema),

@@ -10,7 +10,7 @@ another.  Every mutation here preserves two per-state invariants:
 * therefore any consistent snapshot satisfies
   ``COUNT(*) = SUM(unit)`` and ``SUM(a) + SUM(b) = 100 * COUNT(*)``.
 
-Readers hammer those aggregates (serial and morsel-parallel) while one
+Readers hammer those aggregates (in one batch or across many) while one
 writer thread interleaves single-statement UPDATE/INSERT/DELETE; any
 torn read breaks an equality.  A final check proves the flat storage
 and the segment view converged to the same bytes.
@@ -26,12 +26,8 @@ WRITER_OPS = 150
 START_ROWS = 120
 
 
-def _build(parallel_workers: int = 1) -> Database:
-    db = Database(
-        config=EngineConfig(
-            segment_rows=32, parallel_workers=parallel_workers
-        )
-    )
+def _build() -> Database:
+    db = Database(config=EngineConfig(segment_rows=32))
     db.execute(
         "CREATE TABLE funds (id INT PRIMARY KEY, unit INT, a INT, b INT)"
     )
@@ -98,17 +94,21 @@ def _run_stress(db: Database) -> list:
 
 class TestConcurrentStress:
     def test_readers_see_only_consistent_snapshots(self):
-        db = _build(parallel_workers=1)
+        db = _build()
         failures = _run_stress(db)
         assert not failures, failures[:5]
         # after the dust settles: flat rows and segment view agree
         table = db.table("funds")
         assert list(table.pin().iter_rows()) == table.rows
 
-    def test_readers_with_morsel_parallel_scans(self):
-        # morsel workers must inherit the coordinator's pinned snapshot;
-        # a worker reading live state would tear the aggregate apart
-        db = _build(parallel_workers=2)
+    def test_readers_with_many_batch_scans(self, monkeypatch):
+        # with 16-row batches every scan spans several batches; each
+        # later batch must come from the snapshot the first one pinned,
+        # not from live state the writer has moved on
+        import repro.sqlengine.planner.physical as physical
+
+        monkeypatch.setattr(physical, "BATCH_SIZE", 16)
+        db = _build()
         failures = _run_stress(db)
         assert not failures, failures[:5]
 

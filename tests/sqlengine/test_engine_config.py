@@ -25,9 +25,8 @@ class TestEngineConfig:
         assert config.execution_mode == "batch"
         assert config.dict_encoding_threshold is None
         assert config.fused is True
-        assert config.parallel_workers == 1
-        assert config.array_store is False
         assert config.segment_rows == 0  # flat storage unless asked
+        assert config.request_timeout_ms is None
 
     def test_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -38,59 +37,79 @@ class TestEngineConfig:
             EngineConfig(plan_cache_size=-1)
         with pytest.raises(SqlExecutionError, match="execution mode"):
             EngineConfig(execution_mode="turbo")
-        with pytest.raises(SqlExecutionError, match="parallel_workers"):
-            EngineConfig(parallel_workers=0)
         with pytest.raises(SqlExecutionError, match="fused"):
             EngineConfig(fused="yes")
         with pytest.raises(SqlCatalogError, match="dict_encoding_threshold"):
             EngineConfig(dict_encoding_threshold=-2)
-        with pytest.raises(SqlCatalogError, match="array_store"):
-            EngineConfig(array_store=1)
         with pytest.raises(SqlCatalogError, match="segment_rows"):
             EngineConfig(segment_rows=-8)
 
     def test_replace_and_as_dict_round_trip(self):
-        config = EngineConfig().replace(parallel_workers=4, segment_rows=64)
-        assert config.parallel_workers == 4
+        config = EngineConfig().replace(fused=False, segment_rows=64)
+        assert config.fused is False
         assert EngineConfig(**config.as_dict()) == config
+
+
+class TestRemovedKnobs:
+    """``parallel_workers`` and ``array_store`` are gone, not defaulted off."""
+
+    FIELDS = [
+        "dict_encoding_threshold",
+        "execution_mode",
+        "fused",
+        "plan_cache_size",
+        "request_timeout_ms",
+        "segment_rows",
+    ]
+
+    def test_removed_knobs_raise_and_six_keys_remain(self):
+        with pytest.raises(TypeError, match="array_store"):
+            EngineConfig(array_store=True)
+        with pytest.raises(TypeError, match="parallel_workers"):
+            EngineConfig(parallel_workers=2)
+        with pytest.raises(SqlExecutionError) as info:
+            EngineConfig.from_cli("parallel-workers=4")
+        message = str(info.value)
+        assert "'parallel_workers'" in message
+        listed = message.split("choose from ", 1)[1].rstrip(")")
+        assert listed.split(", ") == self.FIELDS
 
 
 class TestFromCli:
     def test_parses_every_field_with_dash_aliases(self):
         config = EngineConfig.from_cli(
             "plan-cache-size=16,execution-mode=row,"
-            "dict-encoding-threshold=none,fused=off,parallel-workers=4,"
-            "array-store=true,segment-rows=512"
+            "dict-encoding-threshold=none,fused=off,segment-rows=512,"
+            "request-timeout-ms=250"
         )
         assert config == EngineConfig(
             plan_cache_size=16,
             execution_mode="row",
             dict_encoding_threshold=None,
             fused=False,
-            parallel_workers=4,
-            array_store=True,
             segment_rows=512,
+            request_timeout_ms=250,
         )
 
     def test_overrides_a_base_field_by_field(self):
         base = EngineConfig(segment_rows=DEFAULT_SEGMENT_ROWS)
-        config = EngineConfig.from_cli("parallel-workers=2", base=base)
+        config = EngineConfig.from_cli("fused=false", base=base)
         assert config.segment_rows == DEFAULT_SEGMENT_ROWS
-        assert config.parallel_workers == 2
+        assert config.fused is False
 
     def test_unknown_key_lists_the_valid_ones(self):
         with pytest.raises(SqlExecutionError, match="segment_rows"):
             EngineConfig.from_cli("segmnet-rows=4")
 
     def test_bad_value_surfaces_the_field_error(self):
-        with pytest.raises(SqlExecutionError, match="parallel_workers"):
-            EngineConfig.from_cli("parallel-workers=99")
+        with pytest.raises(SqlExecutionError, match="plan_cache_size"):
+            EngineConfig.from_cli("plan-cache-size=-1")
 
 
 class TestDatabaseConfig:
     def test_database_accepts_a_config(self):
-        db = Database(config=EngineConfig(parallel_workers=2, fused=False))
-        assert db.config.parallel_workers == 2
+        db = Database(config=EngineConfig(segment_rows=32, fused=False))
+        assert db.config.segment_rows == 32
         assert db.config.fused is False
 
     def test_config_is_the_one_passed(self):
@@ -126,7 +145,7 @@ class TestCliFlag:
     def test_engine_config_flag_round_trips(self):
         code, output = self._run(
             "--scale", "0.2",
-            "--engine-config", "segment-rows=256,parallel-workers=2",
+            "--engine-config", "segment-rows=256,fused=false",
             "sql", "SELECT COUNT(*) FROM addresses",
         )
         assert code == 0

@@ -1,5 +1,7 @@
 """Direct tests for the aggregate accumulators."""
 
+import math
+
 import pytest
 
 from repro.errors import SqlExecutionError, SqlTypeError
@@ -97,6 +99,92 @@ class TestMinMax:
     def test_empty_is_null(self):
         assert MinAccumulator().result() is None
         assert MaxAccumulator().result() is None
+
+
+class TestBulkMatchesSerial:
+    """``add_many`` / ``add_repeat`` feed whole batch slices; however the
+    values are sliced, the result must equal the ``add`` sequence."""
+
+    VALUES = [1, 2.5, -0.0, 10**20, 0.1, None, 7, None, 1e-300, 2.5, 1]
+
+    @staticmethod
+    def _serial(name, star, distinct, values):
+        acc = make_accumulator(name, star, distinct)
+        for value in values:
+            acc.add(value)
+        return acc.result()
+
+    @staticmethod
+    def _sliced(name, star, distinct, values, width):
+        acc = make_accumulator(name, star, distinct)
+        for start in range(0, len(values), width):
+            acc.add_many(values[start:start + width])
+        return acc.result()
+
+    @pytest.mark.parametrize(
+        "name, star, distinct",
+        [
+            ("count", False, False),
+            ("count", True, False),
+            ("count", False, True),
+            ("sum", False, False),
+            ("sum", False, True),
+            ("avg", False, False),
+            ("avg", False, True),
+            ("min", False, False),
+            ("max", False, False),
+        ],
+        ids=[
+            "count", "count_star", "count_distinct", "sum", "sum_distinct",
+            "avg", "avg_distinct", "min", "max",
+        ],
+    )
+    def test_add_many_in_slices_matches_serial_add(self, name, star, distinct):
+        expected = self._serial(name, star, distinct, self.VALUES)
+        for width in (1, 2, 3, len(self.VALUES)):
+            got = self._sliced(name, star, distinct, self.VALUES, width)
+            assert repr(got) == repr(expected), width
+
+    @pytest.mark.parametrize("name", ["sum", "avg"])
+    def test_non_finite_addends_in_slices(self, name):
+        values = [1.0, math.inf, None, 2.0, -math.inf, 3.0]
+        for width in (1, 2, 4):
+            got = self._sliced(name, False, False, values, width)
+            assert math.isnan(got), width
+        assert self._sliced(name, False, False, [1.0, math.inf], 1) == math.inf
+
+    def test_negative_zero_sum_survives_slicing(self):
+        values = [-0.0, None, -0.0, -0.0]
+        for width in (1, 2, 4):
+            assert repr(self._sliced("sum", False, False, values, width)) \
+                == "-0.0"
+        # one +0.0 anywhere makes the exact sum +0.0
+        assert repr(self._sliced("sum", False, False, values + [0.0], 2)) \
+            == "0.0"
+
+    def test_distinct_count_across_slices_counts_the_union(self):
+        acc = make_accumulator("count", False, True)
+        acc.add_many(["a", "b"])
+        acc.add_many(["b", "c", None])
+        assert acc.result() == 3
+
+    @pytest.mark.parametrize("name", ["sum", "avg"])
+    def test_bulk_type_errors_match_serial(self, name):
+        for bad in ("x", True):
+            with pytest.raises(SqlTypeError):
+                make_accumulator(name, False, False).add_many([1, None, bad])
+
+    @pytest.mark.parametrize(
+        "name, star",
+        [("count", True), ("count", False), ("sum", False), ("avg", False)],
+        ids=["count_star", "count", "sum", "avg"],
+    )
+    def test_add_repeat_matches_repeated_add_one(self, name, star):
+        expected = self._serial(name, star, False, [1] * 5)
+        acc = make_accumulator(name, star, False)
+        acc.add_repeat(2)
+        acc.add_repeat(3)
+        assert repr(acc.result()) == repr(expected)
 
 
 class TestFactory:

@@ -6,9 +6,8 @@ frozen segments plus one small mutable delta; readers pin a
 concurrent DML.  These tests lock the layout invariants (freeze on
 threshold, tombstoned deletes, copy-on-write updates, compaction) and
 — the important part — that the segmented engine stays byte-identical
-to the flat row-mode engine across the whole
-{fused} x {array store} x {workers} knob matrix, before and after a
-DML storm.
+to the flat row-mode engine with fused codegen on and off, before and
+after a DML storm.
 """
 
 import pytest
@@ -181,26 +180,15 @@ CORPUS = [
     "HAVING COUNT(*) > 2",
 ]
 
-MODE_MATRIX = [
-    pytest.param(fused, array, workers,
-                 id=f"fused={int(fused)}-array={int(array)}-w={workers}")
-    for fused in (True, False)
-    for array in (True, False)
-    for workers in (1, 4)
-]
-
-
 @pytest.fixture(scope="module")
-def small_morsels():
-    """Shrink batches/morsels so the fixtures span many morsels."""
-    import repro.sqlengine.planner.parallel as parallel
+def small_batches():
+    """Shrink batches so the fixtures span many batches."""
     import repro.sqlengine.planner.physical as physical
 
-    saved = (physical.BATCH_SIZE, parallel.MORSEL_BATCHES)
+    saved = physical.BATCH_SIZE
     physical.BATCH_SIZE = 16
-    parallel.MORSEL_BATCHES = 2
     yield
-    physical.BATCH_SIZE, parallel.MORSEL_BATCHES = saved
+    physical.BATCH_SIZE = saved
 
 
 def _storm(db: Database) -> None:
@@ -216,27 +204,22 @@ def _storm(db: Database) -> None:
 
 
 @pytest.fixture(scope="module")
-def segmented_matrix(small_morsels):
-    """(flat row-mode baseline, {(fused, array, workers): segmented db})."""
+def segmented_matrix(small_batches):
+    """(flat row-mode baseline, {fused: segmented db})."""
     baseline = Database(config=EngineConfig(execution_mode="row"))
     _populate(baseline, 120)
     _storm(baseline)
     combos = {}
-    for fused, array, workers in [p.values for p in MODE_MATRIX]:
-        db = _db(
-            segment_rows=8,
-            fused=fused,
-            array_store=array,
-            parallel_workers=workers,
-        )
+    for fused in (True, False):
+        db = _db(segment_rows=8, fused=fused)
         _populate(db, 120)
         _storm(db)
-        combos[(fused, array, workers)] = db
+        combos[fused] = db
     return baseline, combos
 
 
 class TestSegmentedModeMatrixParity:
-    """Segmented storage must be invisible to every engine knob combo."""
+    """Segmented storage must be invisible with fused codegen on or off."""
 
     @pytest.mark.parametrize("sql", CORPUS)
     def test_matrix_matches_flat_row_baseline(self, segmented_matrix, sql):

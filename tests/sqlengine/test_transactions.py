@@ -4,9 +4,9 @@ The core invariant under test: after ROLLBACK the catalog is
 *byte-identical* — fingerprint, tuple rows, columnar stores, and any
 write-through-maintained inverted index — to an oracle catalog that
 never saw the transaction.  This must hold across every storage
-layout (plain lists, dictionary-encoded TEXT, typed-array numerics)
-because rollback routes through the same public mutation paths as
-forward execution.
+layout (plain lists, dictionary-encoded TEXT, frozen segments plus a
+delta) because rollback routes through the same public mutation paths
+as forward execution.
 """
 
 import pytest
@@ -130,10 +130,10 @@ class TestRollbackParity:
         [
             {},
             {"dict_encoding_threshold": 2},
-            {"array_store": True},
-            {"array_store": True, "dict_encoding_threshold": 2},
+            {"segment_rows": 2},
+            {"segment_rows": 2, "dict_encoding_threshold": 2},
         ],
-        ids=["plain", "dict", "array", "dict+array"],
+        ids=["plain", "dict", "segmented", "dict+segmented"],
     )
     def test_rollback_restores_byte_identical_state(self, kwargs):
         oracle = make_db(**kwargs)

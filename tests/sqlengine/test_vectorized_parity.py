@@ -7,12 +7,10 @@ and ``execution_mode="batch"`` and must produce *byte-identical*
 planner fixture corpus plus edge cases: empty tables, all-NULL
 columns, LEFT JOIN padding, DISTINCT + ORDER BY, and error parity.
 
-The batch side is additionally swept across the full engine-knob
-matrix — fused expression codegen on/off × array-backed column
-storage on/off × morsel workers 1/4 (with batches shrunk so the
-fixtures genuinely span multiple morsels) — and every combination
-must match row mode byte-for-byte, including which exception a
-failing query raises.
+The batch side is additionally run with fused expression codegen on
+and off (with batches shrunk so the fixtures genuinely span many
+batches), and both must match row mode byte-for-byte, including which
+exception a failing query raises.
 """
 
 import pytest
@@ -501,66 +499,45 @@ class TestTopNParity:
         ).rows
 
 
-#: every combination of the PR-7 engine knobs: fused expression
-#: codegen × array-backed column storage × morsel worker count
-MODE_MATRIX = [
-    pytest.param(fused, array, workers,
-                 id=f"fused={int(fused)}-array={int(array)}-w={workers}")
-    for fused in (True, False)
-    for array in (True, False)
-    for workers in (1, 4)
-]
-
-
 @pytest.fixture(scope="module")
-def small_morsels():
-    """Shrink batches/morsels so 200-row fixtures span many morsels."""
-    import repro.sqlengine.planner.parallel as parallel
+def small_batches():
+    """Shrink batches so 200-row fixtures span many batches."""
     import repro.sqlengine.planner.physical as physical
 
-    saved = (physical.BATCH_SIZE, parallel.MORSEL_BATCHES)
+    saved = physical.BATCH_SIZE
     physical.BATCH_SIZE = 16
-    parallel.MORSEL_BATCHES = 2
     yield
-    physical.BATCH_SIZE, parallel.MORSEL_BATCHES = saved
+    physical.BATCH_SIZE = saved
 
 
-def _matrix(populate, small_morsels) -> tuple:
-    """(row baseline, {(fused, array, workers): batch db}) over one schema."""
+def _matrix(populate, small_batches) -> tuple:
+    """(row baseline, {fused: batch db}) over one schema."""
     baseline = Database(config=EngineConfig(execution_mode="row"))
     populate(baseline)
     combos = {}
     for fused in (True, False):
-        for array in (True, False):
-            for workers in (1, 4):
-                db = Database(
-                    config=EngineConfig(
-                        fused=fused,
-                        array_store=array,
-                        parallel_workers=workers,
-                    )
-                )
-                populate(db)
-                combos[(fused, array, workers)] = db
+        db = Database(config=EngineConfig(fused=fused))
+        populate(db)
+        combos[fused] = db
     return baseline, combos
 
 
 @pytest.fixture(scope="module")
-def rich_matrix(small_morsels):
-    return _matrix(_populate_rich_schema, small_morsels)
+def rich_matrix(small_batches):
+    return _matrix(_populate_rich_schema, small_batches)
 
 
 @pytest.fixture(scope="module")
-def string_matrix(small_morsels):
-    return _matrix(_populate_string_schema, small_morsels)
+def string_matrix(small_batches):
+    return _matrix(_populate_string_schema, small_batches)
 
 
 class TestModeMatrixParity:
-    """Every knob combination must be byte-identical to row mode.
+    """Batch mode must be byte-identical to row mode.
 
-    {fused on/off} × {array store on/off} × {workers 1/4}, across the
-    rich corpus, the string-heavy (dictionary-encoded) corpus, and the
-    error corpus — results, columns, and exceptions all identical.
+    {fused on/off}, across the rich corpus, the string-heavy
+    (dictionary-encoded) corpus, and the error corpus — results,
+    columns, and exceptions all identical.
     """
 
     @staticmethod
@@ -591,29 +568,29 @@ class TestModeMatrixParity:
             assert type(got.value) is type(expected.value), (sql, combo)
             assert str(got.value) == str(expected.value), (sql, combo)
 
-    def test_parallel_plans_actually_split_morsels(self, rich_matrix):
-        # the workers=4 fixture must really dispatch multiple morsels,
-        # otherwise the matrix silently degrades to serial coverage
-        __, combos = rich_matrix
-        db = combos[(True, False, 4)]
-        before = db.metrics().get("engine.morsels_dispatched", {}).get(
-            "value", 0
-        )
-        db.execute("SELECT count(*), sum(val) FROM t WHERE id >= 0")
-        after = db.metrics()["engine.morsels_dispatched"]["value"]
-        assert after > before
+    def test_small_batches_really_split_the_scan(self, string_matrix):
+        # the 200-row fixture must really span many batches, otherwise
+        # the matrix silently degrades to single-batch coverage
+        __, combos = string_matrix
+        for combo, db in combos.items():
+            before = db.metrics().get("engine.batches_produced", {}).get(
+                "value", 0
+            )
+            db.execute("SELECT count(*), sum(score) FROM items WHERE id >= 0")
+            after = db.metrics()["engine.batches_produced"]["value"]
+            assert after - before >= 200 // 16, combo
 
-    def test_error_row_identity_across_morsel_boundaries(self, small_morsels):
-        # the failing row sits in a late morsel; every combo must
-        # surface the division error even though earlier morsels
-        # complete and later ones are cancelled
+    def test_error_row_identity_in_a_late_batch(self, small_batches):
+        # the failing row sits in a late batch; every combo must
+        # surface the division error even though earlier batches
+        # complete and later ones are never produced
         def populate(db):
             db.execute("CREATE TABLE m (id INT, d INT)")
             db.insert_rows(
                 "m", [(i, 1) for i in range(150)] + [(150, 0), (151, 1)]
             )
 
-        baseline, combos = _matrix(populate, small_morsels)
+        baseline, combos = _matrix(populate, small_batches)
         sql = "SELECT 10 / d FROM m"
         with pytest.raises(SqlError) as expected:
             baseline.execute(sql)

@@ -204,9 +204,9 @@ class TestRoundTrip:
         reopened.close()
 
     def test_checkpoint_preserves_storage_layouts(self, tmp_path):
-        """Dict-encoded and array-store columns survive the image."""
+        """Dict-encoded columns survive the image."""
         data_dir = str(tmp_path / "db")
-        config = EngineConfig(dict_encoding_threshold=4, array_store=True)
+        config = EngineConfig(dict_encoding_threshold=4)
         db = Database(data_dir=data_dir, config=config)
         db.execute("CREATE TABLE t (id INT, amount REAL, label TEXT)")
         db.insert_rows(
@@ -222,6 +222,86 @@ class TestRoundTrip:
         assert reopened.execute(
             "SELECT count(*) FROM t WHERE label = 'red'"
         ).rows == [(10,)]
+        reopened.close()
+
+    def test_array_tagged_checkpoint_loads_as_plain_columns(self, tmp_path):
+        """Images from the removed typed-array store stay readable.
+
+        Such an image tags each INTEGER/REAL column ``"array"`` with a
+        typecode and its values, NULLs as ``None``; it must reopen into
+        the catalog a plain-column database holds for the same rows.
+        """
+        rows = [
+            (1, 10, 1.5, "red"),
+            (2, None, None, "blue"),
+            (3, -7, -0.0, None),
+            (4, 2**40, 2.0, "red"),
+        ]
+        state = {
+            "checkpoint_version": 1,
+            "generation": 1,
+            "ddl_version": 1,
+            "tables": [
+                {
+                    "name": "m",
+                    "columns": [
+                        ["id", "INTEGER", True],
+                        ["qty", "INTEGER", False],
+                        ["price", "REAL", False],
+                        ["label", "TEXT", False],
+                    ],
+                    "foreign_keys": [],
+                    "version": 1,
+                    "mutation_count": 0,
+                    "row_count": len(rows),
+                    "data": [
+                        {"t": "array", "typecode": "q",
+                         "values": [row[0] for row in rows]},
+                        {"t": "array", "typecode": "q",
+                         "values": [row[1] for row in rows]},
+                        {"t": "array", "typecode": "d",
+                         "values": [row[2] for row in rows]},
+                        {"t": "dict", "values": ["red", "blue"],
+                         "codes": [0, 1, None, 0]},
+                    ],
+                }
+            ],
+        }
+        data_dir = tmp_path / "db"
+        data_dir.mkdir()
+        (data_dir / "checkpoint.json.gz").write_bytes(
+            gzip.compress(dump_payload(state), mtime=0)
+        )
+
+        reference = Database()
+        reference.execute(
+            "CREATE TABLE m (id INT PRIMARY KEY, qty INT, price REAL, "
+            "label TEXT)"
+        )
+        reference.insert_rows("m", rows)
+
+        def typed(db):
+            table = db.table("m")
+            return (
+                [c.sql_type for c in table.columns],
+                repr(table.rows),
+                [
+                    repr(list(table.column_data(i)))
+                    for i in range(len(table.columns))
+                ],
+            )
+
+        reopened = Database(data_dir=str(data_dir))
+        assert reopened.recovery_info["checkpoint"] is True
+        table = reopened.table("m")
+        assert all(
+            type(table.column_data(i)) is list
+            for i in range(len(table.columns))
+        )
+        assert typed(reopened) == typed(reference)
+        assert reopened.execute(
+            "SELECT sum(qty), count(price) FROM m"
+        ).rows == [(2**40 + 3, 3)]
         reopened.close()
 
     def test_checkpoint_reopen_refreezes_segments(self, tmp_path):
