@@ -208,10 +208,6 @@ class Table:
         """The value list of the column at *index* (live, do not mutate)."""
         return self._column_data[index]
 
-    def column_values(self, name: str) -> list:
-        """The value list of the named column (live, do not mutate)."""
-        return self._column_data[self.column_index(name)]
-
     def column_dictionary(self, index: int) -> "ColumnDictionary | None":
         """The dictionary of the column at *index*, or None if unencoded."""
         return self._dictionaries[index]

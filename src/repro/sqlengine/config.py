@@ -27,10 +27,6 @@ DEFAULT_PLAN_CACHE_SIZE = 128
 #: sustained writes freeze regularly
 DEFAULT_SEGMENT_ROWS = 4096
 
-#: the engines a plan can compile to: vectorized batch (default) or
-#: row-at-a-time volcano
-EXECUTION_MODES = ("batch", "row")
-
 
 def _require_bool(name: str, value):
     if not isinstance(value, bool):
@@ -50,19 +46,17 @@ def _require_int(name: str, value, minimum: int, error=SqlExecutionError):
 class EngineConfig:
     """Every engine knob of one :class:`Database`, immutable.
 
-    >>> config = EngineConfig(execution_mode="row", segment_rows=256)
+    >>> config = EngineConfig(segment_rows=256)
     >>> dataclasses.replace(config, fused=False).fused
     False
     """
 
     #: prepared plans kept in the LRU plan cache (0 disables caching)
     plan_cache_size: int = DEFAULT_PLAN_CACHE_SIZE
-    #: ``"batch"`` (vectorized, default) or ``"row"`` (volcano)
-    execution_mode: str = "batch"
     #: dictionary-encoding cardinality cap for TEXT columns
     #: (None = engine default, 0 disables encoding)
     dict_encoding_threshold: "int | None" = None
-    #: fused filter/project expression codegen (batch mode)
+    #: fused filter/project expression codegen
     fused: bool = True
     #: rows per frozen columnar segment; 0 (default) keeps the classic
     #: flat single-threaded storage, > 0 opts tables into immutable
@@ -78,11 +72,6 @@ class EngineConfig:
 
     def __post_init__(self) -> None:
         _require_int("plan_cache_size", self.plan_cache_size, 0)
-        if self.execution_mode not in EXECUTION_MODES:
-            raise SqlExecutionError(
-                f"unknown execution mode {self.execution_mode!r} (choose "
-                f"from {', '.join(EXECUTION_MODES)})"
-            )
         if self.dict_encoding_threshold is not None:
             _require_int(
                 "dict_encoding_threshold",
@@ -158,8 +147,6 @@ class EngineConfig:
             raise SqlExecutionError(
                 f"engine-config {key} expects true/false, got {raw!r}"
             )
-        if key == "execution_mode":
-            return lowered
         if key in ("dict_encoding_threshold", "request_timeout_ms") and (
             lowered in ("none", "null")
         ):

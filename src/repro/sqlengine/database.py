@@ -46,8 +46,8 @@ class Database:
 
     SELECT statements run through a cost-aware :class:`QueryPlanner`
     whose LRU plan cache lets repeated statements skip re-planning.
-    Every engine setting — plan-cache size, batch or row execution,
-    dictionary encoding, fused codegen, segmented storage and the
+    Every engine setting — plan-cache size, dictionary encoding, fused
+    codegen, segmented storage and the
     default request deadline — comes from the one frozen
     :class:`~repro.sqlengine.config.EngineConfig` passed as
     ``Database(config=...)`` and fixed for the life of the database
@@ -275,15 +275,14 @@ class Database:
 
         With ``analyze=True`` the query is *executed* through
         instrumented operators and every plan line gains the actual
-        rows (and batches, in batch mode) it produced plus its
-        self-time, right next to the optimizer's ``[~N rows]``
-        estimate.
+        rows and batches it produced plus its self-time, right next to
+        the optimizer's ``[~N rows]`` estimate.
 
         >>> db = Database()
         >>> _ = db.execute("CREATE TABLE t (id INT)")
         >>> print(db.explain("SELECT * FROM t WHERE id = 1"))
-        project * [batch]
-        └─ scan t as t (0 rows) filter: (id = 1) [~0 rows] [batch]
+        project *
+        └─ scan t as t (0 rows) filter: (id = 1) [~0 rows]
         """
         statement = parse_sql(sql)
         if isinstance(statement, Select):

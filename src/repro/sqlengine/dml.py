@@ -3,16 +3,15 @@
 Unlike SELECT, DML needs no plan DAG — the work is one predicate over one
 table — but it reuses the planner's machinery end to end, so
 three-valued logic holds exactly as in queries: a WHERE that evaluates
-to NULL does *not* match the row.  Row mode compiles the WHERE through
-:func:`~repro.sqlengine.expressions.compile_expr` and walks the tuple
-list.  Batch mode finds its rows through the SELECT scan itself, a
+to NULL does *not* match the row.  The rows are found through the
+SELECT scan itself, a
 :class:`~repro.sqlengine.planner.physical.BatchScanOp` over the target
 table that carries each surviving row's live position as a trailing
 column: fused filters (when ``EngineConfig.fused``), dictionary codes,
 column pruning and, on a segmented table, zone-map skipping over a
 fresh pin.  The WHERE is split into conjuncts only when no conjunct can
-raise; otherwise it stays one predicate, so row and batch DML surface
-the same errors.
+raise; otherwise it stays one predicate, so a conjunct evaluated over
+fewer rows never hides an error the whole WHERE raises.
 
 Matching happens first, mutation second, and all mutation flows through
 :meth:`~repro.sqlengine.catalog.Table.update_positions` /
@@ -22,17 +21,16 @@ notifies catalog observers (index maintenance, statistics) row by row.
 SET expressions are evaluated against the *old* row, per standard SQL,
 so ``SET a = b, b = a`` swaps.
 
-In batch mode SET lists are evaluated **column-at-a-time** over the
-matched positions via :func:`~repro.sqlengine.expressions.compile_expr_batch`
-— but only when at most one assignment could possibly raise.  Row mode
-evaluates row-major and batch mode assignment-major, so with two
-fallible assignments the two engines could surface *different* first
-errors; :func:`~repro.sqlengine.expressions._never_raises` is a
-deliberately conservative static check (typed columns, literal
-divisors, literal LIKE patterns) that keeps the vectorized path
-restricted to plans whose error behaviour is provably
-order-independent.  Mismatches fall back to row-major
-evaluation, keeping the two modes byte- and error-identical.
+SET lists and ``RETURNING`` items are compiled by
+:func:`~repro.sqlengine.expressions.compile_expr_batch` and evaluated
+**column-at-a-time** over the affected rows — but only when at most one
+of the expressions could possibly raise.  With two fallible expressions
+column-at-a-time and row-major evaluation can surface *different* first
+errors, so such lists are evaluated row by row over one-row batches,
+which reports the row-major first error.
+:func:`~repro.sqlengine.expressions._never_raises` is the deliberately
+conservative static check (typed columns, literal divisors, literal LIKE
+patterns) that decides.
 
 ``RETURNING`` clauses evaluate their select items over the affected
 rows — the freshly inserted rows, the *new* image of updated rows, the
@@ -49,7 +47,6 @@ from repro.sqlengine.config import DEFAULT_CONFIG, EngineConfig
 from repro.sqlengine.expressions import (
     Scope,
     _never_raises,
-    compile_expr,
     compile_expr_batch,
     split_conjuncts,
 )
@@ -70,13 +67,6 @@ def _matching_positions(
     """Row positions where *where* is ``True`` (3VL: NULL never matches)."""
     if where is None:
         return list(range(len(table.rows)))
-    if config.execution_mode == "row":
-        row_fn = compile_expr(where, _table_scope(table))
-        return [
-            position
-            for position, row in enumerate(table.rows)
-            if row_fn(row) is True
-        ]
     # split only when no conjunct can raise: evaluating a later conjunct
     # over fewer rows must not hide an error the whole WHERE would raise
     conjuncts = split_conjuncts(where)
@@ -103,6 +93,29 @@ def _matching_positions(
 # ---------------------------------------------------------------------------
 
 
+def _evaluate(table: Table, rows: list, exprs: list) -> list:
+    """Each of *exprs* over *rows*: one value column per expression.
+
+    *rows* are full tuples in the table's column order.  Column-at-a-time
+    when at most one expression can raise; otherwise row by row over
+    one-row batches, so the first error is the row-major one.
+    """
+    scope = _table_scope(table)
+    fns = [compile_expr_batch(expr, scope) for expr in exprs]
+    fallible = sum(1 for expr in exprs if not _never_raises(expr, table))
+    if fallible <= 1:
+        cols = [list(column) for column in zip(*rows)] or [
+            [] for __ in table.columns
+        ]
+        return [fn(cols, len(rows)) for fn in fns]
+    out: list = [[] for __ in fns]
+    for row in rows:
+        cols = [[value] for value in row]
+        for values, fn in zip(out, fns):
+            values.append(fn(cols, 1)[0])
+    return out
+
+
 def evaluate_returning(
     table: Table, rows: list, items: tuple, rowcount: int
 ) -> ResultSet:
@@ -112,9 +125,8 @@ def evaluate_returning(
     expands to the table's columns, everything else is an arbitrary
     row expression with the usual ``alias or to_sql()`` column naming.
     """
-    scope = _table_scope(table)
     columns: list[str] = []
-    # each target is either a column index (star expansion) or a RowFn
+    # each target is either a column index (star expansion) or an Expr
     targets: list = []
     for item in items:
         if item.is_star:
@@ -127,15 +139,17 @@ def evaluate_returning(
                 targets.append(index)
             continue
         columns.append(item.alias or item.expr.to_sql())
-        targets.append(compile_expr(item.expr, scope))
-    out_rows = [
-        tuple(
-            row[target] if isinstance(target, int) else target(row)
-            for target in targets
-        )
-        for row in rows
+        targets.append(item.expr)
+    exprs = [target for target in targets if not isinstance(target, int)]
+    values = iter(_evaluate(table, rows, exprs))
+    out_cols = [
+        [row[target] for row in rows] if isinstance(target, int)
+        else next(values)
+        for target in targets
     ]
-    return ResultSet(columns=columns, rows=out_rows, rowcount=rowcount)
+    return ResultSet(
+        columns=columns, rows=list(zip(*out_cols)), rowcount=rowcount
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +162,6 @@ def execute_update(
 ) -> ResultSet:
     """Apply one UPDATE; the result carries rowcount and RETURNING rows."""
     table = catalog.table(statement.table)
-    scope = _table_scope(table)
     seen: set[str] = set()
     targets = []  # (column index, value Expr) in SET order
     for assignment in statement.assignments:
@@ -166,30 +179,12 @@ def execute_update(
             return evaluate_returning(table, [], statement.returning, 0)
         return ResultSet(columns=[], rows=[], rowcount=0)
     rows = table.rows
-    fallible = sum(
-        1 for _, value in targets if not _never_raises(value, table)
-    )
-    if config.execution_mode == "batch" and fallible <= 1:
-        # column-at-a-time over the matched positions only
-        data = [table.column_data(i) for i in range(len(table.columns))]
-        cols = [[column[p] for p in positions] for column in data]
-        count = len(positions)
-        new_rows = [list(rows[position]) for position in positions]
-        for index, value in targets:
-            batch = compile_expr_batch(value, scope)(cols, count)
-            for offset in range(count):
-                new_rows[offset][index] = batch[offset]
-    else:
-        compiled = [
-            (index, compile_expr(value, scope)) for index, value in targets
-        ]
-        new_rows = []
-        for position in positions:
-            old_row = rows[position]
-            new_row = list(old_row)
-            for index, value_fn in compiled:
-                new_row[index] = value_fn(old_row)
-            new_rows.append(new_row)
+    old_rows = [rows[position] for position in positions]
+    new_rows = [list(row) for row in old_rows]
+    values = _evaluate(table, old_rows, [value for __, value in targets])
+    for (index, __), column in zip(targets, values):
+        for new_row, value in zip(new_rows, column):
+            new_row[index] = value
     changed = table.update_positions(positions, new_rows)
     if statement.returning:
         return evaluate_returning(

@@ -5,8 +5,7 @@ ad-hoc inline planning.  Execution now flows through
 :mod:`repro.sqlengine.planner`: the AST is lowered to a logical plan
 DAG, optimized (constant folding, predicate pushdown, projection
 pruning, statistics-driven join ordering) and compiled into physical
-operators — vectorized batch operators by default, or the row-at-a-time
-volcano engine via ``execution_mode="row"``.  :class:`~repro.sqlengine.
+operators of the vectorized batch engine.  :class:`~repro.sqlengine.
 database.Database` owns a long-lived :class:`~repro.sqlengine.planner.
 QueryPlanner` whose LRU plan cache makes repeated statements skip
 re-planning; the module-level functions below create a transient
@@ -27,7 +26,6 @@ __all__ = [
     "ResultSet",
     "execute_select",
     "execute_union",
-    "explain_select",
 ]
 
 
@@ -68,8 +66,3 @@ def execute_union(catalog: Catalog, union, planner=None) -> ResultSet:
                     seen.add(row)
                     rows.append(row)
     return ResultSet(columns=results[0].columns, rows=rows)
-
-
-def explain_select(catalog: Catalog, select: Select, planner=None) -> str:
-    """The optimized plan of a SELECT as a deterministic text tree."""
-    return _planner_for(catalog, planner).explain(select)

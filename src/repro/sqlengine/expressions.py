@@ -1,17 +1,19 @@
 """Expression compilation and evaluation.
 
 Expressions are compiled against a :class:`Scope` (the column layout of
-the rows flowing through an operator) into Python closures.  Three-valued
-logic is used throughout: a predicate evaluates to ``True``, ``False`` or
-``None`` (unknown), and WHERE keeps only rows where the predicate is
-``True``.
+the batches flowing through an operator) by :func:`compile_expr_batch`
+into closures that evaluate a whole column batch per call.  Three-valued
+logic is used throughout: a predicate evaluates to ``True``, ``False``
+or ``None`` (unknown), and WHERE keeps only rows where the predicate is
+``True``.  Anything that needs one value — constant folding, row-major
+DML — evaluates a one-row batch.
 
-:func:`fuse_batch_exprs` is the third compilation tier: it translates a
+:func:`fuse_batch_exprs` is the second compilation tier: it translates a
 plan's filter/projection expression trees into *generated Python source*
 — one function per batch, no per-row closure dispatch — for the subset
 of expressions it can prove never raise.  Anything it cannot prove falls
 back to the closure chain, so fused execution is byte-identical to the
-other tiers (results and errors).
+closures (results and errors).
 """
 
 from __future__ import annotations
@@ -187,268 +189,6 @@ def like_to_regex(pattern: str) -> "re.Pattern[str]":
 # compilation
 # ---------------------------------------------------------------------------
 
-RowFn = Callable[[tuple], Any]
-
-
-def compile_expr(
-    expr: Expr,
-    scope: Scope,
-    agg_slots: "dict[FuncCall, int] | None" = None,
-) -> RowFn:
-    """Compile *expr* into a closure evaluating it against a row tuple.
-
-    *agg_slots* maps aggregate FuncCall nodes to row indexes; it is
-    supplied by the aggregation operator so that post-aggregation
-    expressions (select items, HAVING, ORDER BY) can read aggregate
-    results out of the extended group rows.
-    """
-    if isinstance(expr, Literal):
-        value = expr.value
-        return lambda row: value
-
-    if isinstance(expr, ColumnRef):
-        index = scope.resolve(expr)
-        return lambda row: row[index]
-
-    if isinstance(expr, FuncCall):
-        if expr.name in AGGREGATE_FUNCTIONS:
-            if agg_slots is None or expr not in agg_slots:
-                raise SqlExecutionError(
-                    f"aggregate {expr.to_sql()} used outside aggregation context"
-                )
-            slot = agg_slots[expr]
-            return lambda row: row[slot]
-        if expr.name not in SCALAR_FUNCTIONS:
-            raise SqlExecutionError(
-                f"unknown function {expr.name!r} in {expr.to_sql()} "
-                f"(available: {', '.join(sorted(SCALAR_FUNCTIONS))})"
-            )
-        fn = SCALAR_FUNCTIONS[expr.name]
-        arg_fns = [compile_expr(arg, scope, agg_slots) for arg in expr.args]
-        return lambda row: fn(*[arg_fn(row) for arg_fn in arg_fns])
-
-    if isinstance(expr, UnaryOp):
-        operand = compile_expr(expr.operand, scope, agg_slots)
-        if expr.op == "NOT":
-            def _not(row: tuple) -> Any:
-                value = operand(row)
-                if value is None:
-                    return None
-                return not value
-
-            return _not
-        if expr.op == "-":
-            rendered = expr.to_sql()
-
-            def _neg(row: tuple) -> Any:
-                value = operand(row)
-                if value is None:
-                    return None
-                if not isinstance(value, (int, float)) or isinstance(value, bool):
-                    raise SqlTypeError(f"cannot negate {value!r} in {rendered}")
-                return -value
-
-            return _neg
-        raise SqlExecutionError(
-            f"unknown unary operator {expr.op!r} in {expr.to_sql()}"
-        )
-
-    if isinstance(expr, BinaryOp):
-        return _compile_binary(expr, scope, agg_slots)
-
-    if isinstance(expr, Like):
-        operand = compile_expr(expr.operand, scope, agg_slots)
-        pattern_fn = compile_expr(expr.pattern, scope, agg_slots)
-        negated = expr.negated
-
-        def _like(row: tuple) -> Any:
-            value = operand(row)
-            pattern = pattern_fn(row)
-            if value is None or pattern is None:
-                return None
-            matched = like_to_regex(str(pattern)).match(str(value)) is not None
-            return (not matched) if negated else matched
-
-        return _like
-
-    if isinstance(expr, InList):
-        operand = compile_expr(expr.operand, scope, agg_slots)
-        item_fns = [compile_expr(item, scope, agg_slots) for item in expr.items]
-        negated = expr.negated
-
-        def _in(row: tuple) -> Any:
-            value = operand(row)
-            if value is None:
-                return None
-            saw_null = False
-            for item_fn in item_fns:
-                item = item_fn(row)
-                equal = values_equal(value, item)
-                if equal is None:
-                    saw_null = True
-                elif equal:
-                    return not negated
-            if saw_null:
-                return None
-            return negated
-
-        return _in
-
-    if isinstance(expr, Between):
-        operand = compile_expr(expr.operand, scope, agg_slots)
-        low_fn = compile_expr(expr.low, scope, agg_slots)
-        high_fn = compile_expr(expr.high, scope, agg_slots)
-        negated = expr.negated
-
-        def _between(row: tuple) -> Any:
-            value = operand(row)
-            low = low_fn(row)
-            high = high_fn(row)
-            cmp_low = compare_values(value, low)
-            cmp_high = compare_values(value, high)
-            if cmp_low is None or cmp_high is None:
-                return None
-            inside = cmp_low >= 0 and cmp_high <= 0
-            return (not inside) if negated else inside
-
-        return _between
-
-    if isinstance(expr, IsNull):
-        operand = compile_expr(expr.operand, scope, agg_slots)
-        negated = expr.negated
-
-        def _is_null(row: tuple) -> bool:
-            value = operand(row)
-            return (value is not None) if negated else (value is None)
-
-        return _is_null
-
-    if isinstance(expr, CaseWhen):
-        branch_fns = [
-            (compile_expr(condition, scope, agg_slots),
-             compile_expr(value, scope, agg_slots))
-            for condition, value in expr.branches
-        ]
-        default_fn = (
-            compile_expr(expr.default, scope, agg_slots)
-            if expr.default is not None
-            else None
-        )
-
-        def _case(row: tuple) -> Any:
-            for condition_fn, value_fn in branch_fns:
-                if condition_fn(row) is True:
-                    return value_fn(row)
-            if default_fn is not None:
-                return default_fn(row)
-            return None
-
-        return _case
-
-    raise SqlExecutionError(f"cannot compile expression: {expr!r}")
-
-
-def _compile_binary(
-    expr: BinaryOp, scope: Scope, agg_slots: "dict[FuncCall, int] | None"
-) -> RowFn:
-    left = compile_expr(expr.left, scope, agg_slots)
-    right = compile_expr(expr.right, scope, agg_slots)
-    op = expr.op
-
-    if op == "AND":
-        def _and(row: tuple) -> Any:
-            lhs = left(row)
-            if lhs is False:
-                return False
-            rhs = right(row)
-            if rhs is False:
-                return False
-            if lhs is None or rhs is None:
-                return None
-            return True
-
-        return _and
-
-    if op == "OR":
-        def _or(row: tuple) -> Any:
-            lhs = left(row)
-            if lhs is True:
-                return True
-            rhs = right(row)
-            if rhs is True:
-                return True
-            if lhs is None or rhs is None:
-                return None
-            return False
-
-        return _or
-
-    if op in ("=", "<>", "<", "<=", ">", ">="):
-        def _compare(row: tuple) -> Any:
-            result = compare_values(left(row), right(row))
-            if result is None:
-                return None
-            if op == "=":
-                return result == 0
-            if op == "<>":
-                return result != 0
-            if op == "<":
-                return result < 0
-            if op == "<=":
-                return result <= 0
-            if op == ">":
-                return result > 0
-            return result >= 0
-
-        return _compare
-
-    if op in ("+", "-", "*", "/"):
-        rendered = expr.to_sql()
-
-        def _arith(row: tuple) -> Any:
-            lhs = left(row)
-            rhs = right(row)
-            if lhs is None or rhs is None:
-                return None
-            if not isinstance(lhs, (int, float)) or isinstance(lhs, bool):
-                raise SqlTypeError(
-                    f"arithmetic on non-number {lhs!r} in {rendered}"
-                )
-            if not isinstance(rhs, (int, float)) or isinstance(rhs, bool):
-                raise SqlTypeError(
-                    f"arithmetic on non-number {rhs!r} in {rendered}"
-                )
-            if op == "+":
-                return lhs + rhs
-            if op == "-":
-                return lhs - rhs
-            if op == "*":
-                return lhs * rhs
-            if rhs == 0:
-                raise SqlExecutionError(f"division by zero in {rendered}")
-            return lhs / rhs
-
-        return _arith
-
-    if op == "||":
-        def _concat(row: tuple) -> Any:
-            lhs = left(row)
-            rhs = right(row)
-            if lhs is None or rhs is None:
-                return None
-            return str(lhs) + str(rhs)
-
-        return _concat
-
-    raise SqlExecutionError(
-        f"unknown binary operator {op!r} in {expr.to_sql()}"
-    )
-
-
-# ---------------------------------------------------------------------------
-# vectorized (batch) compilation
-# ---------------------------------------------------------------------------
-
 #: a batch expression: ``fn(cols, n) -> list`` where *cols* is a sequence
 #: of aligned per-column value lists (each of length *n*) laid out by the
 #: operator's :class:`Scope`, and the result is one value list of length
@@ -474,14 +214,18 @@ def compile_expr_batch(
 ) -> BatchFn:
     """Compile *expr* into a function evaluating it over a column batch.
 
-    The companion of :func:`compile_expr` for the vectorized engine: the
-    same three-valued logic, ``compare_values`` ordering and error
-    semantics, but one call evaluates a whole batch.  Sub-expressions
-    that row mode would skip via short-circuiting (the right side of
-    AND/OR, CASE branch values, IN list items) are evaluated only over
-    the rows that actually reach them, by compacting the batch through a
-    selection vector first — so data-dependent errors (division by zero,
-    type errors) surface exactly when they would row-at-a-time.
+    One call evaluates a whole batch with row-at-a-time semantics:
+    three-valued logic, ``compare_values`` ordering and the same errors.
+    Sub-expressions a row-at-a-time evaluation would skip via
+    short-circuiting (the right side of AND/OR, CASE branch values, IN
+    list items) are evaluated only over the rows that actually reach
+    them, by compacting the batch through a selection vector first — so
+    data-dependent errors (division by zero, type errors) surface
+    exactly when they would row-at-a-time.
+
+    *agg_slots* maps aggregate FuncCall nodes to column indexes; the
+    aggregation operator supplies it so post-aggregation expressions
+    (select items, HAVING, ORDER BY) read aggregate results.
     """
     if isinstance(expr, Literal):
         value = expr.value
@@ -729,7 +473,8 @@ def _compile_binary_batch(
                     else (None if a is None or b is None else True)
                     for a, b in zip(lhs, rhs)
                 ]
-            # evaluate the right side only where row mode would
+            # evaluate the right side only where a row-at-a-time
+            # evaluation would
             rhs = right(gather_columns(cols, live), len(live))
             out: list = [False] * n
             for j, i in enumerate(live):
@@ -1021,7 +766,7 @@ def _compile_in_list_batch(
                             else (value in member_set)
                         )
                         continue
-                    # mixed types: mirror the row-mode item walk so the
+                    # mixed types: mirror the per-row item walk so the
                     # same SqlTypeError surfaces from values_equal
                     hit = False
                     for item in literals:
@@ -1264,7 +1009,7 @@ class _Fuser:
             hit = expr.value is True if positive else expr.value is False
             return "True" if hit else "False"
         if isinstance(expr, UnaryOp) and expr.op == "NOT":
-            # NOT of a non-boolean uses Python truthiness in row mode;
+            # NOT of a non-boolean uses Python truthiness per row;
             # only distribute over operands confined to 3VL values
             if not self.boolish(expr.operand):
                 raise _Unfusible

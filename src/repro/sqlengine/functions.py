@@ -41,7 +41,7 @@ class _ExactSum:
     Integers accumulate exactly in arbitrary precision; finite floats
     are buffered and periodically folded into Shewchuk partials, so the
     final float is the correctly rounded exact sum no matter how the
-    inputs were batched: row and batch mode agree bit for bit.
+    inputs were batched: any batch split agrees bit for bit.
     Non-finite addends become flags with the same outcome as sequential
     IEEE addition (any NaN, or both infinities, is NaN; otherwise the
     surviving infinity wins), which is likewise order-independent.
@@ -201,8 +201,7 @@ class SumAccumulator(Accumulator):
 
     Accumulation is exact (:class:`_ExactSum`), rounded once at
     ``result()``: the value is a function of the *set* of addends, not
-    of how they were batched, so row mode and batch mode agree bit for
-    bit.
+    of how they were batched, so every batch split agrees bit for bit.
     """
 
     def __init__(self, distinct: bool = False) -> None:

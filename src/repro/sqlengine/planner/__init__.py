@@ -11,21 +11,16 @@ plan scans, read *before* the optimizer looks at their statistics — so
 DML on one table invalidates only the plans that read it; prepared
 plans for untouched tables survive.
 ``EXPLAIN`` output is rendered from the optimized logical plan
-(:mod:`.explain`), annotated with the execution mode each operator runs
-in.
+(:mod:`.explain`).
 
-Physical compilation targets one of two engines: the **vectorized
-batch engine** (the default — operators exchange ~1024-row column
-batches sliced straight out of the tables' columnar storage) or the
-classic **row** volcano engine (one tuple at a time; the
-compatibility/debug escape hatch).  Both produce byte-identical
-results.
+Physical compilation targets the one engine, the **vectorized batch
+engine**: operators exchange ~1024-row column batches sliced straight
+out of the tables' columnar storage.
 
-A planner reads every setting (plan-cache size, execution mode, fused
-codegen) from the one
-:class:`~repro.sqlengine.config.EngineConfig` it is built with, which
-never changes; ``optimize=False`` gives the canonical (naive) plan, the
-baseline the optimizer is tested against.
+A planner reads every setting (plan-cache size, fused codegen) from the
+one :class:`~repro.sqlengine.config.EngineConfig` it is built with,
+which never changes; ``optimize=False`` gives the canonical (naive)
+plan, the baseline the optimizer is tested against.
 """
 
 from __future__ import annotations
@@ -185,7 +180,7 @@ class QueryPlanner:
 
     def execute(self, select: Select):
         plan = self.prepare(select)
-        with current_tracer().span("execute", mode=plan.mode) as span:
+        with current_tracer().span("execute") as span:
             with self._pin_scope(plan):
                 result = plan.execute()
             span.set(rows=len(result.rows))
@@ -197,17 +192,10 @@ class QueryPlanner:
         optimizer's estimates (classic EXPLAIN ANALYZE semantics)."""
         if not analyze:
             plan = self.prepare(select)
-            return render_plan(
-                plan.logical,
-                mode=self.config.execution_mode,
-                catalog=self.catalog,
-            )
+            return render_plan(plan.logical, catalog=self.catalog)
         plan, instrumenter = self.prepare_instrumented(select)
         with self._pin_scope(plan):
             plan.execute()
         return render_plan(
-            plan.logical,
-            mode=self.config.execution_mode,
-            catalog=self.catalog,
-            analyze=instrumenter,
+            plan.logical, catalog=self.catalog, analyze=instrumenter
         )

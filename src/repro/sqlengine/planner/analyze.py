@@ -1,10 +1,10 @@
-"""EXPLAIN ANALYZE: per-operator actuals for both execution engines.
+"""EXPLAIN ANALYZE: per-operator actuals.
 
 An :class:`Instrumenter` is threaded through
 :func:`~repro.sqlengine.planner.physical.build_physical` as its
 ``instrument`` callback: every physical operator is wrapped in a thin
 shim that times each pull from the operator's iterator and counts the
-rows (and batches) it produces; batch scans also report the frozen
+rows and batches it produces; batch scans also report the frozen
 segments their zone tests skipped (``skipped=N``).  Stats are keyed by
 the *logical* node the operator was built from — the build is 1:1 — so
 after execution
@@ -33,66 +33,10 @@ class OperatorStats:
 
     def __init__(self) -> None:
         self.rows = 0
-        #: batches yielded, or None for row-engine operators
-        self.batches = None
+        self.batches = 0
         self.inclusive = 0.0
         #: frozen segments a batch scan's zone tests skipped
         self.skipped = 0
-
-
-class _InstrumentedRows:
-    """Times a relational row operator (``rows()`` protocol)."""
-
-    def __init__(self, inner, stats: OperatorStats) -> None:
-        self._inner = inner
-        self._stats = stats
-        self.scope = inner.scope
-
-    def rows(self):
-        stats = self._stats
-        # some operators (sort, top-n) do their work eagerly when the
-        # iterator is constructed — time that call, not just the pulls
-        started = perf_counter()
-        iterator = self._inner.rows()
-        stats.inclusive += perf_counter() - started
-        while True:
-            started = perf_counter()
-            try:
-                row = next(iterator)
-            except StopIteration:
-                stats.inclusive += perf_counter() - started
-                return
-            stats.inclusive += perf_counter() - started
-            stats.rows += 1
-            yield row
-
-
-class _InstrumentedPairs:
-    """Times a presentation row operator (``pairs()`` protocol)."""
-
-    def __init__(self, inner, stats: OperatorStats) -> None:
-        self._inner = inner
-        self._stats = stats
-        self.scope = inner.scope
-        self.columns = inner.columns
-        self.agg_slots = inner.agg_slots
-
-    def pairs(self):
-        stats = self._stats
-        # SortOp/TopNOp sort eagerly inside this call — time it
-        started = perf_counter()
-        iterator = self._inner.pairs()
-        stats.inclusive += perf_counter() - started
-        while True:
-            started = perf_counter()
-            try:
-                pair = next(iterator)
-            except StopIteration:
-                stats.inclusive += perf_counter() - started
-                return
-            stats.inclusive += perf_counter() - started
-            stats.rows += 1
-            yield pair
 
 
 class _InstrumentedBatches:
@@ -102,7 +46,6 @@ class _InstrumentedBatches:
         self._inner = inner
         self._stats = stats
         self.scope = inner.scope
-        stats.batches = 0
 
     def batches(self):
         stats = self._stats
@@ -131,7 +74,6 @@ class _InstrumentedPresBatches:
         self.scope = inner.scope
         self.columns = inner.columns
         self.agg_slots = inner.agg_slots
-        stats.batches = 0
 
     def pres_batches(self):
         stats = self._stats
@@ -169,16 +111,9 @@ class Instrumenter:
             operator.analyze_stats = stats  # batch scans report skips
         if hasattr(operator, "pres_batches"):
             return _InstrumentedPresBatches(operator, stats)
-        if hasattr(operator, "batches"):
-            return _InstrumentedBatches(operator, stats)
-        if hasattr(operator, "pairs"):
-            return _InstrumentedPairs(operator, stats)
-        return _InstrumentedRows(operator, stats)
+        return _InstrumentedBatches(operator, stats)
 
     # ------------------------------------------------------------------
-    def stats_for(self, node) -> "OperatorStats | None":
-        return self._stats.get(id(node))
-
     def self_seconds(self, node) -> float:
         """Inclusive time minus the children's inclusive time."""
         stats = self._stats[id(node)]
@@ -195,8 +130,6 @@ class Instrumenter:
         if stats is None:  # pragma: no cover - builds cover every node
             return ""
         self_ms = self.self_seconds(node) * 1000.0
-        if stats.batches is None:
-            return f" (actual rows={stats.rows}, self={self_ms:.3f}ms)"
         skipped = f", skipped={stats.skipped}" if stats.skipped else ""
         return (
             f" (actual rows={stats.rows}, batches={stats.batches}{skipped}, "

@@ -5,9 +5,7 @@ The node phrasing intentionally keeps the pre-planner vocabulary
 ``left join``, ``aggregate group by``, ``sort by``, ``limit N``,
 ``top-n N by ...``) so the output stays grep-friendly, and adds tree
 structure, cardinality estimates (``~N rows``) and pruned column lists.
-When an execution *mode* is supplied, every operator line is suffixed
-with the engine it runs in (``[batch]`` for the vectorized engine,
-``[row]`` for the volcano engine).  When a *catalog* is supplied, scans
+When a *catalog* is supplied, scans
 over tables with dictionary-encoded TEXT columns mark the encoded
 columns they emit (``[dict: status, region]``).
 """
@@ -29,31 +27,27 @@ from repro.sqlengine.planner.logical import (
 )
 
 
-def render_plan(
-    root: LogicalNode, mode: "str | None" = None, catalog=None, analyze=None,
-) -> str:
+def render_plan(root: LogicalNode, catalog=None, analyze=None) -> str:
     """The whole plan as an indented tree, one node per line.
 
-    *mode* annotates each operator with the execution engine it is
-    compiled for; ``None`` renders the bare logical tree.  *catalog*
-    (optional) lets scans mark their dictionary-encoded columns.
+    *catalog* (optional) lets scans mark their dictionary-encoded
+    columns.
     *analyze* (optional, an
     :class:`~repro.sqlengine.planner.analyze.Instrumenter` that has
     executed this plan) appends each operator's actual rows/batches and
     self-time next to the estimates — the EXPLAIN ANALYZE rendering.
     """
     lines: list = []
-    suffix = f" [{mode}]" if mode is not None else ""
-    _render(root, prefix="", connector="", lines=lines, suffix=suffix,
-            catalog=catalog, analyze=analyze)
+    _render(root, prefix="", connector="", lines=lines, catalog=catalog,
+            analyze=analyze)
     return "\n".join(lines)
 
 
 def _render(
-    node: LogicalNode, prefix: str, connector: str, lines: list, suffix: str,
+    node: LogicalNode, prefix: str, connector: str, lines: list,
     catalog=None, analyze=None,
 ) -> None:
-    line = prefix + connector + describe_node(node, catalog) + suffix
+    line = prefix + connector + describe_node(node, catalog)
     if analyze is not None:
         line += analyze.suffix_for(node)
     lines.append(line)
@@ -69,8 +63,8 @@ def _render(
     for index, child in enumerate(children):
         last = index == len(children) - 1
         _render(
-            child, child_prefix, "└─ " if last else "├─ ", lines, suffix,
-            catalog, analyze,
+            child, child_prefix, "└─ " if last else "├─ ", lines, catalog,
+            analyze,
         )
 
 

@@ -50,7 +50,7 @@ from repro.sqlengine.catalog import Catalog
 from repro.sqlengine.expressions import (
     Scope,
     _never_raises,
-    compile_expr,
+    compile_expr_batch,
     split_conjuncts,
 )
 from repro.sqlengine.planner.logical import (
@@ -153,11 +153,15 @@ def fold_constants(expr: Expr) -> Expr:
 
 
 def _try_evaluate(expr: Expr) -> Expr:
-    """Evaluate *expr* now if it references no columns or aggregates."""
+    """Evaluate *expr* now if it references no columns or aggregates.
+
+    The value is the one entry of *expr* over a one-row batch with no
+    columns.
+    """
     if collect_column_refs(expr) or _contains_func(expr):
         return expr
     try:
-        value = compile_expr(expr, _EMPTY_SCOPE)(())
+        value = compile_expr_batch(expr, _EMPTY_SCOPE)([], 1)[0]
     except SqlError:
         return expr
     return Literal(value)
@@ -246,7 +250,7 @@ def optimize_plan(
         node = node.child
 
     # TOP-N pushdown: a Limit directly over a Sort fuses into one
-    # bounded-heap operator (physical TopNOp / BatchTopNOp) — the full
+    # bounded-heap operator (physical BatchTopNOp) — the full
     # sort never materializes more than `limit` output rows
     if (
         len(wrappers) >= 2

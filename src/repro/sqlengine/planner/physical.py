@@ -1,43 +1,35 @@
-"""Physical operators: volcano (row) and vectorized (batch) engines.
+"""Physical operators: the vectorized batch engine.
 
 ``build_physical`` compiles an optimized logical plan into a tree of
-operators in one of two execution modes.  Expression compilation happens
-once, at build time, so a cached :class:`PreparedPlan` can be
-re-executed without re-planning — each execution streams fresh results
-from the underlying tables.
+batch operators.  Expression compilation happens once, at build time,
+so a cached :class:`PreparedPlan` can be re-executed without
+re-planning — each execution streams fresh results from the underlying
+tables.
 
-**Row mode** is the classic volcano engine: every operator is an
-iterator over row tuples, one ``next()`` and a handful of closure calls
-per row.  Two row shapes flow through the tree:
+Operators exchange *column batches* — ``(cols, n)`` where ``cols`` is
+one Python list per scope column, all of length ``n``.  ``n`` is at
+most :data:`BATCH_SIZE` for every batch of every operator — a fan-out
+join, a sort or an aggregate hands its output on in slices, never as
+one batch — and every ``batches()``/``pres_batches()`` is a generator
+that does the work for a batch when that batch is pulled, so a consumer
+that stops pulling (LIMIT) stops the producers below it.  Relational
+operators (scan/filter/join/aggregate) yield ``(cols, n)`` laid out by
+their :class:`~repro.sqlengine.expressions.Scope`; presentation
+operators (project/distinct/sort/limit/top-n) yield ``(out_cols,
+pre_cols, n)``, keeping the pre-projection batch so ORDER BY can sort
+on expressions that were never projected.  Scans slice the table's
+columnar storage directly, filters turn whole-batch predicate
+evaluation into selection vectors, hash joins build once and then probe
+and gather per output batch, and aggregation feeds grouped accumulators
+from per-batch argument columns.  Expressions are compiled by
+:func:`~repro.sqlengine.expressions.compile_expr_batch`, which keeps
+row-at-a-time semantics exactly (three-valued logic, ``compare_values``
+ordering, short-circuit error behavior).
 
-* relational operators (scan/filter/join/aggregate) yield plain row
-  tuples laid out by their :class:`~repro.sqlengine.expressions.Scope`;
-* presentation operators (project/distinct/sort/limit) yield
-  ``(out_row, pre_row)`` pairs, keeping the pre-projection row around so
-  ORDER BY can sort on expressions that were never projected.
-
-**Batch mode** is the vectorized engine: operators exchange *column
-batches* — ``(cols, n)`` where ``cols`` is one Python list per scope
-column, all of length ``n``.  ``n`` is at most :data:`BATCH_SIZE` for
-every batch of every operator — a fan-out join, a sort or an aggregate
-hands its output on in slices, never as one batch — and every
-``batches()``/``pres_batches()`` is a generator that does the work for
-a batch when that batch is pulled, so a consumer that stops pulling
-(LIMIT) stops the producers below it.  Scans slice the table's columnar
-storage directly, filters turn whole-batch predicate evaluation into
-selection vectors, hash joins build once and then probe and gather per
-output batch, and aggregation feeds grouped accumulators from per-batch
-argument columns.  Expressions are compiled
-by :func:`~repro.sqlengine.expressions.compile_expr_batch`, which
-preserves row-mode semantics exactly (three-valued logic,
-``compare_values`` ordering, short-circuit error behavior), so the two
-modes produce byte-identical :class:`ResultSet`\\ s.
-
-All pre-planner semantics are preserved in both modes: three-valued
-predicate logic, hash joins skipping NULL keys, LEFT JOIN null padding,
-the representative-row leniency for non-aggregated GROUP BY
-expressions, ORDER BY aliases/positions, and NULLs-first mixed-type
-ordering.
+The semantics every operator keeps: three-valued predicate logic, hash
+joins skipping NULL keys, LEFT JOIN null padding, the
+representative-row leniency for non-aggregated GROUP BY expressions,
+ORDER BY aliases/positions, and NULLs-first mixed-type ordering.
 """
 
 from __future__ import annotations
@@ -69,7 +61,6 @@ from repro.sqlengine.segments import snapshot_of
 from repro.sqlengine.expressions import (
     Scope,
     _never_raises,
-    compile_expr,
     compile_expr_batch,
     fuse_batch_exprs,
     gather_columns,
@@ -108,259 +99,6 @@ _ROWS_JOINED = _METRICS.counter("engine.rows_joined")
 _BATCHES_PRODUCED = _METRICS.counter("engine.batches_produced")
 _FUSED_BATCHES = _METRICS.counter("engine.fused_batches")
 _SEGMENTS_SKIPPED = _METRICS.counter("engine.segments_skipped")
-
-
-class PhysicalOperator:
-    """Base class: a re-runnable iterator over row tuples."""
-
-    scope: Scope
-
-    def rows(self) -> Iterator[tuple]:  # pragma: no cover - overridden
-        raise NotImplementedError
-
-
-class ScanOp(PhysicalOperator):
-    """Scan one table, applying pushed filters, then pruning columns."""
-
-    def __init__(self, catalog: Catalog, node: LogicalScan) -> None:
-        self._table = catalog.table(node.table)
-        full_scope = Scope(
-            [(node.binding, name) for name in self._table.column_names()]
-        )
-        self._predicate_fns = [
-            compile_expr(predicate, full_scope) for predicate in node.predicates
-        ]
-        if node.columns is None:
-            self._indexes = None
-            self.scope = full_scope
-        else:
-            self._indexes = [
-                self._table.column_index(name) for name in node.columns
-            ]
-            self.scope = Scope([(node.binding, name) for name in node.columns])
-
-    def rows(self) -> Iterator[tuple]:
-        indexes = self._indexes
-        predicate_fns = self._predicate_fns
-        # segmented tables read through a pinned (or ad-hoc) snapshot so
-        # concurrent DML can never mutate the rows mid-iteration
-        snapshot = snapshot_of(self._table)
-        source = self._table.rows if snapshot is None else snapshot.iter_rows()
-        deadline = current_deadline()
-        scanned = 0
-        dropped = 0
-        try:
-            for row in source:
-                scanned += 1
-                if deadline is not None and not scanned % BATCH_SIZE:
-                    deadline.check("scan")
-                ok = True
-                for fn in predicate_fns:
-                    if fn(row) is not True:
-                        ok = False
-                        break
-                if not ok:
-                    dropped += 1
-                    continue
-                if indexes is None:
-                    yield row
-                else:
-                    yield tuple(row[i] for i in indexes)
-        finally:
-            if scanned and _METRICS.enabled:
-                _ROWS_SCANNED.inc(scanned)
-                if dropped:
-                    _ROWS_FILTERED.inc(dropped)
-
-
-class FilterOp(PhysicalOperator):
-    def __init__(self, child: PhysicalOperator, predicates) -> None:
-        self._child = child
-        self.scope = child.scope
-        self._fns = [compile_expr(p, self.scope) for p in predicates]
-
-    def rows(self) -> Iterator[tuple]:
-        fns = self._fns
-        dropped = 0
-        try:
-            for row in self._child.rows():
-                if all(fn(row) is True for fn in fns):
-                    yield row
-                else:
-                    dropped += 1
-        finally:
-            if dropped and _METRICS.enabled:
-                _ROWS_FILTERED.inc(dropped)
-
-
-class HashJoinOp(PhysicalOperator):
-    """Hash join on equi predicates; degrades to a cross join without any."""
-
-    def __init__(
-        self, left: PhysicalOperator, right: PhysicalOperator, equi
-    ) -> None:
-        self._left = left
-        self._right = right
-        self.scope = left.scope.concat(right.scope)
-        self._left_indexes: list = []
-        self._right_indexes: list = []
-        for predicate in equi:
-            if left.scope.try_resolve(predicate.left) is not None:
-                self._left_indexes.append(left.scope.resolve(predicate.left))
-                self._right_indexes.append(right.scope.resolve(predicate.right))
-            else:
-                self._left_indexes.append(left.scope.resolve(predicate.right))
-                self._right_indexes.append(right.scope.resolve(predicate.left))
-
-    def rows(self) -> Iterator[tuple]:
-        deadline = current_deadline()
-        joined = 0
-        try:
-            if not self._left_indexes:  # cross join
-                right_rows = list(self._right.rows())
-                for left_row in self._left.rows():
-                    for right_row in right_rows:
-                        joined += 1
-                        if deadline is not None and not joined % BATCH_SIZE:
-                            deadline.check("join")
-                        yield left_row + right_row
-                return
-            table: dict = {}
-            right_indexes = self._right_indexes
-            for row in self._right.rows():
-                key = tuple(row[i] for i in right_indexes)
-                if any(value is None for value in key):
-                    continue
-                table.setdefault(key, []).append(row)
-            left_indexes = self._left_indexes
-            for row in self._left.rows():
-                key = tuple(row[i] for i in left_indexes)
-                if any(value is None for value in key):
-                    continue
-                for match in table.get(key, ()):
-                    joined += 1
-                    if deadline is not None and not joined % BATCH_SIZE:
-                        deadline.check("join")
-                    yield row + match
-        finally:
-            if joined and _METRICS.enabled:
-                _ROWS_JOINED.inc(joined)
-
-
-class LeftJoinOp(PhysicalOperator):
-    """Nested-loop LEFT OUTER join with NULL padding."""
-
-    def __init__(
-        self, left: PhysicalOperator, right: PhysicalOperator, condition
-    ) -> None:
-        self._left = left
-        self._right = right
-        self.scope = left.scope.concat(right.scope)
-        self._condition_fn = compile_expr(condition, self.scope)
-        self._null_pad = (None,) * len(right.scope)
-
-    def rows(self) -> Iterator[tuple]:
-        right_rows = list(self._right.rows())
-        condition_fn = self._condition_fn
-        null_pad = self._null_pad
-        deadline = current_deadline()
-        joined = 0
-        try:
-            for left_row in self._left.rows():
-                matched = False
-                for right_row in right_rows:
-                    combined = left_row + right_row
-                    if condition_fn(combined) is True:
-                        joined += 1
-                        if deadline is not None and not joined % BATCH_SIZE:
-                            deadline.check("join")
-                        yield combined
-                        matched = True
-                if not matched:
-                    joined += 1
-                    if deadline is not None and not joined % BATCH_SIZE:
-                        deadline.check("join")
-                    yield left_row + null_pad
-        finally:
-            if joined and _METRICS.enabled:
-                _ROWS_JOINED.inc(joined)
-
-
-class AggregateOp(PhysicalOperator):
-    """GROUP BY with accumulator-based aggregates and HAVING.
-
-    Output rows are the *representative row* of each group (its first
-    input row) extended with one slot per aggregate call; the extended
-    scope names those slots ``__agg_<i>`` and :attr:`agg_slots` maps each
-    aggregate ``FuncCall`` to its slot so later expressions can read the
-    results.
-    """
-
-    def __init__(self, child: PhysicalOperator, node: LogicalAggregate) -> None:
-        self._child = child
-        self._node = node
-        scope = child.scope
-        self._group_fns = [compile_expr(expr, scope) for expr in node.group_by]
-        self._arg_fns: list = []
-        for call in node.agg_calls:
-            if call.star:
-                self._arg_fns.append(None)
-            else:
-                if len(call.args) != 1:
-                    raise SqlExecutionError(
-                        f"aggregate {call.to_sql()} takes exactly one argument"
-                    )
-                self._arg_fns.append(compile_expr(call.args[0], scope))
-        self.agg_slots = {
-            call: len(scope) + i for i, call in enumerate(node.agg_calls)
-        }
-        self.scope = Scope(
-            scope.pairs
-            + [(None, f"__agg_{i}") for i in range(len(node.agg_calls))]
-        )
-        self._having_fn = (
-            compile_expr(node.having, self.scope, self.agg_slots)
-            if node.having is not None
-            else None
-        )
-
-    def rows(self) -> Iterator[tuple]:
-        node = self._node
-        groups: dict = {}
-        group_order: list = []
-        for row in self._child.rows():
-            key = tuple(fn(row) for fn in self._group_fns)
-            if key not in groups:
-                accumulators = [
-                    make_accumulator(call.name, call.star, call.distinct)
-                    for call in node.agg_calls
-                ]
-                groups[key] = (row, accumulators)
-                group_order.append(key)
-            __, accumulators = groups[key]
-            for call, arg_fn, accumulator in zip(
-                node.agg_calls, self._arg_fns, accumulators
-            ):
-                accumulator.add(1 if call.star else arg_fn(row))
-
-        # aggregate query over empty input and no GROUP BY -> one empty group
-        if not groups and not node.group_by:
-            accumulators = [
-                make_accumulator(call.name, call.star, call.distinct)
-                for call in node.agg_calls
-            ]
-            null_row = (None,) * len(self._child.scope)
-            groups[()] = (null_row, accumulators)
-            group_order.append(())
-
-        having_fn = self._having_fn
-        for key in group_order:
-            representative, accumulators = groups[key]
-            extended = representative + tuple(
-                accumulator.result() for accumulator in accumulators
-            )
-            if having_fn is None or having_fn(extended) is True:
-                yield extended
 
 
 def _project_targets(node: LogicalProject, scope: Scope) -> tuple:
@@ -431,93 +169,6 @@ def _sort_targets(node: LogicalSort, columns: list) -> list:
     return specs
 
 
-class ProjectOp:
-    """Evaluate the select list; yields ``(out_row, pre_row)`` pairs."""
-
-    def __init__(
-        self,
-        child: PhysicalOperator,
-        node: LogicalProject,
-        agg_slots: "dict | None",
-    ) -> None:
-        self._child = child
-        self.scope = child.scope
-        self.agg_slots = agg_slots or {}
-        self.columns, targets = _project_targets(node, child.scope)
-        self._fns: list = [
-            _make_picker(target)
-            if isinstance(target, int)
-            else compile_expr(target, child.scope, self.agg_slots)
-            for target in targets
-        ]
-
-    def pairs(self) -> Iterator[tuple]:
-        fns = self._fns
-        for row in self._child.rows():
-            yield tuple(fn(row) for fn in fns), row
-
-
-class DistinctOp:
-    """Deduplicate projected rows, keeping first occurrences."""
-
-    def __init__(self, child) -> None:
-        self._child = child
-        self.columns = child.columns
-        self.scope = child.scope
-        self.agg_slots = child.agg_slots
-
-    def pairs(self) -> Iterator[tuple]:
-        seen: set = set()
-        for out_row, pre_row in self._child.pairs():
-            if out_row in seen:
-                continue
-            seen.add(out_row)
-            yield out_row, pre_row
-
-
-class SortOp:
-    """Stable multi-key sort over aliases, positions or expressions."""
-
-    def __init__(self, child, node: LogicalSort) -> None:
-        self._child = child
-        self.columns = child.columns
-        self.scope = child.scope
-        self.agg_slots = child.agg_slots
-        self._key_fns: list = []
-        for position, expr, descending in _sort_targets(node, self.columns):
-            if position is not None:
-                self._key_fns.append((_make_out_picker(position), descending))
-            else:
-                fn = compile_expr(expr, self.scope, self.agg_slots)
-                self._key_fns.append((_make_pre_picker(fn), descending))
-
-    def pairs(self) -> Iterator[tuple]:
-        items = list(self._child.pairs())
-        # stable multi-pass sort, last key first
-        for key_fn, descending in reversed(self._key_fns):
-            items.sort(key=lambda pair: sort_key(key_fn(pair)), reverse=descending)
-        return iter(items)
-
-
-class LimitOp:
-    def __init__(self, child, limit: int) -> None:
-        self._child = child
-        self.columns = child.columns
-        self.scope = child.scope
-        self.agg_slots = child.agg_slots
-        self._limit = limit
-
-    def pairs(self) -> Iterator[tuple]:
-        count = 0
-        if self._limit <= 0:
-            return
-        for pair in self._child.pairs():
-            yield pair
-            count += 1
-            if count >= self._limit:
-                return
-
-
 class _ReversedKey:
     """Inverts the ordering of a ``sort_key`` tuple (descending keys)."""
 
@@ -534,61 +185,6 @@ class _ReversedKey:
 
     def __hash__(self) -> int:  # pragma: no cover - keys are never hashed
         return hash(self.key)
-
-
-class TopNOp:
-    """Fused Sort+Limit: a bounded heap instead of a full sort.
-
-    ``heapq.nsmallest`` over a composite per-row key (each ORDER BY key
-    mapped through :func:`sort_key`, descending keys wrapped in
-    :class:`_ReversedKey`) is documented to equal
-    ``sorted(...)[:n]`` — including stability — so the output is
-    byte-identical to SortOp + LimitOp while only ever holding the best
-    *limit* rows.
-    """
-
-    def __init__(self, child, node: LogicalTopN) -> None:
-        self._child = child
-        self.columns = child.columns
-        self.scope = child.scope
-        self.agg_slots = child.agg_slots
-        self._limit = node.limit
-        self._key_fns: list = []
-        for position, expr, descending in _sort_targets(node, self.columns):
-            if position is not None:
-                self._key_fns.append((_make_out_picker(position), descending))
-            else:
-                fn = compile_expr(expr, self.scope, self.agg_slots)
-                self._key_fns.append((_make_pre_picker(fn), descending))
-
-    def pairs(self) -> Iterator[tuple]:
-        if self._limit <= 0:
-            return iter(())
-        key_fns = self._key_fns
-
-        def composite(pair: tuple) -> tuple:
-            return tuple(
-                _ReversedKey(sort_key(fn(pair)))
-                if descending
-                else sort_key(fn(pair))
-                for fn, descending in key_fns
-            )
-
-        return iter(
-            heapq.nsmallest(self._limit, self._child.pairs(), key=composite)
-        )
-
-
-def _make_picker(index: int):
-    return lambda row: row[index]
-
-
-def _make_out_picker(position: int):
-    return lambda pair: pair[0][position]
-
-
-def _make_pre_picker(fn):
-    return lambda pair: fn(pair[1])
 
 
 def sort_key(value: Any) -> tuple:
@@ -634,7 +230,7 @@ def _apply_predicates(fns: list, cols: list, n: int) -> tuple:
 
     Returns the surviving ``(cols, n)``; predicates after the first are
     only evaluated over rows that passed the earlier ones, exactly like
-    the row engine's per-row short-circuit.
+    a per-row short-circuit.
     """
     for fn in fns:
         if n == 0:
@@ -669,7 +265,7 @@ def _fusion_stages(predicates, fns, scope, class_of) -> list:
     ``("closures", [fn, ...])`` for the conjuncts in between, which keep
     their compiled closures.  Stages apply in predicate order with
     compaction between them, so a conjunct still only ever sees rows
-    that survived everything before it: the row engine's short-circuit
+    that survived everything before it: the per-row short-circuit
     and error surface are preserved exactly, while every fusible run —
     wherever it sits in the chain — collapses into one loop.
     """
@@ -1631,7 +1227,7 @@ def _analyze_left_join(
     is either a hash-compatible cross-side equi predicate or a
     provably error-free residual — the exact conditions under which the
     hash path is byte-identical (results *and* errors) to the
-    broadcast/row evaluation.
+    broadcast evaluation.
     """
     tables = {
         binding: catalog.table(name)
@@ -1675,7 +1271,7 @@ class BatchAggregateOp(BatchOperator):
 
     Group keys and aggregate arguments are evaluated once per batch as
     whole columns; the per-row work is one dict probe and the
-    accumulator updates.  Output follows row mode exactly: the
+    accumulator updates.  Output follows row-at-a-time grouping: the
     representative (first) row of each group extended with the
     aggregate results, groups in first-occurrence order, HAVING applied
     over the extended batch.
@@ -1833,8 +1429,8 @@ class BatchProjectOp:
     """Evaluate the select list over batches.
 
     Yields ``(out_cols, pre_cols, n)`` triples — the projected columns
-    plus the pre-projection batch, the columnar analogue of row mode's
-    ``(out_row, pre_row)`` pairs.
+    plus the pre-projection batch, so ORDER BY can read expressions the
+    select list never projected.
     """
 
     def __init__(
@@ -1963,7 +1559,7 @@ class BatchSortOp:
         if total == 0:
             return
         indices = list(range(total))
-        # stable multi-pass argsort, last key first (same as row mode)
+        # stable multi-pass argsort, last key first
         for position, key_fn, descending in reversed(self._key_specs):
             key_column = (
                 out_cols[position]
@@ -2062,7 +1658,7 @@ class BatchTopNOp:
         kept_pre: list = []
         for out_cols, pre_cols, n in self._child.pres_batches():
             # every ORDER BY key expression is evaluated over the whole
-            # batch, exactly like BatchSortOp and the row engine, so
+            # batch, exactly like BatchSortOp, so
             # data-dependent errors (division by zero, type errors in a
             # sort expression) surface identically in all plans; only
             # the sort_key decoration of secondary keys and the payload
@@ -2150,28 +1746,20 @@ def _make_batch_picker(index: int):
 class PreparedPlan:
     """A compiled, re-executable plan (what the plan cache stores)."""
 
-    def __init__(
-        self, root, logical: LogicalNode, columns: list, mode: str = "row"
-    ) -> None:
+    def __init__(self, root, logical: LogicalNode, columns: list) -> None:
         self._root = root
         self.logical = logical
         self.columns = columns
-        self.mode = mode
 
     def execute(self) -> ResultSet:
-        if self.mode == "batch":
-            rows: list = []
-            extend = rows.extend
-            for out_cols, __, n in self._root.pres_batches():
-                if out_cols:
-                    extend(zip(*out_cols))
-                else:  # pragma: no cover - select lists are never empty
-                    extend(() for __ in range(n))
-            return ResultSet(columns=list(self.columns), rows=rows)
-        return ResultSet(
-            columns=list(self.columns),
-            rows=[out_row for out_row, __ in self._root.pairs()],
-        )
+        rows: list = []
+        extend = rows.extend
+        for out_cols, __, n in self._root.pres_batches():
+            if out_cols:
+                extend(zip(*out_cols))
+            else:  # pragma: no cover - select lists are never empty
+                extend(() for __ in range(n))
+        return ResultSet(columns=list(self.columns), rows=rows)
 
 
 def _no_instrument(operator, node):
@@ -2180,7 +1768,7 @@ def _no_instrument(operator, node):
 
 
 class _BuildContext:
-    """Batch-builder state: the catalog, knobs and instrumentation."""
+    """Builder state: the catalog, knobs and instrumentation."""
 
     __slots__ = ("catalog", "instrument", "instrumented", "fused")
 
@@ -2210,67 +1798,14 @@ def build_physical(
     not be cached, and always execute without the TopN bound pushdown
     so the per-operator numbers describe the plain pipeline.
 
-    In batch mode ``config.fused`` compiles provably-safe filter/project
-    expressions into generated per-batch functions.  That layer is
-    locked to byte-identical results and errors, so it is a pure speed
-    knob.
+    ``config.fused`` compiles provably-safe filter/project expressions
+    into generated per-batch functions.  That layer is locked to
+    byte-identical results and errors, so it is a pure speed knob.
     """
-    mode = config.execution_mode
-    if mode == "batch":
-        ctx = _BuildContext(catalog, instrument, config.fused)
-        operator = _build_presentation_batch(root, ctx)
-    else:
-        operator = _build_presentation(
-            root, catalog, instrument or _no_instrument
-        )
+    ctx = _BuildContext(catalog, instrument, config.fused)
+    operator = _build_presentation(root, ctx)
     return PreparedPlan(
-        root=operator, logical=root, columns=list(operator.columns), mode=mode
-    )
-
-
-def _build_presentation(node: LogicalNode, catalog: Catalog, instrument):
-    """Build the pair-yielding presentation tree (project and above)."""
-    if isinstance(node, LogicalLimit):
-        child = _build_presentation(node.child, catalog, instrument)
-        return instrument(LimitOp(child, node.limit), node)
-    if isinstance(node, LogicalTopN):
-        child = _build_presentation(node.child, catalog, instrument)
-        return instrument(TopNOp(child, node), node)
-    if isinstance(node, LogicalSort):
-        child = _build_presentation(node.child, catalog, instrument)
-        return instrument(SortOp(child, node), node)
-    if isinstance(node, LogicalDistinct):
-        child = _build_presentation(node.child, catalog, instrument)
-        return instrument(DistinctOp(child), node)
-    if isinstance(node, LogicalProject):
-        child, agg_slots = _build_relational(node.child, catalog, instrument)
-        return instrument(ProjectOp(child, node, agg_slots), node)
-    raise SqlExecutionError(
-        f"malformed plan: unexpected presentation node {type(node).__name__}"
-    )
-
-
-def _build_relational(node: LogicalNode, catalog: Catalog, instrument):
-    """Build a row-yielding operator; returns ``(operator, agg_slots)``."""
-    if isinstance(node, LogicalScan):
-        return instrument(ScanOp(catalog, node), node), None
-    if isinstance(node, LogicalFilter):
-        child, agg_slots = _build_relational(node.child, catalog, instrument)
-        return instrument(FilterOp(child, node.predicates), node), agg_slots
-    if isinstance(node, LogicalJoin):
-        left, __ = _build_relational(node.left, catalog, instrument)
-        right, __ = _build_relational(node.right, catalog, instrument)
-        return instrument(HashJoinOp(left, right, node.equi), node), None
-    if isinstance(node, LogicalLeftJoin):
-        left, __ = _build_relational(node.left, catalog, instrument)
-        right, __ = _build_relational(node.right, catalog, instrument)
-        return instrument(LeftJoinOp(left, right, node.condition), node), None
-    if isinstance(node, LogicalAggregate):
-        child, __ = _build_relational(node.child, catalog, instrument)
-        operator = AggregateOp(child, node)
-        return instrument(operator, node), operator.agg_slots
-    raise SqlExecutionError(
-        f"malformed plan: unexpected relational node {type(node).__name__}"
+        root=operator, logical=root, columns=list(operator.columns)
     )
 
 
@@ -2354,26 +1889,26 @@ def _connect_topn_bound(
         stage.connect_bound(cell, key_index, descending)
 
 
-def _build_presentation_batch(node: LogicalNode, ctx: _BuildContext):
-    """Build the batch presentation tree (project and above)."""
+def _build_presentation(node: LogicalNode, ctx: _BuildContext):
+    """Build the presentation tree (project and above)."""
     instrument = ctx.instrument
     if isinstance(node, LogicalLimit):
-        child = _build_presentation_batch(node.child, ctx)
+        child = _build_presentation(node.child, ctx)
         return instrument(BatchLimitOp(child, node.limit), node)
     if isinstance(node, LogicalTopN):
-        child = _build_presentation_batch(node.child, ctx)
+        child = _build_presentation(node.child, ctx)
         operator = BatchTopNOp(child, node)
         if not ctx.instrumented:
             _connect_topn_bound(operator, child, node, ctx)
         return instrument(operator, node)
     if isinstance(node, LogicalSort):
-        child = _build_presentation_batch(node.child, ctx)
+        child = _build_presentation(node.child, ctx)
         return instrument(BatchSortOp(child, node), node)
     if isinstance(node, LogicalDistinct):
-        child = _build_presentation_batch(node.child, ctx)
+        child = _build_presentation(node.child, ctx)
         return instrument(BatchDistinctOp(child), node)
     if isinstance(node, LogicalProject):
-        child, agg_slots = _build_relational_batch(node.child, ctx)
+        child, agg_slots = _build_relational(node.child, ctx)
         operator = BatchProjectOp(
             child, node, agg_slots, catalog=ctx.catalog, fused=ctx.fused
         )
@@ -2383,25 +1918,25 @@ def _build_presentation_batch(node: LogicalNode, ctx: _BuildContext):
     )
 
 
-def _build_relational_batch(node: LogicalNode, ctx: _BuildContext):
-    """Build a batch-yielding operator; returns ``(operator, agg_slots)``."""
+def _build_relational(node: LogicalNode, ctx: _BuildContext):
+    """Build a relational operator; returns ``(operator, agg_slots)``."""
     catalog = ctx.catalog
     instrument = ctx.instrument
     if isinstance(node, LogicalScan):
         return instrument(BatchScanOp(catalog, node, fused=ctx.fused), node), None
     if isinstance(node, LogicalFilter):
-        child, agg_slots = _build_relational_batch(node.child, ctx)
+        child, agg_slots = _build_relational(node.child, ctx)
         operator = BatchFilterOp(
             child, node.predicates, node=node, catalog=catalog, fused=ctx.fused
         )
         return instrument(operator, node), agg_slots
     if isinstance(node, LogicalJoin):
-        left, __ = _build_relational_batch(node.left, ctx)
-        right, __ = _build_relational_batch(node.right, ctx)
+        left, __ = _build_relational(node.left, ctx)
+        right, __ = _build_relational(node.right, ctx)
         return instrument(BatchHashJoinOp(left, right, node.equi), node), None
     if isinstance(node, LogicalLeftJoin):
-        left, __ = _build_relational_batch(node.left, ctx)
-        right, __ = _build_relational_batch(node.right, ctx)
+        left, __ = _build_relational(node.left, ctx)
+        right, __ = _build_relational(node.right, ctx)
         operator = BatchLeftJoinOp(left, right, node.condition)
         analysis = _analyze_left_join(node, left.scope, right.scope, catalog)
         if analysis is not None:
@@ -2415,7 +1950,7 @@ def _build_relational_batch(node: LogicalNode, ctx: _BuildContext):
             )
         return instrument(operator, node), None
     if isinstance(node, LogicalAggregate):
-        child, __ = _build_relational_batch(node.child, ctx)
+        child, __ = _build_relational(node.child, ctx)
         operator = BatchAggregateOp(child, node)
         return instrument(operator, node), operator.agg_slots
     raise SqlExecutionError(

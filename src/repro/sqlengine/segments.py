@@ -4,12 +4,12 @@ The LSM design point (immutable sorted runs plus a small mutable
 memtable) applied to this engine's dual row/columnar storage: when a
 table opts in (``EngineConfig(segment_rows=N)``), its flat storage is
 mirrored by a :class:`SegmentedStorage` — an ordered list of
-:class:`FrozenSegment` objects (immutable row/column tuples frozen off
-the front of the table once the mutable *delta* tail reaches the
-threshold) plus writer-side bookkeeping.  The flat lists stay
+:class:`FrozenSegment` objects (immutable column tuples frozen off the
+front of the table once the mutable *delta* tail reaches the threshold)
+plus writer-side bookkeeping.  The flat lists stay
 authoritative and byte-identical to the classic layout, so undo, WAL
 checkpoints and the inverted-index maintainer are untouched; the mirror
-exists so *readers* can pin.  Batch-mode DML is such a reader: it finds
+exists so *readers* can pin.  DML is such a reader: it finds
 its target rows by scanning a fresh pin, whose live positions are the
 flat positions it then mutates.
 
@@ -17,8 +17,8 @@ A reader calls :meth:`~repro.sqlengine.catalog.Table.pin` (or, for a
 whole query, :meth:`~repro.sqlengine.catalog.Catalog.pin_tables`) and
 gets a :class:`TableSnapshot`: the segment list with each segment's
 tombstone set captured as a frozenset, plus a copy of the (small)
-delta.  Segments are never mutated after freezing — DML maps onto the
-mirror as:
+delta's columns.  Segments are never mutated after freezing — DML maps
+onto the mirror as:
 
 * **INSERT** appends to the delta; full threshold-sized chunks freeze
   into new segments (:meth:`SegmentedStorage.note_insert`);
@@ -48,9 +48,8 @@ segment objects), and tombstones only shrink the live set, so the
 bound stays conservative for every snapshot.  A column holding NaN
 (which compares equal to every number) or only NULLs has no zone.  The
 batch scan skips a grid batch only when every segment it overlaps is
-excluded by a zone; the delta, flat storage and the row engine are
-never skipped (see ``BatchScanOp`` in
-:mod:`repro.sqlengine.planner.physical`).
+excluded by a zone; the delta and flat storage are never skipped (see
+``BatchScanOp`` in :mod:`repro.sqlengine.planner.physical`).
 
 **Codes.**  For a dictionary-encoded TEXT column, segments and the
 pinned delta hold the column's codes, and a pin also captures each
@@ -73,7 +72,6 @@ from __future__ import annotations
 
 import threading
 from bisect import bisect_right
-from typing import Iterator
 
 from repro.sqlengine.encoding import EncodedColumn
 
@@ -89,7 +87,7 @@ __all__ = [
 
 
 class FrozenSegment:
-    """One immutable chunk of a table: row tuples + per-column tuples.
+    """One immutable chunk of a table: one tuple per column.
 
     A dictionary-encoded column's tuple holds codes, not values; only a
     snapshot's pinned dictionary view gives them meaning.
@@ -101,14 +99,15 @@ class FrozenSegment:
     count (at most two states: concurrent readers at different
     snapshots recompute older states instead of growing the cache).
     Zones (:meth:`zone`) are memoised per column on first use and,
-    like ``rows`` and ``columns``, never change afterwards.
+    like ``columns`` and ``size``, never change afterwards.
     """
 
-    __slots__ = ("rows", "columns", "tombstones", "_live_cache", "_zones")
+    __slots__ = ("columns", "size", "tombstones", "_live_cache", "_zones")
 
-    def __init__(self, rows: tuple, columns: tuple) -> None:
-        self.rows = rows
+    def __init__(self, columns: tuple, size: int) -> None:
         self.columns = columns
+        #: physical rows, dead ones included
+        self.size = size
         self.tombstones: set = set()
         self._live_cache: dict = {}
         self._zones: dict = {}
@@ -133,7 +132,7 @@ class FrozenSegment:
 
     @property
     def live_count(self) -> int:
-        return len(self.rows) - len(self.tombstones)
+        return self.size - len(self.tombstones)
 
     def _state(self, tombstones) -> dict:
         """The cached live projection for one tombstone state.
@@ -147,10 +146,10 @@ class FrozenSegment:
         if state is None:
             keep = [
                 offset
-                for offset in range(len(self.rows))
+                for offset in range(self.size)
                 if offset not in tombstones
             ]
-            state = {"keep": keep, "rows": None, "cols": {}}
+            state = {"keep": keep, "cols": {}}
             if len(self._live_cache) >= 2:
                 # keep only the newest state; a straggler reader on an
                 # evicted one just recomputes
@@ -158,18 +157,6 @@ class FrozenSegment:
                 self._live_cache = {newest: self._live_cache[newest]}
             self._live_cache[key] = state
         return state
-
-    def live_rows(self, tombstones) -> "tuple | list":
-        """Row tuples surviving *tombstones* (None/empty: all rows)."""
-        if not tombstones:
-            return self.rows
-        state = self._state(tombstones)
-        rows = state["rows"]
-        if rows is None:
-            data = self.rows
-            rows = [data[offset] for offset in state["keep"]]
-            state["rows"] = rows
-        return rows
 
     def live_column(self, index: int, tombstones) -> "tuple | list":
         """One column's values surviving *tombstones*."""
@@ -201,24 +188,20 @@ class TableSnapshot:
     captured at pin time, the batch type a flat scan emits.
     """
 
-    __slots__ = (
-        "entries", "delta_rows", "delta_columns", "views", "prefix",
-        "row_count",
-    )
+    __slots__ = ("entries", "delta_columns", "views", "prefix", "row_count")
 
     def __init__(
-        self, entries: list, delta_rows: list, delta_columns: list, views: list
+        self, entries: list, delta_len: int, delta_columns: list, views: list
     ):
         #: ``(segment, tombstones frozenset | None, live_count)`` per segment
         self.entries = entries
-        self.delta_rows = delta_rows
         self.delta_columns = delta_columns
         #: per column, the pinned dictionary view, or None if unencoded
         self.views = views
         prefix = [0]
         for __, __, live in entries:
             prefix.append(prefix[-1] + live)
-        prefix.append(prefix[-1] + len(delta_rows))
+        prefix.append(prefix[-1] + delta_len)
         #: cumulative live counts; parts are segments then the delta
         self.prefix = prefix
         self.row_count = prefix[-1]
@@ -251,12 +234,6 @@ class TableSnapshot:
         view = self.views[index]
         return out if view is None else EncodedColumn(view, out)
 
-    def iter_rows(self) -> Iterator[tuple]:
-        """Row tuples in live order (segments first, then the delta)."""
-        for segment, tombstones, __ in self.entries:
-            yield from segment.live_rows(tombstones)
-        yield from self.delta_rows
-
 
 def _stores(table) -> list:
     """Per column, what the mirror copies: codes if encoded, else values."""
@@ -269,9 +246,9 @@ def _stores(table) -> list:
 class SegmentedStorage:
     """Writer-side mirror of one table's flat storage.
 
-    Invariant (checked by the property tests): the concatenation of
-    every segment's live rows followed by the delta equals the table's
-    flat ``rows`` list.  All methods must be called under the table's
+    Invariant (checked by the property tests): per column, the
+    concatenation of every segment's live values followed by the delta
+    equals the table's flat column.  All methods must be called under the table's
     storage lock, from the single-writer mutation path.
     """
 
@@ -297,7 +274,7 @@ class SegmentedStorage:
         # a slice is already a copy
         return TableSnapshot(
             entries,
-            table.rows[start:],
+            len(table.rows) - start,
             [store[start:] for store in _stores(table)],
             [
                 None if dictionary is None else dictionary.view()
@@ -307,9 +284,8 @@ class SegmentedStorage:
 
     # -- mutation mapping ----------------------------------------------
     def _freeze_range(self, table, start: int, stop: int) -> FrozenSegment:
-        rows = tuple(table.rows[start:stop])
         columns = tuple(tuple(store[start:stop]) for store in _stores(table))
-        return FrozenSegment(rows, columns)
+        return FrozenSegment(columns, stop - start)
 
     def note_insert(self, table) -> None:
         """Freeze full threshold-sized chunks off the delta's front."""
@@ -396,7 +372,7 @@ class SegmentedStorage:
             live = segment.live_count
             if live == 0:
                 continue
-            if len(segment.tombstones) * 2 >= len(segment.rows):
+            if len(segment.tombstones) * 2 >= segment.size:
                 segment = self._freeze_range(table, start, start + live)
             survivors.append(segment)
             start += live

@@ -57,18 +57,6 @@ class SqlType(enum.Enum):
         return aliases[upper]
 
 
-def python_type_of(sql_type: SqlType) -> tuple[type, ...]:
-    """Python types acceptable for a column of *sql_type*."""
-    mapping = {
-        SqlType.INTEGER: (int,),
-        SqlType.REAL: (float, int),
-        SqlType.TEXT: (str,),
-        SqlType.DATE: (datetime.date,),
-        SqlType.BOOLEAN: (bool,),
-    }
-    return mapping[sql_type]
-
-
 def coerce_value(value: Any, sql_type: SqlType) -> Any:
     """Coerce *value* to *sql_type*, raising SqlTypeError if impossible.
 

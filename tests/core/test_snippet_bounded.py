@@ -10,7 +10,8 @@ It is checked through the real execute step — every statement of the
 paper workload and of the perf ledger's 160-text pool (entity, entity +
 attribute, bare value, entity + value), plus top-N texts whose own LIMIT
 is below and above N — against full execution on the same engine, over
-{row, batch} x {flat, segmented} x {fused on, off}.  Hand-written
+{flat, segmented} x {fused on, off}; the full execution itself must
+equal the row-at-a-time reference interpreter's.  Hand-written
 statements add the shapes SODA never emits (DISTINCT, ORDER BY ties,
 LIMIT 0).
 
@@ -29,6 +30,7 @@ from repro.sqlengine.parser import parse_select
 from repro.warehouse.minibank import build_minibank
 
 from stamp_oracle import load_ledger_workloads
+from tests.sqlengine.reference_engine import reference_execute
 
 ledger_workloads = load_ledger_workloads()
 
@@ -77,10 +79,9 @@ HAND_WRITTEN = [
 
 ENGINES = [
     pytest.param(
-        EngineConfig(execution_mode=mode, segment_rows=segment, fused=fused),
-        id=f"{mode}-{'segmented' if segment else 'flat'}-fused={int(fused)}",
+        EngineConfig(segment_rows=segment, fused=fused),
+        id=f"{'segmented' if segment else 'flat'}-fused={int(fused)}",
     )
-    for mode in ("row", "batch")
     for segment in (0, 64)
     for fused in (True, False)
 ]
@@ -118,7 +119,10 @@ def _scored(sql: str) -> ScoredStatement:
 
 def _assert_is_prefix(soda: Soda, scored: ScoredStatement) -> int:
     """The attached snippet == the first N rows of full execution."""
-    full = soda.warehouse.database.execute_select_ast(scored.statement.select)
+    database = soda.warehouse.database
+    full = database.execute_select_ast(scored.statement.select)
+    reference = reference_execute(database, scored.statement.select.to_sql())
+    assert (full.columns, full.rows) == (reference.columns, reference.rows)
     assert scored.execution_error is None, scored.sql
     assert scored.snippet.columns == full.columns, scored.sql
     assert scored.snippet.rows == full.rows[:N], scored.sql

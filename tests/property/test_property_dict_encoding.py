@@ -1,7 +1,8 @@
 """Property tests for dictionary-encoded TEXT column maintenance.
 
 Invariants under *any* interleaving of INSERT/UPDATE/DELETE, applied
-through the SQL front end in both execution modes:
+through the SQL front end by the engine and by the reference
+interpreter:
 
 * decoding every column's code list reproduces the plain value storage
   element for element (codes, values and the tuple list share one
@@ -12,8 +13,8 @@ through the SQL front end in both execution modes:
   (value slot cleared, refcount zero) — no leaked entries after any
   UPDATE/DELETE storm;
 * a column whose live cardinality outgrows the threshold drops its
-  dictionary and the engine keeps producing row-mode-identical results
-  from plain batches.
+  dictionary and the engine keeps producing the results of an encoded
+  engine from plain batches.
 """
 
 from collections import Counter
@@ -23,6 +24,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.sqlengine.config import EngineConfig
 from repro.sqlengine.database import Database
+
+from tests.sqlengine.reference_engine import reference_execute
 
 settings.register_profile("dict_encoding", max_examples=40, deadline=None)
 settings.load_profile("dict_encoding")
@@ -50,33 +53,35 @@ def sql_text(value):
     return "NULL" if value is None else f"'{value}'"
 
 
-def apply_operations(db: Database, ops) -> None:
+def apply_operations(db: Database, ops, run=Database.execute) -> None:
     next_id = 1000
     for op in ops:
         kind = op[0]
         if kind == "insert":
-            db.execute(
+            run(
+                db,
                 f"INSERT INTO t VALUES ({next_id}, {op[1]}, "
-                f"{sql_text(op[2])})"
+                f"{sql_text(op[2])})",
             )
             next_id += 1
         elif kind == "update_label":
-            db.execute(
-                f"UPDATE t SET label = {sql_text(op[2])} WHERE grp = {op[1]}"
+            run(
+                db,
+                f"UPDATE t SET label = {sql_text(op[2])} WHERE grp = {op[1]}",
             )
         elif kind == "update_grp":
-            db.execute(f"UPDATE t SET grp = {op[2]} WHERE grp = {op[1]}")
+            run(db, f"UPDATE t SET grp = {op[2]} WHERE grp = {op[1]}")
         elif kind == "delete":
-            db.execute(f"DELETE FROM t WHERE grp = {op[1]}")
+            run(db, f"DELETE FROM t WHERE grp = {op[1]}")
         else:  # delete_label
             if op[1] is None:
-                db.execute("DELETE FROM t WHERE label IS NULL")
+                run(db, "DELETE FROM t WHERE label IS NULL")
             else:
-                db.execute(f"DELETE FROM t WHERE label = {sql_text(op[1])}")
+                run(db, f"DELETE FROM t WHERE label = {sql_text(op[1])}")
 
 
-def make_db(mode: str, threshold: "int | None" = None) -> Database:
-    db = Database(config=EngineConfig(execution_mode=mode, dict_encoding_threshold=threshold))
+def make_db(threshold: "int | None" = None) -> Database:
+    db = Database(config=EngineConfig(dict_encoding_threshold=threshold))
     db.execute("CREATE TABLE t (id INT, grp INT, label TEXT)")
     db.insert_rows(
         "t",
@@ -119,16 +124,19 @@ def assert_dictionary_consistent(table) -> None:
 
 
 class TestDictionaryMaintenance:
-    @given(ops=operations, mode=st.sampled_from(["row", "batch"]))
-    def test_codes_and_refcounts_stay_consistent(self, ops, mode):
-        db = make_db(mode)
-        apply_operations(db, ops)
+    @given(
+        ops=operations,
+        run=st.sampled_from([reference_execute, Database.execute]),
+    )
+    def test_codes_and_refcounts_stay_consistent(self, ops, run):
+        db = make_db()
+        apply_operations(db, ops, run)
         assert_dictionary_consistent(db.table("t"))
 
     @given(ops=operations)
     def test_encoded_and_unencoded_results_identical(self, ops):
-        encoded = make_db("batch")
-        unencoded = make_db("batch", threshold=0)
+        encoded = make_db()
+        unencoded = make_db(threshold=0)
         apply_operations(encoded, ops)
         apply_operations(unencoded, ops)
         assert encoded.table("t").column_dictionary(2) is not None
@@ -148,8 +156,8 @@ class TestDictionaryMaintenance:
     def test_threshold_overflow_disables_cleanly(self, ops):
         # threshold 3 < vocabulary size: inserts eventually disable the
         # dictionary; results must stay identical to the default engine
-        tight = make_db("batch", threshold=3)
-        loose = make_db("batch")
+        tight = make_db(threshold=3)
+        loose = make_db()
         apply_operations(tight, ops)
         apply_operations(loose, ops)
         assert_dictionary_consistent(tight.table("t"))

@@ -11,7 +11,8 @@ Two invariants under *any* interleaving of INSERT/UPDATE/DELETE:
 
 Operations are generated as abstract steps and applied through the SQL
 front end, so the whole stack (parser → dml executor → catalog →
-observers) is exercised, in both execution modes.
+observers) is exercised, through the engine and through the reference
+interpreter.
 """
 
 import pytest
@@ -19,8 +20,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.index.inverted import InvertedIndex
 from repro.index.maintenance import attach_maintainer
-from repro.sqlengine.config import EngineConfig
 from repro.sqlengine.database import Database
+
+from tests.sqlengine.reference_engine import reference_execute
 
 settings.register_profile("dml", max_examples=40, deadline=None)
 settings.load_profile("dml")
@@ -56,33 +58,39 @@ def sql_text(value):
     return "NULL" if value is None else f"'{value}'"
 
 
-def apply_operations(db: Database, ops) -> None:
+def apply_operations(db: Database, ops, run=Database.execute) -> None:
     next_id = 1000
     for op in ops:
         kind = op[0]
         if kind == "insert":
-            db.execute(
+            run(
+                db,
                 f"INSERT INTO t VALUES ({next_id}, {op[1]}, "
-                f"{sql_text(op[2])})"
+                f"{sql_text(op[2])})",
             )
             next_id += 1
         elif kind == "update_label":
-            db.execute(
-                f"UPDATE t SET label = {sql_text(op[2])} WHERE grp = {op[1]}"
+            run(
+                db,
+                f"UPDATE t SET label = {sql_text(op[2])} WHERE grp = {op[1]}",
             )
         elif kind == "update_grp":
-            db.execute(f"UPDATE t SET grp = {op[2]} WHERE grp = {op[1]}")
+            run(db, f"UPDATE t SET grp = {op[2]} WHERE grp = {op[1]}")
         elif kind == "delete":
-            db.execute(f"DELETE FROM t WHERE grp = {op[1]}")
+            run(db, f"DELETE FROM t WHERE grp = {op[1]}")
         else:  # delete_label
             if op[1] is None:
-                db.execute("DELETE FROM t WHERE label IS NULL")
+                run(db, "DELETE FROM t WHERE label IS NULL")
             else:
-                db.execute(f"DELETE FROM t WHERE label = {sql_text(op[1])}")
+                run(db, f"DELETE FROM t WHERE label = {sql_text(op[1])}")
 
 
-def make_db(mode: str) -> Database:
-    db = Database(config=EngineConfig(execution_mode=mode))
+#: the executor an operation sequence runs through
+runs = st.sampled_from([reference_execute, Database.execute])
+
+
+def make_db() -> Database:
+    db = Database()
     db.execute("CREATE TABLE t (id INT, grp INT, label TEXT)")
     db.insert_rows(
         "t",
@@ -108,10 +116,10 @@ def index_state(index: InvertedIndex) -> dict:
 
 
 class TestStorageSync:
-    @given(ops=operations, mode=st.sampled_from(["row", "batch"]))
-    def test_rows_and_columns_stay_identical(self, ops, mode):
-        db = make_db(mode)
-        apply_operations(db, ops)
+    @given(ops=operations, run=runs)
+    def test_rows_and_columns_stay_identical(self, ops, run):
+        db = make_db()
+        apply_operations(db, ops, run)
         table = db.table("t")
         columns = [table.column_data(i) for i in range(len(table.columns))]
         assert all(len(c) == len(table.rows) for c in columns)
@@ -122,19 +130,19 @@ class TestStorageSync:
         assert rebuilt == table.rows
 
     @given(ops=operations)
-    def test_row_and_batch_modes_converge(self, ops):
-        row_db, batch_db = make_db("row"), make_db("batch")
-        apply_operations(row_db, ops)
+    def test_reference_and_engine_converge(self, ops):
+        row_db, batch_db = make_db(), make_db()
+        apply_operations(row_db, ops, reference_execute)
         apply_operations(batch_db, ops)
         assert row_db.table("t").rows == batch_db.table("t").rows
 
 
 class TestMaintainedIndexParity:
-    @given(ops=operations, mode=st.sampled_from(["row", "batch"]))
-    def test_incremental_equals_rebuild(self, ops, mode):
-        db = make_db(mode)
+    @given(ops=operations, run=runs)
+    def test_incremental_equals_rebuild(self, ops, run):
+        db = make_db()
         maintained = InvertedIndex.build(db.catalog)
         attach_maintainer(db.catalog, maintained)
-        apply_operations(db, ops)
+        apply_operations(db, ops, run)
         rebuilt = InvertedIndex.build(db.catalog)
         assert index_state(maintained) == index_state(rebuilt)

@@ -7,8 +7,9 @@ table must be indistinguishable from a flat one:
 * the flat tuple list and the segment view (live segment rows followed
   by the delta) stay element-for-element identical, and every column
   slice a batch scan could take agrees with the flat columnar storage;
-* every SELECT — row mode on the flat engine vs batch mode over
-  pinned segment snapshots — returns byte-identical results;
+* every SELECT — the reference interpreter over flat storage vs the
+  engine over pinned segment snapshots — returns byte-identical
+  results;
 * a low-cardinality TEXT column scans as codes exactly while flat
   storage keeps its dictionary, including after its distinct count
   crosses a small threshold mid-run (the mirror then holds values);
@@ -22,6 +23,8 @@ from hypothesis import given, settings, strategies as st
 from repro.sqlengine.config import EngineConfig
 from repro.sqlengine.database import Database
 from repro.sqlengine.encoding import EncodedColumn
+
+from tests.sqlengine.reference_engine import reference_execute, snapshot_rows
 
 settings.register_profile("segments", max_examples=40, deadline=None)
 settings.load_profile("segments")
@@ -55,7 +58,7 @@ QUERIES = [
 ]
 
 
-def _apply(db: Database, ops, counter) -> None:
+def _apply(db: Database, ops, counter, run=Database.execute) -> None:
     for kind, arg in ops:
         if kind == "insert":
             values = ", ".join(
@@ -64,13 +67,14 @@ def _apply(db: Database, ops, counter) -> None:
                 for i in range(arg)
             )
             counter[0] += arg
-            db.execute(f"INSERT INTO t VALUES {values}")
+            run(db, f"INSERT INTO t VALUES {values}")
         elif kind == "update":
-            db.execute(
-                f"UPDATE t SET val = val + 1, tag = 'u{arg}' WHERE grp = {arg}"
+            run(
+                db,
+                f"UPDATE t SET val = val + 1, tag = 'u{arg}' WHERE grp = {arg}",
             )
         else:
-            db.execute(f"DELETE FROM t WHERE grp = {arg} AND val > 40")
+            run(db, f"DELETE FROM t WHERE grp = {arg} AND val > 40")
 
 
 class TestSegmentedFlatEquivalence:
@@ -83,9 +87,7 @@ class TestSegmentedFlatEquivalence:
         self, threshold, dict_threshold, ops
     ):
         flat = Database(
-            config=EngineConfig(
-                execution_mode="row", dict_encoding_threshold=dict_threshold
-            )
+            config=EngineConfig(dict_encoding_threshold=dict_threshold)
         )
         segmented = Database(
             config=EngineConfig(
@@ -103,7 +105,7 @@ class TestSegmentedFlatEquivalence:
                             for i in range(20))
             )
         counter_flat, counter_seg = [100], [100]
-        _apply(flat, ops, counter_flat)
+        _apply(flat, ops, counter_flat, reference_execute)
         _apply(segmented, ops, counter_seg)
 
         flat_table = flat.table("t")
@@ -111,7 +113,7 @@ class TestSegmentedFlatEquivalence:
         # storage equivalence: rows, snapshot iteration, column slices
         assert seg_table.rows == flat_table.rows
         snapshot = seg_table.pin()
-        assert list(snapshot.iter_rows()) == flat_table.rows
+        assert snapshot_rows(snapshot) == flat_table.rows
         total = snapshot.row_count
         for index in range(len(seg_table.columns)):
             flat_column = list(flat_table.column_data(index))
@@ -128,9 +130,9 @@ class TestSegmentedFlatEquivalence:
                 == flat_column[cut:cut * 2]
             )
 
-        # engine equivalence: row mode on flat == batch over segments
+        # engine equivalence: reference on flat == engine over segments
         for sql in QUERIES:
-            expected = flat.execute(sql)
+            expected = reference_execute(flat, sql)
             actual = segmented.execute(sql)
             assert actual.columns == expected.columns, sql
             assert actual.rows == expected.rows, sql
@@ -140,4 +142,4 @@ class TestSegmentedFlatEquivalence:
         stats = seg_table.segment_stats()
         assert stats["frozen_live"] + stats["delta_rows"] == total
         for segment in seg_table._segments.segments:
-            assert len(segment.tombstones) * 2 < max(1, len(segment.rows))
+            assert len(segment.tombstones) * 2 < max(1, segment.size)

@@ -1,7 +1,7 @@
 """A fan-out join is cancellable between its output batches.
 
 A join's gather used to be one uninterruptible stretch between two
-scan-boundary checks; both engines now call ``deadline.check("join")``
+scan-boundary checks; the engine now calls ``deadline.check("join")``
 per ``BATCH_SIZE`` output rows.  No sleeping: the injected clock
 advances one millisecond per reading, the scans below the join read it
 a handful of times, the join over a hundred times — so a 50 ms budget
@@ -51,14 +51,10 @@ def millisecond_ticks():
     return clock
 
 
-@pytest.fixture(scope="module", params=["batch", "row"])
-def warehouse(request):
+@pytest.fixture(scope="module")
+def warehouse():
     return build_minibank(
-        seed=42,
-        scale=1.0,
-        engine_config=EngineConfig(
-            execution_mode=request.param, segment_rows=64
-        ),
+        seed=42, scale=1.0, engine_config=EngineConfig(segment_rows=64)
     )
 
 

@@ -89,7 +89,7 @@ def assert_batches_bounded(db: Database, sql: str):
         plan = build_physical(
             db.planner.plan_logical(select),
             db.catalog,
-            db.config.replace(execution_mode="batch"),
+            db.config,
             instrument=checker,
         )
         result = plan.execute()
@@ -150,9 +150,9 @@ RIGHT_ROWS = 400
 FAN_OUT = LEFT_ROWS * RIGHT_ROWS
 
 
-@pytest.fixture(scope="module", params=["batch", "row"])
-def fanout_db(request):
-    db = Database(config=EngineConfig(execution_mode=request.param))
+@pytest.fixture(scope="module")
+def fanout_db():
+    db = Database()
     db.execute("CREATE TABLE l (id INT PRIMARY KEY, k TEXT, v INT)")
     db.execute("CREATE TABLE m (id INT PRIMARY KEY, k TEXT, w INT)")
     db.execute("CREATE TABLE r (id INT PRIMARY KEY, k TEXT, w INT)")
@@ -182,8 +182,6 @@ def _join_levels(db: Database, sql: str) -> int:
 
 class TestFanOutJoin:
     def test_full_output_arrives_in_bounded_batches(self, fanout_db):
-        if fanout_db.config.execution_mode != "batch":
-            pytest.skip("the invariant is the batch engine's")
         result = assert_batches_bounded(fanout_db, FANOUT_JOINS["hash"])
         assert len(result.rows) == FAN_OUT
         assert result.rows[0] == (0, 0)

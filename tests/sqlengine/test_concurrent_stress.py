@@ -21,6 +21,8 @@ import threading
 from repro.sqlengine.config import EngineConfig
 from repro.sqlengine.database import Database
 
+from tests.sqlengine.reference_engine import snapshot_rows
+
 READERS = 4
 WRITER_OPS = 150
 START_ROWS = 120
@@ -99,7 +101,7 @@ class TestConcurrentStress:
         assert not failures, failures[:5]
         # after the dust settles: flat rows and segment view agree
         table = db.table("funds")
-        assert list(table.pin().iter_rows()) == table.rows
+        assert snapshot_rows(table.pin()) == table.rows
 
     def test_readers_with_many_batch_scans(self, monkeypatch):
         # with 16-row batches every scan spans several batches; each

@@ -1,9 +1,10 @@
 """UPDATE/DELETE: parsing, execution, 3VL matching, storage sync.
 
-The mutation path is shared by both execution engines, so every
-behavioral test here runs in ``row`` and ``batch`` mode and asserts
-byte-identical outcomes; storage-sync tests check that the tuple list
-and the columnar store never diverge.
+Every behavioral test here runs through the engine and through the
+row-at-a-time reference interpreter (``reference_engine``), which
+shares the catalog mutation path, and asserts byte-identical outcomes;
+storage-sync tests check that the tuple list and the columnar store
+never diverge.
 """
 
 import pytest
@@ -15,13 +16,19 @@ from repro.errors import (
     SqlTypeError,
 )
 from repro.sqlengine.ast_nodes import Delete, Update
-from repro.sqlengine.config import EngineConfig
 from repro.sqlengine.database import Database
 from repro.sqlengine.parser import parse_sql
 
+from tests.sqlengine.reference_engine import reference_execute
 
-def make_db(mode: str = "batch") -> Database:
-    db = Database(config=EngineConfig(execution_mode=mode))
+#: the two executors every behavioral test runs through: ``run(db, sql)``
+RUNS = pytest.mark.parametrize(
+    "run", [reference_execute, Database.execute], ids=["reference", "batch"]
+)
+
+
+def make_db() -> Database:
+    db = Database()
     db.execute(
         "CREATE TABLE items (id INT PRIMARY KEY, grp INT, amount REAL, "
         "label TEXT)"
@@ -87,85 +94,85 @@ class TestParsing:
             parse_sql("DELETE items WHERE id = 1")
 
 
-@pytest.mark.parametrize("mode", ["row", "batch"])
+@RUNS
 class TestUpdate:
-    def test_update_matching_rows(self, mode):
-        db = make_db(mode)
-        result = db.execute("UPDATE items SET amount = 99.0 WHERE grp = 1")
+    def test_update_matching_rows(self, run):
+        db = make_db()
+        result = run(db, "UPDATE items SET amount = 99.0 WHERE grp = 1")
         assert result.rowcount == 2
-        assert db.execute(
+        assert run(db, 
             "SELECT id, amount FROM items ORDER BY id"
         ).rows == [(1, 99.0), (2, 99.0), (3, 30.0), (4, 40.0)]
         assert_storages_in_sync(db)
 
-    def test_set_expressions_read_the_old_row(self, mode):
-        db = make_db(mode)
-        db.execute("UPDATE items SET amount = amount * 2, grp = id")
-        assert db.execute(
+    def test_set_expressions_read_the_old_row(self, run):
+        db = make_db()
+        run(db, "UPDATE items SET amount = amount * 2, grp = id")
+        assert run(db, 
             "SELECT grp, amount FROM items ORDER BY id"
         ).rows == [(1, 20.0), (2, 40.0), (3, 60.0), (4, 80.0)]
         assert_storages_in_sync(db)
 
-    def test_swap_via_old_row_semantics(self, mode):
-        db = Database(config=EngineConfig(execution_mode=mode))
-        db.execute("CREATE TABLE p (a INT, b INT)")
-        db.execute("INSERT INTO p VALUES (1, 2)")
-        db.execute("UPDATE p SET a = b, b = a")
-        assert db.execute("SELECT a, b FROM p").rows == [(2, 1)]
+    def test_swap_via_old_row_semantics(self, run):
+        db = Database()
+        run(db, "CREATE TABLE p (a INT, b INT)")
+        run(db, "INSERT INTO p VALUES (1, 2)")
+        run(db, "UPDATE p SET a = b, b = a")
+        assert run(db, "SELECT a, b FROM p").rows == [(2, 1)]
 
-    def test_null_where_does_not_match(self, mode):
+    def test_null_where_does_not_match(self, run):
         """3VL: a WHERE evaluating to NULL leaves the row untouched."""
-        db = make_db(mode)
+        db = make_db()
         # grp IS NULL on row 4 makes "grp = 1" evaluate to NULL there
-        result = db.execute("UPDATE items SET amount = 0.0 WHERE grp = 1")
+        result = run(db, "UPDATE items SET amount = 0.0 WHERE grp = 1")
         assert result.rowcount == 2
-        assert db.execute(
+        assert run(db, 
             "SELECT amount FROM items WHERE id = 4"
         ).rows == [(40.0,)]
 
-    def test_where_null_comparison_updates_nothing(self, mode):
-        db = make_db(mode)
-        result = db.execute("UPDATE items SET amount = 0.0 WHERE grp = NULL")
+    def test_where_null_comparison_updates_nothing(self, run):
+        db = make_db()
+        result = run(db, "UPDATE items SET amount = 0.0 WHERE grp = NULL")
         assert result.rowcount == 0
-        assert db.execute("SELECT sum(amount) FROM items").rows == [(100.0,)]
+        assert run(db, "SELECT sum(amount) FROM items").rows == [(100.0,)]
 
-    def test_update_to_null_and_back(self, mode):
-        db = make_db(mode)
-        db.execute("UPDATE items SET label = NULL WHERE id = 1")
-        assert db.execute(
+    def test_update_to_null_and_back(self, run):
+        db = make_db()
+        run(db, "UPDATE items SET label = NULL WHERE id = 1")
+        assert run(db, 
             "SELECT id FROM items WHERE label IS NULL ORDER BY id"
         ).rows == [(1,), (3,)]
-        db.execute("UPDATE items SET label = 'restored' WHERE id = 1")
-        assert db.execute(
+        run(db, "UPDATE items SET label = 'restored' WHERE id = 1")
+        assert run(db, 
             "SELECT label FROM items WHERE id = 1"
         ).rows == [("restored",)]
         assert_storages_in_sync(db)
 
-    def test_update_unknown_column_raises(self, mode):
-        db = make_db(mode)
+    def test_update_unknown_column_raises(self, run):
+        db = make_db()
         with pytest.raises(SqlCatalogError):
-            db.execute("UPDATE items SET nope = 1")
+            run(db, "UPDATE items SET nope = 1")
 
-    def test_update_unknown_table_raises(self, mode):
-        db = make_db(mode)
+    def test_update_unknown_table_raises(self, run):
+        db = make_db()
         with pytest.raises(SqlCatalogError):
-            db.execute("UPDATE missing SET id = 1")
+            run(db, "UPDATE missing SET id = 1")
 
-    def test_duplicate_assignment_raises(self, mode):
-        db = make_db(mode)
+    def test_duplicate_assignment_raises(self, run):
+        db = make_db()
         with pytest.raises(SqlCatalogError):
-            db.execute("UPDATE items SET grp = 1, grp = 2")
+            run(db, "UPDATE items SET grp = 1, grp = 2")
 
-    def test_type_error_leaves_table_untouched(self, mode):
-        db = make_db(mode)
+    def test_type_error_leaves_table_untouched(self, run):
+        db = make_db()
         before = storage_snapshot(db)
         with pytest.raises(SqlTypeError):
-            db.execute("UPDATE items SET grp = 'not an int'")
+            run(db, "UPDATE items SET grp = 'not an int'")
         assert storage_snapshot(db) == before
 
-    def test_out_of_range_position_leaves_table_untouched(self, mode):
+    def test_out_of_range_position_leaves_table_untouched(self, run):
         """The primitive validates before the first write (atomicity)."""
-        db = make_db(mode)
+        db = make_db()
         table = db.table("items")
         before = storage_snapshot(db)
         version = table.version
@@ -177,54 +184,54 @@ class TestUpdate:
         assert storage_snapshot(db) == before
         assert table.version == version
 
-    def test_aggregate_in_where_raises(self, mode):
-        db = make_db(mode)
+    def test_aggregate_in_where_raises(self, run):
+        db = make_db()
         with pytest.raises(SqlExecutionError):
-            db.execute("UPDATE items SET grp = 1 WHERE count(*) > 1")
+            run(db, "UPDATE items SET grp = 1 WHERE count(*) > 1")
 
 
-@pytest.mark.parametrize("mode", ["row", "batch"])
+@RUNS
 class TestDelete:
-    def test_delete_matching_rows(self, mode):
-        db = make_db(mode)
-        result = db.execute("DELETE FROM items WHERE amount > 25.0")
+    def test_delete_matching_rows(self, run):
+        db = make_db()
+        result = run(db, "DELETE FROM items WHERE amount > 25.0")
         assert result.rowcount == 2
-        assert db.execute(
+        assert run(db, 
             "SELECT id FROM items ORDER BY id"
         ).rows == [(1,), (2,)]
         assert_storages_in_sync(db)
 
-    def test_null_where_does_not_match(self, mode):
-        db = make_db(mode)
-        result = db.execute("DELETE FROM items WHERE grp = 2")
+    def test_null_where_does_not_match(self, run):
+        db = make_db()
+        result = run(db, "DELETE FROM items WHERE grp = 2")
         assert result.rowcount == 1
         # row 4 (grp NULL) survives: NULL never matches
-        assert db.execute(
+        assert run(db, 
             "SELECT id FROM items ORDER BY id"
         ).rows == [(1,), (2,), (4,)]
 
-    def test_delete_every_row(self, mode):
-        db = make_db(mode)
-        result = db.execute("DELETE FROM items")
+    def test_delete_every_row(self, run):
+        db = make_db()
+        result = run(db, "DELETE FROM items")
         assert result.rowcount == 4
-        assert db.execute("SELECT count(*) FROM items").rows == [(0,)]
-        assert db.execute("SELECT * FROM items").rows == []
+        assert run(db, "SELECT count(*) FROM items").rows == [(0,)]
+        assert run(db, "SELECT * FROM items").rows == []
         rows, columns = storage_snapshot(db)
         assert rows == []
         assert all(column == [] for column in columns)
         # the emptied table accepts fresh inserts on both storages
-        db.execute("INSERT INTO items VALUES (9, 9, 9.0, 'nine')")
-        assert db.execute("SELECT label FROM items").rows == [("nine",)]
+        run(db, "INSERT INTO items VALUES (9, 9, 9.0, 'nine')")
+        assert run(db, "SELECT label FROM items").rows == [("nine",)]
         assert_storages_in_sync(db)
 
-    def test_delete_unknown_table_raises(self, mode):
-        db = make_db(mode)
+    def test_delete_unknown_table_raises(self, run):
+        db = make_db()
         with pytest.raises(SqlCatalogError):
-            db.execute("DELETE FROM missing")
+            run(db, "DELETE FROM missing")
 
 
-class TestModeParity:
-    """Identical DML workloads leave row and batch databases byte-equal."""
+class TestReferenceParity:
+    """Identical DML workloads leave reference and engine databases equal."""
 
     WORKLOAD = [
         "UPDATE items SET amount = amount + 0.5 WHERE grp = 1",
@@ -236,35 +243,37 @@ class TestModeParity:
     ]
 
     def test_byte_identical_after_mixed_dml(self):
-        row_db, batch_db = make_db("row"), make_db("batch")
+        row_db, batch_db = make_db(), make_db()
         for sql in self.WORKLOAD:
-            row_result = row_db.execute(sql)
+            row_result = reference_execute(row_db, sql)
             batch_result = batch_db.execute(sql)
             assert row_result.rowcount == batch_result.rowcount, sql
         assert storage_snapshot(row_db) == storage_snapshot(batch_db)
         probe = "SELECT * FROM items ORDER BY id"
-        assert row_db.execute(probe).rows == batch_db.execute(probe).rows
+        assert reference_execute(row_db, probe).rows == batch_db.execute(
+            probe
+        ).rows
 
     def test_large_table_batch_boundaries(self):
-        """Batch-mode WHERE spans multiple 1024-row batches correctly."""
-        row_db, batch_db = (
-            Database(config=EngineConfig(execution_mode=mode))
-            for mode in ("row", "batch")
-        )
-        for db in (row_db, batch_db):
-            db.execute("CREATE TABLE big (id INT, bucket INT)")
+        """The DML scan spans multiple 1024-row batches correctly."""
+        row_db, batch_db = Database(), Database()
+        for db, run in ((row_db, reference_execute),
+                        (batch_db, Database.execute)):
+            run(db, "CREATE TABLE big (id INT, bucket INT)")
             db.insert_rows("big", [(i, i % 7) for i in range(3000)])
-            db.execute("UPDATE big SET bucket = 99 WHERE bucket = 3")
-            db.execute("DELETE FROM big WHERE bucket = 5")
+            run(db, "UPDATE big SET bucket = 99 WHERE bucket = 3")
+            run(db, "DELETE FROM big WHERE bucket = 5")
         probe = "SELECT count(*), sum(bucket) FROM big"
-        assert row_db.execute(probe).rows == batch_db.execute(probe).rows
+        assert reference_execute(row_db, probe).rows == batch_db.execute(
+            probe
+        ).rows
         assert storage_snapshot(row_db, "big") == storage_snapshot(
             batch_db, "big"
         )
 
 
 class TestWhereErrorParity:
-    """Batch DML splits its WHERE into conjuncts only when none can raise.
+    """DML splits its WHERE into conjuncts only when none can raise.
 
     Row 4 has ``grp`` NULL and ``amount`` 40.0: its first conjunct is
     NULL, so 3VL still evaluates the second, which divides by zero.
@@ -278,11 +287,11 @@ class TestWhereErrorParity:
     )
     def test_null_first_conjunct_does_not_hide_the_error(self, statement):
         errors = []
-        for mode in ("row", "batch"):
-            db = make_db(mode)
+        for run in (reference_execute, Database.execute):
+            db = make_db()
             before = storage_snapshot(db)
             with pytest.raises(SqlExecutionError) as info:
-                db.execute(statement + self.WHERE)
+                run(db, statement + self.WHERE)
             errors.append(str(info.value))
             assert storage_snapshot(db) == before
         assert errors[0] == errors[1]

@@ -22,7 +22,6 @@ class TestEngineConfig:
     def test_defaults_match_the_legacy_knob_defaults(self):
         config = EngineConfig()
         assert config.plan_cache_size == 128
-        assert config.execution_mode == "batch"
         assert config.dict_encoding_threshold is None
         assert config.fused is True
         assert config.segment_rows == 0  # flat storage unless asked
@@ -35,8 +34,6 @@ class TestEngineConfig:
     def test_validation_mirrors_the_engine_errors(self):
         with pytest.raises(SqlExecutionError, match="plan_cache_size"):
             EngineConfig(plan_cache_size=-1)
-        with pytest.raises(SqlExecutionError, match="execution mode"):
-            EngineConfig(execution_mode="turbo")
         with pytest.raises(SqlExecutionError, match="fused"):
             EngineConfig(fused="yes")
         with pytest.raises(SqlCatalogError, match="dict_encoding_threshold"):
@@ -51,40 +48,47 @@ class TestEngineConfig:
 
 
 class TestRemovedKnobs:
-    """``parallel_workers`` and ``array_store`` are gone, not defaulted off."""
+    """Removed knobs are gone, not defaulted off: ``parallel_workers``,
+    ``array_store`` and ``execution_mode`` (one engine)."""
 
     FIELDS = [
         "dict_encoding_threshold",
-        "execution_mode",
         "fused",
         "plan_cache_size",
         "request_timeout_ms",
         "segment_rows",
     ]
 
-    def test_removed_knobs_raise_and_six_keys_remain(self):
-        with pytest.raises(TypeError, match="array_store"):
-            EngineConfig(array_store=True)
-        with pytest.raises(TypeError, match="parallel_workers"):
-            EngineConfig(parallel_workers=2)
-        with pytest.raises(SqlExecutionError) as info:
-            EngineConfig.from_cli("parallel-workers=4")
-        message = str(info.value)
-        assert "'parallel_workers'" in message
-        listed = message.split("choose from ", 1)[1].rstrip(")")
-        assert listed.split(", ") == self.FIELDS
+    def test_removed_knobs_raise_and_five_keys_remain(self):
+        assert sorted(EngineConfig().as_dict()) == self.FIELDS
+        for knob, value in (
+            ("array_store", True),
+            ("parallel_workers", 2),
+            ("execution_mode", "row"),
+        ):
+            with pytest.raises(TypeError, match=knob):
+                EngineConfig(**{knob: value})
+        for spec, key in (
+            ("parallel-workers=4", "parallel_workers"),
+            ("execution-mode=row", "execution_mode"),
+        ):
+            with pytest.raises(SqlExecutionError) as info:
+                EngineConfig.from_cli(spec)
+            message = str(info.value)
+            assert f"'{key}'" in message
+            listed = message.split("choose from ", 1)[1].rstrip(")")
+            assert listed.split(", ") == self.FIELDS
 
 
 class TestFromCli:
     def test_parses_every_field_with_dash_aliases(self):
         config = EngineConfig.from_cli(
-            "plan-cache-size=16,execution-mode=row,"
+            "plan-cache-size=16,"
             "dict-encoding-threshold=none,fused=off,segment-rows=512,"
             "request-timeout-ms=250"
         )
         assert config == EngineConfig(
             plan_cache_size=16,
-            execution_mode="row",
             dict_encoding_threshold=None,
             fused=False,
             segment_rows=512,
@@ -113,13 +117,11 @@ class TestDatabaseConfig:
         assert db.config.fused is False
 
     def test_config_is_the_one_passed(self):
-        config = EngineConfig(execution_mode="row", plan_cache_size=4)
+        config = EngineConfig(fused=False, plan_cache_size=4)
         db = Database(config=config)
         assert db.config is config
         assert db.planner.config is config
         assert db.planner.cache.capacity == 4
-        db.execute("CREATE TABLE t (id INT)")
-        assert "[row]" in db.explain("SELECT id FROM t")
 
     def test_plain_database_warns_nothing(self):
         with warnings.catch_warnings():
@@ -161,7 +163,7 @@ class TestCliFlag:
 
     def test_engine_config_reaches_a_durable_database(self, tmp_path):
         code, output = self._run(
-            "--engine-config", "execution-mode=row,fused=false",
+            "--engine-config", "segment-rows=64,fused=false",
             "sql", "--data-dir", str(tmp_path / "d"),
             "CREATE TABLE t (id INT)", "INSERT INTO t VALUES (7)",
             "SELECT id FROM t",
@@ -171,7 +173,7 @@ class TestCliFlag:
 
     def test_engine_fields_have_no_flags_of_their_own(self):
         # a field spelled as a flag of its own is a usage error (exit 2)
-        valid = EngineConfig(execution_mode="row").as_dict()
+        valid = EngineConfig(segment_rows=64).as_dict()
         for name, value in valid.items():
             flag = "--" + name.replace("_", "-")
             with pytest.raises(SystemExit) as exit_info:

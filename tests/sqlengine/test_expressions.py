@@ -1,4 +1,8 @@
-"""Tests for expression compilation details (scope resolution, 3VL, LIKE)."""
+"""Tests for expression compilation details (scope resolution, 3VL, LIKE).
+
+Direct cases run through :func:`compile_expr_batch` over one-row
+batches, the way constant folding and row-major DML evaluate.
+"""
 
 import pytest
 
@@ -13,7 +17,7 @@ from repro.sqlengine.ast_nodes import (
 )
 from repro.sqlengine.expressions import (
     Scope,
-    compile_expr,
+    compile_expr_batch,
     like_to_regex,
     split_conjuncts,
 )
@@ -22,6 +26,11 @@ from repro.sqlengine.parser import parse_select
 
 def where_expr(condition):
     return parse_select(f"SELECT * FROM t WHERE {condition}").where
+
+
+def evaluate_row(expr, scope, row):
+    """*expr* over the one-row batch holding *row*."""
+    return compile_expr_batch(expr, scope)([[value] for value in row], 1)[0]
 
 
 class TestScope:
@@ -57,8 +66,7 @@ class TestScope:
 
 class TestThreeValuedLogic:
     def evaluate(self, condition, row, pairs):
-        scope = Scope(pairs)
-        return compile_expr(where_expr(condition), scope)(row)
+        return evaluate_row(where_expr(condition), Scope(pairs), row)
 
     def test_and_false_dominates_null(self):
         # NULL AND FALSE is FALSE
@@ -109,10 +117,10 @@ class TestLike:
 
     def test_not_like(self):
         scope = Scope([("t", "a")])
-        fn = compile_expr(where_expr("a NOT LIKE '%x%'"), scope)
-        assert fn(("yyy",)) is True
-        assert fn(("x",)) is False
-        assert fn((None,)) is None
+        expr = where_expr("a NOT LIKE '%x%'")
+        assert evaluate_row(expr, scope, ("yyy",)) is True
+        assert evaluate_row(expr, scope, ("x",)) is False
+        assert evaluate_row(expr, scope, (None,)) is None
 
 
 class TestHelpers:
@@ -139,4 +147,4 @@ class TestHelpers:
     def test_aggregate_outside_context_raises(self):
         scope = Scope([("t", "a")])
         with pytest.raises(SqlExecutionError):
-            compile_expr(FuncCall("sum", (ColumnRef("t", "a"),)), scope)
+            compile_expr_batch(FuncCall("sum", (ColumnRef("t", "a"),)), scope)

@@ -5,18 +5,19 @@ hashing is byte-identical to the broadcast evaluation, errors included:
 INTEGER/TEXT equi keys of one class, plus residuals that can never
 raise.  REAL keys (NaN equals every number but never hash-matches),
 cross-class keys and maybe-raising residuals keep the broadcast path.
-Both paths give the row engine's answer, so parity tests pass on
-either; this structure lock is what notices a LEFT JOIN that silently
+Both paths give the reference interpreter's answer, so parity tests
+pass on either; this structure lock is what notices a LEFT JOIN that silently
 fell back to broadcast (an O(left x right) evaluation).
 """
 
 import pytest
 
 from repro.errors import SqlError
-from repro.sqlengine.config import EngineConfig
 from repro.sqlengine.database import Database
 from repro.sqlengine.parser import parse_select
 from repro.sqlengine.planner.physical import BatchLeftJoinOp
+
+from tests.sqlengine.reference_engine import reference_execute
 
 SCHEMA = {
     "d": [("id", "INT"), ("k", "INT"), ("w", "REAL"), ("tag", "TEXT")],
@@ -58,17 +59,13 @@ BROADCAST = {
 }
 
 
-def make_db(mode: str) -> Database:
-    db = Database(config=EngineConfig(execution_mode=mode))
+@pytest.fixture(scope="module")
+def db():
+    db = Database()
     for name, columns in SCHEMA.items():
         db.create_table(name, columns)
         db.insert_rows(name, ROWS[name])
     return db
-
-
-@pytest.fixture(scope="module")
-def dbs():
-    return make_db("row"), make_db("batch")
 
 
 def left_join_op(db: Database, sql: str) -> BatchLeftJoinOp:
@@ -85,24 +82,26 @@ def left_join_op(db: Database, sql: str) -> BatchLeftJoinOp:
     raise AssertionError(f"no BatchLeftJoinOp in {sql}")  # pragma: no cover
 
 
-def outcome(db: Database, sql: str):
+def outcome(run, db: Database, sql: str):
     try:
-        return "rows", db.execute(sql).rows
+        return "rows", run(db, sql).rows
     except SqlError as exc:
         return "error", f"{type(exc).__name__}: {exc}"
 
 
 @pytest.mark.parametrize("shape", sorted(HASH))
-def test_hash_path(shape, dbs):
-    row_db, batch_db = dbs
+def test_hash_path(shape, db):
     sql = HASH[shape]
-    assert left_join_op(batch_db, sql)._key_pairs
-    assert outcome(batch_db, sql) == outcome(row_db, sql)
+    assert left_join_op(db, sql)._key_pairs
+    assert outcome(Database.execute, db, sql) == outcome(
+        reference_execute, db, sql
+    )
 
 
 @pytest.mark.parametrize("shape", sorted(BROADCAST))
-def test_broadcast_path(shape, dbs):
-    row_db, batch_db = dbs
+def test_broadcast_path(shape, db):
     sql = BROADCAST[shape]
-    assert left_join_op(batch_db, sql)._key_pairs == ()
-    assert outcome(batch_db, sql) == outcome(row_db, sql)
+    assert left_join_op(db, sql)._key_pairs == ()
+    assert outcome(Database.execute, db, sql) == outcome(
+        reference_execute, db, sql
+    )

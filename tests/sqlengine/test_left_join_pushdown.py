@@ -2,14 +2,13 @@
 
 The optimizer moves an ON conjunct that only filters the
 null-supplying (right) side into that side's scan.  Every shape below
-runs in both engines over flat and segmented storage and is compared
-with stdlib ``sqlite3`` loaded from the same rows: a wrong pushdown —
+runs over flat and segmented storage and is compared with stdlib
+``sqlite3`` loaded from the same rows (``sqlite_oracle``): a wrong
+pushdown —
 a left-only conjunct filtering the left input, say — drops rows the
 join must pad, and sqlite disagrees.  A maybe-raising conjunct must
-stay in the condition, with the same error text in every engine.
+stay in the condition, with the same error text in every layout.
 """
-
-import sqlite3
 
 import pytest
 
@@ -18,6 +17,8 @@ from repro.sqlengine.config import EngineConfig
 from repro.sqlengine.database import Database
 from repro.sqlengine.parser import parse_select
 from repro.sqlengine.planner.logical import LogicalLeftJoin
+
+from tests.sqlengine.sqlite_oracle import load, normalized
 
 SCHEMA = {
     "d": [("id", "INTEGER"), ("k", "INTEGER"), ("w", "REAL"), ("tag", "TEXT")],
@@ -48,10 +49,8 @@ def _rows():
 ROWS = _rows()
 
 CONFIGS = {
-    "row-flat": EngineConfig(execution_mode="row"),
-    "batch-flat": EngineConfig(execution_mode="batch"),
-    "row-seg64": EngineConfig(execution_mode="row", segment_rows=64),
-    "batch-seg64": EngineConfig(execution_mode="batch", segment_rows=64),
+    "batch-flat": EngineConfig(),
+    "batch-seg64": EngineConfig(segment_rows=64),
 }
 
 
@@ -69,31 +68,10 @@ def dbs():
 
 
 @pytest.fixture(scope="module")
-def oracle():
-    conn = sqlite3.connect(":memory:")
-    for name, columns in SCHEMA.items():
-        conn.execute(
-            f"CREATE TABLE {name} ("
-            + ", ".join(f"{c} {t}" for c, t in columns)
-            + ")"
-        )
-        marks = ", ".join("?" for __ in columns)
-        conn.executemany(f"INSERT INTO {name} VALUES ({marks})", ROWS[name])
+def oracle(dbs):
+    conn = load(dbs["batch-flat"])
     yield conn
     conn.close()
-
-
-def normalized(rows) -> list:
-    """Sorted rows with every number as a float (sqlite REAL affinity)."""
-    def cell(value):
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            return float(value)
-        return value
-
-    def key(row):
-        return tuple((value is not None, value) for value in row)
-
-    return sorted((tuple(cell(v) for v in row) for row in rows), key=key)
 
 
 # (sql, ON conjuncts expected in the right scan of the *last* LEFT JOIN)

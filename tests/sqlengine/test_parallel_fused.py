@@ -13,6 +13,8 @@ from repro.sqlengine.config import EngineConfig
 from repro.sqlengine.database import Database
 from repro.sqlengine.planner import physical
 
+from tests.sqlengine.reference_engine import snapshot_rows
+
 
 class TestFusedCompilation:
     @staticmethod
@@ -200,7 +202,7 @@ class TestPlainColumns:
         table = db.table("t")
         assert table.column_dictionary(2) is not None
         assert all(type(table.column_data(i)) is list for i in range(3))
-        assert list(table.pin().iter_rows()) == table.rows
+        assert snapshot_rows(table.pin()) == table.rows
 
 
 class TestEngineKnobs:

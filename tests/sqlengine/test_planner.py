@@ -110,7 +110,7 @@ class TestOptimizerRules:
         # (join key + projected tag) so it keeps its full layout (tag is
         # low-cardinality TEXT, hence dictionary-encoded)
         assert "[cols: small_id]" in plan
-        assert "scan small as small (3 rows) [dict: tag] [batch]\n" in plan + "\n"
+        assert "scan small as small (3 rows) [dict: tag]\n" in plan + "\n"
 
     def test_no_pruning_with_star(self, db):
         plan = db.explain(
@@ -168,9 +168,7 @@ class TestExplain:
         select = parse_select("SELECT tag FROM small WHERE id = 2")
         planner = db.planner
         rendered = render_plan(
-            planner.prepare(select).logical,
-            mode=planner.config.execution_mode,
-            catalog=db.catalog,
+            planner.prepare(select).logical, catalog=db.catalog
         )
         assert rendered == db.explain("SELECT tag FROM small WHERE id = 2")
 

@@ -3,12 +3,13 @@
 import pytest
 
 from repro.errors import SqlCatalogError, SqlSyntaxError
-from repro.sqlengine.config import EngineConfig
 from repro.sqlengine.database import Database
 
+from tests.sqlengine.reference_engine import reference_execute
 
-def make_db(mode: str = "batch") -> Database:
-    db = Database(config=EngineConfig(execution_mode=mode))
+
+def make_db() -> Database:
+    db = Database()
     db.execute(
         "CREATE TABLE items (id INT PRIMARY KEY, grp INT, amount REAL, "
         "label TEXT)"
@@ -59,10 +60,14 @@ class TestInsertReturning:
 
 
 class TestUpdateReturning:
-    @pytest.mark.parametrize("mode", ["row", "batch"])
-    def test_returning_new_image(self, mode):
-        db = make_db(mode)
-        result = db.execute(
+    @pytest.mark.parametrize(
+        "run", [reference_execute, Database.execute],
+        ids=["reference", "batch"],
+    )
+    def test_returning_new_image(self, run):
+        db = make_db()
+        result = run(
+            db,
             "UPDATE items SET amount = amount + 1.0 WHERE grp = 1 "
             "RETURNING id, amount"
         )

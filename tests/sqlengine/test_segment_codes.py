@@ -17,6 +17,8 @@ from repro.sqlengine.encoding import EncodedColumn
 from repro.sqlengine.planner.physical import BATCH_SIZE
 from repro.sqlengine.segments import TableSnapshot, pinned
 
+from tests.sqlengine.reference_engine import reference_execute
+
 #: 80 frozen segments of 256 rows end on a batch boundary; the delta
 #: holds the remaining 100 rows
 FROZEN = 20_480
@@ -28,8 +30,8 @@ def make_db(segment_rows=256, **kwargs) -> Database:
     return Database(config=EngineConfig(segment_rows=segment_rows, **kwargs))
 
 
-def facts_db(mode="batch", segment_rows=256, fused=True) -> Database:
-    db = make_db(segment_rows, execution_mode=mode, fused=fused)
+def facts_db(segment_rows=256, fused=True) -> Database:
+    db = make_db(segment_rows, fused=fused)
     db.create_table(
         "facts", [("id", "INT"), ("qty", "INT"), ("status", "TEXT")]
     )
@@ -169,10 +171,10 @@ class TestDmlThroughTheScan:
             (i,) for i in range(FROZEN + DELTA) if not k <= i < k + 20
         ]
 
-    def test_update_matches_the_row_engine(self):
+    def test_update_matches_the_reference(self):
         sql = "UPDATE facts SET qty = qty + 1 WHERE id >= 9000 AND id < 9050"
-        row, batch = facts_db(mode="row"), facts_db()
-        assert row.execute(sql).rowcount == 50
+        row, batch = facts_db(), facts_db()
+        assert reference_execute(row, sql).rowcount == 50
         result, delta = moved(
             lambda: batch.execute(sql), "engine.segments_skipped"
         )
@@ -182,12 +184,12 @@ class TestDmlThroughTheScan:
 
     def test_flat_table_matches_on_codes(self):
         flat = facts_db(segment_rows=0, fused=False)
-        row = facts_db(mode="row", segment_rows=0)
+        row = facts_db(segment_rows=0)
         sql = "DELETE FROM facts WHERE status IN ('NEW', 'DONE') AND qty = 3"
         result, delta = moved(
             lambda: flat.execute(sql), "engine.dict_fastpath_batches"
         )
-        assert result.rowcount == row.execute(sql).rowcount > 0
+        assert result.rowcount == reference_execute(row, sql).rowcount > 0
         assert delta["engine.dict_fastpath_batches"] > 0
         assert flat.table("facts").rows == row.table("facts").rows
 

@@ -6,8 +6,8 @@ frozen segments plus one small mutable delta; readers pin a
 concurrent DML.  These tests lock the layout invariants (freeze on
 threshold, tombstoned deletes, copy-on-write updates, compaction) and
 — the important part — that the segmented engine stays byte-identical
-to the flat row-mode engine with fused codegen on and off, before and
-after a DML storm.
+to the reference interpreter over flat storage with fused codegen on
+and off, before and after a DML storm.
 """
 
 import pytest
@@ -18,6 +18,8 @@ from repro.sqlengine.encoding import EncodedColumn
 from repro.sqlengine.planner.logical import LogicalScan
 from repro.sqlengine.planner.physical import BatchScanOp
 from repro.sqlengine.segments import pinned
+
+from tests.sqlengine.reference_engine import reference_execute, snapshot_rows
 
 
 def _db(segment_rows=8, **kwargs) -> Database:
@@ -55,7 +57,7 @@ class TestSegmentLayout:
         _populate(db, 50)
         table = db.table("t")
         snapshot = table.pin()
-        assert list(snapshot.iter_rows()) == table.rows
+        assert snapshot_rows(snapshot) == table.rows
         for index in range(len(table.columns)):
             sliced = snapshot.column_slice(index, 0, snapshot.row_count)
             assert list(sliced) == list(table.column_data(index))
@@ -114,7 +116,7 @@ class TestSegmentLayout:
         db.execute("UPDATE t SET amount = 0.0 WHERE grp = 1")
         table = db.table("t")
         snapshot = table.pin()
-        assert list(snapshot.iter_rows()) == table.rows
+        assert snapshot_rows(snapshot) == table.rows
         assert all(
             row[2] == 0.0 for row in table.rows if row[1] == 1
         )
@@ -127,7 +129,7 @@ class TestSegmentLayout:
         db.execute("UPDATE t SET tag = 'x' WHERE grp = 1")
         db.execute("ROLLBACK")
         table = db.table("t")
-        assert list(table.pin().iter_rows()) == table.rows
+        assert snapshot_rows(table.pin()) == table.rows
         assert db.execute("SELECT COUNT(*) FROM t").rows[0][0] == 32
 
 
@@ -137,13 +139,13 @@ class TestPinnedSnapshots:
         _populate(db, 40)
         table = db.table("t")
         snapshot = table.pin()
-        before = list(snapshot.iter_rows())
+        before = snapshot_rows(snapshot)
         db.execute("DELETE FROM t WHERE grp = 2")
         db.execute("INSERT INTO t VALUES (999, 9, 9.0, 'late')")
         db.execute("UPDATE t SET amount = -1.0 WHERE grp = 3")
         # the pinned snapshot still yields the pre-DML state while the
         # live table has moved on
-        assert list(snapshot.iter_rows()) == before
+        assert snapshot_rows(snapshot) == before
         assert table.pin().row_count != snapshot.row_count
 
     def test_pin_scope_serves_queries_from_the_snapshot(self):
@@ -191,24 +193,25 @@ def small_batches():
     physical.BATCH_SIZE = saved
 
 
-def _storm(db: Database) -> None:
+def _storm(db: Database, run=Database.execute) -> None:
     """DML that exercises tombstones, rewrites and a fresh delta."""
-    db.execute("DELETE FROM t WHERE grp = 4")
-    db.execute("UPDATE t SET amount = amount + 100 WHERE grp = 2")
-    db.execute(
+    run(db, "DELETE FROM t WHERE grp = 4")
+    run(db, "UPDATE t SET amount = amount + 100 WHERE grp = 2")
+    run(
+        db,
         "INSERT INTO t VALUES "
         + ", ".join(f"({200 + i}, {i % 5}, {i * 0.5}, 'late{i}')"
                     for i in range(11))
     )
-    db.execute("DELETE FROM t WHERE id > 100 AND amount < 3")
+    run(db, "DELETE FROM t WHERE id > 100 AND amount < 3")
 
 
 @pytest.fixture(scope="module")
 def segmented_matrix(small_batches):
-    """(flat row-mode baseline, {fused: segmented db})."""
-    baseline = Database(config=EngineConfig(execution_mode="row"))
+    """(flat reference baseline, {fused: segmented db})."""
+    baseline = Database()
     _populate(baseline, 120)
-    _storm(baseline)
+    _storm(baseline, reference_execute)
     combos = {}
     for fused in (True, False):
         db = _db(segment_rows=8, fused=fused)
@@ -222,9 +225,9 @@ class TestSegmentedModeMatrixParity:
     """Segmented storage must be invisible with fused codegen on or off."""
 
     @pytest.mark.parametrize("sql", CORPUS)
-    def test_matrix_matches_flat_row_baseline(self, segmented_matrix, sql):
+    def test_matrix_matches_flat_reference(self, segmented_matrix, sql):
         baseline, combos = segmented_matrix
-        expected = baseline.execute(sql)
+        expected = reference_execute(baseline, sql)
         for combo, db in combos.items():
             actual = db.execute(sql)
             assert actual.columns == expected.columns, (combo, sql)

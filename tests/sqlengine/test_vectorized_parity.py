@@ -1,16 +1,17 @@
-"""Row/batch execution parity across the whole query corpus.
+"""Batch-engine parity with the row-at-a-time reference interpreter.
 
 Property-style lock for the vectorized engine: every query shape the
-SQL layer supports is executed through both ``execution_mode="row"``
-and ``execution_mode="batch"`` and must produce *byte-identical*
-``ResultSet``s — same columns, same rows, same order.  Includes the
-planner fixture corpus plus edge cases: empty tables, all-NULL
-columns, LEFT JOIN padding, DISTINCT + ORDER BY, and error parity.
+SQL layer supports is executed by the engine and by
+``tests/sqlengine/reference_engine.py`` and must produce
+*byte-identical* ``ResultSet``s — same columns, same rows, same order.
+Includes the planner fixture corpus plus edge cases: empty tables,
+all-NULL columns, LEFT JOIN padding, DISTINCT + ORDER BY, and error
+parity.
 
-The batch side is additionally run with fused expression codegen on
-and off (with batches shrunk so the fixtures genuinely span many
-batches), and both must match row mode byte-for-byte, including which
-exception a failing query raises.
+The engine is additionally run with fused expression codegen on and off
+(with batches shrunk so the fixtures genuinely span many batches), and
+both must match the reference byte-for-byte, including which exception
+a failing query raises.
 """
 
 import pytest
@@ -19,6 +20,7 @@ from repro.errors import SqlError
 from repro.sqlengine.config import EngineConfig
 from repro.sqlengine.database import Database
 
+from tests.sqlengine.reference_engine import reference_execute
 from tests.sqlengine.test_planner import NAIVE_EQUIVALENCE_QUERIES
 
 
@@ -70,9 +72,10 @@ def _populate_rich_schema(db: Database) -> None:
 
 
 def _dual(populate) -> tuple:
+    """(database the reference reads, database the engine runs on)."""
     databases = []
-    for mode in ("row", "batch"):
-        db = Database(config=EngineConfig(execution_mode=mode))
+    for __ in range(2):
+        db = Database()
         populate(db)
         databases.append(db)
     return tuple(databases)
@@ -90,7 +93,7 @@ def rich_dbs():
 
 def _assert_parity(dbs, sql: str) -> None:
     row_db, batch_db = dbs
-    row_rs = row_db.execute(sql)
+    row_rs = reference_execute(row_db, sql)
     batch_rs = batch_db.execute(sql)
     assert batch_rs.columns == row_rs.columns, sql
     assert batch_rs.rows == row_rs.rows, sql
@@ -200,18 +203,18 @@ class TestErrorParity:
     ]
 
     @pytest.mark.parametrize("sql", ERROR_QUERIES)
-    def test_same_error_both_modes(self, rich_dbs, sql):
+    def test_same_error_as_reference(self, rich_dbs, sql):
         row_db, batch_db = rich_dbs
         with pytest.raises(SqlError) as row_error:
-            row_db.execute(sql)
+            reference_execute(row_db, sql)
         with pytest.raises(SqlError) as batch_error:
             batch_db.execute(sql)
         assert type(batch_error.value) is type(row_error.value)
         assert str(batch_error.value) == str(row_error.value)
 
     def test_short_circuit_protects_division(self, rich_dbs):
-        # row mode never divides where the guard is False; batch mode
-        # must compact the batch the same way instead of raising
+        # the reference never divides where the guard is False; the
+        # engine must compact the batch the same way instead of raising
         sql = "SELECT id FROM t WHERE val <> 0.0 AND 10 / val > 1"
         _assert_parity(rich_dbs, sql)
 
@@ -223,9 +226,9 @@ class TestErrorParity:
         _assert_parity(rich_dbs, sql)
 
     def test_in_list_items_short_circuit(self):
-        # row mode never evaluates 10 / y for the row whose x matched
-        # the first item; batch mode must confine later items to the
-        # rows that actually reach them
+        # the reference never evaluates 10 / y for the row whose x
+        # matched the first item; the engine must confine later items
+        # to the rows that actually reach them
         row_db, batch_db = _dual(
             lambda db: (
                 db.execute("CREATE TABLE g (x INT, y INT)"),
@@ -233,7 +236,9 @@ class TestErrorParity:
             )
         )
         sql = "SELECT x FROM g WHERE x IN (1, 10 / y)"
-        assert batch_db.execute(sql).rows == row_db.execute(sql).rows == [
+        assert batch_db.execute(sql).rows == reference_execute(
+            row_db, sql
+        ).rows == [
             (1,),
             (5,),
         ]
@@ -246,9 +251,10 @@ class TestErrorParity:
             )
         )
         sql = "SELECT x FROM g WHERE (10 / y) LIKE NULL"
-        for db in (row_db, batch_db):
+        for run in (lambda: reference_execute(row_db, sql),
+                    lambda: batch_db.execute(sql)):
             with pytest.raises(SqlError, match="division by zero"):
-                db.execute(sql)
+                run()
 
 
 class TestFloatEdgeParity:
@@ -264,20 +270,20 @@ class TestFloatEdgeParity:
 
         return _dual(populate)
 
-    def test_nan_in_list_matches_row_mode(self):
+    def test_nan_in_list_matches_the_reference(self):
         row_db, batch_db = self._nan_dbs()
-        # compare_values treats NaN as equal to any number, so row mode
-        # keeps the NaN row; the batch set fast path must agree
+        # compare_values treats NaN as equal to any number, so the
+        # reference keeps the NaN row; the batch set fast path must agree
         sql = "SELECT id FROM f WHERE x IN (5.0, 6.0)"
-        row_rows = row_db.execute(sql).rows
+        row_rows = reference_execute(row_db, sql).rows
         assert batch_db.execute(sql).rows == row_rows == [(1,)]
 
     def test_nan_survives_statistics_collection(self):
         row_db, batch_db = self._nan_dbs()
         # histogram build must not crash on non-finite values
-        for db in (row_db, batch_db):
-            assert db.execute("SELECT count(*) FROM f WHERE x > 0.5").rows \
-                == [(1,)]
+        sql = "SELECT count(*) FROM f WHERE x > 0.5"
+        assert reference_execute(row_db, sql).rows == [(1,)]
+        assert batch_db.execute(sql).rows == [(1,)]
 
     def test_negative_zero_sum_is_byte_identical(self):
         def populate(db):
@@ -286,7 +292,7 @@ class TestFloatEdgeParity:
 
         row_db, batch_db = _dual(populate)
         sql = "SELECT sum(x) FROM z"
-        row_rows = row_db.execute(sql).rows
+        row_rows = reference_execute(row_db, sql).rows
         batch_rows = batch_db.execute(sql).rows
         assert repr(batch_rows) == repr(row_rows) == "[(-0.0,)]"
 
@@ -390,21 +396,17 @@ STRING_CORPUS = [
 
 
 def _string_trio() -> list:
-    """Fresh (row, batch-encoded, batch-unencoded) databases."""
+    """Fresh (reference, encoded, unencoded) databases."""
     return [
-        Database(config=EngineConfig(execution_mode="row")),
-        Database(config=EngineConfig(execution_mode="batch")),
-        Database(
-            config=EngineConfig(
-                execution_mode="batch", dict_encoding_threshold=0
-            )
-        ),
+        Database(),
+        Database(),
+        Database(config=EngineConfig(dict_encoding_threshold=0)),
     ]
 
 
 @pytest.fixture(scope="module")
 def string_dbs():
-    """(row, batch-encoded, batch-unencoded) over the same data."""
+    """(reference, encoded, unencoded) over the same data."""
     databases = _string_trio()
     for db in databases:
         _populate_string_schema(db)
@@ -412,7 +414,7 @@ def string_dbs():
 
 
 class TestStringHeavyParity:
-    """Row / batch-encoded / batch-unencoded must be byte-identical."""
+    """Reference / encoded / unencoded must be byte-identical."""
 
     def test_fixture_is_actually_encoded(self, string_dbs):
         __, encoded, unencoded = string_dbs
@@ -423,7 +425,7 @@ class TestStringHeavyParity:
     @pytest.mark.parametrize("sql", STRING_CORPUS)
     def test_three_way_byte_identical(self, string_dbs, sql):
         row_db, encoded_db, unencoded_db = string_dbs
-        row_rs = row_db.execute(sql)
+        row_rs = reference_execute(row_db, sql)
         encoded_rs = encoded_db.execute(sql)
         unencoded_rs = unencoded_db.execute(sql)
         assert encoded_rs.columns == row_rs.columns, sql
@@ -437,18 +439,17 @@ class TestStringHeavyParity:
             "GROUP BY status, city ORDER BY status, city LIMIT 8"
         )
         fresh = _string_trio()
-        for db in fresh:
+        runs = (reference_execute, Database.execute, Database.execute)
+        for db, run in zip(fresh, runs):
             _populate_string_schema(db)
-            db.execute("UPDATE items SET status = 'HELD' WHERE status = 'NEW'")
-            db.execute("DELETE FROM items WHERE city = 'Zug'")
-            db.execute(
-                "UPDATE items SET city = NULL WHERE status = 'DONE'"
-            )
+            run(db, "UPDATE items SET status = 'HELD' WHERE status = 'NEW'")
+            run(db, "DELETE FROM items WHERE city = 'Zug'")
+            run(db, "UPDATE items SET city = NULL WHERE status = 'DONE'")
         row_db, encoded_db, unencoded_db = fresh
         # 'NEW' and 'Zug' are gone: their codes must be collected
         status_dict = encoded_db.table("items").column_dictionary(1)
         assert "NEW" not in status_dict.code_of
-        expected = row_db.execute(sql).rows
+        expected = reference_execute(row_db, sql).rows
         assert encoded_db.execute(sql).rows == expected
         assert unencoded_db.execute(sql).rows == expected
 
@@ -467,8 +468,8 @@ class TestTopNParity:
 
     def test_secondary_key_errors_survive_bound_pruning(self):
         # >1 batch of rows whose leading key loses to the bound must
-        # still evaluate the secondary ORDER BY expression — row mode
-        # and the unfused Sort+Limit raise, so the fused TopN must too
+        # still evaluate the secondary ORDER BY expression — the
+        # reference and the unfused Sort+Limit raise, so TopN must too
         def populate(db):
             db.execute("CREATE TABLE t (id INT, a INT, b INT)")
             db.insert_rows(
@@ -479,7 +480,7 @@ class TestTopNParity:
         row_db, batch_db = _dual(populate)
         sql = "SELECT id FROM t ORDER BY a, 10 / b LIMIT 2"
         with pytest.raises(SqlError) as row_error:
-            row_db.execute(sql)
+            reference_execute(row_db, sql)
         with pytest.raises(SqlError) as batch_error:
             batch_db.execute(sql)
         assert str(batch_error.value) == str(row_error.value)
@@ -511,8 +512,8 @@ def small_batches():
 
 
 def _matrix(populate, small_batches) -> tuple:
-    """(row baseline, {fused: batch db}) over one schema."""
-    baseline = Database(config=EngineConfig(execution_mode="row"))
+    """(reference baseline, {fused: engine db}) over one schema."""
+    baseline = Database()
     populate(baseline)
     combos = {}
     for fused in (True, False):
@@ -533,7 +534,7 @@ def string_matrix(small_batches):
 
 
 class TestModeMatrixParity:
-    """Batch mode must be byte-identical to row mode.
+    """The engine must be byte-identical to the reference.
 
     {fused on/off}, across the rich corpus, the string-heavy
     (dictionary-encoded) corpus, and the error corpus — results,
@@ -543,7 +544,7 @@ class TestModeMatrixParity:
     @staticmethod
     def _assert_all(matrix, sql):
         baseline, combos = matrix
-        expected = baseline.execute(sql)
+        expected = reference_execute(baseline, sql)
         for combo, db in combos.items():
             got = db.execute(sql)
             assert got.columns == expected.columns, (sql, combo)
@@ -561,7 +562,7 @@ class TestModeMatrixParity:
     def test_error_parity(self, rich_matrix, sql):
         baseline, combos = rich_matrix
         with pytest.raises(SqlError) as expected:
-            baseline.execute(sql)
+            reference_execute(baseline, sql)
         for combo, db in combos.items():
             with pytest.raises(SqlError) as got:
                 db.execute(sql)
@@ -593,37 +594,8 @@ class TestModeMatrixParity:
         baseline, combos = _matrix(populate, small_batches)
         sql = "SELECT 10 / d FROM m"
         with pytest.raises(SqlError) as expected:
-            baseline.execute(sql)
+            reference_execute(baseline, sql)
         for combo, db in combos.items():
             with pytest.raises(SqlError) as got:
                 db.execute(sql)
             assert str(got.value) == str(expected.value), combo
-
-
-class TestModeSwitching:
-    """Each engine is chosen by the config a database is built with."""
-
-    @staticmethod
-    def _db(mode: str) -> Database:
-        db = Database(config=EngineConfig(execution_mode=mode))
-        db.execute("CREATE TABLE x (id INT)")
-        db.execute("INSERT INTO x VALUES (1), (2)")
-        return db
-
-    def test_both_engines_answer_alike(self):
-        batch, row = self._db("batch"), self._db("row")
-        assert batch.config.execution_mode == "batch"
-        assert row.config.execution_mode == "row"
-        sql = "SELECT id FROM x ORDER BY id"
-        assert row.execute(sql).rows == batch.execute(sql).rows
-
-    def test_unknown_mode_rejected(self):
-        from repro.errors import SqlExecutionError
-
-        with pytest.raises(SqlExecutionError, match="unknown execution mode"):
-            EngineConfig(execution_mode="turbo")
-
-    def test_explain_annotates_mode(self):
-        sql = "SELECT id FROM x"
-        assert "[batch]" in self._db("batch").explain(sql)
-        assert "[row]" in self._db("row").explain(sql)

@@ -1,22 +1,25 @@
-"""Vectorized SET evaluation: row/batch parity and the safety analyzer.
+"""Vectorized SET evaluation: reference parity and the safety analyzer.
 
-Batch mode evaluates SET lists assignment-major (column-at-a-time);
-row mode evaluates row-major.  The two orders surface *different*
-first errors when two assignments can both raise, so the batch path is
-gated on :func:`repro.sqlengine.dml._never_raises` proving that at
-most one assignment is fallible.  These tests lock the parity — byte-
-identical results AND identical error behaviour — and pin the
-analyzer's verdicts on representative expressions.
+The engine evaluates SET lists assignment-major (column-at-a-time); the
+reference interpreter evaluates row-major.  The two orders surface
+*different* first errors when two assignments can both raise, so the
+column-at-a-time path is gated on
+:func:`repro.sqlengine.dml._never_raises` proving that at most one
+assignment is fallible, and otherwise the engine evaluates row by row
+over one-row batches.  These tests lock the parity — byte-identical
+results AND identical error behaviour — and pin the analyzer's verdicts
+on representative expressions.
 """
 
 import pytest
 
 from repro.errors import SqlExecutionError
 from repro.sqlengine.ast_nodes import Update
-from repro.sqlengine.config import EngineConfig
 from repro.sqlengine.database import Database
 from repro.sqlengine.dml import _never_raises
 from repro.sqlengine.parser import parse_sql
+
+from tests.sqlengine.reference_engine import reference_execute
 
 SEED = [
     "CREATE TABLE t (id INT PRIMARY KEY, n INT, x REAL, s TEXT, "
@@ -41,8 +44,8 @@ PARITY_UPDATES = [
 ]
 
 
-def make_db(mode: str) -> Database:
-    db = Database(config=EngineConfig(execution_mode=mode))
+def make_db() -> Database:
+    db = Database()
     for sql in SEED:
         db.execute(sql)
     return db
@@ -56,41 +59,42 @@ def table_state(db: Database):
 
 class TestParity:
     @pytest.mark.parametrize("sql", PARITY_UPDATES)
-    def test_row_and_batch_identical(self, sql):
-        row_db, batch_db = make_db("row"), make_db("batch")
-        row_result = row_db.execute(sql)
+    def test_reference_and_batch_identical(self, sql):
+        row_db, batch_db = make_db(), make_db()
+        row_result = reference_execute(row_db, sql)
         batch_result = batch_db.execute(sql)
         assert row_result.rowcount == batch_result.rowcount
         assert table_state(row_db) == table_state(batch_db)
 
     def test_error_parity_single_fallible_assignment(self):
-        """Division by a zero column value fails identically in both modes
-        and leaves the table untouched (statement atomicity)."""
-        outcomes = {}
-        for mode in ("row", "batch"):
-            db = make_db(mode)
+        """Division by a zero column value fails identically in the
+        engine and the reference and leaves the table untouched
+        (statement atomicity)."""
+        outcomes = []
+        for run in (reference_execute, Database.execute):
+            db = make_db()
             before = table_state(db)
             with pytest.raises(SqlExecutionError) as excinfo:
-                db.execute("UPDATE t SET x = 1.0 / n")
+                run(db, "UPDATE t SET x = 1.0 / n")
             assert table_state(db) == before
-            outcomes[mode] = str(excinfo.value)
-        assert outcomes["row"] == outcomes["batch"]
+            outcomes.append(str(excinfo.value))
+        assert outcomes[0] == outcomes[1]
 
     def test_two_fallible_assignments_fall_back_to_row_order(self):
-        """With two fallible SETs, batch mode must surface the *row-major*
-        first error — the one row mode reports."""
-        outcomes = {}
-        for mode in ("row", "batch"):
-            db = make_db(mode)
+        """With two fallible SETs, the engine must surface the
+        *row-major* first error — the one the reference reports."""
+        outcomes = []
+        for run in (reference_execute, Database.execute):
+            db = make_db()
             # row 1: x/n fine (n=5), n/x fine; row 2: n NULL -> x/n is
             # NULL (no error), n/x fine; row 4: n=0 -> second SET n/x
             # fine but first SET x/n divides by zero.  Row-major hits
             # the row-4 first-assignment error; assignment-major would
             # have hit it in a different evaluation sequence.
             with pytest.raises(SqlExecutionError) as excinfo:
-                db.execute("UPDATE t SET x = x / n, n = n / x")
-            outcomes[mode] = str(excinfo.value)
-        assert outcomes["row"] == outcomes["batch"]
+                run(db, "UPDATE t SET x = x / n, n = n / x")
+            outcomes.append(str(excinfo.value))
+        assert outcomes[0] == outcomes[1]
 
 
 class TestNeverRaisesAnalyzer:
@@ -129,7 +133,7 @@ class TestNeverRaisesAnalyzer:
         ],
     )
     def test_verdicts(self, set_expr, expected):
-        db = make_db("row")
+        db = make_db()
         statement = parse_sql(f"UPDATE t SET n = {set_expr}")
         assert isinstance(statement, Update)
         value = statement.assignments[0].value

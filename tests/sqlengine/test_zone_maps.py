@@ -21,16 +21,16 @@ from repro.sqlengine.planner.physical import BATCH_SIZE
 from repro.sqlengine.planner.stats import predicate_selectivity
 from repro.sqlengine.segments import FrozenSegment
 
+from tests.sqlengine.reference_engine import reference_execute
+
 #: 80 frozen segments of 256 rows end on a batch boundary; the delta
 #: holds the remaining 100 rows
 FROZEN = 20_480
 DELTA = 100
 
 
-def make_db(segment_rows=256, mode="batch"):
-    db = Database(
-        config=EngineConfig(execution_mode=mode, segment_rows=segment_rows)
-    )
+def make_db(segment_rows=256):
+    db = Database(config=EngineConfig(segment_rows=segment_rows))
     db.create_table(
         "facts",
         [("id", "INT"), ("dim_id", "INT"), ("amount", "REAL"), ("qty", "INT")],
@@ -113,22 +113,23 @@ class TestNeverSkipped:
         )
         assert scanned == FROZEN + DELTA
 
-    def test_row_engine_reads_everything(self):
-        row = make_db(mode="row")
-        result, scanned = moved(
-            "engine.rows_scanned",
-            lambda: row.execute("SELECT id FROM facts WHERE id = 7"),
-        )
-        assert result.rows == [(7,)]
-        assert scanned == FROZEN + DELTA
+
+class TestSkippingMatchesTheReference:
+    @pytest.mark.parametrize("sql", [
+        "SELECT id, qty FROM facts WHERE id = 7",
+        "SELECT count(*), sum(amount) FROM facts WHERE id >= 20000",
+        "SELECT id FROM facts WHERE amount > 995 AND id < 3000",
+        "SELECT f.id, d.region FROM facts f, dims d "
+        "WHERE f.dim_id = d.id AND f.id BETWEEN 12000 AND 12010",
+    ])
+    def test_same_rows(self, db, sql):
+        # the reference reads every flat row; the scan skips segments
+        assert db.execute(sql).rows == reference_execute(db, sql).rows
 
 
 class TestZoneMemo:
     def test_lazy_and_conservative(self):
-        segment = FrozenSegment(
-            rows=((3, 1.5), (None, 2.5), (9, None)),
-            columns=((3, None, 9), (1.5, 2.5, None)),
-        )
+        segment = FrozenSegment(((3, None, 9), (1.5, 2.5, None)), 3)
         assert segment._zones == {}  # nothing computed at freeze
         assert segment.zone(0) == (3, 9)
         assert segment.zone(1) == (1.5, 2.5)
@@ -136,10 +137,7 @@ class TestZoneMemo:
         assert segment.zone(0) == (3, 9)
 
     def test_nan_and_all_null_columns_have_no_zone(self):
-        segment = FrozenSegment(
-            rows=((None, float("nan")), (None, 1.0)),
-            columns=((None, None), (float("nan"), 1.0)),
-        )
+        segment = FrozenSegment(((None, None), (float("nan"), 1.0)), 2)
         assert segment.zone(0) is None
         assert segment.zone(1) is None
 
@@ -161,7 +159,7 @@ class TestExplain:
         )
         assert rendered.splitlines()[-1] == (
             "└─ scan facts as facts (20580 rows) filter: (id = 5000) "
-            "[~1 rows] [cols: id] [batch] "
+            "[~1 rows] [cols: id] "
             "(actual rows=1, batches=1, skipped=76, self=Xms)"
         )
 
@@ -181,12 +179,12 @@ class TestExplain:
         estimate = int(round((FROZEN + DELTA)
                              * predicate_selectivity(pushed, stats)))
         assert db.explain(sql).splitlines() == [
-            "project d.id, f.id [batch]",
-            "└─ left join f on (f.dim_id = d.id) [~4 rows] [batch]",
+            "project d.id, f.id",
+            "└─ left join f on (f.dim_id = d.id) [~4 rows]",
             "   ├─ scan dims as d (50 rows) filter: (d.id < 3) [~4 rows] "
-            "[cols: id] [batch]",
+            "[cols: id]",
             "   └─ scan facts as f (20580 rows) filter: (f.amount > 990) "
-            f"[~{estimate} rows] [cols: id, dim_id] [batch]",
+            f"[~{estimate} rows] [cols: id, dim_id]",
         ]
 
     def test_whole_condition_pushed_renders_true(self, db):
@@ -195,7 +193,7 @@ class TestExplain:
             "ON f.amount > 996.5 WHERE d.id < 2"
         )
         lines = db.explain(sql).splitlines()
-        assert lines[1] == "└─ left join f on TRUE [~3 rows] [batch]"
+        assert lines[1] == "└─ left join f on TRUE [~3 rows]"
         assert "filter: (f.amount > 996.5)" in lines[3]
         # every left row is still padded
         assert sorted(db.execute(sql).rows) == [(0, None), (1, None)]

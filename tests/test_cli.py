@@ -166,23 +166,26 @@ class TestExplain:
         assert code == 0
         assert "(3 shown)" in output
 
-    def test_explain_annotates_batch_mode_by_default(self):
+    def test_explain_names_no_engine(self):
         code, output = run_cli(
             "--scale", "0.25", "explain", "SELECT id FROM parties"
         )
         assert code == 0
-        assert "[batch]" in output
+        assert "scan parties" in output
+        assert "[batch]" not in output
         assert "[row]" not in output
 
-    def test_execution_mode_flag_switches_engine(self):
+    def test_execution_mode_is_not_an_engine_setting(self, capsys):
         sql = "SELECT id FROM parties WHERE party_type_cd = 'I'"
         code, output = run_cli(
             "--scale", "0.25", "--engine-config", "execution-mode=row",
             "explain", sql,
         )
-        assert code == 0
-        assert "[row]" in output
-        assert "[batch]" not in output
+        assert code != 0
+        lines = output.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), output
+        assert "execution_mode" in output
+        assert capsys.readouterr().err == ""  # no traceback
 
     def test_search_with_explain_flag(self):
         code, output = run_cli(
@@ -352,16 +355,6 @@ class TestObservabilityCli:
         assert "(actual rows=" in output
         assert "self=" in output
         assert "[~" in output  # estimates stay alongside the actuals
-
-    def test_explain_analyze_row_mode(self):
-        code, output = run_cli(
-            "--scale", "0.25", "--engine-config", "execution-mode=row",
-            "explain", "--analyze",
-            "SELECT count(*) FROM money_transactions",
-        )
-        assert code == 0
-        assert "(actual rows=" in output
-        assert "batches=" not in output
 
     def test_search_analyze_shows_actuals_under_statements(self):
         code, output = run_cli(
