@@ -29,13 +29,15 @@
 #   make coverage     tier-1 suite under pytest-cov (CI gate: >=85% on
 #                     src/repro, writes coverage.xml)
 #   make lint         bytecode-compile every source tree (import/syntax gate)
-#   make check        lint + test + ledger-smoke
+#   make examples     run every examples/*.py script end to end (~3 s;
+#                     their output is discarded, a failing script fails)
+#   make check        lint + test + examples + ledger-smoke
 
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: test test-fast test-stress ledger ledger-smoke ledger-pairs coverage \
-	lint check
+	lint examples check
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -68,4 +70,10 @@ coverage:
 lint:
 	$(PYTHON) -m compileall -q src tests benchmarks examples tools
 
-check: lint test ledger-smoke
+examples:
+	@for script in examples/*.py; do \
+		echo "$$script"; \
+		$(PYTHON) $$script > /dev/null || exit 1; \
+	done
+
+check: lint test examples ledger-smoke

@@ -104,16 +104,16 @@ class Banks(KeywordSearchSystem):
         for table in catalog.tables():
             keys = table.primary_key_columns()
             key_col = keys[0] if keys else table.columns[0].name
-            key_position = table.column_index(key_col)
-            for row_number, row in enumerate(table.rows):
+            keys = table.column_data(table.column_index(key_col))
+            for row_number, key in enumerate(keys):
                 node = (table.name, row_number)
                 graph.add_node(node)
-                row_index[(table.name, row[key_position])] = node
+                row_index[(table.name, key)] = node
         for table in catalog.tables():
             for fk in table.foreign_keys:
-                local_position = table.column_index(fk.columns[0])
-                for row_number, row in enumerate(table.rows):
-                    target = row_index.get((fk.ref_table, row[local_position]))
+                references = table.column_data(table.column_index(fk.columns[0]))
+                for row_number, reference in enumerate(references):
+                    target = row_index.get((fk.ref_table, reference))
                     if target is not None:
                         graph.add_edge((table.name, row_number), target)
         return graph
@@ -124,10 +124,9 @@ class Banks(KeywordSearchSystem):
         catalog = self.database.catalog
         for table, column in self.keyword_hits(segment):
             table_object = catalog.table(table)
-            position = table_object.column_index(column)
+            values = table_object.column_data(table_object.column_index(column))
             needle = " " + segment + " "
-            for row_number, row in enumerate(table_object.rows):
-                value = row[position]
+            for row_number, value in enumerate(values):
                 if value is None:
                     continue
                 haystack = " " + " ".join(tokenize_text(str(value))) + " "
@@ -141,7 +140,7 @@ class Banks(KeywordSearchSystem):
                 table_object = catalog.table(table_name)
                 nodes.extend(
                     (table_name, row_number)
-                    for row_number in range(min(len(table_object.rows), 200))
+                    for row_number in range(min(len(table_object), 200))
                 )
         return nodes
 

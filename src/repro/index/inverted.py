@@ -136,18 +136,18 @@ class InvertedIndex:
         for table_name in names:
             table = catalog.table(table_name)
             text_columns = [
-                (position, column.name)
+                (column.name, table.column_data(position))
                 for position, column in enumerate(table.columns)
                 if column.sql_type is SqlType.TEXT
             ]
             if not text_columns:
                 continue
-            for row in table.rows:
-                for position, column_name in text_columns:
-                    value = row[position]
-                    if value is None:
-                        continue
-                    index.add(table_name, column_name, value)
+            names, stores = zip(*text_columns)
+            # row-major over the TEXT columns only, as the write path adds
+            for values in zip(*stores):
+                for column_name, value in zip(names, values):
+                    if value is not None:
+                        index.add(table_name, column_name, value)
         return index
 
     def add(self, table: str, column: str, value: str) -> None:

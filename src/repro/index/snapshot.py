@@ -60,11 +60,11 @@ def catalog_digest(catalog) -> str:
     digest = hashlib.sha256()
     for table in catalog.tables():
         digest.update(table.name.encode())
-        rows = table.rows
-        digest.update(str(len(rows)).encode())
-        if rows:
-            for sample in (rows[0], rows[len(rows) // 2], rows[-1]):
-                digest.update(repr(sample).encode())
+        count = len(table)
+        digest.update(str(count).encode())
+        if count:
+            for position in (0, count // 2, count - 1):
+                digest.update(repr(table.row(position)).encode())
     return digest.hexdigest()
 
 

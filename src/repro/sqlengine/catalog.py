@@ -85,20 +85,19 @@ class ForeignKey:
 
 
 class Table:
-    """A named table: column schema plus dual row/columnar storage.
+    """A named table: column schema plus columnar storage.
 
     Rows are tuples in column order.  Values are validated and coerced on
     insert so that downstream operators can rely on type invariants.
 
-    Storage is kept in two synchronized layouts: ``rows`` (a list of
-    tuples, the view used by the inverted-index maintainer, snapshots and
-    the row-at-a-time operators) and one Python list per column
-    (``column_data``), which the vectorized batch operators slice
-    directly without per-row tuple indexing.  All mutation flows through
-    the single insert/update/delete paths below, which write both
-    layouts in lockstep (in-place column writes for UPDATE, tombstone-
-    free compaction for DELETE), so they can never diverge.  Both list
-    objects keep their identity across mutations, so operators holding a
+    Each value is stored once, in one Python list per column
+    (``column_data``), which the batch operators slice directly.  Row
+    tuples exist only when a reader asks for them: :meth:`row` and
+    :meth:`iter_rows` decode from the columns, and :attr:`rows` is a
+    freshly decoded list for tests and tools.  All mutation flows through
+    the single insert/update/delete paths below (in-place column writes
+    for UPDATE, tombstone-free compaction for DELETE); every column list
+    keeps its identity across mutations, so operators holding a
     reference always see the live data.
 
     Every mutation bumps :attr:`version` (the per-table plan-cache
@@ -114,7 +113,7 @@ class Table:
     disables encoding): a refcounted
     :class:`~repro.sqlengine.encoding.ColumnDictionary` plus one code
     per row, maintained through the same single mutation path as the
-    two value layouts.  The vectorized engine reads the codes for
+    value lists.  The vectorized engine reads the codes for
     integer-speed string predicates and code-keyed GROUP BY / DISTINCT
     / join probes; a column whose cardinality outgrows the threshold
     drops its dictionary and falls back to plain value batches.
@@ -138,7 +137,6 @@ class Table:
         self.columns = tuple(columns)
         self.foreign_keys = tuple(foreign_keys)
         self._index_of = {c.name: i for i, c in enumerate(self.columns)}
-        self.rows: list[tuple] = []
         #: columnar storage: one value list per column, in schema order
         self._column_data: list = [[] for __ in self.columns]
         self._dict_threshold = (
@@ -208,6 +206,23 @@ class Table:
         """The value list of the column at *index* (live, do not mutate)."""
         return self._column_data[index]
 
+    def row(self, position: int) -> tuple:
+        """The row at *position*, decoded from the columns."""
+        return tuple([store[position] for store in self._column_data])
+
+    def iter_rows(self) -> Iterator[tuple]:
+        """Every row in table order, decoded from the columns."""
+        return zip(*self._column_data)
+
+    @property
+    def rows(self) -> list[tuple]:
+        """A freshly decoded list of every row (a copy; for tests and tools)."""
+        return list(self.iter_rows())
+
+    def _rows_at(self, positions: Sequence[int]) -> list[tuple]:
+        """The rows at *positions*, gathered column by column."""
+        return list(zip(*[[s[p] for p in positions] for s in self._column_data]))
+
     def column_dictionary(self, index: int) -> "ColumnDictionary | None":
         """The dictionary of the column at *index*, or None if unencoded."""
         return self._dictionaries[index]
@@ -221,12 +236,10 @@ class Table:
         return [self.columns[i].name for i in self._encoded_indexes]
 
     def _disable_dictionary(self, index: int) -> None:
-        """Drop the dictionary of one column (cardinality outgrew the cap)."""
+        """Drop the dictionary of one column (the mirror is now stale)."""
         self._dictionaries[index] = None
         self._codes[index] = None
         self._encoded_indexes.remove(index)
-        # segments must never hold codes for an unencoded column
-        self._rebuild_segments()
 
     def _rebuild_segments(self) -> None:
         """Re-derive the segment mirror from the flat storage, if any."""
@@ -237,6 +250,8 @@ class Table:
         for index in list(self._encoded_indexes):
             if self._dictionaries[index].live_count > self._dict_threshold:
                 self._disable_dictionary(index)
+                # segments must never hold codes for an unencoded column
+                self._rebuild_segments()
 
     # ------------------------------------------------------------------
     @property
@@ -298,8 +313,7 @@ class Table:
             for value, column in zip(values, self.columns)
         )
         if self._undo is not None:
-            self._undo.record_insert(self, len(self.rows))
-        self.rows.append(row)
+            self._undo.record_insert(self, len(self))
         for store, value in zip(self._column_data, row):
             store.append(value)
         if self._encoded_indexes:
@@ -339,12 +353,13 @@ class Table:
     ) -> int:
         """Rewrite the rows at *positions* with *new_rows*, in place.
 
-        Values are validated and coerced exactly like inserts.  The
-        tuple list and every per-column list are written together, and
-        observers see one ``on_update(table, old_row, new_row)`` per
-        row.  All validation (positions in range, values coercible)
-        happens before the first write, so an error leaves the table
-        untouched.  Returns the row count.
+        Values are validated and coerced exactly like inserts.  Every
+        column list is written in place; the old images, which the undo
+        log and observers (one ``on_update(table, old_row, new_row)``
+        per row) receive, are decoded from the columns first.  All
+        validation (positions in range, values coercible) happens before
+        the first write, so an error leaves the table untouched.  Returns
+        the row count.
         """
         if len(positions) != len(new_rows):
             raise SqlCatalogError(
@@ -352,11 +367,11 @@ class Table:
                 f"{len(new_rows)} replacement rows"
             )
         if positions and (
-            min(positions) < 0 or max(positions) >= len(self.rows)
+            min(positions) < 0 or max(positions) >= len(self)
         ):
             raise SqlCatalogError(
                 f"table {self.name!r}: update position out of range "
-                f"(have {len(self.rows)} rows)"
+                f"(have {len(self)} rows)"
             )
         coerced = []
         for values in new_rows:
@@ -373,19 +388,12 @@ class Table:
             )
         if not coerced:
             return 0
-        rows = self.rows
+        old_rows = self._rows_at(positions)
         if self._undo is not None:
-            self._undo.record_update(
-                self,
-                list(positions),
-                [rows[position] for position in positions],
-            )
+            self._undo.record_update(self, list(positions), old_rows)
         column_data = self._column_data
         encoded_indexes = self._encoded_indexes
-        changes = []
         for position, new_row in zip(positions, coerced):
-            old_row = rows[position]
-            rows[position] = new_row
             for store, value in zip(column_data, new_row):
                 store[position] = value
             for index in encoded_indexes:
@@ -398,7 +406,6 @@ class Table:
                 codes[position] = (
                     None if value is None else dictionary.encode(value)
                 )
-            changes.append((old_row, new_row))
         if encoded_indexes:
             self._check_dictionary_thresholds()
         if self._segments is not None:
@@ -406,41 +413,43 @@ class Table:
         self._version += 1
         self._mutation_count += 1
         for observer in self._observers:
-            for old_row, new_row in changes:
+            for old_row, new_row in zip(old_rows, coerced):
                 observer.on_update(self, old_row, new_row)
-        return len(changes)
+        return len(coerced)
 
     @_locked
     def delete_positions(self, positions: Sequence[int]) -> int:
         """Remove the rows at *positions* (tombstone-free compaction).
 
-        Both storages are compacted together via in-place slice
-        assignment, preserving list object identity for any operator
-        holding a reference.  Observers see one ``on_delete(table,
-        row)`` per removed row, in table order.  Returns the row count.
+        Every column list (and code list) is compacted via in-place
+        slice assignment, preserving list object identity for any
+        operator holding a reference.  The removed rows are decoded
+        first, for the undo log and for observers, which see one
+        ``on_delete(table, row)`` per removed row, in table order.
+        Returns the row count.
         """
         doomed = set(positions)
         if not doomed:
             return 0
-        rows = self.rows
-        if min(doomed) < 0 or max(doomed) >= len(rows):
+        count = len(self)
+        if min(doomed) < 0 or max(doomed) >= count:
             raise SqlCatalogError(
                 f"table {self.name!r}: delete position out of range "
-                f"(have {len(rows)} rows)"
+                f"(have {count} rows)"
             )
-        removed = [rows[position] for position in sorted(doomed)]
+        ordered = sorted(doomed)
+        removed = self._rows_at(ordered)
         if self._undo is not None:
-            self._undo.record_delete(self, sorted(doomed), removed)
+            self._undo.record_delete(self, ordered, removed)
         segment_plan = (
-            self._segments.plan_delete(sorted(doomed))
+            self._segments.plan_delete(ordered)
             if self._segments is not None
             else None
         )
         # one keep-mask for every aligned list, applied at C speed
-        keep = bytearray(b"\x01") * len(rows)
+        keep = bytearray(b"\x01") * count
         for position in doomed:
             keep[position] = 0
-        rows[:] = list(compress(rows, keep))
         for store in self._column_data:
             store[:] = list(compress(store, keep))
         for index in self._encoded_indexes:
@@ -458,7 +467,7 @@ class Table:
         for observer in self._observers:
             for row in removed:
                 observer.on_delete(self, row)
-        return len(removed)
+        return len(ordered)
 
     @_locked
     def restore_rows(self, positions: Sequence[int], rows: Sequence[tuple]) -> None:
@@ -466,11 +475,12 @@ class Table:
 
         The exact inverse of :meth:`delete_positions`: *positions* are
         the (strictly ascending) positions the rows occupied before the
-        delete, and *rows* the already-coerced tuples it removed.  Both
-        storages are rebuilt together via in-place slice assignment
-        (list identity preserved), dictionary codes are re-interned for
-        the restored rows only, and observers see one ``on_insert`` per
-        row — so derived structures (the inverted index) converge to the
+        delete, and *rows* the already-coerced tuples it removed.  Each
+        column list is merged with its restored values via in-place
+        slice assignment (list identity preserved), dictionary codes are
+        re-interned for the restored rows only, and observers see one
+        ``on_insert`` per row — so derived structures (the inverted
+        index) converge to the
         pre-delete state.  Used by the transaction undo log; not a
         public mutation path.
         """
@@ -481,10 +491,9 @@ class Table:
             )
         if not positions:
             return
-        final_len = len(self.rows) + len(positions)
-        restored_at = dict(zip(positions, rows))
+        final_len = len(self) + len(positions)
         if (
-            len(restored_at) != len(positions)
+            len(set(positions)) != len(positions)
             or list(positions) != sorted(positions)
             or positions[0] < 0
             or positions[-1] >= final_len
@@ -493,28 +502,18 @@ class Table:
                 f"table {self.name!r}: restore positions must be unique, "
                 f"ascending and within {final_len} rows"
             )
-        survivors = iter(list(self.rows))
-        merged = [
-            restored_at[pos] if pos in restored_at else next(survivors)
-            for pos in range(final_len)
-        ]
-        self.rows[:] = merged
-        for index, store in enumerate(self._column_data):
-            store[:] = [row[index] for row in merged]
+        restored = list(zip(*rows))  # one value tuple per column
+        for store, values in zip(self._column_data, restored):
+            store[:] = _merge(store, positions, values)
         for index in self._encoded_indexes:
-            dictionary = self._dictionaries[index]
+            encode = self._dictionaries[index].encode
             codes = self._codes[index]
-            old_codes = iter(list(codes))
-            merged_codes = []
-            for pos in range(final_len):
-                if pos in restored_at:
-                    value = restored_at[pos][index]
-                    merged_codes.append(
-                        None if value is None else dictionary.encode(value)
-                    )
-                else:
-                    merged_codes.append(next(old_codes))
-            codes[:] = merged_codes
+            codes[:] = _merge(
+                codes,
+                positions,
+                [None if value is None else encode(value)
+                 for value in restored[index]],
+            )
         if self._encoded_indexes:
             self._check_dictionary_thresholds()
         # rollback rewrites arbitrary ranges; re-derive the mirror
@@ -522,17 +521,28 @@ class Table:
         self._version += 1
         self._mutation_count += 1
         for observer in self._observers:
-            for position in positions:
-                observer.on_insert(self, restored_at[position])
+            for row in rows:
+                observer.on_insert(self, row)
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self._column_data[0])
 
     def __iter__(self) -> Iterator[tuple]:
-        return iter(self.rows)
+        return self.iter_rows()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Table {self.name} cols={len(self.columns)} rows={len(self.rows)}>"
+        return f"<Table {self.name} cols={len(self.columns)} rows={len(self)}>"
+
+
+def _merge(old: list, positions: Sequence[int], values: Sequence) -> list:
+    """*old* with ``values[k]`` re-inserted at ascending ``positions[k]``."""
+    merged: list = []
+    taken = 0  # old values copied so far; k values precede positions[k]
+    for k, (position, value) in enumerate(zip(positions, values)):
+        merged += old[taken : position - k]
+        merged.append(value)
+        taken = position - k
+    return merged + old[taken:]
 
 
 class Catalog:
@@ -647,7 +657,7 @@ class Catalog:
         total_rows = 0
         total_mutations = 0
         for table in self._tables.values():
-            total_rows += len(table.rows)
+            total_rows += len(table)
             total_mutations += table.mutation_count
         base = (self._ddl_version, total_rows, total_mutations)
         if self._txn_token is not None:

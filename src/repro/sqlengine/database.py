@@ -183,7 +183,7 @@ class Database:
         if isinstance(statement, Insert):
             table = self.catalog.table(statement.table)
             with self.txn.statement([table]):
-                first_new = len(table.rows)
+                first_new = len(table)
                 if statement.columns:
                     for row in statement.rows:
                         if len(row) != len(statement.columns):
@@ -197,7 +197,7 @@ class Database:
                 if statement.returning:
                     result = evaluate_returning(
                         table,
-                        table.rows[first_new:],
+                        [table.row(i) for i in range(first_new, len(table))],
                         statement.returning,
                         len(statement.rows),
                     )

@@ -16,7 +16,7 @@ fewer rows never hides an error the whole WHERE raises.
 Matching happens first, mutation second, and all mutation flows through
 :meth:`~repro.sqlengine.catalog.Table.update_positions` /
 :meth:`~repro.sqlengine.catalog.Table.delete_positions` — the single
-path that keeps the tuple list and the columnar store in lockstep and
+path that writes the column lists (and dictionary codes) and
 notifies catalog observers (index maintenance, statistics) row by row.
 SET expressions are evaluated against the *old* row, per standard SQL,
 so ``SET a = b, b = a`` swaps.
@@ -66,7 +66,7 @@ def _matching_positions(
 ) -> list[int]:
     """Row positions where *where* is ``True`` (3VL: NULL never matches)."""
     if where is None:
-        return list(range(len(table.rows)))
+        return list(range(len(table)))
     # split only when no conjunct can raise: evaluating a later conjunct
     # over fewer rows must not hide an error the whole WHERE would raise
     conjuncts = split_conjuncts(where)
@@ -178,8 +178,7 @@ def execute_update(
         if statement.returning:
             return evaluate_returning(table, [], statement.returning, 0)
         return ResultSet(columns=[], rows=[], rowcount=0)
-    rows = table.rows
-    old_rows = [rows[position] for position in positions]
+    old_rows = [table.row(position) for position in positions]
     new_rows = [list(row) for row in old_rows]
     values = _evaluate(table, old_rows, [value for __, value in targets])
     for (index, __), column in zip(targets, values):
@@ -189,7 +188,7 @@ def execute_update(
     if statement.returning:
         return evaluate_returning(
             table,
-            [rows[position] for position in positions],  # the new image
+            [table.row(position) for position in positions],  # the new image
             statement.returning,
             changed,
         )
@@ -207,7 +206,7 @@ def execute_delete(
             return evaluate_returning(table, [], statement.returning, 0)
         return ResultSet(columns=[], rows=[], rowcount=0)
     removed_rows = (
-        [table.rows[position] for position in positions]
+        [table.row(position) for position in positions]
         if statement.returning
         else None
     )

@@ -36,11 +36,6 @@ class PlanCacheStats:
     #: entries dropped because validation found them stale
     invalidations: int = 0
 
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
 
 class PlanCache:
     """A bounded mapping from plan keys to prepared plans (LRU eviction).

@@ -284,7 +284,7 @@ def lower_select(catalog: Catalog, select: Select) -> LogicalNode:
 
     def scan(binding: str, table: Table) -> LogicalScan:
         return LogicalScan(
-            table=table.name, binding=binding, base_rows=len(table.rows)
+            table=table.name, binding=binding, base_rows=len(table)
         )
 
     inner_scans: list = []

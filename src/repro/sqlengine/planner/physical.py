@@ -183,9 +183,6 @@ class _ReversedKey:
     def __eq__(self, other: object) -> bool:
         return isinstance(other, _ReversedKey) and self.key == other.key
 
-    def __hash__(self) -> int:  # pragma: no cover - keys are never hashed
-        return hash(self.key)
-
 
 def sort_key(value: Any) -> tuple:
     """Total order over mixed values: NULLs first, then by type group."""
@@ -536,7 +533,7 @@ class BatchScanOp(BatchOperator):
         table = self._table
         if snapshot is None:
             snapshot = snapshot_of(table)
-        last = snapshot.row_count if snapshot is not None else len(table.rows)
+        last = snapshot.row_count if snapshot is not None else len(table)
         read = self._read
         stages = self._filter_stages
         project = self._project

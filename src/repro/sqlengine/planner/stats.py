@@ -405,7 +405,7 @@ class StatisticsProvider(CatalogObserver):
                     rebinned += 1
                 columns[column.name] = column_summary.stats()
             summary.stats = TableStats(
-                row_count=len(table.rows), columns=columns
+                row_count=len(table), columns=columns
             )
             if _METRICS.enabled:
                 _FULL_BUILDS.inc(0 if fresh else 1)

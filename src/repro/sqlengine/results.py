@@ -27,9 +27,6 @@ class ResultSet:
     def __len__(self) -> int:
         return len(self.rows)
 
-    def __iter__(self):
-        return iter(self.rows)
-
     def as_dicts(self) -> list[dict]:
         return [dict(zip(self.columns, row)) for row in self.rows]
 

@@ -1,7 +1,7 @@
 """Frozen columnar segments + mutable delta: snapshot-pinned reads.
 
 The LSM design point (immutable sorted runs plus a small mutable
-memtable) applied to this engine's dual row/columnar storage: when a
+memtable) applied to this engine's columnar storage: when a
 table opts in (``EngineConfig(segment_rows=N)``), its flat storage is
 mirrored by a :class:`SegmentedStorage` — an ordered list of
 :class:`FrozenSegment` objects (immutable column tuples frozen off the
@@ -274,7 +274,7 @@ class SegmentedStorage:
         # a slice is already a copy
         return TableSnapshot(
             entries,
-            len(table.rows) - start,
+            len(table) - start,
             [store[start:] for store in _stores(table)],
             [
                 None if dictionary is None else dictionary.view()
@@ -289,7 +289,7 @@ class SegmentedStorage:
 
     def note_insert(self, table) -> None:
         """Freeze full threshold-sized chunks off the delta's front."""
-        total = len(table.rows)
+        total = len(table)
         while total - self.frozen_live >= self.threshold:
             start = self.frozen_live
             self.segments.append(
@@ -389,7 +389,7 @@ class SegmentedStorage:
         return {
             "segments": len(self.segments),
             "frozen_live": self.frozen_live,
-            "delta_rows": len(table.rows) - self.frozen_live,
+            "delta_rows": len(table) - self.frozen_live,
             "tombstones": sum(
                 len(segment.tombstones) for segment in self.segments
             ),

@@ -68,7 +68,7 @@ def catalog_state(catalog: "Catalog", generation: int) -> dict:
                 ],
                 "version": table.version,
                 "mutation_count": table.mutation_count,
-                "row_count": len(table.rows),
+                "row_count": len(table),
                 "data": [
                     _column_state(table, index)
                     for index in range(len(table.columns))
@@ -177,9 +177,11 @@ def restore_catalog(catalog: "Catalog", state: dict, path: str = "") -> None:
     """Recreate the saved tables inside an empty *catalog*.
 
     Storage is bulk-filled in columnar form, bypassing the per-value
-    insert path entirely; rows are rebuilt by zipping the columns.
-    Encoding mismatches between the file and the catalog's settings
-    degrade gracefully: a stored dictionary loads as plain values when
+    insert path entirely: every column is filled, then the dictionaries
+    are settled, then the segment mirror is built once (built earlier,
+    it would freeze segments from half-filled columns).  Encoding
+    mismatches between the file and the catalog's settings degrade
+    gracefully: a stored dictionary loads as plain values when
     encoding is disabled, a stored plain TEXT column disables its new
     dictionary, and an ``"array"`` numeric column fills plain storage.
     """
@@ -196,7 +198,6 @@ def restore_catalog(catalog: "Catalog", state: dict, path: str = "") -> None:
             table = catalog.create_table(
                 table_state["name"], columns, foreign_keys
             )
-            column_values = []
             for index, column_state in enumerate(table_state["data"]):
                 values = _decoded_values(column_state)
                 if len(values) != table_state["row_count"]:
@@ -208,19 +209,21 @@ def restore_catalog(catalog: "Catalog", state: dict, path: str = "") -> None:
                         path=path,
                         kind="checkpoint",
                     )
-                column_values.append(values)
-                if column_state["t"] == "dict":
-                    if table.column_dictionary(index) is not None:
-                        _restore_dictionary(table, index, column_state)
-                    # else: encoding now disabled — plain values suffice
-                elif table.column_dictionary(index) is not None:
-                    # stored unencoded (cardinality had outgrown the
-                    # threshold); don't resurrect a dictionary the
-                    # writer already dropped
-                    table._disable_dictionary(index)
                 table.column_data(index)[:] = values
-            table.rows[:] = list(zip(*column_values)) if column_values else []
-            table._check_dictionary_thresholds()
+            for index, column_state in enumerate(table_state["data"]):
+                if table.column_dictionary(index) is None:
+                    continue  # encoding disabled: plain values suffice
+                if column_state["t"] == "dict":
+                    _restore_dictionary(table, index, column_state)
+                if (
+                    column_state["t"] != "dict"
+                    or table.column_dictionary(index).live_count
+                    > table._dict_threshold
+                ):
+                    # stored unencoded (cardinality had outgrown the
+                    # writer's threshold) or over this catalog's: don't
+                    # resurrect a dictionary the writer already dropped
+                    table._disable_dictionary(index)
             # the bulk fill bypassed the insert path that freezes segments
             table._rebuild_segments()
             table._version = table_state["version"]

@@ -45,9 +45,6 @@ class UndoLog:
         #: id(table) -> (table, mutation_count at first touch)
         self._touched: dict[int, tuple] = {}
 
-    def __len__(self) -> int:
-        return len(self._records)
-
     def _touch(self, table: "Table") -> None:
         key = id(table)
         if key not in self._touched:

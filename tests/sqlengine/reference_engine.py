@@ -11,9 +11,9 @@ BY, NULLs-first mixed-type ORDER BY.
 
 :func:`reference_execute` is the entry point.  It plans a SELECT with
 ``src``'s lowering and optimizer (``db.planner.plan_logical``), so a
-plan-shape bug is not what it finds; execution bugs are.  It reads the
-flat ``Table.rows`` (the authoritative storage, never the segment
-mirror), evaluates UPDATE / DELETE / RETURNING row-major and mutates
+plan-shape bug is not what it finds; execution bugs are.  It reads rows
+decoded from the flat columns (``Table.iter_rows`` / ``Table.row``, the
+authoritative storage, never the segment mirror), evaluates UPDATE / DELETE / RETURNING row-major and mutates
 only through ``Table.update_positions`` / ``Table.delete_positions``.
 Every other statement (DDL, INSERT, transactions) goes to
 ``db.execute``.  Top-N runs as the sort + limit it is defined as.
@@ -352,7 +352,7 @@ class ScanOp:
 
     def rows(self) -> Iterator[tuple]:
         indexes = self._indexes
-        for row in self._table.rows:
+        for row in self._table.iter_rows():
             if all(fn(row) is True for fn in self._predicate_fns):
                 yield row if indexes is None else tuple(row[i] for i in indexes)
 
@@ -645,11 +645,11 @@ def _table_scope(table) -> Scope:
 def _matching_positions(table, where) -> list:
     """Row positions where *where* is ``True`` (3VL: NULL never matches)."""
     if where is None:
-        return list(range(len(table.rows)))
+        return list(range(len(table)))
     row_fn = compile_expr(where, _table_scope(table))
     return [
         position
-        for position, row in enumerate(table.rows)
+        for position, row in enumerate(table.iter_rows())
         if row_fn(row) is True
     ]
 
@@ -706,14 +706,14 @@ def _update(db, statement: Update) -> ResultSet:
     compiled = [(index, compile_expr(value, scope)) for index, value in targets]
     new_rows = []
     for position in positions:
-        old_row = table.rows[position]
+        old_row = table.row(position)
         new_row = list(old_row)
         for index, value_fn in compiled:
             new_row[index] = value_fn(old_row)  # SET reads the old row
         new_rows.append(new_row)
     changed = table.update_positions(positions, new_rows)
     return _done(
-        table, statement, [table.rows[p] for p in positions], changed
+        table, statement, [table.row(p) for p in positions], changed
     )
 
 
@@ -722,7 +722,7 @@ def _delete(db, statement: Delete) -> ResultSet:
     positions = _matching_positions(table, statement.where)
     if not positions:
         return _done(table, statement, [], 0)
-    removed_rows = [table.rows[position] for position in positions]
+    removed_rows = [table.row(position) for position in positions]
     removed = table.delete_positions(positions)
     return _done(table, statement, removed_rows, removed)
 

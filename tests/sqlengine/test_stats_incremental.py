@@ -164,10 +164,7 @@ class TestLifecycle:
         table = db.table("items")
         # what checkpoint.restore_catalog does: bulk-fill, then set the
         # version directly — no observer hears about it
-        table.column_data(1)[:] = [1] * len(table.rows)
-        table.rows[:] = [
-            (row[0], 1) + row[2:] for row in table.rows
-        ]
+        table.column_data(1)[:] = [1] * len(table)
         table._version += 7
         counters = Counters()
         assert provider.table_stats("items") == reference_table_stats(table)

@@ -139,8 +139,7 @@ class TestCorruptedMetadata:
 class TestUnpopulatedBridge:
     def test_empty_bridge_yields_empty_but_valid_result(self, wh):
         # the war story: bridge tables that are "not populated yet"
-        table = wh.database.table("associate_employment")
-        table.rows.clear()
+        wh.database.execute("DELETE FROM associate_employment")
         soda = Soda(wh)
         result = soda.search("customers names")
         assert result.best is not None
@@ -149,7 +148,7 @@ class TestUnpopulatedBridge:
             assert result.best.snippet.rows == []
 
     def test_ignoring_unpopulated_bridge_restores_results(self, wh):
-        wh.database.table("associate_employment").rows.clear()
+        wh.database.execute("DELETE FROM associate_employment")
         wh.ignore_join("j_assoc_indiv")
         wh.ignore_join("j_assoc_org")
         soda = Soda(wh)
