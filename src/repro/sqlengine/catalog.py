@@ -421,12 +421,15 @@ class Table:
     def delete_positions(self, positions: Sequence[int]) -> int:
         """Remove the rows at *positions* (tombstone-free compaction).
 
-        Every column list (and code list) is compacted via in-place
-        slice assignment, preserving list object identity for any
-        operator holding a reference.  The removed rows are decoded
-        first, for the undo log and for observers, which see one
-        ``on_delete(table, row)`` per removed row, in table order.
-        Returns the row count.
+        Every column list (and code list) is compacted in place,
+        preserving list object identity for any operator holding a
+        reference.  Positions forming at most :data:`SLICE_DELETE_RUNS`
+        runs of consecutive rows are cut out with ``del store[a:b]``,
+        last run first, so a range DELETE moves only the tail behind
+        each run; more scattered positions compact every list through
+        one keep-mask.  The removed rows are decoded first, for the
+        undo log and for observers, which see one ``on_delete(table,
+        row)`` per removed row, in table order.  Returns the row count.
         """
         doomed = set(positions)
         if not doomed:
@@ -446,12 +449,21 @@ class Table:
             if self._segments is not None
             else None
         )
-        # one keep-mask for every aligned list, applied at C speed
-        keep = bytearray(b"\x01") * count
-        for position in doomed:
-            keep[position] = 0
+        runs = _runs(ordered, SLICE_DELETE_RUNS)
+        if runs is not None:
+            def compact(store: list) -> None:
+                for start, stop in reversed(runs):
+                    del store[start:stop]
+        else:
+            # one keep-mask for every aligned list, applied at C speed
+            keep = bytearray(b"\x01") * count
+            for position in doomed:
+                keep[position] = 0
+
+            def compact(store: list) -> None:
+                store[:] = list(compress(store, keep))
         for store in self._column_data:
-            store[:] = list(compress(store, keep))
+            compact(store)
         for index in self._encoded_indexes:
             dictionary = self._dictionaries[index]
             codes = self._codes[index]
@@ -459,7 +471,7 @@ class Table:
                 code = codes[position]
                 if code is not None:
                     dictionary.release(code)
-            codes[:] = list(compress(codes, keep))
+            compact(codes)
         if self._segments is not None:
             self._segments.commit_delete(self, segment_plan)
         self._version += 1
@@ -532,6 +544,25 @@ class Table:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Table {self.name} cols={len(self.columns)} rows={len(self)}>"
+
+
+#: a DELETE whose positions form at most this many runs of consecutive
+#: rows cuts them out one slice at a time instead of compacting every list
+SLICE_DELETE_RUNS = 64
+
+
+def _runs(ordered: Sequence[int], limit: int) -> "list | None":
+    """The maximal ``(start, stop)`` runs of ascending *ordered*, or
+    None when there are more than *limit* of them."""
+    cuts = [
+        i for i in range(1, len(ordered)) if ordered[i] != ordered[i - 1] + 1
+    ]
+    if len(cuts) >= limit:
+        return None
+    bounds = [0, *cuts, len(ordered)]
+    return [
+        (ordered[a], ordered[b - 1] + 1) for a, b in zip(bounds, bounds[1:])
+    ]
 
 
 def _merge(old: list, positions: Sequence[int], values: Sequence) -> list:

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import datetime
 import heapq
+import threading
 from bisect import bisect_right
 from typing import Any, Iterator
 
@@ -299,18 +300,19 @@ def _apply_filter_stages(stages: list, cols: list, n: int) -> tuple:
     return cols, n, used_fused
 
 
-class _TopNBound:
+class _TopNBound(threading.local):
     """A shared cell streaming BatchTopNOp's worst-kept leading key.
 
     The TopN operator writes its current leading-key bound (already
     ``sort_key``-decorated, wrapped in :class:`_ReversedKey` for
-    descending orders) whenever it tightens; upstream scans/filters
-    read it per batch and pre-drop rows that sort strictly past it —
-    rows the TopN check itself would have skipped.  ``None`` means "no
-    bound yet" (fewer than N candidates seen).
+    descending orders) whenever it tightens; the scan below reads it
+    per batch and pre-drops rows that sort strictly past it — rows the
+    TopN check itself would have skipped — and, on a segmented table,
+    skips a batch whose frozen segments' zones all lie past it.
+    ``None`` means "no bound yet" (fewer than N candidates seen).
+    The value is per thread: two threads executing one cached plan over
+    different pins each read only their own top-N's bound.
     """
-
-    __slots__ = ("value",)
 
     def __init__(self) -> None:
         self.value = None
@@ -400,39 +402,63 @@ def _zone_tests(predicates, table) -> tuple:
     return tuple(tests)
 
 
-def _zone_skips(snapshot, tests: tuple) -> tuple:
-    """``(skipped grid-batch starts, segments skipped)`` of *snapshot*.
+def _batch_segments(snapshot, start: int) -> "range | None":
+    """The segments the grid batch at *start* overlaps; None if it
+    reaches the delta, which is never skipped."""
+    prefix = snapshot.prefix
+    stop = min(start + BATCH_SIZE, snapshot.row_count)
+    high = bisect_right(prefix, stop - 1) - 1
+    if high >= len(snapshot.entries):
+        return None
+    return range(bisect_right(prefix, start) - 1, high + 1)
 
-    A batch is skipped when every part it overlaps is a frozen segment
-    some test excludes; the delta is never excluded.  A segment counts
-    as skipped when every batch overlapping it is.
-    """
-    entries, prefix = snapshot.entries, snapshot.prefix
+
+def _zone_skips(snapshot, tests: tuple) -> set:
+    """The grid-batch starts of *snapshot* whose every row lies in a
+    frozen segment some test excludes."""
     excluded = [
         any(
             (zone := segment.zone(index)) is not None
             and excludes(*zone, value)
             for index, excludes, value in tests
         )
-        for segment, __, __ in entries
+        for segment, __, __ in snapshot.entries
     ]
+    skipped = set()
+    for start in range(0, snapshot.row_count, BATCH_SIZE):
+        parts = _batch_segments(snapshot, start)
+        if parts is not None and all(excluded[p] for p in parts):
+            skipped.add(start)
+    return skipped
 
-    def skippable(start: int) -> bool:
-        stop = min(start + BATCH_SIZE, snapshot.row_count)
-        low = bisect_right(prefix, start) - 1
-        high = bisect_right(prefix, stop - 1) - 1
-        return high < len(entries) and all(excluded[low:high + 1])
 
-    skipped = {
-        s for s in range(0, snapshot.row_count, BATCH_SIZE) if skippable(s)
-    }
-    segments = sum(
+def _batch_past_bound(snapshot, start: int, column: int, bound, descending):
+    """Whether the grid batch at *start* lies in frozen segments only,
+    each sorting strictly past a top-N *bound* on *column* (a tie could
+    still win on a secondary key; NULLs sort first, so ascending needs
+    the zone's min past the bound and no NULL)."""
+    parts = _batch_segments(snapshot, start)
+    if parts is None:
+        return False
+    for segment, __, __ in snapshot.entries[parts.start:parts.stop]:
+        zone = segment.zone(column)
+        if zone is None or not (
+            bound < _ReversedKey(sort_key(zone[1])) if descending
+            else bound < sort_key(zone[0]) and not segment.holds_null(column)
+        ):
+            return False
+    return True
+
+
+def _segments_skipped(snapshot, starts: set) -> int:
+    """Frozen segments whose every overlapping grid batch is in *starts*."""
+    prefix = snapshot.prefix
+    return sum(
         1
-        for part in range(len(entries))
-        if skippable(prefix[part] // BATCH_SIZE * BATCH_SIZE)
-        and skippable((prefix[part + 1] - 1) // BATCH_SIZE * BATCH_SIZE)
+        for part in range(len(snapshot.entries))
+        if prefix[part] // BATCH_SIZE * BATCH_SIZE in starts
+        and (prefix[part + 1] - 1) // BATCH_SIZE * BATCH_SIZE in starts
     )
-    return skipped, segments
 
 
 class BatchScanOp(BatchOperator):
@@ -443,9 +469,12 @@ class BatchScanOp(BatchOperator):
     ``col <op> number`` conjuncts among its pushed predicates and never
     slices a grid batch whose every row lies in excluded segments: such
     a batch would have filtered down to nothing, so results, float sums
-    and batch boundaries are unchanged.  Zones are consulted only when
-    every pushed predicate is provably non-raising (errors stay those of
-    a full scan); the delta and flat storage are always read.
+    and batch boundaries are unchanged.  Under a connected top-N bound
+    (:class:`_TopNBound`) a batch is also skipped when every segment it
+    overlaps sorts strictly past the bound on a numeric key column.
+    Zones are consulted only when every pushed predicate is provably
+    non-raising (errors stay those of a full scan); the delta and flat
+    storage are always read, and the deadline is checked per batch.
 
     Only the columns the predicates or the output read are sliced: the
     predicates compile against that sub-layout, and the output columns
@@ -502,14 +531,17 @@ class BatchScanOp(BatchOperator):
             self._filter_stages = [("closures", self._predicate_fns)]
         else:
             self._filter_stages = []
+        self._predicates = node.predicates
         self._zone_tests = _zone_tests(node.predicates, self._table)
         #: EXPLAIN ANALYZE's OperatorStats (receives ``skipped``), or None
         self.analyze_stats = None
         # TopN bound pushdown (see _connect_topn_bound): a shared cell
         # plus the leading sort key's index in this scan's output scope
+        # and, when segments can be skipped against it, in the table
         self._bound_cell = None
         self._bound_key = 0
         self._bound_descending = False
+        self._bound_column = None
 
     def connect_bound(
         self, cell: _TopNBound, key_index: int, descending: bool
@@ -517,6 +549,12 @@ class BatchScanOp(BatchOperator):
         self._bound_cell = cell
         self._bound_key = key_index
         self._bound_descending = descending
+        table = self._table
+        column = table.column_index(self.scope.pairs[key_index][1])
+        if table.columns[column].sql_type in (
+            SqlType.INTEGER, SqlType.REAL
+        ) and all(_never_raises(p, table) for p in self._predicates):
+            self._bound_column = column
 
     def batches(self, snapshot=None, positions: bool = False) -> Iterator[tuple]:
         """The filtered, pruned batches of the whole table.
@@ -525,8 +563,10 @@ class BatchScanOp(BatchOperator):
         are assembled from the pinned frozen segments + delta instead of
         the live lists — same rows, same order, same batch boundaries.
         Batches whose every row lies in frozen segments excluded by a
-        zone test are never sliced (see :func:`_zone_skips`); every
-        batch that is emitted is the one a full scan would emit.  With
+        zone test (see :func:`_zone_skips`) or sorting past a connected
+        top-N bound (see :func:`_batch_past_bound`) are never sliced; every
+        batch that is emitted is the one a full scan would emit, less
+        the rows past the bound.  With
         *positions*, each batch carries one more trailing column: the
         live position of every surviving row (how DML finds its rows).
         """
@@ -565,10 +605,12 @@ class BatchScanOp(BatchOperator):
             def slice_batch(start: int, stop: int) -> list:
                 return [snapshot.column_slice(i, start, stop) for i in read]
 
-        skipped, skipped_segments = (), 0
-        if self._zone_tests and snapshot is not None and snapshot.entries:
-            skipped, skipped_segments = _zone_skips(snapshot, self._zone_tests)
+        segmented = snapshot is not None and snapshot.entries
+        skipped = set()
+        if self._zone_tests and segmented:
+            skipped = _zone_skips(snapshot, self._zone_tests)
         bound_cell = self._bound_cell
+        bound_column = self._bound_column if segmented else None
         deadline = current_deadline()
         scanned = 0
         dropped = 0
@@ -579,6 +621,16 @@ class BatchScanOp(BatchOperator):
                 if deadline is not None:
                     deadline.check("scan")
                 if start in skipped:
+                    continue
+                if (
+                    bound_column is not None
+                    and bound_cell.value is not None
+                    and _batch_past_bound(
+                        snapshot, start, bound_column, bound_cell.value,
+                        self._bound_descending,
+                    )
+                ):
+                    skipped.add(start)
                     continue
                 stop = min(start + BATCH_SIZE, last)
                 cols = slice_batch(start, stop)
@@ -619,6 +671,9 @@ class BatchScanOp(BatchOperator):
                     _FUSED_BATCHES.inc(fused_batches)
                 if dropped:
                     _ROWS_FILTERED.inc(dropped)
+            skipped_segments = (
+                _segments_skipped(snapshot, skipped) if skipped else 0
+            )
             if skipped_segments and _METRICS.enabled:
                 _SEGMENTS_SKIPPED.inc(skipped_segments)
             if self.analyze_stats is not None:
@@ -647,20 +702,9 @@ class BatchFilterOp(BatchOperator):
             )
         else:
             self._filter_stages = [("closures", self._fns)]
-        self._bound_cell = None
-        self._bound_key = 0
-        self._bound_descending = False
-
-    def connect_bound(
-        self, cell: _TopNBound, key_index: int, descending: bool
-    ) -> None:
-        self._bound_cell = cell
-        self._bound_key = key_index
-        self._bound_descending = descending
 
     def batches(self) -> Iterator[tuple]:
         stages = self._filter_stages
-        bound_cell = self._bound_cell
         dropped = 0
         batches = 0
         fused_batches = 0
@@ -673,14 +717,6 @@ class BatchFilterOp(BatchOperator):
                     )
                     if used_fused:
                         fused_batches += 1
-                if n and bound_cell is not None:
-                    cols, n = _apply_topn_bound(
-                        bound_cell,
-                        self._bound_key,
-                        self._bound_descending,
-                        cols,
-                        n,
-                    )
                 dropped += before - n
                 if n:
                     batches += 1
@@ -1624,7 +1660,7 @@ class BatchTopNOp:
             else:
                 fn = compile_expr_batch(expr, self.scope, self.agg_slots)
                 self._key_specs.append((None, fn, descending))
-        #: bound-pushdown cell shared with upstream scan/filter ops
+        #: bound-pushdown cell shared with the scan below
         #: (connected by _connect_topn_bound when provably safe)
         self._bound_cell = None
 
@@ -1767,13 +1803,10 @@ def _no_instrument(operator, node):
 class _BuildContext:
     """Builder state: the catalog, knobs and instrumentation."""
 
-    __slots__ = ("catalog", "instrument", "instrumented", "fused")
+    __slots__ = ("catalog", "instrument", "fused")
 
     def __init__(self, catalog: Catalog, instrument, fused: bool) -> None:
         self.catalog = catalog
-        # EXPLAIN ANALYZE wraps every operator in timing shims, which
-        # breaks chain detection, so instrumented plans run unpushed
-        self.instrumented = instrument is not None
         self.instrument = instrument or _no_instrument
         self.fused = fused
 
@@ -1792,8 +1825,8 @@ def build_physical(
     operator's place in the tree — EXPLAIN ANALYZE passes an
     :class:`~repro.sqlengine.planner.analyze.Instrumenter` here to wrap
     each operator in a counting/timing shim.  Instrumented plans must
-    not be cached, and always execute without the TopN bound pushdown
-    so the per-operator numbers describe the plain pipeline.
+    not be cached; they get the same TopN bound pushdown as plain ones,
+    so the per-operator numbers describe the plan that executes.
 
     ``config.fused`` compiles provably-safe filter/project expressions
     into generated per-batch functions.  That layer is locked to
@@ -1806,17 +1839,23 @@ def build_physical(
     )
 
 
+def _unwrapped(operator):
+    """*operator* without its EXPLAIN ANALYZE shim, if it has one."""
+    return getattr(operator, "_inner", operator)
+
+
 def _chain_parts(operator) -> "tuple | None":
     """``(scan, stages)`` when *operator* is a scan-rooted filter chain.
 
-    A chain is a bare :class:`BatchScanOp` leaf under zero or more
-    :class:`BatchFilterOp` stages, listed scan-first.
+    A chain is a :class:`BatchScanOp` leaf under zero or more
+    :class:`BatchFilterOp` stages, listed scan-first; EXPLAIN ANALYZE
+    shims around them are looked through.
     """
     stages: list = []
-    current = operator
+    current = _unwrapped(operator)
     while isinstance(current, BatchFilterOp):
         stages.append(current)
-        current = current._child
+        current = _unwrapped(current._child)
     if isinstance(current, BatchScanOp):
         stages.reverse()
         return current, stages
@@ -1826,7 +1865,7 @@ def _chain_parts(operator) -> "tuple | None":
 def _connect_topn_bound(
     operator: BatchTopNOp, project, node: LogicalTopN, ctx: _BuildContext
 ) -> None:
-    """Wire TopN's worst-kept-key bound into the upstream scan/filters.
+    """Wire TopN's worst-kept-key bound into the scan below it.
 
     Only when provably unobservable: the chain below must be
     project → filter* → scan over one table, the leading sort key a
@@ -1836,6 +1875,7 @@ def _connect_topn_bound(
     the TopN bound check would discard anyway cannot change results or
     errors.
     """
+    project = _unwrapped(project)
     if not isinstance(project, BatchProjectOp):
         return
     parts = _chain_parts(project._child)
@@ -1882,8 +1922,6 @@ def _connect_topn_bound(
     cell = _TopNBound()
     operator.publish_bound(cell)
     scan.connect_bound(cell, key_index, descending)
-    for stage in filters:
-        stage.connect_bound(cell, key_index, descending)
 
 
 def _build_presentation(node: LogicalNode, ctx: _BuildContext):
@@ -1895,8 +1933,7 @@ def _build_presentation(node: LogicalNode, ctx: _BuildContext):
     if isinstance(node, LogicalTopN):
         child = _build_presentation(node.child, ctx)
         operator = BatchTopNOp(child, node)
-        if not ctx.instrumented:
-            _connect_topn_bound(operator, child, node, ctx)
+        _connect_topn_bound(operator, child, node, ctx)
         return instrument(operator, node)
     if isinstance(node, LogicalSort):
         child = _build_presentation(node.child, ctx)

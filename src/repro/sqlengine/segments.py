@@ -46,10 +46,14 @@ segment — never at freeze time, so ingest pays nothing.  It needs no
 invalidation: the values never change (UPDATE and compaction build new
 segment objects), and tombstones only shrink the live set, so the
 bound stays conservative for every snapshot.  A column holding NaN
-(which compares equal to every number) or only NULLs has no zone.  The
-batch scan skips a grid batch only when every segment it overlaps is
-excluded by a zone; the delta and flat storage are never skipped (see
-``BatchScanOp`` in :mod:`repro.sqlengine.planner.physical`).
+(which compares equal to every number) or only NULLs has no zone; the
+same pass memoises whether the column holds a NULL
+(:meth:`FrozenSegment.holds_null`).  The batch scan skips a grid batch
+only when every segment it overlaps is excluded, either by a pushed
+``col <op> number`` conjunct or, under a top-N, because every value the
+zone admits sorts strictly past the top-N's worst kept key; the delta
+and flat storage are never skipped (see ``BatchScanOp`` in
+:mod:`repro.sqlengine.planner.physical`).
 
 **Codes.**  For a dictionary-encoded TEXT column, segments and the
 pinned delta hold the column's codes, and a pin also captures each
@@ -98,8 +102,9 @@ class FrozenSegment:
     ``k`` deletions.  Live-row projections are cached per tombstone
     count (at most two states: concurrent readers at different
     snapshots recompute older states instead of growing the cache).
-    Zones (:meth:`zone`) are memoised per column on first use and,
-    like ``columns`` and ``size``, never change afterwards.
+    Zones (:meth:`zone`) and NULL flags (:meth:`holds_null`) are
+    memoised per column on first use and, like ``columns`` and
+    ``size``, never change afterwards.
     """
 
     __slots__ = ("columns", "size", "tombstones", "_live_cache", "_zones")
@@ -120,15 +125,26 @@ class FrozenSegment:
         no range can bound it).  Dead rows count too: tombstones only
         shrink the live set, so the bound stays conservative for every
         tombstone state, and the memo never needs invalidating.  Racing
-        readers compute the same value; the dict write is atomic.
+        readers compute the same value; the dict write is atomic.  The
+        same pass memoises :meth:`holds_null`.
         """
-        zone = self._zones.get(index, False)
-        if zone is False:
+        return self._summary(index)[0]
+
+    def holds_null(self, index: int) -> bool:
+        """Whether any physical row (dead ones too) of *index* is NULL."""
+        return self._summary(index)[1]
+
+    def _summary(self, index: int) -> tuple:
+        summary = self._zones.get(index)
+        if summary is None:
             values = [v for v in self.columns[index] if v is not None]
             bounded = values and all(v == v for v in values)
-            zone = (min(values), max(values)) if bounded else None
-            self._zones[index] = zone
-        return zone
+            summary = (
+                (min(values), max(values)) if bounded else None,
+                len(values) < self.size,
+            )
+            self._zones[index] = summary
+        return summary
 
     @property
     def live_count(self) -> int:

@@ -1,0 +1,144 @@
+"""A DELETE moves only what it removes: ``Table.delete_positions`` by runs.
+
+Positions forming at most ``SLICE_DELETE_RUNS`` runs of consecutive rows
+are cut out of every column and code list with ``del store[a:b]``; more
+scattered positions compact through one keep-mask.  Locks, with counts:
+
+* the bytes a 20-row range DELETE allocates on a 50k-row table
+  (tracemalloc peak; the keep-mask path copies every list);
+* a 1-run and a 200-run DELETE leave the columns, codes, dictionary
+  refcounts and undo images that the keep-mask algorithm (kept below
+  as the oracle) computes, every list keeps its identity, and ROLLBACK
+  restores byte-identical columns.
+"""
+
+import tracemalloc
+from itertools import compress
+
+import pytest
+
+from repro.sqlengine import catalog
+from repro.sqlengine.config import EngineConfig
+from repro.sqlengine.database import Database
+
+from tests.sqlengine.reference_engine import snapshot_rows
+
+STATUSES = ("NEW", "OPEN", "HELD", "DONE")
+
+
+def make_db(rows: int, segment_rows: int = 0) -> Database:
+    db = Database(config=EngineConfig(segment_rows=segment_rows))
+    db.create_table(
+        "t", [("id", "INT"), ("qty", "INT"), ("x", "REAL"), ("s", "TEXT")]
+    )
+    db.insert_rows("t", [(i, i % 2, i / 4 if i % 5 else None, text(i))
+                         for i in range(rows)])
+    return db
+
+
+def text(i: int) -> "str | None":
+    if i in (1004, 1010, 1016):  # one row each: deleting it frees a code
+        return f"solo {i}"
+    return None if i % 7 == 0 else STATUSES[i % 4]
+
+
+def state(table) -> dict:
+    """Everything the compaction writes, as plain copies."""
+    encoded = [
+        index for index in range(len(table.columns))
+        if table.column_dictionary(index) is not None
+    ]
+    return {
+        "columns": [
+            list(table.column_data(i)) for i in range(len(table.columns))
+        ],
+        "codes": {i: list(table.column_codes(i)) for i in encoded},
+        "refcounts": {
+            i: list(table.column_dictionary(i).refcounts) for i in encoded
+        },
+        "free_codes": {
+            i: list(table.column_dictionary(i).free_codes) for i in encoded
+        },
+    }
+
+
+def keep_mask_delete(before: dict, positions) -> dict:
+    """The oracle: compaction through one keep-mask, on copies."""
+    doomed = set(positions)
+    keep = bytearray(b"\x01") * len(before["columns"][0])
+    for position in doomed:
+        keep[position] = 0
+    after = {
+        "columns": [list(compress(c, keep)) for c in before["columns"]],
+        "codes": {},
+        "refcounts": {},
+        "free_codes": {},
+    }
+    for index, codes in before["codes"].items():
+        refcounts = list(before["refcounts"][index])
+        free_codes = list(before["free_codes"][index])
+        for position in doomed:
+            code = codes[position]
+            if code is not None:
+                refcounts[code] -= 1
+                if refcounts[code] == 0:
+                    free_codes.append(code)
+        after["codes"][index] = list(compress(codes, keep))
+        after["refcounts"][index] = refcounts
+        after["free_codes"][index] = free_codes
+    return after
+
+
+def test_runs_are_maximal_and_capped():
+    assert catalog._runs([3], 64) == [(3, 4)]
+    assert catalog._runs([1, 2, 3, 7, 9, 10], 64) == [(1, 4), (7, 8), (9, 11)]
+    scattered = list(range(0, 2 * catalog.SLICE_DELETE_RUNS, 2))
+    assert len(catalog._runs(scattered, catalog.SLICE_DELETE_RUNS)) == 64
+    assert catalog._runs(scattered + [999], catalog.SLICE_DELETE_RUNS) is None
+
+
+def test_a_range_delete_allocates_no_copy_of_the_table():
+    table = make_db(50_000).table("t")
+    tracemalloc.start()
+    try:
+        assert table.delete_positions(range(20_000, 20_020)) == 20
+        __, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one keep-mask copy of a 50k-entry list alone is ~400 KiB
+    assert peak <= 64 * 1024
+
+
+@pytest.mark.parametrize("segment_rows", [0, 64])
+@pytest.mark.parametrize(
+    "where, runs",
+    [
+        ("id >= 1000 AND id < 1020", 1),
+        ("id >= 1000 AND id < 1400 AND qty = 0", 200),
+    ],
+)
+def test_runs_and_keep_mask_leave_the_same_table(segment_rows, where, runs):
+    db = make_db(3000, segment_rows)
+    table = db.table("t")
+    positions = [
+        position for position, row in enumerate(table.iter_rows())
+        if 1000 <= row[0] < (1020 if runs == 1 else 1400)
+        and (runs == 1 or row[1] == 0)
+    ]
+    assert len(catalog._runs(positions, 10_000)) == runs
+    before = state(table)
+    removed = [table.row(p) for p in positions]
+    lists = [table.column_data(i) for i in range(4)] + [table.column_codes(3)]
+    db.execute("BEGIN")
+    deleted = db.execute(f"DELETE FROM t WHERE {where}").rowcount
+    assert deleted == len(positions)
+    __, kind, payload = table._undo._records[-1]
+    assert (kind, payload) == ("delete", (positions, removed))
+    assert state(table) == keep_mask_delete(before, positions)
+    if segment_rows:
+        assert snapshot_rows(table.pin()) == list(table.iter_rows())
+    db.execute("ROLLBACK")
+    # values, not codes: re-interning a freed value may pick another code
+    assert repr(state(table)["columns"]) == repr(before["columns"])
+    after = [table.column_data(i) for i in range(4)] + [table.column_codes(3)]
+    assert all(old is new for old, new in zip(lists, after))

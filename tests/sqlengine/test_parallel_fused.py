@@ -127,13 +127,18 @@ class TestTopNBoundPushdown:
         assert topn._bound_cell is None
         assert scan._bound_cell is None
 
-    def test_explain_analyze_stays_unpruned(self):
+    def test_explain_analyze_connects_through_its_shims(self):
+        from repro.sqlengine.parser import parse_select
+
         db = self._db()
-        text = db.explain(
-            "SELECT id, v FROM t ORDER BY v DESC LIMIT 5", analyze=True
+        plan, __ = db.planner.prepare_instrumented(
+            parse_select("SELECT id, v FROM t ORDER BY v DESC LIMIT 5")
         )
-        # the scan reports every row: instrumented plans never prune
-        assert "rows=300" in text
+        topn = physical._unwrapped(plan._root)
+        scan = physical._chain_parts(topn._child._inner._child)[0]
+        # the instrumented plan is the plan that executes: same pushdown
+        assert topn._bound_cell is not None
+        assert scan._bound_cell is topn._bound_cell
 
 
 class TestPlainColumns:
