@@ -15,10 +15,7 @@ from repro.sqlengine.types import SqlType, format_value
 
 
 class Expr:
-    """Base class for expression nodes."""
-
-    def to_sql(self) -> str:  # pragma: no cover - overridden everywhere
-        raise NotImplementedError
+    """Base class for expression nodes (each renders itself: ``to_sql``)."""
 
 
 @dataclass(frozen=True)
@@ -425,29 +422,17 @@ class Delete:
 class Begin:
     """``BEGIN [TRANSACTION]`` — open an explicit transaction."""
 
-    def to_sql(self) -> str:
-        return "BEGIN"
-
 
 @dataclass(frozen=True)
 class Commit:
     """``COMMIT`` — make the open transaction's writes durable."""
-
-    def to_sql(self) -> str:
-        return "COMMIT"
 
 
 @dataclass(frozen=True)
 class Rollback:
     """``ROLLBACK`` — undo the open transaction's writes."""
 
-    def to_sql(self) -> str:
-        return "ROLLBACK"
-
 
 @dataclass(frozen=True)
 class Checkpoint:
     """``CHECKPOINT`` — persist a columnar segment file and truncate the WAL."""
-
-    def to_sql(self) -> str:
-        return "CHECKPOINT"

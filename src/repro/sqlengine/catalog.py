@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import datetime
 import functools
 from dataclasses import dataclass, field
 from itertools import compress
@@ -12,6 +13,16 @@ from repro.errors import SqlCatalogError, SqlTypeError
 from repro.sqlengine.encoding import DICT_ENCODING_MAX_DISTINCT, ColumnDictionary
 from repro.sqlengine.segments import SegmentedStorage
 from repro.sqlengine.types import SqlType, coerce_value
+
+#: per SQL type, the Python types :func:`coerce_value` returns unchanged
+#: (exact types: a ``bool`` is not an INTEGER, an ``int`` becomes a REAL)
+_EXACT_TYPES = {
+    SqlType.INTEGER: {int, type(None)},
+    SqlType.REAL: {float, type(None)},
+    SqlType.TEXT: {str, type(None)},
+    SqlType.DATE: {datetime.date, type(None)},
+    SqlType.BOOLEAN: {bool, type(None)},
+}
 
 
 def _locked(method):
@@ -54,7 +65,11 @@ class CatalogObserver:
     """
 
     def on_insert(self, table: "Table", row: tuple) -> None:
-        """One coerced row was appended to *table*."""
+        """One coerced row was appended to *table*.
+
+        Called once per row, in row order, after the whole batch it
+        belongs to is visible in the table.
+        """
 
     def on_update(self, table: "Table", old_row: tuple, new_row: tuple) -> None:
         """One row of *table* was rewritten in place."""
@@ -300,49 +315,86 @@ class Table:
         return self._mutation_count
 
     # ------------------------------------------------------------------
-    @_locked
     def insert(self, values: Sequence[Any]) -> None:
         """Insert one row given positionally."""
-        if len(values) != len(self.columns):
-            raise SqlCatalogError(
-                f"table {self.name!r} expects {len(self.columns)} values, "
-                f"got {len(values)}"
-            )
-        row = tuple(
-            coerce_value(value, column.sql_type)
-            for value, column in zip(values, self.columns)
-        )
-        if self._undo is not None:
-            self._undo.record_insert(self, len(self))
-        for store, value in zip(self._column_data, row):
-            store.append(value)
-        if self._encoded_indexes:
-            for index in self._encoded_indexes:
-                value = row[index]
-                self._codes[index].append(
-                    None
-                    if value is None
-                    else self._dictionaries[index].encode(value)
-                )
-            self._check_dictionary_thresholds()
-        if self._segments is not None:
-            self._segments.note_insert(self)
-        self._version += 1
-        for observer in self._observers:
-            observer.on_insert(self, row)
+        self.insert_many((values,))
 
     def insert_named(self, **values: Any) -> None:
         """Insert one row given by column name; missing columns become NULL."""
+        self.insert_many((self.named_row(values),))
+
+    def named_row(self, values: dict) -> list:
+        """The positional row for column name -> value; missing are NULL."""
         unknown = set(values) - set(self._index_of)
         if unknown:
             raise SqlCatalogError(
                 f"unknown columns for table {self.name!r}: {sorted(unknown)}"
             )
-        self.insert([values.get(c.name) for c in self.columns])
+        return [values.get(c.name) for c in self.columns]
 
-    def insert_many(self, rows: Iterable[Sequence[Any]]) -> None:
-        for row in rows:
-            self.insert(row)
+    def _coerce_row(self, values: Sequence[Any]) -> tuple:
+        """One row validated and coerced to the column types."""
+        if len(values) != len(self.columns):
+            raise SqlCatalogError(
+                f"table {self.name!r} expects {len(self.columns)} values, "
+                f"got {len(values)}"
+            )
+        return tuple(
+            coerce_value(value, column.sql_type)
+            for value, column in zip(values, self.columns)
+        )
+
+    @_locked
+    def insert_many(self, rows: Iterable[Sequence[Any]]) -> int:
+        """Append *rows* (positional) as one step; returns the row count.
+
+        The single insert path.  Under one lock acquisition the batch
+        is validated and coerced before the first write, so a bad row
+        raises the error the first bad value in row order raises and
+        leaves the table untouched.  A column whose values all already
+        have the exact Python type its SQL type stores skips coercion.
+        Then one undo record ``(start, count)``, one extension of every
+        column and code list, one dictionary-threshold check, one
+        segment-freeze check and a version bump of ``count``; observers
+        see one ``on_insert`` per row, in row order, after the whole
+        batch is visible.
+        """
+        rows = list(rows)
+        if not rows:
+            return 0
+        width = len(self.columns)
+        columns = None
+        if all(len(row) == width for row in rows):
+            columns = list(zip(*rows))
+            for values, column in zip(columns, self.columns):
+                if not {*map(type, values)} <= _EXACT_TYPES[column.sql_type]:
+                    columns = None
+                    break
+        if columns is None:  # row by row: the first error in row order
+            columns = list(zip(*map(self._coerce_row, rows)))
+        start = len(self)
+        count = len(rows)
+        if self._undo is not None:
+            self._undo.record_insert(self, start, count)
+        for store, values in zip(self._column_data, columns):
+            store.extend(values)
+        for index in self._encoded_indexes:
+            encode = self._dictionaries[index].encode
+            self._codes[index].extend(
+                [None if value is None else encode(value)
+                 for value in columns[index]]
+            )
+        # live counts only grow here, so one check drops what a
+        # per-row check would have dropped
+        self._check_dictionary_thresholds()
+        if self._segments is not None:
+            self._segments.note_insert(self)
+        self._version += count
+        if self._observers:
+            for row in zip(*columns):
+                for observer in self._observers:
+                    observer.on_insert(self, row)
+        return count
 
     # ------------------------------------------------------------------
     # the single mutation path (shared by both execution engines)
@@ -373,19 +425,7 @@ class Table:
                 f"table {self.name!r}: update position out of range "
                 f"(have {len(self)} rows)"
             )
-        coerced = []
-        for values in new_rows:
-            if len(values) != len(self.columns):
-                raise SqlCatalogError(
-                    f"table {self.name!r} expects {len(self.columns)} "
-                    f"values, got {len(values)}"
-                )
-            coerced.append(
-                tuple(
-                    coerce_value(value, column.sql_type)
-                    for value, column in zip(values, self.columns)
-                )
-            )
+        coerced = [self._coerce_row(values) for values in new_rows]
         if not coerced:
             return 0
         old_rows = self._rows_at(positions)

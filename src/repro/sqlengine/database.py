@@ -185,15 +185,22 @@ class Database:
             with self.txn.statement([table]):
                 first_new = len(table)
                 if statement.columns:
+                    rows = []
                     for row in statement.rows:
                         if len(row) != len(statement.columns):
+                            # the rows before go in first: a bad value
+                            # among them raises before the arity error
+                            table.insert_many(rows)
                             raise SqlError(
                                 f"INSERT arity mismatch for table "
                                 f"{statement.table!r}"
                             )
-                        table.insert_named(**dict(zip(statement.columns, row)))
+                        rows.append(
+                            table.named_row(dict(zip(statement.columns, row)))
+                        )
                 else:
-                    table.insert_many(statement.rows)
+                    rows = statement.rows
+                table.insert_many(rows)
                 if statement.returning:
                     result = evaluate_returning(
                         table,
@@ -350,21 +357,22 @@ class Database:
     def insert_rows(self, table_name: str, rows: Iterable[Sequence[Any]]) -> int:
         """Bulk-insert positional rows; returns the number inserted.
 
-        The insert is atomic: a coercion failure on any row leaves the
-        table untouched.  On a durable database the batch is logged as
-        one WAL record (value-form, skipping SQL round-tripping).
+        The batch is one :meth:`Table.insert_many` step: a concurrent
+        pin sees all of its rows or none, and a failure on any row
+        (arity or coercion) leaves the table untouched without needing
+        the undo log.  On a durable database the batch is logged as one
+        WAL record (value-form, skipping SQL round-tripping); a failed
+        append rolls the whole batch back.
         """
         table = self.catalog.table(table_name)
-        logged = self.txn.active or self._durable()
-        if logged:
-            rows = [list(row) for row in rows]
-        count = 0
+        rows = list(rows)
         with self.txn.statement([table]):
-            for row in rows:
-                table.insert(row)
-                count += 1
+            count = table.insert_many(rows)
             if self.txn.active:
-                self.txn.note_op({"table": table.name, "rows": rows})
+                # the record outlives this call: copy the caller's rows
+                self.txn.note_op(
+                    {"table": table.name, "rows": [list(row) for row in rows]}
+                )
             elif self._durable():
                 self.durability.log_rows(table.name, rows)
         return count

@@ -67,14 +67,5 @@ class FaultInjector(LogStorage):
             raise InjectedCrash("injected crash during fsync")
         self.inner.sync()
 
-    def read(self) -> bytes:
-        return self.inner.read()
-
-    def size(self) -> int:
-        return self.inner.size()
-
-    def truncate(self, size: int) -> None:
-        self.inner.truncate(size)
-
     def close(self) -> None:
         self.inner.close()

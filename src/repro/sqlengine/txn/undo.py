@@ -1,13 +1,15 @@
 """Undo-log transactions over the table mutation choke-point.
 
 Every write in the engine funnels through three ``Table`` methods
-(``insert``, ``update_positions``, ``delete_positions``).  While a
+(``insert_many``, ``update_positions``, ``delete_positions``).  While a
 transaction is open those methods report their logical inverse to the
 attached :class:`UndoLog` *before* mutating, and rollback replays the
 inverses in reverse order through the same public mutation paths — so
 catalog observers (the inverted-index maintainer) see a
 content-symmetric stream of events and converge back to the pre-
-transaction state without any index-specific undo code.
+transaction state without any index-specific undo code.  An insert
+record is a range, ``(start, count)``: one batch appends consecutive
+rows, and its inverse is one ``delete_positions`` of that run.
 
 :class:`TransactionManager` layers the protocol on top: explicit
 ``BEGIN``/``COMMIT``/``ROLLBACK`` spanning the whole catalog, and
@@ -53,10 +55,10 @@ class UndoLog:
     # ------------------------------------------------------------------
     # recording (called from Table just before each write)
     # ------------------------------------------------------------------
-    def record_insert(self, table: "Table", position: int) -> None:
-        """One row is about to be appended at *position*."""
+    def record_insert(self, table: "Table", start: int, count: int) -> None:
+        """*count* rows are about to be appended from position *start*."""
         self._touch(table)
-        self._records.append((table, "insert", position))
+        self._records.append((table, "insert", (start, count)))
 
     def record_update(
         self, table: "Table", positions: list, old_rows: list
@@ -76,7 +78,8 @@ class UndoLog:
     @staticmethod
     def _apply_inverse(table: "Table", kind: str, payload) -> None:
         if kind == "insert":
-            table.delete_positions([payload])
+            start, count = payload
+            table.delete_positions(range(start, start + count))
         elif kind == "update":
             positions, old_rows = payload
             table.update_positions(positions, old_rows)

@@ -108,23 +108,15 @@ class LogStorage:
     """Byte-level log storage; the seam fault injection wraps.
 
     ``append`` buffers bytes at the end of the log, ``sync`` makes
-    everything appended so far durable (the commit point), ``read``
-    returns the full current image, ``truncate`` discards a torn tail.
+    everything appended so far durable (the commit point), ``close``
+    releases the storage.  Recovery reads and truncates the log file
+    directly, before any storage is opened on it.
     """
 
     def append(self, payload: bytes) -> None:
         raise NotImplementedError
 
     def sync(self) -> None:
-        raise NotImplementedError
-
-    def read(self) -> bytes:
-        raise NotImplementedError
-
-    def size(self) -> int:
-        raise NotImplementedError
-
-    def truncate(self, size: int) -> None:
         raise NotImplementedError
 
     def close(self) -> None:
@@ -145,19 +137,6 @@ class FileLogStorage(LogStorage):
         self._file.flush()
         os.fsync(self._file.fileno())
 
-    def read(self) -> bytes:
-        self._file.flush()
-        with open(self.path, "rb") as handle:
-            return handle.read()
-
-    def size(self) -> int:
-        self._file.flush()
-        return os.path.getsize(self.path)
-
-    def truncate(self, size: int) -> None:
-        self._file.flush()
-        os.truncate(self.path, size)
-
     def close(self) -> None:
         self._file.close()
 
@@ -176,14 +155,8 @@ class MemoryLogStorage(LogStorage):
         self.synced_length = len(self._buffer)
 
     def read(self) -> bytes:
+        """Everything appended so far (for inspection)."""
         return bytes(self._buffer)
-
-    def size(self) -> int:
-        return len(self._buffer)
-
-    def truncate(self, size: int) -> None:
-        del self._buffer[size:]
-        self.synced_length = min(self.synced_length, size)
 
     def close(self) -> None:
         pass

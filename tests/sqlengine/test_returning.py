@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import SqlCatalogError, SqlSyntaxError
 from repro.sqlengine.database import Database
+from repro.sqlengine.parser import parse_sql
 
 from tests.sqlengine.reference_engine import reference_execute
 
@@ -98,6 +99,24 @@ class TestDeleteReturning:
         db = make_db()
         result = db.execute("DELETE FROM items WHERE id = 3 RETURNING *")
         assert result.rows == [(3, 2, 30.0, None)]
+
+
+class TestRendering:
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "UPDATE items SET amount = (amount + 1.0) WHERE (grp = 1) "
+            "RETURNING id, amount * 2 AS doubled",
+            "DELETE FROM items WHERE (id = 3) RETURNING *",
+            "DELETE FROM items RETURNING label",
+        ],
+    )
+    def test_to_sql_keeps_the_returning_list(self, sql):
+        rendered = parse_sql(sql).to_sql()
+        assert "RETURNING" in rendered
+        assert parse_sql(rendered) == parse_sql(sql)
+        first, second = make_db(), make_db()
+        assert first.execute(rendered).rows == second.execute(sql).rows
 
 
 class TestErrorsAndTransactions:

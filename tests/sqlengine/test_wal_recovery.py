@@ -139,9 +139,21 @@ class TestRecordCodec:
         assert storage.synced_length == 3
         storage.append(b"def")
         assert storage.read() == b"abcdef"
-        storage.truncate(2)
-        assert storage.read() == b"ab"
-        assert storage.synced_length == 2
+        assert storage.synced_length == 3
+
+    def test_closing_the_database_closes_the_storage_behind_an_injector(
+        self, tmp_path
+    ):
+        injectors = []
+
+        def factory(path):
+            injectors.append(FaultInjector(FileLogStorage(path)))
+            return injectors[-1]
+
+        db = Database(data_dir=str(tmp_path / "db"), wal_storage_factory=factory)
+        db.execute("CREATE TABLE t (id INT)")
+        db.close()
+        assert injectors[-1].inner._file.closed
 
 
 class TestRoundTrip:
