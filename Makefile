@@ -31,7 +31,9 @@
 #   make lint         bytecode-compile every source tree (import/syntax gate)
 #   make examples     run every examples/*.py script end to end (~3 s;
 #                     their output is discarded, a failing script fails)
-#   make check        lint + test + examples + ledger-smoke
+#   make check        lint + test + examples + test-stress + ledger-smoke:
+#                     the same steps, in the same order, as the CI merge
+#                     gate
 
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
@@ -76,4 +78,4 @@ examples:
 		$(PYTHON) $$script > /dev/null || exit 1; \
 	done
 
-check: lint test examples ledger-smoke
+check: lint test examples test-stress ledger-smoke

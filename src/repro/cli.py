@@ -53,7 +53,7 @@ def make_parser() -> argparse.ArgumentParser:
     parser.add_argument("--engine-config", default=None, metavar="SPEC",
                         help="engine settings as key=value[,key=value] over "
                              "the EngineConfig fields, e.g. "
-                             "'fused=false,segment-rows=4096'")
+                             "'segment-rows=4096,plan-cache-size=0'")
 
     commands = parser.add_subparsers(dest="command", required=True)
 

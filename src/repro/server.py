@@ -850,10 +850,7 @@ class SodaServer:
             "status": status,
             "draining": self._draining,
             "breaker": breaker,
-            "engine_config": {
-                key: value
-                for key, value in database.config.as_dict().items()
-            },
+            "engine_config": database.config.as_dict(),
             "tables": len(database.table_names()),
         }
         admission = self._admission

@@ -10,7 +10,6 @@ from typing import Any, Iterable, Iterator, Sequence
 
 from repro.concurrency import SharedRLock
 from repro.errors import SqlCatalogError, SqlTypeError
-from repro.sqlengine.encoding import DICT_ENCODING_MAX_DISTINCT, ColumnDictionary
 from repro.sqlengine.segments import SegmentedStorage
 from repro.sqlengine.types import SqlType, coerce_value
 
@@ -28,9 +27,8 @@ _EXACT_TYPES = {
 def _locked(method):
     """Run *method* under the table's storage lock.
 
-    Every mutation path is wrapped so the frozen-segment mirror, the
-    flat storage and the dictionary codes always change as one atomic
-    step with respect to :meth:`Table.pin` /
+    Every mutation path is wrapped so the frozen-segment mirror and the
+    flat storage always change as one atomic step with respect to :meth:`Table.pin` /
     :meth:`Catalog.pin_tables`.  The lock is an uncontended C-level
     RLock for the classic single-threaded setup, so the wrapper costs
     next to nothing there.
@@ -120,18 +118,6 @@ class Table:
     :attr:`mutation_count`, which feeds the catalog fingerprint so
     non-append writes are visible to snapshot staleness checks even when
     the row count ends up unchanged.
-
-    TEXT columns additionally carry a **dictionary encoding** while
-    their live distinct-value count stays at or below
-    ``dict_encoding_threshold`` (default
-    :data:`~repro.sqlengine.encoding.DICT_ENCODING_MAX_DISTINCT`; 0
-    disables encoding): a refcounted
-    :class:`~repro.sqlengine.encoding.ColumnDictionary` plus one code
-    per row, maintained through the same single mutation path as the
-    value lists.  The vectorized engine reads the codes for
-    integer-speed string predicates and code-keyed GROUP BY / DISTINCT
-    / join probes; a column whose cardinality outgrows the threshold
-    drops its dictionary and falls back to plain value batches.
     """
 
     def __init__(
@@ -139,7 +125,6 @@ class Table:
         name: str,
         columns: Sequence[Column],
         foreign_keys: Iterable[ForeignKey] = (),
-        dict_encoding_threshold: "int | None" = None,
         segment_rows: int = 0,
         storage_lock: "SharedRLock | None" = None,
     ) -> None:
@@ -154,26 +139,6 @@ class Table:
         self._index_of = {c.name: i for i, c in enumerate(self.columns)}
         #: columnar storage: one value list per column, in schema order
         self._column_data: list = [[] for __ in self.columns]
-        self._dict_threshold = (
-            DICT_ENCODING_MAX_DISTINCT
-            if dict_encoding_threshold is None
-            else max(0, dict_encoding_threshold)
-        )
-        #: per-column dictionary (TEXT columns under the threshold; None
-        #: once a column is unencoded) and the aligned code lists
-        self._dictionaries: list = [
-            ColumnDictionary()
-            if self._dict_threshold and column.sql_type is SqlType.TEXT
-            else None
-            for column in self.columns
-        ]
-        self._codes: list = [
-            [] if dictionary is not None else None
-            for dictionary in self._dictionaries
-        ]
-        self._encoded_indexes: list[int] = [
-            i for i, d in enumerate(self._dictionaries) if d is not None
-        ]
         #: bumped on every insert/update/delete (plan-cache validity)
         self._version = 0
         #: updates + deletes only (feeds the catalog fingerprint)
@@ -238,35 +203,10 @@ class Table:
         """The rows at *positions*, gathered column by column."""
         return list(zip(*[[s[p] for p in positions] for s in self._column_data]))
 
-    def column_dictionary(self, index: int) -> "ColumnDictionary | None":
-        """The dictionary of the column at *index*, or None if unencoded."""
-        return self._dictionaries[index]
-
-    def column_codes(self, index: int) -> "list | None":
-        """The per-row code list of the column at *index* (live), or None."""
-        return self._codes[index]
-
-    def encoded_column_names(self) -> list[str]:
-        """Names of the columns currently carrying a dictionary."""
-        return [self.columns[i].name for i in self._encoded_indexes]
-
-    def _disable_dictionary(self, index: int) -> None:
-        """Drop the dictionary of one column (the mirror is now stale)."""
-        self._dictionaries[index] = None
-        self._codes[index] = None
-        self._encoded_indexes.remove(index)
-
     def _rebuild_segments(self) -> None:
         """Re-derive the segment mirror from the flat storage, if any."""
         if self._segments is not None:
             self._segments.rebuild(self)
-
-    def _check_dictionary_thresholds(self) -> None:
-        for index in list(self._encoded_indexes):
-            if self._dictionaries[index].live_count > self._dict_threshold:
-                self._disable_dictionary(index)
-                # segments must never hold codes for an unencoded column
-                self._rebuild_segments()
 
     # ------------------------------------------------------------------
     @property
@@ -354,8 +294,7 @@ class Table:
         leaves the table untouched.  A column whose values all already
         have the exact Python type its SQL type stores skips coercion.
         Then one undo record ``(start, count)``, one extension of every
-        column and code list, one dictionary-threshold check, one
-        segment-freeze check and a version bump of ``count``; observers
+        column list, one segment-freeze check and a version bump of ``count``; observers
         see one ``on_insert`` per row, in row order, after the whole
         batch is visible.
         """
@@ -378,15 +317,6 @@ class Table:
             self._undo.record_insert(self, start, count)
         for store, values in zip(self._column_data, columns):
             store.extend(values)
-        for index in self._encoded_indexes:
-            encode = self._dictionaries[index].encode
-            self._codes[index].extend(
-                [None if value is None else encode(value)
-                 for value in columns[index]]
-            )
-        # live counts only grow here, so one check drops what a
-        # per-row check would have dropped
-        self._check_dictionary_thresholds()
         if self._segments is not None:
             self._segments.note_insert(self)
         self._version += count
@@ -432,22 +362,9 @@ class Table:
         if self._undo is not None:
             self._undo.record_update(self, list(positions), old_rows)
         column_data = self._column_data
-        encoded_indexes = self._encoded_indexes
         for position, new_row in zip(positions, coerced):
             for store, value in zip(column_data, new_row):
                 store[position] = value
-            for index in encoded_indexes:
-                dictionary = self._dictionaries[index]
-                codes = self._codes[index]
-                old_code = codes[position]
-                if old_code is not None:
-                    dictionary.release(old_code)
-                value = new_row[index]
-                codes[position] = (
-                    None if value is None else dictionary.encode(value)
-                )
-        if encoded_indexes:
-            self._check_dictionary_thresholds()
         if self._segments is not None:
             self._segments.note_update(self, positions)
         self._version += 1
@@ -461,7 +378,7 @@ class Table:
     def delete_positions(self, positions: Sequence[int]) -> int:
         """Remove the rows at *positions* (tombstone-free compaction).
 
-        Every column list (and code list) is compacted in place,
+        Every column list is compacted in place,
         preserving list object identity for any operator holding a
         reference.  Positions forming at most :data:`SLICE_DELETE_RUNS`
         runs of consecutive rows are cut out with ``del store[a:b]``,
@@ -504,14 +421,6 @@ class Table:
                 store[:] = list(compress(store, keep))
         for store in self._column_data:
             compact(store)
-        for index in self._encoded_indexes:
-            dictionary = self._dictionaries[index]
-            codes = self._codes[index]
-            for position in doomed:
-                code = codes[position]
-                if code is not None:
-                    dictionary.release(code)
-            compact(codes)
         if self._segments is not None:
             self._segments.commit_delete(self, segment_plan)
         self._version += 1
@@ -529,11 +438,9 @@ class Table:
         the (strictly ascending) positions the rows occupied before the
         delete, and *rows* the already-coerced tuples it removed.  Each
         column list is merged with its restored values via in-place
-        slice assignment (list identity preserved), dictionary codes are
-        re-interned for the restored rows only, and observers see one
+        slice assignment (list identity preserved), and observers see one
         ``on_insert`` per row — so derived structures (the inverted
-        index) converge to the
-        pre-delete state.  Used by the transaction undo log; not a
+        index) converge to the pre-delete state.  Used by the transaction undo log; not a
         public mutation path.
         """
         if len(positions) != len(rows):
@@ -557,17 +464,6 @@ class Table:
         restored = list(zip(*rows))  # one value tuple per column
         for store, values in zip(self._column_data, restored):
             store[:] = _merge(store, positions, values)
-        for index in self._encoded_indexes:
-            encode = self._dictionaries[index].encode
-            codes = self._codes[index]
-            codes[:] = _merge(
-                codes,
-                positions,
-                [None if value is None else encode(value)
-                 for value in restored[index]],
-            )
-        if self._encoded_indexes:
-            self._check_dictionary_thresholds()
         # rollback rewrites arbitrary ranges; re-derive the mirror
         self._rebuild_segments()
         self._version += 1
@@ -624,17 +520,11 @@ class Catalog:
     schema or the data volume changes.
     """
 
-    def __init__(
-        self,
-        dict_encoding_threshold: "int | None" = None,
-        segment_rows: int = 0,
-    ) -> None:
-        # the settings come from an EngineConfig, which validated them
+    def __init__(self, segment_rows: int = 0) -> None:
+        # the setting comes from an EngineConfig, which validated it
         self._tables: dict[str, Table] = {}
         self._ddl_version = 0
         self._observers: list[CatalogObserver] = []
-        #: passed to every table this catalog creates (None = default)
-        self._dict_encoding_threshold = dict_encoding_threshold
         #: > 0 opts every table into frozen-segment + delta storage
         self.segment_rows = segment_rows
         #: one lock for all tables: writers serialize catalog-wide, and
@@ -673,7 +563,6 @@ class Catalog:
             key,
             columns,
             foreign_keys,
-            dict_encoding_threshold=self._dict_encoding_threshold,
             segment_rows=self.segment_rows,
             storage_lock=self._storage_lock,
         )

@@ -28,12 +28,6 @@ DEFAULT_PLAN_CACHE_SIZE = 128
 DEFAULT_SEGMENT_ROWS = 4096
 
 
-def _require_bool(name: str, value):
-    if not isinstance(value, bool):
-        raise SqlExecutionError(f"{name} must be True or False, got {value!r}")
-    return value
-
-
 def _require_int(name: str, value, minimum: int, error=SqlExecutionError):
     if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
         raise error(
@@ -47,17 +41,12 @@ class EngineConfig:
     """Every engine knob of one :class:`Database`, immutable.
 
     >>> config = EngineConfig(segment_rows=256)
-    >>> dataclasses.replace(config, fused=False).fused
-    False
+    >>> dataclasses.replace(config, plan_cache_size=0).plan_cache_size
+    0
     """
 
     #: prepared plans kept in the LRU plan cache (0 disables caching)
     plan_cache_size: int = DEFAULT_PLAN_CACHE_SIZE
-    #: dictionary-encoding cardinality cap for TEXT columns
-    #: (None = engine default, 0 disables encoding)
-    dict_encoding_threshold: "int | None" = None
-    #: fused filter/project expression codegen
-    fused: bool = True
     #: rows per frozen columnar segment; 0 (default) keeps the classic
     #: flat single-threaded storage, > 0 opts tables into immutable
     #: frozen segments + one mutable delta with snapshot-pinned reads
@@ -72,14 +61,6 @@ class EngineConfig:
 
     def __post_init__(self) -> None:
         _require_int("plan_cache_size", self.plan_cache_size, 0)
-        if self.dict_encoding_threshold is not None:
-            _require_int(
-                "dict_encoding_threshold",
-                self.dict_encoding_threshold,
-                0,
-                error=SqlCatalogError,
-            )
-        _require_bool("fused", self.fused)
         _require_int("segment_rows", self.segment_rows, 0, error=SqlCatalogError)
         if self.request_timeout_ms is not None:
             _require_int("request_timeout_ms", self.request_timeout_ms, 1)
@@ -103,14 +84,14 @@ class EngineConfig:
     ) -> "EngineConfig":
         """Parse a ``key=value[,key=value]`` CLI spec.
 
-        Keys are the field names (``-`` accepted for ``_``); booleans
-        accept ``true/false/1/0``, ``dict_encoding_threshold`` also
-        accepts ``none``.  Unknown keys and malformed values raise
+        Keys are the field names (``-`` accepted for ``_``); values are
+        integers, and ``request_timeout_ms`` also accepts ``none``.
+        Unknown keys and malformed values raise
         :class:`SqlExecutionError` with the valid choices, so the CLI
         can report them as ordinary engine errors.
 
-        >>> EngineConfig.from_cli("segment-rows=256,fused=false").fused
-        False
+        >>> EngineConfig.from_cli("segment-rows=256").segment_rows
+        256
         """
         config = base if base is not None else cls()
         if not spec:
@@ -138,18 +119,7 @@ class EngineConfig:
 
     @staticmethod
     def _parse_value(key: str, raw: str):
-        lowered = raw.lower()
-        if key == "fused":
-            if lowered in ("true", "1", "yes", "on"):
-                return True
-            if lowered in ("false", "0", "no", "off"):
-                return False
-            raise SqlExecutionError(
-                f"engine-config {key} expects true/false, got {raw!r}"
-            )
-        if key in ("dict_encoding_threshold", "request_timeout_ms") and (
-            lowered in ("none", "null")
-        ):
+        if key == "request_timeout_ms" and raw.lower() in ("none", "null"):
             return None
         try:
             return int(raw)

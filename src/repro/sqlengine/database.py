@@ -46,8 +46,7 @@ class Database:
 
     SELECT statements run through a cost-aware :class:`QueryPlanner`
     whose LRU plan cache lets repeated statements skip re-planning.
-    Every engine setting — plan-cache size, dictionary encoding, fused
-    codegen, segmented storage and the
+    Every engine setting — plan-cache size, segmented storage and the
     default request deadline — comes from the one frozen
     :class:`~repro.sqlengine.config.EngineConfig` passed as
     ``Database(config=...)`` and fixed for the life of the database
@@ -71,10 +70,7 @@ class Database:
     ) -> None:
         config = DEFAULT_CONFIG if config is None else config
         self._config = config
-        self.catalog = Catalog(
-            dict_encoding_threshold=config.dict_encoding_threshold,
-            segment_rows=config.segment_rows,
-        )
+        self.catalog = Catalog(segment_rows=config.segment_rows)
         self.planner = QueryPlanner(self.catalog, config)
         self.txn = TransactionManager(self.catalog)
         from repro.obs.metrics import registry
@@ -217,13 +213,13 @@ class Database:
         if isinstance(statement, Update):
             table = self.catalog.table(statement.table)
             with self.txn.statement([table]):
-                result = execute_update(self.catalog, statement, self._config)
+                result = execute_update(self.catalog, statement)
                 self._log_dml(sql)
             return result
         if isinstance(statement, Delete):
             table = self.catalog.table(statement.table)
             with self.txn.statement([table]):
-                result = execute_delete(self.catalog, statement, self._config)
+                result = execute_delete(self.catalog, statement)
                 self._log_dml(sql)
             return result
         raise SqlError(f"unsupported statement type: {type(statement).__name__}")

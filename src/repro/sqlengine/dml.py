@@ -7,17 +7,15 @@ to NULL does *not* match the row.  The rows are found through the
 SELECT scan itself, a
 :class:`~repro.sqlengine.planner.physical.BatchScanOp` over the target
 table that carries each surviving row's live position as a trailing
-column: fused filters (when ``EngineConfig.fused``), dictionary codes,
-column pruning and, on a segmented table, zone-map skipping over a
-fresh pin.  The WHERE is split into conjuncts only when no conjunct can
+column: fused filters, column pruning and, on a segmented table,
+zone-map skipping over a fresh pin.  The WHERE is split into conjuncts only when no conjunct can
 raise; otherwise it stays one predicate, so a conjunct evaluated over
 fewer rows never hides an error the whole WHERE raises.
 
 Matching happens first, mutation second, and all mutation flows through
 :meth:`~repro.sqlengine.catalog.Table.update_positions` /
 :meth:`~repro.sqlengine.catalog.Table.delete_positions` — the single
-path that writes the column lists (and dictionary codes) and
-notifies catalog observers (index maintenance, statistics) row by row.
+path that writes the column lists and notifies catalog observers (index maintenance, statistics) row by row.
 SET expressions are evaluated against the *old* row, per standard SQL,
 so ``SET a = b, b = a`` swaps.
 
@@ -43,7 +41,6 @@ from __future__ import annotations
 from repro.errors import SqlCatalogError
 from repro.sqlengine.ast_nodes import Delete, Expr, Update
 from repro.sqlengine.catalog import Catalog, Table
-from repro.sqlengine.config import DEFAULT_CONFIG, EngineConfig
 from repro.sqlengine.expressions import (
     Scope,
     _never_raises,
@@ -62,7 +59,7 @@ def _table_scope(table: Table) -> Scope:
 
 
 def _matching_positions(
-    catalog: Catalog, table: Table, where: "Expr | None", config: EngineConfig
+    catalog: Catalog, table: Table, where: "Expr | None"
 ) -> list[int]:
     """Row positions where *where* is ``True`` (3VL: NULL never matches)."""
     if where is None:
@@ -77,7 +74,6 @@ def _matching_positions(
         LogicalScan(
             table.name, table.name, predicates=tuple(conjuncts), columns=()
         ),
-        fused=config.fused,
     )
     # a fresh pin of the current state, never an installed older one:
     # its live positions are the flat positions the mutation addresses
@@ -157,9 +153,7 @@ def evaluate_returning(
 # ---------------------------------------------------------------------------
 
 
-def execute_update(
-    catalog: Catalog, statement: Update, config: EngineConfig = DEFAULT_CONFIG
-) -> ResultSet:
+def execute_update(catalog: Catalog, statement: Update) -> ResultSet:
     """Apply one UPDATE; the result carries rowcount and RETURNING rows."""
     table = catalog.table(statement.table)
     seen: set[str] = set()
@@ -173,7 +167,7 @@ def execute_update(
             )
         seen.add(assignment.column)
         targets.append((index, assignment.value))
-    positions = _matching_positions(catalog, table, statement.where, config)
+    positions = _matching_positions(catalog, table, statement.where)
     if not positions:
         if statement.returning:
             return evaluate_returning(table, [], statement.returning, 0)
@@ -195,12 +189,10 @@ def execute_update(
     return ResultSet(columns=[], rows=[], rowcount=changed)
 
 
-def execute_delete(
-    catalog: Catalog, statement: Delete, config: EngineConfig = DEFAULT_CONFIG
-) -> ResultSet:
+def execute_delete(catalog: Catalog, statement: Delete) -> ResultSet:
     """Apply one DELETE; the result carries rowcount and RETURNING rows."""
     table = catalog.table(statement.table)
-    positions = _matching_positions(catalog, table, statement.where, config)
+    positions = _matching_positions(catalog, table, statement.where)
     if not positions:
         if statement.returning:
             return evaluate_returning(table, [], statement.returning, 0)

@@ -6,14 +6,17 @@ into closures that evaluate a whole column batch per call.  Three-valued
 logic is used throughout: a predicate evaluates to ``True``, ``False``
 or ``None`` (unknown), and WHERE keeps only rows where the predicate is
 ``True``.  Anything that needs one value — constant folding, row-major
-DML — evaluates a one-row batch.
+DML — evaluates a one-row batch.  A ``LIKE`` with a literal pattern
+runs its regex once per distinct string of a batch, through a
+``{value: result}`` table built per call.
 
 :func:`fuse_batch_exprs` is the second compilation tier: it translates a
 plan's filter/projection expression trees into *generated Python source*
 — one function per batch, no per-row closure dispatch — for the subset
 of expressions it can prove never raise.  Anything it cannot prove falls
 back to the closure chain, so fused execution is byte-identical to the
-closures (results and errors).
+closures (results and errors).  The physical planner always fuses; the
+closures run only what the fuser refuses.
 """
 
 from __future__ import annotations
@@ -37,19 +40,12 @@ from repro.sqlengine.ast_nodes import (
     Literal,
     UnaryOp,
 )
-from repro.obs.metrics import registry as _metrics_registry
-from repro.sqlengine.encoding import EncodedColumn, gather_column
 from repro.sqlengine.types import (
     SqlType,
     compare_values,
     parse_date,
     values_equal,
 )
-
-# counts each batch served by a dictionary-code fast path (= / <> / IN
-# on codes, LIKE once per dictionary entry) instead of per-row strings
-_METRICS = _metrics_registry()
-_DICT_FASTPATH = _METRICS.counter("engine.dict_fastpath_batches")
 
 
 class Scope:
@@ -198,13 +194,8 @@ BatchFn = Callable[[Sequence[list], int], list]
 
 
 def gather_columns(cols: Sequence[list], indices: Sequence[int]) -> list:
-    """Compact every column of a batch down to the selected row indices.
-
-    Dictionary-encoded columns stay encoded (their codes are gathered,
-    not their decoded values), so compaction never forces early
-    materialization.
-    """
-    return [gather_column(column, indices) for column in cols]
+    """Compact every column of a batch down to the selected row indices."""
+    return [[column[i] for i in indices] for column in cols]
 
 
 def compile_expr_batch(
@@ -301,38 +292,23 @@ def compile_expr_batch(
 
                 return _null_pattern
             match = like_to_regex(str(expr.pattern.value)).match
-            # encoded operands evaluate the regex once per *dictionary
-            # entry* instead of once per row; the match table is memoized
-            # against the dictionary version, as one tuple so readers of
-            # a shared plan at different pins never mix two entries
-            memo: list = [(None, None, None)]  # dictionary, version, table
-
-            def _match_table(dictionary) -> list:
-                cached, version, table = memo[0]
-                if cached is dictionary and version == dictionary.version:
-                    return table
-                table = [
-                    None if value is None else match(value) is not None
-                    for value in dictionary.values
-                ]
-                memo[0] = (dictionary, dictionary.version, table)
-                return table
 
             def _like_literal(cols: Sequence[list], n: int) -> list:
                 values = operand(cols, n)
-                if isinstance(values, EncodedColumn):
-                    if _METRICS.enabled:
-                        _DICT_FASTPATH.inc()
-                    matched = _match_table(values.dictionary)
+                # the regex runs once per distinct string of the batch:
+                # a {value: result} table local to this call, so plans
+                # shared across threads and pins share no state
+                distinct = set(values)
+                distinct.discard(None)
+                if all(type(value) is str for value in distinct):
                     if negated:
-                        return [
-                            None if code is None else not matched[code]
-                            for code in values.codes
-                        ]
-                    return [
-                        None if code is None else matched[code]
-                        for code in values.codes
-                    ]
+                        table = {v: match(v) is None for v in distinct}
+                    else:
+                        table = {v: match(v) is not None for v in distinct}
+                    table[None] = None
+                    return list(map(table.__getitem__, values))
+                # 1, 1.0 and True hash alike but render differently:
+                # a batch holding non-strings matches row by row
                 if negated:
                     return [
                         None if value is None else match(str(value)) is None
@@ -612,53 +588,25 @@ def _compile_compare_fast_path(
     check = _COMPARE_CHECKS[op]
     # exact-type membership is call-free per row; anything else (bool,
     # date, cross-type) drops to compare_values for identical semantics
-    text_literal = isinstance(lit, str)
-    ok = frozenset((str,)) if text_literal else frozenset((int, float))
+    ok = frozenset((str,)) if isinstance(lit, str) else frozenset((int, float))
 
     if op == "=":
         def _eq(cols: Sequence[list], n: int) -> list:
-            column = cols[index]
-            if text_literal and isinstance(column, EncodedColumn):
-                # encoded column: one dictionary probe resolves the
-                # literal to a code, the rows compare small integers
-                # (str = str equality matches compare_values exactly)
-                if _METRICS.enabled:
-                    _DICT_FASTPATH.inc()
-                code = column.dictionary.code_of.get(lit)
-                if code is None:
-                    return [
-                        None if c is None else False for c in column.codes
-                    ]
-                return [
-                    None if c is None else c == code for c in column.codes
-                ]
             return [
                 None if v is None
                 else (not (v < lit or v > lit) if type(v) in ok
                       else check(compare_values(v, lit)))
-                for v in column
+                for v in cols[index]
             ]
 
         return _eq
     if op == "<>":
         def _ne(cols: Sequence[list], n: int) -> list:
-            column = cols[index]
-            if text_literal and isinstance(column, EncodedColumn):
-                if _METRICS.enabled:
-                    _DICT_FASTPATH.inc()
-                code = column.dictionary.code_of.get(lit)
-                if code is None:
-                    return [
-                        None if c is None else True for c in column.codes
-                    ]
-                return [
-                    None if c is None else c != code for c in column.codes
-                ]
             return [
                 None if v is None
                 else ((v < lit or v > lit) if type(v) in ok
                       else check(compare_values(v, lit)))
-                for v in column
+                for v in cols[index]
             ]
 
         return _ne
@@ -727,24 +675,6 @@ def _compile_in_list_batch(
 
             def _in_set(cols: Sequence[list], n: int) -> list:
                 values = operand(cols, n)
-                if textual and isinstance(values, EncodedColumn):
-                    # encoded column: resolve the member strings to codes
-                    # once, then the rows do integer set probes
-                    if _METRICS.enabled:
-                        _DICT_FASTPATH.inc()
-                    code_of = values.dictionary.code_of
-                    member_codes = {
-                        code_of[v] for v in member_set if v in code_of
-                    }
-                    if negated:
-                        return [
-                            None if c is None else c not in member_codes
-                            for c in values.codes
-                        ]
-                    return [
-                        None if c is None else c in member_codes
-                        for c in values.codes
-                    ]
                 out: list = []
                 for value in values:
                     if value is None:
@@ -827,12 +757,6 @@ def _compile_in_list_batch(
 # ---------------------------------------------------------------------------
 # fused expression codegen
 # ---------------------------------------------------------------------------
-
-#: sentinel bound as ``_MISS`` in generated preludes: a string literal
-#: absent from a column's dictionary resolves to it, making ``code ==
-#: _MISS`` False and ``code != _MISS`` True for every present row —
-#: the same outcome the literal would have against the decoded strings
-_FUSION_MISSING = object()
 
 #: compiled code objects keyed by generated source, so plans that fuse
 #: to identical shapes share one ``compile()`` (constants are bound per
@@ -926,55 +850,32 @@ class _Fuser:
     def __init__(self, scope: Scope, class_of) -> None:
         self.scope = scope
         self.class_of = class_of
-        #: scope index -> {"id", "order", "eq"}; insertion order assigns
-        #: deterministic variable ids
-        self.cols: dict[int, dict] = {}
+        #: scope index -> variable id; insertion order assigns
+        #: deterministic ids
+        self.cols: dict[int, int] = {}
         self.consts: dict[str, Any] = {}
         #: row-local variable ids used by the expression being generated
         self.current_used: list[int] = []
 
     # -- rollback ------------------------------------------------------
     def snapshot(self):
-        return (
-            {
-                index: {
-                    "id": info["id"],
-                    "order": info["order"],
-                    "eq": list(info["eq"]),
-                }
-                for index, info in self.cols.items()
-            },
-            dict(self.consts),
-        )
+        return dict(self.cols), dict(self.consts)
 
     def restore(self, snap) -> None:
         self.cols, self.consts = snap[0], snap[1]
 
     # -- registration --------------------------------------------------
-    def use_col(self, index: int, order_sensitive: bool = True) -> dict:
-        info = self.cols.get(index)
-        if info is None:
-            info = {"id": len(self.cols), "order": False, "eq": []}
-            self.cols[index] = info
-        if order_sensitive:
-            info["order"] = True
-        if info["id"] not in self.current_used:
-            self.current_used.append(info["id"])
-        return info
+    def use_col(self, index: int) -> str:
+        """The row variable of scope column *index* (``_x<id>``)."""
+        vid = self.cols.setdefault(index, len(self.cols))
+        if vid not in self.current_used:
+            self.current_used.append(vid)
+        return f"_x{vid}"
 
     def const(self, value: Any) -> str:
         name = f"_k{len(self.consts)}"
         self.consts[name] = value
         return name
-
-    def eq_const(self, info: dict, value: Any, is_set: bool) -> str:
-        """A literal used in an equality against a (possibly encoded)
-        string column: the generated prelude rebinds the returned name
-        to the literal's dictionary code (or code set) per batch."""
-        raw = self.const(value)
-        mapped = f"{raw}x{info['id']}"
-        info["eq"].append((raw, mapped, is_set))
-        return mapped
 
     def resolve_col(self, ref: ColumnRef) -> int:
         try:
@@ -1026,7 +927,7 @@ class _Fuser:
                 joiner = "or" if positive else "and"
             return f"(({lhs}) {joiner} ({rhs}))"
         if isinstance(expr, BinaryOp) and expr.op in _FUSIBLE_COMPARES:
-            parts = self._compare_parts(expr.left, expr.right, expr.op)
+            parts = self._compare_parts(expr.left, expr.right)
             if parts is None:  # comparison against a NULL literal
                 return "False"
             a, b, cls, nonlit = parts
@@ -1081,8 +982,7 @@ class _Fuser:
             cls = self.col_class(index)
             if cls is None:
                 raise _Unfusible
-            info = self.use_col(index, order_sensitive=True)
-            return _Val(f"_x{info['id']}", cls)
+            return _Val(self.use_col(index), cls)
 
         if isinstance(expr, FuncCall):
             return self._gen_func(expr)
@@ -1180,7 +1080,7 @@ class _Fuser:
                 )
             return _Val(code, "bool")
         if op in _FUSIBLE_COMPARES:
-            parts = self._compare_parts(expr.left, expr.right, op)
+            parts = self._compare_parts(expr.left, expr.right)
             if parts is None:
                 return _Val("None", "bool")
             a, b, cls, nonlit = parts
@@ -1236,28 +1136,13 @@ class _Fuser:
         return _Val(code, cls)
 
     # -- comparison plumbing -------------------------------------------
-    def _compare_parts(self, left: Expr, right: Expr, op: str):
+    def _compare_parts(self, left: Expr, right: Expr):
         """Aligned operand codes for a comparison, or None when one side
         is a NULL literal (a constant-NULL comparison).
 
         Returns ``(a, b, cls, nonlit)`` where *nonlit* lists the operand
-        codes needing NULL guards.  Bare string column = string literal
-        goes through a per-batch dictionary-code rebind so encoded
-        columns compare small integers.
+        codes needing NULL guards.
         """
-        if op in ("=", "<>"):
-            for col_side, lit_side in ((left, right), (right, left)):
-                if (
-                    isinstance(col_side, ColumnRef)
-                    and isinstance(lit_side, Literal)
-                    and type(lit_side.value) is str
-                ):
-                    index = self.resolve_col(col_side)
-                    if self.col_class(index) == "str":
-                        info = self.use_col(index, order_sensitive=False)
-                        mapped = self.eq_const(info, lit_side.value, False)
-                        x = f"_x{info['id']}"
-                        return x, mapped, "str", [x]
         a = self.gen_value(left)
         b = self.gen_value(right)
         if (a.is_lit and a.lit is None) or (b.is_lit and b.lit is None):
@@ -1310,14 +1195,6 @@ class _Fuser:
         textual = all(type(v) is str for v in literals)
         if not (numeric or textual):
             raise _Unfusible
-        if textual and isinstance(expr.operand, ColumnRef):
-            index = self.resolve_col(expr.operand)
-            if self.col_class(index) != "str":
-                raise _Unfusible
-            info = self.use_col(index, order_sensitive=False)
-            mapped = self.eq_const(info, frozenset(literals), True)
-            x = f"_x{info['id']}"
-            return f"{x} in {mapped}", x
         value = self.gen_value(expr.operand)
         if numeric:
             if value.cls != "num":
@@ -1339,58 +1216,12 @@ class _Fuser:
             index = self.resolve_col(expr.operand)
             if self.col_class(index) is None:
                 raise _Unfusible
-            info = self.use_col(index, order_sensitive=False)
-            return f"_x{info['id']}"
+            return self.use_col(index)
         return self.gen_value(expr.operand).code
 
     # -- source assembly -----------------------------------------------
-    def preludes(self) -> list[str]:
-        """Per-batch column normalization lines.
-
-        Only string-class columns can arrive dictionary-encoded.  A
-        column used solely in equality/NULL tests keeps its codes and
-        rebinds its literals through the dictionary; any other use
-        decodes the column up front (order comparisons and value uses
-        need real strings).
-        """
-        lines: list[str] = []
-        for index, info in self.cols.items():
-            if self.col_class(index) != "str":
-                continue
-            vid = info["id"]
-            if info["order"]:
-                lines.append(f"    if type(_v{vid}) is _Enc:")
-                lines.append(f"        _v{vid} = _v{vid}.decode()")
-                for raw, mapped, __ in info["eq"]:
-                    lines.append(f"    {mapped} = {raw}")
-            elif info["eq"]:
-                lines.append(f"    if type(_v{vid}) is _Enc:")
-                lines.append(f"        _m{vid} = _v{vid}.dictionary.code_of")
-                lines.append(f"        _v{vid} = _v{vid}.codes")
-                for raw, mapped, is_set in info["eq"]:
-                    if is_set:
-                        lines.append(
-                            f"        {mapped} = frozenset("
-                            f"_c for _c in map(_m{vid}.get, {raw})"
-                            f" if _c is not None)"
-                        )
-                    else:
-                        lines.append(
-                            f"        {mapped} = _m{vid}.get({raw}, _MISS)"
-                        )
-                lines.append("    else:")
-                for raw, mapped, __ in info["eq"]:
-                    lines.append(f"        {mapped} = {raw}")
-            else:
-                lines.append(f"    if type(_v{vid}) is _Enc:")
-                lines.append(f"        _v{vid} = _v{vid}.codes")
-        return lines
-
     def column_decls(self) -> list[str]:
-        return [
-            f"    _v{info['id']} = cols[{index}]"
-            for index, info in self.cols.items()
-        ]
+        return [f"    _v{vid} = cols[{index}]" for index, vid in self.cols.items()]
 
 
 def _row_iter(used: Sequence[int], with_index: bool) -> str:
@@ -1415,8 +1246,7 @@ def _instantiate(source: str, consts: dict) -> Callable:
             _FUSED_CODE_CACHE.clear()
         code = compile(source, "<fused-batch-exprs>", "exec")
         _FUSED_CODE_CACHE[source] = code
-    namespace: dict = {"_Enc": EncodedColumn, "_MISS": _FUSION_MISSING}
-    namespace.update(consts)
+    namespace = dict(consts)
     exec(code, namespace)
     return namespace["_fused"]
 
@@ -1471,7 +1301,6 @@ def fuse_batch_exprs(
             return None
         lines = ["def _fused(cols, n):"]
         lines += fuser.column_decls()
-        lines += fuser.preludes()
         condition = " and ".join(f"({c})" for c in conds)
         lines.append(
             f"    return [_i {_row_iter(sorted(used), True)} if {condition}]"
@@ -1501,7 +1330,6 @@ def fuse_batch_exprs(
         return None
     lines = ["def _fused(cols, n):"]
     lines += fuser.column_decls()
-    lines += fuser.preludes()
     names = []
     for slot, (__, code, used) in enumerate(outputs):
         names.append(f"_o{slot}")

@@ -17,9 +17,9 @@ Physical compilation targets the one engine, the **vectorized batch
 engine**: operators exchange ~1024-row column batches sliced straight
 out of the tables' columnar storage.
 
-A planner reads every setting (plan-cache size, fused codegen) from the
-one :class:`~repro.sqlengine.config.EngineConfig` it is built with,
-which never changes; ``optimize=False`` gives the canonical (naive)
+A planner reads its one setting (the plan-cache size) from the
+:class:`~repro.sqlengine.config.EngineConfig` it is built with, which
+never changes; ``optimize=False`` gives the canonical (naive)
 plan, the baseline the optimizer is tested against.
 """
 
@@ -127,7 +127,7 @@ class QueryPlanner:
             )
             if self._optimize:
                 logical = optimize_plan(logical, self.catalog, self.statistics)
-            plan = build_physical(logical, self.catalog, self.config)
+            plan = build_physical(logical, self.catalog)
             self.cache.put(key, (plan, stamp))
             return plan
 
@@ -140,9 +140,7 @@ class QueryPlanner:
         """
         logical = self.plan_logical(select)
         instrumenter = Instrumenter()
-        plan = build_physical(
-            logical, self.catalog, self.config, instrument=instrumenter
-        )
+        plan = build_physical(logical, self.catalog, instrument=instrumenter)
         return plan, instrumenter
 
     def _entry_is_fresh(self, entry: tuple) -> bool:
@@ -192,10 +190,8 @@ class QueryPlanner:
         optimizer's estimates (classic EXPLAIN ANALYZE semantics)."""
         if not analyze:
             plan = self.prepare(select)
-            return render_plan(plan.logical, catalog=self.catalog)
+            return render_plan(plan.logical)
         plan, instrumenter = self.prepare_instrumented(select)
         with self._pin_scope(plan):
             plan.execute()
-        return render_plan(
-            plan.logical, catalog=self.catalog, analyze=instrumenter
-        )
+        return render_plan(plan.logical, analyze=instrumenter)

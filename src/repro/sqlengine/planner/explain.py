@@ -5,9 +5,6 @@ The node phrasing intentionally keeps the pre-planner vocabulary
 ``left join``, ``aggregate group by``, ``sort by``, ``limit N``,
 ``top-n N by ...``) so the output stays grep-friendly, and adds tree
 structure, cardinality estimates (``~N rows``) and pruned column lists.
-When a *catalog* is supplied, scans
-over tables with dictionary-encoded TEXT columns mark the encoded
-columns they emit (``[dict: status, region]``).
 """
 
 from __future__ import annotations
@@ -27,27 +24,23 @@ from repro.sqlengine.planner.logical import (
 )
 
 
-def render_plan(root: LogicalNode, catalog=None, analyze=None) -> str:
+def render_plan(root: LogicalNode, analyze=None) -> str:
     """The whole plan as an indented tree, one node per line.
 
-    *catalog* (optional) lets scans mark their dictionary-encoded
-    columns.
     *analyze* (optional, an
     :class:`~repro.sqlengine.planner.analyze.Instrumenter` that has
     executed this plan) appends each operator's actual rows/batches and
     self-time next to the estimates — the EXPLAIN ANALYZE rendering.
     """
     lines: list = []
-    _render(root, prefix="", connector="", lines=lines, catalog=catalog,
-            analyze=analyze)
+    _render(root, prefix="", connector="", lines=lines, analyze=analyze)
     return "\n".join(lines)
 
 
 def _render(
-    node: LogicalNode, prefix: str, connector: str, lines: list,
-    catalog=None, analyze=None,
+    node: LogicalNode, prefix: str, connector: str, lines: list, analyze=None
 ) -> None:
-    line = prefix + connector + describe_node(node, catalog)
+    line = prefix + connector + describe_node(node)
     if analyze is not None:
         line += analyze.suffix_for(node)
     lines.append(line)
@@ -63,12 +56,11 @@ def _render(
     for index, child in enumerate(children):
         last = index == len(children) - 1
         _render(
-            child, child_prefix, "└─ " if last else "├─ ", lines, catalog,
-            analyze,
+            child, child_prefix, "└─ " if last else "├─ ", lines, analyze
         )
 
 
-def describe_node(node: LogicalNode, catalog=None) -> str:
+def describe_node(node: LogicalNode) -> str:
     """One-line description of a plan node."""
     if isinstance(node, LogicalScan):
         text = f"scan {node.table} as {node.binding} ({node.base_rows} rows)"
@@ -78,9 +70,6 @@ def describe_node(node: LogicalNode, catalog=None) -> str:
             text += _estimate(node)
         if node.columns is not None:
             text += f" [cols: {', '.join(node.columns) or '(none)'}]"
-        encoded = _encoded_columns(node, catalog)
-        if encoded:
-            text += f" [dict: {', '.join(encoded)}]"
         return text
     if isinstance(node, LogicalJoin):
         right_binding = _rightmost_binding(node.right)
@@ -115,18 +104,6 @@ def describe_node(node: LogicalNode, catalog=None) -> str:
         ordering = ", ".join(item.to_sql() for item in node.order_by)
         return f"top-n {node.limit} by {ordering}" + _estimate(node)
     return type(node).__name__  # pragma: no cover - future node types
-
-
-def _encoded_columns(node: LogicalScan, catalog) -> list:
-    """The dictionary-encoded columns this scan emits (needs a catalog)."""
-    if catalog is None or not catalog.has_table(node.table):
-        return []
-    table = catalog.table(node.table)
-    emitted = (
-        table.column_names() if node.columns is None else list(node.columns)
-    )
-    encoded = set(table.encoded_column_names())
-    return [name for name in emitted if name in encoded]
 
 
 def _estimate(node: LogicalNode) -> str:

@@ -56,8 +56,6 @@ from repro.sqlengine.ast_nodes import (
     collect_column_refs,
 )
 from repro.sqlengine.catalog import Catalog
-from repro.sqlengine.config import DEFAULT_CONFIG, EngineConfig
-from repro.sqlengine.encoding import EncodedColumn
 from repro.sqlengine.segments import snapshot_of
 from repro.sqlengine.expressions import (
     Scope,
@@ -324,8 +322,6 @@ def _apply_topn_bound(cell, key_index: int, descending: bool, cols, n):
     if bound is None or n == 0:
         return cols, n
     column = cols[key_index]
-    if isinstance(column, EncodedColumn):
-        column = column.decode()
     if descending:
         selected = [
             i
@@ -481,9 +477,7 @@ class BatchScanOp(BatchOperator):
     are picked from it after filtering.
     """
 
-    def __init__(
-        self, catalog: Catalog, node: LogicalScan, fused: bool = False
-    ) -> None:
+    def __init__(self, catalog: Catalog, node: LogicalScan) -> None:
         self._table = catalog.table(node.table)
         full_scope = Scope(
             [(node.binding, name) for name in self._table.column_names()]
@@ -520,17 +514,12 @@ class BatchScanOp(BatchOperator):
             compile_expr_batch(predicate, read_scope)
             for predicate in node.predicates
         ]
-        if fused and node.predicates:
-            self._filter_stages = _fusion_stages(
-                node.predicates,
-                self._predicate_fns,
-                read_scope,
-                _fusion_class_of(node, catalog),
-            )
-        elif node.predicates:
-            self._filter_stages = [("closures", self._predicate_fns)]
-        else:
-            self._filter_stages = []
+        self._filter_stages = _fusion_stages(
+            node.predicates,
+            self._predicate_fns,
+            read_scope,
+            _fusion_class_of(node, catalog),
+        )
         self._predicates = node.predicates
         self._zone_tests = _zone_tests(node.predicates, self._table)
         #: EXPLAIN ANALYZE's OperatorStats (receives ``skipped``), or None
@@ -580,28 +569,12 @@ class BatchScanOp(BatchOperator):
         if positions and project is not None:
             project = project + [len(read)]
         if snapshot is None:
-            # dictionary-encoded TEXT columns are sliced as code batches
-            # (EncodedColumn) so downstream operators can work on integer
-            # codes; everything else slices the plain value lists
-            sources = []
-            for i in read:
-                dictionary = table.column_dictionary(i)
-                if dictionary is not None:
-                    sources.append((dictionary, table.column_codes(i)))
-                else:
-                    sources.append((None, table.column_data(i)))
+            sources = [table.column_data(i) for i in read]
 
             def slice_batch(start: int, stop: int) -> list:
-                return [
-                    EncodedColumn(dictionary, data[start:stop])
-                    if dictionary is not None
-                    else data[start:stop]
-                    for dictionary, data in sources
-                ]
+                return [data[start:stop] for data in sources]
 
         else:
-            # segments and the pinned delta keep dictionary codes, so
-            # snapshot batches are the types a flat scan emits
             def slice_batch(start: int, stop: int) -> list:
                 return [snapshot.column_slice(i, start, stop) for i in read]
 
@@ -685,23 +658,19 @@ class BatchFilterOp(BatchOperator):
         self,
         child: BatchOperator,
         predicates,
-        node: "LogicalNode | None" = None,
-        catalog: "Catalog | None" = None,
-        fused: bool = False,
+        node: LogicalNode,
+        catalog: Catalog,
     ) -> None:
         self._child = child
         self.scope = child.scope
         self._predicates = list(predicates)
         self._fns = [compile_expr_batch(p, self.scope) for p in predicates]
-        if fused and node is not None and catalog is not None:
-            self._filter_stages = _fusion_stages(
-                self._predicates,
-                self._fns,
-                self.scope,
-                _fusion_class_of(node, catalog),
-            )
-        else:
-            self._filter_stages = [("closures", self._fns)]
+        self._filter_stages = _fusion_stages(
+            self._predicates,
+            self._fns,
+            self.scope,
+            _fusion_class_of(node, catalog),
+        )
 
     def batches(self) -> Iterator[tuple]:
         stages = self._filter_stages
@@ -759,18 +728,6 @@ def _build_join_hash_table(cols, n: int, key_indexes) -> dict:
     return table
 
 
-def _buckets_by_code(dictionary, get) -> list:
-    """Resolve every dictionary entry to its hash bucket (or None) once.
-
-    The dictionary-encoded probe fast path: after this, probing is one
-    list index per row instead of a hash lookup.  Dead (GC'd) dictionary
-    slots are None and map to no bucket.
-    """
-    return [
-        None if value is None else get(value) for value in dictionary.values
-    ]
-
-
 def _drain_pairs(
     left_sel: list, right_sel: list, everything: bool = False
 ) -> Iterator[tuple]:
@@ -815,37 +772,22 @@ class _HashProbe:
     most :data:`BATCH_SIZE` pairs each — one entry per matching pair,
     in probe-row order, bucket order preserved within a probe row.  It
     is a generator: pairs past the chunk a consumer stopped at are
-    never produced.  NULL keys never match.  The dictionary-encoded
-    fast path (code → bucket, resolved once per dictionary and reused
-    across batches) lives here so the inner and LEFT hash joins stay in
-    lockstep.
+    never produced.  NULL keys never match.  Both the inner and the
+    LEFT hash join probe through it, so they stay in lockstep.
     """
 
-    __slots__ = ("_key_indexes", "_get", "_single", "_dictionary", "_buckets")
+    __slots__ = ("_key_indexes", "_get", "_single")
 
     def __init__(self, table: dict, key_indexes) -> None:
         self._key_indexes = key_indexes
         self._get = table.get
         self._single = len(key_indexes) == 1
-        self._dictionary = None
-        self._buckets: list = []
 
     def _row_buckets(self, cols):
         """Each probe row's bucket, or None (NULL keys are in no bucket)."""
         if not self._single:
             return map(self._get, zip(*[cols[i] for i in self._key_indexes]))
-        key_column = cols[self._key_indexes[0]]
-        if not isinstance(key_column, EncodedColumn):
-            return map(self._get, key_column)
-        dictionary = key_column.dictionary
-        if dictionary is not self._dictionary:
-            self._dictionary = dictionary
-            self._buckets = _buckets_by_code(dictionary, self._get)
-        buckets = self._buckets
-        return [
-            None if code is None else buckets[code]
-            for code in key_column.codes
-        ]
+        return map(self._get, cols[self._key_indexes[0]])
 
     def probe(self, cols) -> Iterator[tuple]:
         left_sel: list = []
@@ -936,9 +878,8 @@ class BatchLeftJoinOp(BatchOperator):
 
     The default execution is the **gather-based hash path**: the build
     (right) side is materialized once and hashed on the recognised equi
-    key columns, each left batch probes it (one lookup per row —
-    dictionary-encoded probe columns resolve every code to its bucket
-    once and then index a list), residual ON conjuncts are evaluated
+    key columns, each left batch probes it (one lookup per row),
+    residual ON conjuncts are evaluated
     vectorized over the candidate pairs only, and unmatched left rows
     are NULL-padded through selection vectors in left-row order —
     byte-identical output to the broadcast path.
@@ -1356,24 +1297,10 @@ class BatchAggregateOp(BatchOperator):
             arg_cols = [
                 None if fn is None else fn(cols, n) for fn in arg_fns
             ]
-            # dictionary-encoded key columns group on their integer
-            # codes (code <-> value is a bijection within the shared
-            # dictionary, so group identity and first-occurrence order
-            # are unchanged); values decode once per group below
             if len(key_cols) == 1:
-                only = key_cols[0]
-                keys = only.codes if isinstance(only, EncodedColumn) else only
+                keys = key_cols[0]
             elif key_cols:
-                keys = list(
-                    zip(
-                        *[
-                            column.codes
-                            if isinstance(column, EncodedColumn)
-                            else column
-                            for column in key_cols
-                        ]
-                    )
-                )
+                keys = list(zip(*key_cols))
             else:
                 keys = None  # no GROUP BY: a single global group
 
@@ -1471,8 +1398,7 @@ class BatchProjectOp:
         child: BatchOperator,
         node: LogicalProject,
         agg_slots: "dict | None",
-        catalog: "Catalog | None" = None,
-        fused: bool = False,
+        catalog: Catalog,
     ) -> None:
         self._child = child
         self.scope = child.scope
@@ -1490,14 +1416,12 @@ class BatchProjectOp:
         # unfusible expressions keep their closures.  Fused targets
         # never raise, so lifting them ahead of the remaining closures
         # is unobservable.
-        self._fused = None
-        if fused and catalog is not None:
-            self._fused = fuse_batch_exprs(
-                targets,
-                child.scope,
-                _fusion_class_of(node, catalog),
-                mode="value",
-            )
+        self._fused = fuse_batch_exprs(
+            targets,
+            child.scope,
+            _fusion_class_of(node, catalog),
+            mode="value",
+        )
 
     def pres_batches(self) -> Iterator[tuple]:
         fns = self._fns
@@ -1539,14 +1463,7 @@ class BatchDistinctOp:
         for out_cols, pre_cols, n in self._child.pres_batches():
             kept: list = []
             keep = kept.append
-            # encoded output columns dedupe on codes (bijective per
-            # dictionary, and the per-column stream type is stable
-            # across batches), skipping the decode for dropped rows
-            key_streams = [
-                column.codes if isinstance(column, EncodedColumn) else column
-                for column in out_cols
-            ]
-            for i, row in enumerate(zip(*key_streams)):
+            for i, row in enumerate(zip(*out_cols)):
                 if row in seen:
                     continue
                 add(row)
@@ -1801,23 +1718,19 @@ def _no_instrument(operator, node):
 
 
 class _BuildContext:
-    """Builder state: the catalog, knobs and instrumentation."""
+    """Builder state: the catalog and instrumentation."""
 
-    __slots__ = ("catalog", "instrument", "fused")
+    __slots__ = ("catalog", "instrument")
 
-    def __init__(self, catalog: Catalog, instrument, fused: bool) -> None:
+    def __init__(self, catalog: Catalog, instrument) -> None:
         self.catalog = catalog
         self.instrument = instrument or _no_instrument
-        self.fused = fused
 
 
 def build_physical(
-    root: LogicalNode,
-    catalog: Catalog,
-    config: EngineConfig = DEFAULT_CONFIG,
-    instrument=None,
+    root: LogicalNode, catalog: Catalog, instrument=None
 ) -> PreparedPlan:
-    """Compile a logical plan into a :class:`PreparedPlan` for *config*.
+    """Compile a logical plan into a :class:`PreparedPlan`.
 
     *instrument* (optional) is called as ``instrument(operator, node)``
     on every physical operator right after construction, with the
@@ -1828,11 +1741,12 @@ def build_physical(
     not be cached; they get the same TopN bound pushdown as plain ones,
     so the per-operator numbers describe the plan that executes.
 
-    ``config.fused`` compiles provably-safe filter/project expressions
-    into generated per-batch functions.  That layer is locked to
-    byte-identical results and errors, so it is a pure speed knob.
+    Provably-safe filter/project expressions compile into generated
+    per-batch functions (:func:`~repro.sqlengine.expressions.
+    fuse_batch_exprs`); everything else runs as closures.  The
+    generated code is locked to byte-identical results and errors.
     """
-    ctx = _BuildContext(catalog, instrument, config.fused)
+    ctx = _BuildContext(catalog, instrument)
     operator = _build_presentation(root, ctx)
     return PreparedPlan(
         root=operator, logical=root, columns=list(operator.columns)
@@ -1943,9 +1857,7 @@ def _build_presentation(node: LogicalNode, ctx: _BuildContext):
         return instrument(BatchDistinctOp(child), node)
     if isinstance(node, LogicalProject):
         child, agg_slots = _build_relational(node.child, ctx)
-        operator = BatchProjectOp(
-            child, node, agg_slots, catalog=ctx.catalog, fused=ctx.fused
-        )
+        operator = BatchProjectOp(child, node, agg_slots, ctx.catalog)
         return instrument(operator, node)
     raise SqlExecutionError(
         f"malformed plan: unexpected presentation node {type(node).__name__}"
@@ -1957,12 +1869,10 @@ def _build_relational(node: LogicalNode, ctx: _BuildContext):
     catalog = ctx.catalog
     instrument = ctx.instrument
     if isinstance(node, LogicalScan):
-        return instrument(BatchScanOp(catalog, node, fused=ctx.fused), node), None
+        return instrument(BatchScanOp(catalog, node), node), None
     if isinstance(node, LogicalFilter):
         child, agg_slots = _build_relational(node.child, ctx)
-        operator = BatchFilterOp(
-            child, node.predicates, node=node, catalog=catalog, fused=ctx.fused
-        )
+        operator = BatchFilterOp(child, node.predicates, node, catalog)
         return instrument(operator, node), agg_slots
     if isinstance(node, LogicalJoin):
         left, __ = _build_relational(node.left, ctx)

@@ -55,29 +55,17 @@ zone admits sorts strictly past the top-N's worst kept key; the delta
 and flat storage are never skipped (see ``BatchScanOp`` in
 :mod:`repro.sqlengine.planner.physical`).
 
-**Codes.**  For a dictionary-encoded TEXT column, segments and the
-pinned delta hold the column's codes, and a pin also captures each
-dictionary's immutable :class:`~repro.sqlengine.encoding.DictionaryView`
-(cached per dictionary version, so a pin builds one only after an
-intern or a free).  :meth:`TableSnapshot.column_slice` returns an
-:class:`~repro.sqlengine.encoding.EncodedColumn` over that view —
-exactly the batch type a flat scan emits, so every code fast path
-(LIKE per entry, ``=`` / IN on codes, GROUP BY / DISTINCT and hash
-probes on codes) applies to segmented tables.  The invariant: a pinned
-reader decodes every code to the value it had at pin time, even after
-a later write frees that code and reuses it, which the live dictionary
-could not promise.  Dead rows' codes may be reused, but no snapshot
-that can see such a row decodes it through a newer view.  A column
-that drops its dictionary rebuilds the mirror, so segments never hold
-codes for an unencoded column.
+**Values.**  Segments and the pinned delta hold the column values
+themselves (TEXT included), so :meth:`TableSnapshot.column_slice`
+returns a plain list — exactly the batch type a flat scan emits — and a
+pinned reader sees every value as it was at pin time, whatever later
+writes do to the flat lists.
 """
 
 from __future__ import annotations
 
 import threading
 from bisect import bisect_right
-
-from repro.sqlengine.encoding import EncodedColumn
 
 __all__ = [
     "FrozenSegment",
@@ -93,8 +81,6 @@ __all__ = [
 class FrozenSegment:
     """One immutable chunk of a table: one tuple per column.
 
-    A dictionary-encoded column's tuple holds codes, not values; only a
-    snapshot's pinned dictionary view gives them meaning.
     ``tombstones`` (physical offsets of deleted rows) is the only
     mutable part, owned by the writer and *grow-only* for the lifetime
     of the segment object — so a reader that captured the set as a
@@ -199,21 +185,15 @@ class TableSnapshot:
     Row coordinates are *live* positions over the whole snapshot
     (``0 .. row_count``), exactly matching the table's flat storage at
     pin time — so batch boundaries, row order and values are identical
-    to a flat scan of the same state.  An encoded column's slices are
-    codes bound to the :class:`~repro.sqlengine.encoding.DictionaryView`
-    captured at pin time, the batch type a flat scan emits.
+    to a flat scan of the same state.
     """
 
-    __slots__ = ("entries", "delta_columns", "views", "prefix", "row_count")
+    __slots__ = ("entries", "delta_columns", "prefix", "row_count")
 
-    def __init__(
-        self, entries: list, delta_len: int, delta_columns: list, views: list
-    ):
+    def __init__(self, entries: list, delta_len: int, delta_columns: list):
         #: ``(segment, tombstones frozenset | None, live_count)`` per segment
         self.entries = entries
         self.delta_columns = delta_columns
-        #: per column, the pinned dictionary view, or None if unencoded
-        self.views = views
         prefix = [0]
         for __, __, live in entries:
             prefix.append(prefix[-1] + live)
@@ -222,9 +202,7 @@ class TableSnapshot:
         self.prefix = prefix
         self.row_count = prefix[-1]
 
-    def column_slice(
-        self, index: int, start: int, stop: int
-    ) -> "list | EncodedColumn":
+    def column_slice(self, index: int, start: int, stop: int) -> list:
         """One column over live positions ``[start, stop)``."""
         stop = min(stop, self.row_count)
         prefix = self.prefix
@@ -247,16 +225,7 @@ class TableSnapshot:
             out.extend(data[position - base : upto - base])
             position = upto
             part += 1
-        view = self.views[index]
-        return out if view is None else EncodedColumn(view, out)
-
-
-def _stores(table) -> list:
-    """Per column, what the mirror copies: codes if encoded, else values."""
-    return [
-        store if codes is None else codes
-        for store, codes in zip(table._column_data, table._codes)
-    ]
+        return out
 
 
 class SegmentedStorage:
@@ -291,16 +260,14 @@ class SegmentedStorage:
         return TableSnapshot(
             entries,
             len(table) - start,
-            [store[start:] for store in _stores(table)],
-            [
-                None if dictionary is None else dictionary.view()
-                for dictionary in table._dictionaries
-            ],
+            [store[start:] for store in table._column_data],
         )
 
     # -- mutation mapping ----------------------------------------------
     def _freeze_range(self, table, start: int, stop: int) -> FrozenSegment:
-        columns = tuple(tuple(store[start:stop]) for store in _stores(table))
+        columns = tuple(
+            tuple(store[start:stop]) for store in table._column_data
+        )
         return FrozenSegment(columns, stop - start)
 
     def note_insert(self, table) -> None:

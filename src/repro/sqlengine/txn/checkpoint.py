@@ -1,13 +1,15 @@
 """Persistent columnar segment checkpoints.
 
 A checkpoint is one gzip-compressed JSON document holding the whole
-catalog: schemas, per-table counters, and per-column data in its
-*native* storage form — dictionary columns keep their value table and
-code list, every other column its plain value list — so loading is a
-bulk columnar fill instead of a row-at-a-time re-ingest (the perf
-ledger's ``recover_s`` on ``engine_ingest_mix`` measures it).  Images
-written before the typed-array store was removed tag numeric columns
-``"array"`` (values with NULLs as ``None``); they load as plain ones.
+catalog: schemas, per-table counters, and per-column data as one
+plain value list per column (``"t": "plain"``), so loading is a bulk
+columnar fill instead of a row-at-a-time re-ingest (the perf ledger's
+``recover_s`` on ``engine_ingest_mix`` measures it).  Older images
+still load: numeric columns tagged ``"array"`` (written before the
+typed-array store was removed) hold plain values with NULLs as
+``None``, and TEXT columns tagged ``"dict"`` (written before dictionary
+encoding was removed) hold a value table plus one code per row, which
+the reader decodes.
 
 The file is written atomically (temp file, fsync, ``os.replace``) and
 stamped with the WAL *generation* it pairs with; recovery replays only
@@ -24,12 +26,11 @@ from typing import TYPE_CHECKING
 
 from repro.errors import RecoveryError
 from repro.sqlengine.catalog import Column, ForeignKey
-from repro.sqlengine.encoding import ColumnDictionary
 from repro.sqlengine.types import SqlType
 from repro.sqlengine.txn.wal import dump_payload, load_payload
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.sqlengine.catalog import Catalog, Table
+    from repro.sqlengine.catalog import Catalog
 
 CHECKPOINT_VERSION = 1
 
@@ -37,18 +38,6 @@ CHECKPOINT_VERSION = 1
 # ---------------------------------------------------------------------------
 # save
 # ---------------------------------------------------------------------------
-
-
-def _column_state(table: "Table", index: int) -> dict:
-    dictionary = table.column_dictionary(index)
-    if dictionary is not None:
-        return {
-            "t": "dict",
-            # dead slots stay None so surviving codes keep their meaning
-            "values": list(dictionary.values),
-            "codes": list(table.column_codes(index)),
-        }
-    return {"t": "plain", "values": list(table.column_data(index))}
 
 
 def catalog_state(catalog: "Catalog", generation: int) -> dict:
@@ -70,7 +59,7 @@ def catalog_state(catalog: "Catalog", generation: int) -> dict:
                 "mutation_count": table.mutation_count,
                 "row_count": len(table),
                 "data": [
-                    _column_state(table, index)
+                    {"t": "plain", "values": list(table.column_data(index))}
                     for index in range(len(table.columns))
                 ],
             }
@@ -141,7 +130,11 @@ def load_checkpoint(path: str) -> dict:
 
 
 def _decoded_values(column_state: dict) -> list:
-    """The plain Python value list of one stored column."""
+    """The plain Python value list of one stored column.
+
+    A legacy ``"dict"`` column maps each code through its value table
+    (``None`` codes are NULLs; dead ``None`` slots are never referenced).
+    """
     if column_state["t"] == "dict":
         values = column_state["values"]
         return [
@@ -151,39 +144,14 @@ def _decoded_values(column_state: dict) -> list:
     return list(column_state["values"])
 
 
-def _restore_dictionary(
-    table: "Table", index: int, column_state: dict
-) -> None:
-    """Rebuild one column's dictionary + codes from their stored form."""
-    dictionary = ColumnDictionary()
-    values = list(column_state["values"])
-    codes = list(column_state["codes"])
-    dictionary.values = values
-    dictionary.refcounts = [0] * len(values)
-    for code in codes:
-        if code is not None:
-            dictionary.refcounts[code] += 1
-    dictionary.free_codes = [
-        code for code, value in enumerate(values) if value is None
-    ]
-    dictionary.code_of = {
-        value: code for code, value in enumerate(values) if value is not None
-    }
-    table._dictionaries[index] = dictionary
-    table._codes[index] = codes
-
-
 def restore_catalog(catalog: "Catalog", state: dict, path: str = "") -> None:
     """Recreate the saved tables inside an empty *catalog*.
 
     Storage is bulk-filled in columnar form, bypassing the per-value
-    insert path entirely: every column is filled, then the dictionaries
-    are settled, then the segment mirror is built once (built earlier,
-    it would freeze segments from half-filled columns).  Encoding
-    mismatches between the file and the catalog's settings degrade
-    gracefully: a stored dictionary loads as plain values when
-    encoding is disabled, a stored plain TEXT column disables its new
-    dictionary, and an ``"array"`` numeric column fills plain storage.
+    insert path entirely: every column is filled, then the segment
+    mirror is built once (built earlier, it would freeze segments from
+    half-filled columns).  Every column tag (``"plain"``, legacy
+    ``"array"`` and ``"dict"``) fills the same plain value list.
     """
     try:
         for table_state in state["tables"]:
@@ -210,20 +178,6 @@ def restore_catalog(catalog: "Catalog", state: dict, path: str = "") -> None:
                         kind="checkpoint",
                     )
                 table.column_data(index)[:] = values
-            for index, column_state in enumerate(table_state["data"]):
-                if table.column_dictionary(index) is None:
-                    continue  # encoding disabled: plain values suffice
-                if column_state["t"] == "dict":
-                    _restore_dictionary(table, index, column_state)
-                if (
-                    column_state["t"] != "dict"
-                    or table.column_dictionary(index).live_count
-                    > table._dict_threshold
-                ):
-                    # stored unencoded (cardinality had outgrown the
-                    # writer's threshold) or over this catalog's: don't
-                    # resurrect a dictionary the writer already dropped
-                    table._disable_dictionary(index)
             # the bulk fill bypassed the insert path that freezes segments
             table._rebuild_segments()
             table._version = table_state["version"]

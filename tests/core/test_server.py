@@ -145,6 +145,16 @@ class TestOperationalEndpoints:
         )
         assert payload["tables"] > 0
 
+    def test_healthz_engine_config_has_exactly_the_three_settings(
+        self, server
+    ):
+        __, payload = _get(server, "/healthz")
+        assert payload["engine_config"] == {
+            "plan_cache_size": 128,
+            "segment_rows": DEFAULT_SEGMENT_ROWS,
+            "request_timeout_ms": None,
+        }
+
     def test_metrics_includes_serving_counters(self, server):
         _get(server, "/search?q=Zurich")
         status, payload = _get(server, "/metrics")

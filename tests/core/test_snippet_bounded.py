@@ -10,8 +10,8 @@ It is checked through the real execute step — every statement of the
 paper workload and of the perf ledger's 160-text pool (entity, entity +
 attribute, bare value, entity + value), plus top-N texts whose own LIMIT
 is below and above N — against full execution on the same engine, over
-{flat, segmented} x {fused on, off}; the full execution itself must
-equal the row-at-a-time reference interpreter's.  Hand-written
+{flat, segmented} storage x {plan cache on, off}; the full execution
+itself must equal the row-at-a-time reference interpreter's.  Hand-written
 statements add the shapes SODA never emits (DISTINCT, ORDER BY ties,
 LIMIT 0).
 
@@ -25,7 +25,7 @@ from repro.core.pipeline import ScoredStatement
 from repro.core.soda import Soda, SodaConfig
 from repro.errors import SqlExecutionError
 from repro.experiments.workload import WORKLOAD
-from repro.sqlengine.config import EngineConfig
+from repro.sqlengine.config import DEFAULT_PLAN_CACHE_SIZE, EngineConfig
 from repro.sqlengine.parser import parse_select
 from repro.warehouse.minibank import build_minibank
 
@@ -77,13 +77,16 @@ HAND_WRITTEN = [
     "SELECT id FROM addresses LIMIT 21",
 ]
 
+#: plan_cache_size=0 compiles every execution afresh; with the default
+#: cache, statements the corpus repeats run again from one compiled
+#: plan, so the prefix must not depend on whether a plan ran before
 ENGINES = [
     pytest.param(
-        EngineConfig(segment_rows=segment, fused=fused),
-        id=f"{'segmented' if segment else 'flat'}-fused={int(fused)}",
+        EngineConfig(segment_rows=segment, plan_cache_size=cache),
+        id=f"{'segmented' if segment else 'flat'}-plan_cache={cache}",
     )
     for segment in (0, 64)
-    for fused in (True, False)
+    for cache in (DEFAULT_PLAN_CACHE_SIZE, 0)
 ]
 
 

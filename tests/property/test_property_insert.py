@@ -1,32 +1,28 @@
 """Parity of the one-step batch insert with the per-row oracle.
 
 ``Table.insert_many`` appends a whole batch under one lock acquisition,
-with one undo record, one dictionary-threshold check, one segment-freeze
-check and one version bump.  ``tests/sqlengine/reference_insert.py``
+with one undo record, one segment-freeze check and one version bump.  ``tests/sqlengine/reference_insert.py``
 keeps the per-row insert it replaced.  Two twin databases receive the
 same prefill and the same batch through ``Database.insert_rows``, one
 through each path; the batch mixes exact-typed values with ``None``,
 ``int`` into REAL, ISO strings into DATE, ``bool`` into INTEGER and
-other bad values, wrong arity at any row, and fresh TEXT values that
-carry a column past ``DICT_ENCODING_MAX_DISTINCT`` mid-batch.  It runs
+other bad values, wrong arity at any row, and fresh TEXT values.  It runs
 at ``segment_rows`` 0, 4 and 64, outside a transaction, inside
 ``BEGIN … ROLLBACK``, and under a per-statement guard whose WAL append
 fails.  The twins must agree on the error (type and message) and on
 the multiset of observer events.  When the batch is applied they must
-agree on the column and code lists, every dictionary's values,
-refcounts, free codes and version, every frozen segment's columns and
-zones, ``mutation_count`` and ``Table.version``.
+agree on the column lists, every frozen segment's columns and zones,
+``mutation_count`` and ``Table.version``.
 
 Where the two paths differ by design:
 
-* a batch that fails validation leaves the batch path's table (its
-  dictionaries too), version and observers untouched, while the oracle
+* a batch that fails validation leaves the batch path's table, version
+  and observers untouched, while the oracle
   appended a prefix that the statement guard then undid;
 * a batch that is rolled back is undone by one ``delete_positions`` of
-  its run, the oracle's by one per row, last row first.  The rows, codes
-  and counters agree; the free-code list holds the same codes in another
-  order, and the segments hold the same live rows, split where the
-  per-row deletes compacted them.
+  its run, the oracle's by one per row, last row first.  The rows and
+  counters agree, and the segments hold the same live rows, split where
+  the per-row deletes compacted them.
 
 Named mutant: column-major coercion, which reports the first bad
 *column* instead of the first bad *row* (see the pinned example).
@@ -43,7 +39,6 @@ from hypothesis import event, example, given, settings, strategies as st
 from repro.sqlengine.catalog import CatalogObserver
 from repro.sqlengine.config import EngineConfig
 from repro.sqlengine.database import Database
-from repro.sqlengine.encoding import DICT_ENCODING_MAX_DISTINCT
 from repro.sqlengine.txn import FaultInjector, FileLogStorage, InjectedCrash
 
 from tests.sqlengine.reference_insert import reference_insert_many
@@ -56,9 +51,8 @@ COLUMNS = [
     ("b", "BOOLEAN"),
 ]
 NUMERIC = (0, 1)
-#: distinct TEXT values the largest prefill leaves: two fresh ones carry
-#: the column past the dictionary threshold
-POOL = [f"p{k}" for k in range(DICT_ENCODING_MAX_DISTINCT - 1)]
+#: distinct TEXT values the prefill cycles through
+POOL = [f"p{k}" for k in range(255)]
 DAY = datetime.date(2024, 1, 1)
 
 GOOD = [
@@ -124,23 +118,9 @@ def typed(values) -> list:
 def state(table, physical: bool = True) -> dict:
     """Everything a batch insert may change, except ``version``.
 
-    With ``physical=False``, what a rollback must restore: free codes as
-    a set, and the segments' live rows rather than their layout.
+    With ``physical=False``, what a rollback must restore: the segments'
+    live rows rather than their layout.
     """
-    dictionaries = []
-    for index in range(len(table.columns)):
-        dictionary = table.column_dictionary(index)
-        dictionaries.append(
-            None
-            if dictionary is None
-            else (
-                list(dictionary.values),
-                dict(dictionary.code_of),
-                list(dictionary.refcounts),
-                (list if physical else sorted)(dictionary.free_codes),
-                dictionary.version,
-            )
-        )
     segments = None
     if table.segmented and physical:
         segments = (
@@ -172,11 +152,6 @@ def state(table, physical: bool = True) -> dict:
             typed(table.column_data(index))
             for index in range(len(table.columns))
         ],
-        "codes": [
-            None if codes is None else list(codes)
-            for codes in map(table.column_codes, range(len(table.columns)))
-        ],
-        "dictionaries": dictionaries,
         "segments": segments,
         "mutation_count": table.mutation_count,
     }
@@ -263,7 +238,7 @@ def cancels(events: Counter) -> bool:
         (True, 3.0, "b", DAY, True),  # INTEGER column: bool
     ],
 )
-@example(  # fresh values carry the TEXT column past the threshold
+@example(  # fresh TEXT values into a segmented table, rolled back
     segment_rows=4,
     mode="txn",
     prefill=len(POOL) + 3,
@@ -276,8 +251,6 @@ def test_batch_insert_matches_per_row_oracle(segment_rows, mode, prefill, batch)
     error = ours["error"]
     validation_error = error is not None and error[0] is not InjectedCrash
     event(f"{mode}: " + ("applied" if error is None else error[0].__name__))
-    if ours["before"]["dictionaries"][2] and not ours["state"]["dictionaries"][2]:
-        event("TEXT dictionary dropped by the batch")
     if error is None:
         assert ours["state"] == theirs["state"]
         assert ours["version"] == theirs["version"] == len(batch)

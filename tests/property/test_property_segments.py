@@ -10,9 +10,7 @@ table must be indistinguishable from a flat one:
 * every SELECT — the reference interpreter over flat storage vs the
   engine over pinned segment snapshots — returns byte-identical
   results;
-* a low-cardinality TEXT column scans as codes exactly while flat
-  storage keeps its dictionary, including after its distinct count
-  crosses a small threshold mid-run (the mirror then holds values);
+* every column slice, TEXT included, is a plain value list;
 * the layout accounting holds: ``frozen_live + delta_rows`` equals the
   live row count and no segment is ever more than half dead.
 """
@@ -22,7 +20,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.sqlengine.config import EngineConfig
 from repro.sqlengine.database import Database
-from repro.sqlengine.encoding import EncodedColumn
 
 from tests.sqlengine.reference_engine import reference_execute, snapshot_rows
 
@@ -80,20 +77,11 @@ def _apply(db: Database, ops, counter, run=Database.execute) -> None:
 class TestSegmentedFlatEquivalence:
     @given(
         threshold=st.integers(min_value=1, max_value=16),
-        dict_threshold=st.integers(min_value=1, max_value=8),
         ops=st.lists(op_strategy(), min_size=1, max_size=12),
     )
-    def test_segmented_scan_is_byte_identical_to_flat(
-        self, threshold, dict_threshold, ops
-    ):
-        flat = Database(
-            config=EngineConfig(dict_encoding_threshold=dict_threshold)
-        )
-        segmented = Database(
-            config=EngineConfig(
-                segment_rows=threshold, dict_encoding_threshold=dict_threshold
-            )
-        )
+    def test_segmented_scan_is_byte_identical_to_flat(self, threshold, ops):
+        flat = Database()
+        segmented = Database(config=EngineConfig(segment_rows=threshold))
         for db in (flat, segmented):
             db.execute(
                 "CREATE TABLE t (id INT PRIMARY KEY, grp INT, val INT, "
@@ -118,11 +106,7 @@ class TestSegmentedFlatEquivalence:
         for index in range(len(seg_table.columns)):
             flat_column = list(flat_table.column_data(index))
             whole = snapshot.column_slice(index, 0, total)
-            assert list(whole) == flat_column
-            # codes exactly where flat storage keeps a dictionary
-            assert isinstance(whole, EncodedColumn) == (
-                seg_table.column_dictionary(index) is not None
-            )
+            assert type(whole) is list and whole == flat_column
             # arbitrary partial slices (batch boundaries) agree too
             cut = max(1, total // 3)
             assert (

@@ -12,9 +12,9 @@ dataclass equality, histograms included.  The reference
 used before it was maintained from the write path; the two share no
 code but ``Histogram``'s constructor.
 
-The same property is checked on flat and segmented catalogs, each with
-and without dictionary-encoded TEXT: the provider only ever sees row
-tuples, so the layouts must be indistinguishable.
+The same property is checked on flat and segmented catalogs: the
+provider only ever sees row tuples, so the layouts must be
+indistinguishable.
 """
 
 import datetime
@@ -34,14 +34,13 @@ from reference_stats import reference_table_stats  # noqa: E402
 
 EXAMPLES = settings(max_examples=200, deadline=None)
 
-#: TEXT columns encode below 4 distinct values: ``s`` stays under the
-#: threshold, ``w`` crosses it (and drops its dictionary) in most runs;
-#: the ``plain`` layouts never encode, so every column is a plain list
+#: ``segment_rows=1`` freezes every row on its own, so each delete kills
+#: a whole segment; an odd size rounds the half-dead compaction rule
 LAYOUTS = {
-    "flat": EngineConfig(dict_encoding_threshold=4),
-    "segmented": EngineConfig(dict_encoding_threshold=4, segment_rows=4),
-    "plain": EngineConfig(dict_encoding_threshold=0),
-    "segmented_plain": EngineConfig(dict_encoding_threshold=0, segment_rows=4),
+    "flat": EngineConfig(),
+    "segmented": EngineConfig(segment_rows=4),
+    "segmented_1": EngineConfig(segment_rows=1),
+    "segmented_3": EngineConfig(segment_rows=3),
 }
 
 CREATE = (

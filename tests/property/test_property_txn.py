@@ -16,7 +16,6 @@ import tempfile
 
 from hypothesis import given, settings, strategies as st
 
-from repro.sqlengine.config import EngineConfig
 from repro.sqlengine.database import Database
 from repro.sqlengine.txn import FaultInjector, FileLogStorage, InjectedCrash
 
@@ -100,7 +99,7 @@ def catalog_state(db: Database) -> dict:
 
 
 def oracle_state(statements) -> dict:
-    db = Database(config=EngineConfig(dict_encoding_threshold=4))
+    db = Database()
     for sql in statements:
         db.execute(sql)
     if db.txn.active:
@@ -115,7 +114,6 @@ def test_recovery_matches_undo_free_oracle(operations, byte_budget):
     try:
         db = Database(
             data_dir=data_dir,
-            config=EngineConfig(dict_encoding_threshold=4),
             wal_storage_factory=lambda path: FaultInjector(
                 FileLogStorage(path), byte_budget=byte_budget
             ),
@@ -128,9 +126,7 @@ def test_recovery_matches_undo_free_oracle(operations, byte_budget):
         except InjectedCrash:
             pass  # the process "died"; db is abandoned un-closed
 
-        recovered = Database(
-            data_dir=data_dir, config=EngineConfig(dict_encoding_threshold=4)
-        )
+        recovered = Database(data_dir=data_dir)
         try:
             assert catalog_state(recovered) == oracle_state(acknowledged)
         finally:
@@ -143,8 +139,8 @@ def test_recovery_matches_undo_free_oracle(operations, byte_budget):
 def test_rollback_restores_oracle_state(operations):
     """Pure in-memory: a rolled-back suffix leaves no trace."""
     statements = to_statements(operations)
-    oracle = Database(config=EngineConfig(dict_encoding_threshold=4))
-    db = Database(config=EngineConfig(dict_encoding_threshold=4))
+    oracle = Database()
+    db = Database()
     for sql in SEED_SQL:
         oracle.execute(sql)
         db.execute(sql)

@@ -746,9 +746,9 @@ def reference_execute(db, sql: str) -> ResultSet:
 
 
 def snapshot_rows(snapshot) -> list:
-    """A pinned snapshot's rows in live order, encoded columns decoded."""
+    """A pinned snapshot's rows in live order."""
     columns = [
         snapshot.column_slice(index, 0, snapshot.row_count)
-        for index in range(len(snapshot.views))
+        for index in range(len(snapshot.delta_columns))
     ]
     return list(zip(*columns))

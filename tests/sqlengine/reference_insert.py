@@ -2,11 +2,10 @@
 
 This is ``Table.insert`` as it ran before inserts became one step per
 batch: one storage-lock acquisition, one undo record, one coercion per
-value, one dictionary-threshold check, one segment-freeze check and one
-version bump *per row*.  ``reference_insert_many`` loops it, which is
-what ``Table.insert_many`` used to be.  The batch path must leave the
-same column lists, codes, dictionaries, segments, counters and observer
-events on success, and raise the same first error (type and message,
+value, one segment-freeze check and one version bump *per row*.
+``reference_insert_many`` loops it, which is what ``Table.insert_many``
+used to be.  The batch path must leave the same column lists, segments,
+counters and observer events on success, and raise the same first error (type and message,
 in row order) on failure.
 """
 
@@ -34,15 +33,6 @@ def reference_insert(table, values: Sequence[Any]) -> None:
             table._undo.record_insert(table, len(table), 1)
         for store, value in zip(table._column_data, row):
             store.append(value)
-        if table._encoded_indexes:
-            for index in table._encoded_indexes:
-                value = row[index]
-                table._codes[index].append(
-                    None
-                    if value is None
-                    else table._dictionaries[index].encode(value)
-                )
-            table._check_dictionary_thresholds()
         if table._segments is not None:
             table._segments.note_insert(table)
         table._version += 1

@@ -18,7 +18,6 @@ import pytest
 import repro.sqlengine.planner.physical as physical
 from repro.obs.metrics import registry
 from repro.sqlengine.database import Database
-from repro.sqlengine.config import EngineConfig
 from repro.sqlengine.parser import parse_sql
 from repro.sqlengine.planner import build_physical
 
@@ -89,7 +88,6 @@ def assert_batches_bounded(db: Database, sql: str):
         plan = build_physical(
             db.planner.plan_logical(select),
             db.catalog,
-            db.config,
             instrument=checker,
         )
         result = plan.execute()
@@ -107,8 +105,8 @@ def small_batches():
     physical.BATCH_SIZE = saved
 
 
-def _db(populate, **knobs) -> Database:
-    db = Database(config=EngineConfig(**knobs))
+def _db(populate) -> Database:
+    db = Database()
     populate(db)
     return db
 
@@ -117,14 +115,8 @@ def _db(populate, **knobs) -> Database:
 def corpus_dbs(small_batches):
     return {
         "planner": [_db(_populate_planner_schema)],
-        "rich": [
-            _db(_populate_rich_schema),
-            _db(_populate_rich_schema, fused=False),
-        ],
-        "string": [
-            _db(_populate_string_schema),
-            _db(_populate_string_schema, dict_encoding_threshold=0),
-        ],
+        "rich": [_db(_populate_rich_schema)],
+        "string": [_db(_populate_string_schema)],
     }
 
 

@@ -2,8 +2,8 @@
 
 ``Database.insert_rows``, SQL ``INSERT … VALUES`` and WAL replay append
 a whole batch under one storage-lock acquisition, with one undo record
-``(start, count)``, one dictionary-threshold check, one segment-freeze
-check and a version bump of ``count``.  Locked here with counters:
+``(start, count)``, one segment-freeze check and a version bump of
+``count``.  Locked here with counters:
 
 * a concurrent pin sees every batch whole or not at all (the named
   mutant, ``insert_many`` looping over a per-row locked helper, lets a
@@ -160,14 +160,7 @@ def _durable_twins(tmp_path):
 
 
 def _table_state(table) -> tuple:
-    dictionary = table.column_dictionary(2)
-    return (
-        table.rows,
-        table.column_codes(2),
-        (dictionary.values, dictionary.refcounts, dictionary.free_codes,
-         dictionary.version),
-        table.mutation_count,
-    )
+    return table.rows, table.mutation_count
 
 
 def _summary_state(db) -> tuple:

@@ -1,14 +1,13 @@
 """A DELETE moves only what it removes: ``Table.delete_positions`` by runs.
 
 Positions forming at most ``SLICE_DELETE_RUNS`` runs of consecutive rows
-are cut out of every column and code list with ``del store[a:b]``; more
+are cut out of every column list with ``del store[a:b]``; more
 scattered positions compact through one keep-mask.  Locks, with counts:
 
 * the bytes a 20-row range DELETE allocates on a 50k-row table
   (tracemalloc peak; the keep-mask path copies every list);
-* a 1-run and a 200-run DELETE leave the columns, codes, dictionary
-  refcounts and undo images that the keep-mask algorithm (kept below
-  as the oracle) computes, every list keeps its identity, and ROLLBACK
+* a 1-run and a 200-run DELETE leave the columns and undo images that
+  the keep-mask algorithm (kept below as the oracle) computes, every list keeps its identity, and ROLLBACK
   restores byte-identical columns.
 """
 
@@ -37,28 +36,17 @@ def make_db(rows: int, segment_rows: int = 0) -> Database:
 
 
 def text(i: int) -> "str | None":
-    if i in (1004, 1010, 1016):  # one row each: deleting it frees a code
+    if i in (1004, 1010, 1016):  # values only the deleted rows hold
         return f"solo {i}"
     return None if i % 7 == 0 else STATUSES[i % 4]
 
 
 def state(table) -> dict:
     """Everything the compaction writes, as plain copies."""
-    encoded = [
-        index for index in range(len(table.columns))
-        if table.column_dictionary(index) is not None
-    ]
     return {
         "columns": [
             list(table.column_data(i)) for i in range(len(table.columns))
         ],
-        "codes": {i: list(table.column_codes(i)) for i in encoded},
-        "refcounts": {
-            i: list(table.column_dictionary(i).refcounts) for i in encoded
-        },
-        "free_codes": {
-            i: list(table.column_dictionary(i).free_codes) for i in encoded
-        },
     }
 
 
@@ -68,25 +56,9 @@ def keep_mask_delete(before: dict, positions) -> dict:
     keep = bytearray(b"\x01") * len(before["columns"][0])
     for position in doomed:
         keep[position] = 0
-    after = {
+    return {
         "columns": [list(compress(c, keep)) for c in before["columns"]],
-        "codes": {},
-        "refcounts": {},
-        "free_codes": {},
     }
-    for index, codes in before["codes"].items():
-        refcounts = list(before["refcounts"][index])
-        free_codes = list(before["free_codes"][index])
-        for position in doomed:
-            code = codes[position]
-            if code is not None:
-                refcounts[code] -= 1
-                if refcounts[code] == 0:
-                    free_codes.append(code)
-        after["codes"][index] = list(compress(codes, keep))
-        after["refcounts"][index] = refcounts
-        after["free_codes"][index] = free_codes
-    return after
 
 
 def test_runs_are_maximal_and_capped():
@@ -128,7 +100,7 @@ def test_runs_and_keep_mask_leave_the_same_table(segment_rows, where, runs):
     assert len(catalog._runs(positions, 10_000)) == runs
     before = state(table)
     removed = [table.row(p) for p in positions]
-    lists = [table.column_data(i) for i in range(4)] + [table.column_codes(3)]
+    lists = [table.column_data(i) for i in range(4)]
     db.execute("BEGIN")
     deleted = db.execute(f"DELETE FROM t WHERE {where}").rowcount
     assert deleted == len(positions)
@@ -138,7 +110,6 @@ def test_runs_and_keep_mask_leave_the_same_table(segment_rows, where, runs):
     if segment_rows:
         assert snapshot_rows(table.pin()) == list(table.iter_rows())
     db.execute("ROLLBACK")
-    # values, not codes: re-interning a freed value may pick another code
     assert repr(state(table)["columns"]) == repr(before["columns"])
-    after = [table.column_data(i) for i in range(4)] + [table.column_codes(3)]
+    after = [table.column_data(i) for i in range(4)]
     assert all(old is new for old, new in zip(lists, after))

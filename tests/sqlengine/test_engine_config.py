@@ -22,55 +22,57 @@ class TestEngineConfig:
     def test_defaults_match_the_legacy_knob_defaults(self):
         config = EngineConfig()
         assert config.plan_cache_size == 128
-        assert config.dict_encoding_threshold is None
-        assert config.fused is True
         assert config.segment_rows == 0  # flat storage unless asked
         assert config.request_timeout_ms is None
 
     def test_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
-            EngineConfig().fused = False
+            EngineConfig().segment_rows = 64
 
     def test_validation_mirrors_the_engine_errors(self):
         with pytest.raises(SqlExecutionError, match="plan_cache_size"):
             EngineConfig(plan_cache_size=-1)
-        with pytest.raises(SqlExecutionError, match="fused"):
-            EngineConfig(fused="yes")
-        with pytest.raises(SqlCatalogError, match="dict_encoding_threshold"):
-            EngineConfig(dict_encoding_threshold=-2)
+        with pytest.raises(SqlExecutionError, match="request_timeout_ms"):
+            EngineConfig(request_timeout_ms=0)
         with pytest.raises(SqlCatalogError, match="segment_rows"):
             EngineConfig(segment_rows=-8)
 
     def test_replace_and_as_dict_round_trip(self):
-        config = EngineConfig().replace(fused=False, segment_rows=64)
-        assert config.fused is False
+        config = EngineConfig().replace(plan_cache_size=0, segment_rows=64)
+        assert config.plan_cache_size == 0
         assert EngineConfig(**config.as_dict()) == config
 
 
 class TestRemovedKnobs:
     """Removed knobs are gone, not defaulted off: ``parallel_workers``,
-    ``array_store`` and ``execution_mode`` (one engine)."""
+    ``array_store``, ``execution_mode`` (one engine), ``fused`` (fusion
+    always) and ``dict_encoding_threshold`` (no dictionary encoding)."""
 
     FIELDS = [
-        "dict_encoding_threshold",
-        "fused",
         "plan_cache_size",
         "request_timeout_ms",
         "segment_rows",
     ]
 
-    def test_removed_knobs_raise_and_five_keys_remain(self):
+    def test_removed_knobs_raise_and_three_keys_remain(self):
         assert sorted(EngineConfig().as_dict()) == self.FIELDS
+        assert [f.name for f in dataclasses.fields(EngineConfig)] == [
+            "plan_cache_size", "segment_rows", "request_timeout_ms",
+        ]
         for knob, value in (
             ("array_store", True),
             ("parallel_workers", 2),
             ("execution_mode", "row"),
+            ("fused", False),
+            ("dict_encoding_threshold", 0),
         ):
             with pytest.raises(TypeError, match=knob):
                 EngineConfig(**{knob: value})
         for spec, key in (
             ("parallel-workers=4", "parallel_workers"),
             ("execution-mode=row", "execution_mode"),
+            ("fused=false", "fused"),
+            ("dict-encoding-threshold=0", "dict_encoding_threshold"),
         ):
             with pytest.raises(SqlExecutionError) as info:
                 EngineConfig.from_cli(spec)
@@ -83,23 +85,20 @@ class TestRemovedKnobs:
 class TestFromCli:
     def test_parses_every_field_with_dash_aliases(self):
         config = EngineConfig.from_cli(
-            "plan-cache-size=16,"
-            "dict-encoding-threshold=none,fused=off,segment-rows=512,"
-            "request-timeout-ms=250"
+            "plan-cache-size=16,segment-rows=512,request-timeout-ms=250"
         )
         assert config == EngineConfig(
-            plan_cache_size=16,
-            dict_encoding_threshold=None,
-            fused=False,
-            segment_rows=512,
-            request_timeout_ms=250,
+            plan_cache_size=16, segment_rows=512, request_timeout_ms=250
         )
+        assert EngineConfig.from_cli(
+            "request-timeout-ms=none", base=config
+        ).request_timeout_ms is None
 
     def test_overrides_a_base_field_by_field(self):
         base = EngineConfig(segment_rows=DEFAULT_SEGMENT_ROWS)
-        config = EngineConfig.from_cli("fused=false", base=base)
+        config = EngineConfig.from_cli("plan-cache-size=0", base=base)
         assert config.segment_rows == DEFAULT_SEGMENT_ROWS
-        assert config.fused is False
+        assert config.plan_cache_size == 0
 
     def test_unknown_key_lists_the_valid_ones(self):
         with pytest.raises(SqlExecutionError, match="segment_rows"):
@@ -108,16 +107,18 @@ class TestFromCli:
     def test_bad_value_surfaces_the_field_error(self):
         with pytest.raises(SqlExecutionError, match="plan_cache_size"):
             EngineConfig.from_cli("plan-cache-size=-1")
+        with pytest.raises(SqlExecutionError, match="expects an integer"):
+            EngineConfig.from_cli("segment-rows=none")
 
 
 class TestDatabaseConfig:
     def test_database_accepts_a_config(self):
-        db = Database(config=EngineConfig(segment_rows=32, fused=False))
+        db = Database(config=EngineConfig(segment_rows=32, plan_cache_size=0))
         assert db.config.segment_rows == 32
-        assert db.config.fused is False
+        assert db.config.plan_cache_size == 0
 
     def test_config_is_the_one_passed(self):
-        config = EngineConfig(fused=False, plan_cache_size=4)
+        config = EngineConfig(segment_rows=8, plan_cache_size=4)
         db = Database(config=config)
         assert db.config is config
         assert db.planner.config is config
@@ -147,7 +148,7 @@ class TestCliFlag:
     def test_engine_config_flag_round_trips(self):
         code, output = self._run(
             "--scale", "0.2",
-            "--engine-config", "segment-rows=256,fused=false",
+            "--engine-config", "segment-rows=256,plan-cache-size=0",
             "sql", "SELECT COUNT(*) FROM addresses",
         )
         assert code == 0
@@ -163,7 +164,7 @@ class TestCliFlag:
 
     def test_engine_config_reaches_a_durable_database(self, tmp_path):
         code, output = self._run(
-            "--engine-config", "segment-rows=64,fused=false",
+            "--engine-config", "segment-rows=64,plan-cache-size=0",
             "sql", "--data-dir", str(tmp_path / "d"),
             "CREATE TABLE t (id INT)", "INSERT INTO t VALUES (7)",
             "SELECT id FROM t",

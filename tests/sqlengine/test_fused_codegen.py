@@ -1,14 +1,11 @@
 """Unit tests for fused codegen and the TopN bound pushdown.
 
-Covers the pieces the end-to-end parity matrix exercises only
-indirectly: the fused-expression compiler's fuse/refuse decisions, the
-TopN bound pushdown wiring, the plain-list column store, and the
-``fused`` knob's validation.
+Covers the pieces the end-to-end parity corpora exercise only
+indirectly: the fused-expression compiler's fuse/refuse decisions (the
+engine always fuses; closures remain for what the fuser refuses), the
+TopN bound pushdown wiring and the plain-list column store.
 """
 
-import pytest
-
-from repro.errors import SqlExecutionError
 from repro.sqlengine.config import EngineConfig
 from repro.sqlengine.database import Database
 from repro.sqlengine.planner import physical
@@ -64,12 +61,19 @@ class TestFusedCompilation:
         )
         assert self._kinds(scan) == ["closures", "fused"]
 
-    def test_fused_off_uses_closures_only(self):
+    def test_string_predicates_fuse_as_plain_comparisons(self):
         scan = self._scan(
-            self._db(fused=False), "SELECT id FROM t WHERE x > 3 AND id < 40"
+            self._db(),
+            "SELECT id FROM t WHERE s = 's1' AND s IN ('s2', 's3', 's1')",
         )
-        assert self._kinds(scan) == ["closures"]
-        assert len(scan._filter_stages[0][1]) == 2
+        assert self._kinds(scan) == ["fused"]
+        db = self._db()
+        assert db.execute(
+            "SELECT count(*) FROM t WHERE s = 's1' AND s IN ('s2', 's1')"
+        ).rows == [(13,)]
+        assert db.execute(
+            "SELECT count(*) FROM t WHERE s <> 'nope' AND s NOT IN ('s0')"
+        ).rows == [(37,)]
 
     def test_fused_batches_counter_moves(self):
         db = self._db()
@@ -199,23 +203,16 @@ class TestPlainColumns:
         assert isinstance(db.table("t").column_data(0), list)
 
     def test_every_layout_keeps_plain_lists(self):
-        db = Database(
-            config=EngineConfig(segment_rows=2, dict_encoding_threshold=4)
-        )
+        db = Database(config=EngineConfig(segment_rows=2))
         db.execute("CREATE TABLE t (id INT, x REAL, s TEXT)")
         db.insert_rows("t", [(i, i / 2, f"s{i % 2}") for i in range(7)])
         table = db.table("t")
-        assert table.column_dictionary(2) is not None
+        assert type(table.pin().column_slice(2, 0, 7)) is list
         assert all(type(table.column_data(i)) is list for i in range(3))
         assert snapshot_rows(table.pin()) == table.rows
 
 
 class TestEngineKnobs:
-    def test_invalid_fused_rejected(self):
-        for bad in ("yes", 1, None):
-            with pytest.raises(SqlExecutionError, match="fused"):
-                EngineConfig(fused=bad)
-
     def test_explain_has_no_parallel_marker(self):
         db = Database()
         db.execute("CREATE TABLE t (id INT)")

@@ -1,7 +1,6 @@
 """Table storage holds each value once: locks on who reads it and what it costs.
 
-``Table`` keeps one list per column plus the dictionary codes; row
-tuples are decoded on demand (``row``, ``iter_rows``), and ``rows`` is a
+``Table`` keeps one list per column; row tuples are decoded on demand (``row``, ``iter_rows``), and ``rows`` is a
 freshly decoded list kept for tests and tools.  These tests lock that:
 
 * no ``src/`` path reads the decoded view (``Table.rows`` /
@@ -201,10 +200,8 @@ class TestDecodedReaders:
         per_row = [
             name
             for name, value in vars(table).items()
-            if isinstance(value, list) and name not in (
-                "_column_data", "_codes", "_dictionaries",
-                "_encoded_indexes", "_observers",
-            )
+            if isinstance(value, list)
+            and name not in ("_column_data", "_observers")
         ]
         assert per_row == []
 
@@ -218,10 +215,7 @@ class TestDecodedReaders:
         table.delete_positions(doomed)
         table.restore_rows(doomed, removed)
         assert table.rows == [_fact(i) for i in range(12)]
-        values = table.column_dictionary(4).values
-        assert [values[code] for code in table.column_codes(4)] == [
-            STATUSES[i % 4] for i in range(12)
-        ]
+        assert table.column_data(4) == [STATUSES[i % 4] for i in range(12)]
         assert db.execute("SELECT count(*) FROM facts").rows == [(12,)]
 
 
@@ -313,9 +307,12 @@ MINIBANK_DIGEST = (
     "54115060c097a5d483045b4b7b76ae6fbfd5bb75fa7133e38b73e97e66e2c6dd"
 )
 #: sha256 of the uncompressed checkpoint image (deflate bytes depend on
-#: the zlib build, the image does not)
+#: the zlib build, the image does not).  Re-recorded when TEXT columns
+#: stopped being dictionary-encoded: ``status`` is now stored ``"plain"``
+#: (strings) instead of ``"dict"`` (value table + codes); decoded, the
+#: image holds the same values and counters as before
 CHECKPOINT_IMAGE_SHA256 = (
-    "9ace14f47786d0ad0cc959ffa9cb40e410bca08229f3d3cad01a49ebb8b3a813"
+    "4230395effbc299dec3dbd9ad24446806f7713107d5cc8305feb29523d6420b9"
 )
 
 
@@ -362,11 +359,9 @@ class TestByteIdentity:
 
 
 class TestRestoreOrder:
-    """A TEXT column that outgrew its dictionary is saved plain; the new
-    catalog would encode it, so recovery drops that dictionary.  The
-    mirror must be frozen once, after every column is filled.  Mutant:
-    drop the dictionary (and rebuild the mirror) inside the per-column
-    fill loop — the recorder sees a segment frozen from empty columns."""
+    """The mirror must be frozen once, after every column is filled.
+    Mutant: rebuild the mirror inside the per-column fill loop — the
+    recorder sees a segment frozen from empty columns."""
 
     def test_plain_text_column_reopens_segmented_like_flat(
         self, tmp_path, monkeypatch
@@ -380,7 +375,6 @@ class TestRestoreOrder:
             "people",
             [(i, f"person {i}", i % 9, ("a", "b")[i % 2]) for i in range(300)],
         )
-        assert db.table("people").column_dictionary(1) is None
         db.execute("CHECKPOINT")
         db.close()
 
@@ -399,8 +393,6 @@ class TestRestoreOrder:
             wal_sync=False,
         )
         table = segmented.table("people")
-        assert table.column_dictionary(1) is None
-        assert table.column_dictionary(3) is not None
         assert len(frozen) == table.segment_stats()["segments"] == 4
         assert all(
             len(column) == segment.size

@@ -4,9 +4,9 @@ The core invariant under test: after ROLLBACK the catalog is
 *byte-identical* — fingerprint, tuple rows, columnar stores, and any
 write-through-maintained inverted index — to an oracle catalog that
 never saw the transaction.  This must hold across every storage
-layout (plain lists, dictionary-encoded TEXT, frozen segments plus a
-delta) because rollback routes through the same public mutation paths
-as forward execution.
+layout (plain lists; frozen segments of 1, 2 or 3 rows plus a delta)
+because rollback routes through the same public mutation paths as
+forward execution.
 """
 
 import pytest
@@ -127,13 +127,8 @@ class TestCommit:
 class TestRollbackParity:
     @pytest.mark.parametrize(
         "kwargs",
-        [
-            {},
-            {"dict_encoding_threshold": 2},
-            {"segment_rows": 2},
-            {"segment_rows": 2, "dict_encoding_threshold": 2},
-        ],
-        ids=["plain", "dict", "segmented", "dict+segmented"],
+        [{}, {"segment_rows": 2}, {"segment_rows": 1}, {"segment_rows": 3}],
+        ids=["plain", "segmented", "segmented_1", "segmented_3"],
     )
     def test_rollback_restores_byte_identical_state(self, kwargs):
         oracle = make_db(**kwargs)

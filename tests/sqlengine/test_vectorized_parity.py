@@ -8,16 +8,14 @@ Includes the planner fixture corpus plus edge cases: empty tables,
 all-NULL columns, LEFT JOIN padding, DISTINCT + ORDER BY, and error
 parity.
 
-The engine is additionally run with fused expression codegen on and off
-(with batches shrunk so the fixtures genuinely span many batches), and
-both must match the reference byte-for-byte, including which exception
-a failing query raises.
+The engine is additionally run with batches shrunk so the fixtures
+genuinely span many batches, and must still match the reference
+byte-for-byte, including which exception a failing query raises.
 """
 
 import pytest
 
 from repro.errors import SqlError
-from repro.sqlengine.config import EngineConfig
 from repro.sqlengine.database import Database
 
 from tests.sqlengine.reference_engine import reference_execute
@@ -298,10 +296,11 @@ class TestFloatEdgeParity:
 
 
 def _populate_string_schema(db: Database) -> None:
-    """Low-cardinality TEXT-heavy schema for the dictionary-encoded paths.
+    """Low-cardinality TEXT-heavy schema for the string paths.
 
-    ``items`` carries three encodable TEXT columns (with NULLs and
-    repeated values), ``codes`` is a LEFT JOIN target with NULL keys
+    ``items`` carries three TEXT columns with NULLs and few, repeated
+    values (the per-batch LIKE table's case), ``codes`` is a LEFT JOIN
+    target with NULL keys
     and duplicate keys, and ``no_rows`` exercises empty right sides.
     """
     db.execute(
@@ -334,7 +333,7 @@ def _populate_string_schema(db: Database) -> None:
 
 
 STRING_CORPUS = [
-    # encoded fast paths: equality / inequality / IN / LIKE
+    # string predicates: equality / inequality / IN / LIKE
     "SELECT id FROM items WHERE status = 'DONE'",
     "SELECT id FROM items WHERE status <> 'DONE'",
     "SELECT id FROM items WHERE status = 'ABSENT'",
@@ -347,7 +346,7 @@ STRING_CORPUS = [
     "SELECT id FROM items WHERE city NOT LIKE '%e%'",
     "SELECT id FROM items WHERE city LIKE '_asel'",
     "SELECT id FROM items WHERE status LIKE note",
-    # encoded columns through expressions, ordering, grouping
+    # TEXT columns through expressions, ordering, grouping
     "SELECT lower(status), upper(city) FROM items",
     "SELECT status || '-' || city FROM items",
     "SELECT coalesce(status, city, 'none') FROM items",
@@ -372,7 +371,7 @@ STRING_CORPUS = [
     "SELECT id FROM items ORDER BY status LIMIT 0",
     "SELECT id FROM items ORDER BY status LIMIT 999",
     "SELECT DISTINCT status FROM items ORDER BY status LIMIT 3",
-    # joins keyed on encoded TEXT columns
+    # joins keyed on TEXT columns
     "SELECT i.id, c.label FROM items i, codes c WHERE i.status = c.code",
     "SELECT i.id, c.label FROM items i JOIN codes c ON i.status = c.code "
     "WHERE c.label <> 'fresh'",
@@ -395,76 +394,46 @@ STRING_CORPUS = [
 ]
 
 
-def _string_trio() -> list:
-    """Fresh (reference, encoded, unencoded) databases."""
-    return [
-        Database(),
-        Database(),
-        Database(config=EngineConfig(dict_encoding_threshold=0)),
-    ]
-
-
 @pytest.fixture(scope="module")
 def string_dbs():
-    """(reference, encoded, unencoded) over the same data."""
-    databases = _string_trio()
-    for db in databases:
-        _populate_string_schema(db)
-    return tuple(databases)
+    """(reference, engine) over the same data."""
+    return _dual(_populate_string_schema)
 
 
 class TestStringHeavyParity:
-    """Reference / encoded / unencoded must be byte-identical."""
-
-    def test_fixture_is_actually_encoded(self, string_dbs):
-        __, encoded, unencoded = string_dbs
-        items = encoded.table("items")
-        assert items.encoded_column_names() == ["status", "city", "note"]
-        assert unencoded.table("items").encoded_column_names() == []
+    """Reference and engine must be byte-identical."""
 
     @pytest.mark.parametrize("sql", STRING_CORPUS)
-    def test_three_way_byte_identical(self, string_dbs, sql):
-        row_db, encoded_db, unencoded_db = string_dbs
+    def test_byte_identical(self, string_dbs, sql):
+        row_db, batch_db = string_dbs
         row_rs = reference_execute(row_db, sql)
-        encoded_rs = encoded_db.execute(sql)
-        unencoded_rs = unencoded_db.execute(sql)
-        assert encoded_rs.columns == row_rs.columns, sql
-        assert encoded_rs.rows == row_rs.rows, sql
-        assert unencoded_rs.columns == row_rs.columns, sql
-        assert unencoded_rs.rows == row_rs.rows, sql
+        batch_rs = batch_db.execute(sql)
+        assert batch_rs.columns == row_rs.columns, sql
+        assert batch_rs.rows == row_rs.rows, sql
 
-    def test_parity_survives_dml_and_gc(self, string_dbs):
+    def test_parity_survives_dml(self):
         sql = (
             "SELECT status, city, count(*) FROM items "
             "GROUP BY status, city ORDER BY status, city LIMIT 8"
         )
-        fresh = _string_trio()
-        runs = (reference_execute, Database.execute, Database.execute)
-        for db, run in zip(fresh, runs):
-            _populate_string_schema(db)
+        row_db, batch_db = _dual(_populate_string_schema)
+        for db, run in ((row_db, reference_execute), (batch_db, Database.execute)):
             run(db, "UPDATE items SET status = 'HELD' WHERE status = 'NEW'")
             run(db, "DELETE FROM items WHERE city = 'Zug'")
             run(db, "UPDATE items SET city = NULL WHERE status = 'DONE'")
-        row_db, encoded_db, unencoded_db = fresh
-        # 'NEW' and 'Zug' are gone: their codes must be collected
-        status_dict = encoded_db.table("items").column_dictionary(1)
-        assert "NEW" not in status_dict.code_of
-        expected = reference_execute(row_db, sql).rows
-        assert encoded_db.execute(sql).rows == expected
-        assert unencoded_db.execute(sql).rows == expected
+        assert batch_db.execute(sql).rows == reference_execute(row_db, sql).rows
 
 
 class TestTopNParity:
     """The fused TopN operator vs the canonical Sort+Limit plan."""
 
     def test_optimized_plan_fuses_sort_limit(self, string_dbs):
-        __, encoded_db, __unused = string_dbs
-        plan = encoded_db.explain(
+        __, batch_db = string_dbs
+        plan = batch_db.explain(
             "SELECT id FROM items ORDER BY status, id LIMIT 4"
         )
         assert "top-n 4 by status, id" in plan
         assert "sort by" not in plan
-        assert "[dict: status" in plan
 
     def test_secondary_key_errors_survive_bound_pruning(self):
         # >1 batch of rows whose leading key loses to the bound must
@@ -490,12 +459,12 @@ class TestTopNParity:
         from repro.sqlengine.parser import parse_select
         from repro.sqlengine.planner import QueryPlanner
 
-        __, encoded_db, __unused = string_dbs
-        naive = QueryPlanner(encoded_db.catalog, optimize=False)
+        __, batch_db = string_dbs
+        naive = QueryPlanner(batch_db.catalog, optimize=False)
         select = parse_select(
             "SELECT id FROM items ORDER BY status, id LIMIT 4"
         )
-        assert naive.execute(select).rows == encoded_db.execute(
+        assert naive.execute(select).rows == batch_db.execute(
             "SELECT id FROM items ORDER BY status, id LIMIT 4"
         ).rows
 
@@ -512,15 +481,8 @@ def small_batches():
 
 
 def _matrix(populate, small_batches) -> tuple:
-    """(reference baseline, {fused: engine db}) over one schema."""
-    baseline = Database()
-    populate(baseline)
-    combos = {}
-    for fused in (True, False):
-        db = Database(config=EngineConfig(fused=fused))
-        populate(db)
-        combos[fused] = db
-    return baseline, combos
+    """(reference baseline, engine db) over one schema."""
+    return _dual(populate)
 
 
 @pytest.fixture(scope="module")
@@ -533,22 +495,19 @@ def string_matrix(small_batches):
     return _matrix(_populate_string_schema, small_batches)
 
 
-class TestModeMatrixParity:
-    """The engine must be byte-identical to the reference.
-
-    {fused on/off}, across the rich corpus, the string-heavy
-    (dictionary-encoded) corpus, and the error corpus — results,
-    columns, and exceptions all identical.
+class TestSmallBatchParity:
+    """With 16-row batches the engine must be byte-identical to the
+    reference across the rich corpus, the string-heavy corpus, and the
+    error corpus — results, columns, and exceptions all identical.
     """
 
     @staticmethod
     def _assert_all(matrix, sql):
-        baseline, combos = matrix
+        baseline, db = matrix
         expected = reference_execute(baseline, sql)
-        for combo, db in combos.items():
-            got = db.execute(sql)
-            assert got.columns == expected.columns, (sql, combo)
-            assert got.rows == expected.rows, (sql, combo)
+        got = db.execute(sql)
+        assert got.columns == expected.columns, sql
+        assert got.rows == expected.rows, sql
 
     @pytest.mark.parametrize("sql", RICH_CORPUS)
     def test_rich_corpus(self, rich_matrix, sql):
@@ -560,29 +519,27 @@ class TestModeMatrixParity:
 
     @pytest.mark.parametrize("sql", TestErrorParity.ERROR_QUERIES)
     def test_error_parity(self, rich_matrix, sql):
-        baseline, combos = rich_matrix
+        baseline, db = rich_matrix
         with pytest.raises(SqlError) as expected:
             reference_execute(baseline, sql)
-        for combo, db in combos.items():
-            with pytest.raises(SqlError) as got:
-                db.execute(sql)
-            assert type(got.value) is type(expected.value), (sql, combo)
-            assert str(got.value) == str(expected.value), (sql, combo)
+        with pytest.raises(SqlError) as got:
+            db.execute(sql)
+        assert type(got.value) is type(expected.value), sql
+        assert str(got.value) == str(expected.value), sql
 
     def test_small_batches_really_split_the_scan(self, string_matrix):
         # the 200-row fixture must really span many batches, otherwise
         # the matrix silently degrades to single-batch coverage
-        __, combos = string_matrix
-        for combo, db in combos.items():
-            before = db.metrics().get("engine.batches_produced", {}).get(
-                "value", 0
-            )
-            db.execute("SELECT count(*), sum(score) FROM items WHERE id >= 0")
-            after = db.metrics()["engine.batches_produced"]["value"]
-            assert after - before >= 200 // 16, combo
+        __, db = string_matrix
+        before = db.metrics().get("engine.batches_produced", {}).get(
+            "value", 0
+        )
+        db.execute("SELECT count(*), sum(score) FROM items WHERE id >= 0")
+        after = db.metrics()["engine.batches_produced"]["value"]
+        assert after - before >= 200 // 16
 
     def test_error_row_identity_in_a_late_batch(self, small_batches):
-        # the failing row sits in a late batch; every combo must
+        # the failing row sits in a late batch; the engine must
         # surface the division error even though earlier batches
         # complete and later ones are never produced
         def populate(db):
@@ -591,11 +548,10 @@ class TestModeMatrixParity:
                 "m", [(i, 1) for i in range(150)] + [(150, 0), (151, 1)]
             )
 
-        baseline, combos = _matrix(populate, small_batches)
+        baseline, db = _matrix(populate, small_batches)
         sql = "SELECT 10 / d FROM m"
         with pytest.raises(SqlError) as expected:
             reference_execute(baseline, sql)
-        for combo, db in combos.items():
-            with pytest.raises(SqlError) as got:
-                db.execute(sql)
-            assert str(got.value) == str(expected.value), combo
+        with pytest.raises(SqlError) as got:
+            db.execute(sql)
+        assert str(got.value) == str(expected.value)

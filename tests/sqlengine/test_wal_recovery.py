@@ -11,6 +11,7 @@ import gzip
 import os
 import struct
 import zlib
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +30,21 @@ from repro.sqlengine.txn.wal import (
     load_payload,
     scan_records,
 )
+
+DATA = Path(__file__).parent / "data"
+
+#: the statements behind ``data/legacy_dict_checkpoint.json.gz`` (run,
+#: then ``CHECKPOINT``, by a build that dictionary-encoded TEXT columns)
+LEGACY_DICT_SQL = [
+    "CREATE TABLE accounts (id INT PRIMARY KEY, status TEXT, region TEXT, "
+    "balance REAL)",
+    "INSERT INTO accounts VALUES (1, 'OPEN', 'north', 10.5), "
+    "(2, 'HELD', 'south', 0.0), (3, 'OPEN', 'east', 7.25), "
+    "(4, 'GONE', 'north', 1.0), (5, NULL, 'west', NULL), "
+    "(6, 'DONE', NULL, 3.5)",
+    "DELETE FROM accounts WHERE id = 4",
+    "UPDATE accounts SET region = 'south' WHERE id = 3",
+]
 
 SEED_SQL = [
     "CREATE TABLE items (id INT PRIMARY KEY, grp INT, amount REAL, "
@@ -215,25 +231,50 @@ class TestRoundTrip:
         assert catalog_state(reopened) == expected
         reopened.close()
 
-    def test_checkpoint_preserves_storage_layouts(self, tmp_path):
-        """Dict-encoded columns survive the image."""
-        data_dir = str(tmp_path / "db")
-        config = EngineConfig(dict_encoding_threshold=4)
-        db = Database(data_dir=data_dir, config=config)
-        db.execute("CREATE TABLE t (id INT, amount REAL, label TEXT)")
-        db.insert_rows(
-            "t",
-            [(i, i * 1.5, ["red", "green", "blue"][i % 3]) for i in range(30)],
-        )
-        db.checkpoint()
-        expected = catalog_state(db)
-        db.close()
+    def test_dict_tagged_checkpoint_loads_as_plain_columns(self, tmp_path):
+        """Images written while TEXT columns were dictionary-encoded load.
 
-        reopened = Database(data_dir=data_dir, config=config)
-        assert catalog_state(reopened) == expected
+        ``data/legacy_dict_checkpoint.json.gz`` was written by the last
+        build with dictionary encoding, from :data:`LEGACY_DICT_SQL`.
+        Its TEXT columns are tagged ``"dict"``: a value table with a
+        dead ``None`` slot (``'GONE'``, whose last row was deleted) and
+        one ``None`` code per NULL.  It must reopen into the rows and
+        counters the same statements leave in memory, and the next
+        checkpoint must write every column plain.
+        """
+        image = (DATA / "legacy_dict_checkpoint.json.gz").read_bytes()
+        stored = load_payload(gzip.decompress(image))["tables"][0]["data"]
+        status, region = stored[1], stored[2]
+        assert status["t"] == region["t"] == "dict"
+        assert None in status["values"] and None in region["values"]
+        assert None in status["codes"] and None in region["codes"]
+        data_dir = tmp_path / "db"
+        data_dir.mkdir()
+        (data_dir / "checkpoint.json.gz").write_bytes(image)
+
+        reference = Database()
+        for sql in LEGACY_DICT_SQL:
+            reference.execute(sql)
+        reopened = Database(data_dir=str(data_dir))
+        assert reopened.recovery_info["checkpoint"] is True
+        assert catalog_state(reopened) == catalog_state(reference)
+        table, twin = reopened.table("accounts"), reference.table("accounts")
+        assert (table.version, table.mutation_count) == (
+            twin.version, twin.mutation_count,
+        )
         assert reopened.execute(
-            "SELECT count(*) FROM t WHERE label = 'red'"
-        ).rows == [(10,)]
+            "SELECT id FROM accounts WHERE status = 'OPEN' ORDER BY id"
+        ).rows == [(1,), (3,)]
+
+        reopened.checkpoint()
+        rewritten = load_payload(
+            gzip.decompress((data_dir / "checkpoint.json.gz").read_bytes())
+        )
+        assert {
+            column["t"]
+            for table_state in rewritten["tables"]
+            for column in table_state["data"]
+        } == {"plain"}
         reopened.close()
 
     def test_array_tagged_checkpoint_loads_as_plain_columns(self, tmp_path):
