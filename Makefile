@@ -31,15 +31,19 @@
 #   make lint         bytecode-compile every source tree (import/syntax gate)
 #   make examples     run every examples/*.py script end to end (~3 s;
 #                     their output is discarded, a failing script fails)
-#   make check        lint + test + examples + test-stress + ledger-smoke:
-#                     the same steps, in the same order, as the CI merge
-#                     gate
+#   make bench-paper  the paper-table benches (Tables 1, 3, 4, 5) as tests:
+#                     their assertions on the paper's figures (Table 3's
+#                     precision / recall per query, ...) gate; timing
+#                     fixtures are disabled (~15 s)
+#   make check        lint + test + examples + bench-paper + test-stress +
+#                     ledger-smoke: the same steps, in the same order, as
+#                     the CI merge gate
 
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: test test-fast test-stress ledger ledger-smoke ledger-pairs coverage \
-	lint examples check
+	lint examples bench-paper check
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -78,4 +82,10 @@ examples:
 		$(PYTHON) $$script > /dev/null || exit 1; \
 	done
 
-check: lint test examples test-stress ledger-smoke
+bench-paper:
+	$(PYTHON) -m pytest -q benchmarks/bench_table1_schema_stats.py \
+		benchmarks/bench_table3_precision_recall.py \
+		benchmarks/bench_table4_runtime.py \
+		benchmarks/bench_table5_comparison.py --benchmark-disable
+
+check: lint test examples bench-paper test-stress ledger-smoke

@@ -16,7 +16,8 @@ plan's filter/projection expression trees into *generated Python source*
 of expressions it can prove never raise.  Anything it cannot prove falls
 back to the closure chain, so fused execution is byte-identical to the
 closures (results and errors).  The physical planner always fuses; the
-closures run only what the fuser refuses.
+closures run only what the fuser refuses.  :func:`fuse_grouping` puts
+the GROUP BY above a scan into the same generated loop.
 """
 
 from __future__ import annotations
@@ -1219,6 +1220,18 @@ class _Fuser:
             return self.use_col(index)
         return self.gen_value(expr.operand).code
 
+    def gen_bound(self, index: int, descending: bool, null: bool) -> str:
+        """A top-N bound conjunct on column *index*: false iff the key
+        sorts strictly past the bound ``_b`` in ``sort_key`` order (NULL
+        and NaN first); ties stay for a secondary key to decide.  *null*:
+        the bound is NULL, ascending, and only NULL / NaN are not past."""
+        x = self.use_col(index)
+        if null:
+            return f"({x} is None or {x} != {x})"
+        if descending:
+            return f"({x} is not None and {x} >= _b)"
+        return f"({x} is None or not ({x} > _b))"
+
     # -- source assembly -----------------------------------------------
     def column_decls(self) -> list[str]:
         return [f"    _v{vid} = cols[{index}]" for index, vid in self.cols.items()]
@@ -1256,6 +1269,7 @@ def fuse_batch_exprs(
     scope: Scope,
     class_of: Callable[["str | None", str], "str | None"],
     mode: str = "value",
+    bound: "tuple | None" = None,
 ) -> "FusedBatch | None":
     """Compile expression trees into one generated function per batch.
 
@@ -1270,7 +1284,9 @@ def fuse_batch_exprs(
     ``mode="filter"``: *exprs* are conjuncts applied in order; the
     longest fusible prefix becomes one function returning the selected
     row indices.  Remaining conjuncts must keep running as closures, in
-    order, to preserve error semantics.
+    order, to preserve error semantics.  A prefix that is every conjunct
+    ends with the top-N *bound* test when given (:meth:`_Fuser.gen_bound`
+    arguments), comparing with the function's third argument.
 
     ``mode="value"``: each fusible compound expression becomes one
     output column of the generated function (bare column refs and
@@ -1284,32 +1300,28 @@ def fuse_batch_exprs(
 
     if mode == "filter":
         conds: list[str] = []
-        used: list[int] = []
         for expr in exprs:
             snap = fuser.snapshot()
-            fuser.current_used = []
             try:
-                cond = fuser.gen_bool(expr, True)
+                conds.append(fuser.gen_bool(expr, True))
             except _Unfusible:
                 fuser.restore(snap)
                 break
-            conds.append(cond)
-            for vid in fuser.current_used:
-                if vid not in used:
-                    used.append(vid)
-        if not conds or not used:
+        consumed = len(conds)
+        if bound is not None and consumed == len(exprs):
+            conds.append(fuser.gen_bound(*bound))
+        if not conds or not fuser.cols:
             return None
-        lines = ["def _fused(cols, n):"]
+        lines = ["def _fused(cols, n, _b=None):"]
         lines += fuser.column_decls()
         condition = " and ".join(f"({c})" for c in conds)
-        lines.append(
-            f"    return [_i {_row_iter(sorted(used), True)} if {condition}]"
-        )
+        used = sorted(fuser.cols.values())
+        lines.append(f"    return [_i {_row_iter(used, True)} if {condition}]")
         source = "\n".join(lines) + "\n"
         if len(source) > _FUSION_MAX_SOURCE:
             return None
         fn = _instantiate(source, fuser.consts)
-        return FusedBatch(fn, len(conds), None, source)
+        return FusedBatch(fn, consumed, None, source)
 
     outputs: list[tuple] = []
     for position, expr in enumerate(exprs):
@@ -1340,6 +1352,101 @@ def fuse_batch_exprs(
         return None
     fn = _instantiate(source, fuser.consts)
     return FusedBatch(fn, None, [position for position, __, __ in outputs], source)
+
+
+#: each call :func:`fuse_grouping` folds inline and its state in a new
+#: group: a closed form for count/min/max, the values for sum/avg
+_FOLD_INITIAL = {"count": "0", "min": "None", "max": "None", "sum": "[]",
+                 "avg": "[]"}
+
+
+def fuse_grouping(
+    predicates: Sequence[Expr],
+    keys: Sequence[Expr],
+    calls: Sequence[Expr],
+    rep: Sequence[int],
+    scope: Scope,
+    class_of: Callable[["str | None", str], "str | None"],
+) -> "FusedBatch | None":
+    """Filter, group and aggregate a batch in one generated row loop.
+
+    ``fn(cols, n, groups)`` runs the *predicates*; per surviving row it
+    gets ``groups[key]`` (keyed as the batch path does), made ``[rep_row,
+    state, ...]`` at the key's first row (*rep*: its scope columns), and
+    applies the row-at-a-time rule: ``count`` adds one per non-NULL
+    value, ``min`` / ``max`` take a value below / above the state,
+    ``sum`` / ``avg`` append it.  It returns the surviving row count.
+
+    None (the batch path) unless every call is a non-DISTINCT ``count``
+    / ``count(*)`` / ``min`` / ``max`` / ``sum`` / ``avg`` (numbers only)
+    and every predicate, key and argument fuses, so no row can raise;
+    also None with neither a key nor a predicate (whole columns feed the
+    accumulators faster) and past ``_FUSION_MAX_SOURCE``.
+    """
+    if not predicates and not keys:
+        return None
+    fuser = _Fuser(scope, class_of)
+    try:
+        conds = [fuser.gen_bool(predicate, True) for predicate in predicates]
+        key_codes = [fuser.gen_value(key).code for key in keys]
+        args = []
+        for call in calls:
+            if call.distinct or call.name not in _FOLD_INITIAL or (
+                call.star and call.name != "count"
+            ):
+                raise _Unfusible
+            value = None if call.star else fuser.gen_value(call.args[0])
+            if call.name in ("sum", "avg") and value.cls != "num":
+                raise _Unfusible
+            args.append(None if value is None else value.code)
+    except _Unfusible:
+        return None
+    rep_code = "(" + "".join(f"{fuser.use_col(i)}, " for i in rep) + ")"
+    initial = ", ".join([rep_code] + [_FOLD_INITIAL[c.name] for c in calls])
+    body = []
+    if conds:
+        condition = " and ".join(f"({c})" for c in conds)
+        body += [f"if not ({condition}): continue", "n += 1"]
+    key = key_codes[0] if len(key_codes) == 1 else (
+        "(" + "".join(f"{code}, " for code in key_codes) + ")"
+    )
+    if not key_codes:  # one global group, looked up once per batch
+        body.append(f"if _a is None: _a = _g[()] = [{initial}]")
+    else:
+        if not key.isidentifier():
+            body.append(f"_key = {key}")
+            key = "_key"
+        body += [f"_a = _get({key})",
+                 f"if _a is None: _a = _g[{key}] = [{initial}]"]
+    for slot, (call, code) in enumerate(zip(calls, args), start=1):
+        state = f"_a[{slot}]"
+        if code is None:
+            body.append(f"{state} += 1")
+            continue
+        if not code.isidentifier():  # a compound argument: evaluate once
+            body.append(f"_t{slot} = {code}")
+            code = f"_t{slot}"
+        if call.name == "count":
+            body.append(f"if {code} is not None: {state} += 1")
+        elif call.name in ("min", "max"):
+            op = "<" if call.name == "min" else ">"
+            body.append(f"if {code} is not None and ({state} is None"
+                        f" or {code} {op} {state}): {state} = {code}")
+        else:
+            body.append(f"if {code} is not None: {state}.append({code})")
+    used = sorted(fuser.cols.values())
+    if not used:  # nothing read per row: the batch path counts faster
+        return None
+    lines = ["def _fused(cols, n, _g):"] + fuser.column_decls()
+    lines.append("    _get = _g.get" if key_codes else "    _a = _g.get(())")
+    if conds:
+        lines.append("    n = 0  # now the survivors")
+    lines.append(f"    {_row_iter(used, False)}:")
+    lines += [f"        {line}" for line in body] + ["    return n"]
+    source = "\n".join(lines) + "\n"
+    if len(source) > _FUSION_MAX_SOURCE:
+        return None
+    return FusedBatch(_instantiate(source, fuser.consts), None, None, source)
 
 
 def split_conjuncts(expr: Expr | None) -> list[Expr]:

@@ -353,12 +353,12 @@ class MinAccumulator(Accumulator):
             self._best = value
 
     def add_many(self, values) -> None:
+        # seeded with the running best, builtin min() is the add rule
         present = [value for value in values if value is not None]
-        if not present:
-            return
-        candidate = min(present)
-        if self._best is None or candidate < self._best:
-            self._best = candidate
+        if self._best is not None:
+            present.insert(0, self._best)
+        if present:
+            self._best = min(present)
 
     def result(self) -> Any:
         return self._best
@@ -375,12 +375,12 @@ class MaxAccumulator(Accumulator):
             self._best = value
 
     def add_many(self, values) -> None:
+        # seeded with the running best, builtin max() is the add rule
         present = [value for value in values if value is not None]
-        if not present:
-            return
-        candidate = max(present)
-        if self._best is None or candidate > self._best:
-            self._best = candidate
+        if self._best is not None:
+            present.insert(0, self._best)
+        if present:
+            self._best = max(present)
 
     def result(self) -> Any:
         return self._best

@@ -47,10 +47,10 @@ class _InstrumentedBatches:
         self._stats = stats
         self.scope = inner.scope
 
-    def batches(self):
+    def batches(self, **kwargs):
         stats = self._stats
         started = perf_counter()
-        iterator = self._inner.batches()
+        iterator = self._inner.batches(**kwargs)
         stats.inclusive += perf_counter() - started
         while True:
             started = perf_counter()

@@ -62,6 +62,7 @@ from repro.sqlengine.expressions import (
     _never_raises,
     compile_expr_batch,
     fuse_batch_exprs,
+    fuse_grouping,
     gather_columns,
     split_conjuncts,
 )
@@ -98,6 +99,7 @@ _ROWS_JOINED = _METRICS.counter("engine.rows_joined")
 _BATCHES_PRODUCED = _METRICS.counter("engine.batches_produced")
 _FUSED_BATCHES = _METRICS.counter("engine.fused_batches")
 _SEGMENTS_SKIPPED = _METRICS.counter("engine.segments_skipped")
+_AGG_ROWS_GATHERED = _METRICS.counter("engine.agg_rows_gathered")
 
 
 def _project_targets(node: LogicalProject, scope: Scope) -> tuple:
@@ -184,12 +186,15 @@ class _ReversedKey:
 
 
 def sort_key(value: Any) -> tuple:
-    """Total order over mixed values: NULLs first, then by type group."""
+    """Total order over mixed values: NULLs first, then by type group;
+    NaN, unordered among numbers, sorts as NULL (as sqlite stores it)."""
     if value is None:
         return (0, 0, 0)
     if isinstance(value, bool):
         return (1, 0, int(value))
     if isinstance(value, (int, float)):
+        if value != value:
+            return (0, 0, 0)
         return (1, 1, value)
     if isinstance(value, str):
         return (1, 2, value)
@@ -242,18 +247,7 @@ def _apply_predicates(fns: list, cols: list, n: int) -> tuple:
     return cols, n
 
 
-def _apply_fused(fused_fn, cols: list, n: int) -> tuple:
-    """Apply one fused filter function (returns selected row indices)."""
-    selected = fused_fn(cols, n)
-    count = len(selected)
-    if count == n:
-        return cols, n
-    if not count:
-        return cols, 0
-    return gather_columns(cols, selected), count
-
-
-def _fusion_stages(predicates, fns, scope, class_of) -> list:
+def _fusion_stages(predicates, fns, scope, class_of, bound=None) -> list:
     """Ordered filter stages: fused runs interleaved with closure runs.
 
     Each stage is ``("fused", fn)`` — one generated function covering a
@@ -263,36 +257,46 @@ def _fusion_stages(predicates, fns, scope, class_of) -> list:
     compaction between them, so a conjunct still only ever sees rows
     that survived everything before it: the per-row short-circuit
     and error surface are preserved exactly, while every fusible run —
-    wherever it sits in the chain — collapses into one loop.
+    wherever it sits in the chain — collapses into one loop.  A top-N
+    *bound* (see :func:`fuse_batch_exprs`) runs last: inside the final
+    fused stage, or as a stage of its own after trailing closures.
     """
     stages: list = []
     position = 0
     total = len(predicates)
     while position < total:
         fused = fuse_batch_exprs(
-            predicates[position:], scope, class_of, mode="filter"
+            predicates[position:], scope, class_of, mode="filter",
+            bound=bound,
         )
         if fused is not None:
             stages.append(("fused", fused.fn))
             position += fused.consumed
+            if position == total:
+                bound = None  # folded into this stage
             continue
         if stages and stages[-1][0] == "closures":
             stages[-1][1].append(fns[position])
         else:
             stages.append(("closures", [fns[position]]))
         position += 1
+    if bound is not None:
+        fused = fuse_batch_exprs([], scope, class_of, mode="filter", bound=bound)
+        stages.append(("fused", fused.fn))
     return stages
 
 
-def _apply_filter_stages(stages: list, cols: list, n: int) -> tuple:
+def _apply_filter_stages(stages: list, cols: list, n: int, bound=None) -> tuple:
     """Run filter stages in order; ``(cols, n, fused_stage_ran)``."""
     used_fused = False
     for kind, payload in stages:
         if n == 0:
             break
-        if kind == "fused":
+        if kind == "fused":  # returns the selected row indices
             used_fused = True
-            cols, n = _apply_fused(payload, cols, n)
+            selected = payload(cols, n, bound)
+            if len(selected) != n:
+                cols, n = gather_columns(cols, selected), len(selected)
         else:
             cols, n = _apply_predicates(payload, cols, n)
     return cols, n, used_fused
@@ -301,43 +305,19 @@ def _apply_filter_stages(stages: list, cols: list, n: int) -> tuple:
 class _TopNBound(threading.local):
     """A shared cell streaming BatchTopNOp's worst-kept leading key.
 
-    The TopN operator writes its current leading-key bound (already
-    ``sort_key``-decorated, wrapped in :class:`_ReversedKey` for
-    descending orders) whenever it tightens; the scan below reads it
-    per batch and pre-drops rows that sort strictly past it — rows the
-    TopN check itself would have skipped — and, on a segmented table,
-    skips a batch whose frozen segments' zones all lie past it.
-    ``None`` means "no bound yet" (fewer than N candidates seen).
-    The value is per thread: two threads executing one cached plan over
-    different pins each read only their own top-N's bound.
+    Once N candidates exist the TopN operator sets ``armed`` and writes
+    the raw leading key of its worst kept row to ``value`` when it
+    tightens (None for NULL or NaN).  The scan below reads it per batch
+    and pre-drops rows that sort strictly past it — rows the TopN check
+    would skip — with one more generated filter conjunct, and, on a
+    segmented table, skips a batch whose frozen segments' zones all lie
+    past it.  The cell is per thread: two threads executing one cached
+    plan over different pins each read only their own top-N's bound.
     """
 
     def __init__(self) -> None:
+        self.armed = False
         self.value = None
-
-
-def _apply_topn_bound(cell, key_index: int, descending: bool, cols, n):
-    """Pre-drop rows whose leading sort key is strictly past the bound."""
-    bound = cell.value
-    if bound is None or n == 0:
-        return cols, n
-    column = cols[key_index]
-    if descending:
-        selected = [
-            i
-            for i, value in enumerate(column)
-            if not bound < _ReversedKey(sort_key(value))
-        ]
-    else:
-        selected = [
-            i for i, value in enumerate(column) if not bound < sort_key(value)
-        ]
-    count = len(selected)
-    if count == n:
-        return cols, n
-    if not count:
-        return cols, 0
-    return gather_columns(cols, selected), count
 
 
 def _fusion_class_of(node: LogicalNode, catalog: Catalog):
@@ -436,11 +416,12 @@ def _batch_past_bound(snapshot, start: int, column: int, bound, descending):
     parts = _batch_segments(snapshot, start)
     if parts is None:
         return False
+    key = sort_key(bound)
     for segment, __, __ in snapshot.entries[parts.start:parts.stop]:
         zone = segment.zone(column)
         if zone is None or not (
-            bound < _ReversedKey(sort_key(zone[1])) if descending
-            else bound < sort_key(zone[0]) and not segment.holds_null(column)
+            sort_key(zone[1]) < key if descending
+            else key < sort_key(zone[0]) and not segment.holds_null(column)
         ):
             return False
     return True
@@ -475,6 +456,12 @@ class BatchScanOp(BatchOperator):
     Only the columns the predicates or the output read are sliced: the
     predicates compile against that sub-layout, and the output columns
     are picked from it after filtering.
+
+    A connected top-N bound is one more fused filter conjunct, and a
+    fused GROUP BY (:class:`BatchAggregateOp`) swaps the filter for its
+    filter-and-fold; zone skips, pins, per-batch deadline checks, scan
+    counters and EXPLAIN ANALYZE rows stay, and the scan's self-time
+    then includes the grouping.
     """
 
     def __init__(self, catalog: Catalog, node: LogicalScan) -> None:
@@ -514,30 +501,34 @@ class BatchScanOp(BatchOperator):
             compile_expr_batch(predicate, read_scope)
             for predicate in node.predicates
         ]
+        # (value classes are rebuilt on demand: no class map per scan)
+        self._node, self._catalog = node, catalog
+        self._read_scope = read_scope
+        self._predicates = node.predicates
         self._filter_stages = _fusion_stages(
-            node.predicates,
-            self._predicate_fns,
-            read_scope,
+            node.predicates, self._predicate_fns, read_scope,
             _fusion_class_of(node, catalog),
         )
-        self._predicates = node.predicates
         self._zone_tests = _zone_tests(node.predicates, self._table)
         #: EXPLAIN ANALYZE's OperatorStats (receives ``skipped``), or None
         self.analyze_stats = None
-        # TopN bound pushdown (see _connect_topn_bound): a shared cell
-        # plus the leading sort key's index in this scan's output scope
-        # and, when segments can be skipped against it, in the table
+        # TopN bound pushdown (see _connect_topn_bound): a shared cell,
+        # the key's read-layout index, the stages ending in its conjunct
+        # (_stages_under) and, when zones can skip, its table index
         self._bound_cell = None
         self._bound_key = 0
+        self._bound_stages = None
         self._bound_descending = False
         self._bound_column = None
 
     def connect_bound(
         self, cell: _TopNBound, key_index: int, descending: bool
     ) -> None:
+        """Pre-drop rows past *cell*'s bound on output column *key_index*."""
         self._bound_cell = cell
-        self._bound_key = key_index
         self._bound_descending = descending
+        self._bound_key = self._project[key_index] if self._project else key_index
+        self._bound_stages = {}
         table = self._table
         column = table.column_index(self.scope.pairs[key_index][1])
         if table.columns[column].sql_type in (
@@ -545,7 +536,31 @@ class BatchScanOp(BatchOperator):
         ) and all(_never_raises(p, table) for p in self._predicates):
             self._bound_column = column
 
-    def batches(self, snapshot=None, positions: bool = False) -> Iterator[tuple]:
+    def _stages_under(self, bound) -> list:
+        """The filter stages ending in *bound*'s conjunct, generated on
+        first use: a bound that never arms (one batch) costs no codegen."""
+        null = bound is None
+        if null and self._bound_descending:
+            return self._filter_stages  # nothing sorts past a NULL bound
+        stages = self._bound_stages.get(null)
+        if stages is None:
+            stages = self._bound_stages[null] = _fusion_stages(
+                self._predicates, self._predicate_fns, self._read_scope,
+                _fusion_class_of(self._node, self._catalog),
+                (self._bound_key, self._bound_descending, null),
+            )
+        return stages
+
+    def fuse_grouping(self, node: LogicalAggregate):
+        """*node*'s generated filter-and-fold over this scan, or None."""
+        rep = range(len(self._read)) if self._project is None else self._project
+        return fuse_grouping(
+            self._predicates, node.group_by, node.agg_calls, rep,
+            self._read_scope, _fusion_class_of(self._node, self._catalog),
+        )
+
+    def batches(self, snapshot=None, positions: bool = False,
+                fold=None) -> Iterator[tuple]:
         """The filtered, pruned batches of the whole table.
 
         With a snapshot (explicit or installed via a pin scope), batches
@@ -558,6 +573,8 @@ class BatchScanOp(BatchOperator):
         the rows past the bound.  With
         *positions*, each batch carries one more trailing column: the
         live position of every surviving row (how DML finds its rows).
+        With *fold* (``fold(cols, n) -> survivors``), the fold replaces
+        the filter stages and a batch is yielded as ``((), survivors)``.
         """
         table = self._table
         if snapshot is None:
@@ -584,6 +601,7 @@ class BatchScanOp(BatchOperator):
             skipped = _zone_skips(snapshot, self._zone_tests)
         bound_cell = self._bound_cell
         bound_column = self._bound_column if segmented else None
+        bound = None
         deadline = current_deadline()
         scanned = 0
         dropped = 0
@@ -595,46 +613,39 @@ class BatchScanOp(BatchOperator):
                     deadline.check("scan")
                 if start in skipped:
                     continue
-                if (
-                    bound_column is not None
-                    and bound_cell.value is not None
-                    and _batch_past_bound(
-                        snapshot, start, bound_column, bound_cell.value,
+                if bound_cell is not None and bound_cell.armed:
+                    bound = bound_cell.value
+                    if bound_column is not None and _batch_past_bound(
+                        snapshot, start, bound_column, bound,
                         self._bound_descending,
-                    )
-                ):
-                    skipped.add(start)
-                    continue
+                    ):
+                        skipped.add(start)
+                        continue
+                    stages = self._stages_under(bound)
                 stop = min(start + BATCH_SIZE, last)
                 cols = slice_batch(start, stop)
                 if positions:
                     cols.append(range(start, stop))
                 n = stop - start
                 scanned += n
-                if stages:
+                if fold is not None:
+                    n = fold(cols, n)
+                    fused_batches += 1
+                elif stages:
                     cols, n, used_fused = _apply_filter_stages(
-                        stages, cols, n
+                        stages, cols, n, bound
                     )
                     if used_fused:
                         fused_batches += 1
                 dropped += stop - start - n
                 if n == 0:
                     continue
+                batches += 1
+                if fold is not None:
+                    yield (), n
+                    continue
                 if project is not None:
                     cols = [cols[i] for i in project]
-                if bound_cell is not None:
-                    before = n
-                    cols, n = _apply_topn_bound(
-                        bound_cell,
-                        self._bound_key,
-                        self._bound_descending,
-                        cols,
-                        n,
-                    )
-                    dropped += before - n
-                    if n == 0:
-                        continue
-                batches += 1
                 yield cols, n
         finally:
             if scanned and _METRICS.enabled:
@@ -1241,14 +1252,18 @@ def _analyze_left_join(
 
 
 class BatchAggregateOp(BatchOperator):
-    """GROUP BY over batches: grouped hash table + accumulators.
+    """GROUP BY: the representative (first) row of each group extended
+    with the aggregate results, groups in first-occurrence order, HAVING
+    applied over the extended batch.
 
-    Group keys and aggregate arguments are evaluated once per batch as
-    whole columns; the per-row work is one dict probe and the
-    accumulator updates.  Output follows row-at-a-time grouping: the
-    representative (first) row of each group extended with the
-    aggregate results, groups in first-occurrence order, HAVING applied
-    over the extended batch.
+    Directly on a scan, with no HAVING, grouping runs in the scan's
+    generated row loop (:func:`~repro.sqlengine.expressions.
+    fuse_grouping`): filter, ``groups.get(key)`` and updates in one pass
+    per row, keeping the batch path's group order, representative rows,
+    ``min`` / ``max`` rule and exact sums, and raising nothing.  A join
+    below, DISTINCT, HAVING, an unfusible piece or an unfiltered global
+    aggregate takes the batch path: keys and arguments per batch as
+    whole columns, rows bucketed per group, accumulators fed slices.
     """
 
     def __init__(self, child: BatchOperator, node: LogicalAggregate) -> None:
@@ -1280,19 +1295,55 @@ class BatchAggregateOp(BatchOperator):
             if node.having is not None
             else None
         )
+        scan = _unwrapped(child)
+        #: the scan's generated filter-and-fold, or None (batch path)
+        self._fold = (
+            scan.fuse_grouping(node)
+            if isinstance(scan, BatchScanOp) and node.having is None
+            else None
+        )
+
+    def _accumulators(self) -> list:
+        return [
+            make_accumulator(call.name, call.star, call.distinct)
+            for call in self._node.agg_calls
+        ]
 
     def batches(self) -> Iterator[tuple]:
-        state: tuple = ({}, [])
-        self._consume(state, self._child.batches())
-        return self._finish(state)
+        if self._fold is None:
+            rows = self._consume(self._child.batches())
+        else:
+            rows = self._fold_scan()
+        if not rows and not self._node.group_by:
+            # empty input and no GROUP BY -> one group of NULLs
+            rows = [(None,) * len(self._child.scope) + tuple(
+                accumulator.result() for accumulator in self._accumulators()
+            )]
+        return self._finish(rows)
 
-    def _consume(self, state: tuple, stream) -> None:
-        groups, group_order = state
-        node = self._node
-        calls = node.agg_calls
+    def _fold_scan(self) -> list:
+        """Run the scan with the generated fold; the extended rows."""
+        groups: dict = {}
+        fold = self._fold.fn
+        for __ in self._child.batches(
+            fold=lambda cols, n: fold(cols, n, groups)
+        ):
+            pass
+        names = [call.name for call in self._node.agg_calls]
+        return [
+            rep + tuple(map(_fold_result, names, states))
+            for rep, *states in groups.values()
+        ]
+
+    def _consume(self, stream) -> list:
+        """Feed every batch to the groups' accumulators; the extended
+        rows, groups in first-occurrence order."""
+        groups: dict = {}  # key -> (representative row, accumulators)
         arg_fns = self._arg_fns
         group_fns = self._group_fns
+        gathered = 0
         for cols, n in stream:
+            gathered += n
             key_cols = [fn(cols, n) for fn in group_fns]
             arg_cols = [
                 None if fn is None else fn(cols, n) for fn in arg_fns
@@ -1312,14 +1363,8 @@ class BatchAggregateOp(BatchOperator):
                 if () not in groups:
                     groups[()] = (
                         tuple(column[0] for column in cols) if n else (),
-                        [
-                            make_accumulator(
-                                call.name, call.star, call.distinct
-                            )
-                            for call in calls
-                        ],
+                        self._accumulators(),
                     )
-                    group_order.append(())
                 touched[()] = list(range(n))
             else:
                 for i in range(n):
@@ -1330,14 +1375,8 @@ class BatchAggregateOp(BatchOperator):
                         if key not in groups:
                             groups[key] = (
                                 tuple(column[i] for column in cols),
-                                [
-                                    make_accumulator(
-                                        call.name, call.star, call.distinct
-                                    )
-                                    for call in calls
-                                ],
+                                self._accumulators(),
                             )
-                            group_order.append(key)
                     bucket.append(i)
 
             # ... then feed each accumulator a whole value slice
@@ -1352,27 +1391,16 @@ class BatchAggregateOp(BatchOperator):
                         accumulator.add_many(arg_col)
                     else:
                         accumulator.add_many([arg_col[i] for i in indices])
+        if gathered and _METRICS.enabled:
+            _AGG_ROWS_GATHERED.inc(gathered)
+        return [
+            rep + tuple(accumulator.result() for accumulator in accumulators)
+            for rep, accumulators in groups.values()
+        ]
 
-    def _finish(self, state: tuple) -> Iterator[tuple]:
-        groups, group_order = state
-        node = self._node
-        calls = node.agg_calls
-        # aggregate query over empty input and no GROUP BY -> one empty group
-        if not groups and not node.group_by:
-            accumulators = [
-                make_accumulator(call.name, call.star, call.distinct)
-                for call in calls
-            ]
-            null_row = (None,) * len(self._child.scope)
-            groups[()] = (null_row, accumulators)
-            group_order.append(())
-
-        for start in range(0, len(group_order), BATCH_SIZE):
-            extended_rows = [
-                groups[key][0]
-                + tuple(accumulator.result() for accumulator in groups[key][1])
-                for key in group_order[start:start + BATCH_SIZE]
-            ]
+    def _finish(self, rows: list) -> Iterator[tuple]:
+        for start in range(0, len(rows), BATCH_SIZE):
+            extended_rows = rows[start:start + BATCH_SIZE]
             n = len(extended_rows)
             out_cols = [list(column) for column in zip(*extended_rows)]
             if self._having_fn is not None:
@@ -1383,6 +1411,15 @@ class BatchAggregateOp(BatchOperator):
                     n = len(selected)
             if n:
                 yield out_cols, n
+
+
+def _fold_result(name: str, state):
+    """A fused call's result; ``sum`` / ``avg`` sum their values exactly."""
+    if name not in ("sum", "avg"):
+        return state
+    accumulator = make_accumulator(name, False, False)
+    accumulator.add_many(state)
+    return accumulator.result()
 
 
 class BatchProjectOp:
@@ -1554,14 +1591,14 @@ class BatchLimitOp:
 class BatchTopNOp:
     """Fused Sort+Limit over batches: bounded candidate set, one gather.
 
-    Sort keys are still computed vectorized per batch; instead of
-    materializing and fully sorting the input, candidate rows are
-    pruned back down to the best *limit* whenever they outgrow a small
-    multiple of it.  Candidate entries order exactly like BatchSortOp's
-    stable multi-key argsort: the composite key tuple (descending keys
-    wrapped in :class:`_ReversedKey`) is extended with the global input
-    sequence number, so ties keep arrival order and entry comparisons
-    never reach the row payloads.
+    Candidate rows are pruned back to the best *limit* whenever they
+    outgrow a small multiple of it; entries order exactly like
+    BatchSortOp's stable argsort (composite key, descending parts in
+    :class:`_ReversedKey`, plus the input sequence number, so ties keep
+    arrival order).  With a bare-column lead key over a scan chain, the
+    worst kept key goes to the scan (:class:`_TopNBound`), whose fused
+    filter drops only rows sorting strictly past it (ties stay, NULL and
+    NaN first); any other shape feeds every row to the candidate set.
     """
 
     def __init__(self, child, node: LogicalTopN) -> None:
@@ -1577,12 +1614,14 @@ class BatchTopNOp:
             else:
                 fn = compile_expr_batch(expr, self.scope, self.agg_slots)
                 self._key_specs.append((None, fn, descending))
-        #: bound-pushdown cell shared with the scan below
-        #: (connected by _connect_topn_bound when provably safe)
+        #: bound-pushdown cell shared with the scan below (connected by
+        #: _connect_topn_bound) and the lead key's index in pre rows
         self._bound_cell = None
+        self._bound_key = 0
 
-    def publish_bound(self, cell: _TopNBound) -> None:
+    def publish_bound(self, cell: _TopNBound, key_index: int) -> None:
         self._bound_cell = cell
+        self._bound_key = key_index
 
     def pres_batches(self) -> Iterator[tuple]:
         limit = self._limit
@@ -1590,7 +1629,7 @@ class BatchTopNOp:
             return
         cell = self._bound_cell
         if cell is not None:
-            cell.value = None  # plans re-execute; reset before pulling
+            cell.armed = False  # plans re-execute; reset before pulling
         key_specs = self._key_specs
         prune_at = max(limit * 4, 64)
         single = len(key_specs) == 1
@@ -1665,7 +1704,10 @@ class BatchTopNOp:
                         bound = entries[-1][0][:-1]
                         first_bound = bound[0]
                         if cell is not None:
-                            cell.value = first_bound
+                            lead = kept_pre[entries[-1][1]][self._bound_key]
+                            # NaN sorts as NULL: publish both as None
+                            cell.value = lead if lead == lead else None
+                            cell.armed = True
         if not entries:
             return
         entries = heapq.nsmallest(limit, entries)
@@ -1787,7 +1829,8 @@ def _connect_topn_bound(
     pre-dropped row would have skipped (filter predicates, project
     targets, secondary sort keys) provably error-free, so dropping rows
     the TopN bound check would discard anyway cannot change results or
-    errors.
+    errors.  The key column needs a value class: the bound conjunct
+    compares it natively (see ``_Fuser.gen_bound``).
     """
     project = _unwrapped(project)
     if not isinstance(project, BatchProjectOp):
@@ -1819,7 +1862,7 @@ def _connect_topn_bound(
         key_index = pre_scope.try_resolve(expr)
     else:
         return
-    if key_index is None:
+    if key_index is None or pair_class(*pre_scope.pairs[key_index]) is None:
         return
     for __, secondary, __d in specs[1:]:
         if secondary is not None and not _value_class(secondary, ref_class)[0]:
@@ -1834,7 +1877,7 @@ def _connect_topn_bound(
             if not _value_class(predicate, ref_class)[0]:
                 return
     cell = _TopNBound()
-    operator.publish_bound(cell)
+    operator.publish_bound(cell, key_index)
     scan.connect_bound(cell, key_index, descending)
 
 

@@ -53,8 +53,8 @@ class _Checked:
         for column in cols:
             assert len(column) == n, self._label
 
-    def _batches(self):
-        for cols, n in self._inner.batches():
+    def _batches(self, **kwargs):
+        for cols, n in self._inner.batches(**kwargs):
             self._check(cols, n)
             yield cols, n
 

@@ -162,6 +162,21 @@ class TestBulkMatchesSerial:
         assert repr(self._sliced("sum", False, False, values + [0.0], 2)) \
             == "0.0"
 
+    @pytest.mark.parametrize(
+        "name, after, expected", [("min", 3.0, 3.0), ("max", 7.0, 7.0)]
+    )
+    def test_nan_after_the_first_slice_folds_from_the_running_best(
+        self, name, after, expected
+    ):
+        # a slice opening with NaN: folded from its own first value it
+        # stays NaN (NaN compares false both ways) and hides the value
+        # behind it; folded from the running best it is the add rule
+        values = [5.0, 5.0, math.nan, after, None]
+        assert self._serial(name, False, False, values) == expected
+        for width in (1, 2, len(values)):
+            got = self._sliced(name, False, False, values, width)
+            assert repr(got) == repr(expected), width
+
     def test_distinct_count_across_slices_counts_the_union(self):
         acc = make_accumulator("count", False, True)
         acc.add_many(["a", "b"])
@@ -202,3 +217,38 @@ class TestFactory:
     def test_unknown_raises(self):
         with pytest.raises(SqlExecutionError):
             make_accumulator("median", star=False, distinct=False)
+
+
+class TestMinMaxAcrossBatchesInSql:
+    """The accumulator bug as SQL: 1024 rows of ``(1, 5.0)`` fill the
+    first batch, then ``(1, NaN)`` opens the second and ``(1, 3.0)``
+    follows.  Both aggregate paths must answer the row-at-a-time rule."""
+
+    QUERIES = [
+        # fused into the scan's row loop
+        ("SELECT g, min(r), max(r) FROM t GROUP BY g", True, (1, 3.0, 5.0)),
+        ("SELECT min(r), max(r) FROM t WHERE g = 1", True, (3.0, 5.0)),
+        # the batch path: HAVING and DISTINCT keep their accumulators, an
+        # unfiltered global aggregate feeds them whole columns
+        ("SELECT min(r), max(r) FROM t", False, (3.0, 5.0)),
+        ("SELECT g, min(r), max(r) FROM t GROUP BY g HAVING count(*) > 0",
+         False, (1, 3.0, 5.0)),
+        ("SELECT min(r), max(r), count(DISTINCT g) FROM t", False,
+         (3.0, 5.0, 1)),
+    ]
+
+    @pytest.mark.parametrize("sql, fused, expected", QUERIES)
+    def test_matches_the_reference(self, sql, fused, expected):
+        from repro.obs.metrics import registry
+        from repro.sqlengine.database import Database
+        from tests.sqlengine.reference_engine import reference_execute
+
+        db = Database()
+        db.execute("CREATE TABLE t (g INT, r REAL)")
+        db.insert_rows("t", [(1, 5.0)] * 1024 + [(1, math.nan), (1, 3.0)])
+        gathered = registry().counter("engine.agg_rows_gathered")
+        before = gathered.value
+        rows = db.execute(sql).rows
+        assert (gathered.value == before) is fused
+        assert rows == [expected]
+        assert repr(rows) == repr(reference_execute(db, sql).rows)

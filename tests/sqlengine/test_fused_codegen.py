@@ -3,14 +3,23 @@
 Covers the pieces the end-to-end parity corpora exercise only
 indirectly: the fused-expression compiler's fuse/refuse decisions (the
 engine always fuses; closures remain for what the fuser refuses), the
-TopN bound pushdown wiring and the plain-list column store.
+TopN bound pushdown wiring, GROUP BY inside the scan's generated loop
+and the plain-list column store.
 """
 
+import re
+
+import pytest
+
+from repro.obs.metrics import registry
+from repro.resilience.deadline import Deadline, DeadlineExceeded, deadline_scope
+from repro.sqlengine import expressions
 from repro.sqlengine.config import EngineConfig
 from repro.sqlengine.database import Database
+from repro.sqlengine.parser import parse_select
 from repro.sqlengine.planner import physical
 
-from tests.sqlengine.reference_engine import snapshot_rows
+from tests.sqlengine.reference_engine import reference_execute, snapshot_rows
 
 
 class TestFusedCompilation:
@@ -143,6 +152,228 @@ class TestTopNBoundPushdown:
         # the instrumented plan is the plan that executes: same pushdown
         assert topn._bound_cell is not None
         assert scan._bound_cell is topn._bound_cell
+
+
+class TestTopNBoundConjunct:
+    """The bound is one more generated conjunct: it keeps ties.
+
+    Named mutant: a conjunct that drops rows *equal* to the bound
+    (``<=`` where the sort order needs ``<``).  ``x = i % 3`` makes the
+    first batch's bound the leading key's extreme; rows tied with it in
+    later batches win on the secondary ``id DESC``, so dropping a tie
+    changes the answer in both directions.
+    """
+
+    @staticmethod
+    def _db():
+        db = Database(config=EngineConfig(segment_rows=256))
+        db.create_table("f", [("id", "INT"), ("x", "REAL")])
+        db.insert_rows("f", [(i, float(i % 3)) for i in range(3000)])
+        return db
+
+    @pytest.mark.parametrize(
+        "sql, expected",
+        [
+            (
+                "SELECT id, x FROM f ORDER BY x DESC, id DESC LIMIT 3",
+                [(2999, 2.0), (2996, 2.0), (2993, 2.0)],
+            ),
+            (
+                "SELECT id, x FROM f WHERE x < 2 ORDER BY x, id DESC LIMIT 3",
+                [(2997, 0.0), (2994, 0.0), (2991, 0.0)],
+            ),
+        ],
+        ids=["descending", "ascending"],
+    )
+    def test_a_tie_on_the_leading_key_survives(self, sql, expected):
+        db = self._db()
+        assert db.execute(sql).rows == expected
+        assert reference_execute(db, sql).rows == expected
+
+    def test_a_null_bound_keeps_only_null_and_nan_keys(self):
+        db = Database()
+        db.create_table("f", [("id", "INT"), ("x", "REAL")])
+        rows = [(i, float(i)) for i in range(2048)]
+        rows[5], rows[9], rows[1500] = (5, None), (9, float("nan")), (1500, None)
+        db.insert_rows("f", rows)
+        sql = "SELECT id FROM f ORDER BY x, id DESC LIMIT 2"
+        filtered = registry().counter("engine.rows_filtered")
+        before = filtered.value
+        # NaN sorts as NULL: three NULL-ish keys, the two latest ids win
+        assert db.execute(sql).rows == [(1500,), (9,)]
+        assert reference_execute(db, sql).rows == [(1500,), (9,)]
+        # the second batch runs under the NULL bound: of its 1024 rows
+        # only the NULL survives the conjunct
+        assert filtered.value - before == 1023
+
+    def test_the_bound_is_a_parameter_of_the_fused_filter(self):
+        db = self._db()
+        plan = db.planner.prepare(
+            parse_select("SELECT id, x FROM f WHERE x > 3 ORDER BY x DESC LIMIT 3")
+        )
+        scan = plan._root
+        while not isinstance(scan, physical.BatchScanOp):
+            scan = scan._child
+        assert scan._bound_stages == {}  # generated once the bound arms
+        assert [kind for kind, __ in scan._stages_under(9.5)] == ["fused"]
+        assert not hasattr(physical, "_apply_topn_bound")
+
+
+class TestFusedGrouping:
+    """GROUP BY directly above a scan runs in the scan's generated loop.
+
+    The locks are counters and plan text, not clocks: what a fused
+    aggregate moves, what EXPLAIN / EXPLAIN ANALYZE show, and each
+    guarantee the batch path gave that the loop keeps (per-batch
+    deadline checks, pins, zone skips, group order and representative
+    rows, exact sums).
+    """
+
+    GROUPBY = (
+        "SELECT g, count(*), min(q), max(x), sum(x), avg(q) FROM f "
+        "WHERE q >= 10 GROUP BY g ORDER BY g"
+    )
+    #: the same query on the batch path (HAVING is never fused)
+    BATCH_PATH = GROUPBY.replace("GROUP BY g", "GROUP BY g HAVING count(*) > 0")
+    #: join-fed, like the ledger's headline: always the batch path
+    HEADLINE = (
+        "SELECT d.region, count(*), sum(f.x) FROM f, d "
+        "WHERE f.q = d.id GROUP BY d.region"
+    )
+    COUNTERS = (
+        "engine.rows_scanned", "engine.rows_filtered",
+        "engine.agg_rows_gathered",
+    )
+
+    @staticmethod
+    def _db(segment_rows=256):
+        db = Database(config=EngineConfig(segment_rows=segment_rows))
+        db.create_table(
+            "f", [("id", "INT"), ("g", "TEXT"), ("q", "INT"), ("x", "REAL")]
+        )
+        db.create_table("d", [("id", "INT"), ("region", "TEXT")])
+        db.insert_rows("d", [(i, f"r{i % 3}") for i in range(8)])
+        db.insert_rows(
+            "f", [(i, "abcd"[i % 4], i % 50, float(i % 97)) for i in range(3000)]
+        )
+        return db
+
+    def _moved(self, db, sql):
+        counters = [registry().counter(name) for name in self.COUNTERS]
+        before = [counter.value for counter in counters]
+        rows = db.execute(sql).rows
+        assert repr(rows) == repr(reference_execute(db, sql).rows), sql
+        return [counter.value - b for counter, b in zip(counters, before)]
+
+    @staticmethod
+    def _aggregate(db, sql):
+        operator = db.planner.prepare(parse_select(sql))._root
+        while not isinstance(operator, physical.BatchAggregateOp):
+            operator = operator._child
+        return operator
+
+    def test_counters(self):
+        db = self._db()
+        assert self._aggregate(db, self.GROUPBY)._fold is not None
+        assert self._aggregate(db, self.BATCH_PATH)._fold is None
+        # scanned and filtered as the batch path; nothing gathered
+        assert self._moved(db, self.GROUPBY) == [3000, 600, 0]
+        assert self._moved(db, self.BATCH_PATH) == [3000, 600, 2400]
+        # the join's 480 output rows feed the accumulators
+        assert self._moved(db, self.HEADLINE) == [3008, 0, 480]
+
+    def test_explain_text_is_unchanged(self):
+        assert self._db().explain(self.GROUPBY) == (
+            "sort by g\n"
+            "└─ project g, count(*), min(q), max(x), sum(x), avg(q)\n"
+            "   └─ aggregate group by g [~10 rows]\n"
+            "      └─ scan f as f (3000 rows) filter: (q >= 10) [~2352 rows]"
+            " [cols: g, q, x]"
+        )
+
+    def test_explain_analyze_counts_the_filtered_scan(self):
+        text = self._db().explain(self.GROUPBY, analyze=True)
+        actuals = [
+            re.search(r"actual rows=(\d+), batches=(\d+)", line).groups()
+            for line in text.splitlines()
+        ]
+        # sort, project, aggregate: the 4 groups; scan: its survivors
+        assert actuals == [
+            ("4", "1"), ("4", "1"), ("4", "1"), ("2400", "3"),
+        ]
+
+    def test_groups_representatives_and_sums(self):
+        db = Database()
+        db.create_table("t", [("g", "INT"), ("v", "REAL"), ("tag", "TEXT")])
+        db.insert_rows("t", [
+            (2, 0.1, "first-2"), (1, -0.0, "first-1"), (2, 0.2, "x"),
+            (1, -0.0, "y"), (3, 1e16, "first-3"), (3, 1.0, "z"),
+            (3, -1e16, "w"),
+        ])
+        sql = "SELECT g, tag, sum(v), avg(v), count(v) FROM t GROUP BY g"
+        assert self._aggregate(db, sql)._fold is not None
+        rows = db.execute(sql).rows
+        # first-occurrence order, the first row's tag, exact sums
+        assert repr(rows) == repr([
+            (2, "first-2", 0.30000000000000004, 0.15000000000000002, 2),
+            (1, "first-1", -0.0, 0.0, 2),
+            (3, "first-3", 1.0, 1 / 3, 3),
+        ])
+        assert repr(rows) == repr(reference_execute(db, sql).rows)
+
+    def test_deadline_is_checked_per_batch(self):
+        db = self._db(segment_rows=0)
+        checks = []
+
+        def clock():
+            checks.append(None)
+            return 0.0
+
+        with deadline_scope(Deadline(10_000, clock=clock)):
+            db.execute(self.GROUPBY)
+        # one clock read when the deadline starts, then one per batch
+        assert len(checks) == 1 + 3
+        late = iter([0.0, 5.0]).__next__  # spent at the first batch
+        with deadline_scope(Deadline(1, clock=late)):
+            with pytest.raises(DeadlineExceeded, match="at scan"):
+                db.execute(self.GROUPBY)
+
+    def test_reads_its_pin(self):
+        db = self._db()
+        plan = db.planner.prepare(parse_select(self.GROUPBY))
+        expected = db.execute(self.GROUPBY).rows
+        with db.planner._pin_scope(plan):
+            db.insert_rows("f", [(9000 + i, "a", 20, 1.0) for i in range(50)])
+            assert plan.execute().rows == expected
+        assert db.execute(self.GROUPBY).rows != expected
+
+    def test_zone_skips_still_apply(self):
+        db = self._db()
+        sql = "SELECT g, count(*), sum(x) FROM f WHERE id < 100 GROUP BY g"
+        assert self._aggregate(db, sql)._fold is not None
+        skipped = registry().counter("engine.segments_skipped")
+        before = skipped.value
+        # [1024, 2048) lies in frozen segments past id 100; the batch
+        # reaching the delta is read — as on the batch path
+        assert self._moved(db, sql) == [1976, 1876, 0]
+        assert skipped.value - before == 4
+        having = sql + " HAVING count(*) > 0"
+        assert self._moved(db, having) == [1976, 1876, 100]
+
+    def test_oversized_source_falls_back(self, monkeypatch):
+        # 40 aggregates over compound arguments: the generated loop
+        # outgrows _FUSION_MAX_SOURCE and the batch path takes over
+        calls = ", ".join(
+            f"sum(CASE WHEN q BETWEEN {k} AND {k + 9} OR x > {k} AND "
+            f"x < {k + 50} AND q <> {k} THEN x * {k} + q ELSE q - {k} * x END)"
+            for k in range(40)
+        )
+        sql = f"SELECT g, {calls} FROM f GROUP BY g"
+        db = self._db()
+        assert self._aggregate(db, sql)._fold is None
+        assert self._moved(db, sql)[2] == 3000
+        monkeypatch.setattr(expressions, "_FUSION_MAX_SOURCE", 10**6)
+        assert self._aggregate(self._db(), sql)._fold is not None
 
 
 class TestPlainColumns:
