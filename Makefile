@@ -35,6 +35,11 @@
 #                     their assertions on the paper's figures (Table 3's
 #                     precision / recall per query, ...) gate; timing
 #                     fixtures are disabled (~15 s)
+#   make loc PARENT=<rev>
+#                     lines added and removed since <rev> (working tree
+#                     against it): one `git diff --numstat` row per
+#                     touched file under src/ and tests/, then the
+#                     totals and the net change of each
 #   make check        lint + test + examples + bench-paper + test-stress +
 #                     ledger-smoke: the same steps, in the same order, as
 #                     the CI merge gate
@@ -43,7 +48,7 @@ PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: test test-fast test-stress ledger ledger-smoke ledger-pairs coverage \
-	lint examples bench-paper check
+	lint examples bench-paper loc check
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -87,5 +92,13 @@ bench-paper:
 		benchmarks/bench_table3_precision_recall.py \
 		benchmarks/bench_table4_runtime.py \
 		benchmarks/bench_table5_comparison.py --benchmark-disable
+
+loc:
+	@test -n "$(PARENT)" || { echo "usage: make loc PARENT=<rev>"; exit 2; }
+	@git diff --numstat $(PARENT) -- src tests | awk '\
+		{ print; top = $$3; sub("/.*", "", top); add[top] += $$1; del[top] += $$2 } \
+		END { for (i = 1; i <= 2; i++) { top = i == 1 ? "src" : "tests"; \
+			printf "%s/: +%d -%d, net %+d\n", top, add[top], del[top], \
+				add[top] - del[top] } }'
 
 check: lint test examples bench-paper test-stress ledger-smoke

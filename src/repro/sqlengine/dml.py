@@ -20,15 +20,9 @@ SET expressions are evaluated against the *old* row, per standard SQL,
 so ``SET a = b, b = a`` swaps.
 
 SET lists and ``RETURNING`` items are compiled by
-:func:`~repro.sqlengine.expressions.compile_expr_batch` and evaluated
-**column-at-a-time** over the affected rows — but only when at most one
-of the expressions could possibly raise.  With two fallible expressions
-column-at-a-time and row-major evaluation can surface *different* first
-errors, so such lists are evaluated row by row over one-row batches,
-which reports the row-major first error.
-:func:`~repro.sqlengine.expressions._never_raises` is the deliberately
-conservative static check (typed columns, literal divisors, literal LIKE
-patterns) that decides.
+:func:`~repro.sqlengine.expressions.compile_batch` into one function
+over the affected rows, which evaluates the items that can raise row by
+row in one loop, so the first error is the row-major one.
 
 ``RETURNING`` clauses evaluate their select items over the affected
 rows — the freshly inserted rows, the *new* image of updated rows, the
@@ -44,11 +38,11 @@ from repro.sqlengine.catalog import Catalog, Table
 from repro.sqlengine.expressions import (
     Scope,
     _never_raises,
-    compile_expr_batch,
+    compile_batch,
     split_conjuncts,
 )
 from repro.sqlengine.planner.logical import LogicalScan
-from repro.sqlengine.planner.physical import BatchScanOp
+from repro.sqlengine.planner.physical import BatchScanOp, class_of_tables
 from repro.sqlengine.results import ResultSet
 
 __all__ = ["evaluate_returning", "execute_delete", "execute_update"]
@@ -92,24 +86,15 @@ def _matching_positions(
 def _evaluate(table: Table, rows: list, exprs: list) -> list:
     """Each of *exprs* over *rows*: one value column per expression.
 
-    *rows* are full tuples in the table's column order.  Column-at-a-time
-    when at most one expression can raise; otherwise row by row over
-    one-row batches, so the first error is the row-major one.
+    *rows* are full tuples in the table's column order.
     """
-    scope = _table_scope(table)
-    fns = [compile_expr_batch(expr, scope) for expr in exprs]
-    fallible = sum(1 for expr in exprs if not _never_raises(expr, table))
-    if fallible <= 1:
-        cols = [list(column) for column in zip(*rows)] or [
-            [] for __ in table.columns
-        ]
-        return [fn(cols, len(rows)) for fn in fns]
-    out: list = [[] for __ in fns]
-    for row in rows:
-        cols = [[value] for value in row]
-        for values, fn in zip(out, fns):
-            values.append(fn(cols, 1)[0])
-    return out
+    fused = compile_batch(
+        exprs, _table_scope(table), class_of_tables({table.name: table})
+    )
+    cols = [list(column) for column in zip(*rows)] or [
+        [] for __ in table.columns
+    ]
+    return fused.fn(cols, len(rows))
 
 
 def evaluate_returning(

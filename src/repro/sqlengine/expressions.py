@@ -1,23 +1,25 @@
 """Expression compilation and evaluation.
 
-Expressions are compiled against a :class:`Scope` (the column layout of
-the batches flowing through an operator) by :func:`compile_expr_batch`
-into closures that evaluate a whole column batch per call.  Three-valued
-logic is used throughout: a predicate evaluates to ``True``, ``False``
-or ``None`` (unknown), and WHERE keeps only rows where the predicate is
-``True``.  Anything that needs one value — constant folding, row-major
-DML — evaluates a one-row batch.  A ``LIKE`` with a literal pattern
-runs its regex once per distinct string of a batch, through a
-``{value: result}`` table built per call.
-
-:func:`fuse_batch_exprs` is the second compilation tier: it translates a
-plan's filter/projection expression trees into *generated Python source*
-— one function per batch, no per-row closure dispatch — for the subset
-of expressions it can prove never raise.  Anything it cannot prove falls
-back to the closure chain, so fused execution is byte-identical to the
-closures (results and errors).  The physical planner always fuses; the
-closures run only what the fuser refuses.  :func:`fuse_grouping` puts
-the GROUP BY above a scan into the same generated loop.
+:func:`compile_batch` is the one expression evaluator: it compiles
+expression trees against a :class:`Scope` (the column layout of the
+batches flowing through an operator) into *generated Python source* —
+one function per batch, each row's values computed inline in one loop.
+Three-valued logic is used throughout: a predicate evaluates to
+``True``, ``False`` or ``None`` (unknown), and WHERE keeps only rows
+where the predicate is ``True``.  Results and errors are those of the
+row-at-a-time reference interpreter: a node whose value classes are
+known gets an inline formula, any other calls the reference's helpers
+(``compare_values``, ``values_equal``, the scalar functions, the
+arithmetic checks); AND / OR / CASE / IN evaluate a part only on the
+rows that reach it, and the conjuncts of a filter or the targets of a
+projection run row by row, so the first error raised is the
+reference's.  The source grows linearly with the tree.  Anything that
+needs one value — constant folding — evaluates a one-row batch.  A
+``LIKE`` with a literal pattern runs its regex once per distinct string
+that reaches it in a batch, through a ``{value: result}`` table that
+fills per call.
+:func:`fuse_grouping` puts the GROUP BY above a scan into the same
+generated loop.
 """
 
 from __future__ import annotations
@@ -183,593 +185,106 @@ def like_to_regex(pattern: str) -> "re.Pattern[str]":
 
 
 # ---------------------------------------------------------------------------
-# compilation
+# compilation: expression trees -> generated Python, one function per batch
 # ---------------------------------------------------------------------------
-
-#: a batch expression: ``fn(cols, n) -> list`` where *cols* is a sequence
-#: of aligned per-column value lists (each of length *n*) laid out by the
-#: operator's :class:`Scope`, and the result is one value list of length
-#: *n*.  Returned lists may alias input columns — callers must not mutate
-#: them.
-BatchFn = Callable[[Sequence[list], int], list]
-
 
 def gather_columns(cols: Sequence[list], indices: Sequence[int]) -> list:
     """Compact every column of a batch down to the selected row indices."""
     return [[column[i] for i in indices] for column in cols]
 
 
-def compile_expr_batch(
-    expr: Expr,
-    scope: Scope,
-    agg_slots: "dict[FuncCall, int] | None" = None,
-) -> BatchFn:
-    """Compile *expr* into a function evaluating it over a column batch.
-
-    One call evaluates a whole batch with row-at-a-time semantics:
-    three-valued logic, ``compare_values`` ordering and the same errors.
-    Sub-expressions a row-at-a-time evaluation would skip via
-    short-circuiting (the right side of AND/OR, CASE branch values, IN
-    list items) are evaluated only over the rows that actually reach
-    them, by compacting the batch through a selection vector first — so
-    data-dependent errors (division by zero, type errors) surface
-    exactly when they would row-at-a-time.
-
-    *agg_slots* maps aggregate FuncCall nodes to column indexes; the
-    aggregation operator supplies it so post-aggregation expressions
-    (select items, HAVING, ORDER BY) read aggregate results.
-    """
-    if isinstance(expr, Literal):
-        value = expr.value
-        return lambda cols, n: [value] * n
-
-    if isinstance(expr, ColumnRef):
-        index = scope.resolve(expr)
-        return lambda cols, n: cols[index]
-
-    if isinstance(expr, FuncCall):
-        if expr.name in AGGREGATE_FUNCTIONS:
-            if agg_slots is None or expr not in agg_slots:
-                raise SqlExecutionError(
-                    f"aggregate {expr.to_sql()} used outside aggregation context"
-                )
-            slot = agg_slots[expr]
-            return lambda cols, n: cols[slot]
-        if expr.name not in SCALAR_FUNCTIONS:
-            raise SqlExecutionError(
-                f"unknown function {expr.name!r} in {expr.to_sql()} "
-                f"(available: {', '.join(sorted(SCALAR_FUNCTIONS))})"
-            )
-        fn = SCALAR_FUNCTIONS[expr.name]
-        arg_fns = [
-            compile_expr_batch(arg, scope, agg_slots) for arg in expr.args
-        ]
-        if len(arg_fns) == 1:
-            arg_fn = arg_fns[0]
-            return lambda cols, n: [fn(value) for value in arg_fn(cols, n)]
-
-        def _call(cols: Sequence[list], n: int) -> list:
-            arg_cols = [arg_fn(cols, n) for arg_fn in arg_fns]
-            if not arg_cols:
-                return [fn() for __ in range(n)]
-            return [fn(*args) for args in zip(*arg_cols)]
-
-        return _call
-
-    if isinstance(expr, UnaryOp):
-        operand = compile_expr_batch(expr.operand, scope, agg_slots)
-        if expr.op == "NOT":
-            return lambda cols, n: [
-                None if value is None else not value
-                for value in operand(cols, n)
-            ]
-        if expr.op == "-":
-            rendered = expr.to_sql()
-
-            def _neg_value(value: Any) -> Any:
-                if not isinstance(value, (int, float)) or isinstance(value, bool):
-                    raise SqlTypeError(f"cannot negate {value!r} in {rendered}")
-                return -value
-
-            return lambda cols, n: [
-                None if value is None else _neg_value(value)
-                for value in operand(cols, n)
-            ]
-        raise SqlExecutionError(
-            f"unknown unary operator {expr.op!r} in {expr.to_sql()}"
-        )
-
-    if isinstance(expr, BinaryOp):
-        return _compile_binary_batch(expr, scope, agg_slots)
-
-    if isinstance(expr, Like):
-        operand = compile_expr_batch(expr.operand, scope, agg_slots)
-        negated = expr.negated
-        if isinstance(expr.pattern, Literal):
-            if expr.pattern.value is None:
-                def _null_pattern(cols: Sequence[list], n: int) -> list:
-                    operand(cols, n)  # operand errors must still surface
-                    return [None] * n
-
-                return _null_pattern
-            match = like_to_regex(str(expr.pattern.value)).match
-
-            def _like_literal(cols: Sequence[list], n: int) -> list:
-                values = operand(cols, n)
-                # the regex runs once per distinct string of the batch:
-                # a {value: result} table local to this call, so plans
-                # shared across threads and pins share no state
-                distinct = set(values)
-                distinct.discard(None)
-                if all(type(value) is str for value in distinct):
-                    if negated:
-                        table = {v: match(v) is None for v in distinct}
-                    else:
-                        table = {v: match(v) is not None for v in distinct}
-                    table[None] = None
-                    return list(map(table.__getitem__, values))
-                # 1, 1.0 and True hash alike but render differently:
-                # a batch holding non-strings matches row by row
-                if negated:
-                    return [
-                        None if value is None else match(str(value)) is None
-                        for value in values
-                    ]
-                return [
-                    None if value is None else match(str(value)) is not None
-                    for value in values
-                ]
-
-            return _like_literal
-        pattern_fn = compile_expr_batch(expr.pattern, scope, agg_slots)
-
-        def _like(cols: Sequence[list], n: int) -> list:
-            values = operand(cols, n)
-            patterns = pattern_fn(cols, n)
-            out: list = []
-            for value, pattern in zip(values, patterns):
-                if value is None or pattern is None:
-                    out.append(None)
-                    continue
-                matched = (
-                    like_to_regex(str(pattern)).match(str(value)) is not None
-                )
-                out.append((not matched) if negated else matched)
-            return out
-
-        return _like
-
-    if isinstance(expr, InList):
-        return _compile_in_list_batch(expr, scope, agg_slots)
-
-    if isinstance(expr, Between):
-        operand = compile_expr_batch(expr.operand, scope, agg_slots)
-        low_fn = compile_expr_batch(expr.low, scope, agg_slots)
-        high_fn = compile_expr_batch(expr.high, scope, agg_slots)
-        negated = expr.negated
-
-        def _between(cols: Sequence[list], n: int) -> list:
-            values = operand(cols, n)
-            lows = low_fn(cols, n)
-            highs = high_fn(cols, n)
-            out: list = []
-            for value, low, high in zip(values, lows, highs):
-                cmp_low = compare_values(value, low)
-                cmp_high = compare_values(value, high)
-                if cmp_low is None or cmp_high is None:
-                    out.append(None)
-                    continue
-                inside = cmp_low >= 0 and cmp_high <= 0
-                out.append((not inside) if negated else inside)
-            return out
-
-        return _between
-
-    if isinstance(expr, IsNull):
-        operand = compile_expr_batch(expr.operand, scope, agg_slots)
-        if expr.negated:
-            return lambda cols, n: [
-                value is not None for value in operand(cols, n)
-            ]
-        return lambda cols, n: [value is None for value in operand(cols, n)]
-
-    if isinstance(expr, CaseWhen):
-        branch_fns = [
-            (compile_expr_batch(condition, scope, agg_slots),
-             compile_expr_batch(value, scope, agg_slots))
-            for condition, value in expr.branches
-        ]
-        default_fn = (
-            compile_expr_batch(expr.default, scope, agg_slots)
-            if expr.default is not None
-            else None
-        )
-
-        def _case(cols: Sequence[list], n: int) -> list:
-            out: list = [None] * n
-            live = list(range(n))  # absolute row indices still undecided
-            sub_cols: Sequence[list] = cols
-            for condition_fn, value_fn in branch_fns:
-                if not live:
-                    return out
-                conditions = condition_fn(sub_cols, len(live))
-                taken = [j for j, c in enumerate(conditions) if c is True]
-                if not taken:
-                    continue
-                if len(taken) == len(live):
-                    values = value_fn(sub_cols, len(live))
-                    for j, i in enumerate(live):
-                        out[i] = values[j]
-                    return out
-                values = value_fn(gather_columns(sub_cols, taken), len(taken))
-                for j, position in enumerate(taken):
-                    out[live[position]] = values[j]
-                kept = [j for j, c in enumerate(conditions) if c is not True]
-                live = [live[j] for j in kept]
-                sub_cols = gather_columns(sub_cols, kept)
-            if default_fn is not None and live:
-                values = default_fn(sub_cols, len(live))
-                for j, i in enumerate(live):
-                    out[i] = values[j]
-            return out
-
-        return _case
-
-    raise SqlExecutionError(f"cannot compile expression: {expr!r}")
+# -- what generated code calls where no inline formula is exact -------------
 
 
-#: post-``compare_values`` checks, shared by the generic comparison path
-_COMPARE_CHECKS: dict[str, Callable[[int], bool]] = {
-    "=": lambda r: r == 0,
-    "<>": lambda r: r != 0,
-    "<": lambda r: r < 0,
-    "<=": lambda r: r <= 0,
-    ">": lambda r: r > 0,
-    ">=": lambda r: r >= 0,
+def _num(value: Any, rendered: str) -> Any:
+    """*value* if it is a number; the arithmetic type error otherwise."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise SqlTypeError(f"arithmetic on non-number {value!r} in {rendered}")
+    return value
+
+
+def _div(a: Any, b: Any, rendered: str) -> Any:
+    a, b = _num(a, rendered), _num(b, rendered)
+    if b == 0:
+        raise SqlExecutionError(f"division by zero in {rendered}")
+    return a / b
+
+
+def _negate(value: Any, rendered: str) -> Any:
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise SqlTypeError(f"cannot negate {value!r} in {rendered}")
+    return -value
+
+
+def _between(value: Any, low: Any, high: Any) -> Any:
+    """3VL ``low <= value <= high``, both bounds compared."""
+    cmp_low = compare_values(value, low)
+    cmp_high = compare_values(value, high)
+    if cmp_low is None or cmp_high is None:
+        return None
+    return cmp_low >= 0 and cmp_high <= 0
+
+
+def _in_list(value: Any, items: Sequence, lazy: bool) -> Any:
+    """3VL ``value IN items``; *lazy* items are thunks, called in order
+    until one matches."""
+    if value is None:
+        return None
+    saw_null = False
+    for item in items:
+        equal = values_equal(value, item() if lazy else item)
+        if equal is None:
+            saw_null = True
+        elif equal:
+            return True
+    return None if saw_null else False
+
+
+def _like(value: Any, pattern: Any) -> Any:
+    if value is None or pattern is None:
+        return None
+    return like_to_regex(str(pattern)).match(str(value)) is not None
+
+
+class _LikeTable(dict):
+    """A literal LIKE's ``{value: result}`` table, local to one call
+    (cached plans share no state): the regex runs once per distinct
+    string that reaches the LIKE, and ``None`` maps to ``None``.  Only
+    strings enter it — ``1``, ``1.0`` and ``True`` hash alike but render
+    as ``'1'``, ``'1.0'`` and ``'True'``."""
+
+    __slots__ = ("match",)
+
+    def __init__(self, match) -> None:
+        super().__init__({None: None})
+        self.match = match
+
+    def __missing__(self, value: Any) -> bool:
+        result = self.match(str(value)) is not None
+        if type(value) is str:
+            self[value] = result
+        return result
+
+
+#: the globals of every generated function besides its constants
+_RUNTIME = {
+    "_num": _num, "_div": _div, "_negate": _negate, "_cmp": compare_values,
+    "_between": _between, "_in_list": _in_list, "_like": _like,
+    "_LikeTable": _LikeTable,
 }
 
-
-def _compile_binary_batch(
-    expr: BinaryOp, scope: Scope, agg_slots: "dict[FuncCall, int] | None"
-) -> BatchFn:
-    op = expr.op
-
-    if op == "AND":
-        left = compile_expr_batch(expr.left, scope, agg_slots)
-        right = compile_expr_batch(expr.right, scope, agg_slots)
-
-        def _and(cols: Sequence[list], n: int) -> list:
-            lhs = left(cols, n)
-            live = [i for i, value in enumerate(lhs) if value is not False]
-            if not live:
-                return lhs  # everything False already
-            if len(live) == n:
-                rhs = right(cols, n)
-                return [
-                    False if b is False
-                    else (None if a is None or b is None else True)
-                    for a, b in zip(lhs, rhs)
-                ]
-            # evaluate the right side only where a row-at-a-time
-            # evaluation would
-            rhs = right(gather_columns(cols, live), len(live))
-            out: list = [False] * n
-            for j, i in enumerate(live):
-                b = rhs[j]
-                if b is False:
-                    continue
-                out[i] = None if lhs[i] is None or b is None else True
-            return out
-
-        return _and
-
-    if op == "OR":
-        left = compile_expr_batch(expr.left, scope, agg_slots)
-        right = compile_expr_batch(expr.right, scope, agg_slots)
-
-        def _or(cols: Sequence[list], n: int) -> list:
-            lhs = left(cols, n)
-            live = [i for i, value in enumerate(lhs) if value is not True]
-            if not live:
-                return lhs  # everything True already
-            if len(live) == n:
-                rhs = right(cols, n)
-                return [
-                    True if b is True
-                    else (None if a is None or b is None else False)
-                    for a, b in zip(lhs, rhs)
-                ]
-            rhs = right(gather_columns(cols, live), len(live))
-            out: list = [True] * n
-            for j, i in enumerate(live):
-                b = rhs[j]
-                if b is True:
-                    out[i] = True
-                    continue
-                out[i] = None if lhs[i] is None or b is None else False
-            return out
-
-        return _or
-
-    if op in _COMPARE_CHECKS:
-        fast = _compile_compare_fast_path(expr, scope)
-        if fast is not None:
-            return fast
-        left = compile_expr_batch(expr.left, scope, agg_slots)
-        right = compile_expr_batch(expr.right, scope, agg_slots)
-        check = _COMPARE_CHECKS[op]
-
-        def _compare(cols: Sequence[list], n: int) -> list:
-            return [
-                None if (result := compare_values(a, b)) is None
-                else check(result)
-                for a, b in zip(left(cols, n), right(cols, n))
-            ]
-
-        return _compare
-
-    if op in ("+", "-", "*", "/"):
-        left = compile_expr_batch(expr.left, scope, agg_slots)
-        right = compile_expr_batch(expr.right, scope, agg_slots)
-        rendered = expr.to_sql()
-
-        def _num(value: Any) -> Any:
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise SqlTypeError(
-                    f"arithmetic on non-number {value!r} in {rendered}"
-                )
-            return value
-
-        if op == "+":
-            return lambda cols, n: [
-                None if a is None or b is None else _num(a) + _num(b)
-                for a, b in zip(left(cols, n), right(cols, n))
-            ]
-        if op == "-":
-            return lambda cols, n: [
-                None if a is None or b is None else _num(a) - _num(b)
-                for a, b in zip(left(cols, n), right(cols, n))
-            ]
-        if op == "*":
-            return lambda cols, n: [
-                None if a is None or b is None else _num(a) * _num(b)
-                for a, b in zip(left(cols, n), right(cols, n))
-            ]
-
-        def _div(a: Any, b: Any) -> Any:
-            a, b = _num(a), _num(b)
-            if b == 0:
-                raise SqlExecutionError(f"division by zero in {rendered}")
-            return a / b
-
-        return lambda cols, n: [
-            None if a is None or b is None else _div(a, b)
-            for a, b in zip(left(cols, n), right(cols, n))
-        ]
-
-    if op == "||":
-        left = compile_expr_batch(expr.left, scope, agg_slots)
-        right = compile_expr_batch(expr.right, scope, agg_slots)
-        return lambda cols, n: [
-            None if a is None or b is None else str(a) + str(b)
-            for a, b in zip(left(cols, n), right(cols, n))
-        ]
-
-    raise SqlExecutionError(
-        f"unknown binary operator {op!r} in {expr.to_sql()}"
-    )
-
-
-def _compile_compare_fast_path(
-    expr: BinaryOp, scope: Scope
-) -> "BatchFn | None":
-    """Specialized ``column <op> literal`` comparisons.
-
-    The hottest predicate shape gets a single list comprehension with no
-    per-row function calls.  Equality is phrased through ``<``/``>`` so
-    the result matches :func:`compare_values` for every input it accepts
-    (including NaN); values the fast type test rejects fall back to
-    ``compare_values``, which raises the identical type errors.
-    """
-    column_side, literal_side, op = expr.left, expr.right, expr.op
-    if isinstance(column_side, Literal) and isinstance(literal_side, ColumnRef):
-        column_side, literal_side = literal_side, column_side
-        flip = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
-        op = flip.get(op, op)
-    if not (
-        isinstance(column_side, ColumnRef) and isinstance(literal_side, Literal)
-    ):
-        return None
-    lit = literal_side.value
-    if lit is None:
-        return lambda cols, n: [None] * n
-    if isinstance(lit, bool) or not isinstance(lit, (int, float, str)):
-        return None
-    index = scope.resolve(column_side)
-    check = _COMPARE_CHECKS[op]
-    # exact-type membership is call-free per row; anything else (bool,
-    # date, cross-type) drops to compare_values for identical semantics
-    ok = frozenset((str,)) if isinstance(lit, str) else frozenset((int, float))
-
-    if op == "=":
-        def _eq(cols: Sequence[list], n: int) -> list:
-            return [
-                None if v is None
-                else (not (v < lit or v > lit) if type(v) in ok
-                      else check(compare_values(v, lit)))
-                for v in cols[index]
-            ]
-
-        return _eq
-    if op == "<>":
-        def _ne(cols: Sequence[list], n: int) -> list:
-            return [
-                None if v is None
-                else ((v < lit or v > lit) if type(v) in ok
-                      else check(compare_values(v, lit)))
-                for v in cols[index]
-            ]
-
-        return _ne
-    if op == "<":
-        def _lt(cols: Sequence[list], n: int) -> list:
-            return [
-                None if v is None
-                else (v < lit if type(v) in ok
-                      else check(compare_values(v, lit)))
-                for v in cols[index]
-            ]
-
-        return _lt
-    if op == "<=":
-        def _le(cols: Sequence[list], n: int) -> list:
-            return [
-                None if v is None
-                else (not (v > lit) if type(v) in ok
-                      else check(compare_values(v, lit)))
-                for v in cols[index]
-            ]
-
-        return _le
-    if op == ">":
-        def _gt(cols: Sequence[list], n: int) -> list:
-            return [
-                None if v is None
-                else (v > lit if type(v) in ok
-                      else check(compare_values(v, lit)))
-                for v in cols[index]
-            ]
-
-        return _gt
-
-    def _ge(cols: Sequence[list], n: int) -> list:
-        return [
-            None if v is None
-            else (not (v < lit) if type(v) in ok
-                  else check(compare_values(v, lit)))
-            for v in cols[index]
-        ]
-
-    return _ge
-
-
-def _compile_in_list_batch(
-    expr: InList, scope: Scope, agg_slots: "dict[FuncCall, int] | None"
-) -> BatchFn:
-    operand = compile_expr_batch(expr.operand, scope, agg_slots)
-    negated = expr.negated
-
-    # fast path: a homogeneous list of non-NULL literals becomes one set
-    # membership test per row (falling back where the type test fails so
-    # mixed-type errors still surface via values_equal)
-    literals = [
-        item.value for item in expr.items if isinstance(item, Literal)
-    ]
-    if len(literals) == len(expr.items) and literals:
-        numeric = all(
-            isinstance(v, (int, float)) and not isinstance(v, bool)
-            for v in literals
-        )
-        textual = all(type(v) is str for v in literals)
-        if numeric or textual:
-            member_set = set(literals)
-
-            def _in_set(cols: Sequence[list], n: int) -> list:
-                values = operand(cols, n)
-                out: list = []
-                for value in values:
-                    if value is None:
-                        out.append(None)
-                        continue
-                    if numeric:
-                        # NaN must take the values_equal walk below:
-                        # compare_values treats NaN as equal to any
-                        # number, set membership would never match it
-                        ok = type(value) is int or (
-                            type(value) is float and value == value
-                        )
-                    else:
-                        ok = type(value) is str
-                    if ok:
-                        out.append(
-                            (value not in member_set)
-                            if negated
-                            else (value in member_set)
-                        )
-                        continue
-                    # mixed types: mirror the per-row item walk so the
-                    # same SqlTypeError surfaces from values_equal
-                    hit = False
-                    for item in literals:
-                        if values_equal(value, item):
-                            out.append(not negated)
-                            hit = True
-                            break
-                    if not hit:
-                        out.append(negated)
-                return out
-
-            return _in_set
-
-    item_fns = [
-        compile_expr_batch(item, scope, agg_slots) for item in expr.items
-    ]
-
-    def _in(cols: Sequence[list], n: int) -> list:
-        values = operand(cols, n)
-        out: list = [None] * n  # NULL operands stay NULL
-        live = [i for i, value in enumerate(values) if value is not None]
-        if not live:
-            return out
-        # each item expression is evaluated only over the rows that
-        # actually reach it (no earlier item matched), mirroring row
-        # mode's per-row early exit and its error behavior
-        if len(live) == n:
-            sub_cols: Sequence[list] = cols
-        else:
-            sub_cols = gather_columns(cols, live)
-        live_values = [values[i] for i in live]
-        null_flags = [False] * len(live)
-        for item_fn in item_fns:
-            if not live:
-                break
-            item_col = item_fn(sub_cols, len(live))
-            kept: list = []
-            for position, value in enumerate(live_values):
-                equal = values_equal(value, item_col[position])
-                if equal is None:
-                    null_flags[position] = True
-                elif equal:
-                    out[live[position]] = not negated
-                    continue
-                kept.append(position)
-            if len(kept) != len(live):
-                live = [live[p] for p in kept]
-                live_values = [live_values[p] for p in kept]
-                null_flags = [null_flags[p] for p in kept]
-                sub_cols = gather_columns(sub_cols, kept)
-        for position, i in enumerate(live):
-            out[i] = None if null_flags[position] else negated
-        return out
-
-    return _in
-
-
-# ---------------------------------------------------------------------------
-# fused expression codegen
-# ---------------------------------------------------------------------------
-
-#: compiled code objects keyed by generated source, so plans that fuse
+#: compiled code objects keyed by generated source, so plans that compile
 #: to identical shapes share one ``compile()`` (constants are bound per
 #: plan at exec time)
 _FUSED_CODE_CACHE: dict[str, Any] = {}
 _FUSED_CODE_CACHE_MAX = 512
 
-#: sources above this size fall back to closures: deeply nested trees
-#: duplicate NULL guards, and past this point codegen stops paying off
-_FUSION_MAX_SOURCE = 20000
+#: nesting levels one generated function holds; a deeper subtree becomes
+#: a function of its own (the tokenizer stops at 200 open parentheses,
+#: and a node opens at most three)
+_MAX_DEPTH = 32
 
-_FUSIBLE_COMPARES = frozenset(("=", "<>", "<", "<=", ">", ">="))
+_COMPARISONS = ("=", "<>", "<", "<=", ">", ">=")
 
 _NEGATED_COMPARE = {
     "=": "<>",
@@ -779,6 +294,20 @@ _NEGATED_COMPARE = {
     ">": "<=",
     ">=": "<",
 }
+
+#: the test on a ``compare_values`` result, per operator
+_COMPARE_RESULT = {
+    "=": "== 0", "<>": "!= 0", "<": "< 0", "<=": "<= 0", ">": "> 0",
+    ">=": ">= 0",
+}
+
+#: result class of a scalar function call that returns
+_FUNCTION_CLASS = {
+    "lower": "str", "upper": "str", "length": "num", "abs": "num",
+    "year": "num", "month": "num",
+}
+
+_FREE_NAME = re.compile(r"\b_[xm]\d+\b")
 
 
 def _cmp_formula(op: str, a: str, b: str, cls: str, positive: bool) -> str:
@@ -808,62 +337,73 @@ def _cmp_formula(op: str, a: str, b: str, cls: str, positive: bool) -> str:
     return f"not ({a} < {b})"
 
 
-class _Unfusible(Exception):
-    """Raised by the codegen visitor on any node it cannot prove safe."""
-
-
 class _Val:
-    """A generated value expression: code string + value class + literal."""
+    """Generated code for one node: its value class, literal, whether it
+    can raise (``safe`` if not) and its nesting depth."""
 
-    __slots__ = ("code", "cls", "lit", "is_lit")
+    __slots__ = ("code", "cls", "lit", "is_lit", "safe", "depth")
 
-    def __init__(self, code, cls, lit=None, is_lit=False) -> None:
+    def __init__(self, code, cls, lit=None, is_lit=False, safe=True,
+                 depth=0) -> None:
         self.code = code
         self.cls = cls
         self.lit = lit
         self.is_lit = is_lit
+        self.safe = safe
+        self.depth = depth
+
+    @property
+    def null(self) -> bool:
+        return self.is_lit and self.lit is None
+
+
+_NULL = _Val("None", None, None, True)
+
+
+def _common_class(values) -> "str | None":
+    """The one class of *values* (NULL literals aside), else None."""
+    classes = {value.cls for value in values if not value.null}
+    return classes.pop() if len(classes) == 1 else None
 
 
 class FusedBatch:
-    """One generated batch function produced by :func:`fuse_batch_exprs`.
+    """One batch function produced by :func:`compile_batch` or
+    :func:`fuse_grouping`; ``source`` keeps the generated Python for
+    debugging and tests (None when nothing was generated)."""
 
-    ``fn(cols, n)`` evaluates the fused expressions over a column batch:
-    in filter mode it returns the selected row indices (all conjuncts
-    True); in value mode it returns a tuple of output columns, one per
-    fused expression.  ``consumed`` is the number of leading predicates
-    folded in (filter mode); ``indexes`` the positions of the fused
-    expressions (value mode).  ``source`` keeps the generated Python for
-    EXPLAIN-style debugging and tests.
-    """
+    __slots__ = ("fn", "source")
 
-    __slots__ = ("fn", "consumed", "indexes", "source")
-
-    def __init__(self, fn, consumed, indexes, source) -> None:
+    def __init__(self, fn, source) -> None:
         self.fn = fn
-        self.consumed = consumed
-        self.indexes = indexes
         self.source = source
 
 
 class _Fuser:
-    """Codegen state shared across the expressions of one fuse call."""
+    """Codegen state shared across the expressions of one compile call.
 
-    def __init__(self, scope: Scope, class_of) -> None:
+    Every node evaluates exactly the sub-expressions the reference
+    interpreter evaluates for the same row, in its order, and raises its
+    errors: AND / OR / CASE / IN evaluate their later parts only on the
+    rows that reach them, and a shortcut that would skip a part is taken
+    only when that part cannot raise (``_Val.safe``).  A compound operand
+    a formula reads twice is bound once (``:=``), so the source grows
+    linearly with the tree.
+    """
+
+    def __init__(self, scope: Scope, class_of, agg_slots=None) -> None:
         self.scope = scope
         self.class_of = class_of
+        self.agg_slots = agg_slots
         #: scope index -> variable id; insertion order assigns
         #: deterministic ids
         self.cols: dict[int, int] = {}
         self.consts: dict[str, Any] = {}
         #: row-local variable ids used by the expression being generated
         self.current_used: list[int] = []
-
-    # -- rollback ------------------------------------------------------
-    def snapshot(self):
-        return dict(self.cols), dict(self.consts)
-
-    def restore(self, snap) -> None:
-        self.cols, self.consts = snap[0], snap[1]
+        #: per-call setup lines (LIKE tables) and split-out subtrees
+        self.prelude: list[str] = []
+        self.helpers: list[str] = []
+        self.temps = 0
 
     # -- registration --------------------------------------------------
     def use_col(self, index: int) -> str:
@@ -878,15 +418,73 @@ class _Fuser:
         self.consts[name] = value
         return name
 
-    def resolve_col(self, ref: ColumnRef) -> int:
-        try:
-            return self.scope.resolve(ref)
-        except SqlCatalogError:
-            raise _Unfusible from None
-
     def col_class(self, index: int) -> "str | None":
+        if self.class_of is None:
+            return None
         binding, column = self.scope.pairs[index]
         return self.class_of(binding, column)
+
+    def bind(self, val: _Val) -> tuple:
+        """``(first, ref)``: *val*'s code binding a temporary, then the
+        name later reads use — the code itself when it is a name."""
+        if val.code.isidentifier():
+            return val.code, val.code
+        self.temps += 1
+        name = f"_t{self.temps}"
+        return f"({name} := {val.code})", name
+
+    def node(self, code: str, cls, children, safe: bool = True) -> _Val:
+        """A compound value one level deeper than *children*, safe when
+        they all are and *safe*; at ``_MAX_DEPTH`` it becomes a call."""
+        depth = 1 + max((child.depth for child in children), default=0)
+        safe = safe and all(child.safe for child in children)
+        if depth >= _MAX_DEPTH:
+            params = ", ".join(dict.fromkeys(_FREE_NAME.findall(code)))
+            name = f"_s{len(self.helpers)}"
+            self.helpers.append(f"def {name}({params}):\n    return {code}")
+            code, depth = f"{name}({params})", 1
+        return _Val(code, cls, safe=safe, depth=depth)
+
+    def guard(self, vals, present: bool) -> tuple:
+        """``(test, refs)`` for operands the reference evaluates all of
+        before its NULL check: *test* binds and tests each operand that
+        can be NULL — true when any is NULL, or with *present* when none
+        is — and evaluates every later one that can raise even past a
+        NULL; *refs* name the operands for the formula."""
+        refs, tests, tested = [], [], []
+        for val in vals:
+            if val.is_lit and not val.null:
+                refs.append(val.code)
+                continue
+            first, ref = self.bind(val)
+            refs.append(ref)
+            tests.append(f"{first} is {'not ' if present else ''}None")
+            tested.append(val)
+        if not tests:
+            return None, refs
+        if all(val.safe for val in tested[1:]):
+            return f" {'and' if present else 'or'} ".join(tests), refs
+        joiner = " & " if present else " | "
+        return joiner.join(f"({test})" for test in tests), refs
+
+    def guarded(self, test, formula: str, polarity) -> str:
+        """*formula* under a :meth:`guard` test, as a value (polarity
+        None) or a t()/f() test."""
+        if test is None:
+            return f"({formula})"
+        if polarity is None:
+            return f"(None if {test} else ({formula}))"
+        return f"({test} and ({formula}))"
+
+    @staticmethod
+    def decide(code: str, polarity: bool) -> str:
+        """t() (*polarity* True) or f() of a 3VL value *code*."""
+        return f"({code} is {polarity})"
+
+    def negate(self, val: _Val) -> _Val:
+        first, ref = self.bind(val)
+        return self.node(f"(None if {first} is None else not {ref})", "bool",
+                         [val])
 
     # -- boolean-context generation ------------------------------------
     def boolish(self, expr: Expr) -> bool:
@@ -895,267 +493,335 @@ class _Fuser:
         if isinstance(expr, (Between, InList, IsNull, Like)):
             return True
         if isinstance(expr, BinaryOp):
-            return expr.op in ("AND", "OR") or expr.op in _FUSIBLE_COMPARES
+            return expr.op in ("AND", "OR") or expr.op in _COMPARISONS
         if isinstance(expr, UnaryOp):
             return expr.op == "NOT"
         if isinstance(expr, Literal):
             return isinstance(expr.value, bool) or expr.value is None
         if isinstance(expr, ColumnRef):
-            return self.col_class(self.resolve_col(expr)) == "bool"
+            return self.col_class(self.scope.resolve(expr)) == "bool"
         return False
 
-    def gen_bool(self, expr: Expr, positive: bool) -> str:
-        """Code for t(expr) (``positive``) or f(expr): a plain Python
-        bool deciding whether the 3VL value is True (resp. False)."""
+    def gen_bool(self, expr: Expr, positive: bool) -> _Val:
+        """Code for t(expr) (``positive``) or f(expr): truthy exactly
+        when the 3VL value is True (resp. False)."""
         if isinstance(expr, Literal):
-            hit = expr.value is True if positive else expr.value is False
-            return "True" if hit else "False"
-        if isinstance(expr, UnaryOp) and expr.op == "NOT":
-            # NOT of a non-boolean uses Python truthiness per row;
-            # only distribute over operands confined to 3VL values
-            if not self.boolish(expr.operand):
-                raise _Unfusible
+            return _Val(str(expr.value is positive), "bool")
+        if isinstance(expr, UnaryOp) and expr.op == "NOT" \
+                and self.boolish(expr.operand):
             return self.gen_bool(expr.operand, not positive)
-        if isinstance(expr, BinaryOp) and expr.op in ("AND", "OR"):
-            if not (self.boolish(expr.left) and self.boolish(expr.right)):
-                raise _Unfusible
-            # t(AND)=t∧t, f(AND)=f∨f, t(OR)=t∨t, f(OR)=f∧f
-            lhs = self.gen_bool(expr.left, positive)
-            rhs = self.gen_bool(expr.right, positive)
-            if expr.op == "AND":
-                joiner = "and" if positive else "or"
-            else:
-                joiner = "or" if positive else "and"
-            return f"(({lhs}) {joiner} ({rhs}))"
-        if isinstance(expr, BinaryOp) and expr.op in _FUSIBLE_COMPARES:
-            parts = self._compare_parts(expr.left, expr.right)
-            if parts is None:  # comparison against a NULL literal
-                return "False"
-            a, b, cls, nonlit = parts
-            formula = _cmp_formula(expr.op, a, b, cls, positive)
-            guards = [f"{code} is not None" for code in nonlit]
-            return "(" + " and ".join(guards + [f"({formula})"]) + ")"
+        if isinstance(expr, BinaryOp) and expr.op in ("AND", "OR") \
+                and self.boolish(expr.left) and self.boolish(expr.right):
+            return self._gen_junction(expr, positive)
+        if isinstance(expr, BinaryOp) and expr.op in _COMPARISONS:
+            return self._gen_compare(expr, positive)
         if isinstance(expr, Between):
-            a, low, high, cls, nonlit = self._between_parts(expr)
-            inside = positive ^ expr.negated
-            if inside:
-                formula = f"not ({a} < {low}) and not ({a} > {high})"
-            else:
-                formula = f"(({a} < {low}) or ({a} > {high}))"
-            guards = [f"{code} is not None" for code in nonlit]
-            return "(" + " and ".join(guards + [f"({formula})"]) + ")"
+            return self._gen_between(expr, positive)
         if isinstance(expr, InList):
-            member, operand = self._in_parts(expr)
-            want = positive ^ expr.negated
-            test = f"({member})" if want else f"not ({member})"
-            return f"({operand} is not None and {test})"
+            return self._gen_in(expr, positive)
         if isinstance(expr, IsNull):
-            code = self._is_null_operand(expr)
-            test = "is None" if (positive ^ expr.negated) else "is not None"
-            return f"({code} {test})"
-        # generic fallback: the mask semantics are `value is True`; the
-        # False polarity additionally requires a genuinely boolean value
+            operand = self.gen_value(expr.operand)
+            test = "" if positive ^ expr.negated else "not "
+            return self.node(f"({operand.code} is {test}None)", "bool",
+                             [operand])
+        if isinstance(expr, Like):
+            match = self._gen_like(expr)
+            if positive ^ expr.negated:  # True, False or None: truthy if True
+                return match
+            return self.node(self.decide(match.code, False), "bool", [match])
         value = self.gen_value(expr)
-        if positive:
-            return f"(({value.code}) is True)"
-        if value.cls != "bool":
-            raise _Unfusible
-        return f"(({value.code}) is False)"
+        return self.node(self.decide(value.code, positive), "bool", [value])
+
+    def _gen_junction(self, expr: BinaryOp, positive: bool) -> _Val:
+        """t/f of AND / OR over boolish sides: t(AND)=t∧t, f(AND)=f∨f,
+        t(OR)=t∨t, f(OR)=f∧f.  The right side runs where the left did
+        not decide the value; t(AND) and f(OR) skip it on a NULL left
+        side, so a right side that can raise takes the left's value."""
+        both = (expr.op == "AND") == positive
+        right = self.gen_bool(expr.right, positive)
+        if both and not right.safe:
+            left = self.gen_value(expr.left)
+            first, ref = self.bind(left)
+            stop = "False" if expr.op == "AND" else "True"
+            code = (f"({first} is not {stop} and {right.code}"
+                    f" and {ref} is {positive})")
+        else:
+            left = self.gen_bool(expr.left, positive)
+            joiner = "and" if both else "or"
+            code = f"(({left.code}) {joiner} ({right.code}))"
+        return self.node(code, "bool", [left, right])
 
     # -- value generation ----------------------------------------------
     def gen_value(self, expr: Expr) -> _Val:
         if isinstance(expr, Literal):
             value = expr.value
             if value is None:
-                return _Val("None", None, None, True)
+                return _NULL
             if isinstance(value, bool):
-                return _Val("True" if value else "False", "bool", value, True)
+                return _Val(str(value), "bool", value, True)
             if isinstance(value, (int, float)):
-                return _Val(self.const(value), "num", value, True)
-            if isinstance(value, str):
-                return _Val(self.const(value), "str", value, True)
-            if isinstance(value, datetime.date):
-                return _Val(self.const(value), "date", value, True)
-            raise _Unfusible
+                cls = "num"
+            elif isinstance(value, str):
+                cls = "str"
+            elif isinstance(value, datetime.date):
+                cls = "date"
+            else:
+                cls = None
+            return _Val(self.const(value), cls, value, True)
 
         if isinstance(expr, ColumnRef):
-            index = self.resolve_col(expr)
-            cls = self.col_class(index)
-            if cls is None:
-                raise _Unfusible
-            return _Val(self.use_col(index), cls)
+            index = self.scope.resolve(expr)
+            return _Val(self.use_col(index), self.col_class(index))
 
         if isinstance(expr, FuncCall):
             return self._gen_func(expr)
 
         if isinstance(expr, UnaryOp):
+            operand = self.gen_value(expr.operand)
             if expr.op == "NOT":
-                value = self.gen_value(expr.operand)
-                return _Val(
-                    f"(None if {value.code} is None else not {value.code})",
-                    "bool",
+                return self.negate(operand)
+            if expr.op != "-":
+                raise SqlExecutionError(
+                    f"unknown unary operator {expr.op!r} in {expr.to_sql()}"
                 )
-            if expr.op == "-":
-                value = self.gen_value(expr.operand)
-                if value.cls != "num":
-                    raise _Unfusible
-                return _Val(
-                    f"(None if {value.code} is None else -({value.code}))",
-                    "num",
-                )
-            raise _Unfusible
+            first, ref = self.bind(operand)
+            if operand.cls == "num":
+                return self.node(f"(None if {first} is None else -{ref})",
+                                 "num", [operand])
+            rendered = self.const(expr.to_sql())
+            return self.node(
+                f"(None if {first} is None else _negate({ref}, {rendered}))",
+                "num", [operand], safe=False,
+            )
 
         if isinstance(expr, BinaryOp):
-            return self._gen_binary_value(expr)
+            if expr.op in _COMPARISONS:
+                return self._gen_compare(expr, None)
+            return self._gen_binary(expr)
 
         if isinstance(expr, Between):
-            a, low, high, cls, nonlit = self._between_parts(expr)
-            if expr.negated:
-                formula = f"(({a} < {low}) or ({a} > {high}))"
-            else:
-                formula = f"(not ({a} < {low}) and not ({a} > {high}))"
-            if not nonlit:
-                return _Val(formula, "bool")
-            nulls = " or ".join(f"{code} is None" for code in nonlit)
-            return _Val(f"(None if {nulls} else {formula})", "bool")
+            return self._gen_between(expr, None)
 
         if isinstance(expr, InList):
-            member, operand = self._in_parts(expr)
-            test = f"not ({member})" if expr.negated else f"({member})"
-            return _Val(f"(None if {operand} is None else {test})", "bool")
+            return self._gen_in(expr, None)
 
         if isinstance(expr, IsNull):
-            code = self._is_null_operand(expr)
-            test = "is not None" if expr.negated else "is None"
-            return _Val(f"({code} {test})", "bool")
+            operand = self.gen_value(expr.operand)
+            test = "is not" if expr.negated else "is"
+            return self.node(f"({operand.code} {test} None)", "bool",
+                             [operand])
+
+        if isinstance(expr, Like):
+            match = self._gen_like(expr)
+            return self.negate(match) if expr.negated else match
 
         if isinstance(expr, CaseWhen):
-            return self._gen_case(expr)
+            branches = [
+                (self.gen_bool(condition, True), self.gen_value(value))
+                for condition, value in expr.branches
+            ]
+            rest = _NULL if expr.default is None else self.gen_value(
+                expr.default
+            )
+            cls = _common_class([value for __, value in branches] + [rest])
+            for condition, value in reversed(branches):
+                rest = self.node(
+                    f"({value.code} if {condition.code} else {rest.code})",
+                    cls, [condition, value, rest],
+                )
+            return rest
 
-        raise _Unfusible
+        raise SqlExecutionError(f"cannot compile expression: {expr!r}")
 
     def _gen_func(self, expr: FuncCall) -> _Val:
-        if expr.name in AGGREGATE_FUNCTIONS:
-            raise _Unfusible
-        if expr.name in ("lower", "upper") and len(expr.args) == 1:
-            value = self.gen_value(expr.args[0])
-            code = (
-                f"(None if {value.code} is None"
-                f" else str({value.code}).{expr.name}())"
+        name = expr.name
+        if name in AGGREGATE_FUNCTIONS:
+            if self.agg_slots is None or expr not in self.agg_slots:
+                raise SqlExecutionError(
+                    f"aggregate {expr.to_sql()} used outside aggregation context"
+                )
+            return _Val(self.use_col(self.agg_slots[expr]), None)
+        if name not in SCALAR_FUNCTIONS:
+            raise SqlExecutionError(
+                f"unknown function {name!r} in {expr.to_sql()} "
+                f"(available: {', '.join(sorted(SCALAR_FUNCTIONS))})"
             )
-            return _Val(code, "str")
-        if expr.name == "length" and len(expr.args) == 1:
-            value = self.gen_value(expr.args[0])
-            return _Val(
-                f"(None if {value.code} is None else len(str({value.code})))",
-                "num",
-            )
-        if expr.name == "coalesce" and expr.args:
-            values = [self.gen_value(arg) for arg in expr.args]
-            classes = {v.cls for v in values if v.cls is not None}
-            if len(classes) > 1:
-                raise _Unfusible
-            cls = classes.pop() if classes else None
-            code = "None"
-            for value in reversed(values):
-                code = f"({value.code} if {value.code} is not None else {code})"
-            return _Val(code, cls)
-        raise _Unfusible
+        args = [self.gen_value(arg) for arg in expr.args]
+        if name == "coalesce" and args and all(a.safe for a in args[1:]):
+            # the reference evaluates every argument: lazy only when the
+            # skipped ones cannot raise
+            cls = _common_class(args)
+            rest = _NULL
+            for arg in reversed(args):
+                first, ref = self.bind(arg)
+                rest = self.node(
+                    f"({ref} if {first} is not None else {rest.code})",
+                    cls, [arg, rest],
+                )
+            return rest
+        if len(args) == 1:
+            arg = args[0]
+            first, ref = self.bind(arg)
+            inline = None
+            if name in ("lower", "upper"):
+                inline = f"str({ref}).{name}()"
+            elif name == "length":
+                inline = f"len(str({ref}))"
+            elif name == "abs" and arg.cls == "num":
+                inline = f"abs({ref})"
+            elif name in ("year", "month") and arg.cls == "date":
+                inline = f"{ref}.{name}"
+            if inline is not None:
+                return self.node(f"(None if {first} is None else {inline})",
+                                 _FUNCTION_CLASS[name], args)
+        fn = self.const(SCALAR_FUNCTIONS[name])
+        code = f"{fn}({', '.join(arg.code for arg in args)})"
+        cls = _common_class(args) if name == "coalesce" else \
+            _FUNCTION_CLASS[name]
+        return self.node(code, cls, args, safe=name == "coalesce")
 
-    def _gen_binary_value(self, expr: BinaryOp) -> _Val:
+    def _gen_binary(self, expr: BinaryOp) -> _Val:
         op = expr.op
+        if op not in ("AND", "OR", "+", "-", "*", "/", "||"):
+            raise SqlExecutionError(
+                f"unknown binary operator {op!r} in {expr.to_sql()}"
+            )
+        a = self.gen_value(expr.left)
+        b = self.gen_value(expr.right)
         if op in ("AND", "OR"):
-            a = self.gen_value(expr.left)
-            b = self.gen_value(expr.right)
-            if op == "AND":
-                code = (
-                    f"(False if {a.code} is False or {b.code} is False"
-                    f" else (None if {a.code} is None or {b.code} is None"
-                    f" else True))"
-                )
-            else:
-                code = (
-                    f"(True if {a.code} is True or {b.code} is True"
-                    f" else (None if {a.code} is None or {b.code} is None"
-                    f" else False))"
-                )
-            return _Val(code, "bool")
-        if op in _FUSIBLE_COMPARES:
-            parts = self._compare_parts(expr.left, expr.right)
-            if parts is None:
-                return _Val("None", "bool")
-            a, b, cls, nonlit = parts
-            formula = f"({_cmp_formula(op, a, b, cls, True)})"
-            if not nonlit:
-                return _Val(formula, "bool")
-            nulls = " or ".join(f"{code} is None" for code in nonlit)
-            return _Val(f"(None if {nulls} else {formula})", "bool")
-        if op in ("+", "-", "*", "/"):
-            a = self.gen_value(expr.left)
-            b = self.gen_value(expr.right)
-            if a.cls != "num" or b.cls != "num":
-                raise _Unfusible
-            if op == "/":
-                # only a provably nonzero literal divisor cannot raise
-                if not (b.is_lit and b.lit != 0):
-                    raise _Unfusible
-            formula = f"({a.code} {op} {b.code})"
-            nonlit = [v.code for v in (a, b) if not (v.is_lit and v.lit is not None)]
-            if not nonlit:
-                return _Val(formula, "num")
-            nulls = " or ".join(f"{code} is None" for code in nonlit)
-            return _Val(f"(None if {nulls} else {formula})", "num")
+            # lazy 3VL: the right side runs only where the left is not
+            # decisive (False for AND, True for OR)
+            first_a, ref_a = self.bind(a)
+            first_b, ref_b = self.bind(b)
+            stop, other = ("False", "True") if op == "AND" else ("True", "False")
+            code = (
+                f"({stop} if {first_a} is {stop} or {first_b} is {stop}"
+                f" else (None if {ref_a} is None or {ref_b} is None"
+                f" else {other}))"
+            )
+            return self.node(code, "bool", [a, b])
+        test, (ref_a, ref_b) = self.guard([a, b], False)
         if op == "||":
-            a = self.gen_value(expr.left)
-            b = self.gen_value(expr.right)
-            formula = f"(str({a.code}) + str({b.code}))"
-            nonlit = [v.code for v in (a, b) if not (v.is_lit and v.lit is not None)]
-            if not nonlit:
-                return _Val(formula, "str")
-            nulls = " or ".join(f"{code} is None" for code in nonlit)
-            return _Val(f"(None if {nulls} else {formula})", "str")
-        raise _Unfusible
+            formula = f"str({ref_a}) + str({ref_b})"
+            return self.node(self.guarded(test, formula, None), "str", [a, b])
+        numeric = a.cls == "num" and b.cls == "num"
+        if op == "/" and not (numeric and b.is_lit and b.lit != 0):
+            formula = f"_div({ref_a}, {ref_b}, {self.const(expr.to_sql())})"
+            numeric = False
+        else:
+            if not numeric:  # only a non-number can fail the type check
+                rendered = self.const(expr.to_sql())
+                if a.cls != "num":
+                    ref_a = f"_num({ref_a}, {rendered})"
+                if b.cls != "num":
+                    ref_b = f"_num({ref_b}, {rendered})"
+            formula = f"{ref_a} {op} {ref_b}"
+        return self.node(self.guarded(test, formula, None), "num", [a, b],
+                         safe=numeric)
 
-    def _gen_case(self, expr: CaseWhen) -> _Val:
-        branches = [
-            (self.gen_bool(condition, True), self.gen_value(value))
-            for condition, value in expr.branches
+    def _gen_compare(self, expr: BinaryOp, polarity) -> _Val:
+        op = expr.op
+        a = self.gen_value(expr.left)
+        b = self.gen_value(expr.right)
+        null = a.null or b.null
+        if null and a.safe and b.safe:  # a constant-NULL comparison
+            return _Val("None" if polarity is None else "False", "bool")
+        cls = None if null else self._align(a, b)
+        if cls is None:
+            self.temps += 1
+            result = f"_t{self.temps}"
+            check = op if polarity is not False else _NEGATED_COMPARE[op]
+            bound = f"({result} := _cmp({a.code}, {b.code}))"
+            test = f"{result} {_COMPARE_RESULT[check]}"
+            code = (f"(None if {bound} is None else {test})"
+                    if polarity is None else f"({bound} is not None and {test})")
+            return self.node(code, "bool", [a, b], safe=False)
+        test, (ref_a, ref_b) = self.guard([a, b], polarity is not None)
+        formula = _cmp_formula(op, ref_a, ref_b, cls, polarity is not False)
+        return self.node(self.guarded(test, formula, polarity), "bool", [a, b])
+
+    def _gen_between(self, expr: Between, polarity) -> _Val:
+        vals = [self.gen_value(part) for part in (expr.operand, expr.low,
+                                                   expr.high)]
+        a, low, high = vals
+        cls = self._align(a, low)
+        if cls is None or self._align(a, high) != cls:
+            inside = self.node(
+                f"_between({a.code}, {low.code}, {high.code})", "bool", vals,
+                safe=False,
+            )
+            if polarity is None:
+                return self.negate(inside) if expr.negated else inside
+            return self.node(self.decide(inside.code, polarity ^ expr.negated),
+                             "bool", [inside])
+        test, (ref, ref_low, ref_high) = self.guard(vals, polarity is not None)
+        if (polarity is not False) ^ expr.negated:
+            formula = f"not ({ref} < {ref_low}) and not ({ref} > {ref_high})"
+        else:
+            formula = f"(({ref} < {ref_low}) or ({ref} > {ref_high}))"
+        return self.node(self.guarded(test, formula, polarity), "bool", vals)
+
+    def _gen_in(self, expr: InList, polarity) -> _Val:
+        value = self.gen_value(expr.operand)
+        literals = [
+            item.value for item in expr.items
+            if isinstance(item, Literal) and item.value is not None
         ]
-        default = (
-            self.gen_value(expr.default) if expr.default is not None else None
+        numeric = all(
+            isinstance(v, (int, float)) and not isinstance(v, bool)
+            for v in literals
         )
-        values = [value for __, value in branches]
-        if default is not None:
-            values.append(default)
-        classes = {v.cls for v in values if v.cls is not None}
-        if len(classes) > 1:
-            raise _Unfusible
-        cls = classes.pop() if classes else None
-        code = default.code if default is not None else "None"
-        for condition, value in reversed(branches):
-            code = f"(({value.code}) if ({condition}) else {code})"
-        return _Val(code, cls)
+        textual = all(type(v) is str for v in literals)
+        if literals and len(literals) == len(expr.items) and (
+            (numeric and value.cls == "num") or (textual and value.cls == "str")
+        ):
+            first, ref = self.bind(value)
+            members = self.const(frozenset(literals))
+            member = f"{ref} in {members}"
+            if numeric:
+                # NaN: compare_values calls it equal to any number, so a
+                # NaN operand matches the first item — membership alone
+                # wouldn't
+                member += f" or {ref} != {ref}"
+            want = polarity is not False
+            test = f"({member})" if want ^ expr.negated else f"not ({member})"
+            if polarity is None:
+                code = f"(None if {first} is None else {test})"
+            else:
+                code = f"({first} is not None and {test})"
+            return self.node(code, "bool", [value])
+        items = [self.gen_value(item) for item in expr.items]
+        lazy = not all(item.safe for item in items)
+        codes = "".join(
+            f"(lambda: {item.code}), " if lazy else f"{item.code}, "
+            for item in items
+        )
+        found = self.node(f"_in_list({value.code}, ({codes}), {lazy})",
+                          "bool", [value] + items, safe=False)
+        if polarity is None:
+            return self.negate(found) if expr.negated else found
+        return self.node(self.decide(found.code, polarity ^ expr.negated),
+                         "bool", [found])
+
+    def _gen_like(self, expr: Like) -> _Val:
+        """``operand LIKE pattern`` before any NOT: with a literal
+        pattern through a per-call table (see :class:`_LikeTable`)."""
+        operand = self.gen_value(expr.operand)
+        pattern = expr.pattern
+        if not isinstance(pattern, Literal) or pattern.value is None:
+            other = self.gen_value(pattern)
+            return self.node(f"_like({operand.code}, {other.code})", "bool",
+                             [operand, other])
+        match = self.const(like_to_regex(str(pattern.value)).match)
+        table = f"_m{len(self.prelude)}"
+        self.prelude.append(f"{table} = _LikeTable({match})")
+        return self.node(f"{table}[{operand.code}]", "bool", [operand])
 
     # -- comparison plumbing -------------------------------------------
-    def _compare_parts(self, left: Expr, right: Expr):
-        """Aligned operand codes for a comparison, or None when one side
-        is a NULL literal (a constant-NULL comparison).
-
-        Returns ``(a, b, cls, nonlit)`` where *nonlit* lists the operand
-        codes needing NULL guards.
-        """
-        a = self.gen_value(left)
-        b = self.gen_value(right)
-        if (a.is_lit and a.lit is None) or (b.is_lit and b.lit is None):
-            return None
-        cls = self._align(a, b)
-        nonlit = [v.code for v in (a, b) if not (v.is_lit and v.lit is not None)]
-        return a.code, b.code, cls, nonlit
-
-    def _align(self, a: _Val, b: _Val) -> str:
+    def _align(self, a: _Val, b: _Val) -> "str | None":
         """The common comparison class, parsing a string literal against
         a date side at codegen time exactly as compare_values would per
-        row (an unparsable literal would raise per row: unfusible)."""
+        row; None where compare_values must decide per row."""
         if a.cls == b.cls and a.cls in ("num", "str", "date"):
             return a.cls
         for date_side, str_side in ((a, b), (b, a)):
@@ -1163,62 +829,11 @@ class _Fuser:
                 try:
                     parsed = parse_date(str_side.lit)
                 except SqlTypeError:
-                    raise _Unfusible from None
+                    return None
                 self.consts[str_side.code] = parsed
                 str_side.cls = "date"
                 return "date"
-        raise _Unfusible
-
-    def _between_parts(self, expr: Between):
-        a = self.gen_value(expr.operand)
-        low = self.gen_value(expr.low)
-        high = self.gen_value(expr.high)
-        cls = self._align(a, low)
-        if self._align(a, high) != cls:
-            raise _Unfusible
-        values = (a, low, high)
-        nonlit = [v.code for v in values if not (v.is_lit and v.lit is not None)]
-        return a.code, low.code, high.code, cls, nonlit
-
-    def _in_parts(self, expr: InList):
-        """``(member_test_code, operand_code)`` for a literal IN list."""
-        literals = []
-        for item in expr.items:
-            if not isinstance(item, Literal) or item.value is None:
-                raise _Unfusible
-            literals.append(item.value)
-        if not literals:
-            raise _Unfusible
-        numeric = all(
-            isinstance(v, (int, float)) and not isinstance(v, bool)
-            for v in literals
-        )
-        textual = all(type(v) is str for v in literals)
-        if not (numeric or textual):
-            raise _Unfusible
-        value = self.gen_value(expr.operand)
-        if numeric:
-            if value.cls != "num":
-                raise _Unfusible
-            members = self.const(frozenset(literals))
-            # NaN: compare_values calls it equal to any number, so a NaN
-            # operand matches the first item — membership alone wouldn't
-            return (
-                f"{value.code} in {members} or {value.code} != {value.code}",
-                value.code,
-            )
-        if value.cls != "str":
-            raise _Unfusible
-        members = self.const(frozenset(literals))
-        return f"{value.code} in {members}", value.code
-
-    def _is_null_operand(self, expr: IsNull) -> str:
-        if isinstance(expr.operand, ColumnRef):
-            index = self.resolve_col(expr.operand)
-            if self.col_class(index) is None:
-                raise _Unfusible
-            return self.use_col(index)
-        return self.gen_value(expr.operand).code
+        return None
 
     def gen_bound(self, index: int, descending: bool, null: bool) -> str:
         """A top-N bound conjunct on column *index*: false iff the key
@@ -1233,12 +848,20 @@ class _Fuser:
         return f"({x} is None or not ({x} > _b))"
 
     # -- source assembly -----------------------------------------------
-    def column_decls(self) -> list[str]:
-        return [f"    _v{vid} = cols[{index}]" for index, vid in self.cols.items()]
+    def source(self, signature: str, body: list) -> str:
+        """The module: split-out subtrees, then ``def _fused`` with its
+        column reads, per-call tables and *body* lines."""
+        lines = list(self.helpers) + [f"def _fused({signature}):"]
+        lines += [f"    _v{vid} = cols[{index}]" for index, vid in self.cols.items()]
+        lines += [f"    {line}" for line in self.prelude]
+        lines += [f"    {line}" for line in body]
+        return "\n".join(lines) + "\n"
 
 
 def _row_iter(used: Sequence[int], with_index: bool) -> str:
     """The ``for`` clause iterating the used columns' row values."""
+    if not used:
+        return f"for {'_i' if with_index else '__'} in range(n)"
     if len(used) == 1:
         target = f"_x{used[0]}"
         source = f"_v{used[0]}"
@@ -1252,6 +875,18 @@ def _row_iter(used: Sequence[int], with_index: bool) -> str:
     return f"for {target} in {source}"
 
 
+def _picker(parts: list) -> Callable:
+    """``fn(cols, n)`` for outputs that alias an input column (an int)
+    or repeat a literal (a 1-tuple)."""
+    def pick(cols: Sequence[list], n: int) -> tuple:
+        return tuple(
+            cols[part] if type(part) is int else [part[0]] * n
+            for part in parts
+        )
+
+    return pick
+
+
 def _instantiate(source: str, consts: dict) -> Callable:
     code = _FUSED_CODE_CACHE.get(source)
     if code is None:
@@ -1259,99 +894,99 @@ def _instantiate(source: str, consts: dict) -> Callable:
             _FUSED_CODE_CACHE.clear()
         code = compile(source, "<fused-batch-exprs>", "exec")
         _FUSED_CODE_CACHE[source] = code
-    namespace = dict(consts)
+    namespace = {**_RUNTIME, **consts}
     exec(code, namespace)
     return namespace["_fused"]
 
 
-def fuse_batch_exprs(
-    exprs: Sequence[Expr],
+def compile_batch(
+    exprs: Sequence,
     scope: Scope,
-    class_of: Callable[["str | None", str], "str | None"],
+    class_of: "Callable[[str | None, str], str | None] | None" = None,
     mode: str = "value",
+    agg_slots: "dict[FuncCall, int] | None" = None,
     bound: "tuple | None" = None,
-) -> "FusedBatch | None":
-    """Compile expression trees into one generated function per batch.
+) -> FusedBatch:
+    """Compile expressions into one generated function per batch.
 
     *class_of* maps a scope pair ``(binding, column)`` to its value
-    class (``"num"``/``"str"``/``"date"``/``"bool"``) or None for
-    columns of unknown provenance; the generator refuses any node whose
-    semantics it cannot pin down from those classes, so everything it
-    emits is provably identical to the closure tier — results *and*
-    errors (fused nodes never raise, making evaluation order and
-    short-circuit differences unobservable).
+    class (``"num"``/``"str"``/``"date"``/``"bool"``) or None when
+    unknown (the default for every column); known classes buy inline
+    formulas, unknown ones call the reference's helpers
+    (``compare_values``, ``values_equal``, the scalar functions and the
+    arithmetic checks), so results and errors are the row-at-a-time
+    interpreter's either way.  *agg_slots* maps aggregate calls to the
+    scope columns holding their results.
 
-    ``mode="filter"``: *exprs* are conjuncts applied in order; the
-    longest fusible prefix becomes one function returning the selected
-    row indices.  Remaining conjuncts must keep running as closures, in
-    order, to preserve error semantics.  A prefix that is every conjunct
-    ends with the top-N *bound* test when given (:meth:`_Fuser.gen_bound`
-    arguments), comparing with the function's third argument.
+    ``mode="filter"``: *exprs* are conjuncts; ``fn(cols, n, _b=None)``
+    returns the indices of the rows where all are True, evaluating them
+    row by row in one loop (the first error is the reference's).  A
+    top-N *bound* (:meth:`_Fuser.gen_bound` arguments) is one more
+    conjunct, comparing with the third argument.
 
-    ``mode="value"``: each fusible compound expression becomes one
-    output column of the generated function (bare column refs and
-    literals are excluded — the existing closures alias them for free).
-
-    Returns None when nothing worthwhile could be fused.
+    ``mode="value"``: ``fn(cols, n)`` returns one column per item of
+    *exprs* — an Expr, or an int naming a scope column.  Bare columns
+    alias the input and literals repeat (with nothing else, no code is
+    generated); the rest are comprehensions, and two or more that can
+    raise share one row loop.
     """
     if mode not in ("filter", "value"):
-        raise ValueError(f"unknown fusion mode {mode!r}")
-    fuser = _Fuser(scope, class_of)
-
+        raise ValueError(f"unknown compile mode {mode!r}")
+    fuser = _Fuser(scope, class_of, agg_slots)
     if mode == "filter":
-        conds: list[str] = []
-        for expr in exprs:
-            snap = fuser.snapshot()
-            try:
-                conds.append(fuser.gen_bool(expr, True))
-            except _Unfusible:
-                fuser.restore(snap)
-                break
-        consumed = len(conds)
-        if bound is not None and consumed == len(exprs):
+        conds = [fuser.gen_bool(expr, True).code for expr in exprs]
+        if bound is not None:
             conds.append(fuser.gen_bound(*bound))
-        if not conds or not fuser.cols:
-            return None
-        lines = ["def _fused(cols, n, _b=None):"]
-        lines += fuser.column_decls()
         condition = " and ".join(f"({c})" for c in conds)
         used = sorted(fuser.cols.values())
-        lines.append(f"    return [_i {_row_iter(used, True)} if {condition}]")
-        source = "\n".join(lines) + "\n"
-        if len(source) > _FUSION_MAX_SOURCE:
-            return None
-        fn = _instantiate(source, fuser.consts)
-        return FusedBatch(fn, consumed, None, source)
+        body = [f"return [_i {_row_iter(used, True)} if {condition}]"]
+        source = fuser.source("cols, n, _b=None", body)
+        return FusedBatch(_instantiate(source, fuser.consts), source)
 
-    outputs: list[tuple] = []
-    for position, expr in enumerate(exprs):
-        if not isinstance(expr, Expr) or isinstance(expr, (Literal, ColumnRef)):
-            continue
-        snap = fuser.snapshot()
-        fuser.current_used = []
-        try:
-            value = fuser.gen_value(expr)
-        except _Unfusible:
-            fuser.restore(snap)
-            continue
-        if not fuser.current_used:
-            fuser.restore(snap)
-            continue
-        outputs.append((position, value.code, sorted(fuser.current_used)))
-    if not outputs:
-        return None
-    lines = ["def _fused(cols, n):"]
-    lines += fuser.column_decls()
-    names = []
-    for slot, (__, code, used) in enumerate(outputs):
-        names.append(f"_o{slot}")
-        lines.append(f"    _o{slot} = [{code} {_row_iter(used, False)}]")
-    lines.append(f"    return ({', '.join(names)}{',' if len(names) == 1 else ''})")
-    source = "\n".join(lines) + "\n"
-    if len(source) > _FUSION_MAX_SOURCE:
-        return None
-    fn = _instantiate(source, fuser.consts)
-    return FusedBatch(fn, None, [position for position, __, __ in outputs], source)
+    #: per target: a scope index (aliased), a 1-tuple (a repeated
+    #: literal) or the name of a generated column
+    parts: list = []
+    computed: list[tuple] = []  # (name, value, used)
+    for slot, target in enumerate(exprs):
+        if isinstance(target, ColumnRef):
+            target = scope.resolve(target)
+        elif agg_slots and isinstance(target, FuncCall) and target in agg_slots:
+            target = agg_slots[target]
+        if isinstance(target, int):
+            parts.append(target)
+        elif isinstance(target, Literal):
+            parts.append((target.value,))
+        else:
+            fuser.current_used = []
+            value = fuser.gen_value(target)
+            parts.append(f"_o{slot}")
+            computed.append((f"_o{slot}", value, sorted(fuser.current_used)))
+    if not computed:  # nothing to evaluate per row: no code to generate
+        return FusedBatch(_picker(parts), None)
+    # fallible columns run row by row together, so the first error is
+    # the row-major one; the rest cannot raise and run one by one
+    fallible = [entry for entry in computed if not entry[1].safe]
+    if len(fallible) < 2:
+        fallible = []
+    body = [
+        f"{name} = [{value.code} {_row_iter(used, False)}]"
+        for name, value, used in computed if value.safe or not fallible
+    ]
+    if fallible:
+        used = sorted({vid for __, __, vids in fallible for vid in vids})
+        body += [f"{name} = []" for name, __, __ in fallible]
+        body.append(f"{_row_iter(used, False)}:")
+        body += [f"    {name}.append({value.code})"
+                 for name, value, __ in fallible]
+    results = [
+        f"cols[{part}]" if isinstance(part, int)
+        else f"[{fuser.const(part[0])}] * n" if isinstance(part, tuple)
+        else part
+        for part in parts
+    ]
+    body.append(f"return ({''.join(result + ', ' for result in results)})")
+    source = fuser.source("cols, n", body)
+    return FusedBatch(_instantiate(source, fuser.consts), source)
 
 
 #: each call :func:`fuse_grouping` folds inline and its state in a new
@@ -1376,31 +1011,31 @@ def fuse_grouping(
     applies the row-at-a-time rule: ``count`` adds one per non-NULL
     value, ``min`` / ``max`` take a value below / above the state,
     ``sum`` / ``avg`` append it.  It returns the surviving row count.
+    Per row, predicates, keys and arguments run in the reference's
+    order, so an error is the one the row-at-a-time plan raises first.
 
     None (the batch path) unless every call is a non-DISTINCT ``count``
-    / ``count(*)`` / ``min`` / ``max`` / ``sum`` / ``avg`` (numbers only)
-    and every predicate, key and argument fuses, so no row can raise;
-    also None with neither a key nor a predicate (whole columns feed the
-    accumulators faster) and past ``_FUSION_MAX_SOURCE``.
+    / ``count(*)`` / ``min`` / ``max`` (values of one class) / ``sum`` /
+    ``avg`` (numbers only); also None with neither a key nor a predicate
+    (whole columns feed the accumulators faster).
     """
     if not predicates and not keys:
         return None
     fuser = _Fuser(scope, class_of)
-    try:
-        conds = [fuser.gen_bool(predicate, True) for predicate in predicates]
-        key_codes = [fuser.gen_value(key).code for key in keys]
-        args = []
-        for call in calls:
-            if call.distinct or call.name not in _FOLD_INITIAL or (
-                call.star and call.name != "count"
-            ):
-                raise _Unfusible
-            value = None if call.star else fuser.gen_value(call.args[0])
-            if call.name in ("sum", "avg") and value.cls != "num":
-                raise _Unfusible
-            args.append(None if value is None else value.code)
-    except _Unfusible:
-        return None
+    conds = [fuser.gen_bool(predicate, True).code for predicate in predicates]
+    key_codes = [fuser.gen_value(key).code for key in keys]
+    args = []
+    for call in calls:
+        if call.distinct or call.name not in _FOLD_INITIAL or (
+            call.star and call.name != "count"
+        ):
+            return None
+        value = None if call.star else fuser.gen_value(call.args[0])
+        if call.name in ("sum", "avg") and value.cls != "num":
+            return None
+        if call.name in ("min", "max") and value.cls is None:
+            return None
+        args.append(None if value is None else value.code)
     rep_code = "(" + "".join(f"{fuser.use_col(i)}, " for i in rep) + ")"
     initial = ", ".join([rep_code] + [_FOLD_INITIAL[c.name] for c in calls])
     body = []
@@ -1424,8 +1059,8 @@ def fuse_grouping(
             body.append(f"{state} += 1")
             continue
         if not code.isidentifier():  # a compound argument: evaluate once
-            body.append(f"_t{slot} = {code}")
-            code = f"_t{slot}"
+            body.append(f"_w{slot} = {code}")
+            code = f"_w{slot}"
         if call.name == "count":
             body.append(f"if {code} is not None: {state} += 1")
         elif call.name in ("min", "max"):
@@ -1437,16 +1072,13 @@ def fuse_grouping(
     used = sorted(fuser.cols.values())
     if not used:  # nothing read per row: the batch path counts faster
         return None
-    lines = ["def _fused(cols, n, _g):"] + fuser.column_decls()
-    lines.append("    _get = _g.get" if key_codes else "    _a = _g.get(())")
+    lines = ["_get = _g.get" if key_codes else "_a = _g.get(())"]
     if conds:
-        lines.append("    n = 0  # now the survivors")
-    lines.append(f"    {_row_iter(used, False)}:")
-    lines += [f"        {line}" for line in body] + ["    return n"]
-    source = "\n".join(lines) + "\n"
-    if len(source) > _FUSION_MAX_SOURCE:
-        return None
-    return FusedBatch(_instantiate(source, fuser.consts), None, None, source)
+        lines.append("n = 0  # now the survivors")
+    lines.append(f"{_row_iter(used, False)}:")
+    lines += [f"    {line}" for line in body] + ["return n"]
+    source = fuser.source("cols, n, _g", lines)
+    return FusedBatch(_instantiate(source, fuser.consts), source)
 
 
 def split_conjuncts(expr: Expr | None) -> list[Expr]:
@@ -1469,7 +1101,6 @@ def split_conjuncts(expr: Expr | None) -> list[Expr]:
 # ---------------------------------------------------------------------------
 
 _NUMERIC_TYPES = (SqlType.INTEGER, SqlType.REAL)
-_COMPARISONS = ("=", "<>", "<", "<=", ">", ">=")
 
 
 def _column_type(ref: ColumnRef, columns) -> "SqlType | None":
@@ -1518,10 +1149,8 @@ def _type_class(expr: Expr, columns) -> "str | None":
             return "num"
         return "bool"
     if isinstance(expr, FuncCall):
-        if expr.name in ("lower", "upper"):
-            return "str"
-        if expr.name in ("length", "abs", "year", "month"):
-            return "num"
+        if expr.name in _FUNCTION_CLASS:
+            return _FUNCTION_CLASS[expr.name]
         if expr.name == "coalesce":
             classes = {_type_class(arg, columns) for arg in expr.args}
             classes.discard(None)

@@ -50,7 +50,7 @@ from repro.sqlengine.catalog import Catalog
 from repro.sqlengine.expressions import (
     Scope,
     _never_raises,
-    compile_expr_batch,
+    compile_batch,
     split_conjuncts,
 )
 from repro.sqlengine.planner.logical import (
@@ -161,7 +161,7 @@ def _try_evaluate(expr: Expr) -> Expr:
     if collect_column_refs(expr) or _contains_func(expr):
         return expr
     try:
-        value = compile_expr_batch(expr, _EMPTY_SCOPE)([], 1)[0]
+        value = compile_batch([expr], _EMPTY_SCOPE).fn([], 1)[0][0]
     except SqlError:
         return expr
     return Literal(value)

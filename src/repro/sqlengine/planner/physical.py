@@ -21,10 +21,13 @@ on expressions that were never projected.  Scans slice the table's
 columnar storage directly, filters turn whole-batch predicate
 evaluation into selection vectors, hash joins build once and then probe
 and gather per output batch, and aggregation feeds grouped accumulators
-from per-batch argument columns.  Expressions are compiled by
-:func:`~repro.sqlengine.expressions.compile_expr_batch`, which keeps
-row-at-a-time semantics exactly (three-valued logic, ``compare_values``
-ordering, short-circuit error behavior).
+from per-batch argument columns.  Every expression — scan and filter
+conjuncts, join conditions, group keys and aggregate arguments, HAVING,
+the select list, sort keys — is compiled by
+:func:`~repro.sqlengine.expressions.compile_batch` into one generated
+function per operator, which keeps row-at-a-time semantics exactly
+(three-valued logic, ``compare_values`` ordering, short-circuit error
+behavior, the first error raised within a batch).
 
 The semantics every operator keeps: three-valued predicate logic, hash
 joins skipping NULL keys, LEFT JOIN null padding, the
@@ -60,8 +63,7 @@ from repro.sqlengine.segments import snapshot_of
 from repro.sqlengine.expressions import (
     Scope,
     _never_raises,
-    compile_expr_batch,
-    fuse_batch_exprs,
+    compile_batch,
     fuse_grouping,
     gather_columns,
     split_conjuncts,
@@ -97,7 +99,6 @@ _ROWS_SCANNED = _METRICS.counter("engine.rows_scanned")
 _ROWS_FILTERED = _METRICS.counter("engine.rows_filtered")
 _ROWS_JOINED = _METRICS.counter("engine.rows_joined")
 _BATCHES_PRODUCED = _METRICS.counter("engine.batches_produced")
-_FUSED_BATCHES = _METRICS.counter("engine.fused_batches")
 _SEGMENTS_SKIPPED = _METRICS.counter("engine.segments_skipped")
 _AGG_ROWS_GATHERED = _METRICS.counter("engine.agg_rows_gathered")
 
@@ -226,80 +227,11 @@ def _materialize_batches(operator: BatchOperator) -> tuple:
     return cols, total
 
 
-def _apply_predicates(fns: list, cols: list, n: int) -> tuple:
-    """Run predicate batch-fns in order, compacting between them.
-
-    Returns the surviving ``(cols, n)``; predicates after the first are
-    only evaluated over rows that passed the earlier ones, exactly like
-    a per-row short-circuit.
-    """
-    for fn in fns:
-        if n == 0:
-            break
-        mask = fn(cols, n)
-        selected = [i for i, value in enumerate(mask) if value is True]
-        if len(selected) == n:
-            continue
-        if not selected:
-            return cols, 0
-        cols = gather_columns(cols, selected)
-        n = len(selected)
-    return cols, n
-
-
-def _fusion_stages(predicates, fns, scope, class_of, bound=None) -> list:
-    """Ordered filter stages: fused runs interleaved with closure runs.
-
-    Each stage is ``("fused", fn)`` — one generated function covering a
-    contiguous run of provably never-raising conjuncts — or
-    ``("closures", [fn, ...])`` for the conjuncts in between, which keep
-    their compiled closures.  Stages apply in predicate order with
-    compaction between them, so a conjunct still only ever sees rows
-    that survived everything before it: the per-row short-circuit
-    and error surface are preserved exactly, while every fusible run —
-    wherever it sits in the chain — collapses into one loop.  A top-N
-    *bound* (see :func:`fuse_batch_exprs`) runs last: inside the final
-    fused stage, or as a stage of its own after trailing closures.
-    """
-    stages: list = []
-    position = 0
-    total = len(predicates)
-    while position < total:
-        fused = fuse_batch_exprs(
-            predicates[position:], scope, class_of, mode="filter",
-            bound=bound,
-        )
-        if fused is not None:
-            stages.append(("fused", fused.fn))
-            position += fused.consumed
-            if position == total:
-                bound = None  # folded into this stage
-            continue
-        if stages and stages[-1][0] == "closures":
-            stages[-1][1].append(fns[position])
-        else:
-            stages.append(("closures", [fns[position]]))
-        position += 1
-    if bound is not None:
-        fused = fuse_batch_exprs([], scope, class_of, mode="filter", bound=bound)
-        stages.append(("fused", fused.fn))
-    return stages
-
-
-def _apply_filter_stages(stages: list, cols: list, n: int, bound=None) -> tuple:
-    """Run filter stages in order; ``(cols, n, fused_stage_ran)``."""
-    used_fused = False
-    for kind, payload in stages:
-        if n == 0:
-            break
-        if kind == "fused":  # returns the selected row indices
-            used_fused = True
-            selected = payload(cols, n, bound)
-            if len(selected) != n:
-                cols, n = gather_columns(cols, selected), len(selected)
-        else:
-            cols, n = _apply_predicates(payload, cols, n)
-    return cols, n, used_fused
+def _select(cols: list, n: int, selected: list) -> tuple:
+    """The batch compacted to *selected* (row indices); ``(cols, n)``."""
+    if len(selected) == n:
+        return cols, n
+    return gather_columns(cols, selected), len(selected)
 
 
 class _TopNBound(threading.local):
@@ -320,17 +252,13 @@ class _TopNBound(threading.local):
         self.value = None
 
 
-def _fusion_class_of(node: LogicalNode, catalog: Catalog):
-    """``(binding, column) -> value class`` for :func:`fuse_batch_exprs`.
+def class_of_tables(tables: dict):
+    """``(binding, column) -> value class`` for :func:`compile_batch`.
 
-    Resolves through the scans under *node*; anything it cannot pin to
-    a base-table column (aggregate slots, unknown bindings) maps to
-    None, which makes the fuser refuse the expression.
+    Resolves through *tables* (``{binding: Table}``); anything it cannot
+    pin to a base-table column (aggregate slots, unknown bindings) maps
+    to None, which compiles to the generic forms.
     """
-    tables = {
-        binding: catalog.table(name)
-        for binding, name in scan_bindings(node).items()
-    }
 
     def class_of(binding, column):
         table = tables.get(binding)
@@ -497,27 +425,20 @@ class BatchScanOp(BatchOperator):
         self._project = (
             None if project == list(range(len(self._read))) else project
         )
-        self._predicate_fns = [
-            compile_expr_batch(predicate, read_scope)
-            for predicate in node.predicates
-        ]
-        # (value classes are rebuilt on demand: no class map per scan)
-        self._node, self._catalog = node, catalog
+        self._class_of = class_of_tables({node.binding: self._table})
         self._read_scope = read_scope
         self._predicates = node.predicates
-        self._filter_stages = _fusion_stages(
-            node.predicates, self._predicate_fns, read_scope,
-            _fusion_class_of(node, catalog),
-        )
+        #: the generated filter over every pushed predicate, or None
+        self._filter = self._compile_filter()
         self._zone_tests = _zone_tests(node.predicates, self._table)
         #: EXPLAIN ANALYZE's OperatorStats (receives ``skipped``), or None
         self.analyze_stats = None
         # TopN bound pushdown (see _connect_topn_bound): a shared cell,
-        # the key's read-layout index, the stages ending in its conjunct
-        # (_stages_under) and, when zones can skip, its table index
+        # the key's read-layout index, the filters ending in its conjunct
+        # (_filter_under) and, when zones can skip, its table index
         self._bound_cell = None
         self._bound_key = 0
-        self._bound_stages = None
+        self._bound_filters = None
         self._bound_descending = False
         self._bound_column = None
 
@@ -528,7 +449,7 @@ class BatchScanOp(BatchOperator):
         self._bound_cell = cell
         self._bound_descending = descending
         self._bound_key = self._project[key_index] if self._project else key_index
-        self._bound_stages = {}
+        self._bound_filters = {}
         table = self._table
         column = table.column_index(self.scope.pairs[key_index][1])
         if table.columns[column].sql_type in (
@@ -536,27 +457,35 @@ class BatchScanOp(BatchOperator):
         ) and all(_never_raises(p, table) for p in self._predicates):
             self._bound_column = column
 
-    def _stages_under(self, bound) -> list:
-        """The filter stages ending in *bound*'s conjunct, generated on
-        first use: a bound that never arms (one batch) costs no codegen."""
+    def _compile_filter(self, bound=None):
+        """The generated filter over the pushed predicates (and a top-N
+        *bound* conjunct), or None when there is nothing to test."""
+        if not self._predicates and bound is None:
+            return None
+        return compile_batch(
+            self._predicates, self._read_scope, self._class_of,
+            mode="filter", bound=bound,
+        )
+
+    def _filter_under(self, bound):
+        """The filter ending in *bound*'s conjunct, generated on first
+        use: a bound that never arms (one batch) costs no codegen."""
         null = bound is None
         if null and self._bound_descending:
-            return self._filter_stages  # nothing sorts past a NULL bound
-        stages = self._bound_stages.get(null)
-        if stages is None:
-            stages = self._bound_stages[null] = _fusion_stages(
-                self._predicates, self._predicate_fns, self._read_scope,
-                _fusion_class_of(self._node, self._catalog),
-                (self._bound_key, self._bound_descending, null),
+            return self._filter  # nothing sorts past a NULL bound
+        fused = self._bound_filters.get(null)
+        if fused is None:
+            fused = self._bound_filters[null] = self._compile_filter(
+                (self._bound_key, self._bound_descending, null)
             )
-        return stages
+        return fused
 
     def fuse_grouping(self, node: LogicalAggregate):
         """*node*'s generated filter-and-fold over this scan, or None."""
         rep = range(len(self._read)) if self._project is None else self._project
         return fuse_grouping(
             self._predicates, node.group_by, node.agg_calls, rep,
-            self._read_scope, _fusion_class_of(self._node, self._catalog),
+            self._read_scope, self._class_of,
         )
 
     def batches(self, snapshot=None, positions: bool = False,
@@ -574,14 +503,14 @@ class BatchScanOp(BatchOperator):
         *positions*, each batch carries one more trailing column: the
         live position of every surviving row (how DML finds its rows).
         With *fold* (``fold(cols, n) -> survivors``), the fold replaces
-        the filter stages and a batch is yielded as ``((), survivors)``.
+        the filter and a batch is yielded as ``((), survivors)``.
         """
         table = self._table
         if snapshot is None:
             snapshot = snapshot_of(table)
         last = snapshot.row_count if snapshot is not None else len(table)
         read = self._read
-        stages = self._filter_stages
+        fused = self._filter
         project = self._project
         if positions and project is not None:
             project = project + [len(read)]
@@ -606,7 +535,6 @@ class BatchScanOp(BatchOperator):
         scanned = 0
         dropped = 0
         batches = 0
-        fused_batches = 0
         try:
             for start in range(0, last, BATCH_SIZE):
                 if deadline is not None:
@@ -621,7 +549,7 @@ class BatchScanOp(BatchOperator):
                     ):
                         skipped.add(start)
                         continue
-                    stages = self._stages_under(bound)
+                    fused = self._filter_under(bound)
                 stop = min(start + BATCH_SIZE, last)
                 cols = slice_batch(start, stop)
                 if positions:
@@ -630,13 +558,8 @@ class BatchScanOp(BatchOperator):
                 scanned += n
                 if fold is not None:
                     n = fold(cols, n)
-                    fused_batches += 1
-                elif stages:
-                    cols, n, used_fused = _apply_filter_stages(
-                        stages, cols, n, bound
-                    )
-                    if used_fused:
-                        fused_batches += 1
+                elif fused is not None:
+                    cols, n = _select(cols, n, fused.fn(cols, n, bound))
                 dropped += stop - start - n
                 if n == 0:
                     continue
@@ -651,8 +574,6 @@ class BatchScanOp(BatchOperator):
             if scanned and _METRICS.enabled:
                 _ROWS_SCANNED.inc(scanned)
                 _BATCHES_PRODUCED.inc(batches)
-                if fused_batches:
-                    _FUSED_BATCHES.inc(fused_batches)
                 if dropped:
                     _ROWS_FILTERED.inc(dropped)
             skipped_segments = (
@@ -665,38 +586,23 @@ class BatchScanOp(BatchOperator):
 
 
 class BatchFilterOp(BatchOperator):
-    def __init__(
-        self,
-        child: BatchOperator,
-        predicates,
-        node: LogicalNode,
-        catalog: Catalog,
-    ) -> None:
+    def __init__(self, child: BatchOperator, predicates, class_of) -> None:
         self._child = child
         self.scope = child.scope
         self._predicates = list(predicates)
-        self._fns = [compile_expr_batch(p, self.scope) for p in predicates]
-        self._filter_stages = _fusion_stages(
-            self._predicates,
-            self._fns,
-            self.scope,
-            _fusion_class_of(node, catalog),
+        self._filter = compile_batch(
+            self._predicates, self.scope, class_of, mode="filter"
         )
 
     def batches(self) -> Iterator[tuple]:
-        stages = self._filter_stages
+        fn = self._filter.fn
         dropped = 0
         batches = 0
-        fused_batches = 0
         try:
             for cols, n in self._child.batches():
                 before = n
                 if n:
-                    cols, n, used_fused = _apply_filter_stages(
-                        stages, cols, n
-                    )
-                    if used_fused:
-                        fused_batches += 1
+                    cols, n = _select(cols, n, fn(cols, n))
                 dropped += before - n
                 if n:
                     batches += 1
@@ -705,8 +611,6 @@ class BatchFilterOp(BatchOperator):
             if _METRICS.enabled and (dropped or batches):
                 _ROWS_FILTERED.inc(dropped)
                 _BATCHES_PRODUCED.inc(batches)
-                if fused_batches:
-                    _FUSED_BATCHES.inc(fused_batches)
 
 
 def _build_join_hash_table(cols, n: int, key_indexes) -> dict:
@@ -901,24 +805,31 @@ class BatchLeftJoinOp(BatchOperator):
     ``compare_values`` semantics: REAL keys (NaN compares equal to
     every number, but never hash-matches), cross-class keys, and
     residuals that could raise data-dependent errors the broadcast
-    evaluation order would surface.  ``enable_hash`` is called by the
-    plan builder after that analysis (see :func:`_analyze_left_join`).
+    evaluation order would surface.  The plan builder's analysis
+    (:func:`_analyze_left_join`) passes the hash path's ``(key_pairs,
+    residual conjuncts)``, or None for the broadcast path.
     """
 
     def __init__(
-        self, left: BatchOperator, right: BatchOperator, condition
+        self, left: BatchOperator, right: BatchOperator, condition,
+        class_of, hash_path,
     ) -> None:
         self._left = left
         self._right = right
         self.scope = left.scope.concat(right.scope)
-        self._condition_fn = compile_expr_batch(condition, self.scope)
         self._key_pairs: tuple = ()
-        self._residual_fns: list = []
-
-    def enable_hash(self, key_pairs, residual_fns) -> None:
-        """Switch to the hash path (builder-verified equi keys)."""
-        self._key_pairs = tuple(key_pairs)
-        self._residual_fns = list(residual_fns)
+        #: the broadcast path's whole ON condition (one predicate), or
+        #: the hash path's residual conjuncts; None when there are none
+        self._condition = None
+        if hash_path is None:
+            conjuncts = [condition]
+        else:
+            self._key_pairs = tuple(hash_path[0])
+            conjuncts = hash_path[1]
+        if conjuncts:
+            self._condition = compile_batch(
+                conjuncts, self.scope, class_of, mode="filter"
+            )
 
     def batches(self) -> Iterator[tuple]:
         return _join_output(
@@ -960,7 +871,7 @@ class BatchLeftJoinOp(BatchOperator):
                 # candidate (left row, right row) pairs in left order;
                 # the last row's candidates may continue in the next chunk
                 open_row = cand_left[-1]
-                if self._residual_fns:
+                if self._condition is not None:
                     cand_left, cand_right = self._pass_residuals(
                         cols, right_cols, cand_left, cand_right
                     )
@@ -991,24 +902,15 @@ class BatchLeftJoinOp(BatchOperator):
         combined.extend(
             [column[j] for j in cand_right] for column in right_cols
         )
-        m = len(cand_left)
-        for fn in self._residual_fns:
-            if m == 0:
-                break
-            mask = fn(combined, m)
-            selected = [i for i, value in enumerate(mask) if value is True]
-            if len(selected) == m:
-                continue
-            cand_left = [cand_left[i] for i in selected]
-            cand_right = [cand_right[i] for i in selected]
-            combined = gather_columns(combined, selected)
-            m = len(selected)
-        return cand_left, cand_right
+        selected = self._condition.fn(combined, len(cand_left))
+        if len(selected) == len(cand_left):
+            return cand_left, cand_right
+        return [cand_left[i] for i in selected], [cand_right[i] for i in selected]
 
     # ------------------------------------------------------------------
     def _broadcast_batches(self) -> Iterator[tuple]:
         right_cols, right_n = _materialize_batches(self._right)
-        condition_fn = self._condition_fn
+        condition_fn = self._condition.fn
         for cols, n in self._left.batches():
             left_sel: list = []
             right_sel: list = []  # right row index, or None for padding
@@ -1017,8 +919,7 @@ class BatchLeftJoinOp(BatchOperator):
                 if right_n:
                     combined = [[column[i]] * right_n for column in cols]
                     combined.extend(right_cols)
-                    mask = condition_fn(combined, right_n)
-                    matches = [j for j, v in enumerate(mask) if v is True]
+                    matches = condition_fn(combined, right_n)
                 if matches:
                     left_sel.extend([i] * len(matches))
                     right_sel.extend(matches)
@@ -1260,29 +1161,29 @@ class BatchAggregateOp(BatchOperator):
     generated row loop (:func:`~repro.sqlengine.expressions.
     fuse_grouping`): filter, ``groups.get(key)`` and updates in one pass
     per row, keeping the batch path's group order, representative rows,
-    ``min`` / ``max`` rule and exact sums, and raising nothing.  A join
-    below, DISTINCT, HAVING, an unfusible piece or an unfiltered global
+    ``min`` / ``max`` rule and exact sums.  A join below, DISTINCT,
+    HAVING, an argument of unknown class or an unfiltered global
     aggregate takes the batch path: keys and arguments per batch as
-    whole columns, rows bucketed per group, accumulators fed slices.
+    whole columns (one generated function), rows bucketed per group,
+    accumulators fed slices.
     """
 
-    def __init__(self, child: BatchOperator, node: LogicalAggregate) -> None:
+    def __init__(
+        self, child: BatchOperator, node: LogicalAggregate, class_of
+    ) -> None:
         self._child = child
         self._node = node
         scope = child.scope
-        self._group_fns = [
-            compile_expr_batch(expr, scope) for expr in node.group_by
-        ]
-        self._arg_fns: list = []
         for call in node.agg_calls:
-            if call.star:
-                self._arg_fns.append(None)
-            else:
-                if len(call.args) != 1:
-                    raise SqlExecutionError(
-                        f"aggregate {call.to_sql()} takes exactly one argument"
-                    )
-                self._arg_fns.append(compile_expr_batch(call.args[0], scope))
+            if not call.star and len(call.args) != 1:
+                raise SqlExecutionError(
+                    f"aggregate {call.to_sql()} takes exactly one argument"
+                )
+        #: the group keys, then each non-star call's argument, per batch
+        inputs = list(node.group_by) + [
+            call.args[0] for call in node.agg_calls if not call.star
+        ]
+        self._inputs = compile_batch(inputs, scope, class_of) if inputs else None
         self.agg_slots = {
             call: len(scope) + i for i, call in enumerate(node.agg_calls)
         }
@@ -1290,8 +1191,9 @@ class BatchAggregateOp(BatchOperator):
             scope.pairs
             + [(None, f"__agg_{i}") for i in range(len(node.agg_calls))]
         )
-        self._having_fn = (
-            compile_expr_batch(node.having, self.scope, self.agg_slots)
+        self._having = (
+            compile_batch([node.having], self.scope, class_of, mode="filter",
+                          agg_slots=self.agg_slots)
             if node.having is not None
             else None
         )
@@ -1339,15 +1241,15 @@ class BatchAggregateOp(BatchOperator):
         """Feed every batch to the groups' accumulators; the extended
         rows, groups in first-occurrence order."""
         groups: dict = {}  # key -> (representative row, accumulators)
-        arg_fns = self._arg_fns
-        group_fns = self._group_fns
+        calls = self._node.agg_calls
+        width = len(self._node.group_by)
         gathered = 0
         for cols, n in stream:
             gathered += n
-            key_cols = [fn(cols, n) for fn in group_fns]
-            arg_cols = [
-                None if fn is None else fn(cols, n) for fn in arg_fns
-            ]
+            values = self._inputs.fn(cols, n) if self._inputs else ()
+            key_cols = values[:width]
+            args = iter(values[width:])
+            arg_cols = [None if call.star else next(args) for call in calls]
             if len(key_cols) == 1:
                 keys = key_cols[0]
             elif key_cols:
@@ -1403,12 +1305,10 @@ class BatchAggregateOp(BatchOperator):
             extended_rows = rows[start:start + BATCH_SIZE]
             n = len(extended_rows)
             out_cols = [list(column) for column in zip(*extended_rows)]
-            if self._having_fn is not None:
-                mask = self._having_fn(out_cols, n)
-                selected = [i for i, value in enumerate(mask) if value is True]
-                if len(selected) != n:
-                    out_cols = gather_columns(out_cols, selected)
-                    n = len(selected)
+            if self._having is not None:
+                out_cols, n = _select(
+                    out_cols, n, self._having.fn(out_cols, n)
+                )
             if n:
                 yield out_cols, n
 
@@ -1435,54 +1335,21 @@ class BatchProjectOp:
         child: BatchOperator,
         node: LogicalProject,
         agg_slots: "dict | None",
-        catalog: Catalog,
+        class_of,
     ) -> None:
         self._child = child
         self.scope = child.scope
         self.agg_slots = agg_slots or {}
         self.columns, targets = _project_targets(node, child.scope)
         self.targets = targets
-        self._fns: list = [
-            _make_batch_picker(target)
-            if isinstance(target, int)
-            else compile_expr_batch(target, child.scope, self.agg_slots)
-            for target in targets
-        ]
-        # fused value codegen: every provably-safe compound target is
-        # computed by one generated function per batch; bare pickers and
-        # unfusible expressions keep their closures.  Fused targets
-        # never raise, so lifting them ahead of the remaining closures
-        # is unobservable.
-        self._fused = fuse_batch_exprs(
-            targets,
-            child.scope,
-            _fusion_class_of(node, catalog),
-            mode="value",
+        self._fused = compile_batch(
+            targets, child.scope, class_of, agg_slots=self.agg_slots
         )
 
     def pres_batches(self) -> Iterator[tuple]:
-        fns = self._fns
-        fused = self._fused
-        if fused is None:
-            for cols, n in self._child.batches():
-                yield [fn(cols, n) for fn in fns], cols, n
-            return
-        fused_fn = fused.fn
-        positions = fused.indexes
-        fused_batches = 0
-        try:
-            for cols, n in self._child.batches():
-                out: list = [None] * len(fns)
-                for position, column in zip(positions, fused_fn(cols, n)):
-                    out[position] = column
-                for i, fn in enumerate(fns):
-                    if out[i] is None:
-                        out[i] = fn(cols, n)
-                fused_batches += 1
-                yield out, cols, n
-        finally:
-            if fused_batches and _METRICS.enabled:
-                _FUSED_BATCHES.inc(fused_batches)
+        fn = self._fused.fn
+        for cols, n in self._child.batches():
+            yield fn(cols, n), cols, n
 
 
 class BatchDistinctOp:
@@ -1520,18 +1387,12 @@ class BatchDistinctOp:
 class BatchSortOp:
     """Stable multi-key sort: materialize, argsort indices, gather."""
 
-    def __init__(self, child, node: LogicalSort) -> None:
+    def __init__(self, child, node: LogicalSort, class_of) -> None:
         self._child = child
         self.columns = child.columns
         self.scope = child.scope
         self.agg_slots = child.agg_slots
-        self._key_specs: list = []
-        for position, expr, descending in _sort_targets(node, self.columns):
-            if position is not None:
-                self._key_specs.append((position, None, descending))
-            else:
-                fn = compile_expr_batch(expr, self.scope, self.agg_slots)
-                self._key_specs.append((None, fn, descending))
+        self._key_specs = _key_specs(self, node, class_of)
 
     def pres_batches(self) -> Iterator[tuple]:
         out_cols: list = [[] for __ in range(len(self.columns))]
@@ -1551,7 +1412,7 @@ class BatchSortOp:
             key_column = (
                 out_cols[position]
                 if position is not None
-                else key_fn(pre_cols, total)
+                else key_fn(pre_cols, total)[0]
             )
             decorated = [sort_key(value) for value in key_column]
             indices.sort(key=decorated.__getitem__, reverse=descending)
@@ -1601,19 +1462,13 @@ class BatchTopNOp:
     NaN first); any other shape feeds every row to the candidate set.
     """
 
-    def __init__(self, child, node: LogicalTopN) -> None:
+    def __init__(self, child, node: LogicalTopN, class_of) -> None:
         self._child = child
         self.columns = child.columns
         self.scope = child.scope
         self.agg_slots = child.agg_slots
         self._limit = node.limit
-        self._key_specs: list = []
-        for position, expr, descending in _sort_targets(node, self.columns):
-            if position is not None:
-                self._key_specs.append((position, None, descending))
-            else:
-                fn = compile_expr_batch(expr, self.scope, self.agg_slots)
-                self._key_specs.append((None, fn, descending))
+        self._key_specs = _key_specs(self, node, class_of)
         #: bound-pushdown cell shared with the scan below (connected by
         #: _connect_topn_bound) and the lead key's index in pre rows
         self._bound_cell = None
@@ -1655,7 +1510,7 @@ class BatchTopNOp:
             # neither of those can raise
             raw_columns = [
                 out_cols[position] if position is not None
-                else key_fn(pre_cols, n)
+                else key_fn(pre_cols, n)[0]
                 for position, key_fn, __ in key_specs
             ]
             first_descending = key_specs[0][2]
@@ -1726,8 +1581,19 @@ class BatchTopNOp:
             )
 
 
-def _make_batch_picker(index: int):
-    return lambda cols, n: cols[index]
+def _key_specs(operator, node, class_of) -> list:
+    """``(out_position, key_fn, descending)`` per ORDER BY item: a
+    projected column, or a generated function over the pre-projection
+    batch returning the key column (as a 1-tuple)."""
+    specs = []
+    for position, expr, descending in _sort_targets(node, operator.columns):
+        key_fn = None
+        if position is None:
+            key_fn = compile_batch(
+                [expr], operator.scope, class_of, agg_slots=operator.agg_slots
+            ).fn
+        specs.append((position, key_fn, descending))
+    return specs
 
 
 # ---------------------------------------------------------------------------
@@ -1760,13 +1626,19 @@ def _no_instrument(operator, node):
 
 
 class _BuildContext:
-    """Builder state: the catalog and instrumentation."""
+    """Builder state: the catalog, instrumentation and the plan's
+    ``(binding, column) -> value class`` map (bindings are unique
+    within one plan)."""
 
-    __slots__ = ("catalog", "instrument")
+    __slots__ = ("catalog", "instrument", "class_of")
 
-    def __init__(self, catalog: Catalog, instrument) -> None:
+    def __init__(self, catalog: Catalog, instrument, root) -> None:
         self.catalog = catalog
         self.instrument = instrument or _no_instrument
+        self.class_of = class_of_tables({
+            binding: catalog.table(name)
+            for binding, name in scan_bindings(root).items()
+        })
 
 
 def build_physical(
@@ -1783,12 +1655,11 @@ def build_physical(
     not be cached; they get the same TopN bound pushdown as plain ones,
     so the per-operator numbers describe the plan that executes.
 
-    Provably-safe filter/project expressions compile into generated
-    per-batch functions (:func:`~repro.sqlengine.expressions.
-    fuse_batch_exprs`); everything else runs as closures.  The
-    generated code is locked to byte-identical results and errors.
+    Every expression compiles into a generated per-batch function
+    (:func:`~repro.sqlengine.expressions.compile_batch`), locked to the
+    reference interpreter's results and errors.
     """
-    ctx = _BuildContext(catalog, instrument)
+    ctx = _BuildContext(catalog, instrument, root)
     operator = _build_presentation(root, ctx)
     return PreparedPlan(
         root=operator, logical=root, columns=list(operator.columns)
@@ -1840,7 +1711,7 @@ def _connect_topn_bound(
         return
     scan, filters = parts
     pre_scope = project.scope
-    pair_class = _fusion_class_of(node, ctx.catalog)
+    pair_class = ctx.class_of
 
     def ref_class(ref):
         index = pre_scope.try_resolve(ref)
@@ -1889,18 +1760,19 @@ def _build_presentation(node: LogicalNode, ctx: _BuildContext):
         return instrument(BatchLimitOp(child, node.limit), node)
     if isinstance(node, LogicalTopN):
         child = _build_presentation(node.child, ctx)
-        operator = BatchTopNOp(child, node)
+        operator = BatchTopNOp(child, node, ctx.class_of)
         _connect_topn_bound(operator, child, node, ctx)
         return instrument(operator, node)
     if isinstance(node, LogicalSort):
         child = _build_presentation(node.child, ctx)
-        return instrument(BatchSortOp(child, node), node)
+        operator = BatchSortOp(child, node, ctx.class_of)
+        return instrument(operator, node)
     if isinstance(node, LogicalDistinct):
         child = _build_presentation(node.child, ctx)
         return instrument(BatchDistinctOp(child), node)
     if isinstance(node, LogicalProject):
         child, agg_slots = _build_relational(node.child, ctx)
-        operator = BatchProjectOp(child, node, agg_slots, ctx.catalog)
+        operator = BatchProjectOp(child, node, agg_slots, ctx.class_of)
         return instrument(operator, node)
     raise SqlExecutionError(
         f"malformed plan: unexpected presentation node {type(node).__name__}"
@@ -1915,7 +1787,7 @@ def _build_relational(node: LogicalNode, ctx: _BuildContext):
         return instrument(BatchScanOp(catalog, node), node), None
     if isinstance(node, LogicalFilter):
         child, agg_slots = _build_relational(node.child, ctx)
-        operator = BatchFilterOp(child, node.predicates, node, catalog)
+        operator = BatchFilterOp(child, node.predicates, ctx.class_of)
         return instrument(operator, node), agg_slots
     if isinstance(node, LogicalJoin):
         left, __ = _build_relational(node.left, ctx)
@@ -1924,21 +1796,14 @@ def _build_relational(node: LogicalNode, ctx: _BuildContext):
     if isinstance(node, LogicalLeftJoin):
         left, __ = _build_relational(node.left, ctx)
         right, __ = _build_relational(node.right, ctx)
-        operator = BatchLeftJoinOp(left, right, node.condition)
-        analysis = _analyze_left_join(node, left.scope, right.scope, catalog)
-        if analysis is not None:
-            key_pairs, residual = analysis
-            operator.enable_hash(
-                key_pairs,
-                [
-                    compile_expr_batch(conjunct, operator.scope)
-                    for conjunct in residual
-                ],
-            )
+        operator = BatchLeftJoinOp(
+            left, right, node.condition, ctx.class_of,
+            _analyze_left_join(node, left.scope, right.scope, catalog),
+        )
         return instrument(operator, node), None
     if isinstance(node, LogicalAggregate):
         child, __ = _build_relational(node.child, ctx)
-        operator = BatchAggregateOp(child, node)
+        operator = BatchAggregateOp(child, node, ctx.class_of)
         return instrument(operator, node), operator.agg_slots
     raise SqlExecutionError(
         f"malformed plan: unexpected relational node {type(node).__name__}"

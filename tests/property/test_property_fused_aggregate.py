@@ -7,12 +7,15 @@ inline (``count(*)``, ``count`` / ``min`` / ``max`` of every column,
 ``sum`` / ``avg`` of the numeric ones) returns exactly what the
 reference interpreter returns: the same rows, in the same
 (first-occurrence) group order, with the same representative values
-for the non-grouped columns and bit-identical sums.  Three variants of
+for the non-grouped columns and bit-identical sums.  Two variants of
 the same query must take the batch path instead, and answer (or raise)
-the same too: one with a DISTINCT call, one with a filter the fuser
-refuses, one with HAVING (and the fused query itself when it has
-neither a key nor a filter).  Batches are 8 rows, so every table spans
-several, and each query runs flat and at ``segment_rows=4``.
+the same too: one with a DISTINCT call, one with HAVING (and the fused
+query itself when it has neither a key nor a filter).  An extra
+predicate — a LIKE or a division by a column, which can raise — joins
+the filter of the fused query, where it still folds in the loop, and
+of the HAVING twin, so both paths must raise the reference's error.
+Batches are 8 rows, so every table spans several, and each query runs
+flat and at ``segment_rows=4``.
 
 Named mutant: a fused ``min`` that restarts from each batch's first
 value (the accumulator bug once in ``MinAccumulator.add_many``) — the
@@ -57,11 +60,12 @@ CALLS = (
     + [f"{fn}({name})" for fn in ("count", "min", "max") for name, __ in COLUMNS]
     + [f"{fn}({name})" for fn in ("sum", "avg") for name in ("i", "r")]
 )
-#: predicates the fuser folds into the loop
+#: predicates the loop folds with inline formulas
 FUSIBLE = [None, "i > 0", "r >= 0", "s <> 'a'", "d < '2020-01-02'", "b",
            "i IS NULL OR r < 1", "NOT b"]
-#: predicates it refuses (LIKE; a division by a column, which can raise)
-UNFUSIBLE = ["s LIKE 'a%'", "10 / i > 1"]
+#: a LIKE (through its per-call table) and a division by a column
+#: (which can raise): the loop folds them too
+EXTRA = ["s LIKE 'a%'", "10 / i > 1"]
 BATCH = 8
 
 
@@ -75,8 +79,10 @@ SELECT_LISTS = {
 }
 
 
-def queries(keys, where, unfusible, select_list):
-    """``(sql, fused)``: the fused query and its three batch-path twins."""
+def queries(keys, where, extra, select_list):
+    """``(sql, fused)``: the fused query, its two batch-path twins and
+    the fused query with the *extra* predicate (the HAVING twin has it
+    too)."""
     items = SELECT_LISTS[select_list]
     group = f" GROUP BY {', '.join(keys)}" if keys else ""
 
@@ -89,8 +95,8 @@ def queries(keys, where, unfusible, select_list):
         # a global aggregate with no filter has no per-row work to fuse
         (select(items, [where]), bool(keys) or where is not None),
         (select(items + ", count(DISTINCT s)", [where]), False),
-        (select(items, [where, unfusible]), False),
-        (select(items, [where], " HAVING count(*) > 1"), False),
+        (select(items, [where, extra]), True),
+        (select(items, [where, extra], " HAVING count(*) > 1"), False),
     ]
 
 
@@ -108,12 +114,12 @@ def aggregate_of(db, sql):
     return operator
 
 
-def run_case(rows, keys, where, unfusible, select_list):
+def run_case(rows, keys, where, extra, select_list):
     for segment_rows in (0, 4):
         db = Database(config=EngineConfig(segment_rows=segment_rows))
         db.create_table("t", COLUMNS)
         db.insert_rows("t", rows)
-        for sql, fused in queries(keys, where, unfusible, select_list):
+        for sql, fused in queries(keys, where, extra, select_list):
             assert (aggregate_of(db, sql)._fold is not None) is fused, sql
             expected = outcome(lambda s: reference_execute(db, s), sql)
             assert outcome(db.execute, sql) == expected, (segment_rows, sql)
@@ -130,25 +136,25 @@ NAN_OPENS_A_BATCH = [(1, 5.0, "a", None, True)] * BATCH + [
     rows=st.lists(ROW, max_size=40),
     keys=st.lists(st.sampled_from(KEYS), max_size=2, unique=True),
     where=st.sampled_from(FUSIBLE),
-    unfusible=st.sampled_from(UNFUSIBLE),
+    extra=st.sampled_from(EXTRA),
     select_list=st.sampled_from(sorted(SELECT_LISTS)),
 )
 @example(rows=NAN_OPENS_A_BATCH, keys=["i"], where=None,
-         unfusible="s LIKE 'a%'", select_list="bare")
+         extra="s LIKE 'a%'", select_list="bare")
 @example(rows=NAN_OPENS_A_BATCH, keys=[], where="b",
-         unfusible="10 / i > 1", select_list="calls")
+         extra="10 / i > 1", select_list="calls")
 # count(*) alone reads no column: the representative row holds only
 # the filter's, and the count still lands in the aggregate's slot
 @example(rows=NAN_OPENS_A_BATCH, keys=[], where="i > 0",
-         unfusible="10 / i > 1", select_list="count")
+         extra="10 / i > 1", select_list="count")
 # an empty table: the global aggregate still answers one row
-@example(rows=[], keys=[], where=None, unfusible="10 / i > 1",
+@example(rows=[], keys=[], where=None, extra="10 / i > 1",
          select_list="count")
 # -0.0 first: the group key, the representative row and the sum keep it
 @example(rows=[(0, -0.0, "x", None, None), (0, 0.0, "y", None, None)] * 5,
-         keys=["r"], where=None, unfusible="10 / i > 1", select_list="bare")
+         keys=["r"], where=None, extra="10 / i > 1", select_list="bare")
 def test_fused_grouping_matches_the_reference(
-    rows, keys, where, unfusible, select_list
+    rows, keys, where, extra, select_list
 ):
     with mock.patch.object(physical, "BATCH_SIZE", BATCH):
-        run_case(rows, keys, where, unfusible, select_list)
+        run_case(rows, keys, where, extra, select_list)

@@ -1,7 +1,7 @@
 """Tests for expression compilation details (scope resolution, 3VL, LIKE).
 
-Direct cases run through :func:`compile_expr_batch` over one-row
-batches, the way constant folding and row-major DML evaluate.
+Direct cases run through :func:`compile_batch` over one-row batches,
+the way constant folding evaluates.
 """
 
 import pytest
@@ -17,7 +17,7 @@ from repro.sqlengine.ast_nodes import (
 )
 from repro.sqlengine.expressions import (
     Scope,
-    compile_expr_batch,
+    compile_batch,
     like_to_regex,
     split_conjuncts,
 )
@@ -30,7 +30,8 @@ def where_expr(condition):
 
 def evaluate_row(expr, scope, row):
     """*expr* over the one-row batch holding *row*."""
-    return compile_expr_batch(expr, scope)([[value] for value in row], 1)[0]
+    fused = compile_batch([expr], scope)
+    return fused.fn([[value] for value in row], 1)[0][0]
 
 
 class TestScope:
@@ -147,4 +148,4 @@ class TestHelpers:
     def test_aggregate_outside_context_raises(self):
         scope = Scope([("t", "a")])
         with pytest.raises(SqlExecutionError):
-            compile_expr_batch(FuncCall("sum", (ColumnRef("t", "a"),)), scope)
+            compile_batch([FuncCall("sum", (ColumnRef("t", "a"),))], scope)

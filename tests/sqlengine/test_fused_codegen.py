@@ -1,25 +1,53 @@
-"""Unit tests for fused codegen and the TopN bound pushdown.
+"""Unit tests for the expression compiler and the TopN bound pushdown.
 
 Covers the pieces the end-to-end parity corpora exercise only
-indirectly: the fused-expression compiler's fuse/refuse decisions (the
-engine always fuses; closures remain for what the fuser refuses), the
-TopN bound pushdown wiring, GROUP BY inside the scan's generated loop
-and the plain-list column store.
+indirectly: one generated function per operator (there is no other
+evaluator), source that grows linearly with the expression however
+deep it nests, the first error raised being the reference's, the TopN
+bound pushdown wiring, GROUP BY inside the scan's generated loop and
+the plain-list column store.
+
+Named mutants, each killed here:
+
+(a) a compound operand put back into its NULL guard (the source then
+    doubles per nesting level):
+    ``TestLinearCodegen::test_source_grows_linearly_with_the_tree``;
+(b) an AND evaluating its right side on rows its left made FALSE:
+    ``TestErrorOrder::test_and_skips_its_right_side_after_false``;
+(c) a t(AND) skipping its right side on rows its left made NULL:
+    ``TestErrorOrder::test_a_null_left_side_still_runs_the_right``.
 """
 
 import re
 
 import pytest
 
+from repro.errors import SqlError
 from repro.obs.metrics import registry
 from repro.resilience.deadline import Deadline, DeadlineExceeded, deadline_scope
-from repro.sqlengine import expressions
 from repro.sqlengine.config import EngineConfig
 from repro.sqlengine.database import Database
+from repro.sqlengine.expressions import Scope, compile_batch
 from repro.sqlengine.parser import parse_select
 from repro.sqlengine.planner import physical
+from repro.sqlengine.planner.logical import expr_children
 
 from tests.sqlengine.reference_engine import reference_execute, snapshot_rows
+
+
+def outcome(run, sql):
+    """A statement's rows, or its error's type and message."""
+    try:
+        return repr(run(sql).rows)
+    except SqlError as error:
+        return f"{type(error).__name__}: {error}"
+
+
+def same_as_reference(db, sql):
+    """*sql*'s outcome, asserted equal to the reference interpreter's."""
+    expected = outcome(lambda text: reference_execute(db, text), sql)
+    assert outcome(db.execute, sql) == expected, sql[:200]
+    return expected
 
 
 class TestFusedCompilation:
@@ -43,39 +71,41 @@ class TestFusedCompilation:
             op = op._child
         return op
 
-    @staticmethod
-    def _kinds(scan):
-        return [kind for kind, __ in scan._filter_stages]
-
-    def test_safe_conjunction_fuses_to_one_stage(self):
-        scan = self._scan(
-            self._db(), "SELECT id FROM t WHERE x > 3 AND id < 40 AND s = 's1'"
+    def _one_function(self, sql, conjuncts):
+        """The scan's filter is one generated function over every
+        conjunct, and the statement answers (or raises) as the
+        reference does."""
+        db = self._db()
+        fused = self._scan(db, sql)._filter
+        assert fused.source.count("def ") == 1
+        assert fused.source.count(" and ") >= conjuncts - 1
+        assert outcome(db.execute, sql) == outcome(
+            lambda text: reference_execute(db, text), sql
         )
-        assert self._kinds(scan) == ["fused"]
 
-    def test_unsafe_conjunct_stays_a_closure(self):
-        # division can raise, so it must stay an ordered closure; the
-        # safe prefix before it still fuses
-        scan = self._scan(
-            self._db(), "SELECT id FROM t WHERE x > 3 AND 10 / id > 0"
+    def test_safe_conjunction_is_one_function(self):
+        self._one_function(
+            "SELECT id FROM t WHERE x > 3 AND id < 40 AND s = 's1'", 3
         )
-        assert self._kinds(scan) == ["fused", "closures"]
 
-    def test_fusible_run_after_unfusible_conjunct_fuses(self):
-        # the fusible run does not have to be a prefix: conjuncts after
-        # an unfusible one still collapse, they just run behind it
-        scan = self._scan(
-            self._db(),
-            "SELECT id FROM t WHERE 10 / id > 0 AND x > 3 AND id < 40",
+    def test_unsafe_conjunct_joins_the_loop(self):
+        # division can raise; it runs in the same row loop, after the
+        # conjunct before it, on the rows that conjunct let through
+        self._one_function("SELECT id FROM t WHERE x > 3 AND 10 / id > 0", 2)
+        self._one_function("SELECT id FROM t WHERE x >= 0 AND 10 / id > 0", 2)
+
+    def test_unsafe_conjunct_first_joins_the_loop(self):
+        self._one_function(
+            "SELECT id FROM t WHERE 10 / (id + 1) > 0 AND x > 3 AND id < 40", 3
         )
-        assert self._kinds(scan) == ["closures", "fused"]
+        self._one_function(
+            "SELECT id FROM t WHERE 10 / id > 0 AND x > 3 AND id < 40", 3
+        )
 
     def test_string_predicates_fuse_as_plain_comparisons(self):
-        scan = self._scan(
-            self._db(),
-            "SELECT id FROM t WHERE s = 's1' AND s IN ('s2', 's3', 's1')",
+        self._one_function(
+            "SELECT id FROM t WHERE s = 's1' AND s IN ('s2', 's3', 's1')", 2
         )
-        assert self._kinds(scan) == ["fused"]
         db = self._db()
         assert db.execute(
             "SELECT count(*) FROM t WHERE s = 's1' AND s IN ('s2', 's1')"
@@ -84,12 +114,152 @@ class TestFusedCompilation:
             "SELECT count(*) FROM t WHERE s <> 'nope' AND s NOT IN ('s0')"
         ).rows == [(37,)]
 
-    def test_fused_batches_counter_moves(self):
+    def test_batches_counter_moves(self):
         db = self._db()
-        before = db.metrics().get("engine.fused_batches", {}).get("value", 0)
+        before = db.metrics().get("engine.batches_produced", {}).get("value", 0)
         db.execute("SELECT id FROM t WHERE x > 3 AND id < 40")
-        after = db.metrics()["engine.fused_batches"]["value"]
+        after = db.metrics()["engine.batches_produced"]["value"]
         assert after > before
+        assert "engine.fused_batches" not in db.metrics()
+
+
+class TestLinearCodegen:
+    """Generated source grows linearly with the expression tree: a
+    compound operand is computed once (bound with ``:=``) however often
+    its parent reads it, and a subtree nested past ``_MAX_DEPTH``
+    becomes a function of its own, under Python's 200-parenthesis
+    limit.  Each statement answers as the reference does."""
+
+    @staticmethod
+    def _db():
+        db = Database()
+        db.create_table("t", [("id", "INT"), ("x", "REAL"), ("n", "INT")])
+        db.insert_rows(
+            "t", [(i, i * 0.5, None if i % 3 == 0 else i) for i in range(40)]
+        )
+        return db
+
+    SCOPE = Scope([("t", "id"), ("t", "x"), ("t", "n")])
+    CLASSES = {"id": "num", "x": "num", "n": "num"}.get
+    #: a CASE nested 60 deep in its ELSE branches
+    CASE = "".join(
+        f"CASE WHEN id < {k} THEN {k} * x ELSE " for k in range(60)
+    ) + "n" + " END" * 60
+
+    @staticmethod
+    def _nodes(expr) -> int:
+        return 1 + sum(TestLinearCodegen._nodes(c) for c in expr_children(expr))
+
+    @staticmethod
+    def _expr(text):
+        return parse_select(f"SELECT {text} FROM t").items[0].expr
+
+    def _lock(self, text):
+        """Source length <= 50 chars per AST node, in both modes, with
+        the columns' classes and without (the generic forms)."""
+        expr = self._expr(text)
+        for class_of in (lambda binding, column: self.CLASSES(column), None):
+            for mode in ("value", "filter"):
+                source = compile_batch([expr], self.SCOPE, class_of, mode).source
+                assert len(source) <= 50 * self._nodes(expr), (mode, text[:80])
+
+    def test_source_grows_linearly_with_the_tree(self):
+        # fifteen operators, each reading its compound operand twice (the
+        # NULL guard and the formula): a copy per read would be 2**15
+        nested = "x"
+        for level in range(10):
+            nested = f"({nested} + {level}) * 2" if level % 2 else f"-({nested})"
+        self._lock(nested)
+        self._lock(f"({nested}) > 3 AND NOT ({nested} BETWEEN 1 AND 2)")
+        self._lock(" + ".join(["x"] + ["1"] * 300))
+        self._lock("-(" * 60 + "x" + ")" * 60)
+        self._lock(" OR ".join(f"x = {k}" for k in range(400)))
+        self._lock(self.CASE)
+        self._lock(f"coalesce(n, {nested}, 10 / n) IN (1, n / 2, {nested})")
+
+    def test_a_300_term_sum(self):
+        chain = " + ".join(["x"] + ["1"] * 299)
+        db = self._db()
+        assert same_as_reference(db, f"SELECT id, {chain} FROM t")
+        assert same_as_reference(
+            db, f"SELECT id FROM t WHERE {chain} > 310 ORDER BY {chain}"
+        ) == repr([(i,) for i in range(23, 40)])
+
+    def test_60_nested_negations(self):
+        same_as_reference(self._db(), "SELECT " + "-(" * 60 + "x" + ")" * 60
+                          + " FROM t")
+        same_as_reference(self._db(), "SELECT " + "-(" * 61 + "n" + ")" * 61
+                          + " FROM t WHERE " + "-(" * 59 + "x" + ")" * 59
+                          + " < 5")
+
+    def test_a_400_term_or_chain(self):
+        chain = " OR ".join(f"x = {k}" for k in range(400))
+        db = self._db()
+        assert same_as_reference(
+            db, f"SELECT id FROM t WHERE {chain}"
+        ) == repr([(i,) for i in range(0, 40, 2)])
+        same_as_reference(db, f"SELECT id, {chain} FROM t")
+        same_as_reference(db, f"SELECT id FROM t WHERE NOT ({chain})")
+
+    def test_a_60_deep_case(self):
+        db = self._db()
+        same_as_reference(db, f"SELECT id, {self.CASE} FROM t")
+        same_as_reference(db, f"SELECT id FROM t WHERE {self.CASE} > 3")
+
+
+class TestErrorOrder:
+    """Within one operator the first error raised is the reference's:
+    a filter's conjuncts and a select list's items run row by row in one
+    loop, and AND / OR / CASE / IN run a part only on the rows that
+    reach it (``test_vectorized_parity.py`` has one case per node)."""
+
+    @staticmethod
+    def _db():
+        db = Database()
+        db.create_table("t", [("id", "INT"), ("n", "INT")])
+        db.insert_rows("t", [(i, None if i == 5 else i) for i in range(50)])
+        return db
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT id FROM t WHERE 10 / (40 - id) > 0 AND 10 / (id - 5) > 0",
+            "SELECT 10 / (40 - id), 10 / (id - 5) FROM t",
+            "UPDATE t SET id = 10 / (40 - id), n = 10 / (id - 5)",
+        ],
+        ids=["where", "select", "set"],
+    )
+    def test_the_first_row_to_fail_raises(self, sql):
+        # row 5 fails in the second expression before row 40 fails in
+        # the first
+        assert same_as_reference(self._db(), sql) == (
+            "SqlExecutionError: division by zero in (10 / (id - 5))"
+        )
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT (id <> 5 AND 10 / (id - 5) > 0) FROM t",
+            "SELECT id FROM t WHERE (id <> 5 AND 10 / (id - 5) > 0) OR id = 5",
+            "SELECT CASE WHEN id <> 5 AND 10 / (id - 5) > 0 THEN 1 END FROM t",
+        ],
+    )
+    def test_and_skips_its_right_side_after_false(self, sql):
+        assert "Error" not in same_as_reference(self._db(), sql)
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT (n > 0 AND 10 / (id - 5) > 0) FROM t",
+            "SELECT CASE WHEN n > 0 AND 10 / (id - 5) > 0 THEN 1 END FROM t",
+            "SELECT id FROM t WHERE (n > 0 AND 10 / (id - 5) > 0) OR id < 0",
+            "SELECT id FROM t WHERE NOT (n <= 0 OR 10 / (id - 5) <= 0)",
+        ],
+    )
+    def test_a_null_left_side_still_runs_the_right(self, sql):
+        assert same_as_reference(self._db(), sql) == (
+            "SqlExecutionError: division by zero in (10 / (id - 5))"
+        )
 
 
 class TestTopNBoundPushdown:
@@ -214,8 +384,9 @@ class TestTopNBoundConjunct:
         scan = plan._root
         while not isinstance(scan, physical.BatchScanOp):
             scan = scan._child
-        assert scan._bound_stages == {}  # generated once the bound arms
-        assert [kind for kind, __ in scan._stages_under(9.5)] == ["fused"]
+        assert scan._bound_filters == {}  # generated once the bound arms
+        fused = scan._filter_under(9.5)
+        assert fused.source.count("def ") == 1 and "_b" in fused.source
         assert not hasattr(physical, "_apply_topn_bound")
 
 
@@ -360,9 +531,9 @@ class TestFusedGrouping:
         having = sql + " HAVING count(*) > 0"
         assert self._moved(db, having) == [1976, 1876, 100]
 
-    def test_oversized_source_falls_back(self, monkeypatch):
-        # 40 aggregates over compound arguments: the generated loop
-        # outgrows _FUSION_MAX_SOURCE and the batch path takes over
+    def test_a_large_statement_folds_in_the_scan(self):
+        # 40 aggregates over compound arguments: one generated loop,
+        # nothing gathered, the reference's answer
         calls = ", ".join(
             f"sum(CASE WHEN q BETWEEN {k} AND {k + 9} OR x > {k} AND "
             f"x < {k + 50} AND q <> {k} THEN x * {k} + q ELSE q - {k} * x END)"
@@ -370,10 +541,8 @@ class TestFusedGrouping:
         )
         sql = f"SELECT g, {calls} FROM f GROUP BY g"
         db = self._db()
-        assert self._aggregate(db, sql)._fold is None
-        assert self._moved(db, sql)[2] == 3000
-        monkeypatch.setattr(expressions, "_FUSION_MAX_SOURCE", 10**6)
-        assert self._aggregate(self._db(), sql)._fold is not None
+        assert self._aggregate(db, sql)._fold is not None
+        assert self._moved(db, sql)[2] == 0
 
 
 class TestPlainColumns:

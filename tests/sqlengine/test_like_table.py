@@ -1,11 +1,11 @@
-"""The literal-LIKE closure's per-batch match table, against the reference.
+"""The literal LIKE's per-call match table, against the reference.
 
-``compile_expr_batch`` evaluates ``x [NOT] LIKE '<literal>'`` by running
-the regex once per distinct string of a batch: it builds one
-``{value: result}`` table from ``set(values)`` per call and maps the
-batch through it.  A batch holding any non-``str`` non-NULL value is
-matched row by row on ``str(value)`` instead, because ``1``, ``1.0``
-and ``True`` hash alike but render as ``'1'``, ``'1.0'`` and ``'True'``.
+Generated code evaluates ``x [NOT] LIKE '<literal>'`` by running the
+regex once per distinct string that reaches it in a batch, through a
+``{value: result}`` table local to one call (``expressions._LikeTable``):
+it fills as rows reach the LIKE, and only ``str`` values enter it,
+because ``1``, ``1.0`` and ``True`` hash alike but render as ``'1'``,
+``'1.0'`` and ``'True'``.
 Every answer here is checked against the row-at-a-time reference
 interpreter, which matches each row on its own.
 

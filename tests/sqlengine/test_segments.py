@@ -350,8 +350,8 @@ class TestDmlThroughTheScan:
         flat, row = facts_db(segment_rows=0), facts_db(segment_rows=0)
         sql = "DELETE FROM facts WHERE status IN ('NEW', 'DONE') AND qty = 3"
         result, delta = moved(
-            lambda: flat.execute(sql), "engine.fused_batches"
+            lambda: flat.execute(sql), "engine.batches_produced"
         )
         assert result.rowcount == reference_execute(row, sql).rowcount > 0
-        assert delta["engine.fused_batches"] > 0  # DML fuses like SELECT
+        assert delta["engine.batches_produced"] > 0  # DML scans like SELECT
         assert flat.table("facts").rows == row.table("facts").rows

@@ -12,11 +12,12 @@ Where the two dialects really differ, the statement is a named entry of
 ``DEVIATIONS``: the test asserts *our* answer, and that sqlite's
 differs, so an entry that stops deviating is noticed.
 
-Named mutant this oracle kills: ``compile_expr_batch``'s OR answering
-TRUE OR NULL with NULL.  ``test_matches_sqlite[three_valued-08-*]``
-(constant folding) and ``test_dml_three_valued`` (a SET expression)
-fail under it; the OR shapes in WHERE and select lists are served by
-the fused codegen instead.
+Named mutant this oracle kills: the generated OR value
+(``expressions._Fuser._gen_binary``) answering TRUE OR NULL with NULL.
+``test_matches_sqlite[three_valued-00-*]`` (a select list),
+``test_matches_sqlite[three_valued-08-*]`` (constant folding) and
+``test_dml_three_valued`` (a SET expression) fail under it; an OR in
+WHERE is decided by the t() form, which never yields NULL.
 """
 
 from dataclasses import dataclass

@@ -210,6 +210,34 @@ class TestErrorParity:
         assert type(batch_error.value) is type(row_error.value)
         assert str(batch_error.value) == str(row_error.value)
 
+    #: one case per node that runs a part only on the rows reaching it
+    #: (val is 0.0 on id 4, NULL on id 2; flag is NULL on id 4): the
+    #: part that would divide by zero is skipped — or, where the
+    #: reference evaluates it, raises its error
+    ERROR_ORDER = {
+        "and": "SELECT id, (val <> 0.0 AND 10 / val > 1) FROM t",
+        "and-null-left": "SELECT id FROM t WHERE (flag AND 10 / val > 1) "
+                         "OR id < 0",
+        "or": "SELECT id FROM t WHERE NOT (val = 0.0 OR 10 / val > 1)",
+        "case": "SELECT CASE WHEN val = 0.0 THEN 0 WHEN 10 / val > 1 "
+                "THEN 1 ELSE 2 END FROM t",
+        "in": "SELECT id FROM t WHERE id IN (4, 10 / val)",
+        # the reference evaluates every argument of coalesce
+        "coalesce": "SELECT coalesce(id, 10 / val) FROM t",
+    }
+
+    @pytest.mark.parametrize(
+        "sql", list(ERROR_ORDER.values()), ids=list(ERROR_ORDER)
+    )
+    def test_lazy_parts_raise_as_the_reference(self, rich_dbs, sql):
+        outcomes = []
+        for run, db in zip((reference_execute, Database.execute), rich_dbs):
+            try:
+                outcomes.append(repr(run(db, sql).rows))
+            except SqlError as error:
+                outcomes.append(f"{type(error).__name__}: {error}")
+        assert outcomes[1] == outcomes[0], sql
+
     def test_short_circuit_protects_division(self, rich_dbs):
         # the reference never divides where the guard is False; the
         # engine must compact the batch the same way instead of raising
