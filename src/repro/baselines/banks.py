@@ -22,8 +22,6 @@ from __future__ import annotations
 import heapq
 from collections import defaultdict
 
-import networkx as nx
-
 from repro.baselines.base import BaselineAnswer, KeywordSearchSystem, build_sql
 from repro.index.inverted import tokenize_text
 
@@ -95,9 +93,14 @@ class Banks(KeywordSearchSystem):
         return answer
 
     # ------------------------------------------------------------------
-    def _data_graph(self) -> "nx.Graph":
-        """Tuple-level graph: nodes (table, pk-ish id), edges FK references."""
-        graph = nx.Graph()
+    def _data_graph(self) -> dict:
+        """Tuple-level graph: node (table, row number) -> neighbour -> None.
+
+        Edges are FK references, undirected.  Neighbours are a dict, not
+        a set, so the search visits them in insertion order whatever the
+        process hash seed.
+        """
+        graph: dict = {}
         catalog = self.database.catalog
         # index rows by (table, key value) for FK targets
         row_index: dict = {}
@@ -107,7 +110,7 @@ class Banks(KeywordSearchSystem):
             keys = table.column_data(table.column_index(key_col))
             for row_number, key in enumerate(keys):
                 node = (table.name, row_number)
-                graph.add_node(node)
+                graph[node] = {}
                 row_index[(table.name, key)] = node
         for table in catalog.tables():
             for fk in table.foreign_keys:
@@ -115,10 +118,12 @@ class Banks(KeywordSearchSystem):
                 for row_number, reference in enumerate(references):
                     target = row_index.get((fk.ref_table, reference))
                     if target is not None:
-                        graph.add_edge((table.name, row_number), target)
+                        source = (table.name, row_number)
+                        graph[source][target] = None
+                        graph[target][source] = None
         return graph
 
-    def _nodes_for_keyword(self, graph: "nx.Graph", segment: str) -> list:
+    def _nodes_for_keyword(self, graph: dict, segment: str) -> list:
         """Tuple nodes containing the keyword, plus whole-table matches."""
         nodes: list = []
         catalog = self.database.catalog
@@ -144,7 +149,7 @@ class Banks(KeywordSearchSystem):
                 )
         return nodes
 
-    def _backward_search(self, graph: "nx.Graph", keyword_nodes: list) -> list:
+    def _backward_search(self, graph: dict, keyword_nodes: list) -> list:
         """Backward expanding search; returns connection-tree node sets."""
         if len(keyword_nodes) == 1:
             return [[node] for node in keyword_nodes[0][: self.max_answers]]
@@ -166,7 +171,7 @@ class Banks(KeywordSearchSystem):
                 for node in frontier:
                     if node not in graph:
                         continue
-                    for neighbour in graph.neighbors(node):
+                    for neighbour in graph[node]:
                         if neighbour not in dist:
                             dist[neighbour] = depth
                             parent[neighbour] = node

@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-import networkx as nx
-
 from repro.index.inverted import InvertedIndex, tokenize_text
 from repro.sqlengine.database import Database
 
@@ -47,24 +45,20 @@ class KeywordSearchSystem:
         self.inverted = inverted or InvertedIndex.build(database.catalog)
 
     # ------------------------------------------------------------------
-    def answer(self, text: str) -> BaselineAnswer:  # pragma: no cover
-        raise NotImplementedError
-
-    # ------------------------------------------------------------------
     # shared helpers
     # ------------------------------------------------------------------
-    def fk_graph(self) -> "nx.MultiGraph":
-        """The schema graph: tables as nodes, FK constraints as edges."""
-        graph = nx.MultiGraph()
-        for name in self.database.table_names():
-            graph.add_node(name)
+    def fk_graph(self) -> dict:
+        """The schema graph: table -> neighbour -> FK tuples.
+
+        Every table is a key; each FK constraint ``(from_table, column,
+        to_table, ref_column)`` is listed under both of its tables (one
+        shared list per table pair), in ``foreign_key_edges()`` order.
+        """
+        graph: dict = {name: {} for name in self.database.table_names()}
         for from_table, to_table, fk in self.database.catalog.foreign_key_edges():
-            graph.add_edge(
-                from_table,
-                to_table,
-                key=f"{from_table}.{fk.columns[0]}",
-                fk=(from_table, fk.columns[0], to_table, fk.ref_columns[0]),
-            )
+            fks = graph[from_table].setdefault(to_table, [])
+            graph[to_table].setdefault(from_table, fks)
+            fks.append((from_table, fk.columns[0], to_table, fk.ref_columns[0]))
         return graph
 
     def schema_has_cycle(self, tables: Sequence[str]) -> bool:
@@ -73,22 +67,34 @@ class KeywordSearchSystem:
         Parallel FK edges between two tables (transactions has two
         foreign keys to parties) count as a cycle — the situation that
         breaks DBExplorer's and DISCOVER's candidate-network generation.
+        Otherwise a union-find pass looks for an edge that closes a
+        cycle (the subgraph's cycle rank is positive).
         """
         graph = self.fk_graph()
-        try:
-            subgraph = graph.subgraph(tables)
-            return bool(nx.cycle_basis(nx.Graph(subgraph))) or any(
-                subgraph.number_of_edges(u, v) > 1
-                for u in subgraph
-                for v in subgraph
-                if u < v
-            )
-        except nx.NetworkXError:  # pragma: no cover - defensive
-            return False
+        nodes = set(tables) & graph.keys()
+        root = {table: table for table in nodes}
+
+        def find(table: str) -> str:
+            while root[table] != table:
+                root[table] = root[root[table]]
+                table = root[table]
+            return table
+
+        for u in nodes:
+            for v, fks in graph[u].items():
+                if v not in nodes or v < u:
+                    continue
+                if len(fks) > 1 or find(u) == find(v):
+                    return True
+                root[find(u)] = find(v)
+        return False
 
     def join_tree(self, tables: Sequence[str]) -> "list | None":
         """Connect *tables* with FK joins (shortest paths, SODA-free).
 
+        Each pair is joined along a breadth-first path from its
+        lower-named table, neighbours visited in graph order; a table
+        pair with several FKs joins on the first by ``"table.column"``.
         Returns a list of (t1, c1, t2, c2) join conditions, or None if
         some pair cannot be connected.
         """
@@ -96,25 +102,36 @@ class KeywordSearchSystem:
         if len(wanted) <= 1:
             return []
         graph = self.fk_graph()
+        if any(table not in graph for table in wanted):
+            return None
         joins: list = []
         seen_pairs: set = set()
-        used_tables = set(wanted)
-        for i, source in enumerate(wanted):
+        for i, source in enumerate(wanted[:-1]):
+            parent = {source: None}
+            frontier = [source]
+            while frontier:
+                next_frontier = []
+                for node in frontier:
+                    for neighbour in graph[node]:
+                        if neighbour not in parent:
+                            parent[neighbour] = node
+                            next_frontier.append(neighbour)
+                frontier = next_frontier
             for target in wanted[i + 1:]:
-                try:
-                    path = nx.shortest_path(graph, source, target)
-                except (nx.NetworkXNoPath, nx.NodeNotFound):
+                if target not in parent:
                     return None
+                path = [target]
+                while parent[path[-1]] is not None:
+                    path.append(parent[path[-1]])
+                path.reverse()
                 for u, v in zip(path, path[1:]):
                     pair = (min(u, v), max(u, v))
                     if pair in seen_pairs:
                         continue
                     seen_pairs.add(pair)
-                    used_tables.add(u)
-                    used_tables.add(v)
-                    edge_data = graph.get_edge_data(u, v)
-                    first_key = sorted(edge_data)[0]
-                    joins.append(edge_data[first_key]["fk"])
+                    joins.append(
+                        min(graph[u][v], key=lambda fk: f"{fk[0]}.{fk[1]}")
+                    )
         return joins
 
     def keyword_hits(self, term: str) -> list:

@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import itertools
 
-import networkx as nx
-
 from repro.baselines.base import BaselineAnswer, KeywordSearchSystem, build_sql
 
 

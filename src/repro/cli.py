@@ -150,15 +150,9 @@ def make_parser() -> argparse.ArgumentParser:
                        help="graceful-drain budget on stop/SIGTERM: "
                             "in-flight requests get this long to finish "
                             "(default 10)")
-    serve.add_argument("--maintenance-interval", type=float, default=None,
-                       metavar="S",
-                       help="run background maintenance (warehouse stats "
-                            "refresh; plus index-snapshot saves with "
-                            "--snapshot-save) every S seconds, with "
-                            "exponential backoff on failure")
     serve.add_argument("--snapshot-save", default=None, metavar="PATH",
-                       help="with --maintenance-interval: periodically "
-                            "save the warm index snapshot to PATH")
+                       help="save the warm index snapshot to PATH once, "
+                            "when the server drains")
 
     recover = commands.add_parser(
         "recover",
@@ -416,28 +410,6 @@ def cmd_sql(args, out) -> int:
     return 0
 
 
-def _build_maintenance(args, warehouse):
-    """A MaintenanceRunner for ``serve``, or None when not requested."""
-    if args.maintenance_interval is None:
-        return None
-    from repro.resilience.maintenance import MaintenanceRunner
-
-    runner = MaintenanceRunner()
-    runner.add_task(
-        "stats_refresh",
-        warehouse.statistics,
-        interval_s=args.maintenance_interval,
-    )
-    if args.snapshot_save is not None:
-        path = args.snapshot_save
-        runner.add_task(
-            "snapshot_save",
-            lambda: warehouse.save_index_snapshot(path),
-            interval_s=args.maintenance_interval,
-        )
-    return runner
-
-
 def cmd_serve(args, out) -> int:
     import signal
 
@@ -461,7 +433,7 @@ def cmd_serve(args, out) -> int:
         queue_depth=args.queue_depth,
         queue_timeout_ms=args.queue_timeout_ms,
         drain_timeout_s=args.drain_timeout_s,
-        maintenance=_build_maintenance(args, warehouse),
+        snapshot_path=args.snapshot_save,
     )
     server.start_background()
 

@@ -1,13 +1,12 @@
 """Small concurrency primitives shared across the engine.
 
-:class:`SharedRLock` exists because the storage layer now embeds locks
-in objects the rest of the codebase treats as plain values — tables and
-catalogs are deep-copied by the time-travel tests, pickled into
-checkpoint fixtures, and so on.  A raw ``threading.RLock`` poisons
-``copy.deepcopy`` / ``pickle`` for the whole object graph; this wrapper
-copies as a *fresh, unlocked* lock while preserving sharing (two
-objects holding the same lock before a deepcopy hold one shared lock
-after it, via the deepcopy memo).
+:class:`SharedRLock` exists because the storage layer embeds locks in
+objects the rest of the codebase treats as plain values: a test
+deep-copies a whole warehouse (catalog, tables, plan cache) to annotate
+a copy.  A raw ``threading.RLock`` makes ``copy.deepcopy`` fail for the
+whole object graph; this wrapper copies as a *fresh, unlocked* lock
+while preserving sharing (two objects holding the same lock before a
+deepcopy hold one shared lock after it, via the deepcopy memo).
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ __all__ = ["SharedRLock"]
 
 
 class SharedRLock:
-    """A reentrant lock that survives deepcopy and pickling.
+    """A reentrant lock, used as a context manager, that survives deepcopy.
 
     Semantics of the copy: brand new and unlocked — lock *state* is
     inherently tied to live threads and never meaningfully copyable.
@@ -28,12 +27,6 @@ class SharedRLock:
 
     def __init__(self) -> None:
         self._lock = threading.RLock()
-
-    def acquire(self, blocking: bool = True, timeout: float = -1) -> bool:
-        return self._lock.acquire(blocking, timeout)
-
-    def release(self) -> None:
-        self._lock.release()
 
     def __enter__(self) -> "SharedRLock":
         self._lock.acquire()
@@ -47,9 +40,3 @@ class SharedRLock:
         clone = type(self)()
         memo[id(self)] = clone
         return clone
-
-    def __getstate__(self) -> dict:
-        return {}
-
-    def __setstate__(self, state: dict) -> None:
-        self._lock = threading.RLock()

@@ -27,7 +27,7 @@ from typing import Sequence
 
 from repro.errors import EvaluationError
 from repro.sqlengine.database import Database
-from repro.sqlengine.executor import ResultSet
+from repro.sqlengine.results import ResultSet
 
 
 @dataclass(frozen=True)

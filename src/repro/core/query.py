@@ -96,13 +96,3 @@ class SodaQuery:
         if self.valid_at is not None:
             parts.append(f"valid at {self.valid_at.isoformat()}")
         return " | ".join(parts)
-
-
-def format_value(value: object) -> str:
-    """Render an operator value as a SQL literal fragment."""
-    if isinstance(value, datetime.date):
-        return f"'{value.isoformat()}'"
-    if isinstance(value, (int, float)):
-        return str(value)
-    escaped = str(value).replace("'", "''")
-    return f"'{escaped}'"

@@ -42,10 +42,6 @@ class GeneratedStatement:
     tables: tuple
     disconnected: bool
 
-    def describe(self) -> str:
-        state = " (disconnected)" if self.disconnected else ""
-        return f"{self.sql}{state}"
-
 
 class SqlGenerator:
     """Step 5, bound to the physical catalog (for key inference)."""

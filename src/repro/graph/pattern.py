@@ -41,18 +41,12 @@ class Var:
 
     name: str
 
-    def __str__(self) -> str:  # pragma: no cover - trivial
-        return self.name
-
 
 @dataclass(frozen=True, order=True)
 class TextVar:
     """A text-label variable; binds to a :class:`Text` value."""
 
     name: str
-
-    def __str__(self) -> str:  # pragma: no cover - trivial
-        return f"t:{self.name}"
 
 
 #: A term in subject position: variable or static URI.

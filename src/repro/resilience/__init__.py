@@ -1,4 +1,4 @@
-"""Serving resilience: deadlines, shedding, breaker, maintenance.
+"""Serving resilience: deadlines, shedding, breaker, fault injection.
 
 The building blocks that keep the serving stack (``repro serve``)
 standing under real traffic:
@@ -9,8 +9,6 @@ standing under real traffic:
   sheds excess load instead of queueing unboundedly;
 * :mod:`repro.resilience.breaker` — a circuit breaker that fast-fails
   while the engine is unhealthy and probes its way back;
-* :mod:`repro.resilience.maintenance` — supervised background tasks
-  (stats refresh, index-snapshot saves) with retry + backoff;
 * :mod:`repro.resilience.faults` — deterministic serving-path fault
   injection, so every behaviour above is provoked on demand in tests.
 """
@@ -24,7 +22,6 @@ from repro.resilience.deadline import (
     deadline_scope,
 )
 from repro.resilience.faults import InjectedServingFault, ServingFaultInjector
-from repro.resilience.maintenance import MaintenanceRunner, RetryPolicy
 
 __all__ = [
     "AdmissionController",
@@ -33,8 +30,6 @@ __all__ = [
     "DeadlineExceeded",
     "InjectedServingFault",
     "LoadShedError",
-    "MaintenanceRunner",
-    "RetryPolicy",
     "ServingFaultInjector",
     "current_deadline",
     "deadline_scope",

@@ -57,9 +57,10 @@ Resilience (PR 10) — the server degrades instead of falling over:
 * **graceful drain** — ``stop()`` / SIGTERM stops accepting, lets
   in-flight requests finish up to ``drain_timeout_s``, then cancels
   cooperatively; ``stop()`` is idempotent and thread-safe;
-* **background maintenance** — an optional supervised
-  :class:`~repro.resilience.maintenance.MaintenanceRunner` (stats
-  refresh, index-snapshot saves) starts and stops with the server.
+* **snapshot on drain** — with ``snapshot_path``, ``stop()`` saves the
+  warm index snapshot once, after the serving thread has joined and
+  under the writer lock, so the saved fingerprint, content digest and
+  inverted index all describe one state of the catalog.
 """
 
 from __future__ import annotations
@@ -176,7 +177,7 @@ class SodaServer:
         read_timeout_s: float = 10.0,
         drain_timeout_s: float = 10.0,
         breaker: "CircuitBreaker | None" = None,
-        maintenance=None,
+        snapshot_path=None,
         faults=None,
     ) -> None:
         self.soda = soda
@@ -200,9 +201,9 @@ class SodaServer:
         self.read_timeout_s = read_timeout_s
         self.drain_timeout_s = drain_timeout_s
         self.breaker = breaker if breaker is not None else CircuitBreaker()
-        #: optional supervised MaintenanceRunner; starts/stops with the
-        #: server so maintenance never outlives (or predates) serving
-        self.maintenance = maintenance
+        #: where stop() saves the index snapshot once serving has ended
+        #: (None: no save)
+        self.snapshot_path = snapshot_path
         #: optional ServingFaultInjector consulted before engine calls
         self.faults = faults
         self._pool = ThreadPoolExecutor(
@@ -258,7 +259,9 @@ class SodaServer:
         another :meth:`stop`.  Triggers the drain sequence — stop
         accepting, let in-flight requests finish for up to
         ``drain_timeout_s``, then cancel cooperatively — and joins the
-        serving thread with a timeout.  Returns a report::
+        serving thread with a timeout.  The one stop that ends a serve
+        saves the index snapshot to ``snapshot_path`` (when set) while
+        holding the writer lock.  Returns a report::
 
             {"stopped": bool, "stuck_threads": [thread names]}
         """
@@ -275,14 +278,19 @@ class SodaServer:
             except RuntimeError:  # loop already closed
                 pass
         stuck: list = []
+        ended = False
         if thread is not None:
             thread.join(timeout=self.drain_timeout_s + 30)
             if thread.is_alive():  # pragma: no cover - hang reporting
                 stuck.append(thread.name)
             else:
                 with self._lifecycle:
-                    if self._thread is thread:
+                    ended = self._thread is thread
+                    if ended:
                         self._thread = None
+        if ended and self.snapshot_path is not None:
+            with self._write_lock:
+                self.soda.warehouse.save_index_snapshot(self.snapshot_path)
         return {"stopped": not stuck, "stuck_threads": stuck}
 
     async def _serve(self) -> None:
@@ -307,16 +315,12 @@ class SodaServer:
             self._handle_connection, self.host, self.port
         )
         self.port = server.sockets[0].getsockname()[1]
-        if self.maintenance is not None:
-            self.maintenance.start()
         self._started.set()
         try:
             await self._stopping.wait()
             await self._drain(server)
         finally:
             server.close()
-            if self.maintenance is not None:
-                self.maintenance.stop(timeout=5)
             self._started.clear()
             self._pool.shutdown(wait=False)
             self._loop = None
@@ -856,8 +860,6 @@ class SodaServer:
         admission = self._admission
         if admission is not None:
             payload["admission"] = admission.snapshot()
-        if self.maintenance is not None:
-            payload["maintenance"] = self.maintenance.stats()
         return payload
 
 

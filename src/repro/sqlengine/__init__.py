@@ -15,9 +15,9 @@ from repro.sqlengine.ast_nodes import (
 )
 from repro.sqlengine.catalog import Catalog, Column, ForeignKey, Table
 from repro.sqlengine.database import Database
-from repro.sqlengine.executor import ResultSet, execute_select
 from repro.sqlengine.parser import parse_select, parse_sql
 from repro.sqlengine.planner import PlanCache, QueryPlanner
+from repro.sqlengine.results import ResultSet
 from repro.sqlengine.types import SqlType
 
 __all__ = [
@@ -41,7 +41,6 @@ __all__ = [
     "SqlType",
     "Table",
     "TableRef",
-    "execute_select",
     "parse_select",
     "parse_sql",
 ]

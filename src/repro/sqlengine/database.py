@@ -34,11 +34,39 @@ from repro.sqlengine.dml import (
     execute_delete,
     execute_update,
 )
-from repro.sqlengine.executor import ResultSet, execute_union
 from repro.sqlengine.parser import parse_sql
 from repro.sqlengine.planner import QueryPlanner
+from repro.sqlengine.results import ResultSet
 from repro.sqlengine.txn import DurabilityManager, TransactionManager
 from repro.sqlengine.types import SqlType
+
+
+def execute_union(union: Union, planner) -> ResultSet:
+    """Execute a UNION [ALL] chain; columns come from the first branch.
+
+    *planner* runs each branch (anything with ``execute(select)``).
+    """
+    results = [planner.execute(select) for select in union.selects]
+    width = len(results[0].columns)
+    for index, result in enumerate(results[1:], start=2):
+        if len(result.columns) != width:
+            raise SqlExecutionError(
+                f"UNION branches must have the same number of columns: "
+                f"branch 1 has {width}, branch {index} has "
+                f"{len(result.columns)}"
+            )
+    rows: list = []
+    if union.all:
+        for result in results:
+            rows.extend(result.rows)
+    else:
+        seen: set = set()
+        for result in results:
+            for row in result.rows:
+                if row not in seen:
+                    seen.add(row)
+                    rows.append(row)
+    return ResultSet(columns=results[0].columns, rows=rows)
 
 
 class Database:
@@ -126,7 +154,7 @@ class Database:
                 return self.planner.execute(statement)
         if isinstance(statement, Union):
             with deadline_scope(self._default_deadline()):
-                return execute_union(self.catalog, statement, self.planner)
+                return execute_union(statement, self.planner)
         if isinstance(statement, Begin):
             self.txn.begin()
             if self._metrics_registry.enabled:

@@ -1,7 +1,7 @@
 """The :class:`ResultSet` produced by executing a SELECT.
 
-Lives in its own module so both the thin executor facade and the
-planner's physical operators can import it without cycles.
+Lives in its own module so both :mod:`~repro.sqlengine.database` and
+the planner's physical operators can import it without cycles.
 """
 
 from __future__ import annotations

@@ -25,9 +25,6 @@ class FilterSpec:
     op: str  # one of: = <> < <= > >= like
     value: object
 
-    def describe(self) -> str:
-        return f"{self.table}.{self.column} {self.op} {self.value!r}"
-
 
 @dataclass(frozen=True)
 class AggSpec:
@@ -36,9 +33,6 @@ class AggSpec:
     func: str  # 'sum' | 'count' | 'avg' | 'min' | 'max'
     table: str
     column: str
-
-    def describe(self) -> str:
-        return f"{self.func}({self.table}.{self.column})"
 
 
 @dataclass(frozen=True)
@@ -55,11 +49,6 @@ class OntologyTerm:
     filter: FilterSpec | None = None
     aggregation: AggSpec | None = None
 
-    @property
-    def is_business_term(self) -> bool:
-        """Business terms carry executable semantics (filter/aggregation)."""
-        return self.filter is not None or self.aggregation is not None
-
 
 @dataclass(frozen=True)
 class Ontology:
@@ -67,9 +56,3 @@ class Ontology:
 
     name: str
     terms: tuple = ()
-
-    def term(self, name: str) -> OntologyTerm:
-        for term in self.terms:
-            if term.term == name:
-                return term
-        raise KeyError(f"no term {name!r} in ontology {self.name!r}")

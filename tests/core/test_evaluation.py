@@ -11,7 +11,7 @@ from repro.core.evaluation import (
 )
 from repro.errors import EvaluationError
 from repro.sqlengine.database import Database
-from repro.sqlengine.executor import ResultSet
+from repro.sqlengine.results import ResultSet
 
 
 def rs(columns, rows):

@@ -149,3 +149,7 @@ class TestDescribe:
         assert "sum(amount)" in description
         assert "group by (currency)" in description
         assert ">=" in description
+
+    def test_describe_mentions_a_range(self):
+        query = parse_query("salary between 50000 100000")
+        assert query.describe() == "salary between 50000 100000"

@@ -18,10 +18,10 @@ import urllib.request
 import pytest
 
 from repro.core.soda import Soda, SodaConfig
+from repro.index.snapshot import load_snapshot
 from repro.obs.metrics import registry
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.faults import ServingFaultInjector
-from repro.resilience.maintenance import MaintenanceRunner
 from repro.server import SodaServer
 from repro.sqlengine.config import DEFAULT_SEGMENT_ROWS, EngineConfig
 from repro.warehouse.minibank import build_minibank
@@ -685,20 +685,47 @@ class TestLifecycle:
 
 
 # ----------------------------------------------------------------------
-# tentpole: background maintenance rides the server lifecycle
+# the index snapshot is saved once, on drain
 # ----------------------------------------------------------------------
-class TestMaintenanceIntegration:
-    def test_maintenance_starts_and_stops_with_the_server(self, soda):
-        ran = threading.Event()
-        runner = MaintenanceRunner()
-        runner.add_task("tick", ran.set, interval_s=0.01)
-        server = SodaServer(soda, port=0, maintenance=runner)
+class TestSnapshotOnDrain:
+    @pytest.fixture
+    def own_soda(self):
+        """A warehouse of its own: the test writes to it."""
+        warehouse = build_minibank(
+            seed=42,
+            scale=0.1,
+            engine_config=EngineConfig(segment_rows=DEFAULT_SEGMENT_ROWS),
+        )
+        return Soda(warehouse, SodaConfig())
+
+    def test_stop_saves_the_state_after_the_last_write(self, own_soda, tmp_path):
+        path = tmp_path / "index.json.gz"
+        catalog = own_soda.warehouse.database.catalog
+        before = catalog.fingerprint()
+        server = SodaServer(own_soda, port=0, snapshot_path=path)
         server.start_background()
         try:
-            assert ran.wait(timeout=10)
-            assert runner.running
-            status, __, payload = _get(server, "/healthz")
-            assert "tick" in payload["maintenance"]
+            request = urllib.request.Request(
+                f"http://127.0.0.1:{server.port}/sql",
+                data=b"INSERT INTO currencies VALUES ('QQZ', 'qqzdrain')",
+                method="POST",
+            )
+            with urllib.request.urlopen(request, timeout=30) as response:
+                assert response.status == 200
+            assert not path.exists()  # saved on drain, not before
         finally:
             server.stop()
-        assert not runner.running
+        snapshot = load_snapshot(path)
+        assert snapshot.fingerprint == catalog.fingerprint() != before
+        assert snapshot.inverted.lookup_phrase("qqzdrain")
+        # the strict loader accepts it: name, fingerprint and digest match
+        own_soda.warehouse.load_index_snapshot(path)
+        path.unlink()
+        server.stop()  # idempotent: the serve already ended and saved
+        assert not path.exists()
+
+    def test_a_never_started_server_writes_nothing(self, soda, tmp_path):
+        path = tmp_path / "index.json.gz"
+        report = SodaServer(soda, port=0, snapshot_path=path).stop()
+        assert report["stopped"]
+        assert not path.exists()

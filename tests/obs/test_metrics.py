@@ -86,6 +86,14 @@ class TestRegistry:
         counter.inc()
         assert reg.counter("c").value == 1
 
+    def test_reset_zeroes_a_registered_gauge(self):
+        reg = MetricsRegistry()
+        gauge = reg.gauge("g")
+        gauge.set(4.5)
+        reg.reset()
+        assert gauge.value == 0.0
+        assert reg.gauge("g") is gauge
+
     def test_to_dict_is_sorted_and_typed(self):
         reg = MetricsRegistry()
         reg.gauge("b.gauge").set(2)

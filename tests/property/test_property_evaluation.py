@@ -3,7 +3,7 @@
 from hypothesis import given, settings, strategies as st
 
 from repro.core.evaluation import compare_results
-from repro.sqlengine.executor import ResultSet
+from repro.sqlengine.results import ResultSet
 
 settings.register_profile("evaluation", max_examples=80, deadline=None)
 settings.load_profile("evaluation")

@@ -42,7 +42,7 @@ from repro.sqlengine.ast_nodes import (
     Union,
     Update,
 )
-from repro.sqlengine.executor import execute_union
+from repro.sqlengine.database import execute_union
 from repro.sqlengine.expressions import SCALAR_FUNCTIONS, Scope, like_to_regex
 from repro.sqlengine.functions import make_accumulator
 from repro.sqlengine.parser import parse_sql
@@ -737,7 +737,7 @@ def reference_execute(db, sql: str) -> ResultSet:
     if isinstance(statement, Select):
         return _ReferencePlanner(db).execute(statement)
     if isinstance(statement, Union):
-        return execute_union(db.catalog, statement, _ReferencePlanner(db))
+        return execute_union(statement, _ReferencePlanner(db))
     if isinstance(statement, Update):
         return _update(db, statement)
     if isinstance(statement, Delete):

@@ -17,7 +17,6 @@ from reference_stats import reference_table_stats
 from repro.obs.metrics import registry
 from repro.sqlengine.config import EngineConfig
 from repro.sqlengine.database import Database
-from repro.sqlengine.executor import execute_select
 from repro.sqlengine.parser import parse_select
 from repro.sqlengine.planner import QueryPlanner
 from repro.sqlengine.planner.stats import StatisticsProvider
@@ -213,7 +212,7 @@ class TestOneProviderPerCatalog:
         select = parse_select("SELECT count(*) FROM items WHERE qty < 9")
         counters = Counters()
         for __ in range(5):
-            assert execute_select(db.catalog, select).rows == [(216,)]
+            assert QueryPlanner(db.catalog).execute(select).rows == [(216,)]
         assert len(stats_observers(db)) == 1
         assert counters.moved()["full_builds"] == 1
 

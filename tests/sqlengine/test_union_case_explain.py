@@ -58,6 +58,25 @@ class TestUnion:
         stmt = parse_sql("SELECT id FROM a UNION ALL SELECT id FROM b")
         assert "UNION ALL" in stmt.to_sql()
 
+    def test_execute_union_runs_each_branch_on_the_given_planner(self, db):
+        from repro.sqlengine.database import execute_union
+        from repro.sqlengine.parser import parse_sql
+        from repro.sqlengine.planner import QueryPlanner
+
+        planner = QueryPlanner(db.catalog)
+        ran = []
+
+        class Recording:
+            def execute(self, select):
+                ran.append(select)
+                return planner.execute(select)
+
+        union = parse_sql("SELECT name FROM a UNION SELECT name FROM b")
+        result = execute_union(union, Recording())
+        assert ran == list(union.selects)
+        assert result.columns == ["name"]
+        assert result.rows == [("x",), ("y",), ("z",)]  # first-seen order
+
 
 class TestCaseWhen:
     def test_simple_case(self, db):
