@@ -19,7 +19,7 @@ needs one value — constant folding — evaluates a one-row batch.  A
 that reaches it in a batch, through a ``{value: result}`` table that
 fills per call.
 :func:`fuse_grouping` puts the GROUP BY above a scan into the same
-generated loop.
+generated loop, and with :func:`fuse_merge` the one above a hash join.
 """
 
 from __future__ import annotations
@@ -1002,6 +1002,7 @@ def fuse_grouping(
     rep: Sequence[int],
     scope: Scope,
     class_of: Callable[["str | None", str], "str | None"],
+    partial: bool = False,
 ) -> "FusedBatch | None":
     """Filter, group and aggregate a batch in one generated row loop.
 
@@ -1013,6 +1014,14 @@ def fuse_grouping(
     ``sum`` / ``avg`` append it.  It returns the surviving row count.
     Per row, predicates, keys and arguments run in the reference's
     order, so an error is the one the row-at-a-time plan raises first.
+
+    With *partial*, the *keys* are a hash join's build keys and each
+    group is one key's partial: a row whose key holds a NULL joins
+    nothing and folds nowhere, the state opens with the key's row count,
+    and ``min`` / ``max`` keep two slots — the first value and the best
+    non-NaN one — which merge by the row rule (a plain best does not: a
+    NaN kept first must stay).  Every argument must be non-raising,
+    since it runs on rows no probe row may match.
 
     None (the batch path) unless every call is a non-DISTINCT ``count``
     / ``count(*)`` / ``min`` / ``max`` (values of one class) / ``sum`` /
@@ -1031,17 +1040,27 @@ def fuse_grouping(
         ):
             return None
         value = None if call.star else fuser.gen_value(call.args[0])
+        if partial and value is not None and not value.safe:
+            return None
         if call.name in ("sum", "avg") and value.cls != "num":
             return None
         if call.name in ("min", "max") and value.cls is None:
             return None
         args.append(None if value is None else value.code)
     rep_code = "(" + "".join(f"{fuser.use_col(i)}, " for i in rep) + ")"
-    initial = ", ".join([rep_code] + [_FOLD_INITIAL[c.name] for c in calls])
+    #: the state slots of each call: two for a partial's min / max
+    widths = [1 + (partial and c.name in ("min", "max")) for c in calls]
+    initial = ", ".join([rep_code] + ["0"] * partial + [
+        _FOLD_INITIAL[c.name] for c, width in zip(calls, widths)
+        for __ in range(width)
+    ])
     body = []
     if conds:
         condition = " and ".join(f"({c})" for c in conds)
         body += [f"if not ({condition}): continue", "n += 1"]
+    if partial:  # a NULL build key joins nothing
+        nulls = " or ".join(f"{k} is None" for k in key_codes)
+        body.append(f"if {nulls}: continue")
     key = key_codes[0] if len(key_codes) == 1 else (
         "(" + "".join(f"{code}, " for code in key_codes) + ")"
     )
@@ -1053,8 +1072,12 @@ def fuse_grouping(
             key = "_key"
         body += [f"_a = _get({key})",
                  f"if _a is None: _a = _g[{key}] = [{initial}]"]
-    for slot, (call, code) in enumerate(zip(calls, args), start=1):
+    if partial:
+        body.append("_a[1] += 1")
+    slot = 1 + partial
+    for call, code, width in zip(calls, args, widths):
         state = f"_a[{slot}]"
+        slot += width
         if code is None:
             body.append(f"{state} += 1")
             continue
@@ -1065,7 +1088,11 @@ def fuse_grouping(
             body.append(f"if {code} is not None: {state} += 1")
         elif call.name in ("min", "max"):
             op = "<" if call.name == "min" else ">"
-            body.append(f"if {code} is not None and ({state} is None"
+            test = f"{code} is not None"
+            if partial:  # the first value, then the best non-NaN one
+                body.append(f"if {state} is None: {state} = {code}")
+                state, test = f"_a[{slot - 1}]", f"{test} and {code} == {code}"
+            body.append(f"if {test} and ({state} is None"
                         f" or {code} {op} {state}): {state} = {code}")
         else:
             body.append(f"if {code} is not None: {state}.append({code})")
@@ -1078,6 +1105,63 @@ def fuse_grouping(
     lines.append(f"{_row_iter(used, False)}:")
     lines += [f"    {line}" for line in body] + ["return n"]
     source = fuser.source("cols, n, _g", lines)
+    return FusedBatch(_instantiate(source, fuser.consts), source)
+
+
+def fuse_merge(
+    keys: Sequence[Expr],
+    calls: Sequence[Expr],
+    join_keys: Sequence[int],
+    scope: Scope,
+    class_of: Callable[["str | None", str], "str | None"],
+) -> "FusedBatch | None":
+    """Merge a hash join's partials into groups over one probe batch.
+
+    ``fn(cols, n, groups, partials)`` looks each row's join key (the
+    scope columns *join_keys*) up in *partials* (made by
+    :func:`fuse_grouping` with *partial*); a row that finds one
+    evaluates its group *keys* and merges the partial into
+    ``groups[key]``, made ``[row + partial's rep_row, state, ...]`` at
+    the key's first row: counts add, value lists extend, and a ``min``
+    / ``max`` partial's first value, then its best, go through the row
+    rule.  Once per matching row, so fan-out counts as the pairs would.
+    It returns the pair count (the partials' row counts, summed).  None
+    unless every key is proven non-raising.
+    """
+    fuser = _Fuser(scope, class_of)
+    probes = [fuser.use_col(i) for i in join_keys]
+    values = [fuser.gen_value(key) for key in keys]
+    if not all(value.safe for value in values):
+        return None
+    key = "()" if not values else values[0].code if len(values) == 1 else (
+        "(" + "".join(f"{value.code}, " for value in values) + ")"
+    )
+    probe = probes[0] if len(probes) == 1 else f"({', '.join(probes)},)"
+    body = [f"_q = _find({probe})", "if _q is None: continue",
+            "pairs += _q[1]"]
+    if not key.isidentifier():
+        body.append(f"_key = {key}")
+        key = "_key"
+    initial = ", ".join(_FOLD_INITIAL[call.name] for call in calls)
+    body += [f"_a = _get({key})",
+             f"if _a is None: _a = _g[{key}] = "
+             f"[tuple([_c[_i] for _c in cols]) + _q[0], {initial}]"]
+    part = 2  # partials: [rep_row, row count, state, ...]
+    for slot, call in enumerate(calls, start=1):
+        state = f"_a[{slot}]"
+        if call.name not in ("min", "max"):
+            body.append(f"{state} += _q[{part}]")
+            part += 1
+            continue
+        op = "<" if call.name == "min" else ">"
+        for value in (f"_q[{part}]", f"_q[{part + 1}]"):
+            body.append(f"if {value} is not None and ({state} is None"
+                        f" or {value} {op} {state}): {state} = {value}")
+        part += 2
+    lines = ["_get = _g.get", "_find = _p.get", "pairs = 0",
+             f"{_row_iter(sorted(fuser.cols.values()), True)}:"]
+    lines += [f"    {line}" for line in body] + ["return pairs"]
+    source = fuser.source("cols, n, _g, _p", lines)
     return FusedBatch(_instantiate(source, fuser.consts), source)
 
 

@@ -3,52 +3,69 @@
 from __future__ import annotations
 
 import math
+from types import NoneType
 from typing import Any, Callable
 
 from repro.errors import SqlExecutionError, SqlTypeError
 
 
-def _fold(partials: list, x: float) -> None:
-    """Shewchuk insertion: fold one finite float into *partials*.
-
-    Keeps the list's exact (infinitely precise) sum unchanged while
-    keeping its entries non-overlapping, so the list stays a handful of
-    elements long no matter how many addends pass through it.
-    """
-    i = 0
-    for y in partials:
-        if abs(x) < abs(y):
-            x, y = y, x
-        hi = x + y
-        lo = y - (hi - x)
-        if lo:
-            partials[i] = lo
-            i += 1
-        x = hi
-    partials[i:] = [x]
-
-
 def _compact(values: list) -> list:
+    """Floats whose exact sum is that of the finite floats *values*.
+
+    A ``math.fsum`` residual chain: each round sums *values* less the
+    partials found so far, correctly rounded, until the residual is 0.
+    Every float sum is a multiple of 2**-1074, so the chain is exact and
+    ends within ~40 rounds (one to three in practice).  Raises
+    OverflowError where an intermediate sum leaves the float range.
+    """
     partials: list = []
-    for x in values:
-        _fold(partials, x)
+    while residual := math.fsum(values + [-p for p in partials]):
+        partials.append(residual)
     return partials
+
+
+def _float_parts(value) -> list:
+    """Floats whose exact sum is the int or Fraction *value*."""
+    parts = []
+    while value:
+        parts.append(float(value))
+        value -= type(value)(parts[-1])
+    return parts
+
+
+def _exact(values: list, start=0):
+    """The exact sum of *start* and the floats *values*, a Fraction
+    (imported here: only a sum past the float range needs one)."""
+    from fractions import Fraction
+
+    return sum(map(Fraction, values), Fraction(start))
+
+
+_NUMBER_TYPES = {int, float, NoneType}
+
+
+def _check_number(value: Any, name: str) -> None:
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise SqlTypeError(f"{name}() expects numbers, got {value!r}")
 
 
 class _ExactSum:
     """Order-independent exact accumulation of int/float addends.
 
     Integers accumulate exactly in arbitrary precision; finite floats
-    are buffered and periodically folded into Shewchuk partials, so the
-    final float is the correctly rounded exact sum no matter how the
-    inputs were batched: any batch split agrees bit for bit.
-    Non-finite addends become flags with the same outcome as sequential
-    IEEE addition (any NaN, or both infinities, is NaN; otherwise the
-    surviving infinity wins), which is likewise order-independent.
+    are buffered and periodically compacted (:func:`_compact`, in C), so
+    the final float is the correctly rounded exact sum no matter how the
+    inputs were batched: any batch split agrees bit for bit.  A sum
+    beyond the float range rounds to ±inf and never raises: where
+    ``fsum`` overflows, the buffer spills into the exact ``Fraction``
+    total instead.  Non-finite addends become flags with the same
+    outcome as sequential IEEE addition (any NaN, or both infinities, is
+    NaN; otherwise the surviving infinity wins), which is likewise
+    order-independent.
     """
 
     __slots__ = (
-        "int_total",
+        "exact",
         "saw_int",
         "saw_float",
         "neg_zero_only",
@@ -61,7 +78,8 @@ class _ExactSum:
     _COMPACT_AT = 512
 
     def __init__(self) -> None:
-        self.int_total = 0
+        #: the exact sum of the int addends (and of any spilled floats)
+        self.exact = 0
         self.saw_int = False
         self.saw_float = False
         #: True while every addend so far was a float -0.0 — the one
@@ -72,47 +90,55 @@ class _ExactSum:
         self.neg_inf = False
         self.buffer: list = []
 
-    def add_int(self, value: int) -> None:
-        self.int_total += value
-        self.saw_int = True
-        self.neg_zero_only = False
-
-    def add_float(self, value: float) -> None:
-        self.saw_float = True
-        if value != value:
-            self.nan = True
-            self.neg_zero_only = False
-        elif value == math.inf:
-            self.pos_inf = True
-            self.neg_zero_only = False
-        elif value == -math.inf:
-            self.neg_inf = True
-            self.neg_zero_only = False
+    def add_numbers(self, values, name: str) -> int:
+        """Add the non-NULL *values*; their count.  An all-int / float
+        slice splits by type in C, with no per-value type test; a
+        non-number raises ``name() expects numbers``."""
+        kinds = set(map(type, values))
+        if not kinds <= _NUMBER_TYPES:
+            for value in values:
+                if value is not None:
+                    _check_number(value, name)
+            values = [value + 0 for value in values if value is not None]
+            kinds = set(map(type, values))
+        elif NoneType in kinds:
+            values = [value for value in values if value is not None]
+        if float not in kinds:
+            ints, floats = values, []
+        elif int not in kinds:
+            ints, floats = [], values
         else:
-            if self.neg_zero_only and (
-                value != 0.0 or math.copysign(1.0, value) > 0.0
-            ):
-                self.neg_zero_only = False
-            buffer = self.buffer
-            buffer.append(value)
-            if len(buffer) >= self._COMPACT_AT:
-                self.buffer = _compact(buffer)
+            ints = [value for value in values if type(value) is int]
+            floats = [value for value in values if type(value) is float]
+        if ints:
+            self.exact += sum(ints)
+            self.saw_int = True
+            self.neg_zero_only = False
+        if floats:
+            self.add_floats(floats)
+        return len(values)
 
     def add_floats(self, values: list) -> None:
         if not all(map(math.isfinite, values)):
             for value in values:
-                self.add_float(value)
-            return
+                self.nan |= value != value
+                self.pos_inf |= value == math.inf
+                self.neg_inf |= value == -math.inf
+            values = [value for value in values if math.isfinite(value)]
+            self.neg_zero_only = False
         self.saw_float = True
         if self.neg_zero_only:
             for value in values:
                 if value != 0.0 or math.copysign(1.0, value) > 0.0:
                     self.neg_zero_only = False
                     break
-        buffer = self.buffer
-        buffer.extend(values)
-        if len(buffer) >= self._COMPACT_AT:
-            self.buffer = _compact(buffer)
+        if len(self.buffer) >= self._COMPACT_AT:  # before growing: the
+            try:  # last slice of a stream is summed once, at the end
+                self.buffer = _compact(self.buffer)
+            except OverflowError:
+                self.exact = _exact(self.buffer, self.exact)
+                self.buffer = []
+        self.buffer.extend(values)
 
     def special(self) -> "float | None":
         if self.nan or (self.pos_inf and self.neg_inf):
@@ -124,11 +150,16 @@ class _ExactSum:
         return None
 
     def float_total(self) -> float:
-        """The correctly rounded float of the exact finite sum."""
-        total = math.fsum(self.buffer)
-        if self.int_total:
-            total = self.int_total + total
-        return total
+        """The correctly rounded float of the exact finite sum; ±inf
+        beyond the float range."""
+        try:
+            return math.fsum(self.buffer + _float_parts(self.exact))
+        except OverflowError:
+            exact = _exact(self.buffer, self.exact)
+            try:
+                return float(exact)
+            except OverflowError:
+                return math.inf if exact > 0 else -math.inf
 
 
 class Accumulator:
@@ -213,50 +244,19 @@ class SumAccumulator(Accumulator):
     def add(self, value: Any) -> None:
         if value is None:
             return
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise SqlTypeError(f"sum() expects numbers, got {value!r}")
+        _check_number(value, "sum")
         if self._distinct:
             if value in self._seen:
                 return
             self._seen.add(value)
         self._any = True
-        if isinstance(value, int):
-            self._sum.add_int(value)
-        else:
-            self._sum.add_float(value)
+        self._sum.add_numbers([value], "sum")
 
     def add_many(self, values) -> None:
         if self._distinct:
             super().add_many(values)
-            return
-        ints = 0
-        floats: list = []
-        append = floats.append
-        count = 0
-        for value in values:
-            if value is None:
-                continue
-            if type(value) is int:
-                ints += value
-            elif type(value) is float:
-                append(value)
-            elif not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise SqlTypeError(f"sum() expects numbers, got {value!r}")
-            elif isinstance(value, int):
-                ints += value
-            else:
-                append(value)
-            count += 1
-        if not count:
-            return
-        self._any = True
-        if len(floats) != count:
-            total = self._sum
-            total.int_total += ints
-            total.saw_int = True
-            total.neg_zero_only = False
-        if floats:
-            self._sum.add_floats(floats)
+        elif self._sum.add_numbers(values, "sum"):
+            self._any = True
 
     def result(self) -> "int | float | None":
         if not self._any:
@@ -266,7 +266,7 @@ class SumAccumulator(Accumulator):
         if special is not None:
             return special
         if not total.saw_float:
-            return total.int_total
+            return total.exact
         value = total.float_total()
         if value == 0.0:
             return -0.0 if total.neg_zero_only else 0.0
@@ -283,50 +283,18 @@ class AvgAccumulator(Accumulator):
     def add(self, value: Any) -> None:
         if value is None:
             return
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise SqlTypeError(f"avg() expects numbers, got {value!r}")
+        _check_number(value, "avg")
         if self._distinct:
             if value in self._seen:
                 return
             self._seen.add(value)
-        if isinstance(value, int):
-            self._sum.add_int(value)
-        else:
-            self._sum.add_float(value)
-        self._count += 1
+        self._count += self._sum.add_numbers([value], "avg")
 
     def add_many(self, values) -> None:
         if self._distinct:
             super().add_many(values)
-            return
-        ints = 0
-        floats: list = []
-        append = floats.append
-        count = 0
-        for value in values:
-            if value is None:
-                continue
-            if type(value) is int:
-                ints += value
-            elif type(value) is float:
-                append(value)
-            elif not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise SqlTypeError(f"avg() expects numbers, got {value!r}")
-            elif isinstance(value, int):
-                ints += value
-            else:
-                append(value)
-            count += 1
-        if not count:
-            return
-        if len(floats) != count:
-            total = self._sum
-            total.int_total += ints
-            total.saw_int = True
-            total.neg_zero_only = False
-        if floats:
-            self._sum.add_floats(floats)
-        self._count += count
+        else:
+            self._count += self._sum.add_numbers(values, "avg")
 
     def result(self) -> "float | None":
         if self._count == 0:

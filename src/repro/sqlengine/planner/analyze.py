@@ -5,7 +5,8 @@ An :class:`Instrumenter` is threaded through
 ``instrument`` callback: every physical operator is wrapped in a thin
 shim that times each pull from the operator's iterator and counts the
 rows and batches it produces; batch scans also report the frozen
-segments their zone tests skipped (``skipped=N``).  Stats are keyed by
+segments their zone tests skipped (``skipped=N``), and an aggregate that
+runs inside a scan's generated loop names it (``folded into scan f``).  Stats are keyed by
 the *logical* node the operator was built from — the build is 1:1 — so
 after execution
 :meth:`Instrumenter.suffix_for` can annotate each line of
@@ -29,7 +30,7 @@ from time import perf_counter
 class OperatorStats:
     """Actuals for one operator: rows out, batches out, inclusive time."""
 
-    __slots__ = ("rows", "batches", "inclusive", "skipped")
+    __slots__ = ("rows", "batches", "inclusive", "skipped", "folded_into")
 
     def __init__(self) -> None:
         self.rows = 0
@@ -37,6 +38,8 @@ class OperatorStats:
         self.inclusive = 0.0
         #: frozen segments a batch scan's zone tests skipped
         self.skipped = 0
+        #: the scan binding an aggregate's fold runs in, or None
+        self.folded_into = None
 
 
 class _InstrumentedBatches:
@@ -109,6 +112,7 @@ class Instrumenter:
         self._stats[id(node)] = stats
         if hasattr(operator, "analyze_stats"):
             operator.analyze_stats = stats  # batch scans report skips
+        stats.folded_into = getattr(operator, "folded_into", None)
         if hasattr(operator, "pres_batches"):
             return _InstrumentedPresBatches(operator, stats)
         return _InstrumentedBatches(operator, stats)
@@ -131,6 +135,8 @@ class Instrumenter:
             return ""
         self_ms = self.self_seconds(node) * 1000.0
         skipped = f", skipped={stats.skipped}" if stats.skipped else ""
+        if stats.folded_into is not None:
+            skipped += f", folded into scan {stats.folded_into}"
         return (
             f" (actual rows={stats.rows}, batches={stats.batches}{skipped}, "
             f"self={self_ms:.3f}ms)"

@@ -41,6 +41,7 @@ import datetime
 import heapq
 import threading
 from bisect import bisect_right
+from functools import partial
 from typing import Any, Iterator
 
 from repro.errors import SqlCatalogError, SqlExecutionError, SqlTypeError
@@ -65,6 +66,7 @@ from repro.sqlengine.expressions import (
     _never_raises,
     compile_batch,
     fuse_grouping,
+    fuse_merge,
     gather_columns,
     split_conjuncts,
 )
@@ -394,6 +396,7 @@ class BatchScanOp(BatchOperator):
 
     def __init__(self, catalog: Catalog, node: LogicalScan) -> None:
         self._table = catalog.table(node.table)
+        self.binding = node.binding
         full_scope = Scope(
             [(node.binding, name) for name in self._table.column_names()]
         )
@@ -480,12 +483,13 @@ class BatchScanOp(BatchOperator):
             )
         return fused
 
-    def fuse_grouping(self, node: LogicalAggregate):
-        """*node*'s generated filter-and-fold over this scan, or None."""
+    def fuse_grouping(self, node: LogicalAggregate, join_keys=()):
+        """*node*'s generated filter-and-fold over this scan, or None;
+        with *join_keys*, the partials of a hash join's build side."""
         rep = range(len(self._read)) if self._project is None else self._project
         return fuse_grouping(
-            self._predicates, node.group_by, node.agg_calls, rep,
-            self._read_scope, self._class_of,
+            self._predicates, join_keys or node.group_by, node.agg_calls,
+            rep, self._read_scope, self._class_of, partial=bool(join_keys),
         )
 
     def batches(self, snapshot=None, positions: bool = False,
@@ -733,6 +737,14 @@ class BatchHashJoinOp(BatchOperator):
     hash table maps key -> row indices into those columns.  Probe output
     is assembled by gathering both sides through selection vectors, so
     no per-row tuples are built below the presentation operators.
+
+    Under an aggregate that folds into it (:meth:`fuse_aggregate`) the
+    join gathers no pairs: the build scan folds its rows into one
+    partial per key in its generated loop, and a generated loop over
+    each probe batch merges the matches into the groups
+    (``batches(fold=(build, merge))``, yielding ``((), pairs)``).  Scans,
+    pins, per-batch deadline checks and ``engine.rows_joined`` (the pair
+    count) stay.
     """
 
     def __init__(
@@ -751,11 +763,46 @@ class BatchHashJoinOp(BatchOperator):
                 self._left_indexes.append(left.scope.resolve(predicate.right))
                 self._right_indexes.append(right.scope.resolve(predicate.left))
 
-    def batches(self) -> Iterator[tuple]:
+    def batches(self, fold=None) -> Iterator[tuple]:
         return _join_output(
-            self._hash_batches() if self._left_indexes
+            self._folded_batches(*fold) if fold is not None
+            else self._hash_batches() if self._left_indexes
             else self._cross_batches()
         )
+
+    def fuse_aggregate(self, node: LogicalAggregate, class_of):
+        """``(build fold, probe merge)`` for *node* folded into this
+        join, or None: an inner hash join on a build scan, every group
+        key reading the probe (left) side only, every argument the build
+        side only, all proven non-raising."""
+        scan = _unwrapped(self._right)
+        width = len(self._left.scope)
+        keys = [self.scope.try_resolve(ref) for key in node.group_by
+                for ref in collect_column_refs(key)]
+        args = [self.scope.try_resolve(ref) for call in node.agg_calls
+                for arg in call.args for ref in collect_column_refs(arg)]
+        if not (self._left_indexes and isinstance(scan, BatchScanOp)) or \
+                None in keys + args or any(i >= width for i in keys) or \
+                any(i < width for i in args):
+            return None
+        merge = fuse_merge(node.group_by, node.agg_calls, self._left_indexes,
+                           self._left.scope, class_of)
+        build = scan.fuse_grouping(node, [
+            ColumnRef(*self._right.scope.pairs[i]) for i in self._right_indexes
+        ])
+        return None if build is None or merge is None else (build, merge)
+
+    def _folded_batches(self, build, merge) -> Iterator[tuple]:
+        """Run the build scan with *build* (``fold=``), then *merge* each
+        probe batch (``merge(cols, n)`` returns its pair count), handed
+        on as the batch path slices its pairs: at most
+        :data:`BATCH_SIZE` per yield."""
+        for __ in self._right.batches(fold=build):
+            pass
+        for cols, n in self._left.batches():
+            pairs = merge(cols, n)
+            for start in range(0, pairs, BATCH_SIZE):
+                yield (), min(BATCH_SIZE, pairs - start)
 
     def _hash_batches(self) -> Iterator[tuple]:
         right_cols, right_n = _materialize_batches(self._right)
@@ -1161,11 +1208,17 @@ class BatchAggregateOp(BatchOperator):
     generated row loop (:func:`~repro.sqlengine.expressions.
     fuse_grouping`): filter, ``groups.get(key)`` and updates in one pass
     per row, keeping the batch path's group order, representative rows,
-    ``min`` / ``max`` rule and exact sums.  A join below, DISTINCT,
-    HAVING, an argument of unknown class or an unfiltered global
-    aggregate takes the batch path: keys and arguments per batch as
-    whole columns (one generated function), rows bucketed per group,
-    accumulators fed slices.
+    ``min`` / ``max`` rule and exact sums.  Directly on an inner hash
+    join whose build side is a scan (:meth:`BatchHashJoinOp.
+    fuse_aggregate`), the build scan's loop folds its rows into one
+    partial per join key, and each probe row that finds a partial merges
+    it into its group once: fan-out counts as on the batch path, and the
+    representative is the probe row plus the bucket's first build row.
+    DISTINCT, HAVING, an argument of unknown class (or one that can
+    raise, under a join) or an unfiltered global aggregate take the
+    batch path: keys and arguments per batch as whole columns (one
+    generated function), rows bucketed per group, accumulators fed
+    slices.
     """
 
     def __init__(
@@ -1197,13 +1250,23 @@ class BatchAggregateOp(BatchOperator):
             if node.having is not None
             else None
         )
-        scan = _unwrapped(child)
-        #: the scan's generated filter-and-fold, or None (batch path)
-        self._fold = (
-            scan.fuse_grouping(node)
-            if isinstance(scan, BatchScanOp) and node.having is None
-            else None
-        )
+        inner = _unwrapped(child)
+        #: the scan's generated filter-and-fold (the build scan's, over
+        #: a join, with the merge of a probe batch), or None (batch path)
+        self._fold = self._merge = None
+        #: the scan binding the fold runs in (EXPLAIN ANALYZE shows it)
+        self.folded_into = None
+        if node.having is not None:
+            return
+        if isinstance(inner, BatchScanOp):
+            self._fold = inner.fuse_grouping(node)
+        elif isinstance(inner, BatchHashJoinOp):
+            fused = inner.fuse_aggregate(node, class_of)
+            if fused is None:
+                return
+            (self._fold, self._merge), inner = fused, _unwrapped(inner._right)
+        if self._fold is not None:
+            self.folded_into = inner.binding
 
     def _accumulators(self) -> list:
         return [
@@ -1215,7 +1278,7 @@ class BatchAggregateOp(BatchOperator):
         if self._fold is None:
             rows = self._consume(self._child.batches())
         else:
-            rows = self._fold_scan()
+            rows = self._fold_rows()
         if not rows and not self._node.group_by:
             # empty input and no GROUP BY -> one group of NULLs
             rows = [(None,) * len(self._child.scope) + tuple(
@@ -1223,13 +1286,17 @@ class BatchAggregateOp(BatchOperator):
             )]
         return self._finish(rows)
 
-    def _fold_scan(self) -> list:
-        """Run the scan with the generated fold; the extended rows."""
+    def _fold_rows(self) -> list:
+        """Run the child with the generated fold; the extended rows."""
         groups: dict = {}
         fold = self._fold.fn
-        for __ in self._child.batches(
-            fold=lambda cols, n: fold(cols, n, groups)
-        ):
+        if self._merge is None:
+            fold_with = partial(fold, _g=groups)
+        else:  # the build scan fills the partials the probe merges
+            partials: dict = {}
+            fold_with = (partial(fold, _g=partials),
+                         partial(self._merge.fn, _g=groups, _p=partials))
+        for __ in self._child.batches(fold=fold_with):
             pass
         names = [call.name for call in self._node.agg_calls]
         return [

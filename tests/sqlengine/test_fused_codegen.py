@@ -406,7 +406,7 @@ class TestFusedGrouping:
     )
     #: the same query on the batch path (HAVING is never fused)
     BATCH_PATH = GROUPBY.replace("GROUP BY g", "GROUP BY g HAVING count(*) > 0")
-    #: join-fed, like the ledger's headline: always the batch path
+    #: join-fed, like the ledger's headline: the build scan folds it
     HEADLINE = (
         "SELECT d.region, count(*), sum(f.x) FROM f, d "
         "WHERE f.q = d.id GROUP BY d.region"
@@ -450,8 +450,11 @@ class TestFusedGrouping:
         # scanned and filtered as the batch path; nothing gathered
         assert self._moved(db, self.GROUPBY) == [3000, 600, 0]
         assert self._moved(db, self.BATCH_PATH) == [3000, 600, 2400]
-        # the join's 480 output rows feed the accumulators
-        assert self._moved(db, self.HEADLINE) == [3008, 0, 480]
+        # join-fed: nothing gathered; with HAVING (the batch path) the
+        # join's 480 output rows feed the accumulators
+        assert self._moved(db, self.HEADLINE) == [3008, 0, 0]
+        having = self.HEADLINE + " HAVING count(*) > 0"
+        assert self._moved(db, having) == [3008, 0, 480]
 
     def test_explain_text_is_unchanged(self):
         assert self._db().explain(self.GROUPBY) == (

@@ -59,11 +59,38 @@ THREE_VALUED = [
     "WHERE id = 1",
 ]
 
+
+
+def _populate_overflow_schema(db: Database) -> None:
+    """REAL addends whose sums leave the float range: same-sign groups
+    (``pos``, ``neg``) and one whose exact sum is back in range
+    (``mix``)."""
+    db.execute("CREATE TABLE big (id INT, g TEXT, x REAL)")
+    db.insert_rows("big", [
+        (1, "pos", 1e308), (2, "pos", 1e308), (3, "neg", -1e308),
+        (4, "neg", -1e308), (5, "mix", 1e308), (6, "mix", 1e308),
+        (7, "mix", -1e308),
+    ])
+
+
+#: sums past the float range answer ±inf, as sqlite's do (they used to
+#: raise a bare OverflowError): the scan fold, the batch path (HAVING)
+#: and a global aggregate
+OVERFLOW = [
+    "SELECT sum(x), avg(x) FROM big WHERE g = 'pos'",
+    "SELECT sum(x), avg(x) FROM big WHERE g = 'neg'",
+    "SELECT g, sum(x), avg(x) FROM big WHERE g <> 'mix' GROUP BY g",
+    "SELECT g, sum(x), avg(x) FROM big WHERE g <> 'mix' GROUP BY g "
+    "HAVING count(*) > 1",
+    "SELECT sum(x), avg(x) FROM big WHERE x > 0",
+]
+
 CORPORA = {
     "planner": (_populate_planner_schema, NAIVE_EQUIVALENCE_QUERIES),
     "rich": (_populate_rich_schema, RICH_CORPUS),
     "string": (_populate_string_schema, STRING_CORPUS),
     "three_valued": (_populate_rich_schema, THREE_VALUED),
+    "overflow": (_populate_overflow_schema, OVERFLOW),
 }
 
 
@@ -98,6 +125,12 @@ DEVIATIONS = {
         "rich", "SELECT sum(name) FROM t",
         "SqlTypeError: sum() expects numbers, got 'alpha'",
         "sum() of TEXT raises here; sqlite reads non-numeric text as 0",
+    ),
+    "sum-overflow-cancels": Deviation(
+        "overflow", "SELECT sum(x), avg(x) FROM big WHERE g = 'mix'",
+        [(1e308, 1e308 / 3)],
+        "1e308 + 1e308 - 1e308 sums exactly here, to 1e308; sqlite adds "
+        "in order and its first step already overflows to inf",
     ),
 }
 
