@@ -1,6 +1,7 @@
 # Single entry points for CI and local development.
 #
-#   make test         tier-1 test suite (the PR gate)
+#   make test         tier-1 test suite (the PR gate); prints the 20
+#                     slowest tests, so every CI log names them
 #   make test-fast    unit subset (index/core/sqlengine/graph/warehouse):
 #                     seconds, for tight edit loops
 #   make test-stress  the stress-marked overload/chaos serving tests
@@ -51,7 +52,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 	lint examples bench-paper loc check
 
 test:
-	$(PYTHON) -m pytest -x -q
+	$(PYTHON) -m pytest -x -q --durations=20
 
 test-fast:
 	$(PYTHON) -m pytest -x -q tests/index tests/core tests/sqlengine \

@@ -210,27 +210,22 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _engine_config(args, base=None):
-    """The resolved EngineConfig for this invocation (or None).
-
-    ``--engine-config`` overrides *base* field by field; commands that
-    want different defaults (``serve`` turns segmented storage on) pass
-    their own base and still honour the user's spec.
-    """
+def _engine_config(args):
+    """The EngineConfig ``--engine-config`` asks for (None: the default)."""
     from repro.sqlengine.config import EngineConfig
 
     spec = getattr(args, "engine_config", None)
     if spec is None:
-        return base
-    return EngineConfig.from_cli(spec, base=base)
+        return None
+    return EngineConfig.from_cli(spec)
 
 
-def _build_warehouse(args, base_config=None, **overrides):
+def _build_warehouse(args, **overrides):
     kwargs = {
         "seed": args.seed,
         "scale": args.scale,
         "snapshot": getattr(args, "snapshot", None),
-        "engine_config": _engine_config(args, base_config),
+        "engine_config": _engine_config(args),
     }
     kwargs.update(overrides)
     return build_minibank(**kwargs)
@@ -414,13 +409,10 @@ def cmd_serve(args, out) -> int:
     import signal
 
     from repro.server import SodaServer
-    from repro.sqlengine.config import DEFAULT_SEGMENT_ROWS, EngineConfig
 
-    # serving turns the concurrent storage layout on by default: frozen
-    # segments + delta let reader threads pin snapshots while /sql
-    # writes land; --engine-config segment-rows=0 restores flat storage
-    base = EngineConfig(segment_rows=DEFAULT_SEGMENT_ROWS)
-    warehouse = _build_warehouse(args, base_config=base)
+    # every table pins snapshots, so reader threads run while /sql
+    # writes land
+    warehouse = _build_warehouse(args)
     soda = Soda(warehouse, SodaConfig())
     server = SodaServer(
         soda,

@@ -271,8 +271,7 @@ class Soda:
 
         With ``workers > 1`` the deduplicated query texts run
         concurrently on a thread pool (each on its own thread-local
-        tracer, each SQL execution over its own pinned snapshots when
-        segmented storage is enabled).  Result order still matches the
+        tracer, each SQL execution over its own pinned snapshots).  Result order still matches the
         input, and per-step timings stay per-query.
         """
         texts = list(texts)

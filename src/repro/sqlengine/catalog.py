@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import datetime
 import functools
-from dataclasses import dataclass, field
-from itertools import compress
+from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Sequence
 
 from repro.concurrency import SharedRLock
-from repro.errors import SqlCatalogError, SqlTypeError
-from repro.sqlengine.segments import SegmentedStorage
+from repro.errors import SqlCatalogError
+from repro.sqlengine.config import DEFAULT_SEGMENT_ROWS
+from repro.sqlengine.segments import TableStorage
 from repro.sqlengine.types import SqlType, coerce_value
 
 #: per SQL type, the Python types :func:`coerce_value` returns unchanged
@@ -27,8 +27,8 @@ _EXACT_TYPES = {
 def _locked(method):
     """Run *method* under the table's storage lock.
 
-    Every mutation path is wrapped so the frozen-segment mirror and the
-    flat storage always change as one atomic step with respect to :meth:`Table.pin` /
+    Every mutation path is wrapped so the segments and the delta always
+    change as one atomic step with respect to :meth:`Table.pin` /
     :meth:`Catalog.pin_tables`.  The lock is an uncontended C-level
     RLock for the classic single-threaded setup, so the wrapper costs
     next to nothing there.
@@ -103,15 +103,15 @@ class Table:
     Rows are tuples in column order.  Values are validated and coerced on
     insert so that downstream operators can rely on type invariants.
 
-    Each value is stored once, in one Python list per column
-    (``column_data``), which the batch operators slice directly.  Row
-    tuples exist only when a reader asks for them: :meth:`row` and
-    :meth:`iter_rows` decode from the columns, and :attr:`rows` is a
-    freshly decoded list for tests and tools.  All mutation flows through
-    the single insert/update/delete paths below (in-place column writes
-    for UPDATE, tombstone-free compaction for DELETE); every column list
-    keeps its identity across mutations, so operators holding a
-    reference always see the live data.
+    Each value is stored once, in frozen columnar segments of
+    ``segment_rows`` rows plus one mutable delta (a
+    :class:`~repro.sqlengine.segments.TableStorage`).  Readers scan a
+    pinned :meth:`pin`; :meth:`column_data`, :meth:`row` and
+    :meth:`iter_rows` decode live values into fresh lists and tuples,
+    and :attr:`rows` is a freshly decoded list for tests and tools.  All
+    mutation flows through the single insert/update/delete paths below,
+    which map onto the segments and the delta as
+    :mod:`repro.sqlengine.segments` describes.
 
     Every mutation bumps :attr:`version` (the per-table plan-cache
     validity token); updates and deletes additionally bump
@@ -125,7 +125,7 @@ class Table:
         name: str,
         columns: Sequence[Column],
         foreign_keys: Iterable[ForeignKey] = (),
-        segment_rows: int = 0,
+        segment_rows: int = DEFAULT_SEGMENT_ROWS,
         storage_lock: "SharedRLock | None" = None,
     ) -> None:
         if not columns:
@@ -137,8 +137,8 @@ class Table:
         self.columns = tuple(columns)
         self.foreign_keys = tuple(foreign_keys)
         self._index_of = {c.name: i for i, c in enumerate(self.columns)}
-        #: columnar storage: one value list per column, in schema order
-        self._column_data: list = [[] for __ in self.columns]
+        #: frozen segments + delta, one value sequence per column each
+        self._storage = TableStorage(segment_rows, len(self.columns))
         #: bumped on every insert/update/delete (plan-cache validity)
         self._version = 0
         #: updates + deletes only (feeds the catalog fingerprint)
@@ -149,11 +149,6 @@ class Table:
         #: mutation below records its inverse here while a transaction —
         #: explicit or per-statement implicit — is open on this table
         self._undo = None
-        #: frozen-segment + delta mirror (see repro.sqlengine.segments),
-        #: or None for the classic flat-only storage
-        self._segments = (
-            SegmentedStorage(segment_rows) if segment_rows > 0 else None
-        )
         #: guards every mutation and every pin; shared across all tables
         #: of one catalog so multi-table pins are a single atomic step
         self._storage_lock = (
@@ -183,16 +178,18 @@ class Table:
 
     # ------------------------------------------------------------------
     def column_data(self, index: int) -> list:
-        """The value list of the column at *index* (live, do not mutate)."""
-        return self._column_data[index]
+        """A fresh list of the live values of the column at *index*."""
+        with self._storage_lock:
+            return self._storage.column(index)
 
     def row(self, position: int) -> tuple:
-        """The row at *position*, decoded from the columns."""
-        return tuple([store[position] for store in self._column_data])
+        """The row at live *position*, decoded from its segment or the delta."""
+        with self._storage_lock:
+            return self._storage.row(position)
 
     def iter_rows(self) -> Iterator[tuple]:
-        """Every row in table order, decoded from the columns."""
-        return zip(*self._column_data)
+        """Every row in table order, decoded from a pin taken now."""
+        return self.pin().iter_rows()
 
     @property
     def rows(self) -> list[tuple]:
@@ -200,48 +197,49 @@ class Table:
         return list(self.iter_rows())
 
     def _rows_at(self, positions: Sequence[int]) -> list[tuple]:
-        """The rows at *positions*, gathered column by column."""
-        return list(zip(*[[s[p] for p in positions] for s in self._column_data]))
+        """The rows at *positions* (called under the storage lock)."""
+        row = self._storage.row
+        return [row(position) for position in positions]
 
-    def _rebuild_segments(self) -> None:
-        """Re-derive the segment mirror from the flat storage, if any."""
-        if self._segments is not None:
-            self._segments.rebuild(self)
+    @_locked
+    def load_columns(self, columns: Sequence[Sequence[Any]]) -> None:
+        """Replace every row with *columns*, one value list per column
+        (all of one length).
+
+        The bulk fill of checkpoint recovery: the values are taken as
+        already coerced, and neither the undo log, the version nor the
+        observers hear about it.
+        """
+        if len(columns) != len(self.columns):
+            raise SqlCatalogError(
+                f"table {self.name!r} expects {len(self.columns)} columns, "
+                f"got {len(columns)}"
+            )
+        self._storage.load(columns)
 
     # ------------------------------------------------------------------
-    @property
-    def segmented(self) -> bool:
-        """True when this table keeps a frozen-segment + delta mirror."""
-        return self._segments is not None
-
     def read_guard(self) -> "SharedRLock":
-        """The storage lock, for callers that must iterate live storage.
+        """The storage lock, for readers that need several reads of one state.
 
-        Used as ``with table.read_guard():`` by readers that walk the
-        mutable flat lists directly (e.g. the statistics gatherer) and
-        therefore cannot tolerate a concurrent compaction.  Pinned scans
-        never need it.
+        Used as ``with table.read_guard():`` by the statistics gatherer,
+        which validates a summary against :attr:`version` and then
+        decodes columns.  Pinned scans never need it.
         """
         return self._storage_lock
 
     def pin(self):
         """An immutable :class:`~repro.sqlengine.segments.TableSnapshot`.
 
-        Only meaningful for segmented tables (None otherwise).  Cheap:
-        the segment list plus a copy of the small delta, taken under
-        the storage lock.
+        Cheap: the segment list plus a copy of the small delta, taken
+        under the storage lock.
         """
-        if self._segments is None:
-            return None
         with self._storage_lock:
-            return self._segments.snapshot(self)
+            return self._storage.snapshot()
 
-    def segment_stats(self) -> "dict | None":
-        """Segment/delta/tombstone counts, or None when unsegmented."""
-        if self._segments is None:
-            return None
+    def segment_stats(self) -> dict:
+        """Segment/delta/tombstone counts."""
         with self._storage_lock:
-            return self._segments.stats(self)
+            return self._storage.stats()
 
     # ------------------------------------------------------------------
     @property
@@ -293,10 +291,10 @@ class Table:
         raises the error the first bad value in row order raises and
         leaves the table untouched.  A column whose values all already
         have the exact Python type its SQL type stores skips coercion.
-        Then one undo record ``(start, count)``, one extension of every
-        column list, one segment-freeze check and a version bump of ``count``; observers
-        see one ``on_insert`` per row, in row order, after the whole
-        batch is visible.
+        Then one undo record ``(start, count)``, one append to the
+        storage (which freezes every full segment) and a version bump of
+        ``count``; observers see one ``on_insert`` per row, in row
+        order, after the whole batch is visible.
         """
         rows = list(rows)
         if not rows:
@@ -315,10 +313,7 @@ class Table:
         count = len(rows)
         if self._undo is not None:
             self._undo.record_insert(self, start, count)
-        for store, values in zip(self._column_data, columns):
-            store.extend(values)
-        if self._segments is not None:
-            self._segments.note_insert(self)
+        self._storage.append(columns, count)
         self._version += count
         if self._observers:
             for row in zip(*columns):
@@ -327,18 +322,19 @@ class Table:
         return count
 
     # ------------------------------------------------------------------
-    # the single mutation path (shared by both execution engines)
+    # the single mutation path
     # ------------------------------------------------------------------
     @_locked
     def update_positions(
         self, positions: Sequence[int], new_rows: Sequence[Sequence[Any]]
     ) -> int:
-        """Rewrite the rows at *positions* with *new_rows*, in place.
+        """Rewrite the rows at *positions* with *new_rows*.
 
-        Values are validated and coerced exactly like inserts.  Every
-        column list is written in place; the old images, which the undo
-        log and observers (one ``on_update(table, old_row, new_row)``
-        per row) receive, are decoded from the columns first.  All
+        Values are validated and coerced exactly like inserts.  Delta
+        rows are written in place and each touched segment is replaced
+        (copy-on-write); the old images, which the undo log and
+        observers (one ``on_update(table, old_row, new_row)`` per row)
+        receive, are decoded first.  All
         validation (positions in range, values coercible) happens before
         the first write, so an error leaves the table untouched.  Returns
         the row count.
@@ -361,12 +357,7 @@ class Table:
         old_rows = self._rows_at(positions)
         if self._undo is not None:
             self._undo.record_update(self, list(positions), old_rows)
-        column_data = self._column_data
-        for position, new_row in zip(positions, coerced):
-            for store, value in zip(column_data, new_row):
-                store[position] = value
-        if self._segments is not None:
-            self._segments.note_update(self, positions)
+        self._storage.update(positions, coerced)
         self._version += 1
         self._mutation_count += 1
         for observer in self._observers:
@@ -376,17 +367,15 @@ class Table:
 
     @_locked
     def delete_positions(self, positions: Sequence[int]) -> int:
-        """Remove the rows at *positions* (tombstone-free compaction).
+        """Remove the rows at *positions*.
 
-        Every column list is compacted in place,
-        preserving list object identity for any operator holding a
-        reference.  Positions forming at most :data:`SLICE_DELETE_RUNS`
-        runs of consecutive rows are cut out with ``del store[a:b]``,
-        last run first, so a range DELETE moves only the tail behind
-        each run; more scattered positions compact every list through
-        one keep-mask.  The removed rows are decoded first, for the
-        undo log and for observers, which see one ``on_delete(table,
-        row)`` per removed row, in table order.  Returns the row count.
+        Frozen rows become tombstones of their segment (a segment at
+        least half dead is compacted); delta rows forming at most
+        :data:`~repro.sqlengine.segments.SLICE_DELETE_RUNS` runs are cut
+        out with ``del store[a:b]``, more scattered ones through one
+        keep-mask.  The removed rows are decoded first, for the undo
+        log and for observers, which see one ``on_delete(table, row)``
+        per removed row, in table order.  Returns the row count.
         """
         doomed = set(positions)
         if not doomed:
@@ -401,28 +390,7 @@ class Table:
         removed = self._rows_at(ordered)
         if self._undo is not None:
             self._undo.record_delete(self, ordered, removed)
-        segment_plan = (
-            self._segments.plan_delete(ordered)
-            if self._segments is not None
-            else None
-        )
-        runs = _runs(ordered, SLICE_DELETE_RUNS)
-        if runs is not None:
-            def compact(store: list) -> None:
-                for start, stop in reversed(runs):
-                    del store[start:stop]
-        else:
-            # one keep-mask for every aligned list, applied at C speed
-            keep = bytearray(b"\x01") * count
-            for position in doomed:
-                keep[position] = 0
-
-            def compact(store: list) -> None:
-                store[:] = list(compress(store, keep))
-        for store in self._column_data:
-            compact(store)
-        if self._segments is not None:
-            self._segments.commit_delete(self, segment_plan)
+        self._storage.delete(ordered)
         self._version += 1
         self._mutation_count += 1
         for observer in self._observers:
@@ -437,11 +405,11 @@ class Table:
         The exact inverse of :meth:`delete_positions`: *positions* are
         the (strictly ascending) positions the rows occupied before the
         delete, and *rows* the already-coerced tuples it removed.  Each
-        column list is merged with its restored values via in-place
-        slice assignment (list identity preserved), and observers see one
+        column is decoded, merged with its restored values, and the
+        segments are rebuilt from the merged columns; observers see one
         ``on_insert`` per row — so derived structures (the inverted
-        index) converge to the pre-delete state.  Used by the transaction undo log; not a
-        public mutation path.
+        index) converge to the pre-delete state.  Used by the
+        transaction undo log; not a public mutation path.
         """
         if len(positions) != len(rows):
             raise SqlCatalogError(
@@ -462,10 +430,10 @@ class Table:
                 f"ascending and within {final_len} rows"
             )
         restored = list(zip(*rows))  # one value tuple per column
-        for store, values in zip(self._column_data, restored):
-            store[:] = _merge(store, positions, values)
-        # rollback rewrites arbitrary ranges; re-derive the mirror
-        self._rebuild_segments()
+        self._storage.load([
+            _merge(self._storage.column(index), positions, values)
+            for index, values in enumerate(restored)
+        ])
         self._version += 1
         self._mutation_count += 1
         for observer in self._observers:
@@ -473,32 +441,13 @@ class Table:
                 observer.on_insert(self, row)
 
     def __len__(self) -> int:
-        return len(self._column_data[0])
+        return self._storage.count
 
     def __iter__(self) -> Iterator[tuple]:
         return self.iter_rows()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Table {self.name} cols={len(self.columns)} rows={len(self)}>"
-
-
-#: a DELETE whose positions form at most this many runs of consecutive
-#: rows cuts them out one slice at a time instead of compacting every list
-SLICE_DELETE_RUNS = 64
-
-
-def _runs(ordered: Sequence[int], limit: int) -> "list | None":
-    """The maximal ``(start, stop)`` runs of ascending *ordered*, or
-    None when there are more than *limit* of them."""
-    cuts = [
-        i for i in range(1, len(ordered)) if ordered[i] != ordered[i - 1] + 1
-    ]
-    if len(cuts) >= limit:
-        return None
-    bounds = [0, *cuts, len(ordered)]
-    return [
-        (ordered[a], ordered[b - 1] + 1) for a, b in zip(bounds, bounds[1:])
-    ]
 
 
 def _merge(old: list, positions: Sequence[int], values: Sequence) -> list:
@@ -520,12 +469,12 @@ class Catalog:
     schema or the data volume changes.
     """
 
-    def __init__(self, segment_rows: int = 0) -> None:
+    def __init__(self, segment_rows: int = DEFAULT_SEGMENT_ROWS) -> None:
         # the setting comes from an EngineConfig, which validated it
         self._tables: dict[str, Table] = {}
         self._ddl_version = 0
         self._observers: list[CatalogObserver] = []
-        #: > 0 opts every table into frozen-segment + delta storage
+        #: rows per frozen segment of every table
         self.segment_rows = segment_rows
         #: one lock for all tables: writers serialize catalog-wide, and
         #: pin_tables captures a multi-table snapshot set atomically
@@ -637,25 +586,22 @@ class Catalog:
             tokens.append((name, table.version if table is not None else None))
         return tuple(tokens)
 
-    def pin_tables(self, names: Iterable[str]) -> "dict | None":
+    def pin_tables(self, names: Iterable[str]) -> dict:
         """Pin snapshots of the named tables as one atomic step.
 
         Returns ``{id(table): TableSnapshot}`` for installation via
-        :func:`repro.sqlengine.segments.pinned`, or None when nothing
-        is segmented (the common flat-storage case: a cheap fast path
-        with no lock traffic).  Taking every snapshot under one
-        acquisition of the catalog-wide storage lock guarantees a
-        multi-table query reads one mutually consistent state.
+        :func:`repro.sqlengine.segments.pinned`.  Taking every snapshot
+        under one acquisition of the catalog-wide storage lock
+        guarantees a multi-table query reads one mutually consistent
+        state.
         """
-        if not self.segment_rows:
-            return None
         pins: dict = {}
         with self._storage_lock:
             for name in names:
                 table = self._tables.get(name.lower())
-                if table is not None and table._segments is not None:
-                    pins[id(table)] = table._segments.snapshot(table)
-        return pins or None
+                if table is not None:
+                    pins[id(table)] = table._storage.snapshot()
+        return pins
 
     def table(self, name: str) -> Table:
         try:

@@ -22,9 +22,9 @@ from repro.errors import SqlCatalogError, SqlExecutionError
 #: default number of prepared plans kept per database
 DEFAULT_PLAN_CACHE_SIZE = 128
 
-#: freeze threshold ``repro serve`` uses when none is configured —
-#: large enough to keep per-pin delta copies cheap, small enough that
-#: sustained writes freeze regularly
+#: rows per frozen segment when none is configured — large enough to
+#: keep per-pin delta copies cheap, small enough that sustained writes
+#: freeze regularly and zones stay selective
 DEFAULT_SEGMENT_ROWS = 4096
 
 
@@ -47,10 +47,9 @@ class EngineConfig:
 
     #: prepared plans kept in the LRU plan cache (0 disables caching)
     plan_cache_size: int = DEFAULT_PLAN_CACHE_SIZE
-    #: rows per frozen columnar segment; 0 (default) keeps the classic
-    #: flat single-threaded storage, > 0 opts tables into immutable
-    #: frozen segments + one mutable delta with snapshot-pinned reads
-    segment_rows: int = 0
+    #: rows per frozen columnar segment of every table (the delta holds
+    #: fewer); small values exist for tests of the segment layout
+    segment_rows: int = DEFAULT_SEGMENT_ROWS
     #: default per-request time budget in milliseconds (None = no
     #: deadline).  A query over budget raises a structured
     #: :class:`~repro.resilience.deadline.DeadlineExceeded` at the next
@@ -61,7 +60,7 @@ class EngineConfig:
 
     def __post_init__(self) -> None:
         _require_int("plan_cache_size", self.plan_cache_size, 0)
-        _require_int("segment_rows", self.segment_rows, 0, error=SqlCatalogError)
+        _require_int("segment_rows", self.segment_rows, 1, error=SqlCatalogError)
         if self.request_timeout_ms is not None:
             _require_int("request_timeout_ms", self.request_timeout_ms, 1)
 

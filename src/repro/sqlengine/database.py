@@ -74,8 +74,8 @@ class Database:
 
     SELECT statements run through a cost-aware :class:`QueryPlanner`
     whose LRU plan cache lets repeated statements skip re-planning.
-    Every engine setting — plan-cache size, segmented storage and the
-    default request deadline — comes from the one frozen
+    Every engine setting — plan-cache size, rows per frozen segment and
+    the default request deadline — comes from the one frozen
     :class:`~repro.sqlengine.config.EngineConfig` passed as
     ``Database(config=...)`` and fixed for the life of the database
     (:attr:`config`).  The durability arguments (``data_dir``,

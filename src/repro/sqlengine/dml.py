@@ -7,8 +7,8 @@ to NULL does *not* match the row.  The rows are found through the
 SELECT scan itself, a
 :class:`~repro.sqlengine.planner.physical.BatchScanOp` over the target
 table that carries each surviving row's live position as a trailing
-column: fused filters, column pruning and, on a segmented table,
-zone-map skipping over a fresh pin.  The WHERE is split into conjuncts only when no conjunct can
+column: fused filters, column pruning and zone-map skipping over a
+fresh pin.  The WHERE is split into conjuncts only when no conjunct can
 raise; otherwise it stays one predicate, so a conjunct evaluated over
 fewer rows never hides an error the whole WHERE raises.
 
@@ -70,7 +70,7 @@ def _matching_positions(
         ),
     )
     # a fresh pin of the current state, never an installed older one:
-    # its live positions are the flat positions the mutation addresses
+    # its live positions are the positions the mutation addresses
     snapshot = table.pin()
     positions: list[int] = []
     for cols, __ in scan.batches(snapshot, positions=True):

@@ -158,22 +158,17 @@ class QueryPlanner:
     def _pin_scope(self, plan: PreparedPlan) -> pinned:
         """A pin scope for one execution of *plan*.
 
-        With segmented storage enabled, every table the plan reads is
-        snapshot-pinned in one atomic step so the whole execution
-        observes a single consistent state regardless of concurrent DML.  With flat storage this is the
-        no-op ``pinned(None)``.
+        Every table the plan reads is snapshot-pinned in one atomic step
+        so the whole execution observes a single consistent state
+        regardless of concurrent DML.
         """
-        if not self.catalog.segment_rows:
-            return pinned(None)
-        outer = current_pins()
         pins = self.catalog.pin_tables(referenced_tables(plan.logical))
+        outer = current_pins()
         if outer:
             # a caller-installed pin scope (e.g. a multi-statement
             # consistent read) wins for the tables it covers; tables it
             # doesn't cover still get fresh per-execution snapshots
-            merged = dict(pins or {})
-            merged.update(outer)
-            pins = merged or None
+            pins.update(outer)
         return pinned(pins)
 
     def execute(self, select: Select):

@@ -243,10 +243,10 @@ class _TopNBound(threading.local):
     the raw leading key of its worst kept row to ``value`` when it
     tightens (None for NULL or NaN).  The scan below reads it per batch
     and pre-drops rows that sort strictly past it — rows the TopN check
-    would skip — with one more generated filter conjunct, and, on a
-    segmented table, skips a batch whose frozen segments' zones all lie
-    past it.  The cell is per thread: two threads executing one cached
-    plan over different pins each read only their own top-N's bound.
+    would skip — with one more generated filter conjunct, and skips a
+    batch whose frozen segments' zones all lie past it.  The cell is
+    per thread: two threads executing one cached plan over different
+    pins each read only their own top-N's bound.
     """
 
     def __init__(self) -> None:
@@ -371,8 +371,8 @@ def _segments_skipped(snapshot, starts: set) -> int:
 class BatchScanOp(BatchOperator):
     """Slice the table's columnar storage into batches; filter and prune.
 
-    On a segmented table the scan consults each frozen segment's zone
-    (:meth:`~repro.sqlengine.segments.FrozenSegment.zone`) against the
+    The scan consults each frozen segment's zone (:meth:`~repro.
+    sqlengine.segments.FrozenSegment.zone`) against the
     ``col <op> number`` conjuncts among its pushed predicates and never
     slices a grid batch whose every row lies in excluded segments: such
     a batch would have filtered down to nothing, so results, float sums
@@ -380,8 +380,8 @@ class BatchScanOp(BatchOperator):
     (:class:`_TopNBound`) a batch is also skipped when every segment it
     overlaps sorts strictly past the bound on a numeric key column.
     Zones are consulted only when every pushed predicate is provably
-    non-raising (errors stay those of a full scan); the delta and flat
-    storage are always read, and the deadline is checked per batch.
+    non-raising (errors stay those of a full scan); the delta is always
+    read, and the deadline is checked per batch.
 
     Only the columns the predicates or the output read are sliced: the
     predicates compile against that sub-layout, and the output columns
@@ -496,9 +496,8 @@ class BatchScanOp(BatchOperator):
                 fold=None) -> Iterator[tuple]:
         """The filtered, pruned batches of the whole table.
 
-        With a snapshot (explicit or installed via a pin scope), batches
-        are assembled from the pinned frozen segments + delta instead of
-        the live lists — same rows, same order, same batch boundaries.
+        Batches are sliced from *snapshot*, or else from the pin the
+        thread's pin scope installed, or else from a fresh pin.
         Batches whose every row lies in frozen segments excluded by a
         zone test (see :func:`_zone_skips`) or sorting past a connected
         top-N bound (see :func:`_batch_past_bound`) are never sliced; every
@@ -509,31 +508,20 @@ class BatchScanOp(BatchOperator):
         With *fold* (``fold(cols, n) -> survivors``), the fold replaces
         the filter and a batch is yielded as ``((), survivors)``.
         """
-        table = self._table
         if snapshot is None:
-            snapshot = snapshot_of(table)
-        last = snapshot.row_count if snapshot is not None else len(table)
+            snapshot = snapshot_of(self._table)
+        last = snapshot.row_count
         read = self._read
+        column_slice = snapshot.column_slice
         fused = self._filter
         project = self._project
         if positions and project is not None:
             project = project + [len(read)]
-        if snapshot is None:
-            sources = [table.column_data(i) for i in read]
-
-            def slice_batch(start: int, stop: int) -> list:
-                return [data[start:stop] for data in sources]
-
-        else:
-            def slice_batch(start: int, stop: int) -> list:
-                return [snapshot.column_slice(i, start, stop) for i in read]
-
-        segmented = snapshot is not None and snapshot.entries
         skipped = set()
-        if self._zone_tests and segmented:
+        if self._zone_tests and snapshot.entries:
             skipped = _zone_skips(snapshot, self._zone_tests)
         bound_cell = self._bound_cell
-        bound_column = self._bound_column if segmented else None
+        bound_column = self._bound_column if snapshot.entries else None
         bound = None
         deadline = current_deadline()
         scanned = 0
@@ -555,7 +543,7 @@ class BatchScanOp(BatchOperator):
                         continue
                     fused = self._filter_under(bound)
                 stop = min(start + BATCH_SIZE, last)
-                cols = slice_batch(start, stop)
+                cols = [column_slice(i, start, stop) for i in read]
                 if positions:
                     cols.append(range(start, stop))
                 n = stop - start
@@ -1232,11 +1220,6 @@ class BatchAggregateOp(BatchOperator):
                 raise SqlExecutionError(
                     f"aggregate {call.to_sql()} takes exactly one argument"
                 )
-        #: the group keys, then each non-star call's argument, per batch
-        inputs = list(node.group_by) + [
-            call.args[0] for call in node.agg_calls if not call.star
-        ]
-        self._inputs = compile_batch(inputs, scope, class_of) if inputs else None
         self.agg_slots = {
             call: len(scope) + i for i, call in enumerate(node.agg_calls)
         }
@@ -1244,29 +1227,35 @@ class BatchAggregateOp(BatchOperator):
             scope.pairs
             + [(None, f"__agg_{i}") for i in range(len(node.agg_calls))]
         )
+        #: the scan's generated filter-and-fold (the build scan's, over
+        #: a join, with the merge of a probe batch), or None (batch path)
+        self._fold = self._merge = None
+        #: the scan binding the fold runs in (EXPLAIN ANALYZE shows it)
+        self.folded_into = None
+        inner = _unwrapped(child)
+        if node.having is None and isinstance(inner, BatchScanOp):
+            self._fold = inner.fuse_grouping(node)
+        elif node.having is None and isinstance(inner, BatchHashJoinOp):
+            fused = inner.fuse_aggregate(node, class_of)
+            if fused is not None:
+                (self._fold, self._merge), inner = fused, _unwrapped(inner._right)
+        if self._fold is not None:
+            self.folded_into = inner.binding
+        #: the batch path's group keys, then each non-star call's
+        #: argument, per batch: compiled only when no fold runs
+        inputs = list(node.group_by) + [
+            call.args[0] for call in node.agg_calls if not call.star
+        ]
+        self._inputs = (
+            compile_batch(inputs, scope, class_of)
+            if inputs and self._fold is None else None
+        )
         self._having = (
             compile_batch([node.having], self.scope, class_of, mode="filter",
                           agg_slots=self.agg_slots)
             if node.having is not None
             else None
         )
-        inner = _unwrapped(child)
-        #: the scan's generated filter-and-fold (the build scan's, over
-        #: a join, with the merge of a probe batch), or None (batch path)
-        self._fold = self._merge = None
-        #: the scan binding the fold runs in (EXPLAIN ANALYZE shows it)
-        self.folded_into = None
-        if node.having is not None:
-            return
-        if isinstance(inner, BatchScanOp):
-            self._fold = inner.fuse_grouping(node)
-        elif isinstance(inner, BatchHashJoinOp):
-            fused = inner.fuse_aggregate(node, class_of)
-            if fused is None:
-                return
-            (self._fold, self._merge), inner = fused, _unwrapped(inner._right)
-        if self._fold is not None:
-            self.folded_into = inner.binding
 
     def _accumulators(self) -> list:
         return [

@@ -1,42 +1,39 @@
-"""Frozen columnar segments + mutable delta: snapshot-pinned reads.
+"""A table's storage: frozen columnar segments plus one mutable delta.
 
-The LSM design point (immutable sorted runs plus a small mutable
-memtable) applied to this engine's columnar storage: when a
-table opts in (``EngineConfig(segment_rows=N)``), its flat storage is
-mirrored by a :class:`SegmentedStorage` — an ordered list of
-:class:`FrozenSegment` objects (immutable column tuples frozen off the
-front of the table once the mutable *delta* tail reaches the threshold)
-plus writer-side bookkeeping.  The flat lists stay
-authoritative and byte-identical to the classic layout, so undo, WAL
-checkpoints and the inverted-index maintainer are untouched; the mirror
-exists so *readers* can pin.  DML is such a reader: it finds
-its target rows by scanning a fresh pin, whose live positions are the
-flat positions it then mutates.
+The LSM design point (immutable runs plus a small mutable memtable) as
+the only storage of every table: a :class:`TableStorage` is an ordered
+list of :class:`FrozenSegment` objects — one immutable tuple per
+column, frozen ``segment_rows`` rows at a time — followed by the
+*delta*, one mutable list per column holding fewer than
+``segment_rows`` rows.  Each value lives in exactly one of them.  Row
+coordinates are *live* positions: the segments' live rows in order,
+then the delta's.  Mutations map onto the layout as:
 
-A reader calls :meth:`~repro.sqlengine.catalog.Table.pin` (or, for a
-whole query, :meth:`~repro.sqlengine.catalog.Catalog.pin_tables`) and
-gets a :class:`TableSnapshot`: the segment list with each segment's
-tombstone set captured as a frozenset, plus a copy of the (small)
-delta's columns.  Segments are never mutated after freezing — DML maps
-onto the mirror as:
-
-* **INSERT** appends to the delta; full threshold-sized chunks freeze
-  into new segments (:meth:`SegmentedStorage.note_insert`);
-* **UPDATE** touching frozen rows replaces the affected segments with
-  fresh ones built from the flat post-image (copy-on-write — pinned
-  readers keep the old objects);
+* **INSERT** extends the delta; every full ``segment_rows`` chunk is
+  moved out of it into a new segment (:meth:`TableStorage.append`);
+* **UPDATE** writes delta rows in place and replaces each touched
+  segment with a fresh one built from its own live values
+  (copy-on-write — pinned readers keep the old object);
 * **DELETE** of frozen rows grows the owning segment's tombstone set
-  (grow-only, so a pinned frozenset stays a consistent past state) and
-  compacts a segment once half its rows are dead;
-* **restore_rows** (transaction rollback) rebuilds the mirror.
+  (grow-only, so a pinned frozenset stays a consistent past state),
+  drops a segment with no live row left and compacts one that is at
+  least half dead from its own live values; delta rows are cut out of
+  the delta lists, a few runs by slice deletion, many through one
+  keep-mask;
+* rollback's re-insert and checkpoint recovery rebuild the segments
+  from whole columns (:meth:`TableStorage.load`).
 
-All mirror maintenance happens inside the table's storage lock (one
-:class:`threading.RLock` per catalog); pinning takes the same lock
-briefly.  Readers never take the lock while scanning, so one writer
-and any number of readers proceed without blocking each other beyond
-the pin/maintenance critical sections.  The engine's scan operators
-consult the current thread's *installed pins* (:func:`pinned`, set up
-by ``QueryPlanner.execute`` around each query) so every batch of one
+All mutation happens inside the table's storage lock (one
+:class:`threading.RLock` per catalog), and so does pinning.  A reader
+calls :meth:`~repro.sqlengine.catalog.Table.pin` (or, for a whole
+query, :meth:`~repro.sqlengine.catalog.Catalog.pin_tables`) and gets a
+:class:`TableSnapshot`: the segment list with each segment's tombstone
+set captured as a frozenset, plus a copy of the (small) delta.  Readers
+never take the lock while scanning, so one writer and any number of
+readers proceed without blocking each other beyond the pin and
+mutation critical sections.  The engine's scan operators consult the
+current thread's *installed pins* (:func:`pinned`, set up by
+``QueryPlanner.execute`` around each query) so every batch of one
 execution reads the same snapshot.
 
 **Zones.**  A segment's *zone* for an INTEGER/REAL column is the
@@ -52,25 +49,26 @@ same pass memoises whether the column holds a NULL
 only when every segment it overlaps is excluded, either by a pushed
 ``col <op> number`` conjunct or, under a top-N, because every value the
 zone admits sorts strictly past the top-N's worst kept key; the delta
-and flat storage are never skipped (see ``BatchScanOp`` in
+is never skipped (see ``BatchScanOp`` in
 :mod:`repro.sqlengine.planner.physical`).
 
 **Values.**  Segments and the pinned delta hold the column values
 themselves (TEXT included), so :meth:`TableSnapshot.column_slice`
-returns a plain list — exactly the batch type a flat scan emits — and a
-pinned reader sees every value as it was at pin time, whatever later
-writes do to the flat lists.
+returns a plain list, and a pinned reader sees every value as it was
+at pin time, whatever later writes do.
 """
 
 from __future__ import annotations
 
 import threading
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
+from itertools import accumulate, compress
 
 __all__ = [
     "FrozenSegment",
-    "SegmentedStorage",
+    "SLICE_DELETE_RUNS",
     "TableSnapshot",
+    "TableStorage",
     "current_pins",
     "pin_for",
     "pinned",
@@ -178,26 +176,32 @@ class FrozenSegment:
             return None
         return self._state(tombstones)["keep"]
 
+    def live_values(self) -> list:
+        """A fresh list per column of the values of the live rows."""
+        return [
+            list(self.live_column(index, self.tombstones))
+            for index in range(len(self.columns))
+        ]
+
+
+def _frozen(columns: list) -> FrozenSegment:
+    """A new segment holding *columns* (one value sequence each)."""
+    return FrozenSegment(tuple(map(tuple, columns)), len(columns[0]))
+
 
 class TableSnapshot:
     """A pinned, immutable view: frozen segments + a copied delta.
 
-    Row coordinates are *live* positions over the whole snapshot
-    (``0 .. row_count``), exactly matching the table's flat storage at
-    pin time — so batch boundaries, row order and values are identical
-    to a flat scan of the same state.
+    Row coordinates are the table's *live* positions at pin time
+    (``0 .. row_count``).
     """
 
     __slots__ = ("entries", "delta_columns", "prefix", "row_count")
 
-    def __init__(self, entries: list, delta_len: int, delta_columns: list):
+    def __init__(self, entries: list, delta_columns: list, prefix: list):
         #: ``(segment, tombstones frozenset | None, live_count)`` per segment
         self.entries = entries
         self.delta_columns = delta_columns
-        prefix = [0]
-        for __, __, live in entries:
-            prefix.append(prefix[-1] + live)
-        prefix.append(prefix[-1] + delta_len)
         #: cumulative live counts; parts are segments then the delta
         self.prefix = prefix
         self.row_count = prefix[-1]
@@ -213,9 +217,6 @@ class TableSnapshot:
         while position < stop:
             base = prefix[part]
             end = prefix[part + 1]
-            if end == base:  # pragma: no cover - empty parts are skipped
-                part += 1
-                continue
             if part < len(entries):
                 segment, tombstones, __ = entries[part]
                 data = segment.live_column(index, tombstones)
@@ -227,26 +228,95 @@ class TableSnapshot:
             part += 1
         return out
 
+    def iter_rows(self):
+        """Every live row in table order, as a tuple."""
+        width = len(self.delta_columns)
+        for segment, tombstones, __ in self.entries:
+            yield from zip(
+                *[segment.live_column(i, tombstones) for i in range(width)]
+            )
+        yield from zip(*self.delta_columns)
 
-class SegmentedStorage:
-    """Writer-side mirror of one table's flat storage.
 
-    Invariant (checked by the property tests): per column, the
-    concatenation of every segment's live values followed by the delta
-    equals the table's flat column.  All methods must be called under the table's
-    storage lock, from the single-writer mutation path.
+#: a DELETE whose delta positions form at most this many runs of
+#: consecutive rows cuts them out one slice at a time instead of
+#: compacting every delta list through a keep-mask
+SLICE_DELETE_RUNS = 64
+
+
+def _runs(ordered, limit: int) -> "list | None":
+    """The maximal ``(start, stop)`` runs of ascending *ordered*, or
+    None when there are more than *limit* of them."""
+    cuts = [
+        i for i in range(1, len(ordered)) if ordered[i] != ordered[i - 1] + 1
+    ]
+    if len(cuts) >= limit:
+        return None
+    bounds = [0, *cuts, len(ordered)]
+    return [
+        (ordered[a], ordered[b - 1] + 1) for a, b in zip(bounds, bounds[1:])
+    ]
+
+
+class TableStorage:
+    """The rows of one table: frozen segments, then the delta.
+
+    Invariants (checked by the property tests against the flat column
+    model in ``tests/sqlengine/reference_storage.py``): the delta holds
+    fewer than ``threshold`` rows, no segment is empty or at least half
+    dead, and ``frozen_live`` is the segments' live row count.  Every
+    method must be called under the table's storage lock; ``count``
+    changes last, so a lock-free ``len`` sees a committed row count.
     """
 
-    __slots__ = ("threshold", "segments", "frozen_live")
+    __slots__ = ("threshold", "segments", "delta", "frozen_live", "count",
+                 "_prefix")
 
-    def __init__(self, threshold: int) -> None:
-        self.threshold = max(1, int(threshold))
+    def __init__(self, threshold: int, width: int) -> None:
+        self.threshold = threshold
         self.segments: list = []
-        #: total live rows across segments == the delta's start offset
+        self.delta: list = [[] for __ in range(width)]
+        #: live rows across segments == the delta's start position
         self.frozen_live = 0
+        #: live rows in total
+        self.count = 0
+        self._prefix: "list | None" = None
 
-    # -- pinning -------------------------------------------------------
-    def snapshot(self, table) -> TableSnapshot:
+    # -- reads ---------------------------------------------------------
+    def _starts(self) -> list:
+        """The live position each segment starts at, then frozen_live."""
+        if self._prefix is None:
+            self._prefix = [
+                0, *accumulate(s.live_count for s in self.segments)
+            ]
+        return self._prefix
+
+    def locate(self, position: int) -> tuple:
+        """``(segment index, physical offset)`` of a live *position*;
+        ``(None, offset)`` when it lies in the delta."""
+        if position >= self.frozen_live:
+            return None, position - self.frozen_live
+        starts = self._starts()
+        index = bisect_right(starts, position) - 1
+        offset = position - starts[index]
+        segment = self.segments[index]
+        keep = segment.live_to_physical(segment.tombstones)
+        return index, offset if keep is None else keep[offset]
+
+    def row(self, position: int) -> tuple:
+        index, offset = self.locate(position)
+        columns = self.delta if index is None else self.segments[index].columns
+        return tuple([column[offset] for column in columns])
+
+    def column(self, index: int) -> list:
+        """A fresh list of column *index*'s live values."""
+        out: list = []
+        for segment in self.segments:
+            out += segment.live_column(index, segment.tombstones)
+        out += self.delta[index]
+        return out
+
+    def snapshot(self) -> TableSnapshot:
         entries = [
             (
                 segment,
@@ -255,128 +325,119 @@ class SegmentedStorage:
             )
             for segment in self.segments
         ]
-        start = self.frozen_live
-        # a slice is already a copy
         return TableSnapshot(
             entries,
-            len(table) - start,
-            [store[start:] for store in table._column_data],
+            [store[:] for store in self.delta],  # a slice is already a copy
+            [*self._starts(), self.count],
         )
 
-    # -- mutation mapping ----------------------------------------------
-    def _freeze_range(self, table, start: int, stop: int) -> FrozenSegment:
-        columns = tuple(
-            tuple(store[start:stop]) for store in table._column_data
-        )
-        return FrozenSegment(columns, stop - start)
-
-    def note_insert(self, table) -> None:
-        """Freeze full threshold-sized chunks off the delta's front."""
-        total = len(table)
-        while total - self.frozen_live >= self.threshold:
-            start = self.frozen_live
-            self.segments.append(
-                self._freeze_range(table, start, start + self.threshold)
-            )
-            self.frozen_live += self.threshold
-
-    def _map_frozen(self, positions) -> dict:
-        """Sorted live positions -> ``{segment index: [physical offsets]}``.
-
-        Positions at or past ``frozen_live`` (the delta) are ignored.
-        """
-        mapping: dict = {}
-        if not self.segments:
-            return mapping
-        base = 0
-        index = 0
-        segment = self.segments[0]
-        for position in positions:
-            if position >= self.frozen_live:
-                break
-            while position >= base + segment.live_count:
-                base += segment.live_count
-                index += 1
-                segment = self.segments[index]
-            offset = position - base
-            live_map = segment.live_to_physical(segment.tombstones)
-            if live_map is not None:
-                offset = live_map[offset]
-            mapping.setdefault(index, []).append(offset)
-        return mapping
-
-    def note_update(self, table, positions) -> None:
-        """Copy-on-write: re-freeze segments whose rows were rewritten.
-
-        Called after the flat in-place writes, so the affected live
-        ranges of the flat storage hold the post-image.  Untouched
-        segments keep their identity (pinned readers notice nothing);
-        live counts are unchanged, so no offsets shift.
-        """
-        frozen_positions = sorted(
-            {p for p in positions if p < self.frozen_live}
-        )
-        touched = self._map_frozen(frozen_positions)
-        if not touched:
-            return
-        prefix = [0]
-        for segment in self.segments:
-            prefix.append(prefix[-1] + segment.live_count)
-        for index in touched:
-            self.segments[index] = self._freeze_range(
-                table, prefix[index], prefix[index + 1]
-            )
-
-    def plan_delete(self, sorted_positions) -> dict:
-        """Map doomed live positions to segments *before* compaction."""
-        return self._map_frozen(
-            [p for p in sorted_positions if p < self.frozen_live]
-        )
-
-    def commit_delete(self, table, mapping: dict) -> None:
-        """Apply a planned delete *after* the flat compaction.
-
-        Grows tombstone sets (never shrinks — pinned frozensets stay
-        valid), drops fully-dead segments, and compacts any segment
-        with at least half its rows dead by re-freezing its live range
-        from the flat post-image.
-        """
-        if not mapping:
-            return
-        removed = 0
-        for index, offsets in mapping.items():
-            segment = self.segments[index]
-            segment.tombstones.update(offsets)
-            removed += len(offsets)
-        self.frozen_live -= removed
-        survivors: list = []
-        start = 0
-        for segment in self.segments:
-            live = segment.live_count
-            if live == 0:
-                continue
-            if len(segment.tombstones) * 2 >= segment.size:
-                segment = self._freeze_range(table, start, start + live)
-            survivors.append(segment)
-            start += live
-        self.segments = survivors
-
-    def rebuild(self, table) -> None:
-        """Re-derive the whole mirror from the flat storage (rollback)."""
-        self.segments = []
-        self.frozen_live = 0
-        self.note_insert(table)
-
-    # -- introspection -------------------------------------------------
-    def stats(self, table) -> dict:
+    def stats(self) -> dict:
         return {
             "segments": len(self.segments),
             "frozen_live": self.frozen_live,
-            "delta_rows": len(table) - self.frozen_live,
+            "delta_rows": self.count - self.frozen_live,
             "tombstones": sum(
                 len(segment.tombstones) for segment in self.segments
             ),
         }
+
+    # -- writes --------------------------------------------------------
+    def _freeze(self, columns: list) -> None:
+        self.segments.append(_frozen(columns))
+        self.frozen_live += len(columns[0])
+        self._prefix = None
+
+    def append(self, columns: list, count: int) -> None:
+        """Add *count* rows, given as one value sequence per column."""
+        delta = self.delta
+        threshold = self.threshold
+        taken = threshold - len(delta[0])
+        if count < taken:
+            for store, values in zip(delta, columns):
+                store.extend(values)
+        else:
+            # the delta's rows plus the batch's first ones fill a segment,
+            # then every whole chunk of the batch is one more
+            self._freeze([
+                [*store, *values[:taken]]
+                for store, values in zip(delta, columns)
+            ])
+            while count - taken >= threshold:
+                self._freeze([
+                    values[taken : taken + threshold] for values in columns
+                ])
+                taken += threshold
+            self.delta = [list(values[taken:]) for values in columns]
+        self.count += count
+
+    def update(self, positions, rows) -> None:
+        """Rewrite the rows at live *positions* with *rows*, in order."""
+        frozen = self.frozen_live
+        starts = self._starts()
+        delta = self.delta
+        touched: dict = {}  # segment index -> {live offset: row}
+        for position, row in zip(positions, rows):
+            if position >= frozen:
+                offset = position - frozen
+                for store, value in zip(delta, row):
+                    store[offset] = value
+            else:
+                index = bisect_right(starts, position) - 1
+                touched.setdefault(index, {})[position - starts[index]] = row
+        for index, rewrites in touched.items():
+            columns = self.segments[index].live_values()
+            for offset, row in rewrites.items():
+                for column, value in zip(columns, row):
+                    column[offset] = value
+            # same live count: the starts stay valid
+            self.segments[index] = _frozen(columns)
+
+    def delete(self, ordered) -> None:
+        """Remove the rows at ascending, unique live *ordered* positions."""
+        frozen = self.frozen_live
+        cut = bisect_left(ordered, frozen)
+        if cut < len(ordered):
+            self._cut_delta([p - frozen for p in ordered[cut:]])
+        if cut:
+            doomed: dict = {}  # segment index -> physical offsets
+            for position in ordered[:cut]:
+                index, offset = self.locate(position)
+                doomed.setdefault(index, []).append(offset)
+            for index, offsets in doomed.items():
+                self.segments[index].tombstones.update(offsets)
+            survivors = []
+            for segment in self.segments:
+                if segment.live_count == 0:
+                    continue
+                if len(segment.tombstones) * 2 >= segment.size:
+                    segment = _frozen(segment.live_values())
+                survivors.append(segment)
+            self.segments = survivors
+            self.frozen_live = frozen - cut
+            self._prefix = None
+        self.count -= len(ordered)
+
+    def _cut_delta(self, ordered: list) -> None:
+        runs = _runs(ordered, SLICE_DELETE_RUNS)
+        if runs is not None:
+            for store in self.delta:
+                for start, stop in reversed(runs):
+                    del store[start:stop]
+            return
+        # one keep-mask for every delta list, applied at C speed
+        keep = bytearray(b"\x01") * len(self.delta[0])
+        for position in ordered:
+            keep[position] = 0
+        self.delta = [list(compress(store, keep)) for store in self.delta]
+
+    def load(self, columns: list) -> None:
+        """Replace every row with *columns* (one value list per column)."""
+        self.segments = []
+        self.delta = [[] for __ in columns]
+        self.frozen_live = 0
+        self.count = 0
+        self._prefix = None
+        self.append(columns, len(columns[0]))
 
 
 # ----------------------------------------------------------------------
@@ -398,15 +459,10 @@ def pin_for(table) -> "TableSnapshot | None":
     return pins.get(id(table))
 
 
-def snapshot_of(table) -> "TableSnapshot | None":
-    """The snapshot a scan of *table* must read, or None for flat reads.
-
-    Segmented tables always read through a snapshot: the thread's
-    installed pin when a query-level scope is active, otherwise a fresh
-    ad-hoc pin (consistent within the one call that took it).
-    """
-    if table._segments is None:
-        return None
+def snapshot_of(table) -> TableSnapshot:
+    """The snapshot a scan of *table* must read: the thread's installed
+    pin when a query-level scope is active, otherwise a fresh ad-hoc pin
+    (consistent within the one call that took it)."""
     pinned_snapshot = pin_for(table)
     if pinned_snapshot is not None:
         return pinned_snapshot
@@ -416,24 +472,20 @@ def snapshot_of(table) -> "TableSnapshot | None":
 class pinned:
     """Install a pin set thread-locally for a ``with`` block.
 
-    ``pinned(None)`` is a no-op scope, so callers can unconditionally
-    wrap execution without branching on whether anything is segmented.
     Scopes nest (the previous pin set is restored on exit).
     """
 
     __slots__ = ("_pins", "_previous")
 
-    def __init__(self, pins: "dict | None") -> None:
+    def __init__(self, pins: dict) -> None:
         self._pins = pins
         self._previous = None
 
-    def __enter__(self) -> "dict | None":
-        if self._pins is not None:
-            self._previous = getattr(_TLS, "pins", None)
-            _TLS.pins = self._pins
+    def __enter__(self) -> dict:
+        self._previous = getattr(_TLS, "pins", None)
+        _TLS.pins = self._pins
         return self._pins
 
     def __exit__(self, *exc) -> bool:
-        if self._pins is not None:
-            _TLS.pins = self._previous
+        _TLS.pins = self._previous
         return False

@@ -148,10 +148,11 @@ def restore_catalog(catalog: "Catalog", state: dict, path: str = "") -> None:
     """Recreate the saved tables inside an empty *catalog*.
 
     Storage is bulk-filled in columnar form, bypassing the per-value
-    insert path entirely: every column is filled, then the segment
-    mirror is built once (built earlier, it would freeze segments from
-    half-filled columns).  Every column tag (``"plain"``, legacy
-    ``"array"`` and ``"dict"``) fills the same plain value list.
+    insert path entirely: every column is decoded, then
+    :meth:`~repro.sqlengine.catalog.Table.load_columns` freezes the
+    segments once (built earlier, they would be frozen from half-filled
+    columns).  Every column tag (``"plain"``, legacy ``"array"`` and
+    ``"dict"``) decodes to the same plain value list.
     """
     try:
         for table_state in state["tables"]:
@@ -166,6 +167,7 @@ def restore_catalog(catalog: "Catalog", state: dict, path: str = "") -> None:
             table = catalog.create_table(
                 table_state["name"], columns, foreign_keys
             )
+            data = []
             for index, column_state in enumerate(table_state["data"]):
                 values = _decoded_values(column_state)
                 if len(values) != table_state["row_count"]:
@@ -177,9 +179,8 @@ def restore_catalog(catalog: "Catalog", state: dict, path: str = "") -> None:
                         path=path,
                         kind="checkpoint",
                     )
-                table.column_data(index)[:] = values
-            # the bulk fill bypassed the insert path that freezes segments
-            table._rebuild_segments()
+                data.append(values)
+            table.load_columns(data)
             table._version = table_state["version"]
             table._mutation_count = table_state["mutation_count"]
         catalog._ddl_version = state["ddl_version"]

@@ -85,7 +85,7 @@ class Warehouse:
         build with a logged warning saying why (use
         :meth:`load_index_snapshot` for strict loading).  With
         *engine_config*, the underlying SQL engine uses those settings
-        (segmented storage, plan-cache size, …) instead of defaults.
+        (segment size, plan-cache size, …) instead of defaults.
         """
         database = build_database(definition, engine_config=engine_config)
         if populate is not None:

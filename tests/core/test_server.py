@@ -1,7 +1,7 @@
 """The asyncio HTTP front end: /search, /sql, /metrics, /healthz.
 
 A real server on an ephemeral port, real ``urllib`` clients, a
-warehouse with the concurrent (segmented) storage layout — the same
+warehouse with the default engine config — the same
 stack ``repro serve`` runs.  One server per module; the write tests
 use their own private warehouse.
 """
@@ -16,17 +16,13 @@ import pytest
 
 from repro.core.soda import Soda, SodaConfig
 from repro.server import SodaServer
-from repro.sqlengine.config import DEFAULT_SEGMENT_ROWS, EngineConfig
+from repro.sqlengine.config import DEFAULT_SEGMENT_ROWS
 from repro.warehouse.minibank import build_minibank
 
 
 @pytest.fixture(scope="module")
 def server():
-    warehouse = build_minibank(
-        seed=42,
-        scale=0.25,
-        engine_config=EngineConfig(segment_rows=DEFAULT_SEGMENT_ROWS),
-    )
+    warehouse = build_minibank(seed=42, scale=0.25)
     soda = Soda(warehouse, SodaConfig())
     server = SodaServer(soda, port=0, workers=4)
     server.start_background()

@@ -24,7 +24,6 @@ from repro.core.soda import Soda, SodaConfig
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.faults import ServingFaultInjector
 from repro.server import SodaServer
-from repro.sqlengine.config import DEFAULT_SEGMENT_ROWS, EngineConfig
 from repro.warehouse.minibank import build_minibank
 
 pytestmark = pytest.mark.stress
@@ -39,11 +38,7 @@ ROUNDS = 10
 
 @pytest.fixture(scope="module")
 def chaos_soda():
-    warehouse = build_minibank(
-        seed=42,
-        scale=0.25,
-        engine_config=EngineConfig(segment_rows=DEFAULT_SEGMENT_ROWS),
-    )
+    warehouse = build_minibank(seed=42, scale=0.25)
     return Soda(warehouse, SodaConfig())
 
 

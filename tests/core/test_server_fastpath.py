@@ -29,7 +29,6 @@ from repro.core.serving import SearchSession
 from repro.core.soda import Soda, SodaConfig
 from repro.obs.metrics import registry
 from repro.server import SodaServer
-from repro.sqlengine.config import DEFAULT_SEGMENT_ROWS, EngineConfig
 from repro.warehouse.minibank import build_minibank
 
 from stamp_oracle import answer, fresh_answer, load_ledger_workloads, reads_table
@@ -88,10 +87,7 @@ class Client:
 
 @pytest.fixture(scope="module")
 def served():
-    warehouse = build_minibank(
-        seed=42, scale=1.0,
-        engine_config=EngineConfig(segment_rows=DEFAULT_SEGMENT_ROWS),
-    )
+    warehouse = build_minibank(seed=42, scale=1.0)
     soda = Soda(warehouse, SodaConfig())
     pool = ledger.http_pool(warehouse, ledger.FULL.http_pool)[:POOL_PREFIX]
     server = SodaServer(soda, port=0, workers=2).start_background()

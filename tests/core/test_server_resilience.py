@@ -23,17 +23,12 @@ from repro.obs.metrics import registry
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.faults import ServingFaultInjector
 from repro.server import SodaServer
-from repro.sqlengine.config import DEFAULT_SEGMENT_ROWS, EngineConfig
 from repro.warehouse.minibank import build_minibank
 
 
 @pytest.fixture(scope="module")
 def soda():
-    warehouse = build_minibank(
-        seed=42,
-        scale=0.25,
-        engine_config=EngineConfig(segment_rows=DEFAULT_SEGMENT_ROWS),
-    )
+    warehouse = build_minibank(seed=42, scale=0.25)
     return Soda(warehouse, SodaConfig())
 
 
@@ -691,11 +686,7 @@ class TestSnapshotOnDrain:
     @pytest.fixture
     def own_soda(self):
         """A warehouse of its own: the test writes to it."""
-        warehouse = build_minibank(
-            seed=42,
-            scale=0.1,
-            engine_config=EngineConfig(segment_rows=DEFAULT_SEGMENT_ROWS),
-        )
+        warehouse = build_minibank(seed=42, scale=0.1)
         return Soda(warehouse, SodaConfig())
 
     def test_stop_saves_the_state_after_the_last_write(self, own_soda, tmp_path):

@@ -10,7 +10,7 @@ It is checked through the real execute step — every statement of the
 paper workload and of the perf ledger's 160-text pool (entity, entity +
 attribute, bare value, entity + value), plus top-N texts whose own LIMIT
 is below and above N — against full execution on the same engine, over
-{flat, segmented} storage x {plan cache on, off}; the full execution
+{3, 64} rows per segment x {plan cache on, off}; the full execution
 itself must equal the row-at-a-time reference interpreter's.  Hand-written
 statements add the shapes SODA never emits (DISTINCT, ORDER BY ties,
 LIMIT 0).
@@ -83,9 +83,9 @@ HAND_WRITTEN = [
 ENGINES = [
     pytest.param(
         EngineConfig(segment_rows=segment, plan_cache_size=cache),
-        id=f"{'segmented' if segment else 'flat'}-plan_cache={cache}",
+        id=f"segment_rows={segment}-plan_cache={cache}",
     )
-    for segment in (0, 64)
+    for segment in (3, 64)
     for cache in (DEFAULT_PLAN_CACHE_SIZE, 0)
 ]
 

@@ -7,12 +7,12 @@ stopped, **every cache entry that still validates equals a fresh
 compute** — result-cache entries, lookup term memos and phrase-cache
 entries alike (a compute that raced a write must have been stamped
 pre-write and must fail validation, never sit there looking current).
-Flat and segmented storage, with a shortened switch interval so the
-threads interleave inside the mark → compute → store window.  Only the
-segmented readers execute their statements: a query pins a snapshot
-there, while a flat-storage scan racing a DELETE can tear (README,
-"Concurrent storage") — the flat readers search with ``execute=False``,
-which still reads the row counts behind ``estimated_rows``.
+The default engine config and 8-row segments, with a shortened switch
+interval so the threads interleave inside the mark → compute → store
+window.  Every reader executes its statements (each query pins a
+snapshot); a second session per reader searches with
+``execute=False``, which still reads the row counts behind
+``estimated_rows``.
 
 The HTTP variant (PR 21) puts the event loop into the race: two
 keep-alive clients whose cached answers the loop validates and serves
@@ -81,10 +81,10 @@ def writer(execute, failures: list, writes: int = WRITES) -> None:
         failures.append(traceback.format_exc())
 
 
-def reader(soda, stop, offset: int, failures: list, execute: bool) -> None:
+def reader(soda, stop, offset: int, failures: list) -> None:
     try:
         sessions = (
-            SearchSession(soda, execute=execute),
+            SearchSession(soda),
             SearchSession(soda, execute=False, limit=3),
         )
         turn = offset
@@ -95,18 +95,18 @@ def reader(soda, stop, offset: int, failures: list, execute: bool) -> None:
         failures.append(traceback.format_exc())
 
 
-@pytest.mark.parametrize("segment_rows", (0, 8), ids=("flat", "segmented"))
-def test_entries_that_still_validate_equal_a_fresh_compute(segment_rows):
-    warehouse = build_minibank(
-        seed=42, scale=0.25,
-        engine_config=EngineConfig(segment_rows=segment_rows),
-    )
+@pytest.mark.parametrize(
+    "config", (EngineConfig(), EngineConfig(segment_rows=8)),
+    ids=("default", "segmented"),
+)
+def test_entries_that_still_validate_equal_a_fresh_compute(config):
+    warehouse = build_minibank(seed=42, scale=0.25, engine_config=config)
     soda = Soda(warehouse, SodaConfig())
     failures: list = []
     stop = threading.Event()
     threads = [
         threading.Thread(
-            target=reader, args=(soda, stop, n, failures, segment_rows > 0)
+            target=reader, args=(soda, stop, n, failures)
         )
         for n in range(READERS)
     ]

@@ -15,7 +15,7 @@ predicate — a LIKE or a division by a column, which can raise — joins
 the filter of the fused query, where it still folds in the loop, and
 of the HAVING twin, so both paths must raise the reference's error.
 Batches are 8 rows, so every table spans several, and each query runs
-flat and at ``segment_rows=4``.
+at ``segment_rows`` 1 and 4.
 
 Named mutant: a fused ``min`` that restarts from each batch's first
 value (the accumulator bug once in ``MinAccumulator.add_many``) — the
@@ -115,7 +115,7 @@ def aggregate_of(db, sql):
 
 
 def run_case(rows, keys, where, extra, select_list):
-    for segment_rows in (0, 4):
+    for segment_rows in (1, 4):
         db = Database(config=EngineConfig(segment_rows=segment_rows))
         db.create_table("t", COLUMNS)
         db.insert_rows("t", rows)

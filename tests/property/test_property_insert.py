@@ -1,13 +1,14 @@
 """Parity of the one-step batch insert with the per-row oracle.
 
 ``Table.insert_many`` appends a whole batch under one lock acquisition,
-with one undo record, one segment-freeze check and one version bump.  ``tests/sqlengine/reference_insert.py``
-keeps the per-row insert it replaced.  Two twin databases receive the
+with one undo record, one segment-freeze check and one version bump.
+``tests/sqlengine/reference_storage.py`` keeps the per-row insert it
+replaced.  Two twin databases receive the
 same prefill and the same batch through ``Database.insert_rows``, one
 through each path; the batch mixes exact-typed values with ``None``,
 ``int`` into REAL, ISO strings into DATE, ``bool`` into INTEGER and
 other bad values, wrong arity at any row, and fresh TEXT values.  It runs
-at ``segment_rows`` 0, 4 and 64, outside a transaction, inside
+at ``segment_rows`` 1, 4 and 64, outside a transaction, inside
 ``BEGIN … ROLLBACK``, and under a per-statement guard whose WAL append
 fails.  The twins must agree on the error (type and message) and on
 the multiset of observer events.  When the batch is applied they must
@@ -41,7 +42,7 @@ from repro.sqlengine.config import EngineConfig
 from repro.sqlengine.database import Database
 from repro.sqlengine.txn import FaultInjector, FileLogStorage, InjectedCrash
 
-from tests.sqlengine.reference_insert import reference_insert_many
+from tests.sqlengine.reference_storage import reference_insert_many
 
 COLUMNS = [
     ("i", "INTEGER"),
@@ -121,10 +122,10 @@ def state(table, physical: bool = True) -> dict:
     With ``physical=False``, what a rollback must restore: the segments'
     live rows rather than their layout.
     """
-    segments = None
-    if table.segmented and physical:
+    storage = table._storage
+    if physical:
         segments = (
-            table._segments.frozen_live,
+            storage.frozen_live,
             [
                 (
                     [typed(column) for column in segment.columns],
@@ -132,16 +133,16 @@ def state(table, physical: bool = True) -> dict:
                     sorted(segment.tombstones),
                     [segment.zone(index) for index in NUMERIC],
                 )
-                for segment in table._segments.segments
+                for segment in storage.segments
             ],
         )
-    elif table.segmented:
+    else:
         segments = (
-            table._segments.frozen_live,
+            storage.frozen_live,
             [
                 typed(
                     value
-                    for segment in table._segments.segments
+                    for segment in storage.segments
                     for value in segment.live_column(index, segment.tombstones)
                 )
                 for index in range(len(table.columns))
@@ -223,13 +224,13 @@ def cancels(events: Counter) -> bool:
 
 @settings(max_examples=200, deadline=None)
 @given(
-    segment_rows=st.sampled_from([0, 4, 64]),
+    segment_rows=st.sampled_from([1, 4, 64]),
     mode=st.sampled_from(["plain", "txn", "wal"]),
     prefill=st.sampled_from([0, 7, len(POOL) + 3]),
     batch=batches(),
 )
 @example(  # two bad rows in different columns: the first *row* wins
-    segment_rows=0,
+    segment_rows=1,
     mode="plain",
     prefill=0,
     batch=[

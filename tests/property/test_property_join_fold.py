@@ -8,8 +8,8 @@ or two key columns, grouped by 0–2 probe-side expressions, with
 arguments, returns exactly what the reference interpreter returns:
 rows, group order, representative values and bit-identical sums; a
 HAVING twin takes the batch path and must answer the same.  Batches
-are 8 rows, so both sides span several, and each query runs flat and
-at ``segment_rows=4``.
+are 8 rows, so both sides span several, and each query runs at
+``segment_rows`` 1 and 4.
 
 Named mutant: a partial whose ``min`` / ``max`` is one plain best,
 merged with a plain ``<`` — killed by the ``@example`` whose bucket
@@ -66,7 +66,7 @@ def run_case(probe, build, keys, two_keys, where):
     items = ", ".join(["p.g", "b.s"] + keys + [CALLS])
     sql = f"SELECT {items} FROM p, b WHERE {' AND '.join(on)}{group}"
     having = sql + " HAVING count(*) > 0"
-    for segment_rows in (0, 4):
+    for segment_rows in (1, 4):
         db = Database(config=EngineConfig(segment_rows=segment_rows))
         db.create_table("p", PROBE)
         db.create_table("b", BUILD)

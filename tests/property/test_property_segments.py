@@ -1,46 +1,58 @@
-"""Property tests for the frozen-segment + delta storage layout.
+"""Property tests for the frozen-segment + delta table storage.
 
-For *any* freeze threshold and *any* interleaving of
-INSERT/UPDATE/DELETE applied through the SQL front end, a segmented
-table must be indistinguishable from a flat one:
+For several freeze thresholds and *any* interleaving of INSERT / UPDATE
+/ DELETE statements, some inside a ``BEGIN … ROLLBACK`` or ``COMMIT``,
+a table must hold exactly what the flat column-list model
+(``tests/sqlengine/reference_storage.py``) holds after the same
+statements:
 
-* the flat tuple list and the segment view (live segment rows followed
-  by the delta) stay element-for-element identical, and every column
-  slice a batch scan could take agrees with the flat columnar storage;
-* every SELECT — the reference interpreter over flat storage vs the
-  engine over pinned segment snapshots — returns byte-identical
-  results;
+* every ``column_data(i)``, every ``row(i)`` and ``iter_rows()``, and
+  every column slice of a pin, at batch boundaries too;
+* every SELECT the engine runs over the pinned segments returns what
+  the reference interpreter returns over the decoded rows;
 * every column slice, TEXT included, is a plain value list;
 * the layout accounting holds: ``frozen_live + delta_rows`` equals the
-  live row count and no segment is ever more than half dead.
+  live row count, the delta is shorter than a segment and no segment is
+  at least half dead.
+
+Named mutant: ``TableStorage.locate`` ignores a segment's existing
+tombstones (the live offset is used as the physical one), so a second
+DELETE in one segment tombstones the wrong row; the first example below
+kills it at ``segment_rows=3``.
 """
 
-import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.sqlengine.config import EngineConfig
 from repro.sqlengine.database import Database
 
 from tests.sqlengine.reference_engine import reference_execute, snapshot_rows
+from tests.sqlengine.reference_storage import FlatStorage
 
-settings.register_profile("segments", max_examples=40, deadline=None)
+settings.register_profile("segments", max_examples=60, deadline=None)
 settings.load_profile("segments")
 
+SEED_ROWS = 20
 
-def op_strategy():
-    insert = st.tuples(
-        st.just("insert"),
-        st.integers(min_value=1, max_value=5),
+
+def _row(i: int, tag: str = None) -> tuple:
+    return (i, i % 10, i * 7 % 101, tag if tag is not None else f"k{i % 3}")
+
+
+def statement():
+    ids = st.lists(st.integers(0, 119), min_size=1, max_size=8, unique=True)
+    return st.one_of(
+        st.tuples(st.just("insert"), st.integers(1, 9)),
+        st.tuples(st.just("update"), ids),
+        st.tuples(st.just("delete"), ids),
     )
-    update = st.tuples(
-        st.just("update"),
-        st.integers(min_value=0, max_value=9),  # grp bucket to touch
+
+
+def transaction():
+    return st.tuples(
+        st.sampled_from(["autocommit", "commit", "rollback"]),
+        st.lists(statement(), min_size=1, max_size=4),
     )
-    delete = st.tuples(
-        st.just("delete"),
-        st.integers(min_value=0, max_value=9),
-    )
-    return st.one_of(insert, update, delete)
 
 
 QUERIES = [
@@ -55,75 +67,101 @@ QUERIES = [
 ]
 
 
-def _apply(db: Database, ops, counter, run=Database.execute) -> None:
-    for kind, arg in ops:
-        if kind == "insert":
-            values = ", ".join(
-                f"({counter[0] + i}, {(counter[0] + i) % 10}, "
-                f"{(counter[0] + i) * 7 % 101}, 'k{(counter[0] + i) % 9}')"
-                for i in range(arg)
-            )
-            counter[0] += arg
-            run(db, f"INSERT INTO t VALUES {values}")
-        elif kind == "update":
-            run(
-                db,
-                f"UPDATE t SET val = val + 1, tag = 'u{arg}' WHERE grp = {arg}",
-            )
-        else:
-            run(db, f"DELETE FROM t WHERE grp = {arg} AND val > 40")
+def _apply(db: Database, model: FlatStorage, kind: str, arg, counter) -> None:
+    """Run one statement on *db* and mirror it on *model*."""
+    if kind == "insert":
+        rows = [_row(counter[0] + i) for i in range(arg)]
+        counter[0] += arg
+        db.execute(
+            "INSERT INTO t VALUES "
+            + ", ".join(f"({i}, {g}, {v}, '{s}')" for i, g, v, s in rows)
+        )
+        model.insert_many(rows)
+        return
+    in_list = ", ".join(map(str, arg))
+    positions = [p for p, row in enumerate(model.iter_rows()) if row[0] in arg]
+    if kind == "update":
+        db.execute(
+            f"UPDATE t SET val = val + 1, tag = 'u' || id WHERE id IN ({in_list})"
+        )
+        model.update(positions, [
+            (i, g, v + 1, f"u{i}")
+            for i, g, v, __ in (model.row(p) for p in positions)
+        ])
+    else:
+        db.execute(f"DELETE FROM t WHERE id IN ({in_list})")
+        model.delete(positions)
 
 
-class TestSegmentedFlatEquivalence:
+def assert_same_storage(table, model: FlatStorage) -> None:
+    width = len(table.columns)
+    assert len(table) == len(model)
+    for index in range(width):
+        column = table.column_data(index)
+        assert type(column) is list and column == model.column(index)
+    assert [table.row(p) for p in range(len(model))] == list(model.iter_rows())
+    assert list(table.iter_rows()) == list(model.iter_rows())
+    snapshot = table.pin()
+    assert snapshot_rows(snapshot) == list(model.iter_rows())
+    total = snapshot.row_count
+    cut = max(1, total // 3)
+    for index in range(width):
+        whole = snapshot.column_slice(index, 0, total)
+        assert type(whole) is list and whole == model.column(index)
+        # arbitrary partial slices (batch boundaries) agree too
+        assert snapshot.column_slice(index, cut, min(total, cut * 2)) == (
+            model.column(index)[cut:cut * 2]
+        )
+
+
+class TestSegmentsMatchTheFlatModel:
     @given(
-        threshold=st.integers(min_value=1, max_value=16),
-        ops=st.lists(op_strategy(), min_size=1, max_size=12),
+        segment_rows=st.sampled_from([1, 3, 8, 4096]),
+        program=st.lists(transaction(), min_size=1, max_size=6),
     )
-    def test_segmented_scan_is_byte_identical_to_flat(self, threshold, ops):
-        flat = Database()
-        segmented = Database(config=EngineConfig(segment_rows=threshold))
-        for db in (flat, segmented):
-            db.execute(
-                "CREATE TABLE t (id INT PRIMARY KEY, grp INT, val INT, "
-                "tag TEXT)"
-            )
-            db.execute(
-                "INSERT INTO t VALUES "
-                + ", ".join(f"({i}, {i % 10}, {i * 7 % 101}, 'k{i % 3}')"
-                            for i in range(20))
-            )
-        counter_flat, counter_seg = [100], [100]
-        _apply(flat, ops, counter_flat, reference_execute)
-        _apply(segmented, ops, counter_seg)
+    @example(  # a second DELETE in one segment (the named mutant)
+        segment_rows=3,
+        program=[("autocommit", [("delete", [0]), ("delete", [2])])],
+    )
+    @example(  # rollback of a delete that compacted a segment
+        segment_rows=3,
+        program=[("rollback", [("delete", [0, 1, 4]), ("update", [5, 7])])],
+    )
+    def test_every_read_matches_the_flat_model(self, segment_rows, program):
+        db = Database(config=EngineConfig(segment_rows=segment_rows))
+        db.execute(
+            "CREATE TABLE t (id INT PRIMARY KEY, grp INT, val INT, tag TEXT)"
+        )
+        model = FlatStorage(4)
+        counter = [SEED_ROWS]
+        seed = [_row(i) for i in range(SEED_ROWS)]
+        db.insert_rows("t", seed)
+        model.insert_many(seed)
+        table = db.table("t")
+        for mode, statements in program:
+            saved = model.copy()
+            if mode != "autocommit":
+                db.execute("BEGIN")
+            for kind, arg in statements:
+                _apply(db, model, kind, arg, counter)
+            if mode != "autocommit":
+                db.execute(mode.upper())
+            if mode == "rollback":
+                model = saved
+            assert_same_storage(table, model)
 
-        flat_table = flat.table("t")
-        seg_table = segmented.table("t")
-        # storage equivalence: rows, snapshot iteration, column slices
-        assert seg_table.rows == flat_table.rows
-        snapshot = seg_table.pin()
-        assert snapshot_rows(snapshot) == flat_table.rows
-        total = snapshot.row_count
-        for index in range(len(seg_table.columns)):
-            flat_column = list(flat_table.column_data(index))
-            whole = snapshot.column_slice(index, 0, total)
-            assert type(whole) is list and whole == flat_column
-            # arbitrary partial slices (batch boundaries) agree too
-            cut = max(1, total // 3)
-            assert (
-                list(snapshot.column_slice(index, cut, min(total, cut * 2)))
-                == flat_column[cut:cut * 2]
-            )
-
-        # engine equivalence: reference on flat == engine over segments
+        # engine over pinned segments == reference over decoded rows
         for sql in QUERIES:
-            expected = reference_execute(flat, sql)
-            actual = segmented.execute(sql)
+            expected = reference_execute(db, sql)
+            actual = db.execute(sql)
             assert actual.columns == expected.columns, sql
             assert actual.rows == expected.rows, sql
 
-        # accounting: live rows split exactly into frozen + delta, and
-        # compaction keeps every frozen segment at least half alive
-        stats = seg_table.segment_stats()
-        assert stats["frozen_live"] + stats["delta_rows"] == total
-        for segment in seg_table._segments.segments:
-            assert len(segment.tombstones) * 2 < max(1, segment.size)
+        # accounting: live rows split exactly into frozen + delta, the
+        # delta is shorter than a segment, and compaction keeps every
+        # frozen segment more than half alive
+        stats = table.segment_stats()
+        assert stats["frozen_live"] + stats["delta_rows"] == len(model)
+        assert stats["delta_rows"] < segment_rows
+        for segment in table._storage.segments:
+            assert len(segment.tombstones) * 2 < segment.size

@@ -12,9 +12,8 @@ dataclass equality, histograms included.  The reference
 used before it was maintained from the write path; the two share no
 code but ``Histogram``'s constructor.
 
-The same property is checked on flat and segmented catalogs: the
-provider only ever sees row tuples, so the layouts must be
-indistinguishable.
+The same property is checked at four segment sizes: the provider only
+ever sees row tuples, so the layouts must be indistinguishable.
 """
 
 import datetime
@@ -37,7 +36,7 @@ EXAMPLES = settings(max_examples=200, deadline=None)
 #: ``segment_rows=1`` freezes every row on its own, so each delete kills
 #: a whole segment; an odd size rounds the half-dead compaction rule
 LAYOUTS = {
-    "flat": EngineConfig(),
+    "default": EngineConfig(),
     "segmented": EngineConfig(segment_rows=4),
     "segmented_1": EngineConfig(segment_rows=1),
     "segmented_3": EngineConfig(segment_rows=3),

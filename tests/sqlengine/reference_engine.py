@@ -12,9 +12,9 @@ BY, NULLs-first mixed-type ORDER BY.
 :func:`reference_execute` is the entry point.  It plans a SELECT with
 ``src``'s lowering and optimizer (``db.planner.plan_logical``), so a
 plan-shape bug is not what it finds; execution bugs are.  It reads rows
-decoded from the flat columns (``Table.iter_rows`` / ``Table.row``, the
-authoritative storage, never the segment mirror), evaluates UPDATE / DELETE / RETURNING row-major and mutates
-only through ``Table.update_positions`` / ``Table.delete_positions``.
+decoded from the table (``Table.iter_rows`` / ``Table.row``, never a
+column slice of a pin), evaluates UPDATE / DELETE / RETURNING row-major
+and mutates only through ``Table.update_positions`` / ``Table.delete_positions``.
 Every other statement (DDL, INSERT, transactions) goes to
 ``db.execute``.  Top-N runs as the sort + limit it is defined as.
 """
@@ -331,7 +331,7 @@ def _compile_binary(
 
 
 class ScanOp:
-    """Scan one table's flat rows, applying pushed filters, then pruning."""
+    """Scan one table's decoded rows, applying pushed filters, then pruning."""
 
     def __init__(self, catalog, node: LogicalScan) -> None:
         self._table = catalog.table(node.table)

@@ -34,7 +34,7 @@ from repro.sqlengine.database import Database
 from repro.sqlengine.txn import FaultInjector, FileLogStorage, InjectedCrash
 from repro.sqlengine.txn.undo import UndoLog
 
-from tests.sqlengine.reference_insert import reference_insert_many
+from tests.sqlengine.reference_storage import reference_insert_many
 
 STATUSES = ("NEW", "OPEN", "HELD", "DONE")
 COLUMNS = [("id", "INT"), ("x", "REAL"), ("s", "TEXT")]

@@ -12,16 +12,20 @@ another.  Every mutation here preserves two per-state invariants:
 
 Readers hammer those aggregates (in one batch or across many) while one
 writer thread interleaves single-statement UPDATE/INSERT/DELETE; any
-torn read breaks an equality.  A final check proves the flat storage
-and the segment view converged to the same bytes.
+torn read breaks an equality.  A final check proves the decoded rows
+and a fresh pin converged to the same bytes.  The default engine config
+gets the same guarantee: its scans race scattered and range DELETEs and
+UPDATEs without an error, and answer as the reference interpreter does
+once the writer stops.
 """
 
+import sys
 import threading
 
 from repro.sqlengine.config import EngineConfig
 from repro.sqlengine.database import Database
 
-from tests.sqlengine.reference_engine import snapshot_rows
+from tests.sqlengine.reference_engine import reference_execute, snapshot_rows
 
 READERS = 4
 WRITER_OPS = 150
@@ -99,7 +103,7 @@ class TestConcurrentStress:
         db = _build()
         failures = _run_stress(db)
         assert not failures, failures[:5]
-        # after the dust settles: flat rows and segment view agree
+        # after the dust settles: decoded rows and a fresh pin agree
         table = db.table("funds")
         assert snapshot_rows(table.pin()) == table.rows
 
@@ -157,8 +161,6 @@ def test_code_reusing_writer_never_tears_a_decoded_read():
     frees dictionary codes and interns new values into them.  Every row
     has ``a = length(tag)``, so a code decoded through the wrong
     dictionary version breaks the per-group sums."""
-    import sys
-
     db = Database(config=EngineConfig(segment_rows=32))
     db.execute("CREATE TABLE t (id INT, tag TEXT, a INT)")
     db.insert_rows(
@@ -222,8 +224,6 @@ def test_zone_skipping_readers_find_every_row():
     """Point lookups skip frozen segments by their memoised zones while
     a writer replaces segments (copy-on-write UPDATE, compaction) and
     freezes new ones; every lookup still finds its one consistent row."""
-    import sys
-
     rows = 2600
     db = Database(config=EngineConfig(segment_rows=64))
     db.execute("CREATE TABLE funds (id INT, a INT, b INT)")
@@ -275,3 +275,80 @@ def test_zone_skipping_readers_find_every_row():
         done.set()
     assert not any(thread.is_alive() for thread in threads)
     assert not failures, failures[:5]
+
+
+#: what the default-config readers scan: whole-table aggregates, a
+#: GROUP BY, a filtered projection and a top-N
+SCANS = [
+    "SELECT COUNT(*), SUM(a), SUM(b) FROM funds",
+    "SELECT a, COUNT(*), SUM(b) FROM funds GROUP BY a",
+    "SELECT id, a FROM funds WHERE b > 60 AND m < 20",
+    "SELECT id, b FROM funds ORDER BY b DESC, id LIMIT 25",
+]
+
+
+def test_default_config_scans_race_deletes_and_updates():
+    """Four readers scan a default ``Database()`` (frozen segments and a
+    delta) while one writer runs scattered DELETEs (the keep-mask
+    path), range DELETEs (tombstones and compaction) and UPDATEs; no
+    reader raises, and once the writer stops every scan answers what
+    ``reference_execute`` answers."""
+    rows = 6000
+    db = Database()
+    db.execute("CREATE TABLE funds (id INT, m INT, a INT, b INT)")
+    db.insert_rows(
+        "funds", [(i, i % 97, i % 40, 100 - i % 40) for i in range(rows)]
+    )
+    assert db.table("funds").segment_stats()["segments"] == 1
+    failures: list = []
+    done = threading.Event()
+
+    def reader(offset: int) -> None:
+        turn = offset
+        while not done.is_set():
+            try:
+                db.execute(SCANS[turn % len(SCANS)])
+            except Exception as exc:  # noqa: BLE001
+                failures.append(repr(exc))
+            turn += 1
+
+    def writer() -> None:
+        try:
+            for op in range(40):
+                if op % 3 == 0:
+                    db.execute(f"DELETE FROM funds WHERE m = {op}")
+                elif op % 3 == 1:
+                    start = op * 131 % rows
+                    db.execute(
+                        f"DELETE FROM funds WHERE id >= {start} "
+                        f"AND id < {start + 40}"
+                    )
+                else:
+                    db.execute(
+                        f"UPDATE funds SET a = a + 1, b = b - 1 "
+                        f"WHERE m >= {op} AND m < {op + 9}"
+                    )
+        except Exception as exc:  # noqa: BLE001
+            failures.append(f"writer raised {exc!r}")
+        finally:
+            done.set()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [
+            threading.Thread(target=reader, args=(i,)) for i in range(READERS)
+        ]
+        threads.append(threading.Thread(target=writer))
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+        done.set()
+    assert not any(thread.is_alive() for thread in threads)
+    assert not failures, failures[:5]
+    for sql in SCANS:
+        expected = reference_execute(db, sql)
+        assert db.execute(sql).rows == expected.rows, sql

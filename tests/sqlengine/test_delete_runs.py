@@ -1,14 +1,16 @@
 """A DELETE moves only what it removes: ``Table.delete_positions`` by runs.
 
-Positions forming at most ``SLICE_DELETE_RUNS`` runs of consecutive rows
-are cut out of every column list with ``del store[a:b]``; more
-scattered positions compact through one keep-mask.  Locks, with counts:
+Frozen rows become tombstones of their segment.  Delta positions
+forming at most ``SLICE_DELETE_RUNS`` runs of consecutive rows are cut
+out of every delta list with ``del store[a:b]``; more scattered
+positions compact the delta through one keep-mask.  Locks, with counts:
 
 * the bytes a 20-row range DELETE allocates on a 50k-row table
-  (tracemalloc peak; the keep-mask path copies every list);
-* a 1-run and a 200-run DELETE leave the columns and undo images that
-  the keep-mask algorithm (kept below as the oracle) computes, every list keeps its identity, and ROLLBACK
-  restores byte-identical columns.
+  (tracemalloc peak; a keep-mask over whole columns would copy them);
+* a 1-run and a 200-run DELETE, in frozen segments and in the delta,
+  leave the columns and undo images that the keep-mask algorithm (kept
+  below as the oracle) computes, and ROLLBACK restores byte-identical
+  columns.
 """
 
 import tracemalloc
@@ -16,8 +18,8 @@ from itertools import compress
 
 import pytest
 
-from repro.sqlengine import catalog
-from repro.sqlengine.config import EngineConfig
+from repro.sqlengine import segments
+from repro.sqlengine.config import DEFAULT_SEGMENT_ROWS, EngineConfig
 from repro.sqlengine.database import Database
 
 from tests.sqlengine.reference_engine import snapshot_rows
@@ -25,7 +27,7 @@ from tests.sqlengine.reference_engine import snapshot_rows
 STATUSES = ("NEW", "OPEN", "HELD", "DONE")
 
 
-def make_db(rows: int, segment_rows: int = 0) -> Database:
+def make_db(rows: int, segment_rows: int = DEFAULT_SEGMENT_ROWS) -> Database:
     db = Database(config=EngineConfig(segment_rows=segment_rows))
     db.create_table(
         "t", [("id", "INT"), ("qty", "INT"), ("x", "REAL"), ("s", "TEXT")]
@@ -62,11 +64,11 @@ def keep_mask_delete(before: dict, positions) -> dict:
 
 
 def test_runs_are_maximal_and_capped():
-    assert catalog._runs([3], 64) == [(3, 4)]
-    assert catalog._runs([1, 2, 3, 7, 9, 10], 64) == [(1, 4), (7, 8), (9, 11)]
-    scattered = list(range(0, 2 * catalog.SLICE_DELETE_RUNS, 2))
-    assert len(catalog._runs(scattered, catalog.SLICE_DELETE_RUNS)) == 64
-    assert catalog._runs(scattered + [999], catalog.SLICE_DELETE_RUNS) is None
+    assert segments._runs([3], 64) == [(3, 4)]
+    assert segments._runs([1, 2, 3, 7, 9, 10], 64) == [(1, 4), (7, 8), (9, 11)]
+    scattered = list(range(0, 2 * segments.SLICE_DELETE_RUNS, 2))
+    assert len(segments._runs(scattered, segments.SLICE_DELETE_RUNS)) == 64
+    assert segments._runs(scattered + [999], segments.SLICE_DELETE_RUNS) is None
 
 
 def test_a_range_delete_allocates_no_copy_of_the_table():
@@ -81,7 +83,9 @@ def test_a_range_delete_allocates_no_copy_of_the_table():
     assert peak <= 64 * 1024
 
 
-@pytest.mark.parametrize("segment_rows", [0, 64])
+#: 3000 rows: all frozen at 3 and 64 rows per segment, all delta at the
+#: default
+@pytest.mark.parametrize("segment_rows", [3, 64, DEFAULT_SEGMENT_ROWS])
 @pytest.mark.parametrize(
     "where, runs",
     [
@@ -97,19 +101,15 @@ def test_runs_and_keep_mask_leave_the_same_table(segment_rows, where, runs):
         if 1000 <= row[0] < (1020 if runs == 1 else 1400)
         and (runs == 1 or row[1] == 0)
     ]
-    assert len(catalog._runs(positions, 10_000)) == runs
+    assert len(segments._runs(positions, 10_000)) == runs
     before = state(table)
     removed = [table.row(p) for p in positions]
-    lists = [table.column_data(i) for i in range(4)]
     db.execute("BEGIN")
     deleted = db.execute(f"DELETE FROM t WHERE {where}").rowcount
     assert deleted == len(positions)
     __, kind, payload = table._undo._records[-1]
     assert (kind, payload) == ("delete", (positions, removed))
     assert state(table) == keep_mask_delete(before, positions)
-    if segment_rows:
-        assert snapshot_rows(table.pin()) == list(table.iter_rows())
+    assert snapshot_rows(table.pin()) == list(table.iter_rows())
     db.execute("ROLLBACK")
     assert repr(state(table)["columns"]) == repr(before["columns"])
-    after = [table.column_data(i) for i in range(4)]
-    assert all(old is new for old, new in zip(lists, after))

@@ -22,7 +22,7 @@ class TestEngineConfig:
     def test_defaults_match_the_legacy_knob_defaults(self):
         config = EngineConfig()
         assert config.plan_cache_size == 128
-        assert config.segment_rows == 0  # flat storage unless asked
+        assert config.segment_rows == DEFAULT_SEGMENT_ROWS == 4096
         assert config.request_timeout_ms is None
 
     def test_frozen(self):
@@ -36,6 +36,9 @@ class TestEngineConfig:
             EngineConfig(request_timeout_ms=0)
         with pytest.raises(SqlCatalogError, match="segment_rows"):
             EngineConfig(segment_rows=-8)
+        # every table is segmented: there is no flat layout to ask for
+        with pytest.raises(SqlCatalogError, match="segment_rows .* >= 1"):
+            EngineConfig(segment_rows=0)
 
     def test_replace_and_as_dict_round_trip(self):
         config = EngineConfig().replace(plan_cache_size=0, segment_rows=64)
@@ -95,9 +98,9 @@ class TestFromCli:
         ).request_timeout_ms is None
 
     def test_overrides_a_base_field_by_field(self):
-        base = EngineConfig(segment_rows=DEFAULT_SEGMENT_ROWS)
+        base = EngineConfig(segment_rows=64)
         config = EngineConfig.from_cli("plan-cache-size=0", base=base)
-        assert config.segment_rows == DEFAULT_SEGMENT_ROWS
+        assert config.segment_rows == 64
         assert config.plan_cache_size == 0
 
     def test_unknown_key_lists_the_valid_ones(self):
@@ -133,7 +136,8 @@ class TestDatabaseConfig:
     def test_segment_rows_reaches_the_catalog(self):
         db = Database(config=EngineConfig(segment_rows=16))
         db.execute("CREATE TABLE t (id INT)")
-        assert db.table("t").segmented
+        db.insert_rows("t", [(i,) for i in range(40)])
+        assert db.table("t").segment_stats()["segments"] == 2
         assert db.catalog.segment_rows == 16
 
 
@@ -153,6 +157,14 @@ class TestCliFlag:
         )
         assert code == 0
         assert "row(s)" in output
+
+    def test_zero_segment_rows_is_rejected(self):
+        code, output = self._run(
+            "--scale", "0.2", "--engine-config", "segment-rows=0",
+            "sql", "SELECT 1",
+        )
+        assert code == 2
+        assert "segment_rows must be an integer >= 1, got 0" in output
 
     def test_bad_engine_config_is_a_clean_error(self):
         code, output = self._run(

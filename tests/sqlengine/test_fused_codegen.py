@@ -496,7 +496,7 @@ class TestFusedGrouping:
         assert repr(rows) == repr(reference_execute(db, sql).rows)
 
     def test_deadline_is_checked_per_batch(self):
-        db = self._db(segment_rows=0)
+        db = self._db(segment_rows=3)
         checks = []
 
         def clock():

@@ -11,18 +11,21 @@ Named mutants, each killed here:
     plain ``<`` / ``>`` (a NaN that opens a bucket then hides the
     bucket's later values): ``test_a_nan_leading_bucket_merges_by_the_row_rule``;
 (b) a build row whose join key is NULL folded into a partial (NULL then
-    matches a NULL probe key): ``test_null_never_joins_null``.
+    matches a NULL probe key): ``test_null_never_joins_null``;
+(c) ``BatchAggregateOp`` compiles its batch path's keys and arguments
+    before deciding to fold again: ``TestFoldedCompile``.
 """
 
 import math
 import re
+import sys
 
 import pytest
 
 from repro.errors import SqlError
 from repro.obs.metrics import registry
 from repro.resilience.deadline import Deadline, DeadlineExceeded, deadline_scope
-from repro.sqlengine.config import EngineConfig
+from repro.sqlengine.config import DEFAULT_SEGMENT_ROWS, EngineConfig
 from repro.sqlengine.database import Database
 from repro.sqlengine.parser import parse_select
 from repro.sqlengine.planner import physical
@@ -77,7 +80,7 @@ def moved(db, sql, reference=True):
     return [counter.value - b for counter, b in zip(counters, before)]
 
 
-def facts_db(segment_rows=0):
+def facts_db(segment_rows=DEFAULT_SEGMENT_ROWS):
     db = Database(config=EngineConfig(segment_rows=segment_rows))
     db.create_table("f", [("id", "INT"), ("k", "INT"), ("x", "REAL"),
                           ("q", "INT")])
@@ -93,6 +96,85 @@ def facts_db(segment_rows=0):
     return db
 
 
+def ledger_db() -> Database:
+    """The ledger's engine tables at 20k facts.  From ~15k facts the
+    optimizer builds on the filtered facts, as at the ledger's 100k
+    (below that it builds on dims, and the group key d.region is on the
+    build side: the batch path)."""
+    db = Database(config=EngineConfig(segment_rows=1024))
+    db.create_table("dims", ledger.DIMS_COLUMNS)
+    db.insert_rows("dims", ledger.engine_dims())
+    db.create_table("facts", ledger.FACTS_COLUMNS)
+    for batch in ledger.engine_batches(20_000, 5000):
+        db.insert_rows("facts", batch)
+    return db
+
+
+class TestFoldedCompile:
+    """A folded aggregate compiles no batch path: counted calls of
+    ``compile_batch`` made by ``BatchAggregateOp`` for its per-batch
+    keys and arguments (value mode; HAVING compiles in filter mode)."""
+
+    @staticmethod
+    def batch_path_compiles(monkeypatch, db, sql) -> list:
+        calls = []
+        compile_batch = physical.compile_batch
+
+        def counting(exprs, scope, *args, **kwargs):
+            caller = sys._getframe(1).f_locals.get("self")
+            if isinstance(caller, physical.BatchAggregateOp) and \
+                    kwargs.get("mode", "value") == "value":
+                calls.append(exprs)
+            return compile_batch(exprs, scope, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(physical, "compile_batch", counting)
+            db.planner.prepare(parse_select(sql))
+        return calls
+
+    def test_the_ledger_headline_compiles_no_batch_path(self, monkeypatch):
+        db = Database(config=EngineConfig(plan_cache_size=0))
+        db.create_table("dims", ledger.DIMS_COLUMNS)
+        db.insert_rows("dims", ledger.engine_dims())
+        db.create_table("facts", ledger.FACTS_COLUMNS)
+        for batch in ledger.engine_batches(20_000, 5000):
+            db.insert_rows("facts", batch)
+        sql = ledger.engine_selects(0, 20_000)["headline"]
+        assert join_folded(db, sql)
+        assert self.batch_path_compiles(monkeypatch, db, sql) == []
+        twin = sql.replace("GROUP BY d.region",
+                           "GROUP BY d.region HAVING count(*) > 0")
+        assert len(self.batch_path_compiles(monkeypatch, db, twin)) == 1
+
+    def test_a_scan_fed_group_by_compiles_no_batch_path(self, monkeypatch):
+        db = Database(config=EngineConfig(plan_cache_size=0))
+        db.create_table("f", [("id", "INT"), ("k", "INT"), ("x", "REAL")])
+        db.insert_rows("f", [(i, i % 10, float(i)) for i in range(100)])
+        sql = "SELECT k, count(*), sum(x) FROM f WHERE id > 5 GROUP BY k"
+        assert aggregate(db, sql)._fold is not None
+        assert self.batch_path_compiles(monkeypatch, db, sql) == []
+        assert len(self.batch_path_compiles(
+            monkeypatch, db, sql + " HAVING count(*) > 0"
+        )) == 1
+        assert aggregate(db, sql)._inputs is None
+
+    @pytest.mark.parametrize("sql, message", [
+        # folds in the scan loop once it compiles
+        ("SELECT k, sum(nosuch(x)) FROM f WHERE id > 5 GROUP BY k",
+         r"unknown function 'nosuch' in nosuch\(x\)"),
+        ("SELECT k, sum(x) FROM f WHERE id > 5 GROUP BY k, nosuch",
+         r"unknown column 'nosuch' \(available: f.id, f.k, f.x\)"),
+        # the batch path
+        ("SELECT k, sum(nosuch(x)) FROM f WHERE id > 5 GROUP BY k "
+         "HAVING count(*) > 0", r"unknown function 'nosuch' in nosuch\(x\)"),
+    ])
+    def test_a_compile_error_is_raised_at_prepare(self, sql, message):
+        db = Database()
+        db.create_table("f", [("id", "INT"), ("k", "INT"), ("x", "REAL")])
+        with pytest.raises(SqlError, match=message):
+            db.planner.prepare(parse_select(sql))
+
+
 class TestJoinFold:
     def test_folds_and_moves_the_batch_paths_counters(self):
         db = facts_db()
@@ -105,15 +187,7 @@ class TestJoinFold:
         assert moved(db, HEADLINE) == [scanned, joined, 0]
 
     def test_the_ledger_headline_folds(self):
-        # from ~15k facts the optimizer builds on the filtered facts, as
-        # at the ledger's 100k (below that it builds on dims, and the
-        # group key d.region is on the build side: the batch path)
-        db = Database(config=EngineConfig(segment_rows=1024))
-        db.create_table("dims", ledger.DIMS_COLUMNS)
-        db.insert_rows("dims", ledger.engine_dims())
-        db.create_table("facts", ledger.FACTS_COLUMNS)
-        for batch in ledger.engine_batches(20_000, 5000):
-            db.insert_rows("facts", batch)
+        db = ledger_db()
         conn = load(db)
         for rotation in (0, 5):
             sql = ledger.engine_selects(rotation, 20_000)["headline"]

@@ -2,7 +2,7 @@
 
 The optimizer moves an ON conjunct that only filters the
 null-supplying (right) side into that side's scan.  Every shape below
-runs over flat and segmented storage and is compared with stdlib
+runs at 3 and 64 rows per segment and is compared with stdlib
 ``sqlite3`` loaded from the same rows (``sqlite_oracle``): a wrong
 pushdown —
 a left-only conjunct filtering the left input, say — drops rows the
@@ -49,7 +49,7 @@ def _rows():
 ROWS = _rows()
 
 CONFIGS = {
-    "batch-flat": EngineConfig(),
+    "batch-seg3": EngineConfig(segment_rows=3),
     "batch-seg64": EngineConfig(segment_rows=64),
 }
 
@@ -69,7 +69,7 @@ def dbs():
 
 @pytest.fixture(scope="module")
 def oracle(dbs):
-    conn = load(dbs["batch-flat"])
+    conn = load(dbs["batch-seg3"])
     yield conn
     conn.close()
 
@@ -175,7 +175,7 @@ def test_pushed_conjuncts(shape, dbs):
 
 def test_left_only_conjunct_stays_in_condition(dbs):
     sql = CORPUS["left-only"][0]
-    rendered = dbs["batch-flat"].explain(sql)
+    rendered = dbs["batch-seg3"].explain(sql)
     assert "left join f on ((f.dim_id = d.k) AND (d.w > 2.5))" in rendered
     assert "scan d as d (40 rows) [" in rendered  # d is not filtered
 

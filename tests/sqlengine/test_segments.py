@@ -1,13 +1,13 @@
-"""Frozen segments + delta: the concurrent storage layout.
+"""Frozen segments + delta: the one storage layout.
 
-With ``EngineConfig(segment_rows=N)`` a table's rows live in immutable
-frozen segments plus one small mutable delta; readers pin a
-``(segments, delta-snapshot)`` set at query start and never observe
-concurrent DML.  These tests lock the layout invariants (freeze on
-threshold, tombstoned deletes, copy-on-write updates, compaction) and
-— the important part — that the segmented engine stays byte-identical
-to the reference interpreter over flat storage, before and after a DML
-storm.  A batch scan slices only the columns its predicates and its
+A table's rows live in immutable frozen segments of
+``EngineConfig.segment_rows`` rows plus one small mutable delta;
+readers pin a ``(segments, delta-snapshot)`` set at query start and
+never observe concurrent DML.  These tests lock the layout invariants
+(freeze on threshold, tombstoned deletes, copy-on-write updates,
+compaction) and — the important part — that the engine over pinned
+segments stays byte-identical to the reference interpreter over the
+decoded rows, before and after a DML storm.  A batch scan slices only the columns its predicates and its
 output read, and UPDATE / DELETE find their rows through that scan,
 zone maps included; those are locked with counters and recorders,
 never clocks.
@@ -65,10 +65,9 @@ class TestSegmentLayout:
             assert sliced == table.column_data(index)
 
     def test_segmented_scan_emits_the_flat_batch_types(self):
-        """Plain value lists, TEXT included, exactly as a flat scan."""
-        flat, segmented = _db(segment_rows=0), _db(segment_rows=8)
+        """Plain value lists, TEXT included, whatever the segment size."""
         emitted = []
-        for db in (flat, segmented):
+        for db in (_db(segment_rows=3), _db(segment_rows=8)):
             _populate(db, 50)
             db.execute("DELETE FROM t WHERE grp = 3")
             scan = BatchScanOp(
@@ -83,13 +82,17 @@ class TestSegmentLayout:
         assert emitted[0] == emitted[1]
         assert emitted[0][0][0] == [list, list, list, list]
 
-    def test_zero_threshold_disables_segments(self):
-        db = _db(segment_rows=0)
+    def test_a_default_database_is_segmented(self):
+        db = Database()
         _populate(db, 20)
         table = db.table("t")
-        assert not table.segmented
-        assert table.pin() is None
-        assert table.segment_stats() is None
+        assert isinstance(table.pin(), TableSnapshot)
+        assert table.segment_stats() == {
+            "segments": 0, "frozen_live": 0, "delta_rows": 20,
+            "tombstones": 0,
+        }
+        db.insert_rows("t", [(i, 0, 0.0, "x") for i in range(20, 4100)])
+        assert table.segment_stats()["segments"] == 1
 
     def test_delete_leaves_tombstones_then_compacts(self):
         db = _db(segment_rows=8)
@@ -188,10 +191,12 @@ class TestPinnedSnapshots:
             assert db.execute("SELECT COUNT(*) FROM t").rows[0][0] == 40
         assert db.execute("SELECT COUNT(*) FROM t").rows[0][0] < 40
 
-    def test_unsegmented_catalog_pins_nothing(self):
-        db = _db(segment_rows=0)
+    def test_a_default_catalog_pins_every_named_table(self):
+        db = Database()
         _populate(db, 10)
-        assert db.catalog.pin_tables(["t"]) is None
+        pins = db.catalog.pin_tables(["t", "missing"])
+        assert list(pins) == [id(db.table("t"))]
+        assert pins[id(db.table("t"))].row_count == 10
 
 
 #: the queries the matrix sweeps — every operator family the batch
@@ -234,7 +239,8 @@ def _storm(db: Database, run=Database.execute) -> None:
 
 @pytest.fixture(scope="module")
 def segmented_matrix(small_batches):
-    """(flat reference baseline, segmented db), both after the storm."""
+    """(reference baseline with every row in the delta, 8-row segment
+    db), both after the storm."""
     baseline = Database()
     _populate(baseline, 120)
     _storm(baseline, reference_execute)
@@ -346,12 +352,12 @@ class TestDmlThroughTheScan:
         assert delta["engine.segments_skipped"] >= FROZEN // 256 - 4
         assert batch.table("facts").rows == row.table("facts").rows
 
-    def test_flat_delete_on_strings_matches_the_reference(self):
-        flat, row = facts_db(segment_rows=0), facts_db(segment_rows=0)
+    def test_small_segment_delete_on_strings_matches_the_reference(self):
+        batch, row = facts_db(segment_rows=3), facts_db(segment_rows=3)
         sql = "DELETE FROM facts WHERE status IN ('NEW', 'DONE') AND qty = 3"
         result, delta = moved(
-            lambda: flat.execute(sql), "engine.batches_produced"
+            lambda: batch.execute(sql), "engine.batches_produced"
         )
         assert result.rowcount == reference_execute(row, sql).rowcount > 0
         assert delta["engine.batches_produced"] > 0  # DML scans like SELECT
-        assert flat.table("facts").rows == row.table("facts").rows
+        assert batch.table("facts").rows == row.table("facts").rows

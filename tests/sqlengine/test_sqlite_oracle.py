@@ -4,7 +4,7 @@ Every statement of the vectorized parity corpora (planner, rich,
 string), a three-valued-logic corpus, the perf ledger's
 ``engine_selects`` templates at all their literal rotations and a
 16-iteration ``engine_write`` cycle over ~3 000 facts runs in our
-engine, flat and at ``segment_rows=64``, and in ``sqlite3`` loaded from
+engine, at ``segment_rows`` 3 and 64, and in ``sqlite3`` loaded from
 the same rows (``sqlite_oracle.load``).  Answers go through the one
 normalisation shim (``sqlite_oracle.normalized``) and must be equal.
 
@@ -41,7 +41,7 @@ from tests.sqlengine.test_vectorized_parity import (
 
 ledger = load_ledger_workloads()
 
-LAYOUTS = {"flat": 0, "seg64": 64}
+LAYOUTS = {"seg3": 3, "seg64": 64}
 
 #: three-valued logic where it shows: TRUE OR NULL, FALSE AND NULL,
 #: NOT NULL, IN lists with NULL items (rich schema: val is NULL on id 2,

@@ -161,9 +161,11 @@ class TestLifecycle:
         provider = db.planner.statistics
         provider.table_stats("items")
         table = db.table("items")
-        # what checkpoint.restore_catalog does: bulk-fill, then set the
+        # what checkpoint.restore_catalog does: bulk-load, then set the
         # version directly — no observer hears about it
-        table.column_data(1)[:] = [1] * len(table)
+        columns = [table.column_data(i) for i in range(len(table.columns))]
+        columns[1] = [1] * len(table)
+        table.load_columns(columns)
         table._version += 7
         counters = Counters()
         assert provider.table_stats("items") == reference_table_stats(table)

@@ -1,7 +1,9 @@
 """Table storage holds each value once: locks on who reads it and what it costs.
 
-``Table`` keeps one list per column; row tuples are decoded on demand (``row``, ``iter_rows``), and ``rows`` is a
-freshly decoded list kept for tests and tools.  These tests lock that:
+``Table`` keeps its values in frozen segments plus one delta; columns
+and row tuples are decoded on demand (``column_data``, ``row``,
+``iter_rows``), and ``rows`` is a freshly decoded list kept for tests
+and tools.  These tests lock that:
 
 * no ``src/`` path reads the decoded view (``Table.rows`` /
   ``Table.__iter__`` patched to raise through a whole lifecycle);
@@ -10,8 +12,8 @@ freshly decoded list kept for tests and tools.  These tests lock that:
 * what is persisted or digested (checkpoint images, the index snapshot's
   catalog digest) is byte-identical to the tuple-list layout's, and a
   snapshot file that layout wrote still warm-starts;
-* checkpoint recovery fills every column before it builds the segment
-  mirror, so no segment is ever frozen from half-filled columns.
+* checkpoint recovery decodes every column before it freezes the
+  segments, so no segment is ever frozen from half-filled columns.
 """
 
 from __future__ import annotations
@@ -37,8 +39,8 @@ from repro.index.snapshot import (
 )
 from repro.sqlengine import Database
 from repro.sqlengine.catalog import Table
-from repro.sqlengine.config import EngineConfig
-from repro.sqlengine.segments import SegmentedStorage
+from repro.sqlengine import segments
+from repro.sqlengine.config import DEFAULT_SEGMENT_ROWS, EngineConfig
 from repro.warehouse.minibank import build_minibank
 
 DATA = Path(__file__).parent / "data"
@@ -157,16 +159,16 @@ class TestNoDecodedReads:
     """Named mutant: ``dml.execute_update`` takes its old images from
     ``table.rows`` again — the UPDATE of the lifecycle then raises."""
 
-    def test_flat_and_segmented_lifecycles_agree(
+    def test_small_and_large_segment_lifecycles_agree(
         self, tmp_path, no_decoded_view
     ):
-        flat = _lifecycle(str(tmp_path / "flat"), 0)
-        segmented = _lifecycle(str(tmp_path / "seg"), 64)
-        assert flat == segmented
-        assert len(flat["returning"][1]) == 15
-        assert [row[0] for row in flat["returning"][2]] == list(range(100, 140))
-        assert flat["explain"] >= 2
-        assert all(flat["banks"])
+        small = _lifecycle(str(tmp_path / "small"), 3)
+        large = _lifecycle(str(tmp_path / "large"), 64)
+        assert small == large
+        assert len(small["returning"][1]) == 15
+        assert [row[0] for row in small["returning"][2]] == list(range(100, 140))
+        assert small["explain"] >= 2
+        assert all(small["banks"])
 
     def test_the_patch_has_teeth(self, no_decoded_view):
         table = Table.__new__(Table)
@@ -200,8 +202,7 @@ class TestDecodedReaders:
         per_row = [
             name
             for name, value in vars(table).items()
-            if isinstance(value, list)
-            and name not in ("_column_data", "_observers")
+            if isinstance(value, list) and name != "_observers"
         ]
         assert per_row == []
 
@@ -274,27 +275,22 @@ def _table_bytes(segment_rows: int) -> int:
 
 class TestBytesPerRow:
     """Retained bytes of a 20k-row ``facts`` table ÷ the same values as
-    five bare lists (a ratio, so 3.10–3.12 agree; 3.11 figures).
+    five bare lists (a ratio; CPython 3.11 figures).
 
-    ======================  ==========================  ===========  =====
-    ``segment_rows``        tuple list + columns        columns      bound
-    ======================  ==========================  ===========  =====
-    0                       1.984 (196 B/row)           1.088 (108)  1.54
-    4096                    2.317 (229 B/row)           1.421 (140)  1.87
-    ======================  ==========================  ===========  =====
+    * flat column lists alone (the layout before segments): 0.967;
+    * flat lists plus a frozen-segment mirror of every value: 1.300;
+    * segments + delta at the default 4096 rows per segment: 0.969.
 
-    Bare lists: 98.8 B/row.  Each bound sits halfway between the two
-    layouts.  Named mutant: ``Table.insert`` appends its row tuple to a
-    list again (flat reads ~1.98).
+    The bound, 1.13, sits halfway between the two older layouts: a
+    second reference to every value does not fit under it.  Named
+    mutant: ``Table.insert_many`` also extends one flat list per column
+    beside the segments, as the mirror layout did.
     """
 
-    @pytest.mark.parametrize(
-        "segment_rows, bound", [(0, 1.54), (4096, 1.87)]
-    )
-    def test_a_table_retains_each_value_once(self, segment_rows, bound):
+    def test_a_table_retains_each_value_once(self):
         bare = _retained(_bare_lists)
-        ratio = _table_bytes(segment_rows) / bare
-        assert ratio <= bound, f"{ratio:.3f} x bare lists > {bound}"
+        ratio = _table_bytes(DEFAULT_SEGMENT_ROWS) / bare
+        assert ratio <= 1.13, f"{ratio:.3f} x bare lists > 1.13"
 
 
 # ---------------------------------------------------------------------------
@@ -354,16 +350,16 @@ class TestByteIdentity:
 
 
 # ---------------------------------------------------------------------------
-# checkpoint recovery fills every column before building the mirror
+# checkpoint recovery decodes every column before freezing segments
 # ---------------------------------------------------------------------------
 
 
 class TestRestoreOrder:
-    """The mirror must be frozen once, after every column is filled.
-    Mutant: rebuild the mirror inside the per-column fill loop — the
-    recorder sees a segment frozen from empty columns."""
+    """Segments are frozen once, after every column is decoded.
+    Mutant: ``restore_catalog`` bulk-loads inside the per-column decode
+    loop — the load refuses the short column list and recovery fails."""
 
-    def test_plain_text_column_reopens_segmented_like_flat(
+    def test_plain_text_column_reopens_alike_at_any_segment_size(
         self, tmp_path, monkeypatch
     ):
         db = Database(data_dir=str(tmp_path), wal_sync=False)
@@ -379,14 +375,14 @@ class TestRestoreOrder:
         db.close()
 
         frozen: list = []
-        freeze = SegmentedStorage._freeze_range
+        freeze = segments._frozen
 
-        def recording(self, table, start, stop):
-            segment = freeze(self, table, start, stop)
+        def recording(columns):
+            segment = freeze(columns)
             frozen.append(segment)
             return segment
 
-        monkeypatch.setattr(SegmentedStorage, "_freeze_range", recording)
+        monkeypatch.setattr(segments, "_frozen", recording)
         segmented = Database(
             config=EngineConfig(segment_rows=64),
             data_dir=str(tmp_path),
@@ -402,9 +398,9 @@ class TestRestoreOrder:
         sql = "SELECT id, name, qty, kind FROM people WHERE qty > 3 ORDER BY id"
         answer = segmented.execute(sql).rows
         segmented.close()
-        flat = Database(data_dir=str(tmp_path), wal_sync=False)
-        assert answer == flat.execute(sql).rows
-        flat.close()
+        default = Database(data_dir=str(tmp_path), wal_sync=False)
+        assert answer == default.execute(sql).rows
+        default.close()
         assert answer == [
             (i, f"person {i}", i % 9, ("a", "b")[i % 2])
             for i in range(300)

@@ -20,7 +20,7 @@ import pytest
 from repro.errors import SqlExecutionError
 from repro.obs.metrics import registry
 from repro.resilience.deadline import Deadline, deadline_scope
-from repro.sqlengine.config import EngineConfig
+from repro.sqlengine.config import DEFAULT_SEGMENT_ROWS, EngineConfig
 from repro.sqlengine.database import Database
 from repro.sqlengine.parser import parse_select
 from repro.sqlengine.planner import physical
@@ -103,10 +103,12 @@ class TestSegmentSkip:
         assert 2 in first._zones
         assert second.zone(2) == (0, 99)
 
-    def test_flat_tables_never_skip(self):
-        db = facts_db(segment_rows=0)
+    def test_a_default_database_skips_too(self):
+        db = facts_db(segment_rows=DEFAULT_SEGMENT_ROWS)
         counts = moved(db, STRFILTER, "engine.rows_scanned")
-        assert counts["engine.rows_scanned"] == ROWS
+        # the first two frozen segments hold the 50 matches, the other
+        # two sort past the bound, and the delta is read
+        assert counts["engine.rows_scanned"] == 2 * 4096 + ROWS - 4 * 4096
 
 
 class TestGuarantees:
@@ -230,7 +232,7 @@ class TestBoundThroughAResidualFilter:
         db.execute("DELETE FROM t WHERE id >= 100 AND id < 150")
         return db
 
-    @pytest.mark.parametrize("segment_rows", [0, 64])
+    @pytest.mark.parametrize("segment_rows", [3, 64])
     @pytest.mark.parametrize("sql", SQL)
     def test_answers_match_the_reference(self, segment_rows, sql):
         db = self._db(segment_rows)

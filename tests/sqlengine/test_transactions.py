@@ -128,7 +128,7 @@ class TestRollbackParity:
     @pytest.mark.parametrize(
         "kwargs",
         [{}, {"segment_rows": 2}, {"segment_rows": 1}, {"segment_rows": 3}],
-        ids=["plain", "segmented", "segmented_1", "segmented_3"],
+        ids=["default", "segmented", "segmented_1", "segmented_3"],
     )
     def test_rollback_restores_byte_identical_state(self, kwargs):
         oracle = make_db(**kwargs)

@@ -358,8 +358,8 @@ class TestRoundTrip:
         reopened.close()
 
     def test_checkpoint_reopen_refreezes_segments(self, tmp_path):
-        """The bulk fill rebuilds the segment mirror, so pins stay cheap
-        and zone maps apply straight after recovery."""
+        """The bulk fill refreezes the segments, so pins stay cheap and
+        zone maps apply straight after recovery."""
         from repro.obs.metrics import registry
 
         data_dir = str(tmp_path / "db")

@@ -105,13 +105,19 @@ class TestNeverSkipped:
         assert self.full_scan(db, "SELECT id FROM facts WHERE id = qty")
         assert self.full_scan(db, "SELECT id FROM facts WHERE id + 0 = 7")
 
-    def test_flat_storage_never_skips(self):
-        flat = make_db(segment_rows=0)
-        __, scanned = moved(
-            "engine.rows_scanned",
-            lambda: flat.execute("SELECT id FROM facts WHERE id = 7"),
+    def test_a_default_database_skips_segments(self):
+        """Every table has zones: a point read on a default ``Database``
+        of 20k rows (four frozen 4096-row segments and a delta) reads
+        the one segment holding its row, and the delta."""
+        db = Database()
+        db.create_table("facts", [("id", "INT"), ("x", "REAL")])
+        db.insert_rows("facts", [(i, float(i % 97)) for i in range(20_000)])
+        rows, skipped = moved(
+            "engine.segments_skipped",
+            lambda: db.execute("SELECT id FROM facts WHERE id = 5000").rows,
         )
-        assert scanned == FROZEN + DELTA
+        assert rows == [(5000,)]
+        assert skipped == 3
 
 
 class TestSkippingMatchesTheReference:
@@ -123,7 +129,7 @@ class TestSkippingMatchesTheReference:
         "WHERE f.dim_id = d.id AND f.id BETWEEN 12000 AND 12010",
     ])
     def test_same_rows(self, db, sql):
-        # the reference reads every flat row; the scan skips segments
+        # the reference reads every decoded row; the scan skips segments
         assert db.execute(sql).rows == reference_execute(db, sql).rows
 
 
@@ -143,7 +149,7 @@ class TestZoneMemo:
 
     def test_ingest_computes_no_zone(self):
         fresh = make_db()
-        segments = fresh.table("facts")._segments.segments
+        segments = fresh.table("facts")._storage.segments
         assert len(segments) == FROZEN // 256
         assert all(segment._zones == {} for segment in segments)
 
