@@ -18,10 +18,11 @@ from repro.warehouse.minibank import build_minibank
 
 def best_metrics(soda, query):
     result = soda.search(query.text, execute=False)
+    golds = query.run_gold(soda.warehouse.database)
     best = None
     for statement in result.statements:
         metrics = evaluate_sql(
-            soda.warehouse.database, statement.sql, query.gold,
+            soda.warehouse.database, statement.sql, golds,
             estimated_rows=statement.estimated_rows,
         )
         if best is None or (metrics.precision, metrics.recall) > (

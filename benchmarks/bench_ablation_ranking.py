@@ -16,9 +16,10 @@ from repro.experiments.workload import WORKLOAD
 
 def first_correct_rank(soda, query, database) -> "int | None":
     result = soda.search(query.text, execute=False)
+    golds = query.run_gold(database)
     for position, statement in enumerate(result.statements, start=1):
         metrics = evaluate_sql(
-            database, statement.sql, query.gold,
+            database, statement.sql, golds,
             estimated_rows=statement.estimated_rows,
         )
         if metrics.is_positive:

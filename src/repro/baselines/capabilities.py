@@ -161,11 +161,12 @@ def evaluate_system(
     evaluation = SystemEvaluation(system=system.name)
     for query in workload:
         answer = system.answer(query.text)
+        golds = query.run_gold(warehouse.database) if answer.sqls else []
         best: PrecisionRecall | None = None
         for sql in answer.sqls[:8]:
             try:
                 metrics = evaluate_sql(
-                    warehouse.database, sql, query.gold, max_rows=max_rows
+                    warehouse.database, sql, golds, max_rows=max_rows
                 )
             except ReproError:
                 continue

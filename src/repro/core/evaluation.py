@@ -16,13 +16,18 @@ paper's Q5.0 gold is "two separate 3-way join queries"); a SODA tuple
 counts as correct if its projection lies in *every* gold statement that
 shares columns with it, and recall is measured over the union of all
 gold tuples.  Both result sets are compared as sets (duplicates
-collapse).
+collapse): each is **normalised once, column-wise**, into its distinct
+rows, and everything above is computed from those.  A column gets one
+rule from the exact types of its non-NULL values (``str`` and ``bool``
+kept, numbers ``round(float(v), 9)``, dates ISO text); a column mixing
+types takes :func:`normalize_value` per value.
 """
 
 from __future__ import annotations
 
 import datetime
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Sequence
 
 from repro.errors import EvaluationError
@@ -80,149 +85,96 @@ def match_columns(
     """
     soda_norm = [_normalize_label(c) for c in soda_columns]
     gold_norm = [_normalize_label(c) for c in gold_columns]
-    pairs: list = []
-    used_soda: set = set()
-    used_gold: set = set()
-
-    for gold_index, gold_label in enumerate(gold_norm):
-        if gold_label in soda_norm:
-            soda_index = soda_norm.index(gold_label)
-            if soda_index not in used_soda:
-                pairs.append((soda_index, gold_index))
-                used_soda.add(soda_index)
-                used_gold.add(gold_index)
-
-    soda_suffixes: dict = {}
-    for index, label in enumerate(soda_norm):
-        soda_suffixes.setdefault(_suffix(label), []).append(index)
-    gold_suffixes: dict = {}
-    for index, label in enumerate(gold_norm):
-        gold_suffixes.setdefault(_suffix(label), []).append(index)
-
-    for gold_index, gold_label in enumerate(gold_norm):
-        if gold_index in used_gold:
-            continue
-        suffix = _suffix(gold_label)
-        soda_candidates = [
-            i for i in soda_suffixes.get(suffix, []) if i not in used_soda
+    matched: dict = {}  # gold index -> soda index
+    for gold_index, label in enumerate(gold_norm):
+        soda_index = soda_norm.index(label) if label in soda_norm else None
+        if soda_index is not None and soda_index not in matched.values():
+            matched[gold_index] = soda_index
+    soda_suffixes = [_suffix(label) for label in soda_norm]
+    gold_suffixes = [_suffix(label) for label in gold_norm]
+    for gold_index, suffix in enumerate(gold_suffixes):
+        candidates = [
+            i for i, s in enumerate(soda_suffixes)
+            if s == suffix and i not in matched.values()
         ]
-        if len(soda_candidates) == 1 and len(gold_suffixes[suffix]) == 1:
-            pairs.append((soda_candidates[0], gold_index))
-            used_soda.add(soda_candidates[0])
-            used_gold.add(gold_index)
-
-    return sorted(pairs)
+        if (gold_index not in matched and len(candidates) == 1
+                and gold_suffixes.count(suffix) == 1):
+            matched[gold_index] = candidates[0]
+    return sorted((s, g) for g, s in matched.items())
 
 
-def _project(rows: list, indexes: list) -> set:
-    return {
-        tuple(normalize_value(row[i]) for i in indexes)
-        for row in rows
-    }
+def _normalize_column(values: tuple) -> Sequence:
+    """*values* under :func:`normalize_value`, one rule for the column."""
+    types = set(map(type, values))
+    types.discard(type(None))
+    if types <= {str} or types == {bool}:
+        return values
+    if types == {int}:  # an int needs no rounding: it is a whole float
+        return [None if v is None else float(v) for v in values]
+    if types <= {int, float}:
+        return [None if v is None else round(float(v), 9) for v in values]
+    if types == {datetime.date}:
+        return [None if v is None else v.isoformat() for v in values]
+    return list(map(normalize_value, values))
+
+
+def _distinct_rows(result: ResultSet) -> set:
+    """*result*'s distinct rows, every cell normalised once, column-wise."""
+    if not result.columns:
+        return set(result.rows)
+    return set(zip(*map(_normalize_column, zip(*result.rows))))
 
 
 def compare_results(soda: ResultSet, golds: Sequence[ResultSet]) -> PrecisionRecall:
     """Compute precision/recall of *soda* against the gold statement(s)."""
     if not golds:
         raise EvaluationError("at least one gold result is required")
-
-    gold_total_rows = sum(len({tuple(map(normalize_value, r)) for r in g.rows})
-                          for g in golds)
-    soda_distinct = {tuple(map(normalize_value, row)) for row in soda.rows}
-
+    soda_rows = _distinct_rows(soda)
+    gold_rows = [_distinct_rows(gold) for gold in golds]
+    gold_total = sum(map(len, gold_rows))
     comparable = []
-    for gold in golds:
+    for gold, rows in zip(golds, gold_rows):
         pairs = match_columns(soda.columns, gold.columns)
         if pairs:
-            comparable.append((gold, pairs))
+            comparable.append((pairs, rows))
+    if not comparable or not soda_rows:
+        # nothing to compare; an empty answer to an empty gold is right
+        score = 1.0 if comparable and not gold_total else 0.0
+        return PrecisionRecall(score, score, len(soda_rows), gold_total)
 
-    if not comparable:
-        return PrecisionRecall(
-            precision=0.0,
-            recall=0.0,
-            soda_rows=len(soda_distinct),
-            gold_rows=gold_total_rows,
-        )
-
-    if not soda_distinct:
-        if gold_total_rows == 0:
-            return PrecisionRecall(1.0, 1.0, 0, 0)
-        return PrecisionRecall(0.0, 0.0, 0, gold_total_rows)
-
-    # precision: a SODA tuple is correct iff its projection appears in
-    # every comparable gold statement
-    correct = 0
-    gold_projections = []
-    for gold, pairs in comparable:
-        soda_indexes = [s for s, __ in pairs]
-        gold_indexes = [g for __, g in pairs]
-        gold_projections.append(
-            (soda_indexes, _project(gold.rows, gold_indexes))
-        )
-    soda_rows_normalized = [
-        tuple(normalize_value(v) for v in row) for row in soda.rows
-    ]
-    seen_rows: set = set()
-    for row in soda_rows_normalized:
-        if row in seen_rows:
-            continue
-        seen_rows.add(row)
-        ok = all(
-            tuple(row[i] for i in soda_indexes) in gold_set
-            for soda_indexes, gold_set in gold_projections
-        )
-        if ok:
-            correct += 1
-    precision = correct / len(soda_distinct)
-
-    # recall: fraction of gold tuples (across all statements) whose
-    # projection is covered by SODA's projection on the shared columns
-    covered = 0
-    counted = 0
-    for gold, pairs in comparable:
-        soda_indexes = [s for s, __ in pairs]
-        gold_indexes = [g for __, g in pairs]
-        soda_projection = {
-            tuple(row[i] for i in soda_indexes) for row in soda_rows_normalized
-        }
-        gold_rows_distinct = {
-            tuple(normalize_value(row[i]) for i in gold_indexes)
-            for row in gold.rows
-        }
-        counted += len(gold_rows_distinct)
-        covered += sum(1 for row in gold_rows_distinct if row in soda_projection)
-    # gold statements with no comparable columns count as uncovered
-    uncomparable_rows = gold_total_rows - sum(
-        len({tuple(normalize_value(v) for v in row) for row in gold.rows})
-        for gold, __ in comparable
-    )
-    denominator = counted + max(0, uncomparable_rows)
+    # a SODA row is correct iff its projection lies in every comparable
+    # gold; recall counts the comparable golds' projections SODA covers,
+    # and every row of a gold sharing no column as uncovered
+    correct = soda_rows
+    covered = counted = 0
+    for pairs, rows in comparable:
+        soda_key = itemgetter(*[s for s, __ in pairs])
+        gold_projection = set(map(itemgetter(*[g for __, g in pairs]), rows))
+        correct = {row for row in correct if soda_key(row) in gold_projection}
+        soda_projection = set(map(soda_key, soda_rows))
+        counted += len(gold_projection)
+        covered += len(gold_projection & soda_projection)
+    denominator = counted + gold_total - sum(len(r) for __, r in comparable)
+    precision = len(correct) / len(soda_rows)
     recall = covered / denominator if denominator else 1.0
-
-    return PrecisionRecall(
-        precision=precision,
-        recall=recall,
-        soda_rows=len(soda_distinct),
-        gold_rows=gold_total_rows,
-    )
+    return PrecisionRecall(precision, recall, len(soda_rows), gold_total)
 
 
 def evaluate_sql(
     database: Database,
     soda_sql: str,
-    gold_sqls: Sequence[str],
+    golds: Sequence[ResultSet],
     estimated_rows: int | None = None,
     max_rows: int = 1_000_000,
 ) -> PrecisionRecall:
-    """Execute generated + gold statements and compare the results.
+    """Execute a generated statement and score it against *golds*.
 
-    Statements whose estimated result exceeds *max_rows* (disconnected
-    cross products) are scored 0/0 without executing — the paper counts
-    such statements in its "#Results P,R = 0" column.
+    *golds* are the query's executed gold statements (run once per
+    query).  Statements whose estimated result exceeds *max_rows*
+    (disconnected cross products) are scored 0/0 without executing —
+    the paper counts such statements in its "#Results P,R = 0" column.
     """
-    golds = [database.execute(sql) for sql in gold_sqls]
     if estimated_rows is not None and estimated_rows > max_rows:
-        gold_rows = sum(len(g.rows) for g in golds)
+        gold_rows = sum(len(_distinct_rows(gold)) for gold in golds)
         return PrecisionRecall(0.0, 0.0, 0, gold_rows)
-    soda_result = database.execute(soda_sql)
-    return compare_results(soda_result, golds)
+    return compare_results(database.execute(soda_sql), golds)

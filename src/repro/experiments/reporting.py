@@ -65,7 +65,8 @@ def format_table3(outcomes: Sequence) -> str:
 
 
 def format_table4(outcomes: Sequence) -> str:
-    """Table 4: complexity, result counts and runtimes."""
+    """Table 4: complexity, result counts and runtimes (SODA's analysis,
+    the generated statements' execution, their scoring)."""
     rows = []
     for outcome in outcomes:
         paper = PAPER_TABLE4.get(outcome.query.qid)
@@ -76,6 +77,7 @@ def format_table4(outcomes: Sequence) -> str:
                 outcome.n_results,
                 f"{outcome.soda_seconds:.3f}",
                 f"{outcome.execute_seconds:.3f}",
+                f"{outcome.eval_seconds:.3f}",
                 paper[0] if paper else "-",
                 paper[1] if paper else "-",
                 f"{paper[2]:.2f}" if paper else "-",
@@ -84,7 +86,7 @@ def format_table4(outcomes: Sequence) -> str:
         )
     return format_rows(
         (
-            "Q", "Cmplx", "#Res", "SODA(s)", "Exec(s)",
+            "Q", "Cmplx", "#Res", "SODA(s)", "Exec(s)", "Eval(s)",
             "paperCmplx", "paper#Res", "paperSODA(s)", "paperTotal",
         ),
         rows,

@@ -28,6 +28,10 @@ class ExperimentQuery:
     def uses(self, type_tag: str) -> bool:
         return type_tag in self.types
 
+    def run_gold(self, database) -> list:
+        """The gold statements' results, for :func:`evaluate_sql`."""
+        return [database.execute(sql) for sql in self.gold]
+
 
 WORKLOAD: tuple = (
     ExperimentQuery(
@@ -213,7 +217,7 @@ def query_by_id(qid: str) -> ExperimentQuery:
     raise KeyError(f"no experiment query with id {qid!r}")
 
 
-#: Paper-reported values for EXPERIMENTS.md comparisons (Table 3 / Table 4).
+#: Paper-reported values, printed next to ours (Table 3 / Table 4).
 PAPER_TABLE3: dict = {
     "1.0": (1.00, 1.00, 1, 0),
     "2.1": (1.00, 0.20, 1, 3),

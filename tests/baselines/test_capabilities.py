@@ -8,8 +8,6 @@ from repro.baselines.capabilities import (
     QueryEvaluation,
     SystemEvaluation,
     capability_matrix,
-    default_systems,
-    evaluate_system,
     format_table5,
     soda_evaluation,
     synonym_dictionary,
@@ -60,13 +58,9 @@ class TestMarks:
 
 class TestIntegration:
     @pytest.fixture(scope="class")
-    def matrix_and_systems(self, small_warehouse):
-        evaluations = [
-            evaluate_system(system, small_warehouse)
-            for system in default_systems(small_warehouse)
-        ]
-        matrix = capability_matrix(evaluations)
-        return matrix, [e.system for e in evaluations]
+    def matrix_and_systems(self, baseline_evaluations):
+        matrix = capability_matrix(baseline_evaluations)
+        return matrix, [e.system for e in baseline_evaluations]
 
     def test_matrix_covers_all_cells(self, matrix_and_systems):
         matrix, systems = matrix_and_systems

@@ -36,3 +36,14 @@ def experiment_outcomes(warehouse):
 
     runner = ExperimentRunner(warehouse=warehouse)
     return runner.run_all()
+
+
+@pytest.fixture(scope="session")
+def baseline_evaluations(small_warehouse):
+    """The five Table 5 baselines run over the workload (small_warehouse)."""
+    from repro.baselines.capabilities import default_systems, evaluate_system
+
+    return [
+        evaluate_system(system, small_warehouse)
+        for system in default_systems(small_warehouse)
+    ]

@@ -1,5 +1,7 @@
 """Tests for precision/recall evaluation against gold standards."""
 
+import datetime
+
 import pytest
 
 from repro.core.evaluation import (
@@ -117,9 +119,34 @@ class TestCompareResults:
         assert metrics.precision == 1.0
 
     def test_date_normalisation(self):
-        import datetime
-
         assert normalize_value(datetime.date(2010, 1, 1)) == "2010-01-01"
+
+    def test_real_values_rounded_to_nine_places(self):
+        # 0.1 + 0.2 is 0.30000000000000004: only the rounding makes it 0.3
+        soda = rs(["n"], [(0.1 + 0.2,)])
+        metrics = compare_results(soda, [rs(["n"], [(0.3,)])])
+        assert metrics.precision == 1.0 and metrics.recall == 1.0
+
+    def test_date_column_compares_as_iso_text(self):
+        soda = rs(["d"], [(datetime.date(2010, 1, 1),), (None,)])
+        metrics = compare_results(soda, [rs(["d"], [("2010-01-01",)])])
+        assert metrics.precision == 0.5 and metrics.recall == 1.0
+
+    def test_column_mixing_date_and_string_normalised_per_value(self):
+        # the rule is picked from every non-NULL type, not the first one:
+        # the date still becomes ISO text next to a string
+        for order in (1, -1):
+            values = [("x",), (None,), (datetime.date(2010, 1, 1),)][::order]
+            metrics = compare_results(
+                rs(["d"], values), [rs(["d"], [("2010-01-01",)])]
+            )
+            assert metrics.precision == pytest.approx(1 / 3)
+            assert metrics.recall == 1.0
+
+    def test_bool_column_kept_and_equal_to_numbers(self):
+        soda = rs(["b"], [(True,), (False,)])
+        metrics = compare_results(soda, [rs(["b"], [(1,), (0.0,)])])
+        assert metrics.precision == 1.0 and metrics.recall == 1.0
 
 
 class TestEvaluateSql:
@@ -128,7 +155,7 @@ class TestEvaluateSql:
         database = Database()
         database.execute("CREATE TABLE t (id INT, name TEXT)")
         database.execute(
-            "INSERT INTO t VALUES (1, 'a'), (2, 'b'), (3, 'c')"
+            "INSERT INTO t VALUES (1, 'a'), (2, 'b'), (3, 'c'), (4, 'a')"
         )
         return database
 
@@ -136,7 +163,7 @@ class TestEvaluateSql:
         metrics = evaluate_sql(
             db,
             "SELECT id FROM t WHERE id < 3",
-            ["SELECT id FROM t"],
+            [db.execute("SELECT id FROM t WHERE id < 4")],
         )
         assert metrics.precision == 1.0
         assert metrics.recall == pytest.approx(2 / 3)
@@ -145,12 +172,24 @@ class TestEvaluateSql:
         metrics = evaluate_sql(
             db,
             "SELECT id FROM t",
-            ["SELECT id FROM t"],
+            [db.execute("SELECT id FROM t")],
             estimated_rows=10_000_000,
             max_rows=100,
         )
         assert metrics.is_zero
-        assert metrics.gold_rows == 3
+        assert metrics.gold_rows == 4
+
+    def test_skipped_statement_counts_distinct_gold_rows(self, db):
+        # the gold returns 4 rows but 3 distinct names: a statement
+        # skipped for its estimate reports the 3 a scored one reports
+        golds = [db.execute("SELECT name FROM t")]
+        scored = evaluate_sql(db, "SELECT name FROM t", golds)
+        skipped = evaluate_sql(
+            db, "SELECT name FROM t", golds,
+            estimated_rows=10_000_000, max_rows=100,
+        )
+        assert len(golds[0].rows) == 4
+        assert skipped.gold_rows == scored.gold_rows == 3
 
     def test_properties(self):
         assert PrecisionRecall(1.0, 0.2, 1, 5).is_positive

@@ -7,9 +7,10 @@ and in which way.
 
 import pytest
 
+from repro.core import evaluation
 from repro.core.evaluation import PrecisionRecall
 from repro.experiments.runner import ExperimentRunner, QueryOutcome
-from repro.experiments.workload import query_by_id
+from repro.experiments.workload import WORKLOAD, query_by_id
 
 
 def outcome_by_id(outcomes, qid):
@@ -104,6 +105,7 @@ class TestRunnerMechanics:
             statements=[],
             soda_seconds=0.0,
             execute_seconds=0.0,
+            eval_seconds=0.0,
             step_timings={},
         )
         assert outcome.best.is_zero
@@ -114,3 +116,61 @@ class TestRunnerMechanics:
             for statement in outcome.statements:
                 assert isinstance(statement.metrics, PrecisionRecall)
                 assert statement.sql.startswith("SELECT")
+
+
+class TestScoringWork:
+    """Counter locks on what one ``run_all()`` scores, not clocks."""
+
+    @pytest.fixture(scope="class")
+    def counted_run(self, warehouse):
+        gold_sqls = {sql for query in WORKLOAD for sql in query.gold}
+        counts = {"gold": 0, "generated": 0, "cells": 0, "normalized": 0,
+                  "per_value": 0}
+        database = warehouse.database
+        execute = database.execute
+        compare = evaluation.compare_results
+        normalize_column = evaluation._normalize_column
+        normalize_value = evaluation.normalize_value
+
+        def counting_execute(sql, *args, **kwargs):
+            counts["gold" if sql in gold_sqls else "generated"] += 1
+            return execute(sql, *args, **kwargs)
+
+        def counting_compare(soda, golds):
+            counts["cells"] += sum(
+                len(result.rows) * len(result.columns)
+                for result in (soda, *golds)
+            )
+            return compare(soda, golds)
+
+        def counting_normalize_column(values):
+            counts["normalized"] += len(values)
+            return normalize_column(values)
+
+        def counting_normalize_value(value):
+            counts["per_value"] += 1
+            return normalize_value(value)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(database, "execute", counting_execute)
+            patch.setattr(evaluation, "compare_results", counting_compare)
+            patch.setattr(evaluation, "_normalize_column",
+                          counting_normalize_column)
+            patch.setattr(evaluation, "normalize_value",
+                          counting_normalize_value)
+            outcomes = ExperimentRunner(warehouse=warehouse).run_all()
+        return outcomes, counts
+
+    def test_each_gold_statement_runs_once_per_query(self, counted_run):
+        outcomes, counts = counted_run
+        assert counts["gold"] == sum(len(query.gold) for query in WORKLOAD)
+        assert counts["gold"] == 14  # 41 when each statement re-ran it
+        assert counts["generated"] == sum(o.n_results for o in outcomes)
+
+    def test_each_cell_normalised_once_per_comparison(self, counted_run):
+        __, counts = counted_run
+        assert counts["cells"] > 1_000_000
+        assert counts["normalized"] == counts["cells"]
+        # no workload column mixes types, so no cell takes the per-value
+        # rule (2 384 339 calls when every row was normalised per use)
+        assert counts["per_value"] == 0

@@ -78,10 +78,11 @@ class TestPaperHeadlines:
         perfect = 0
         for query in WORKLOAD:
             result = soda.search(query.text, execute=False)
+            golds = query.run_gold(warehouse.database)
             best = None
             for statement in result.statements:
                 metrics = evaluate_sql(
-                    warehouse.database, statement.sql, query.gold,
+                    warehouse.database, statement.sql, golds,
                     estimated_rows=statement.estimated_rows,
                 )
                 if best is None or (

@@ -20,10 +20,11 @@ def wh():
 def best_metrics(soda, qid):
     query = query_by_id(qid)
     result = soda.search(query.text, execute=False)
+    golds = query.run_gold(soda.warehouse.database)
     best = None
     for statement in result.statements:
         metrics = evaluate_sql(
-            soda.warehouse.database, statement.sql, query.gold,
+            soda.warehouse.database, statement.sql, golds,
             estimated_rows=statement.estimated_rows,
         )
         if best is None or (metrics.precision, metrics.recall) > (
