@@ -8,9 +8,11 @@ SELECT scan itself, a
 :class:`~repro.sqlengine.planner.physical.BatchScanOp` over the target
 table that carries each surviving row's live position as a trailing
 column: fused filters, column pruning and zone-map skipping over a
-fresh pin.  The WHERE is split into conjuncts only when no conjunct can
-raise; otherwise it stays one predicate, so a conjunct evaluated over
-fewer rows never hides an error the whole WHERE raises.
+fresh pin.  The WHERE is split into conjuncts only when the expression
+compiler's verdict (:func:`~repro.sqlengine.expressions.never_raises`)
+is that no conjunct can raise; otherwise it stays one predicate, so a
+conjunct evaluated over fewer rows never hides an error the whole WHERE
+raises.
 
 Matching happens first, mutation second, and all mutation flows through
 :meth:`~repro.sqlengine.catalog.Table.update_positions` /
@@ -37,12 +39,13 @@ from repro.sqlengine.ast_nodes import Delete, Expr, Update
 from repro.sqlengine.catalog import Catalog, Table
 from repro.sqlengine.expressions import (
     Scope,
-    _never_raises,
+    class_of_tables,
     compile_batch,
+    never_raises,
     split_conjuncts,
 )
 from repro.sqlengine.planner.logical import LogicalScan
-from repro.sqlengine.planner.physical import BatchScanOp, class_of_tables
+from repro.sqlengine.planner.physical import BatchScanOp
 from repro.sqlengine.results import ResultSet
 
 __all__ = ["evaluate_returning", "execute_delete", "execute_update"]
@@ -61,7 +64,9 @@ def _matching_positions(
     # split only when no conjunct can raise: evaluating a later conjunct
     # over fewer rows must not hide an error the whole WHERE would raise
     conjuncts = split_conjuncts(where)
-    if not all(_never_raises(conjunct, table) for conjunct in conjuncts):
+    if not never_raises(
+        conjuncts, _table_scope(table), class_of_tables({table.name: table})
+    ):
         conjuncts = [where]
     scan = BatchScanOp(
         catalog,

@@ -18,6 +18,11 @@ needs one value — constant folding — evaluates a one-row batch.  A
 ``LIKE`` with a literal pattern runs its regex once per distinct string
 that reaches it in a batch, through a ``{value: result}`` table that
 fills per call.
+The compiler is also the engine's only "can this raise" analysis:
+while it generates a node it records whether that node's code can
+raise (``_Val.safe``), exposed as :attr:`FusedBatch.safe` and, for
+decisions taken before any batch function exists, as
+:func:`never_raises`.
 :func:`fuse_grouping` puts the GROUP BY above a scan into the same
 generated loop, and with :func:`fuse_merge` the one above a hash join.
 """
@@ -28,7 +33,12 @@ import datetime
 import re
 from typing import Any, Callable, Sequence
 
-from repro.errors import SqlCatalogError, SqlExecutionError, SqlTypeError
+from repro.errors import (
+    SqlCatalogError,
+    SqlError,
+    SqlExecutionError,
+    SqlTypeError,
+)
 from repro.sqlengine.ast_nodes import (
     AGGREGATE_FUNCTIONS,
     Between,
@@ -369,13 +379,19 @@ def _common_class(values) -> "str | None":
 class FusedBatch:
     """One batch function produced by :func:`compile_batch` or
     :func:`fuse_grouping`; ``source`` keeps the generated Python for
-    debugging and tests (None when nothing was generated)."""
+    debugging and tests (None when nothing was generated).  ``safe`` is
+    the compiler's verdict that ``fn`` cannot raise on any batch:
+    :func:`compile_batch` sets it when every filter conjunct or computed
+    target compiled to code that cannot raise (``_Val.safe``); the fused
+    folds leave it False.  The plan rewrites that must not change which
+    error surfaces — zone skips, the top-N bound — read it."""
 
-    __slots__ = ("fn", "source")
+    __slots__ = ("fn", "source", "safe")
 
-    def __init__(self, fn, source) -> None:
+    def __init__(self, fn, source, safe: bool = False) -> None:
         self.fn = fn
         self.source = source
+        self.safe = safe
 
 
 class _Fuser:
@@ -822,7 +838,7 @@ class _Fuser:
         """The common comparison class, parsing a string literal against
         a date side at codegen time exactly as compare_values would per
         row; None where compare_values must decide per row."""
-        if a.cls == b.cls and a.cls in ("num", "str", "date"):
+        if a.cls == b.cls and a.cls in ("num", "str", "date", "bool"):
             return a.cls
         for date_side, str_side in ((a, b), (b, a)):
             if date_side.cls == "date" and str_side.cls == "str" and str_side.is_lit:
@@ -934,14 +950,16 @@ def compile_batch(
         raise ValueError(f"unknown compile mode {mode!r}")
     fuser = _Fuser(scope, class_of, agg_slots)
     if mode == "filter":
-        conds = [fuser.gen_bool(expr, True).code for expr in exprs]
+        conds = [fuser.gen_bool(expr, True) for expr in exprs]
+        codes = [cond.code for cond in conds]
         if bound is not None:
-            conds.append(fuser.gen_bound(*bound))
-        condition = " and ".join(f"({c})" for c in conds)
+            codes.append(fuser.gen_bound(*bound))
+        condition = " and ".join(f"({c})" for c in codes)
         used = sorted(fuser.cols.values())
         body = [f"return [_i {_row_iter(used, True)} if {condition}]"]
         source = fuser.source("cols, n, _b=None", body)
-        return FusedBatch(_instantiate(source, fuser.consts), source)
+        return FusedBatch(_instantiate(source, fuser.consts), source,
+                          all(cond.safe for cond in conds))
 
     #: per target: a scope index (aliased), a 1-tuple (a repeated
     #: literal) or the name of a generated column
@@ -962,7 +980,7 @@ def compile_batch(
             parts.append(f"_o{slot}")
             computed.append((f"_o{slot}", value, sorted(fuser.current_used)))
     if not computed:  # nothing to evaluate per row: no code to generate
-        return FusedBatch(_picker(parts), None)
+        return FusedBatch(_picker(parts), None, True)
     # fallible columns run row by row together, so the first error is
     # the row-major one; the rest cannot raise and run one by one
     fallible = [entry for entry in computed if not entry[1].safe]
@@ -986,7 +1004,8 @@ def compile_batch(
     ]
     body.append(f"return ({''.join(result + ', ' for result in results)})")
     source = fuser.source("cols, n", body)
-    return FusedBatch(_instantiate(source, fuser.consts), source)
+    return FusedBatch(_instantiate(source, fuser.consts), source,
+                      all(value.safe for __, value, __ in computed))
 
 
 #: each call :func:`fuse_grouping` folds inline and its state in a new
@@ -1180,147 +1199,50 @@ def split_conjuncts(expr: Expr | None) -> list[Expr]:
     return [expr]
 
 
-# ---------------------------------------------------------------------------
-# static error analysis: can this expression raise on some row?
-# ---------------------------------------------------------------------------
+def never_raises(
+    exprs: Sequence[Expr],
+    scope: Scope,
+    class_of: "Callable[[str | None, str], str | None]",
+) -> bool:
+    """The compiler's verdict that no row makes any of *exprs* raise.
 
-_NUMERIC_TYPES = (SqlType.INTEGER, SqlType.REAL)
-
-
-def _column_type(ref: ColumnRef, columns) -> "SqlType | None":
-    """*ref*'s SqlType; *columns* is a Table or a ``ref -> SqlType | None``."""
-    if callable(columns):
-        return columns(ref)
-    if not columns.has_column(ref.column):
-        return None
-    return columns.column(ref.column).sql_type
-
-
-def _type_class(expr: Expr, columns) -> "str | None":
-    """The value class of *expr* — ``num``/``str``/``date``/``bool`` —
-    or None when unknown or mixed (which :func:`_never_raises` treats
-    as fallible)."""
-    if isinstance(expr, Literal):
-        value = expr.value
-        if isinstance(value, bool):
-            return "bool"
-        if isinstance(value, (int, float)):
-            return "num"
-        if isinstance(value, str):
-            return "str"
-        if isinstance(value, datetime.date):
-            return "date"
-        return None  # NULL literal: class unknown
-    if isinstance(expr, ColumnRef):
-        sql_type = _column_type(expr, columns)
-        if sql_type is None:
-            return None
-        if sql_type in _NUMERIC_TYPES:
-            return "num"
-        if sql_type is SqlType.TEXT:
-            return "str"
-        if sql_type is SqlType.DATE:
-            return "date"
-        return "bool"
-    if isinstance(expr, BinaryOp):
-        if expr.op in ("+", "-", "*", "/"):
-            return "num"
-        if expr.op == "||":
-            return "str"
-        return "bool"  # comparisons, AND, OR
-    if isinstance(expr, (UnaryOp, Like, IsNull)):
-        if isinstance(expr, UnaryOp) and expr.op == "-":
-            return "num"
-        return "bool"
-    if isinstance(expr, FuncCall):
-        if expr.name in _FUNCTION_CLASS:
-            return _FUNCTION_CLASS[expr.name]
-        if expr.name == "coalesce":
-            classes = {_type_class(arg, columns) for arg in expr.args}
-            classes.discard(None)
-            return classes.pop() if len(classes) == 1 else None
-    return None
-
-
-def _never_raises(expr: Expr, columns) -> bool:
-    """Conservatively True when evaluating *expr* cannot raise on any row.
-
-    *columns* types the column references: a
-    :class:`~repro.sqlengine.catalog.Table` (every reference is one of
-    its columns) or a callable mapping a ColumnRef to its SqlType, None
-    when it does not resolve.  The whitelist leans on the engine's type
-    invariants (a coerced INTEGER column holds only ``int``/``None``)
-    and literal operands; anything unrecognised is treated as fallible.
-    This one analysis gates every rewrite that must not change which
-    error surfaces: DML's vectorized SET, the LEFT JOIN null-side
-    pushdown and zone-map segment skipping.
+    Generates the code :func:`compile_batch` would for the conjuncts
+    *exprs* (without compiling or running it) and reads ``_Val.safe``,
+    so the verdict cannot drift from the code that runs.  False when an
+    expression does not compile.  It decides the rewrites taken before
+    any batch function exists: DML's conjunct split, LEFT JOIN null-side
+    pushdown, the hash LEFT JOIN's residuals and a top-N bound's
+    secondary sort keys.
     """
-    if isinstance(expr, Literal):
-        return True
-    if isinstance(expr, ColumnRef):
-        return _column_type(expr, columns) is not None
-    if isinstance(expr, BinaryOp):
-        left_safe = _never_raises(expr.left, columns)
-        right_safe = _never_raises(expr.right, columns)
-        if not (left_safe and right_safe):
-            return False
-        if expr.op in ("AND", "OR", "||"):
-            # 3VL short-circuits and concat tolerate NULL; neither raises
-            return True
-        left_class = _type_class(expr.left, columns)
-        right_class = _type_class(expr.right, columns)
-        if expr.op in ("+", "-", "*"):
-            return left_class == "num" and right_class == "num"
-        if expr.op == "/":
-            # only a provably nonzero literal divisor is safe
-            return (
-                left_class == "num"
-                and isinstance(expr.right, Literal)
-                and isinstance(expr.right.value, (int, float))
-                and not isinstance(expr.right.value, bool)
-                and expr.right.value != 0
-            )
-        if expr.op in _COMPARISONS:
-            # same class compares cleanly; date-vs-string would parse
-            return left_class is not None and left_class == right_class
+    fuser = _Fuser(scope, class_of)
+    try:
+        return all(fuser.gen_bool(expr, True).safe for expr in exprs)
+    except SqlError:
         return False
-    if isinstance(expr, UnaryOp):
-        if not _never_raises(expr.operand, columns):
-            return False
-        operand_class = _type_class(expr.operand, columns)
-        if expr.op == "-":
-            return operand_class == "num"
-        return operand_class == "bool"  # NOT
-    if isinstance(expr, Like):
-        return (
-            _never_raises(expr.operand, columns)
-            and _type_class(expr.operand, columns) == "str"
-            and isinstance(expr.pattern, Literal)
-            and isinstance(expr.pattern.value, str)
-        )
-    if isinstance(expr, IsNull):
-        return _never_raises(expr.operand, columns)
-    if isinstance(expr, FuncCall):
-        if expr.star or expr.distinct:
-            return False
-        if not all(_never_raises(arg, columns) for arg in expr.args):
-            return False
-        if expr.name in ("lower", "upper", "length"):
-            return (
-                len(expr.args) == 1
-                and _type_class(expr.args[0], columns) == "str"
-            )
-        if expr.name == "abs":
-            return (
-                len(expr.args) == 1
-                and _type_class(expr.args[0], columns) == "num"
-            )
-        if expr.name in ("year", "month"):
-            return (
-                len(expr.args) == 1
-                and _type_class(expr.args[0], columns) == "date"
-            )
-        if expr.name == "coalesce":
-            return len(expr.args) > 0
-        return False
-    return False
+
+
+#: the value class ``compile_batch`` gives a column of each SqlType
+_VALUE_CLASS = {
+    SqlType.INTEGER: "num",
+    SqlType.REAL: "num",
+    SqlType.TEXT: "str",
+    SqlType.DATE: "date",
+    SqlType.BOOLEAN: "bool",
+}
+
+
+def class_of_tables(tables: dict):
+    """``(binding, column) -> value class`` for :func:`compile_batch`.
+
+    Resolves through *tables* (``{binding: Table}``); anything it cannot
+    pin to a base-table column (aggregate slots, unknown bindings) maps
+    to None, which compiles to the generic forms.
+    """
+
+    def class_of(binding, column):
+        table = tables.get(binding)
+        if table is None or not table.has_column(column):
+            return None
+        return _VALUE_CLASS.get(table.column(column).sql_type)
+
+    return class_of

@@ -49,8 +49,9 @@ from repro.sqlengine.ast_nodes import (
 from repro.sqlengine.catalog import Catalog
 from repro.sqlengine.expressions import (
     Scope,
-    _never_raises,
+    class_of_tables,
     compile_batch,
+    never_raises,
     split_conjuncts,
 )
 from repro.sqlengine.planner.logical import (
@@ -369,37 +370,34 @@ def _push_null_side(
     conjunct whose column references all resolve, unambiguously, to the
     null-supplying binding can filter the scan instead of every pair.
     Conjuncts touching the left side stay in the condition: filtering
-    the left input would drop rows the join must pad.  Only when every
-    conjunct is provably non-raising, so evaluating fewer pairs cannot
-    hide an error.  A fully pushed condition becomes ``TRUE``.
+    the left input would drop rows the join must pad.  Only when the
+    compiler calls every conjunct safe (:func:`~repro.sqlengine.
+    expressions.never_raises`), so evaluating fewer pairs cannot hide an
+    error.  A fully pushed condition becomes ``TRUE``.
     """
-    found = [
-        (binding, column)
+    tables = {
+        binding: catalog.table(name)
         for binding, name in scan_bindings(left_node).items()
-        for column in catalog.table(name).columns
-    ]
-    scope = Scope([(binding, column.name) for binding, column in found])
-
-    def resolve(ref: ColumnRef) -> tuple:
-        """``(binding, Column)`` *ref* names, unambiguously, or Nones."""
-        index = scope.try_resolve(ref)
-        return (None, None) if index is None else found[index]
-
-    def column_type(ref: ColumnRef):
-        column = resolve(ref)[1]
-        return None if column is None else column.sql_type
-
+    }
+    scope = Scope([
+        (binding, column.name)
+        for binding, table in tables.items() for column in table.columns
+    ])
     right = left_node.right
 
     def right_only(conjunct: Expr) -> bool:
         refs = collect_column_refs(conjunct)
         return bool(refs) and all(
-            resolve(ref)[0] == right.binding for ref in refs
+            (index := scope.try_resolve(ref)) is not None
+            and scope.pairs[index][0] == right.binding
+            for ref in refs
         )
 
     conjuncts = split_conjuncts(left_node.condition)
     pushed = [c for c in conjuncts if right_only(c)]
-    if not pushed or not all(_never_raises(c, column_type) for c in conjuncts):
+    if not pushed or not never_raises(
+        conjuncts, scope, class_of_tables(tables)
+    ):
         return
     kept = [c for c in conjuncts if not right_only(c)]
     left_node.condition = (

@@ -37,37 +37,30 @@ ORDER BY aliases/positions, and NULLs-first mixed-type ordering.
 
 from __future__ import annotations
 
-import datetime
 import heapq
 import threading
 from bisect import bisect_right
 from functools import partial
 from typing import Any, Iterator
 
-from repro.errors import SqlCatalogError, SqlExecutionError, SqlTypeError
+from repro.errors import SqlCatalogError, SqlExecutionError
 from repro.resilience.deadline import current_deadline
 from repro.sqlengine.ast_nodes import (
-    Between,
     BinaryOp,
-    CaseWhen,
     ColumnRef,
-    FuncCall,
-    InList,
-    IsNull,
-    Like,
     Literal,
-    UnaryOp,
     collect_column_refs,
 )
 from repro.sqlengine.catalog import Catalog
 from repro.sqlengine.segments import snapshot_of
 from repro.sqlengine.expressions import (
     Scope,
-    _never_raises,
+    class_of_tables,
     compile_batch,
     fuse_grouping,
     fuse_merge,
     gather_columns,
+    never_raises,
     split_conjuncts,
 )
 from repro.sqlengine.functions import make_accumulator
@@ -87,7 +80,7 @@ from repro.sqlengine.planner.logical import (
     scan_bindings,
 )
 from repro.sqlengine.results import ResultSet
-from repro.sqlengine.types import SqlType, parse_date
+from repro.sqlengine.types import SqlType
 
 #: rows per column batch flowing through the vectorized operators
 BATCH_SIZE = 1024
@@ -254,23 +247,6 @@ class _TopNBound(threading.local):
         self.value = None
 
 
-def class_of_tables(tables: dict):
-    """``(binding, column) -> value class`` for :func:`compile_batch`.
-
-    Resolves through *tables* (``{binding: Table}``); anything it cannot
-    pin to a base-table column (aggregate slots, unknown bindings) maps
-    to None, which compiles to the generic forms.
-    """
-
-    def class_of(binding, column):
-        table = tables.get(binding)
-        if table is None or not table.has_column(column):
-            return None
-        return _VALUE_CLASS.get(table.column(column).sql_type)
-
-    return class_of
-
-
 #: op -> (op with the operands swapped, "no ``v`` in ``[low, high]``
 #: satisfies ``v <op> x``")
 _ZONE_OPS = {
@@ -282,13 +258,14 @@ _ZONE_OPS = {
 }
 
 
-def _zone_tests(predicates, table) -> tuple:
+def _zone_tests(predicates, table, fused) -> tuple:
     """``(column index, excludes, number)`` per ``col <op> number`` conjunct.
 
-    Empty unless every predicate is provably non-raising: a skipped
+    Empty unless the compiler calls the scan's filter *fused* safe
+    (:attr:`~repro.sqlengine.expressions.FusedBatch.safe`): a skipped
     batch must be one whose evaluation could neither match nor raise.
     """
-    if not all(_never_raises(p, table) for p in predicates):
+    if fused is None or not fused.safe:
         return ()
     tests = []
     for predicate in predicates:
@@ -298,8 +275,9 @@ def _zone_tests(predicates, table) -> tuple:
         if isinstance(column, Literal):
             column, literal, op = literal, column, _ZONE_OPS[op][0]
         value = getattr(literal, "value", None)
-        # _never_raises made the classes match, so a number here meets
-        # an INTEGER/REAL column; NaN compares equal to every number
+        # the filter is safe, so a number here meets an INTEGER/REAL
+        # column (any other class compares through compare_values,
+        # which can raise); NaN compares equal to every number
         if isinstance(column, ColumnRef) and type(value) in (int, float) \
                 and value == value:
             tests.append(
@@ -379,9 +357,11 @@ class BatchScanOp(BatchOperator):
     and batch boundaries are unchanged.  Under a connected top-N bound
     (:class:`_TopNBound`) a batch is also skipped when every segment it
     overlaps sorts strictly past the bound on a numeric key column.
-    Zones are consulted only when every pushed predicate is provably
-    non-raising (errors stay those of a full scan); the delta is always
-    read, and the deadline is checked per batch.
+    Zones are consulted only when the compiler calls the scan's
+    generated filter safe (``_filter.safe``, see :class:`~repro.
+    sqlengine.expressions.FusedBatch`), so errors stay those of a full
+    scan; the delta is always read, and the deadline is checked per
+    batch.
 
     Only the columns the predicates or the output read are sliced: the
     predicates compile against that sub-layout, and the output columns
@@ -433,7 +413,9 @@ class BatchScanOp(BatchOperator):
         self._predicates = node.predicates
         #: the generated filter over every pushed predicate, or None
         self._filter = self._compile_filter()
-        self._zone_tests = _zone_tests(node.predicates, self._table)
+        self._zone_tests = _zone_tests(
+            node.predicates, self._table, self._filter
+        )
         #: EXPLAIN ANALYZE's OperatorStats (receives ``skipped``), or None
         self.analyze_stats = None
         # TopN bound pushdown (see _connect_topn_bound): a shared cell,
@@ -457,7 +439,7 @@ class BatchScanOp(BatchOperator):
         column = table.column_index(self.scope.pairs[key_index][1])
         if table.columns[column].sql_type in (
             SqlType.INTEGER, SqlType.REAL
-        ) and all(_never_raises(p, table) for p in self._predicates):
+        ) and (self._filter is None or self._filter.safe):
             self._bound_column = column
 
     def _compile_filter(self, bound=None):
@@ -839,8 +821,9 @@ class BatchLeftJoinOp(BatchOperator):
     usable equi conjunct, and wherever hashing could diverge from
     ``compare_values`` semantics: REAL keys (NaN compares equal to
     every number, but never hash-matches), cross-class keys, and
-    residuals that could raise data-dependent errors the broadcast
-    evaluation order would surface.  The plan builder's analysis
+    residuals the compiler does not call safe (:func:`~repro.sqlengine.
+    expressions.never_raises`), whose errors the broadcast evaluation
+    order would surface.  The plan builder's analysis
     (:func:`_analyze_left_join`) passes the hash path's ``(key_pairs,
     residual conjuncts)``, or None for the broadcast path.
     """
@@ -979,19 +962,6 @@ _HASH_KEY_CLASS = {
     SqlType.BOOLEAN: "bool",
 }
 
-#: value classes used by the residual-safety analysis
-_VALUE_CLASS = {
-    SqlType.INTEGER: "num",
-    SqlType.REAL: "num",
-    SqlType.TEXT: "str",
-    SqlType.DATE: "date",
-    SqlType.BOOLEAN: "bool",
-}
-
-#: scalar functions that can never raise, whatever their input
-_SAFE_FUNCTIONS = {"lower", "upper", "length", "coalesce"}
-
-
 def _as_left_join_key(conjunct, left_scope: Scope, right_scope: Scope):
     """``(left index, right index)`` if *conjunct* is a cross-side equi."""
     if not (isinstance(conjunct, BinaryOp) and conjunct.op == "="):
@@ -1010,145 +980,17 @@ def _as_left_join_key(conjunct, left_scope: Scope, right_scope: Scope):
     return None
 
 
-def _value_class(expr, class_of) -> tuple:
-    """``(safe, class)``: can *expr* never raise, and what does it yield?
-
-    *class_of* maps a ColumnRef to its ``_VALUE_CLASS`` entry (or None
-    when unresolvable).  ``safe`` is conservative: False means "could
-    raise a data-dependent error", not "will".  A safe expression with
-    class None (e.g. CASE) still composes under operators that accept
-    any value (NOT, AND/OR, LIKE, ``||``) but blocks comparisons.
-    """
-    if isinstance(expr, Literal):
-        value = expr.value
-        if value is None:
-            return True, "null"
-        if isinstance(value, bool):
-            return True, "bool"
-        if isinstance(value, (int, float)):
-            return True, "num"
-        if isinstance(value, str):
-            return True, "str"
-        if isinstance(value, datetime.date):
-            return True, "date"
-        return True, None
-    if isinstance(expr, ColumnRef):
-        cls = class_of(expr)
-        return cls is not None, cls
-    if isinstance(expr, UnaryOp):
-        safe, cls = _value_class(expr.operand, class_of)
-        if expr.op == "NOT":  # `not value` never raises
-            return safe, "bool"
-        if expr.op == "-":  # raises on non-numbers
-            return safe and cls in ("num", "null"), "num"
-        return False, None
-    if isinstance(expr, BinaryOp):
-        op = expr.op
-        left_safe, left_cls = _value_class(expr.left, class_of)
-        right_safe, right_cls = _value_class(expr.right, class_of)
-        if not (left_safe and right_safe):
-            return False, None
-        if op in ("AND", "OR"):  # identity checks only, never raise
-            return True, "bool"
-        if op in ("=", "<>", "<", "<=", ">", ">="):
-            return _safe_compare(expr.left, left_cls, expr.right,
-                                 right_cls), "bool"
-        if op in ("+", "-", "*"):  # raise on non-numbers only
-            return (left_cls in ("num", "null")
-                    and right_cls in ("num", "null")), "num"
-        if op == "||":  # str() never raises
-            return True, "str"
-        return False, None  # '/' can divide by zero
-    if isinstance(expr, Like):  # str()/regex never raise
-        operand_safe, __ = _value_class(expr.operand, class_of)
-        pattern_safe, __ = _value_class(expr.pattern, class_of)
-        return operand_safe and pattern_safe, "bool"
-    if isinstance(expr, IsNull):
-        safe, __ = _value_class(expr.operand, class_of)
-        return safe, "bool"
-    if isinstance(expr, Between):
-        operand_safe, operand_cls = _value_class(expr.operand, class_of)
-        low_safe, low_cls = _value_class(expr.low, class_of)
-        high_safe, high_cls = _value_class(expr.high, class_of)
-        safe = (
-            operand_safe and low_safe and high_safe
-            and _safe_compare(expr.operand, operand_cls, expr.low, low_cls)
-            and _safe_compare(expr.operand, operand_cls, expr.high, high_cls)
-        )
-        return safe, "bool"
-    if isinstance(expr, InList):
-        operand_safe, operand_cls = _value_class(expr.operand, class_of)
-        if not operand_safe:
-            return False, None
-        for item in expr.items:
-            item_safe, item_cls = _value_class(item, class_of)
-            if not item_safe or not _safe_compare(
-                expr.operand, operand_cls, item, item_cls
-            ):
-                return False, None
-        return True, "bool"
-    if isinstance(expr, CaseWhen):
-        for condition, value in expr.branches:
-            if not _value_class(condition, class_of)[0]:
-                return False, None
-            if not _value_class(value, class_of)[0]:
-                return False, None
-        if expr.default is not None and not _value_class(
-            expr.default, class_of
-        )[0]:
-            return False, None
-        return True, None
-    if isinstance(expr, FuncCall):
-        if expr.name not in _SAFE_FUNCTIONS:
-            return False, None
-        for arg in expr.args:
-            if not _value_class(arg, class_of)[0]:
-                return False, None
-        if expr.name in ("lower", "upper"):
-            return True, "str"
-        if expr.name == "length":
-            return True, "num"
-        return True, None  # coalesce: class depends on its arguments
-    return False, None
-
-
-def _safe_compare(left_expr, left_cls, right_expr, right_cls) -> bool:
-    """Can ``compare_values(left, right)`` never raise for these shapes?"""
-    if left_cls == "null" or right_cls == "null":
-        return True
-    if left_cls is None or right_cls is None:
-        return False
-    if left_cls == right_cls and left_cls in ("num", "str", "bool", "date"):
-        return True
-    # DATE against a string literal parses the literal — validate it now
-    for date_cls, other_cls, other_expr in (
-        (left_cls, right_cls, right_expr),
-        (right_cls, left_cls, left_expr),
-    ):
-        if (
-            date_cls == "date"
-            and other_cls == "str"
-            and isinstance(other_expr, Literal)
-        ):
-            try:
-                parse_date(other_expr.value)
-            except SqlTypeError:
-                return False
-            return True
-    return False
-
-
 def _analyze_left_join(
     node: LogicalLeftJoin, left_scope: Scope, right_scope: Scope,
-    catalog: Catalog
+    catalog: Catalog, class_of
 ):
     """Hash-path plan for a LEFT JOIN condition, or None for broadcast.
 
     Returns ``(key_pairs, residual_conjuncts)`` when every ON conjunct
-    is either a hash-compatible cross-side equi predicate or a
-    provably error-free residual — the exact conditions under which the
-    hash path is byte-identical (results *and* errors) to the
-    broadcast evaluation.
+    is either a hash-compatible cross-side equi predicate or a residual
+    the compiler calls safe (:func:`~repro.sqlengine.expressions.
+    never_raises`) — the exact conditions under which the hash path is
+    byte-identical (results *and* errors) to the broadcast evaluation.
     """
     tables = {
         binding: catalog.table(name)
@@ -1158,15 +1000,6 @@ def _analyze_left_join(
     def sql_type_at(scope: Scope, index: int) -> SqlType:
         binding, column = scope.pairs[index]
         return tables[binding].column(column).sql_type
-
-    def class_of(ref: ColumnRef):
-        left_index = left_scope.try_resolve(ref)
-        right_index = right_scope.try_resolve(ref)
-        if left_index is not None and right_index is None:
-            return _VALUE_CLASS.get(sql_type_at(left_scope, left_index))
-        if right_index is not None and left_index is None:
-            return _VALUE_CLASS.get(sql_type_at(right_scope, right_index))
-        return None
 
     key_pairs: list = []
     residual: list = []
@@ -1178,11 +1011,10 @@ def _analyze_left_join(
             if left_cls is not None and left_cls == right_cls:
                 key_pairs.append(pair)
                 continue
-        if _value_class(conjunct, class_of)[0]:
-            residual.append(conjunct)
-        else:
-            return None
-    if not key_pairs:
+        residual.append(conjunct)
+    if not key_pairs or not never_raises(
+        residual, left_scope.concat(right_scope), class_of
+    ):
         return None
     return key_pairs, residual
 
@@ -1753,11 +1585,14 @@ def _connect_topn_bound(
     Only when provably unobservable: the chain below must be
     project → filter* → scan over one table, the leading sort key a
     bare column of that chain's scope, and every expression a
-    pre-dropped row would have skipped (filter predicates, project
-    targets, secondary sort keys) provably error-free, so dropping rows
-    the TopN bound check would discard anyway cannot change results or
-    errors.  The key column needs a value class: the bound conjunct
-    compares it natively (see ``_Fuser.gen_bound``).
+    pre-dropped row would have skipped cannot raise, by the compiler's
+    verdict — the filter stages' and the projection's
+    :attr:`~repro.sqlengine.expressions.FusedBatch.safe`, and
+    :func:`~repro.sqlengine.expressions.never_raises` for the secondary
+    sort keys — so dropping rows the TopN bound check would discard
+    anyway cannot change results or errors.  The key column needs a
+    value class: the bound conjunct compares it natively (see
+    ``_Fuser.gen_bound``).
     """
     project = _unwrapped(project)
     if not isinstance(project, BatchProjectOp):
@@ -1767,14 +1602,6 @@ def _connect_topn_bound(
         return
     scan, filters = parts
     pre_scope = project.scope
-    pair_class = ctx.class_of
-
-    def ref_class(ref):
-        index = pre_scope.try_resolve(ref)
-        if index is None:
-            return None
-        return pair_class(*pre_scope.pairs[index])
-
     specs = _sort_targets(node, project.columns)
     position, expr, descending = specs[0]
     if position is not None:
@@ -1789,20 +1616,15 @@ def _connect_topn_bound(
         key_index = pre_scope.try_resolve(expr)
     else:
         return
-    if key_index is None or pair_class(*pre_scope.pairs[key_index]) is None:
+    if key_index is None or ctx.class_of(*pre_scope.pairs[key_index]) is None:
         return
-    for __, secondary, __d in specs[1:]:
-        if secondary is not None and not _value_class(secondary, ref_class)[0]:
-            return
-    for target in project.targets:
-        if not isinstance(target, int) and not _value_class(
-            target, ref_class
-        )[0]:
-            return
-    for stage in filters:
-        for predicate in stage._predicates:
-            if not _value_class(predicate, ref_class)[0]:
-                return
+    secondary = [expr for __, expr, __d in specs[1:] if expr is not None]
+    if not (
+        project._fused.safe
+        and all(stage._filter.safe for stage in filters)
+        and never_raises(secondary, pre_scope, ctx.class_of)
+    ):
+        return
     cell = _TopNBound()
     operator.publish_bound(cell, key_index)
     scan.connect_bound(cell, key_index, descending)
@@ -1854,7 +1676,9 @@ def _build_relational(node: LogicalNode, ctx: _BuildContext):
         right, __ = _build_relational(node.right, ctx)
         operator = BatchLeftJoinOp(
             left, right, node.condition, ctx.class_of,
-            _analyze_left_join(node, left.scope, right.scope, catalog),
+            _analyze_left_join(
+                node, left.scope, right.scope, catalog, ctx.class_of
+            ),
         )
         return instrument(operator, node), None
     if isinstance(node, LogicalAggregate):

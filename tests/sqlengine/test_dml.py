@@ -297,6 +297,33 @@ class TestWhereErrorParity:
         assert errors[0] == errors[1]
 
 
+class TestWhereMixedCoalesce:
+    """A ``coalesce`` whose arguments have two classes can raise.
+
+    Row 4 has ``grp`` NULL: ``coalesce(grp, label)`` is ``'delta'`` and
+    negating it raises.  The first conjunct is NULL there, so the split
+    WHERE would drop the row first and hide the error; a class analysis
+    that typed the ``coalesce`` by its known arguments only called the
+    conjunct safe and split it.
+    """
+
+    WHERE = " WHERE grp = 1 AND -coalesce(coalesce(grp, label), 0) > 0"
+
+    @pytest.mark.parametrize(
+        "statement", ["UPDATE items SET grp = 0", "DELETE FROM items"]
+    )
+    def test_null_first_conjunct_does_not_hide_the_error(self, statement):
+        errors = []
+        for run in (reference_execute, Database.execute):
+            db = make_db()
+            before = storage_snapshot(db)
+            with pytest.raises(SqlTypeError) as info:
+                run(db, statement + self.WHERE)
+            errors.append(str(info.value))
+            assert storage_snapshot(db) == before
+        assert errors[0] == errors[1]
+
+
 class TestVersionsAndFingerprint:
     def test_update_bumps_version_and_mutations(self):
         db = make_db()

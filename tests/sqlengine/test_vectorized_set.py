@@ -1,13 +1,12 @@
-"""Vectorized SET evaluation: reference parity and the safety analyzer.
+"""Vectorized SET evaluation: reference parity and the safety verdict.
 
 The engine evaluates SET lists assignment-major (column-at-a-time); the
 reference interpreter evaluates row-major.  The two orders surface
 *different* first errors when two assignments can both raise, so the
-column-at-a-time path is gated on
-:func:`repro.sqlengine.dml._never_raises` proving that at most one
-assignment is fallible, and otherwise the engine evaluates row by row
-over one-row batches.  These tests lock the parity — byte-identical
-results AND identical error behaviour — and pin the analyzer's verdicts
+expression compiler runs the assignments that can raise (``_Val.safe``
+is False) row by row in one loop.  These tests lock the parity —
+byte-identical results AND identical error behaviour — and pin the
+compiler's verdicts (:func:`repro.sqlengine.expressions.never_raises`)
 on representative expressions.
 """
 
@@ -16,7 +15,7 @@ import pytest
 from repro.errors import SqlExecutionError
 from repro.sqlengine.ast_nodes import Update
 from repro.sqlengine.database import Database
-from repro.sqlengine.dml import _never_raises
+from repro.sqlengine.expressions import Scope, class_of_tables, never_raises
 from repro.sqlengine.parser import parse_sql
 
 from tests.sqlengine.reference_engine import reference_execute
@@ -111,25 +110,33 @@ class TestNeverRaisesAnalyzer:
             ("s || s", True),  # concat tolerates NULL
             ("s || n", True),  # concat stringifies
             ("lower(s)", True),
-            ("lower(n)", False),  # wrong arg class
+            ("lower(n)", True),  # str() of any value never raises
             ("length(s)", True),
             ("abs(x)", True),
             ("abs(s)", False),
             ("year(d)", True),
             ("year(s)", False),  # would parse the string
             ("coalesce(s, 'x')", True),
-            ("coalesce()", False),
+            ("coalesce()", True),  # NULL, whatever the row
             ("n = n", True),
             ("d = s", False),  # date-vs-string comparison parses
             ("d < d", True),
             ("s LIKE 'a%'", True),
-            ("s LIKE s", False),  # non-literal pattern
-            ("n LIKE 'a%'", False),  # non-string operand
+            ("s LIKE s", True),  # str() of both sides never raises
+            ("n LIKE 'a%'", True),  # str() of the operand never raises
             ("-n", True),
             ("-s", False),
             ("NOT b", True),
             ("b AND b OR n > 3", True),
             ("n IS NULL", True),
+            ("b = TRUE", True),  # bool against bool compares inline
+            ("d = '2020-01-01'", True),  # the literal parses at compile
+            ("d = 'nope'", False),  # the literal cannot parse
+            ("n BETWEEN 1 AND 5", True),
+            ("n IN (1, 2)", True),
+            ("n IN (1, 'a')", False),  # num against str raises
+            ("CASE WHEN n > 1 THEN s ELSE 'z' END", True),
+            ("CASE WHEN n > 1 THEN n / 0 END", False),
         ],
     )
     def test_verdicts(self, set_expr, expected):
@@ -137,4 +144,7 @@ class TestNeverRaisesAnalyzer:
         statement = parse_sql(f"UPDATE t SET n = {set_expr}")
         assert isinstance(statement, Update)
         value = statement.assignments[0].value
-        assert _never_raises(value, db.table("t")) is expected
+        table = db.table("t")
+        scope = Scope([("t", column.name) for column in table.columns])
+        class_of = class_of_tables({"t": table})
+        assert never_raises([value], scope, class_of) is expected

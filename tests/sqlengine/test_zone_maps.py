@@ -120,6 +120,20 @@ class TestNeverSkipped:
         assert skipped == 3
 
 
+class TestSkippedBesideSafeSetsAndRanges:
+    """The scan skips when the compiler calls its whole filter safe, so
+    an IN list or a BETWEEN that cannot raise leaves the zone test on.
+    (The hand-kept analysis the compiler replaced had no case for
+    either, and turned skipping off beside them.)"""
+
+    @pytest.mark.parametrize("other", ["qty IN (1, 2)", "qty BETWEEN 1 AND 3"])
+    def test_scans_one_batch_plus_delta(self, db, other):
+        sql = f"SELECT id FROM facts WHERE id = 5000 AND {other}"
+        result, scanned = moved("engine.rows_scanned", lambda: db.execute(sql))
+        assert result.rows == reference_execute(db, sql).rows == [(5000,)]
+        assert scanned <= BATCH_SIZE + DELTA
+
+
 class TestSkippingMatchesTheReference:
     @pytest.mark.parametrize("sql", [
         "SELECT id, qty FROM facts WHERE id = 7",
