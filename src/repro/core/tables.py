@@ -12,11 +12,11 @@ Faithful to Section 4.2.1 "Application in SODA":
 3. *Join pass* — traverse again, now also over join edges (bounded
    depth: the paper notes join paths between entities "too far apart"
    are not found), testing the Join-Relationship pattern; the discovered
-   join conditions form a table-level join graph.  The traversal runs
-   once per table per graph version: what a table reaches within the
-   depth bound depends on the metadata graph alone, so it is memoised
-   (lazily, on the table's first use) and a query's join graph is the
-   union of its entry tables' memoised reach.
+   join conditions form a table-level join graph.  What a table reaches
+   within the depth bound depends on the metadata graph alone, so every
+   table's reach is compiled at once, as a bitset over the join edges,
+   on the first join pass after the graph changes; a query's join graph
+   is the OR of its entry tables' bitsets.
 4. *Join selection* — keep only joins on a direct path between the
    entry points (Fig. 9); already-selected edges are preferred so the
    query stays small.  Bridge tables (physical N-to-N implementations)
@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from itertools import count
 
 from repro.graph.node import Text, Vocab, local_name
 from repro.graph.pattern import PatternLibrary, match_pattern
@@ -46,6 +47,7 @@ _EXPANSION_HITS = _METRICS.counter("tables.memo.expansion_hits")
 _EXPANSION_MISSES = _METRICS.counter("tables.memo.expansion_misses")
 _PLAN_HITS = _METRICS.counter("tables.memo.plan_hits")
 _PLAN_MISSES = _METRICS.counter("tables.memo.plan_misses")
+_REACH_COMPILES = _METRICS.counter("tables.reach_compiles")
 
 #: the edges the join pass follows: the schema edges of the tables pass
 #: plus the table -> column -> join node -> column -> table edges
@@ -130,7 +132,7 @@ class TablesStep:
         self,
         store: TripleStore,
         library: PatternLibrary,
-        join_depth: int = 16,
+        join_depth: int | None = 16,
     ) -> None:
         self._store = store
         self._library = library
@@ -139,15 +141,13 @@ class TablesStep:
         # memos, dropped whenever the metadata graph changes:
         #   entry point -> EntryExpansion (the schema-edge traversal)
         #   frozenset(entry tables) -> (parents, tables, joins, components)
-        #   graph node -> tuple of the JoinEdges the join pattern yields there
-        #   table -> frozenset of the JoinEdges within join_depth of it
+        #   the compiled join reach of every table, tagged with its version
         # All are filled on first use, never at construction; a fill is
         # one assignment of an immutable value computed from the graph
         # alone, so concurrent searches may race to it harmlessly.
         self._expansion_cache: dict = {}
         self._plan_cache: dict = {}
-        self._node_joins: dict = {}
-        self._join_reach: dict = {}
+        self._reach: tuple | None = None
         self._graph_version = store.version
 
     def _check_graph_version(self) -> None:
@@ -155,17 +155,17 @@ class TablesStep:
         if self._store.version != self._graph_version:
             self._expansion_cache.clear()
             self._plan_cache.clear()
-            self._node_joins.clear()
-            self._join_reach.clear()
+            self._reach = None
             self._children_cache = None
             self._graph_version = self._store.version
 
     def cache_stats(self) -> dict:
+        __, edges, reach = self._reach or (None, (), {})
         return {
             "expansions": len(self._expansion_cache),
             "join_plans": len(self._plan_cache),
-            "join_nodes": len(self._node_joins),
-            "join_reach": len(self._join_reach),
+            "join_reach": len(reach),
+            "join_edges": len(edges),
         }
 
     # ------------------------------------------------------------------
@@ -344,40 +344,80 @@ class TablesStep:
     # ------------------------------------------------------------------
     def _discover_join_graph(self, entry_tables) -> frozenset:
         """Every JoinEdge within ``join_depth`` of any entry table."""
-        return frozenset().union(
-            *(self._reachable_joins(table) for table in entry_tables)
-        )
+        __, edges, reach = self._compiled_reach()
+        bits = 0
+        for table in entry_tables:
+            bits |= reach.get(table, 0)
+        found = []
+        while bits:
+            low = bits & -bits
+            found.append(edges[low.bit_length() - 1])
+            bits ^= low
+        return frozenset(found)
 
-    def _reachable_joins(self, table_name: str) -> frozenset:
-        """Traverse join edges from one table; memoized per graph version."""
-        reach = self._join_reach.get(table_name)
-        if reach is None:
-            found: set = set()
-            start = self._table_node(table_name)
-            if start is not None:
-                for node, __ in iter_reachable(
-                    self._store, start, self._join_depth, _JOIN_PASS_EDGES
-                ):
-                    found.update(self._joins_at(node))
-            reach = self._join_reach[table_name] = frozenset(found)
-        return reach
+    def _compiled_reach(self) -> tuple:
+        """(graph version, JoinEdge per bit, table -> bits of its reach).
+
+        ``R_0(v)`` holds the edges the join pattern yields at node v and
+        ``R_d(v)`` ORs ``R_{d-1}`` of v and its join-pass successors: a BFS
+        to depth d from v.  Rounds stop at ``join_depth`` or a fixpoint.
+        """
+        compiled, store = self._reach, self._store
+        version = store.version
+        if compiled is not None and compiled[0] == version:
+            return compiled
+        if _METRICS.enabled:
+            _REACH_COMPILES.inc()
+        starts = {
+            triple.obj.value: self._table_node(triple.obj.value)
+            for triple in store.match(predicate=Vocab.TABLENAME)
+            if isinstance(triple.obj, Text)
+        }
+        successors: dict = {}
+        frontier = list(starts.values())
+        while frontier:
+            node = frontier.pop()
+            if node not in successors:
+                successors[node] = [
+                    obj for predicate, objs in store.edges_from(node).items()
+                    if predicate in _JOIN_PASS_EDGES for obj in objs
+                    if isinstance(obj, str)
+                ]
+                frontier.extend(successors[node])
+        at = {node: self._joins_at(node) for node in successors}
+        edges = tuple(sorted(
+            {edge for found in at.values() for edge in found},
+            key=lambda e: (e.sort_key(), e.left_column, e.right_column),
+        ))
+        bit = {edge: 1 << index for index, edge in enumerate(edges)}
+        reach = {node: sum(bit[e] for e in set(at[node])) for node in at}
+        depth = self._join_depth
+        for __ in count() if depth is None else range(depth):
+            grown = {}
+            for node, targets in successors.items():
+                bits = reach[node]
+                for target in targets:
+                    bits |= reach[target]
+                grown[node] = bits
+            if grown == reach:
+                break
+            reach = grown
+        reach = {table: reach[node] for table, node in starts.items()}
+        self._reach = compiled = (version, edges, reach)
+        return compiled
 
     def _joins_at(self, node: str) -> tuple:
-        """Match Join-Relationship at *node*; memoized per graph version."""
-        edges = self._node_joins.get(node)
-        if edges is None:
-            bindings = match_pattern(
-                self._store, self._library.get("join_relationship"), node,
-                self._library,
-            )
-            if bindings and self._store.object(node, Vocab.IGNORED) is not None:
-                bindings = ()
-            candidates = (
-                self._join_edge_from_binding(node, binding) for binding in bindings
-            )
-            edges = tuple(edge for edge in candidates if edge is not None)
-            self._node_joins[node] = edges
-        return edges
+        """The JoinEdges the Join-Relationship pattern yields at *node*."""
+        bindings = match_pattern(
+            self._store, self._library.get("join_relationship"), node,
+            self._library,
+        )
+        if bindings and self._store.object(node, Vocab.IGNORED) is not None:
+            return ()
+        candidates = (
+            self._join_edge_from_binding(node, binding) for binding in bindings
+        )
+        return tuple(edge for edge in candidates if edge is not None)
 
     def _join_edge_from_binding(self, join_node: str, binding: dict):
         left_table, left_column = self._column_location(binding.get("l"))

@@ -4,8 +4,8 @@ Step 3 of the algorithm (paper Section 4.2.1, "Application in SODA")
 traverses the metadata graph *"starting from the entry points of a given
 query and recursively follow[ing] all outgoing edges"*, testing patterns
 at every node.  This module provides that traversal; which edges count
-is the caller's choice (schema edges for the tables pass, schema + join
-edges for the join pass).
+is the caller's choice (schema edges for the tables pass; the join pass
+compiles its bounded reach for every table at once, in ``core.tables``).
 """
 
 from __future__ import annotations

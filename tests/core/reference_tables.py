@@ -10,6 +10,11 @@ a copy, select joins along deterministic shortest paths and take
 what that rewrite did not touch (``_table_node``,
 ``_join_edge_from_binding``, ``_inheritance_closure``,
 ``_all_inheritance_children``, ``JoinEdge``).
+
+``reference_reachable_joins`` is the per-table memo fill that followed
+it (and that the compiled bitset reach replaced): one depth-bounded
+``iter_reachable`` walk from a table, matching the join pattern at every
+node it visits.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ import networkx as nx
 from repro.core.tables import JoinEdge, TablesStep
 from repro.graph.node import Vocab
 from repro.graph.pattern import match_pattern
+from repro.graph.traversal import iter_reachable
 from repro.warehouse.graphbuilder import JOIN_EDGES, SCHEMA_EDGES
 
 
@@ -42,6 +48,18 @@ def reference_reachable(store, start, max_depth, allowed):
             if triple.obj not in seen:
                 seen.add(triple.obj)
                 queue.append((triple.obj, depth + 1))
+
+
+def reference_reachable_joins(step: TablesStep, table_name: str) -> frozenset:
+    """Every JoinEdge within ``join_depth`` of one table, by a lazy BFS."""
+    found: set = set()
+    start = step._table_node(table_name)
+    if start is not None:
+        for node, __ in iter_reachable(
+            step._store, start, step._join_depth, SCHEMA_EDGES | JOIN_EDGES
+        ):
+            found.update(step._joins_at(node))
+    return frozenset(found)
 
 
 def reference_join_graph(step: TablesStep, entry_tables: list) -> "nx.Graph":

@@ -1,24 +1,36 @@
 """The Tables step's per-graph-version join memos.
 
-Equivalence: the memoised per-table join reach must discover exactly the
-join edges the traverse-per-plan walk (``reference_tables``) discovers,
-and the plan built from them must be the plan the old ``networkx`` code
-built — for every table, for random entry sets, at every depth bound.
-Invalidation: a graph mutation drops both memos.  Concurrency: cold
-memos filled by racing searches give the sequential answers.
+Equivalence: the compiled join reach of every table must be exactly what
+a lazy BFS from that table collects (``reference_reachable_joins``), the
+join graph of an entry set exactly what the traverse-per-plan walk
+(``reference_tables``) discovers, and the plan built from them the plan
+the old ``networkx`` code built — for every table, for random entry
+sets, at every depth bound.  Invalidation: a graph mutation drops every
+memo, and the reach is compiled once per graph version (counted).
+Concurrency: cold memos filled by racing searches give the sequential
+answers.  Determinism: the compiled edge order ignores the hash seed.
 """
 
+import os
 import random
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from reference_tables import reference_join_edges, reference_join_plan
+from reference_tables import (
+    reference_join_edges,
+    reference_join_plan,
+    reference_reachable_joins,
+)
 from repro.core.lookup import Assignment, EntryPoint, Interpretation
 from repro.core.patterns import build_default_library
 from repro.core.soda import Soda, SodaConfig
 from repro.core.tables import TablesStep
+from repro.experiments.workload import WORKLOAD
 from repro.index.classification import EntrySource
+from repro.obs.metrics import registry
 from repro.warehouse.graphbuilder import (
     build_metadata_graph,
     join_uri,
@@ -28,6 +40,7 @@ from repro.warehouse.minibank import build_minibank
 from repro.warehouse.synthetic import SyntheticConfig, generate_definition
 
 DEPTHS = (0, 2, 4, 16)  # the join-depth ablation's range, and no traversal
+COMPILES = registry().counter("tables.reach_compiles")
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +76,16 @@ def interpretation_of(tables) -> Interpretation:
     ))
 
 
+def assert_reach_equivalent(graph, names, depth):
+    """Every table's compiled reach is the lazy BFS's, edge for edge."""
+    step = TablesStep(graph, build_default_library(), join_depth=depth)
+    assert set(step._compiled_reach()[2]) == set(names)
+    for name in names:
+        assert step._discover_join_graph([name]) == reference_reachable_joins(
+            step, name
+        ), (depth, name)
+
+
 def assert_equivalent(graph, names, depth, random_sets, seed):
     step = TablesStep(graph, build_default_library(), join_depth=depth)
     for tables in entry_sets(names, random_sets, seed):
@@ -79,6 +102,20 @@ def assert_equivalent(graph, names, depth, random_sets, seed):
         assert result.joins == joins, (depth, tables)
         assert result.components == components, (depth, tables)
         assert result.inheritance_parents == parents, (depth, tables)
+
+
+class TestCompiledReachEqualsBreadthFirstSearch:
+    @pytest.mark.parametrize("depth", DEPTHS + (None,))
+    def test_minibank(self, warehouse, depth):
+        assert_reach_equivalent(
+            warehouse.graph, table_names(warehouse.definition), depth
+        )
+
+    @pytest.mark.parametrize("depth", DEPTHS + (None,))
+    def test_synthetic_schema(self, synthetic_definition, synthetic_graph, depth):
+        assert_reach_equivalent(
+            synthetic_graph, table_names(synthetic_definition), depth
+        )
 
 
 class TestEquivalenceWithTraversePerPlan:
@@ -134,14 +171,15 @@ class TestInvalidation:
 
     def test_memos_are_lazy_and_reported(self, soda):
         assert soda._tables.cache_stats() == {
-            "expansions": 0, "join_plans": 0, "join_nodes": 0, "join_reach": 0,
+            "expansions": 0, "join_plans": 0, "join_reach": 0, "join_edges": 0,
         }
         soda.search("customers Zurich", execute=False)
         stats = soda._tables.cache_stats()
-        assert stats["join_nodes"] > 0
-        assert 0 < stats["join_reach"] <= len(
+        # one compile covers every physical table and every join edge
+        assert stats["join_reach"] == len(
             soda.warehouse.definition.physical_tables
         )
+        assert stats["join_edges"] > 0
 
     def test_annotate_join_is_seen_by_the_next_run(self, soda):
         tables = {"individuals", "individual_name_hist"}
@@ -158,15 +196,15 @@ class TestInvalidation:
         names = lambda: {j.name for j in step.run(interpretation_of(tables)).joins}
         assert "j_assoc_indiv" in names()
         filled = step.cache_stats()
-        assert filled["join_nodes"] > 0 and filled["join_reach"] > 0
+        assert filled["join_edges"] > 0 and filled["join_reach"] > 0
 
         soda.warehouse.ignore_join("j_assoc_indiv")
         assert "j_assoc_indiv" not in names()
         assert step._joins_at(join_uri("j_assoc_indiv")) == ()
-        assert all(
-            edge.name != "j_assoc_indiv"
-            for reach in step._join_reach.values() for edge in reach
-        )
+        assert "j_assoc_indiv" not in {
+            edge.name for edge in step._compiled_reach()[1]
+        }
+        assert step.cache_stats()["join_edges"] == filled["join_edges"] - 1
 
         soda.warehouse.unignore_join("j_assoc_indiv")
         assert "j_assoc_indiv" in names()
@@ -178,8 +216,91 @@ class TestInvalidation:
         soda.warehouse.ignore_join("j_assoc_indiv")
         step._check_graph_version()
         assert step.cache_stats() == {
-            "expansions": 0, "join_plans": 0, "join_nodes": 0, "join_reach": 0,
+            "expansions": 0, "join_plans": 0, "join_reach": 0, "join_edges": 0,
         }
+
+
+class TestReachCompiles:
+    """``tables.reach_compiles``: one compile per graph version, lazily."""
+
+    @pytest.fixture
+    def soda(self):
+        # fresh warehouse per test: annotations mutate the graph
+        return Soda(build_minibank(seed=42, scale=0.1), SodaConfig())
+
+    def compiles_during(self, action) -> int:
+        before = COMPILES.value
+        action()
+        return COMPILES.value - before
+
+    def test_a_workload_compiles_once(self, soda):
+        texts = [query.text for query in WORKLOAD]
+        texts += TestConcurrentColdFill.TEXTS
+        assert self.compiles_during(
+            lambda: [soda.search(text, execute=False) for text in texts]
+        ) == 1
+        assert self.compiles_during(
+            lambda: [soda.search(text, execute=False) for text in texts]
+        ) == 0
+
+    @pytest.mark.parametrize("mutation", [
+        ("annotate_join", "j_indiv_name_hist"),
+        ("ignore_join", "j_assoc_indiv"),
+        ("unignore_join", "j_assoc_indiv"),
+    ])
+    def test_a_join_annotation_costs_one_compile(self, soda, mutation):
+        search = lambda: soda.search("customers Zurich", execute=False)
+        method, join = mutation
+        if method == "unignore_join":
+            soda.warehouse.ignore_join(join)
+        assert self.compiles_during(search) == 1
+        mutate = getattr(soda.warehouse, method)
+        assert self.compiles_during(lambda: mutate(join)) == 0
+        assert self.compiles_during(lambda: (search(), search())) == 1
+
+    def test_a_sql_write_costs_none(self, soda):
+        search = lambda: soda.search("customers Zurich", execute=False)
+        assert self.compiles_during(search) == 1
+        changed = soda.warehouse.database.execute(
+            "UPDATE addresses SET city = 'Altstetten' WHERE city = 'Zurich'"
+        ).rowcount
+        assert changed > 0
+        assert self.compiles_during(search) == 0
+
+
+class TestDeterminism:
+    def test_edge_order_ignores_the_hash_seed(self):
+        """The bit index is JoinEdge order, never set iteration order."""
+        root = Path(__file__).resolve().parents[2]
+        code = (
+            "from repro.core.patterns import build_default_library\n"
+            "from repro.core.tables import TablesStep\n"
+            "from repro.warehouse.graphbuilder import build_metadata_graph\n"
+            "from repro.warehouse.minibank import build_definition\n"
+            "step = TablesStep(build_metadata_graph(build_definition()),\n"
+            "                  build_default_library())\n"
+            "__, edges, reach = step._compiled_reach()\n"
+            "print([edge.name for edge in edges], sorted(reach.items()))\n"
+        )
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-c", code],
+                env={**os.environ, "PYTHONHASHSEED": seed,
+                     "PYTHONPATH": str(root / "src")},
+                capture_output=True, text=True, timeout=300, check=True,
+            ).stdout
+            for seed in ("0", "12345")
+        ]
+        assert outputs[0] and outputs[0] == outputs[1]
+
+
+def reach_by_table(soda) -> dict:
+    """Each table's decoded join reach."""
+    step = soda._tables
+    return {
+        table: step._discover_join_graph([table])
+        for table in step._compiled_reach()[2]
+    }
 
 
 class TestConcurrentColdFill:
@@ -205,7 +326,6 @@ class TestConcurrentColdFill:
                 assert cold._tables.cache_stats()["join_reach"] == 0
                 results = cold.search_many(self.TEXTS, execute=False, workers=4)
                 assert [r.sql_texts() for r in results] == expected
-                assert cold._tables._join_reach == sequential._tables._join_reach
-                assert cold._tables._node_joins == sequential._tables._node_joins
+                assert reach_by_table(cold) == reach_by_table(sequential)
         finally:
             sys.setswitchinterval(interval)
